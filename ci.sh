@@ -18,14 +18,24 @@ cargo clippy --workspace --all-targets -- -D warnings
 # storage engines and executors whose rollback those boundaries trigger.
 # The lock table (dbpc-storage) and the conversion service with its job
 # journal and crash recovery (dbpc-convert: service.rs + journal.rs) sit
-# under the same gates: both crates' lib targets are covered below.
+# under the same gates: both crates' lib targets are covered below, as is
+# the restructuring crate, whose data translator the durable translation
+# and the service run unsupervised.
 # Scoped to the crates' lib targets (tests and benches may unwrap);
 # --no-deps keeps the extra lints from leaking into dependency crates.
-echo "==> cargo clippy (no unwrap/expect in storage + engine + convert + corpus libs)"
+echo "==> cargo clippy (no unwrap/expect in storage + engine + convert + corpus + restructure libs)"
 cargo clippy -p dbpc-storage --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 cargo clippy -p dbpc-engine --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 cargo clippy -p dbpc-convert --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 cargo clippy -p dbpc-corpus --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
+cargo clippy -p dbpc-restructure --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
+
+# The repository benchmark is a workspace of its own (benchmark/), so the
+# steps above never format, lint, build or test it.
+echo "==> benchmark package (fmt, clippy, tests)"
+cargo fmt --check --manifest-path benchmark/Cargo.toml
+cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+cargo test -q --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo build --release"
 cargo build --release

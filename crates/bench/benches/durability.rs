@@ -18,10 +18,12 @@
 //!   is the `Os` policy's durability contract, not a `Data` tuning
 //!   opportunity.
 //! - **Recovery vs retranslate** — a durable translation crashed at its
-//!   midpoint WAL boundary is finished two ways: recovered by a fresh
-//!   `translate_durable` over the same directory (journal replay +
-//!   remaining batches), or thrown away and fully retranslated. Both
-//!   must be byte-identical to the uncrashed run.
+//!   midpoint batch boundary is finished two ways: recovered by a fresh
+//!   `translate_durable` over the same directory (reopening the target
+//!   `DurableNetworkDb` replays the committed batches and their cursor
+//!   notes, then the remaining batches run), or thrown away and fully
+//!   retranslated into a fresh directory. Both must be byte-identical to
+//!   the uncrashed run.
 //!
 //! The artifact also records the physical-op counters (`disk.*`,
 //! `wal.*`, `buffer.*`) each leg generated, so the I/O budget is
@@ -347,9 +349,13 @@ fn main() {
         };
         recover_ns = recover_ns.min(t.elapsed().as_nanos());
         recover_io = counter_delta(&before, &local_snapshot(), &io_counters());
-        assert_eq!(out.fingerprint(), want_fp, "recovered translation drifted");
         assert_eq!(
-            StatCatalog::of_network(&out).fingerprint(),
+            out.engine().fingerprint(),
+            want_fp,
+            "recovered translation drifted"
+        );
+        assert_eq!(
+            StatCatalog::of_network(out.engine()).fingerprint(),
             want_stat,
             "recovered statistics drifted"
         );
@@ -360,7 +366,7 @@ fn main() {
     let (retranslate_ns, retranslated_fp) = timed(iters, |_| {
         let dir = TempDir::new("bench-durability-full").unwrap();
         match translate_durable(&source, &transform, dir.path(), &opts, &mut |_| false).unwrap() {
-            DurableOutcome::Complete { out, .. } => out.fingerprint(),
+            DurableOutcome::Complete { out, .. } => out.engine().fingerprint(),
             DurableOutcome::Crashed { .. } => unreachable!("uncrashed plan crashed"),
         }
     });

@@ -125,7 +125,9 @@ pub fn relational_db_to_network(rel: &RelationalDb, schema: &NetworkSchema) -> D
         }
     }
     for rtype in order {
-        let rdef = schema.record(rtype).unwrap();
+        let rdef = schema
+            .record(rtype)
+            .ok_or_else(|| DbError::unknown("record", rtype))?;
         let tdef = rel
             .schema()
             .table(rtype)
@@ -199,18 +201,21 @@ pub fn network_schema_to_hier(schema: &NetworkSchema) -> DbResult<HierSchema> {
             )));
         }
         if let Some(s) = owned.first() {
-            parent.insert(
-                r.name.as_str(),
-                (s.owner.record_name().unwrap(), s.keys.first().cloned()),
-            );
+            let owner = s
+                .owner
+                .record_name()
+                .ok_or_else(|| DbError::unknown("set owner", s.name.clone()))?;
+            parent.insert(r.name.as_str(), (owner, s.keys.first().cloned()));
         }
     }
     fn build(
         schema: &NetworkSchema,
         parent: &BTreeMap<&str, (&str, Option<String>)>,
         name: &str,
-    ) -> SegmentDef {
-        let r = schema.record(name).unwrap();
+    ) -> DbResult<SegmentDef> {
+        let r = schema
+            .record(name)
+            .ok_or_else(|| DbError::unknown("record", name))?;
         let fields = r
             .fields
             .iter()
@@ -227,15 +232,15 @@ pub fn network_schema_to_hier(schema: &NetworkSchema) -> DbResult<HierSchema> {
         }
         for child in &schema.records {
             if parent.get(child.name.as_str()).map(|(p, _)| *p) == Some(name) {
-                seg.children.push(build(schema, parent, &child.name));
+                seg.children.push(build(schema, parent, &child.name)?);
             }
         }
-        seg
+        Ok(seg)
     }
     let mut hier = HierSchema::new(schema.name.clone());
     for r in &schema.records {
         if !parent.contains_key(r.name.as_str()) {
-            hier.roots.push(build(schema, &parent, &r.name));
+            hier.roots.push(build(schema, &parent, &r.name)?);
         }
     }
     hier.validate()
@@ -255,7 +260,11 @@ pub fn network_db_to_hier(db: &NetworkDb) -> DbResult<HierDb> {
         .map(String::from)
         .collect();
     for rtype in &type_order {
-        let rdef = db.schema().record(rtype).unwrap().clone();
+        let rdef = db
+            .schema()
+            .record(rtype)
+            .ok_or_else(|| DbError::unknown("record", rtype.as_str()))?
+            .clone();
         let parent_set: Option<String> = db
             .schema()
             .sets_with_member(rtype)
@@ -317,7 +326,15 @@ pub fn reorder_hier_children(
     }
     let mut reordered = Vec::with_capacity(seg.children.len());
     for n in new_order {
-        let idx = seg.children.iter().position(|c| &c.name == n).unwrap();
+        let idx = seg
+            .children
+            .iter()
+            .position(|c| &c.name == n)
+            .ok_or_else(|| {
+                DbError::constraint(format!(
+                    "new order is not a permutation of {parent}'s children"
+                ))
+            })?;
         reordered.push(seg.children.remove(idx));
     }
     seg.children = reordered;

@@ -40,83 +40,18 @@ pub const TRANSLATION_BATCH: usize = 32;
 /// a checkpoint cannot be resumed against different data.
 pub struct TranslationCheckpoint {
     source_fingerprint: u64,
-    phase: usize,
-    offset: usize,
-    batches_done: usize,
-    out: NetworkDb,
-    idmap: BTreeMap<RecordId, RecordId>,
-    group_map: BTreeMap<(RecordId, KeyTuple), RecordId>,
+    st: RunState<NetworkDb>,
 }
 
 impl TranslationCheckpoint {
     /// How many full batches completed before the crash.
     pub fn batches_done(&self) -> usize {
-        self.batches_done
+        self.st.batches_done
     }
 
     /// The rebuild-plan cursor: (phase index, offset within the phase).
     pub fn position(&self) -> (usize, usize) {
-        (self.phase, self.offset)
-    }
-
-    /// Reassemble a checkpoint from recovered state — the durable journal
-    /// (`crate::durable`) rebuilds these parts from its write-ahead log and
-    /// re-enters the translator exactly where [`resume_translation`] would.
-    pub(crate) fn from_parts(
-        source_fingerprint: u64,
-        phase: usize,
-        offset: usize,
-        batches_done: usize,
-        out: NetworkDb,
-        idmap: BTreeMap<RecordId, RecordId>,
-        group_map: BTreeMap<(RecordId, KeyTuple), RecordId>,
-    ) -> TranslationCheckpoint {
-        TranslationCheckpoint {
-            source_fingerprint,
-            phase,
-            offset,
-            batches_done,
-            out,
-            idmap,
-            group_map,
-        }
-    }
-}
-
-/// Observer of translation batch boundaries. The durable translator
-/// (`crate::durable`) implements this to append one write-ahead-log record
-/// per boundary; the in-memory paths use [`NoJournal`]. The hook runs
-/// *before* the crash plan is consulted, so a run killed at boundary `b`
-/// has already made batch `b` durable — the contract the restart-recovery
-/// experiment (E20) exercises.
-pub(crate) trait TranslationJournal {
-    /// One finished batch: the cursor that a resume would restart from and
-    /// a view of the translation state at this boundary.
-    fn on_batch(
-        &mut self,
-        phase: usize,
-        offset: usize,
-        batches_done: usize,
-        out: &NetworkDb,
-        idmap: &BTreeMap<RecordId, RecordId>,
-        group_map: &BTreeMap<(RecordId, KeyTuple), RecordId>,
-    ) -> DbResult<()>;
-}
-
-/// The no-op journal of the purely in-memory translation paths.
-pub(crate) struct NoJournal;
-
-impl TranslationJournal for NoJournal {
-    fn on_batch(
-        &mut self,
-        _phase: usize,
-        _offset: usize,
-        _batches_done: usize,
-        _out: &NetworkDb,
-        _idmap: &BTreeMap<RecordId, RecordId>,
-        _group_map: &BTreeMap<(RecordId, KeyTuple), RecordId>,
-    ) -> DbResult<()> {
-        Ok(())
+        (self.st.phase, self.st.offset)
     }
 }
 
@@ -153,22 +88,7 @@ pub fn translate_batched(
     batch: usize,
     crash: &mut dyn FnMut(usize) -> bool,
 ) -> DbResult<BatchedOutcome> {
-    translate_journaled(db, transform, batch, crash, &mut NoJournal)
-}
-
-/// [`translate_batched`] with a batch-boundary journal — the durable
-/// translator's entry point.
-pub(crate) fn translate_journaled(
-    db: &NetworkDb,
-    transform: &Transform,
-    batch: usize,
-    crash: &mut dyn FnMut(usize) -> bool,
-    journal: &mut dyn TranslationJournal,
-) -> DbResult<BatchedOutcome> {
-    let target_schema = transform
-        .apply_schema(db.schema())
-        .map_err(|e| DbError::constraint(e.to_string()))?;
-    let phases = plan_phases(db.schema(), transform)?;
+    let target_schema = target_schema(db, transform)?;
     let out = match transform {
         // Schema unchanged: the §5.2 information-losing subset starts from
         // a clone and erases, rather than rebuilding.
@@ -179,40 +99,14 @@ pub(crate) fn translate_journaled(
         _ => db.fresh_like(target_schema.clone())?,
     };
     crate::stats::count_schema_clone();
-    let mut st = RunState {
-        out,
-        idmap: BTreeMap::new(),
-        group_map: BTreeMap::new(),
-        batch: batch.max(1),
-        in_batch: 0,
-        batches_done: 0,
-        cur_phase: 0,
-    };
-    match run_phases(
-        db,
-        transform,
-        &target_schema,
-        &phases,
-        0,
-        0,
-        &mut st,
-        crash,
-        journal,
-    )? {
-        None => {
-            refresh_stats(&st.out);
-            Ok(BatchedOutcome::Complete(st.out))
-        }
-        Some((phase, offset)) => Ok(BatchedOutcome::Crashed(TranslationCheckpoint {
+    let mut st = RunState::new(out, batch);
+    if run(db, transform, &target_schema, &mut st, crash)? {
+        return Ok(BatchedOutcome::Crashed(TranslationCheckpoint {
             source_fingerprint: db.fingerprint(),
-            phase,
-            offset,
-            batches_done: st.batches_done,
-            out: st.out,
-            idmap: st.idmap,
-            group_map: st.group_map,
-        })),
+            st,
+        }));
     }
+    Ok(BatchedOutcome::Complete(st.out))
 }
 
 /// Continue a crashed translation from its checkpoint, running to
@@ -223,73 +117,26 @@ pub fn resume_translation(
     transform: &Transform,
     ckpt: TranslationCheckpoint,
 ) -> DbResult<NetworkDb> {
-    match resume_journaled(
-        db,
-        transform,
-        ckpt,
-        usize::MAX,
-        &mut |_| false,
-        &mut NoJournal,
-    )? {
-        BatchedOutcome::Complete(out) => Ok(out),
-        BatchedOutcome::Crashed(_) => Err(DbError::constraint("resumed translation crashed again")),
-    }
-}
-
-/// [`resume_translation`] with live batching, a crash plan, and a journal:
-/// the resumed run keeps journaling its boundaries, so a durable
-/// translation can crash and recover any number of times.
-pub(crate) fn resume_journaled(
-    db: &NetworkDb,
-    transform: &Transform,
-    ckpt: TranslationCheckpoint,
-    batch: usize,
-    crash: &mut dyn FnMut(usize) -> bool,
-    journal: &mut dyn TranslationJournal,
-) -> DbResult<BatchedOutcome> {
     if ckpt.source_fingerprint != db.fingerprint() {
         return Err(DbError::constraint(
             "translation checkpoint does not match the source database",
         ));
     }
-    let target_schema = transform
-        .apply_schema(db.schema())
-        .map_err(|e| DbError::constraint(e.to_string()))?;
-    let phases = plan_phases(db.schema(), transform)?;
-    let mut st = RunState {
-        out: ckpt.out,
-        idmap: ckpt.idmap,
-        group_map: ckpt.group_map,
-        batch: batch.max(1),
-        in_batch: 0,
-        batches_done: ckpt.batches_done,
-        cur_phase: ckpt.phase,
-    };
-    match run_phases(
-        db,
-        transform,
-        &target_schema,
-        &phases,
-        ckpt.phase,
-        ckpt.offset,
-        &mut st,
-        crash,
-        journal,
-    )? {
-        None => {
-            refresh_stats(&st.out);
-            Ok(BatchedOutcome::Complete(st.out))
-        }
-        Some((phase, offset)) => Ok(BatchedOutcome::Crashed(TranslationCheckpoint {
-            source_fingerprint: db.fingerprint(),
-            phase,
-            offset,
-            batches_done: st.batches_done,
-            out: st.out,
-            idmap: st.idmap,
-            group_map: st.group_map,
-        })),
+    let target_schema = target_schema(db, transform)?;
+    let mut st = ckpt.st;
+    st.batch = usize::MAX;
+    st.in_batch = 0;
+    if run(db, transform, &target_schema, &mut st, &mut |_| false)? {
+        return Err(DbError::constraint("resumed translation crashed again"));
     }
+    Ok(st.out)
+}
+
+/// The schema `transform` produces from `db`'s.
+pub(crate) fn target_schema(db: &NetworkDb, transform: &Transform) -> DbResult<NetworkSchema> {
+    transform
+        .apply_schema(db.schema())
+        .map_err(|e| DbError::constraint(e.to_string()))
 }
 
 /// Snapshot the translated database's statistics catalog so the planner
@@ -374,22 +221,105 @@ fn plan_phases(schema: &NetworkSchema, transform: &Transform) -> DbResult<Vec<Ph
     }
 }
 
-/// Mutable translation state threaded through the phases; exactly what a
-/// checkpoint must capture.
-struct RunState {
-    out: NetworkDb,
-    idmap: BTreeMap<RecordId, RecordId>,
-    group_map: BTreeMap<(RecordId, KeyTuple), RecordId>,
-    batch: usize,
-    in_batch: usize,
-    batches_done: usize,
-    /// Index of the phase currently executing — the phase component of the
-    /// cursor a journal record must carry.
-    cur_phase: usize,
+/// The database a translation writes into. The in-memory paths write a
+/// plain [`NetworkDb`], whose batch boundaries do nothing; the durable
+/// translator (`crate::durable`) writes a `DurableNetworkDb` and commits
+/// one transaction per batch. Every use is monomorphised, so the
+/// in-memory hot path carries none of the durable bookkeeping.
+pub(crate) trait Target {
+    /// Failure of a target write; engine errors convert into it.
+    type Error: From<DbError>;
+    /// The engine being built, for reads.
+    fn engine(&self) -> &NetworkDb;
+    /// See [`NetworkDb::store`].
+    fn store(
+        &mut self,
+        rtype: &str,
+        values: &[(&str, Value)],
+        connects: &[(&str, RecordId)],
+    ) -> Result<RecordId, Self::Error>;
+    /// Cascade-erase `id`, unless an earlier cascade already took it.
+    fn erase_cascade(&mut self, id: RecordId) -> Result<(), Self::Error>;
+    /// Source record `old` was translated to `new`.
+    fn mapped(&mut self, _old: RecordId, _new: RecordId) {}
+    /// Promoted group `key` under source owner `owner` became `new`.
+    fn grouped(&mut self, _owner: RecordId, _key: &KeyTuple, _new: RecordId) {}
+    /// A batch ended; a resume would restart at `(phase, offset)` with
+    /// `batches_done` batches behind it.
+    fn boundary(
+        &mut self,
+        _phase: usize,
+        _offset: usize,
+        _batches_done: usize,
+    ) -> Result<(), Self::Error> {
+        Ok(())
+    }
+    /// The plan ran to completion.
+    fn finish(&mut self) -> Result<(), Self::Error> {
+        Ok(())
+    }
 }
 
-impl RunState {
-    /// Count one unit of work. At a batch boundary the journal records the
+impl Target for NetworkDb {
+    type Error = DbError;
+
+    fn engine(&self) -> &NetworkDb {
+        self
+    }
+
+    fn store(
+        &mut self,
+        rtype: &str,
+        values: &[(&str, Value)],
+        connects: &[(&str, RecordId)],
+    ) -> DbResult<RecordId> {
+        NetworkDb::store(self, rtype, values, connects)
+    }
+
+    fn erase_cascade(&mut self, id: RecordId) -> DbResult<()> {
+        match self.erase(id, true) {
+            Ok(_) | Err(DbError::NotFound(_)) => Ok(()),
+            Err(e) => Err(e),
+        }
+    }
+}
+
+/// Mutable translation state threaded through the phases; exactly what a
+/// checkpoint must capture.
+pub(crate) struct RunState<T> {
+    pub(crate) out: T,
+    pub(crate) idmap: BTreeMap<RecordId, RecordId>,
+    pub(crate) group_map: BTreeMap<(RecordId, KeyTuple), RecordId>,
+    batch: usize,
+    in_batch: usize,
+    pub(crate) batches_done: usize,
+    /// The cursor: the phase executing (or to resume), and the offset
+    /// within it a run starts from (or a crashed run stopped at).
+    pub(crate) phase: usize,
+    pub(crate) offset: usize,
+}
+
+impl<T: Target> RunState<T> {
+    /// A run at the start of the plan.
+    pub(crate) fn new(out: T, batch: usize) -> RunState<T> {
+        RunState {
+            out,
+            idmap: BTreeMap::new(),
+            group_map: BTreeMap::new(),
+            batch: batch.max(1),
+            in_batch: 0,
+            batches_done: 0,
+            phase: 0,
+            offset: 0,
+        }
+    }
+
+    fn map(&mut self, old: RecordId, new: RecordId) {
+        self.idmap.insert(old, new);
+        self.out.mapped(old, new);
+    }
+
+    /// Count one unit of work. At a batch boundary the target records the
     /// cursor (`done` = offset a resume would restart from) *first*, then
     /// the crash plan is asked whether to die here — so a run killed at
     /// boundary `b` has already made batch `b` durable.
@@ -397,8 +327,7 @@ impl RunState {
         &mut self,
         done: usize,
         crash: &mut dyn FnMut(usize) -> bool,
-        journal: &mut dyn TranslationJournal,
-    ) -> DbResult<bool> {
+    ) -> Result<bool, T::Error> {
         self.in_batch += 1;
         if self.in_batch >= self.batch {
             self.in_batch = 0;
@@ -406,80 +335,59 @@ impl RunState {
             self.batches_done += 1;
             dbpc_obs::count("restructure.translation_batches", 1);
             dbpc_obs::event_with("translation.batch", &[("index", &b.to_string())]);
-            journal.on_batch(
-                self.cur_phase,
-                done,
-                self.batches_done,
-                &self.out,
-                &self.idmap,
-                &self.group_map,
-            )?;
+            self.out.boundary(self.phase, done, self.batches_done)?;
             return Ok(crash(b));
         }
         Ok(false)
     }
 }
 
-/// Execute the plan from (start_phase, start_offset). Returns the crash
-/// cursor, or `None` on completion.
-#[allow(clippy::too_many_arguments)]
-fn run_phases(
+/// Run the rebuild plan from the state's cursor. Returns `false` on
+/// completion (statistics refreshed), or `true` when `crash` fired at a
+/// batch boundary, with the cursor left at the restart position.
+pub(crate) fn run<T: Target>(
     db: &NetworkDb,
     transform: &Transform,
     target_schema: &NetworkSchema,
-    phases: &[Phase],
-    start_phase: usize,
-    start_offset: usize,
-    st: &mut RunState,
+    st: &mut RunState<T>,
     crash: &mut dyn FnMut(usize) -> bool,
-    journal: &mut dyn TranslationJournal,
-) -> DbResult<Option<(usize, usize)>> {
+) -> Result<bool, T::Error> {
+    let phases = plan_phases(db.schema(), transform)?;
+    let (start_phase, start_offset) = (st.phase, st.offset);
     for (p, phase) in phases.iter().enumerate().skip(start_phase) {
         let offset = if p == start_phase { start_offset } else { 0 };
-        st.cur_phase = p;
+        st.phase = p;
         let crashed_at = match phase {
-            Phase::CopyMapped { rtype } => phase_copy_mapped(
-                db,
-                transform,
-                target_schema,
-                rtype,
-                offset,
-                st,
-                crash,
-                journal,
-            )?,
+            Phase::CopyMapped { rtype } => {
+                phase_copy_mapped(db, transform, target_schema, rtype, offset, st, crash)?
+            }
             Phase::CopyPlain { rtype, skip_set } => {
-                phase_copy_plain(db, rtype, skip_set.as_deref(), offset, st, crash, journal)?
+                phase_copy_plain(db, rtype, skip_set.as_deref(), offset, st, crash)?
             }
-            Phase::PromoteGroups => {
-                phase_promote_groups(db, transform, offset, st, crash, journal)?
-            }
-            Phase::PromoteMembers => {
-                phase_promote_members(db, transform, offset, st, crash, journal)?
-            }
-            Phase::DemoteMembers => {
-                phase_demote_members(db, transform, offset, st, crash, journal)?
-            }
-            Phase::Erase => phase_erase(db, transform, offset, st, crash, journal)?,
+            Phase::PromoteGroups => phase_promote_groups(db, transform, offset, st, crash)?,
+            Phase::PromoteMembers => phase_promote_members(db, transform, offset, st, crash)?,
+            Phase::DemoteMembers => phase_demote_members(db, transform, offset, st, crash)?,
+            Phase::Erase => phase_erase(db, transform, offset, st, crash)?,
         };
         if let Some(off) = crashed_at {
-            return Ok(Some((p, off)));
+            st.offset = off;
+            return Ok(true);
         }
     }
-    Ok(None)
+    st.out.finish()?;
+    refresh_stats(st.out.engine());
+    Ok(false)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn phase_copy_mapped(
+fn phase_copy_mapped<T: Target>(
     db: &NetworkDb,
     transform: &Transform,
     target_schema: &NetworkSchema,
     old_type: &str,
     offset: usize,
-    st: &mut RunState,
+    st: &mut RunState<T>,
     crash: &mut dyn FnMut(usize) -> bool,
-    journal: &mut dyn TranslationJournal,
-) -> DbResult<Option<usize>> {
+) -> Result<Option<usize>, T::Error> {
     let mut map = NameMap::identity();
     if let Transform::RenameRecord { old, new } = transform {
         map.record.insert(old.clone(), new.clone());
@@ -567,8 +475,8 @@ fn phase_copy_mapped(
         }
         let new_id = st.out.store(new_type, &values, &connects)?;
         stored.bump();
-        st.idmap.insert(old_id, new_id);
-        if st.tick(i + 1, crash, journal)? {
+        st.map(old_id, new_id);
+        if st.tick(i + 1, crash)? {
             return Ok(Some(i + 1));
         }
     }
@@ -655,15 +563,14 @@ fn translated_owner(
     })
 }
 
-fn phase_copy_plain(
+fn phase_copy_plain<T: Target>(
     db: &NetworkDb,
     rtype: &str,
     skip_set: Option<&str>,
     offset: usize,
-    st: &mut RunState,
+    st: &mut RunState<T>,
     crash: &mut dyn FnMut(usize) -> bool,
-    journal: &mut dyn TranslationJournal,
-) -> DbResult<Option<usize>> {
+) -> Result<Option<usize>, T::Error> {
     let rt = db
         .schema()
         .record(rtype)
@@ -703,22 +610,21 @@ fn phase_copy_plain(
         }
         let new_id = st.out.store(rtype, &values, &connects)?;
         stored.bump();
-        st.idmap.insert(old_id, new_id);
-        if st.tick(i + 1, crash, journal)? {
+        st.map(old_id, new_id);
+        if st.tick(i + 1, crash)? {
             return Ok(Some(i + 1));
         }
     }
     Ok(None)
 }
 
-fn phase_promote_groups(
+fn phase_promote_groups<T: Target>(
     db: &NetworkDb,
     transform: &Transform,
     offset: usize,
-    st: &mut RunState,
+    st: &mut RunState<T>,
     crash: &mut dyn FnMut(usize) -> bool,
-    journal: &mut dyn TranslationJournal,
-) -> DbResult<Option<usize>> {
+) -> Result<Option<usize>, T::Error> {
     let Transform::PromoteFieldToOwner {
         field,
         via_set,
@@ -727,7 +633,7 @@ fn phase_promote_groups(
         ..
     } = transform
     else {
-        return Err(DbError::constraint("group phase outside a promote"));
+        return Err(DbError::constraint("group phase outside a promote").into());
     };
     // Owner of the split set in the source schema.
     let via_owner_type = db
@@ -756,23 +662,23 @@ fn phase_promote_groups(
                 .out
                 .store(new_record, &[(field, v)], &[(upper_set, new_owner)])?;
             stored.bump();
+            st.out.grouped(owner, &slot.key().1, new_id);
             slot.insert(new_id);
         }
-        if st.tick(i + 1, crash, journal)? {
+        if st.tick(i + 1, crash)? {
             return Ok(Some(i + 1));
         }
     }
     Ok(None)
 }
 
-fn phase_promote_members(
+fn phase_promote_members<T: Target>(
     db: &NetworkDb,
     transform: &Transform,
     offset: usize,
-    st: &mut RunState,
+    st: &mut RunState<T>,
     crash: &mut dyn FnMut(usize) -> bool,
-    journal: &mut dyn TranslationJournal,
-) -> DbResult<Option<usize>> {
+) -> Result<Option<usize>, T::Error> {
     let Transform::PromoteFieldToOwner {
         record,
         field,
@@ -781,7 +687,7 @@ fn phase_promote_members(
         ..
     } = transform
     else {
-        return Err(DbError::constraint("member phase outside a promote"));
+        return Err(DbError::constraint("member phase outside a promote").into());
     };
     let rt = db
         .schema()
@@ -834,7 +740,8 @@ fn phase_promote_members(
                         "cannot promote {record}.{field}: record #{} is not \
                          connected in {via_set} but carries a value",
                         old_id.0
-                    )));
+                    ))
+                    .into());
                 }
             }
         }
@@ -847,22 +754,21 @@ fn phase_promote_members(
         }
         let new_id = st.out.store(record, &values, &connects)?;
         stored.bump();
-        st.idmap.insert(old_id, new_id);
-        if st.tick(i + 1, crash, journal)? {
+        st.map(old_id, new_id);
+        if st.tick(i + 1, crash)? {
             return Ok(Some(i + 1));
         }
     }
     Ok(None)
 }
 
-fn phase_demote_members(
+fn phase_demote_members<T: Target>(
     db: &NetworkDb,
     transform: &Transform,
     offset: usize,
-    st: &mut RunState,
+    st: &mut RunState<T>,
     crash: &mut dyn FnMut(usize) -> bool,
-    journal: &mut dyn TranslationJournal,
-) -> DbResult<Option<usize>> {
+) -> Result<Option<usize>, T::Error> {
     let Transform::DemoteOwnerToField {
         mid_record,
         field,
@@ -872,7 +778,7 @@ fn phase_demote_members(
         ..
     } = transform
     else {
-        return Err(DbError::constraint("demote phase outside a demote"));
+        return Err(DbError::constraint("demote phase outside a demote").into());
     };
     let upper_set_name = db
         .schema()
@@ -936,18 +842,16 @@ fn phase_demote_members(
         }
         let new_id = st.out.store(record, &values, &connects)?;
         stored.bump();
-        st.idmap.insert(old_id, new_id);
-        if st.tick(i + 1, crash, journal)? {
+        st.map(old_id, new_id);
+        if st.tick(i + 1, crash)? {
             return Ok(Some(i + 1));
         }
     }
     Ok(None)
 }
 
-/// The records a `DeleteWhere` dooms, in source order — derived from the
-/// immutable source database, so the durable journal can re-derive the
-/// same list at recovery and replay erase batches by cursor range alone.
-pub(crate) fn erase_victims(
+/// The records a `DeleteWhere` dooms, in source order.
+fn erase_victims(
     db: &NetworkDb,
     record: &str,
     field: &str,
@@ -964,14 +868,13 @@ pub(crate) fn erase_victims(
         .collect()
 }
 
-fn phase_erase(
+fn phase_erase<T: Target>(
     db: &NetworkDb,
     transform: &Transform,
     offset: usize,
-    st: &mut RunState,
+    st: &mut RunState<T>,
     crash: &mut dyn FnMut(usize) -> bool,
-    journal: &mut dyn TranslationJournal,
-) -> DbResult<Option<usize>> {
+) -> Result<Option<usize>, T::Error> {
     let Transform::DeleteWhere {
         record,
         field,
@@ -979,7 +882,7 @@ fn phase_erase(
         value,
     } = transform
     else {
-        return Err(DbError::constraint("erase phase outside a delete-where"));
+        return Err(DbError::constraint("erase phase outside a delete-where").into());
     };
     // The doomed list is derived from the *source* database (which the
     // output starts as a clone of), so it is identical before and after
@@ -987,11 +890,8 @@ fn phase_erase(
     let doomed = erase_victims(db, record, field, op, value);
     for (i, &id) in doomed.iter().enumerate().skip(offset) {
         // May already be gone through a cascade.
-        match st.out.erase(id, true) {
-            Ok(_) | Err(DbError::NotFound(_)) => {}
-            Err(e) => return Err(e),
-        }
-        if st.tick(i + 1, crash, journal)? {
+        st.out.erase_cascade(id)?;
+        if st.tick(i + 1, crash)? {
             return Ok(Some(i + 1));
         }
     }

@@ -1,82 +1,70 @@
 //! Durable, restartable data translation: the batch checkpoints of
-//! [`crate::data`] made crash-safe through a write-ahead log.
+//! [`crate::data`] made crash-safe by writing the target into a
+//! [`DurableNetworkDb`].
 //!
 //! [`translate_batched`][crate::data::translate_batched] already models a
-//! crash as an in-memory [`TranslationCheckpoint`] — useful for studying
-//! *bounded rework*, but the checkpoint dies with the process. This module
-//! closes that gap: a [`TranslationJournal`] implementation appends one
-//! WAL record per batch boundary (through the `dbpc-storage` disk stack —
-//! paged [`FileMgr`], framed/checksummed [`LogMgr`], flushed before the
-//! crash plan is consulted), and recovery rebuilds the checkpoint from the
-//! log in a **fresh process**, then re-enters the translator exactly where
-//! the in-memory resume would.
+//! crash as an in-memory [`TranslationCheckpoint`][crate::data::TranslationCheckpoint]
+//! — useful for studying *bounded rework*, but the checkpoint dies with
+//! the process. Here the translator's output *is* a durable database
+//! under `root`, so the target's own redo log makes translation
+//! crash-safe:
 //!
-//! One entry point serves both lives of the process:
-//! [`translate_durable`] first replays whatever the journal under `root`
-//! holds (nothing, some batches, or a completed run), then continues — so
-//! the program a supervisor restarts after `kill -9` is the same program
-//! it started the first time. The restart-recovery experiment (E20) kills
-//! a translation at every WAL boundary and asserts the recovered output's
-//! engine and [`StatCatalog`][dbpc_storage::StatCatalog] fingerprints are
+//! * each batch runs inside one savepoint, and at the batch boundary the
+//!   translator commits it together with a **commit note** (see
+//!   [`DurableNetworkDb::note`]) holding the cursor — phase, offset,
+//!   batches done — plus the id-map and group-map entries the batch added.
+//!   The commit is flushed with `fsync` before the crash plan is consulted,
+//!   so a kill at boundary `b` loses no committed batch;
+//! * the target is pinned to its source database and transform by their
+//!   fingerprints in the checkpoint metadata, written before the first
+//!   batch: a plain checkpoint of the empty target, or, for `DeleteWhere`
+//!   (which erases from a copy of the source), an import of the source;
+//! * the run ends with one more commit whose note marks completion and
+//!   carries the tail since the last boundary.
+//!
+//! Recovery is [`DurableNetworkDb::open`] — which replays the committed
+//! store and erase calls through the engine's front door — followed by a
+//! fold over the committed notes to rebuild the id maps and the cursor.
+//! One entry point serves both lives of the process: [`translate_durable`]
+//! recovers whatever `root` holds (nothing, some batches, or a completed
+//! run), then continues — so the program a supervisor restarts after
+//! `kill -9` is the same program it started the first time. The
+//! restart-recovery experiment (E20) kills a translation at every batch
+//! boundary and asserts the recovered output's engine and
+//! [`StatCatalog`][dbpc_storage::StatCatalog] fingerprints are
 //! byte-identical to the one-shot translation's.
-//!
-//! ## Record design: logical deltas, physical log
-//!
-//! A batch record does not carry page images; it carries the *front-door
-//! calls* the batch performed, in a self-contained form:
-//!
-//! * **stores** — every record the batch created (`id` above the previous
-//!   boundary's high-water mark), with its values and the set connections
-//!   re-derived from the output database. Replay issues the same `store`
-//!   calls against the rebuilt output and checks the engine assigns the
-//!   same ids.
-//! * **id/group map deltas** — the translator bookkeeping added this
-//!   batch, identified the same way (fresh target ids).
-//! * **the cursor** — `(phase, offset, batches_done)`, the exact
-//!   [`TranslationCheckpoint`] position.
-//!
-//! `DeleteWhere` batches erase instead of storing; their records carry the
-//! cursor only, and replay re-derives the doomed list from the (immutable)
-//! source database and erases the cursor range — the same calls the
-//! original run made. Replaying through the mutation API means recovery
-//! inherits every constraint check, and the recovered state is *defined*
-//! to be call-identical, hence fingerprint-identical, to the pre-crash
-//! state.
 
-use crate::data::{
-    self, erase_victims, resume_journaled, translate_journaled, BatchedOutcome,
-    TranslationCheckpoint, TranslationJournal, TRANSLATION_BATCH,
-};
+use crate::data::{refresh_stats, run, target_schema, RunState, Target, TRANSLATION_BATCH};
 use crate::transform::Transform;
+use dbpc_datamodel::value::Value;
 use dbpc_storage::disk::codec::{ByteReader, ByteWriter};
-use dbpc_storage::disk::{DiskFaultPlan, FileMgr, LogMgr, DEFAULT_PAGE_SIZE};
+use dbpc_storage::disk::{DiskError, DiskFaultPlan, DiskResult, DEFAULT_PAGE_SIZE};
 use dbpc_storage::keys::KeyTuple;
-use dbpc_storage::{DbError, DbResult, NetworkDb, RecordId, StoredRecord, SYSTEM_OWNER};
+use dbpc_storage::txn::Savepoint;
+use dbpc_storage::{DbError, DurableNetworkDb, DurableOptions, NetworkDb, RecordId, SyncPolicy};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::path::Path;
-use std::sync::Arc;
 
-/// File name of the translation write-ahead log under the journal root.
-pub const TRANSLATION_WAL: &str = "translation.wal";
-
-/// Metric: batches replayed from a translation WAL during recovery.
+/// Metric: batches replayed from a translation's redo log during recovery.
 pub const WAL_REPLAYED_BATCHES: &str = "restructure.wal_replayed_batches";
 
-const JOURNAL_MAGIC: u64 = u64::from_le_bytes(*b"DBPCTJN1");
-const TAG_HEADER: u8 = 1;
-const TAG_BATCH: u8 = 2;
-const TAG_COMPLETE: u8 = 3;
+/// Buffer-pool frames of the target database. Between checkpoints the
+/// pool keeps every dirty page anyway (no-steal), so this only bounds
+/// clean pages.
+const POOL_FRAMES: usize = 64;
+
+const NOTE_BATCH: u8 = 1;
+const NOTE_COMPLETE: u8 = 2;
 
 /// Configuration of a durable translation run.
 #[derive(Debug, Clone)]
 pub struct DurableTranslationOptions {
-    /// Units of work per WAL record (see [`TRANSLATION_BATCH`]).
+    /// Units of work per committed batch (see [`TRANSLATION_BATCH`]).
     pub batch: usize,
-    /// Page size of the journal's block file.
+    /// Page size of the target database's files.
     pub page_size: usize,
-    /// Deterministic disk faults to inject into journal I/O.
+    /// Deterministic disk faults to inject into the target's I/O.
     pub faults: Option<DiskFaultPlan>,
 }
 
@@ -95,12 +83,14 @@ impl Default for DurableTranslationOptions {
 pub enum DurableOutcome {
     /// The translation ran (or recovered) to completion.
     Complete {
-        out: NetworkDb,
-        /// Batches replayed from the journal before continuing — `0` on an
+        /// The translated database; read it through
+        /// [`DurableNetworkDb::engine`].
+        out: DurableNetworkDb,
+        /// Batches replayed from the log before continuing — `0` on an
         /// uninterrupted first run.
         batches_replayed: usize,
     },
-    /// The crash plan fired; the journal holds everything up to and
+    /// The crash plan fired; the log holds everything up to and
     /// including the boundary it fired at.
     Crashed {
         batches_done: usize,
@@ -108,23 +98,22 @@ pub enum DurableOutcome {
     },
 }
 
-/// Fingerprint pinning a journal to its transform (the source database is
-/// pinned by its own fingerprint).
-fn transform_fingerprint(transform: &Transform) -> u64 {
+/// Checkpoint metadata pinning a target directory to the source database
+/// and transform it is a translation of.
+fn journal_meta(db: &NetworkDb, transform: &Transform) -> Vec<u8> {
     let mut h = DefaultHasher::new();
     format!("{transform:?}").hash(&mut h);
-    h.finish()
+    let mut w = ByteWriter::new();
+    w.put_u64(db.fingerprint());
+    w.put_u64(h.finish());
+    w.into_bytes()
 }
 
-fn disk_err(e: impl std::fmt::Display) -> DbError {
-    DbError::constraint(format!("translation journal: {e}"))
-}
-
-/// Translate `db` across `transform` with the journal rooted at `root`,
-/// recovering first if the journal already holds progress. `crash` is the
+/// Translate `db` across `transform` into the durable database rooted at
+/// `root`, recovering first if it already holds progress. `crash` is the
 /// batch-boundary crash plan (fed the zero-based boundary index); a
 /// cross-process harness exits the process inside it — the boundary's
-/// record is flushed before the plan is consulted, so the kill loses no
+/// commit is flushed before the plan is consulted, so the kill loses no
 /// committed batch.
 pub fn translate_durable(
     db: &NetworkDb,
@@ -132,177 +121,94 @@ pub fn translate_durable(
     root: &Path,
     opts: &DurableTranslationOptions,
     crash: &mut dyn FnMut(usize) -> bool,
-) -> DbResult<DurableOutcome> {
-    let fm = Arc::new(
-        FileMgr::new(root, opts.page_size)
-            .map_err(disk_err)?
-            .with_faults(opts.faults.clone()),
-    );
-    let (log, records) = LogMgr::open(Arc::clone(&fm), TRANSLATION_WAL).map_err(disk_err)?;
-    let mut journal = WalJournal {
-        log,
-        last_max: 0,
-        erase_end: erase_extent(db, transform),
-    };
-    if records.is_empty() {
-        // Fresh run: stamp the journal with what it is a journal *of*.
-        let mut w = ByteWriter::new();
-        w.put_u8(TAG_HEADER);
-        w.put_u64(JOURNAL_MAGIC);
-        w.put_u64(db.fingerprint());
-        w.put_u64(transform_fingerprint(transform));
-        journal.log.append(&w.into_bytes()).map_err(disk_err)?;
-        journal.log.flush().map_err(disk_err)?;
-        journal.last_max = max_id(&initial_out(db, transform)?);
-        let outcome = translate_journaled(db, transform, opts.batch, crash, &mut journal)?;
-        return finish(outcome, &mut journal, 0);
+) -> DiskResult<DurableOutcome> {
+    let target_schema = target_schema(db, transform)?;
+    let mut out = DurableNetworkDb::open(
+        root,
+        target_schema.clone(),
+        DurableOptions {
+            page_size: opts.page_size,
+            buffers: POOL_FRAMES,
+            sync: SyncPolicy::Data,
+            faults: opts.faults.clone(),
+        },
+    )?;
+    let meta = journal_meta(db, transform);
+    let mut progress = Note::default();
+    if out.meta().is_empty() {
+        // Fresh run: stamp the target with what it is a translation of.
+        match transform {
+            Transform::DeleteWhere { .. } => out.import(db, &meta)?,
+            _ => out.checkpoint(&meta)?,
+        }
+        crate::stats::count_schema_clone();
+    } else if out.meta() != meta.as_slice() {
+        return Err(DiskError::State(
+            "durable translation target does not match the source database and transform"
+                .to_string(),
+        ));
+    } else {
+        progress = Note::fold(out.notes())?;
+        dbpc_obs::count(WAL_REPLAYED_BATCHES, progress.batches_done as u64);
+        if progress.complete {
+            refresh_stats(out.engine());
+            return Ok(DurableOutcome::Complete {
+                out,
+                batches_replayed: progress.batches_done,
+            });
+        }
     }
-    let recovered = replay(db, transform, &records)?;
-    dbpc_obs::count(WAL_REPLAYED_BATCHES, recovered.batches as u64);
-    journal.last_max = max_id(&recovered.out);
-    if recovered.complete {
-        data::refresh_stats(&recovered.out);
-        return Ok(DurableOutcome::Complete {
-            out: recovered.out,
-            batches_replayed: recovered.batches,
+    let batches_replayed = progress.batches_done;
+    let mut st = RunState::new(Journal::new(out), opts.batch);
+    (st.phase, st.offset, st.batches_done) = (progress.phase, progress.offset, batches_replayed);
+    st.idmap = progress.ids.into_iter().collect();
+    st.group_map = progress.groups.into_iter().collect();
+    if run(db, transform, &target_schema, &mut st, crash)? {
+        return Ok(DurableOutcome::Crashed {
+            batches_done: st.batches_done,
+            batches_replayed,
         });
     }
-    let ckpt = TranslationCheckpoint::from_parts(
-        db.fingerprint(),
-        recovered.phase,
-        recovered.offset,
-        recovered.batches,
-        recovered.out,
-        recovered.idmap,
-        recovered.group_map,
-    );
-    let outcome = resume_journaled(db, transform, ckpt, opts.batch, crash, &mut journal)?;
-    finish(outcome, &mut journal, recovered.batches)
+    Ok(DurableOutcome::Complete {
+        out: st.out.db,
+        batches_replayed,
+    })
 }
 
-/// Seal a finished run (completion record carrying the tail delta) or
-/// report the in-process crash — either way the journal already holds
-/// every completed batch.
-fn finish(
-    outcome: BatchedOutcome,
-    journal: &mut WalJournal,
-    batches_replayed: usize,
-) -> DbResult<DurableOutcome> {
-    match outcome {
-        BatchedOutcome::Complete(out) => {
-            // The final units since the last boundary never saw a tick;
-            // the completion record carries them the same way a batch
-            // record would.
-            journal.append_delta(
-                TAG_COMPLETE,
-                0,
-                journal.erase_end,
-                0,
-                &out,
-                &BTreeMap::new(),
-                &BTreeMap::new(),
-            )?;
-            Ok(DurableOutcome::Complete {
-                out,
-                batches_replayed,
-            })
-        }
-        BatchedOutcome::Crashed(ckpt) => Ok(DurableOutcome::Crashed {
-            batches_done: ckpt.batches_done(),
-            batches_replayed,
-        }),
-    }
+/// The durable translation target: the database, its open per-batch
+/// savepoint, and the map entries the batch has added so far.
+struct Journal {
+    db: DurableNetworkDb,
+    sp: Savepoint,
+    ids: Vec<(RecordId, RecordId)>,
+    groups: Vec<(RecordId, KeyTuple, RecordId)>,
 }
 
-/// The output database a translation starts from (before any batch).
-fn initial_out(db: &NetworkDb, transform: &Transform) -> DbResult<NetworkDb> {
-    match transform {
-        Transform::DeleteWhere { .. } => Ok(db.clone()),
-        _ => {
-            let schema = transform
-                .apply_schema(db.schema())
-                .map_err(|e| DbError::constraint(e.to_string()))?;
-            NetworkDb::new(schema)
+impl Journal {
+    fn new(mut db: DurableNetworkDb) -> Journal {
+        let sp = db.begin_savepoint();
+        Journal {
+            db,
+            sp,
+            ids: Vec::new(),
+            groups: Vec::new(),
         }
     }
-}
 
-/// End offset of the erase plan (`DeleteWhere` only): where the completion
-/// record's cursor must point so replay erases the tail range.
-fn erase_extent(db: &NetworkDb, transform: &Transform) -> u64 {
-    match transform {
-        Transform::DeleteWhere {
-            record,
-            field,
-            op,
-            value,
-        } => erase_victims(db, record, field, op, value).len() as u64,
-        _ => 0,
-    }
-}
-
-fn max_id(out: &NetworkDb) -> u64 {
-    out.max_record_id().map(|r| r.0).unwrap_or(0)
-}
-
-/// The journaling side: one appended + flushed record per batch boundary.
-struct WalJournal {
-    log: LogMgr,
-    /// Highest output record id already journaled; everything above it is
-    /// this batch's store delta.
-    last_max: u64,
-    /// See [`erase_extent`].
-    erase_end: u64,
-}
-
-impl WalJournal {
-    #[allow(clippy::too_many_arguments)]
-    fn append_delta(
-        &mut self,
-        tag: u8,
-        phase: usize,
-        offset: u64,
-        batches_done: usize,
-        out: &NetworkDb,
-        idmap: &BTreeMap<RecordId, RecordId>,
-        group_map: &BTreeMap<(RecordId, KeyTuple), RecordId>,
-    ) -> DbResult<()> {
-        let stores: Vec<StoredRecord> = out.records_above(RecordId(self.last_max));
+    /// Stage the note for the batch so far and commit the batch with it.
+    fn commit(&mut self, kind: u8, phase: usize, offset: usize, batches: usize) -> DiskResult<()> {
         let mut w = ByteWriter::new();
-        w.put_u8(tag);
+        w.put_u8(kind);
         w.put_u64(phase as u64);
-        w.put_u64(offset);
-        w.put_u64(batches_done as u64);
-        w.put_u32(stores.len() as u32);
-        for rec in &stores {
-            w.put_u64(rec.id.0);
-            w.put_str(&rec.rtype);
-            w.put_u32(rec.values.len() as u32);
-            for v in &rec.values {
-                w.put_value(v);
-            }
-            let connects = connects_of(out, rec)?;
-            w.put_u32(connects.len() as u32);
-            for (set, owner) in &connects {
-                w.put_str(set);
-                w.put_u64(*owner);
-            }
-        }
-        let id_delta: Vec<(&RecordId, &RecordId)> = idmap
-            .iter()
-            .filter(|(_, new)| new.0 > self.last_max)
-            .collect();
-        w.put_u32(id_delta.len() as u32);
-        for (old, new) in &id_delta {
+        w.put_u64(offset as u64);
+        w.put_u64(batches as u64);
+        w.put_u32(self.ids.len() as u32);
+        for (old, new) in self.ids.drain(..) {
             w.put_u64(old.0);
             w.put_u64(new.0);
         }
-        let group_delta: Vec<(&(RecordId, KeyTuple), &RecordId)> = group_map
-            .iter()
-            .filter(|(_, new)| new.0 > self.last_max)
-            .collect();
-        w.put_u32(group_delta.len() as u32);
-        for ((owner, key), new) in &group_delta {
+        w.put_u32(self.groups.len() as u32);
+        for (owner, key, new) in self.groups.drain(..) {
             w.put_u64(owner.0);
             w.put_u32(key.0.len() as u32);
             for v in &key.0 {
@@ -310,205 +216,127 @@ impl WalJournal {
             }
             w.put_u64(new.0);
         }
-        self.log.append(&w.into_bytes()).map_err(disk_err)?;
-        self.log.flush().map_err(disk_err)?;
-        if let Some(rec) = stores.last() {
-            self.last_max = rec.id.0;
+        self.db.note(&w.into_bytes())?;
+        self.db.commit(self.sp)
+    }
+}
+
+impl Target for Journal {
+    type Error = DiskError;
+
+    fn engine(&self) -> &NetworkDb {
+        self.db.engine()
+    }
+
+    fn store(
+        &mut self,
+        rtype: &str,
+        values: &[(&str, Value)],
+        connects: &[(&str, RecordId)],
+    ) -> DiskResult<RecordId> {
+        self.db.store(rtype, values, connects)
+    }
+
+    fn erase_cascade(&mut self, id: RecordId) -> DiskResult<()> {
+        match self.db.erase(id, true) {
+            Ok(_) | Err(DiskError::Engine(DbError::NotFound(_))) => Ok(()),
+            Err(e) => Err(e),
         }
+    }
+
+    fn mapped(&mut self, old: RecordId, new: RecordId) {
+        self.ids.push((old, new));
+    }
+
+    fn grouped(&mut self, owner: RecordId, key: &KeyTuple, new: RecordId) {
+        self.groups.push((owner, key.clone(), new));
+    }
+
+    fn boundary(&mut self, phase: usize, offset: usize, batches_done: usize) -> DiskResult<()> {
+        self.commit(NOTE_BATCH, phase, offset, batches_done)?;
+        self.sp = self.db.begin_savepoint();
         Ok(())
     }
-}
 
-impl TranslationJournal for WalJournal {
-    fn on_batch(
-        &mut self,
-        phase: usize,
-        offset: usize,
-        batches_done: usize,
-        out: &NetworkDb,
-        idmap: &BTreeMap<RecordId, RecordId>,
-        group_map: &BTreeMap<(RecordId, KeyTuple), RecordId>,
-    ) -> DbResult<()> {
-        self.append_delta(
-            TAG_BATCH,
-            phase,
-            offset as u64,
-            batches_done,
-            out,
-            idmap,
-            group_map,
-        )
+    fn finish(&mut self) -> DiskResult<()> {
+        self.commit(NOTE_COMPLETE, 0, 0, 0)
     }
 }
 
-/// Set connections of one stored output record, re-derived from the set
-/// structure (system-set membership is automatic on store and omitted).
-/// Owners precede members in every phase plan, so at replay time each
-/// owner id already exists.
-fn connects_of(out: &NetworkDb, rec: &StoredRecord) -> DbResult<Vec<(String, u64)>> {
-    let mut v = Vec::new();
-    for set in out.schema().sets_with_member(&rec.rtype) {
-        if set.is_system() {
-            continue;
-        }
-        if let Some(owner) = out.owner_in(&set.name, rec.id)? {
-            if owner != SYSTEM_OWNER {
-                v.push((set.name.clone(), owner.0));
-            }
-        }
-    }
-    Ok(v)
-}
-
-/// Everything recovery rebuilds from the log.
-struct Recovered {
-    out: NetworkDb,
-    idmap: BTreeMap<RecordId, RecordId>,
-    group_map: BTreeMap<(RecordId, KeyTuple), RecordId>,
+/// One decoded commit note, or the fold of several.
+#[derive(Debug, Default)]
+struct Note {
+    complete: bool,
     phase: usize,
     offset: usize,
-    batches: usize,
-    complete: bool,
+    batches_done: usize,
+    ids: Vec<(RecordId, RecordId)>,
+    groups: Vec<((RecordId, KeyTuple), RecordId)>,
 }
 
-/// Rebuild the translation state from the journal's records. Replay is
-/// idempotent because [`LogMgr::open`] already cleansed any torn tail —
-/// only whole, checksummed records reach this point.
-fn replay(
-    db: &NetworkDb,
-    transform: &Transform,
-    records: &[(u64, Vec<u8>)],
-) -> DbResult<Recovered> {
-    let corrupt = |d: &str| DbError::constraint(format!("translation journal: {d}"));
-    let header = &records[0].1;
-    let mut r = ByteReader::new(header);
-    if r.get_u8("journal tag").map_err(disk_err)? != TAG_HEADER {
-        return Err(corrupt("first record is not a header"));
+impl Note {
+    /// Fold committed notes in commit order: the map deltas accumulate,
+    /// and the cursor is the last batch note's.
+    fn fold(notes: &[Vec<u8>]) -> DiskResult<Note> {
+        let mut acc = Note::default();
+        for raw in notes {
+            let note = Note::decode(raw)?;
+            acc.ids.extend(note.ids);
+            acc.groups.extend(note.groups);
+            if note.complete {
+                acc.complete = true;
+            } else {
+                (acc.phase, acc.offset, acc.batches_done) =
+                    (note.phase, note.offset, note.batches_done);
+            }
+        }
+        Ok(acc)
     }
-    if r.get_u64("journal magic").map_err(disk_err)? != JOURNAL_MAGIC {
-        return Err(corrupt("bad magic"));
+
+    /// Decode a note; any malformed input is [`DiskError::Corrupt`].
+    fn decode(bytes: &[u8]) -> DiskResult<Note> {
+        let mut r = ByteReader::new(bytes);
+        let complete = match r.get_u8("note kind")? {
+            NOTE_BATCH => false,
+            NOTE_COMPLETE => true,
+            k => {
+                return Err(DiskError::Corrupt(format!(
+                    "unknown translation note kind {k}"
+                )))
+            }
+        };
+        let phase = r.get_u64("note phase")? as usize;
+        let offset = r.get_u64("note offset")? as usize;
+        let batches_done = r.get_u64("note batches")? as usize;
+        let n = r.get_u32("note id count")? as usize;
+        let mut ids = Vec::with_capacity(n.min(r.remaining()));
+        for _ in 0..n {
+            let old = RecordId(r.get_u64("note old id")?);
+            ids.push((old, RecordId(r.get_u64("note new id")?)));
+        }
+        let n = r.get_u32("note group count")? as usize;
+        let mut groups = Vec::with_capacity(n.min(r.remaining()));
+        for _ in 0..n {
+            let owner = RecordId(r.get_u64("note group owner")?);
+            let arity = r.get_u32("note group arity")? as usize;
+            let mut key = Vec::with_capacity(arity.min(r.remaining()));
+            for _ in 0..arity {
+                key.push(r.get_value("note group key")?);
+            }
+            groups.push((
+                (owner, KeyTuple(key)),
+                RecordId(r.get_u64("note group id")?),
+            ));
+        }
+        Ok(Note {
+            complete,
+            phase,
+            offset,
+            batches_done,
+            ids,
+            groups,
+        })
     }
-    if r.get_u64("source fingerprint").map_err(disk_err)? != db.fingerprint() {
-        return Err(corrupt("journal does not match the source database"));
-    }
-    if r.get_u64("transform fingerprint").map_err(disk_err)? != transform_fingerprint(transform) {
-        return Err(corrupt("journal does not match the transform"));
-    }
-    let victims = match transform {
-        Transform::DeleteWhere {
-            record,
-            field,
-            op,
-            value,
-        } => erase_victims(db, record, field, op, value),
-        _ => Vec::new(),
-    };
-    let mut rec = Recovered {
-        out: initial_out(db, transform)?,
-        idmap: BTreeMap::new(),
-        group_map: BTreeMap::new(),
-        phase: 0,
-        offset: 0,
-        batches: 0,
-        complete: false,
-    };
-    let mut erased_to = 0usize;
-    for (_, payload) in &records[1..] {
-        let mut r = ByteReader::new(payload);
-        let tag = r.get_u8("record tag").map_err(disk_err)?;
-        if tag != TAG_BATCH && tag != TAG_COMPLETE {
-            return Err(corrupt("unknown record tag"));
-        }
-        let phase = r.get_u64("phase").map_err(disk_err)? as usize;
-        let offset = r.get_u64("offset").map_err(disk_err)? as usize;
-        let batches = r.get_u64("batches").map_err(disk_err)? as usize;
-        let stores = r.get_u32("store count").map_err(disk_err)?;
-        for _ in 0..stores {
-            let id = r.get_u64("record id").map_err(disk_err)?;
-            let rtype = r.get_str("record type").map_err(disk_err)?.to_string();
-            let nvals = r.get_u32("value count").map_err(disk_err)?;
-            let mut values = Vec::with_capacity(nvals as usize);
-            for _ in 0..nvals {
-                values.push(r.get_value("value").map_err(disk_err)?);
-            }
-            let nconn = r.get_u32("connect count").map_err(disk_err)?;
-            let mut connects = Vec::with_capacity(nconn as usize);
-            for _ in 0..nconn {
-                let set = r.get_str("set name").map_err(disk_err)?.to_string();
-                let owner = r.get_u64("owner id").map_err(disk_err)?;
-                connects.push((set, RecordId(owner)));
-            }
-            // `StoredRecord::values` is parallel to the *full* field list,
-            // with `Null` placeholders in virtual slots; `store` only
-            // accepts the non-virtual ones back.
-            let fields: Vec<(String, bool)> = rec
-                .out
-                .schema()
-                .record(&rtype)
-                .ok_or_else(|| corrupt("journaled record of unknown type"))?
-                .fields
-                .iter()
-                .map(|f| (f.name.clone(), f.is_virtual()))
-                .collect();
-            if fields.len() != values.len() {
-                return Err(corrupt("journaled record arity mismatch"));
-            }
-            let pairs: Vec<(&str, dbpc_datamodel::value::Value)> = fields
-                .iter()
-                .zip(values)
-                .filter(|((_, virt), _)| !virt)
-                .map(|((name, _), v)| (name.as_str(), v))
-                .collect();
-            let conn_refs: Vec<(&str, RecordId)> =
-                connects.iter().map(|(s, o)| (s.as_str(), *o)).collect();
-            let new_id = rec.out.store(&rtype, &pairs, &conn_refs)?;
-            if new_id.0 != id {
-                return Err(corrupt("replayed store assigned a different id"));
-            }
-        }
-        let nids = r.get_u32("idmap delta").map_err(disk_err)?;
-        for _ in 0..nids {
-            let old = r.get_u64("old id").map_err(disk_err)?;
-            let new = r.get_u64("new id").map_err(disk_err)?;
-            rec.idmap.insert(RecordId(old), RecordId(new));
-        }
-        let ngroups = r.get_u32("group delta").map_err(disk_err)?;
-        for _ in 0..ngroups {
-            let owner = r.get_u64("group owner").map_err(disk_err)?;
-            let nkey = r.get_u32("group key arity").map_err(disk_err)?;
-            let mut key = Vec::with_capacity(nkey as usize);
-            for _ in 0..nkey {
-                key.push(r.get_value("group key value").map_err(disk_err)?);
-            }
-            let new = r.get_u64("group id").map_err(disk_err)?;
-            rec.group_map
-                .insert((RecordId(owner), KeyTuple(key)), RecordId(new));
-        }
-        // Erase batches carry no stores; the cursor range against the
-        // re-derived doomed list is the whole delta.
-        if !victims.is_empty() {
-            for &id in victims
-                .get(erased_to..offset.min(victims.len()))
-                .unwrap_or(&[])
-            {
-                match rec.out.erase(id, true) {
-                    Ok(_) | Err(DbError::NotFound(_)) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            erased_to = offset.min(victims.len());
-        }
-        rec.phase = phase;
-        rec.offset = offset;
-        if tag == TAG_COMPLETE {
-            // The completion record is a tail delta, not a boundary — it
-            // must not disturb the replayed-batch count.
-            rec.complete = true;
-            break;
-        }
-        rec.batches = batches;
-    }
-    Ok(rec)
 }
 
 #[cfg(test)]
@@ -521,6 +349,7 @@ mod tests {
     use dbpc_dml::expr::CmpOp;
     use dbpc_storage::disk::DiskFault;
     use dbpc_storage::{StatCatalog, TempDir};
+    use proptest::prelude::*;
 
     fn company_schema() -> dbpc_datamodel::network::NetworkSchema {
         dbpc_datamodel::network::NetworkSchema::new("COMPANY-NAME")
@@ -589,9 +418,9 @@ mod tests {
         }
     }
 
-    /// Kill at every boundary, recover with a fresh journal handle each
-    /// time (a new process in miniature): the recovered completion equals
-    /// the one-shot translation, engine and statistics fingerprints both.
+    /// Kill at every boundary, recover with a fresh handle each time (a
+    /// new process in miniature): the recovered completion equals the
+    /// one-shot translation, engine and statistics fingerprints both.
     #[test]
     fn crash_at_every_boundary_recovers_byte_identical() {
         let src = company_db(20);
@@ -616,20 +445,20 @@ mod tests {
                 panic!("recovery crashed at k = {k}");
             };
             assert_eq!(batches_replayed, k + 1, "k = {k}");
-            assert_eq!(out.fingerprint(), oneshot.fingerprint(), "k = {k}");
+            assert_eq!(out.engine().fingerprint(), oneshot.fingerprint(), "k = {k}");
             assert_eq!(
-                StatCatalog::of_network(&out).fingerprint(),
+                StatCatalog::of_network(out.engine()).fingerprint(),
                 StatCatalog::of_network(&oneshot).fingerprint(),
                 "k = {k}"
             );
-            out.check_access_structures().unwrap();
+            out.engine().check_access_structures().unwrap();
             k += 1;
         }
         assert!(k > 2, "expected several boundaries, saw {k}");
     }
 
     /// A completed journal short-circuits: reopening replays to the
-    /// completion record without re-translating.
+    /// completion note without re-translating.
     #[test]
     fn completed_journal_replays_to_the_same_output() {
         let src = company_db(12);
@@ -648,11 +477,11 @@ mod tests {
             panic!("reopen crashed");
         };
         assert!(batches_replayed > 0);
-        assert_eq!(first.fingerprint(), second.fingerprint());
+        assert_eq!(first.engine().fingerprint(), second.engine().fingerprint());
     }
 
-    /// Erase-plan (`DeleteWhere`) journals carry cursors, not stores, and
-    /// still recover byte-identically.
+    /// Erase-plan (`DeleteWhere`) journals start from an imported copy of
+    /// the source and still recover byte-identically.
     #[test]
     fn delete_where_recovers_by_cursor_replay() {
         let src = company_db(15);
@@ -671,7 +500,7 @@ mod tests {
         else {
             panic!("recovery crashed");
         };
-        assert_eq!(out.fingerprint(), oneshot.fingerprint());
+        assert_eq!(out.engine().fingerprint(), oneshot.fingerprint());
     }
 
     /// A journal written against different source data refuses to resume.
@@ -685,8 +514,8 @@ mod tests {
         assert!(translate_durable(&other, &t, tmp.path(), &opts(2), &mut |_| false).is_err());
     }
 
-    /// An injected torn write fails the running translation; reopening the
-    /// journal cleanses the torn tail and recovery completes from the last
+    /// An injected torn write fails the running translation; reopening
+    /// cleanses the torn tail and recovery completes from the last
     /// durable boundary.
     #[test]
     fn torn_journal_write_recovers_from_last_durable_batch() {
@@ -712,12 +541,38 @@ mod tests {
             faults: Some(DiskFaultPlan::default().with_fault_at(op, DiskFault::TornWrite)),
             ..opts(3)
         };
-        assert!(translate_durable(&src, &t, tmp.path(), &faulty, &mut |_| false).is_err());
+        let Err(err) = translate_durable(&src, &t, tmp.path(), &faulty, &mut |_| false) else {
+            panic!("torn write at op {op} did not fail the run");
+        };
+        assert!(
+            !matches!(err, DiskError::Engine(_)),
+            "injected fault surfaced as an engine error: {err}"
+        );
         let DurableOutcome::Complete { out, .. } =
             translate_durable(&src, &t, tmp.path(), &opts(3), &mut |_| false).unwrap()
         else {
             panic!("recovery after torn write crashed");
         };
-        assert_eq!(out.fingerprint(), oneshot.fingerprint());
+        assert_eq!(out.engine().fingerprint(), oneshot.fingerprint());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The note decoder on arbitrary bytes — random kinds, truncated
+        /// notes, garbage counts — returns a note or `Corrupt`, never a
+        /// panic.
+        #[test]
+        fn note_decoder_is_ok_or_corrupt(
+            kind in 0u8..4,
+            body in prop::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let mut bytes = vec![kind];
+            bytes.extend_from_slice(&body);
+            match Note::decode(&bytes) {
+                Ok(_) | Err(DiskError::Corrupt(_)) => {}
+                Err(e) => prop_assert!(false, "note decode failed outside Corrupt: {e}"),
+            }
+        }
     }
 }

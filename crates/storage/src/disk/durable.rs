@@ -14,6 +14,15 @@
 //! staged records along with the in-memory changes. Mutations outside
 //! any savepoint auto-commit one record at a time.
 //!
+//! A transaction may also carry **notes**: opaque caller bytes staged with
+//! [`DurableNetworkDb::note`] beside its redo records. A note is logged
+//! and committed (or rolled back) with its transaction, replay never
+//! applies it to the engine, and [`DurableNetworkDb::open`] hands back
+//! every note committed since the last checkpoint, in commit order
+//! ([`DurableNetworkDb::notes`]). The durable data translator keeps its
+//! batch cursor this way, so a translation and the database it builds
+//! share one redo log.
+//!
 //! Replaying committed calls through the same front door reproduces the
 //! engine state *exactly* — ids come from a sequential allocator, set
 //! positions from declared keys plus arrival order, and
@@ -127,6 +136,7 @@ const WAL_MAGIC: u64 = u64::from_le_bytes(*b"DBPCWAL1");
 const TAG_HEADER: u8 = 1;
 const TAG_OP: u8 = 2;
 const TAG_COMMIT: u8 = 3;
+const TAG_NOTE: u8 = 4;
 
 const OP_STORE: u8 = 1;
 const OP_CONNECT: u8 = 2;
@@ -170,6 +180,8 @@ pub struct DurableNetworkDb {
     ends: Vec<usize>,
     /// Open savepoints with the staged-record count at their creation.
     marks: Vec<(Savepoint, usize)>,
+    /// Notes committed since the last checkpoint, as recovered by open.
+    notes: Vec<Vec<u8>>,
     wedged: bool,
 }
 
@@ -208,7 +220,7 @@ impl DurableNetworkDb {
             bm.set_no_steal(true);
         }
         let (mut log, records) = LogMgr::open(fm.clone(), wal_file(gen))?;
-        replay(&mut db, &records, schema_fp)?;
+        let notes = replay(&mut db, &records, schema_fp)?;
         if records.is_empty() {
             log.append(&header_record(schema_fp))?;
             flush_policy(&mut log, SyncPolicy::Data)?;
@@ -225,6 +237,7 @@ impl DurableNetworkDb {
             pending: Vec::new(),
             ends: Vec::new(),
             marks: Vec::new(),
+            notes,
             wedged: false,
         })
     }
@@ -248,6 +261,13 @@ impl DurableNetworkDb {
     /// Application metadata stored with the latest snapshot.
     pub fn meta(&self) -> &[u8] {
         &self.meta
+    }
+
+    /// Notes committed since the last checkpoint, in commit order, as
+    /// [`Self::open`] recovered them from the WAL. A checkpoint empties
+    /// the list along with the WAL it truncates.
+    pub fn notes(&self) -> &[Vec<u8>] {
+        &self.notes
     }
 
     pub fn generation(&self) -> u64 {
@@ -348,9 +368,24 @@ impl DurableNetworkDb {
     /// Borrow the staged-record buffer for in-place encoding of one more
     /// record; [`Self::seal_op`] takes it back and marks the record end.
     fn begin_op(&mut self) -> ByteWriter {
+        self.begin_record(TAG_OP)
+    }
+
+    fn begin_record(&mut self, tag: u8) -> ByteWriter {
         let mut w = ByteWriter::over(std::mem::take(&mut self.pending));
-        w.put_u8(TAG_OP);
+        w.put_u8(tag);
         w
+    }
+
+    /// Stage `note` in the open transaction: it reaches the WAL with the
+    /// transaction's commit, vanishes with its rollback, and comes back
+    /// from [`Self::notes`] after a reopen. Outside any savepoint the
+    /// note commits on its own.
+    pub fn note(&mut self, note: &[u8]) -> DiskResult<()> {
+        self.ready()?;
+        let mut w = self.begin_record(TAG_NOTE);
+        w.put_bytes(note);
+        self.seal_op(w)
     }
 
     fn seal_op(&mut self, w: ByteWriter) -> DiskResult<()> {
@@ -517,6 +552,7 @@ impl DurableNetworkDb {
         self.log = new_log;
         self.gen = next;
         self.meta = meta.to_vec();
+        self.notes.clear();
         // 7. Retire the previous generation: its undo log, WAL, and meta
         //    sidecar (gen 0 has a WAL but no sidecar). Shrink the pool
         //    back to its base capacity now that nothing is dirty.
@@ -601,12 +637,16 @@ fn flush_policy(log: &mut LogMgr, sync: SyncPolicy) -> DiskResult<()> {
     }
 }
 
-/// Replay the committed transactions of a recovered WAL onto `db`.
-/// Uncommitted trailing ops (no commit marker) are discarded — they were
-/// never durable.
-fn replay(db: &mut NetworkDb, records: &[(Lsn, Vec<u8>)], schema_fp: u64) -> DiskResult<u64> {
-    let mut committed = 0u64;
-    let mut staged: Vec<&[u8]> = Vec::new();
+/// Replay the committed transactions of a recovered WAL onto `db` and
+/// return the notes they carried, in commit order. Uncommitted trailing
+/// records (no commit marker) are discarded — they were never durable.
+fn replay(
+    db: &mut NetworkDb,
+    records: &[(Lsn, Vec<u8>)],
+    schema_fp: u64,
+) -> DiskResult<Vec<Vec<u8>>> {
+    let mut notes = Vec::new();
+    let mut staged: Vec<(u8, &[u8])> = Vec::new();
     for (i, (lsn, rec)) in records.iter().enumerate() {
         let mut r = ByteReader::new(rec);
         let tag = r.get_u8("wal record tag")?;
@@ -627,12 +667,15 @@ fn replay(db: &mut NetworkDb, records: &[(Lsn, Vec<u8>)], schema_fp: u64) -> Dis
             continue;
         }
         match tag {
-            TAG_OP => staged.push(&rec[1..]),
+            TAG_OP | TAG_NOTE => staged.push((tag, &rec[1..])),
             TAG_COMMIT => {
-                for op in staged.drain(..) {
-                    apply_op(db, op)?;
+                for (tag, body) in staged.drain(..) {
+                    if tag == TAG_NOTE {
+                        notes.push(ByteReader::new(body).get_bytes("wal note")?.to_vec());
+                    } else {
+                        apply_op(db, body)?;
+                    }
                 }
-                committed += 1;
             }
             TAG_HEADER => {
                 return Err(DiskError::Corrupt(format!(
@@ -646,7 +689,13 @@ fn replay(db: &mut NetworkDb, records: &[(Lsn, Vec<u8>)], schema_fp: u64) -> Dis
             }
         }
     }
-    Ok(committed)
+    Ok(notes)
+}
+
+/// Preallocation for `n` decoded items, capped by the bytes left: every
+/// item takes at least one, so a corrupt count cannot reserve more.
+fn capacity(n: u32, r: &ByteReader) -> usize {
+    (n as usize).min(r.remaining())
 }
 
 fn apply_op(db: &mut NetworkDb, op: &[u8]) -> DiskResult<()> {
@@ -658,12 +707,12 @@ fn apply_op(db: &mut NetworkDb, op: &[u8]) -> DiskResult<()> {
         OP_STORE => {
             let rtype = r.get_str("store rtype")?;
             let n_values = r.get_u32("store value count")?;
-            let mut values = Vec::with_capacity(n_values as usize);
+            let mut values = Vec::with_capacity(capacity(n_values, &r));
             for _ in 0..n_values {
                 values.push((r.get_str("store field")?, r.get_value("store value")?));
             }
             let n_connects = r.get_u32("store connect count")?;
-            let mut connects = Vec::with_capacity(n_connects as usize);
+            let mut connects = Vec::with_capacity(capacity(n_connects, &r));
             for _ in 0..n_connects {
                 connects.push((r.get_str("store set")?, RecordId(r.get_u64("store owner")?)));
             }
@@ -696,7 +745,7 @@ fn apply_op(db: &mut NetworkDb, op: &[u8]) -> DiskResult<()> {
         OP_MODIFY => {
             let id = RecordId(r.get_u64("modify id")?);
             let n = r.get_u32("modify assign count")?;
-            let mut assigns = Vec::with_capacity(n as usize);
+            let mut assigns = Vec::with_capacity(capacity(n, &r));
             for _ in 0..n {
                 assigns.push((r.get_str("modify field")?, r.get_value("modify value")?));
             }
@@ -873,7 +922,7 @@ fn read_meta_blob(
     }
     let next_id = r.get_u64("meta next id")?;
     let n = r.get_u32("meta seq count")?;
-    let mut seqs = Vec::with_capacity(n as usize);
+    let mut seqs = Vec::with_capacity(capacity(n, &r));
     for _ in 0..n {
         let set = r.get_str("meta set name")?;
         let seq = r.get_u64("meta set seq")?;
@@ -889,6 +938,7 @@ mod tests {
     use super::*;
     use dbpc_datamodel::network::{FieldDef, RecordTypeDef, SetDef};
     use dbpc_datamodel::types::FieldType;
+    use proptest::prelude::*;
 
     fn schema() -> NetworkSchema {
         NetworkSchema::new("COMPANY-NAME")
@@ -1126,5 +1176,150 @@ mod tests {
         ));
         let err = DurableNetworkDb::open(dir.path(), other, opts_small()).unwrap_err();
         assert!(matches!(err, DiskError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
+    fn notes_commit_and_roll_back_with_their_transaction() {
+        let dir = TempDir::new("durable-notes").unwrap();
+        let mut db = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap();
+        seed_commit(&mut db);
+        let sp = db.begin_savepoint();
+        db.note(b"first").unwrap();
+        db.commit(sp).unwrap();
+        let sp = db.begin_savepoint();
+        db.note(b"rolled back").unwrap();
+        db.rollback_to(sp);
+        let sp = db.begin_savepoint();
+        db.note(b"never committed").unwrap();
+        let _ = sp;
+        let fp = db.fingerprint();
+        drop(db);
+
+        let mut db = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap();
+        assert_eq!(db.fingerprint(), fp, "notes never reach the engine");
+        assert_eq!(db.notes(), [b"first".to_vec()]);
+        db.note(b"second").unwrap();
+        drop(db);
+        let mut db = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap();
+        assert_eq!(db.notes(), [b"first".to_vec(), b"second".to_vec()]);
+        db.checkpoint(b"").unwrap();
+        assert!(db.notes().is_empty());
+        drop(db);
+        let db = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap();
+        assert!(db.notes().is_empty(), "a checkpoint truncates the notes");
+    }
+
+    /// Well-formed redo ops over [`schema`], for truncation below.
+    fn sample_ops() -> Vec<Vec<u8>> {
+        let mut ops = Vec::new();
+        let mut w = ByteWriter::new();
+        w.put_u8(OP_STORE);
+        w.put_str("DIV");
+        w.put_u32(2);
+        w.put_str("DIV-NAME");
+        w.put_value(&Value::str("M"));
+        w.put_str("DIV-LOC");
+        w.put_value(&Value::Null);
+        w.put_u32(0);
+        ops.push(w.into_bytes());
+        let mut w = ByteWriter::new();
+        w.put_u8(OP_STORE);
+        w.put_str("EMP");
+        w.put_u32(2);
+        w.put_str("EMP-NAME");
+        w.put_value(&Value::str("E"));
+        w.put_str("AGE");
+        w.put_value(&Value::Int(7));
+        w.put_u32(1);
+        w.put_str("DIV-EMP");
+        w.put_u64(1);
+        ops.push(w.into_bytes());
+        let mut w = ByteWriter::new();
+        w.put_u8(OP_MODIFY);
+        w.put_u64(2);
+        w.put_u32(1);
+        w.put_str("AGE");
+        w.put_value(&Value::Int(8));
+        ops.push(w.into_bytes());
+        let mut w = ByteWriter::new();
+        w.put_u8(OP_DISCONNECT);
+        w.put_str("DIV-EMP");
+        w.put_u64(2);
+        ops.push(w.into_bytes());
+        let mut w = ByteWriter::new();
+        w.put_u8(OP_CONNECT);
+        w.put_str("DIV-EMP");
+        w.put_u64(1);
+        w.put_u64(2);
+        ops.push(w.into_bytes());
+        let mut w = ByteWriter::new();
+        w.put_u8(OP_ERASE);
+        w.put_u64(1);
+        w.put_u8(1);
+        ops.push(w.into_bytes());
+        ops
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Decoder robustness: replay of a log whose records after the
+        /// header are random tags, truncated or garbage-extended ops, and
+        /// garbage notes either succeeds or reports `Corrupt` — never a
+        /// panic, never another error class.
+        #[test]
+        fn replay_of_arbitrary_records_is_ok_or_corrupt(
+            recs in prop::collection::vec(
+                (0u8..5, any::<u8>(), 0usize..6, 0usize..64,
+                 prop::collection::vec(any::<u8>(), 0..24)),
+                0..24,
+            ),
+        ) {
+            let ops = sample_ops();
+            let fp = schema_fingerprint(&schema());
+            let mut records = vec![(1, header_record(fp))];
+            for (kind, tag, which, cut, garbage) in recs {
+                let mut rec = Vec::new();
+                match kind {
+                    0 => rec.push(tag),
+                    1 => {
+                        rec.push(TAG_OP);
+                        let op = &ops[which];
+                        rec.extend_from_slice(&op[..cut.min(op.len())]);
+                    }
+                    2 => rec.push(TAG_NOTE),
+                    3 => rec.push(TAG_COMMIT),
+                    _ => {
+                        rec.push(TAG_OP);
+                        rec.extend_from_slice(&ops[which]);
+                    }
+                }
+                rec.extend_from_slice(&garbage);
+                records.push((records.len() as u64 + 1, rec));
+            }
+            let mut db = NetworkDb::new(schema()).unwrap();
+            match replay(&mut db, &records, fp) {
+                Ok(_) | Err(DiskError::Corrupt(_)) => {}
+                Err(e) => prop_assert!(false, "replay failed outside Corrupt: {e}"),
+            }
+        }
+
+        /// `apply_op` on arbitrary bytes: `Ok` or `Corrupt`, never a panic.
+        #[test]
+        fn apply_op_of_arbitrary_bytes_is_ok_or_corrupt(
+            tag in 0u8..7,
+            body in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut db = NetworkDb::new(schema()).unwrap();
+            for op in sample_ops().iter().take(2) {
+                apply_op(&mut db, op).unwrap();
+            }
+            let mut op = vec![tag];
+            op.extend_from_slice(&body);
+            match apply_op(&mut db, &op) {
+                Ok(()) | Err(DiskError::Corrupt(_)) => {}
+                Err(e) => prop_assert!(false, "apply_op failed outside Corrupt: {e}"),
+            }
+        }
     }
 }

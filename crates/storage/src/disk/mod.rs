@@ -116,6 +116,13 @@ impl From<codec::CodecError> for DiskError {
     }
 }
 
+/// An engine rejection under the durable wrapper.
+impl From<DbError> for DiskError {
+    fn from(e: DbError) -> DiskError {
+        DiskError::Engine(e)
+    }
+}
+
 impl DiskError {
     /// Whether this failure came from the deterministic fault injector.
     pub fn is_injected(&self) -> bool {

@@ -319,8 +319,8 @@ fn run_translate(root: &Path, kill_at: Option<usize>, fault: Option<DiskFaultPla
             out,
             batches_replayed,
         }) => print_state(
-            out.fingerprint(),
-            StatCatalog::of_network(&out).fingerprint(),
+            out.engine().fingerprint(),
+            StatCatalog::of_network(out.engine()).fingerprint(),
             batches_replayed as u64,
         ),
         Ok(DurableOutcome::Crashed { .. }) => unreachable!("kill closure never returns true"),
