@@ -43,6 +43,12 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# The buffer page table and the heap's fit tree do u16/index arithmetic
+# that debug builds overflow-check and release builds wrap: run the
+# storage crate's tests in the release profile too.
+echo "==> cargo test -q --release -p dbpc-storage"
+cargo test -q --release -p dbpc-storage
+
 echo "==> bench smoke (conversion throughput)"
 DBPC_BENCH_SMOKE=1 cargo bench -p dbpc-bench --bench conversion_throughput
 

@@ -724,7 +724,13 @@ fn phase_promote_members<T: Target>(
         let mut connects: Vec<(&str, RecordId)> = Vec::with_capacity(other_sets.len() + 1);
         match db.owner_in(via_set, old_id)? {
             Some(owner) => {
-                let v = db.field_value(old_id, field)?;
+                // The record is in hand: only a virtual field needs the
+                // owner lookup `field_value` does.
+                let v = if rt.fields[promoted_idx].is_virtual() {
+                    db.field_value(old_id, field)?
+                } else {
+                    old_rec.values[promoted_idx].clone()
+                };
                 let group = st
                     .group_map
                     .get(&(owner, KeyTuple(vec![v])))

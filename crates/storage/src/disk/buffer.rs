@@ -37,6 +37,9 @@ pub const BUFFER_FLUSHES: &str = "buffer.flushes";
 struct Frame {
     page: Page,
     blk: Option<BlockId>,
+    /// Index of `blk.file` in the page table (meaningless while `blk`
+    /// is `None`).
+    file: usize,
     pins: u32,
     dirty: bool,
     /// LSN of the newest log record describing this frame's contents.
@@ -45,9 +48,77 @@ struct Frame {
     referenced: bool,
 }
 
+impl Frame {
+    fn new(page_size: usize) -> Frame {
+        Frame {
+            page: Page::new(page_size),
+            blk: None,
+            file: 0,
+            pins: 0,
+            dirty: false,
+            lsn: 0,
+            referenced: false,
+        }
+    }
+}
+
 /// Handle to a pinned frame, by pool index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameId(usize);
+
+/// Page-table slot of a block that is not resident.
+const ABSENT: u32 = u32::MAX;
+
+/// The page table: for every file the pool has seen, a dense
+/// block-number → frame-index vector. A pin hit is a short scan over the
+/// (few) file names plus one index, never a scan over the frames, and
+/// the file name is compared rather than hashed. The vector is as long as
+/// the highest block number pinned, 4 bytes per block.
+#[derive(Debug, Default)]
+struct PageTable {
+    files: Vec<(String, Vec<u32>)>,
+}
+
+impl PageTable {
+    /// Index of `file`, registering it on first sight.
+    fn file(&mut self, file: &str) -> usize {
+        match self.files.iter().position(|(name, _)| name == file) {
+            Some(i) => i,
+            None => {
+                self.files.push((file.to_string(), Vec::new()));
+                self.files.len() - 1
+            }
+        }
+    }
+
+    fn get(&self, file: usize, num: u64) -> Option<usize> {
+        let slot = *self.files[file].1.get(usize::try_from(num).ok()?)?;
+        (slot != ABSENT).then_some(slot as usize)
+    }
+
+    fn set(&mut self, file: usize, num: u64, frame: usize) -> DiskResult<()> {
+        let (Ok(num), Ok(frame)) = (usize::try_from(num), u32::try_from(frame)) else {
+            return Err(DiskError::Config(format!(
+                "block {num} / frame {frame} outside the page table"
+            )));
+        };
+        let blocks = &mut self.files[file].1;
+        if blocks.len() <= num {
+            blocks.resize(num + 1, ABSENT);
+        }
+        blocks[num] = frame;
+        Ok(())
+    }
+
+    fn clear(&mut self, file: usize, num: u64) {
+        if let Some(slot) = usize::try_from(num)
+            .ok()
+            .and_then(|n| self.files[file].1.get_mut(n))
+        {
+            *slot = ABSENT;
+        }
+    }
+}
 
 /// A fixed pool of page frames over one [`FileMgr`].
 ///
@@ -56,10 +127,18 @@ pub struct FrameId(usize);
 /// and [`BufferMgr::trim`] shrinks it back to the base capacity once the
 /// dirty set has been checkpointed. This is what keeps the on-disk image
 /// of a durable heap exactly at its last checkpoint between checkpoints.
+///
+/// Resident blocks are found through a [`PageTable`] kept in step with
+/// every miss, eviction and trim, so a hit costs O(1) however large a
+/// no-steal pool has grown.
 #[derive(Debug)]
 pub struct BufferMgr {
     fm: Arc<FileMgr>,
     frames: Vec<Frame>,
+    table: PageTable,
+    /// Frames that have never held a block; while there are any, a miss
+    /// takes the lowest-numbered one instead of running the clock.
+    unused: usize,
     hand: usize,
     /// Capacity requested at construction; `trim` shrinks back to it.
     base_capacity: usize,
@@ -74,19 +153,12 @@ impl BufferMgr {
             return Err(DiskError::Config("buffer pool capacity 0".to_string()));
         }
         let ps = fm.page_size();
-        let frames = (0..capacity)
-            .map(|_| Frame {
-                page: Page::new(ps),
-                blk: None,
-                pins: 0,
-                dirty: false,
-                lsn: 0,
-                referenced: false,
-            })
-            .collect();
+        let frames = (0..capacity).map(|_| Frame::new(ps)).collect();
         Ok(BufferMgr {
             fm,
             frames,
+            table: PageTable::default(),
+            unused: capacity,
             hand: 0,
             base_capacity: capacity,
             no_steal: false,
@@ -136,22 +208,42 @@ impl BufferMgr {
     /// [`FrameId`]s are invalidated, so callers only trim at quiescent
     /// points — after a checkpoint, with nothing pinned.
     pub fn trim(&mut self) {
+        if self.frames.len() <= self.base_capacity {
+            self.hand = 0;
+            return;
+        }
         let mut i = self.frames.len();
         while self.frames.len() > self.base_capacity && i > 0 {
             i -= 1;
             if self.frames[i].pins == 0 && !self.frames[i].dirty {
-                self.frames.remove(i);
+                let f = self.frames.remove(i);
+                if let Some(blk) = &f.blk {
+                    self.table.clear(f.file, blk.num);
+                }
             }
         }
+        // Removal shifted frame indexes: re-point every resident block.
+        for (i, f) in self.frames.iter().enumerate() {
+            if let Some(blk) = &f.blk {
+                // Cannot fail: the entry already existed before the shift.
+                let _ = self.table.set(f.file, blk.num, i);
+            }
+        }
+        self.unused = self.frames.iter().filter(|f| f.blk.is_none()).count();
         self.hand = 0;
     }
 
     /// Pin `blk` into a frame, reading it from disk on a miss. Evicting a
     /// victim flushes it first (honoring WAL order via `log`). Fails with
     /// [`DiskError::BufferAbort`] when every frame is pinned.
+    ///
+    /// The page table is dense per file, so its size follows the highest
+    /// block number pinned: callers bound block numbers they read from
+    /// disk by the file's size before pinning them.
     pub fn pin(&mut self, blk: &BlockId, log: Option<&mut LogMgr>) -> DiskResult<FrameId> {
         dbpc_obs::racy(BUFFER_PINS, 1);
-        if let Some(i) = self.frames.iter().position(|f| f.blk.as_ref() == Some(blk)) {
+        let file = self.table.file(&blk.file);
+        if let Some(i) = self.table.get(file, blk.num) {
             dbpc_obs::racy(BUFFER_HITS, 1);
             self.frames[i].pins += 1;
             self.frames[i].referenced = true;
@@ -163,12 +255,31 @@ impl BufferMgr {
         }
         self.flush_frame(i, log)?;
         let frame = &mut self.frames[i];
-        self.fm.read(blk, &mut frame.page)?;
-        frame.blk = Some(blk.clone());
+        match frame.blk.as_mut() {
+            Some(old) => {
+                self.table.clear(frame.file, old.num);
+                // Reuse the name's allocation: most misses stay in one file.
+                old.file.clone_from(&blk.file);
+                old.num = blk.num;
+            }
+            None => {
+                self.unused -= 1;
+                frame.blk = Some(blk.clone());
+            }
+        }
+        frame.file = file;
         frame.pins = 1;
         frame.dirty = false;
         frame.lsn = 0;
         frame.referenced = true;
+        if let Err(e) = self.fm.read(blk, &mut frame.page) {
+            // The frame's old contents are gone: it holds nothing now.
+            frame.blk = None;
+            frame.pins = 0;
+            self.unused += 1;
+            return Err(e);
+        }
+        self.table.set(file, blk.num, i)?;
         Ok(FrameId(i))
     }
 
@@ -177,8 +288,10 @@ impl BufferMgr {
     /// one frame instead of aborting.
     fn victim(&mut self) -> DiskResult<usize> {
         // First preference: a frame never used at all.
-        if let Some(i) = self.frames.iter().position(|f| f.blk.is_none()) {
-            return Ok(i);
+        if self.unused > 0 {
+            if let Some(i) = self.frames.iter().position(|f| f.blk.is_none()) {
+                return Ok(i);
+            }
         }
         // Two full sweeps: the first clears reference bits, the second
         // must then find any eligible frame if one exists.
@@ -196,14 +309,8 @@ impl BufferMgr {
             return Ok(i);
         }
         if self.no_steal {
-            self.frames.push(Frame {
-                page: Page::new(self.fm.page_size()),
-                blk: None,
-                pins: 0,
-                dirty: false,
-                lsn: 0,
-                referenced: false,
-            });
+            self.frames.push(Frame::new(self.fm.page_size()));
+            self.unused += 1;
             return Ok(self.frames.len() - 1);
         }
         Err(DiskError::BufferAbort {
@@ -250,22 +357,22 @@ impl BufferMgr {
     }
 
     fn flush_frame(&mut self, i: usize, log: Option<&mut LogMgr>) -> DiskResult<()> {
-        let (dirty, lsn) = (self.frames[i].dirty, self.frames[i].lsn);
-        if !dirty {
+        let frame = &self.frames[i];
+        if !frame.dirty {
             return Ok(());
         }
         if let Some(log) = log {
-            log.flush_before(lsn)?;
-        } else if lsn > 0 {
+            log.flush_before(frame.lsn)?;
+        } else if frame.lsn > 0 {
             return Err(DiskError::Config(
                 "flushing a logged page without a log manager".to_string(),
             ));
         }
-        let blk = self.frames[i]
+        let blk = frame
             .blk
-            .clone()
+            .as_ref()
             .ok_or_else(|| DiskError::Config("dirty frame with no block".to_string()))?;
-        self.fm.write(&blk, &self.frames[i].page)?;
+        self.fm.write(blk, &frame.page)?;
         self.frames[i].dirty = false;
         dbpc_obs::racy(BUFFER_FLUSHES, 1);
         Ok(())
@@ -285,6 +392,7 @@ impl BufferMgr {
 mod tests {
     use super::super::tempdir::TempDir;
     use super::*;
+    use proptest::prelude::*;
 
     fn setup(cap: usize) -> (TempDir, BufferMgr) {
         let dir = TempDir::new("buffer").unwrap();
@@ -365,5 +473,170 @@ mod tests {
         assert_eq!(bm.pinned(), 1);
         bm.unpin(b).unwrap();
         assert_eq!(bm.pinned(), 0);
+    }
+
+    /// The replacement policy with linear scans instead of a page table:
+    /// frames looked up by comparing every block id, the first never-used
+    /// frame found by a scan. Same clock, same no-steal growth, same trim.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct ModelFrame {
+        /// `(file index, block number)`.
+        blk: Option<(u8, u64)>,
+        pins: u32,
+        dirty: bool,
+        referenced: bool,
+    }
+
+    #[derive(Debug, Default)]
+    struct LinearModel {
+        frames: Vec<ModelFrame>,
+        hand: usize,
+        base: usize,
+        no_steal: bool,
+        hits: u64,
+        evictions: u64,
+    }
+
+    impl LinearModel {
+        fn new(capacity: usize) -> LinearModel {
+            LinearModel {
+                frames: vec![ModelFrame::default(); capacity],
+                base: capacity,
+                ..LinearModel::default()
+            }
+        }
+
+        /// Frame index pinned, or `None` for a buffer abort.
+        fn pin(&mut self, blk: (u8, u64)) -> Option<usize> {
+            if let Some(i) = self.frames.iter().position(|f| f.blk == Some(blk)) {
+                self.hits += 1;
+                self.frames[i].pins += 1;
+                self.frames[i].referenced = true;
+                return Some(i);
+            }
+            let i = self.victim()?;
+            if self.frames[i].blk.is_some() {
+                self.evictions += 1;
+            }
+            self.frames[i] = ModelFrame {
+                blk: Some(blk),
+                pins: 1,
+                dirty: false,
+                referenced: true,
+            };
+            Some(i)
+        }
+
+        fn victim(&mut self) -> Option<usize> {
+            if let Some(i) = self.frames.iter().position(|f| f.blk.is_none()) {
+                return Some(i);
+            }
+            for _ in 0..self.frames.len() * 2 {
+                let i = self.hand;
+                self.hand = (self.hand + 1) % self.frames.len();
+                let f = &mut self.frames[i];
+                if f.pins > 0 || (self.no_steal && f.dirty) {
+                    continue;
+                }
+                if f.referenced {
+                    f.referenced = false;
+                    continue;
+                }
+                return Some(i);
+            }
+            if self.no_steal {
+                self.frames.push(ModelFrame::default());
+                return Some(self.frames.len() - 1);
+            }
+            None
+        }
+
+        fn trim(&mut self) {
+            let mut i = self.frames.len();
+            while self.frames.len() > self.base && i > 0 {
+                i -= 1;
+                if self.frames[i].pins == 0 && !self.frames[i].dirty {
+                    self.frames.remove(i);
+                }
+            }
+            self.hand = 0;
+        }
+    }
+
+    fn counters() -> (u64, u64) {
+        let snap = dbpc_obs::local_snapshot();
+        (snap.counter(BUFFER_HITS), snap.counter(BUFFER_EVICTIONS))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The page table changes how a resident block is found, never
+        /// which frame: random pin / unpin / mark-dirty / flush / trim
+        /// sequences over two files, with and without no-steal growth,
+        /// return the same frames, aborts, hits and evictions as the
+        /// linear-scan model.
+        #[test]
+        fn page_table_matches_linear_scan_model(
+            no_steal in any::<bool>(),
+            ops in prop::collection::vec((0u8..6, 0u8..2, 0u64..10, any::<u8>()), 1..200),
+        ) {
+            let (_dir, mut bm) = setup(3);
+            bm.set_no_steal(no_steal);
+            let mut model = LinearModel::new(3);
+            model.no_steal = no_steal;
+            let files = ["data", "other"];
+            let mut held: Vec<FrameId> = Vec::new();
+            let start = counters();
+            for (op, file, num, pick) in ops {
+                match op {
+                    0 | 1 => {
+                        let got = bm.pin(&BlockId::new(files[file as usize], num), None);
+                        let want = model.pin((file, num));
+                        match (got, want) {
+                            (Ok(id), Some(i)) => {
+                                prop_assert_eq!(id.0, i);
+                                held.push(id);
+                            }
+                            (Err(DiskError::BufferAbort { .. }), None) => {}
+                            (got, want) => {
+                                prop_assert!(false, "pin diverged: {:?} vs {:?}", got, want);
+                            }
+                        }
+                    }
+                    2 if !held.is_empty() => {
+                        let id = held.swap_remove(pick as usize % held.len());
+                        bm.unpin(id).unwrap();
+                        model.frames[id.0].pins -= 1;
+                    }
+                    3 if !held.is_empty() => {
+                        let id = held[pick as usize % held.len()];
+                        bm.mark_dirty(id, 0).unwrap();
+                        model.frames[id.0].dirty = true;
+                    }
+                    4 => {
+                        bm.flush_all(None).unwrap();
+                        for f in &mut model.frames {
+                            f.dirty = false;
+                        }
+                    }
+                    // Trim at a quiescent point, as its contract says:
+                    // release every pin first.
+                    5 => {
+                        for id in held.drain(..) {
+                            bm.unpin(id).unwrap();
+                            model.frames[id.0].pins -= 1;
+                        }
+                        bm.trim();
+                        model.trim();
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(bm.capacity(), model.frames.len());
+            }
+            let end = counters();
+            prop_assert_eq!(end.0 - start.0, model.hits);
+            prop_assert_eq!(end.1 - start.1, model.evictions);
+        }
     }
 }

@@ -64,6 +64,13 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Preallocation for `n` decoded items, capped by the bytes left in `r`:
+/// every item takes at least one byte, so a corrupt count cannot reserve
+/// more memory than the input could fill.
+pub(crate) fn capacity(n: u32, r: &ByteReader) -> usize {
+    (n as usize).min(r.remaining())
+}
+
 /// Little-endian append-only writer.
 #[derive(Debug, Default)]
 pub struct ByteWriter {

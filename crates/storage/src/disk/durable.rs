@@ -72,7 +72,7 @@
 //! `kill -9` at that moment would have produced. Dropping the handle
 //! without committing loses exactly the uncommitted tail, nothing more.
 
-use super::codec::{fnv64, ByteReader, ByteWriter};
+use super::codec::{capacity, fnv64, ByteReader, ByteWriter};
 use super::faults::DiskFaultPlan;
 use super::file::{BlockId, FileMgr, Page, DEFAULT_PAGE_SIZE};
 use super::log::{LogMgr, Lsn};
@@ -690,12 +690,6 @@ fn replay(
         }
     }
     Ok(notes)
-}
-
-/// Preallocation for `n` decoded items, capped by the bytes left: every
-/// item takes at least one, so a corrupt count cannot reserve more.
-fn capacity(n: u32, r: &ByteReader) -> usize {
-    (n as usize).min(r.remaining())
 }
 
 fn apply_op(db: &mut NetworkDb, op: &[u8]) -> DiskResult<()> {

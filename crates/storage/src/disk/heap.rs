@@ -18,21 +18,27 @@
 //! `[kind][u32 next][u16 chunk_len][chunk]`, linked until `next == 0`.
 //! Erased overflow blocks are zeroed back to virgin and recycled.
 //!
-//! Two structures are RAM-resident and rebuilt by [`HeapFile::open`]'s
+//! Three structures are RAM-resident and rebuilt by [`HeapFile::open`]'s
 //! page scan rather than persisted: the **free-space map** (per-page free
 //! and dead byte counts, driving first-fit placement with in-page
-//! compaction when a page's free space is fragmented) and the virgin
-//! block free list. Placement is deterministic — lowest eligible block
-//! first — so identical operation sequences produce identical files.
+//! compaction when a page's free space is fragmented), the **fit tree**
+//! over it (a max-tree of each block's usable capacity, so first fit is a
+//! root-to-leaf descent instead of a walk over every page), and the
+//! virgin block free list. Placement is deterministic — lowest eligible
+//! block first — so identical operation sequences produce identical files.
+//!
+//! A record operation pins its slotted page once, not once per step: a
+//! read finds, checks and copies the slot under one pin, and an erase or
+//! same-size rewrite of an inline record changes the page under that
+//! same pin.
 //!
 //! The heap marks frames dirty with LSN 0: its crash consistency is
 //! fenced by the owner's checkpoint protocol (see `disk::durable`), not
 //! by per-page WAL coupling.
 
-use super::buffer::BufferMgr;
+use super::buffer::{BufferMgr, FrameId};
 use super::file::{BlockId, FileMgr, Page};
 use super::{DiskError, DiskResult};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Page kind tags (byte 0 of every block).
@@ -97,15 +103,98 @@ struct PageSpace {
     free_slots: u16,
 }
 
+impl PageSpace {
+    /// Bytes a new slot body may take on this page, compaction included:
+    /// free plus dead space, less a directory entry when no free slot can
+    /// be reused.
+    fn usable(&self) -> u16 {
+        let entry = if self.free_slots > 0 { 0 } else { SLOT as u16 };
+        (self.free + self.dead).saturating_sub(entry)
+    }
+}
+
+/// Max-tree over per-block usable capacity ([`PageSpace::usable`]; 0 for
+/// blocks that are not slotted pages). Leaves are blocks in order, and
+/// each inner node holds the larger of its children, so the lowest block
+/// able to take `need` bytes is found by one descent, always turning left
+/// when the left subtree can take it — exactly the block a linear
+/// first-fit walk in block order would stop at.
+#[derive(Debug, Default)]
+struct FitTree {
+    /// Leaf count, a power of two (0 before the first block).
+    leaves: usize,
+    /// Heap layout: node 1 is the root, node `i`'s children are `2i` and
+    /// `2i + 1`, leaf `b` is node `leaves + b`.
+    max: Vec<u16>,
+}
+
+impl FitTree {
+    fn clear(&mut self) {
+        self.leaves = 0;
+        self.max.clear();
+    }
+
+    fn set(&mut self, block: u32, usable: u16) {
+        let b = block as usize;
+        if b >= self.leaves {
+            self.grow(b + 1);
+        }
+        let mut i = self.leaves + b;
+        self.max[i] = usable;
+        while i > 1 {
+            i /= 2;
+            let m = self.max[2 * i].max(self.max[2 * i + 1]);
+            if self.max[i] == m {
+                break;
+            }
+            self.max[i] = m;
+        }
+    }
+
+    /// Double (at least) the leaf count to cover `n` blocks, rebuilding
+    /// the inner nodes.
+    fn grow(&mut self, n: usize) {
+        let leaves = n.next_power_of_two().max(16);
+        let mut max = vec![0; 2 * leaves];
+        max[leaves..leaves + self.leaves].copy_from_slice(&self.max[self.leaves..]);
+        for i in (1..leaves).rev() {
+            max[i] = max[2 * i].max(max[2 * i + 1]);
+        }
+        self.leaves = leaves;
+        self.max = max;
+    }
+
+    /// Lowest block whose usable capacity is at least `need`.
+    fn first_fit(&self, need: u16) -> Option<u32> {
+        if self.leaves == 0 || self.max[1] < need {
+            return None;
+        }
+        let mut i = 1;
+        while i < self.leaves {
+            i = if self.max[2 * i] >= need {
+                2 * i
+            } else {
+                2 * i + 1
+            };
+        }
+        u32::try_from(i - self.leaves).ok()
+    }
+}
+
 /// A heap file: slotted record pages + overflow chains in one paged file.
 #[derive(Debug)]
 pub struct HeapFile {
     bm: BufferMgr,
-    file: String,
+    /// Address of the block being pinned: the file name is fixed and
+    /// only the number changes, so pinning never allocates a name.
+    cursor: BlockId,
     /// Number of blocks currently in the file.
     blocks: u32,
-    /// Free-space map over slotted pages.
-    space: BTreeMap<u32, PageSpace>,
+    /// Free-space map, indexed by block (all-zero for blocks that are
+    /// not slotted pages).
+    space: Vec<PageSpace>,
+    /// First-fit index over `space`.
+    fit: FitTree,
     /// Virgin blocks (erased overflow pages) available for reuse.
     virgin: Vec<u32>,
     /// Live record count.
@@ -124,9 +213,10 @@ impl HeapFile {
         let bm = BufferMgr::new(fm, pool)?;
         let mut heap = HeapFile {
             bm,
-            file,
+            cursor: BlockId::new(file, 0),
             blocks,
-            space: BTreeMap::new(),
+            space: Vec::new(),
+            fit: FitTree::default(),
             virgin: Vec::new(),
             records: 0,
             live_bytes: 0,
@@ -139,48 +229,39 @@ impl HeapFile {
     /// scanning every page. Also used after recovery rolls pages back.
     pub fn rescan(&mut self) -> DiskResult<()> {
         self.space.clear();
+        self.fit.clear();
         self.virgin.clear();
         self.records = 0;
         self.live_bytes = 0;
         for b in 0..self.blocks {
-            let (kind, entries) = self.with_page(b, |page| {
+            let (kind, entries, live_bytes) = self.with_page(b, |page| {
                 let kind = page.as_slice()[0];
-                let mut entries = Vec::new();
-                if kind == KIND_SLOTTED {
-                    let n = read_u16(page, 1)?;
-                    for s in 0..n {
-                        entries.push((read_u16(page, HDR + s as usize * SLOT)?, {
-                            read_u16(page, HDR + s as usize * SLOT + 2)?
-                        }));
-                    }
+                if kind != KIND_SLOTTED {
+                    return Ok((kind, Vec::new(), 0));
                 }
-                Ok((kind, entries))
+                let entries = slot_entries(page)?;
+                let mut live_bytes = 0;
+                for &(off, len) in entries.iter().filter(|(off, _)| *off != 0) {
+                    let body = page.read_at(off as usize, len as usize)?;
+                    live_bytes += match spilled(body)? {
+                        Some((total, _)) => total as u64,
+                        None => u64::from(len).saturating_sub(1),
+                    };
+                }
+                Ok((kind, entries, live_bytes))
             })?;
             match kind {
                 KIND_VIRGIN => self.virgin.push(b),
                 KIND_OVERFLOW => {}
                 KIND_SLOTTED => {
-                    for (slot, &(off, len)) in entries.iter().enumerate() {
-                        if off == 0 {
-                            continue;
-                        }
-                        self.records += 1;
-                        let id = HeapId {
-                            block: b,
-                            slot: slot as u16,
-                        };
-                        let body = self.read_slot(id, off, len)?;
-                        self.live_bytes += match body.first() {
-                            Some(&SPILLED) => parse_stub(&body)?.0 as u64,
-                            _ => u64::from(len).saturating_sub(1),
-                        };
-                    }
+                    self.records += entries.iter().filter(|(off, _)| *off != 0).count() as u64;
+                    self.live_bytes += live_bytes;
                     self.recompute_space(b, &entries);
                 }
                 other => {
                     return Err(DiskError::Corrupt(format!(
                         "heap {}[{b}]: unknown page kind 0x{other:02x}",
-                        self.file
+                        self.cursor.file
                     )))
                 }
             }
@@ -221,16 +302,42 @@ impl HeapFile {
         self.page_size() - HDR - SLOT - 1
     }
 
-    fn blk(&self, b: u32) -> BlockId {
-        BlockId::new(self.file.clone(), u64::from(b))
+    /// Pin block `b`. Block numbers from handles and from overflow-chain
+    /// links (disk bytes) are checked against the file size first: the
+    /// pool's page table is dense, so it must never see a wild number.
+    fn pin(&mut self, b: u32) -> DiskResult<FrameId> {
+        if b >= self.blocks {
+            return Err(DiskError::State(format!(
+                "heap {}: block {b} out of range",
+                self.cursor.file
+            )));
+        }
+        self.cursor.num = u64::from(b);
+        self.bm.pin(&self.cursor, None)
     }
 
     /// Pin block `b`, run `f` on its page, unpin. Read-only.
     fn with_page<T>(&mut self, b: u32, f: impl FnOnce(&Page) -> DiskResult<T>) -> DiskResult<T> {
-        let fid = self.bm.pin(&self.blk(b), None)?;
-        let out = f(self.bm.page(fid)?);
+        let fid = self.pin(b)?;
+        let out = self.bm.page(fid).and_then(f);
         self.bm.unpin(fid)?;
         out
+    }
+
+    /// Pin block `b`, run `f` mutably on its page, unpin; the frame is
+    /// marked dirty when `f` succeeds and reports that it wrote.
+    fn with_page_rw<T>(
+        &mut self,
+        b: u32,
+        f: impl FnOnce(&mut Page) -> DiskResult<(T, bool)>,
+    ) -> DiskResult<T> {
+        let fid = self.pin(b)?;
+        let out = self.bm.page_mut(fid).and_then(f);
+        if let Ok((_, true)) = out {
+            self.bm.mark_dirty(fid, 0)?;
+        }
+        self.bm.unpin(fid)?;
+        out.map(|(v, _)| v)
     }
 
     /// Pin block `b`, run `f` mutably on its page, mark dirty, unpin.
@@ -239,30 +346,22 @@ impl HeapFile {
         b: u32,
         f: impl FnOnce(&mut Page) -> DiskResult<T>,
     ) -> DiskResult<T> {
-        let fid = self.bm.pin(&self.blk(b), None)?;
-        let out = f(self.bm.page_mut(fid)?);
-        if out.is_ok() {
-            self.bm.mark_dirty(fid, 0)?;
-        }
-        self.bm.unpin(fid)?;
-        out
+        self.with_page_rw(b, |page| f(page).map(|v| (v, true)))
     }
 
     /// Append a fresh block (or recycle a virgin one) and return its id.
     fn alloc_block(&mut self, kind: u8) -> DiskResult<u32> {
-        if let Some(b) = self.virgin.pop() {
-            self.with_page_mut(b, |page| {
-                page.zero();
-                page.as_mut_slice()[0] = kind;
-                Ok(())
-            })?;
-            return Ok(b);
-        }
-        let b = self.blocks;
-        self.blocks = self
-            .blocks
-            .checked_add(1)
-            .ok_or_else(|| DiskError::Config("heap grew past u32 blocks".to_string()))?;
+        let b = match self.virgin.pop() {
+            Some(b) => b,
+            None => {
+                let b = self.blocks;
+                self.blocks = self
+                    .blocks
+                    .checked_add(1)
+                    .ok_or_else(|| DiskError::Config("heap grew past u32 blocks".to_string()))?;
+                b
+            }
+        };
         self.with_page_mut(b, |page| {
             page.zero();
             page.as_mut_slice()[0] = kind;
@@ -287,7 +386,7 @@ impl HeapFile {
             .map(|(_, len)| *len)
             .sum();
         let free_slots = entries.iter().filter(|(off, _)| *off == 0).count() as u16;
-        self.space.insert(
+        self.set_space(
             b,
             PageSpace {
                 free: free_ptr - dir_end,
@@ -297,48 +396,45 @@ impl HeapFile {
         );
     }
 
+    fn set_space(&mut self, b: u32, sp: PageSpace) {
+        let i = b as usize;
+        if self.space.len() <= i {
+            self.space.resize(i + 1, PageSpace::default());
+        }
+        self.space[i] = sp;
+        self.fit.set(b, sp.usable());
+    }
+
     /// Find (or create) a slotted page able to take `need` payload bytes,
     /// compacting a fragmented page in place when that suffices. First
     /// fit in block order keeps placement deterministic.
     fn place(&mut self, need: u16) -> DiskResult<u32> {
-        let cost_new_slot = need + SLOT as u16;
-        let candidate = self.space.iter().find_map(|(&b, sp)| {
+        if let Some(b) = self.fit.first_fit(need) {
+            let sp = self.space.get(b as usize).copied().unwrap_or_default();
             let cost = if sp.free_slots > 0 {
                 need
             } else {
-                cost_new_slot
+                need + SLOT as u16
             };
-            if sp.free >= cost {
-                Some((b, false))
-            } else if sp.free + sp.dead >= cost {
-                Some((b, true))
-            } else {
-                None
-            }
-        });
-        match candidate {
-            Some((b, false)) => Ok(b),
-            Some((b, true)) => {
+            if sp.free < cost {
                 self.compact(b)?;
-                Ok(b)
             }
-            None => {
-                let b = self.alloc_block(KIND_SLOTTED)?;
-                let ps = self.page_size() as u16;
-                self.with_page_mut(b, |page| {
-                    write_u16(page, 3, ps) // free_ptr = page end
-                })?;
-                self.space.insert(
-                    b,
-                    PageSpace {
-                        free: ps - HDR as u16,
-                        dead: 0,
-                        free_slots: 0,
-                    },
-                );
-                Ok(b)
-            }
+            return Ok(b);
         }
+        let b = self.alloc_block(KIND_SLOTTED)?;
+        let ps = self.page_size() as u16;
+        self.with_page_mut(b, |page| {
+            write_u16(page, 3, ps) // free_ptr = page end
+        })?;
+        self.set_space(
+            b,
+            PageSpace {
+                free: ps - HDR as u16,
+                dead: 0,
+                free_slots: 0,
+            },
+        );
+        Ok(b)
     }
 
     /// Slide live payloads of page `b` to the high end, turning dead
@@ -347,18 +443,10 @@ impl HeapFile {
     fn compact(&mut self, b: u32) -> DiskResult<()> {
         let entries = self.with_page_mut(b, |page| {
             let ps = page.size();
-            let n = read_u16(page, 1)? as usize;
-            let mut entries: Vec<(u16, u16)> = (0..n)
-                .map(|s| {
-                    Ok((
-                        read_u16(page, HDR + s * SLOT)?,
-                        read_u16(page, HDR + s * SLOT + 2)?,
-                    ))
-                })
-                .collect::<DiskResult<_>>()?;
+            let mut entries = slot_entries(page)?;
             // Move highest-offset payloads first so writes never overlap
             // unmoved live bytes.
-            let mut order: Vec<usize> = (0..n).filter(|&s| entries[s].0 != 0).collect();
+            let mut order: Vec<usize> = (0..entries.len()).filter(|&s| entries[s].0 != 0).collect();
             order.sort_by_key(|&s| std::cmp::Reverse(entries[s].0));
             let mut top = ps as u16;
             for s in order {
@@ -378,12 +466,11 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Carve `len` bytes out of page `b`'s data area and bind them to a
-    /// slot (reusing a free slot when one exists). Returns the handle;
-    /// the caller writes the body via the returned offset.
+    /// Carve `body.len()` bytes out of page `b`'s data area and bind them
+    /// to a slot (reusing a free slot when one exists). Returns the handle.
     fn bind_slot(&mut self, b: u32, body: &[u8]) -> DiskResult<HeapId> {
         let len = body.len() as u16;
-        let entries = self.with_page_mut(b, |page| {
+        let (slot, entries) = self.with_page_mut(b, |page| {
             let n = read_u16(page, 1)? as usize;
             let free_ptr = read_u16(page, 3)?;
             let slot = (0..n).find(|&s| matches!(read_u16(page, HDR + s * SLOT), Ok(0)));
@@ -399,34 +486,28 @@ impl HeapFile {
             };
             write_u16(page, HDR + s * SLOT, off)?;
             write_u16(page, HDR + s * SLOT + 2, len)?;
-            let total = read_u16(page, 1)? as usize;
-            let entries: Vec<(u16, u16)> = (0..total)
-                .map(|e| {
-                    Ok((
-                        read_u16(page, HDR + e * SLOT)?,
-                        read_u16(page, HDR + e * SLOT + 2)?,
-                    ))
-                })
-                .collect::<DiskResult<_>>()?;
-            Ok((s as u16, entries))
+            Ok((s as u16, slot_entries(page)?))
         })?;
-        self.recompute_space(b, &entries.1);
-        Ok(HeapId {
-            block: b,
-            slot: entries.0,
-        })
+        self.recompute_space(b, &entries);
+        Ok(HeapId { block: b, slot })
+    }
+
+    /// Slot body for `payload`: inline behind a marker byte, or a stub
+    /// pointing at a freshly written overflow chain.
+    fn body_for(&mut self, payload: &[u8]) -> DiskResult<Vec<u8>> {
+        if payload.len() <= self.inline_max() {
+            let mut body = Vec::with_capacity(payload.len() + 1);
+            body.push(INLINE);
+            body.extend_from_slice(payload);
+            Ok(body)
+        } else {
+            self.spill_stub(payload)
+        }
     }
 
     /// Store `payload`, returning its stable handle.
     pub fn insert(&mut self, payload: &[u8]) -> DiskResult<HeapId> {
-        let body = if payload.len() <= self.inline_max() {
-            let mut body = Vec::with_capacity(payload.len() + 1);
-            body.push(INLINE);
-            body.extend_from_slice(payload);
-            body
-        } else {
-            self.spill_stub(payload)?
-        };
+        let body = self.body_for(payload)?;
         let b = self.place(body.len() as u16)?;
         let id = self.bind_slot(b, &body)?;
         self.records += 1;
@@ -461,120 +542,87 @@ impl HeapFile {
         Ok(stub)
     }
 
-    /// Read one slot's raw body bytes.
-    fn read_slot(&mut self, id: HeapId, off: u16, len: u16) -> DiskResult<Vec<u8>> {
-        if off == 0 {
-            return Err(DiskError::State(format!(
-                "heap {}: read of erased slot {id}",
-                self.file
-            )));
-        }
-        self.with_page(id.block, |page| {
-            Ok(page.read_at(off as usize, len as usize)?.to_vec())
-        })
-    }
-
-    /// Slot-directory entry for `id`, verifying the page kind.
-    fn entry(&mut self, id: HeapId) -> DiskResult<(u16, u16)> {
-        if id.block >= self.blocks {
-            return Err(DiskError::State(format!(
-                "heap {}: block {} out of range",
-                self.file, id.block
-            )));
-        }
-        self.with_page(id.block, |page| {
-            if page.as_slice()[0] != KIND_SLOTTED {
-                return Err(DiskError::State(format!(
-                    "heap: {id} does not address a slotted page"
-                )));
-            }
-            let n = read_u16(page, 1)?;
-            if id.slot >= n {
-                return Err(DiskError::State(format!("heap: no slot {id}")));
-            }
-            Ok((
-                read_u16(page, HDR + id.slot as usize * SLOT)?,
-                read_u16(page, HDR + id.slot as usize * SLOT + 2)?,
-            ))
-        })
-    }
-
-    /// Fetch the payload stored at `id`.
+    /// Fetch the payload stored at `id`: one pin of its page, and one
+    /// copy of an inline payload (straight out of the frame).
     pub fn get(&mut self, id: HeapId) -> DiskResult<Vec<u8>> {
-        let (off, len) = self.entry(id)?;
-        let body = self.read_slot(id, off, len)?;
-        match body.first() {
-            Some(&INLINE) => Ok(body[1..].to_vec()),
-            Some(&SPILLED) => {
-                let (total, first) = parse_stub(&body)?;
-                let mut out = Vec::with_capacity(total);
-                let mut b = first;
-                while b != NO_BLOCK {
-                    let (next, chunk) = self.with_page(b, |page| {
-                        if page.as_slice()[0] != KIND_OVERFLOW {
-                            return Err(DiskError::Corrupt(format!(
-                                "heap: overflow chain of {id} hit non-overflow block {b}"
-                            )));
-                        }
-                        let next = read_u32(page, 1)?;
-                        let clen = read_u16(page, 5)? as usize;
-                        Ok((next, page.read_at(OVF_HDR, clen)?.to_vec()))
-                    })?;
-                    out.extend_from_slice(&chunk);
-                    b = next;
+        let mut out = Vec::new();
+        let stub = self.with_page(id.block, |page| {
+            let (off, len) = live_slot(page, id)?;
+            let body = page.read_at(off as usize, len as usize)?;
+            match body.first() {
+                Some(&INLINE) => {
+                    out.extend_from_slice(&body[1..]);
+                    Ok(None)
                 }
-                if out.len() != total {
+                Some(&SPILLED) => parse_stub(body).map(Some),
+                _ => Err(DiskError::Corrupt(format!("heap: {id} has no marker byte"))),
+            }
+        })?;
+        let Some((total, first)) = stub else {
+            return Ok(out);
+        };
+        // The stub is disk bytes: never reserve more than the file holds.
+        out.reserve(total.min(self.file_bytes() as usize));
+        let mut b = first;
+        while b != NO_BLOCK {
+            b = self.with_page(b, |page| {
+                if page.as_slice()[0] != KIND_OVERFLOW {
                     return Err(DiskError::Corrupt(format!(
-                        "heap: overflow chain of {id} yielded {} bytes, stub said {total}",
-                        out.len()
+                        "heap: overflow chain of {id} hit non-overflow block {b}"
                     )));
                 }
-                Ok(out)
-            }
-            _ => Err(DiskError::Corrupt(format!("heap: {id} has no marker byte"))),
+                let next = read_u32(page, 1)?;
+                let clen = read_u16(page, 5)? as usize;
+                out.extend_from_slice(page.read_at(OVF_HDR, clen)?);
+                Ok(next)
+            })?;
         }
+        if out.len() != total {
+            return Err(DiskError::Corrupt(format!(
+                "heap: overflow chain of {id} yielded {} bytes, stub said {total}",
+                out.len()
+            )));
+        }
+        Ok(out)
     }
 
-    /// Free the slot at `id` (and any overflow chain hanging off it).
+    /// Free the slot at `id` (and any overflow chain hanging off it). An
+    /// inline record is found and cleared under one pin; a spilled one
+    /// frees its chain between two.
     pub fn erase(&mut self, id: HeapId) -> DiskResult<()> {
-        let (off, len) = self.entry(id)?;
-        let body = self.read_slot(id, off, len)?;
-        if let Some(&SPILLED) = body.first() {
-            let (total, first) = parse_stub(&body)?;
-            self.free_chain(first)?;
-            self.live_bytes -= total as u64;
-        } else {
-            self.live_bytes -= (len as u64).saturating_sub(1);
+        /// What the first pin found.
+        enum Found {
+            Cleared {
+                freed: u64,
+                entries: Vec<(u16, u16)>,
+            },
+            Spilled {
+                total: usize,
+                first: u32,
+            },
         }
-        let entries = self.with_page_mut(id.block, |page| {
-            write_u16(page, HDR + id.slot as usize * SLOT, 0)?;
-            write_u16(page, HDR + id.slot as usize * SLOT + 2, 0)?;
-            // If this payload was the lowest, free_ptr can retreat; leave
-            // it — recompute_space treats the gap as dead, and compaction
-            // reclaims it when needed.
-            let n = read_u16(page, 1)? as usize;
-            let entries: Vec<(u16, u16)> = (0..n)
-                .map(|e| {
-                    Ok((
-                        read_u16(page, HDR + e * SLOT)?,
-                        read_u16(page, HDR + e * SLOT + 2)?,
-                    ))
-                })
-                .collect::<DiskResult<_>>()?;
-            Ok(entries)
+        let found = self.with_page_rw(id.block, |page| {
+            let (off, len) = live_slot(page, id)?;
+            match spilled(page.read_at(off as usize, len as usize)?)? {
+                Some((total, first)) => Ok((Found::Spilled { total, first }, false)),
+                None => {
+                    let freed = u64::from(len).saturating_sub(1);
+                    let entries = clear_slot(page, id)?;
+                    Ok((Found::Cleared { freed, entries }, true))
+                }
+            }
         })?;
-        // free_ptr may now sit below the lowest live payload: fold the
-        // difference into the free (not dead) side by raising it.
-        self.with_page_mut(id.block, |page| {
-            let ps = page.size() as u16;
-            let low = entries
-                .iter()
-                .filter(|(o, _)| *o != 0)
-                .map(|(o, _)| *o)
-                .min()
-                .unwrap_or(ps);
-            write_u16(page, 3, low)
-        })?;
+        let entries = match found {
+            Found::Cleared { freed, entries } => {
+                self.live_bytes -= freed;
+                entries
+            }
+            Found::Spilled { total, first } => {
+                self.free_chain(first)?;
+                self.live_bytes -= total as u64;
+                self.with_page_mut(id.block, |page| clear_slot(page, id))?
+            }
+        };
         self.recompute_space(id.block, &entries);
         self.records -= 1;
         Ok(())
@@ -602,59 +650,41 @@ impl HeapFile {
     /// in place, or after compaction — and only a page overflow relocates
     /// the record.
     pub fn update(&mut self, id: HeapId, payload: &[u8]) -> DiskResult<HeapId> {
-        let (off, len) = self.entry(id)?;
-        let old_body = self.read_slot(id, off, len)?;
         let inline = payload.len() <= self.inline_max();
-
-        // Fast path: same-size inline rewrite in place.
-        if inline && payload.len() + 1 == len as usize && old_body.first() == Some(&INLINE) {
-            self.with_page_mut(id.block, |page| page.write_at(off as usize + 1, payload))?;
+        // Fast path: a same-size inline rewrite, in place under the pin
+        // that found the slot.
+        let found = self.with_page_rw(id.block, |page| {
+            let (off, len) = live_slot(page, id)?;
+            let body = page.read_at(off as usize, len as usize)?;
+            if inline && payload.len() + 1 == len as usize && body.first() == Some(&INLINE) {
+                page.write_at(off as usize + 1, payload)?;
+                return Ok((None, true));
+            }
+            Ok((Some((len, spilled(body)?)), false))
+        })?;
+        let Some((len, old_stub)) = found else {
             return Ok(id);
-        }
+        };
 
         // General path: erase, then try to rebind the same slot on the
         // same page before falling back to a fresh placement.
-        if old_body.first() == Some(&SPILLED) {
-            let (total, first) = parse_stub(&old_body)?;
-            self.free_chain(first)?;
-            self.live_bytes -= total as u64;
-        } else {
-            self.live_bytes -= u64::from(len).saturating_sub(1);
+        match old_stub {
+            Some((total, first)) => {
+                self.free_chain(first)?;
+                self.live_bytes -= total as u64;
+            }
+            None => self.live_bytes -= u64::from(len).saturating_sub(1),
         }
-        let body = if inline {
-            let mut body = Vec::with_capacity(payload.len() + 1);
-            body.push(INLINE);
-            body.extend_from_slice(payload);
-            body
-        } else {
-            self.spill_stub(payload)?
-        };
+        let body = self.body_for(payload)?;
         let need = body.len() as u16;
         // Free the old bytes (slot stays allocated to us).
-        let entries = self.with_page_mut(id.block, |page| {
-            write_u16(page, HDR + id.slot as usize * SLOT, 0)?;
-            write_u16(page, HDR + id.slot as usize * SLOT + 2, 0)?;
-            let ps = page.size() as u16;
-            let n = read_u16(page, 1)? as usize;
-            let entries: Vec<(u16, u16)> = (0..n)
-                .map(|e| {
-                    Ok((
-                        read_u16(page, HDR + e * SLOT)?,
-                        read_u16(page, HDR + e * SLOT + 2)?,
-                    ))
-                })
-                .collect::<DiskResult<_>>()?;
-            let low = entries
-                .iter()
-                .filter(|(o, _)| *o != 0)
-                .map(|(o, _)| *o)
-                .min()
-                .unwrap_or(ps);
-            write_u16(page, 3, low)?;
-            Ok(entries)
-        })?;
+        let entries = self.with_page_mut(id.block, |page| clear_slot(page, id))?;
         self.recompute_space(id.block, &entries);
-        let sp = self.space.get(&id.block).copied().unwrap_or_default();
+        let sp = self
+            .space
+            .get(id.block as usize)
+            .copied()
+            .unwrap_or_default();
         let new_id = if sp.free >= need {
             self.rebind(id, &body)?
         } else if sp.free + sp.dead >= need {
@@ -680,16 +710,7 @@ impl HeapFile {
             write_u16(page, 3, off)?;
             write_u16(page, HDR + id.slot as usize * SLOT, off)?;
             write_u16(page, HDR + id.slot as usize * SLOT + 2, len)?;
-            let n = read_u16(page, 1)? as usize;
-            let entries: Vec<(u16, u16)> = (0..n)
-                .map(|e| {
-                    Ok((
-                        read_u16(page, HDR + e * SLOT)?,
-                        read_u16(page, HDR + e * SLOT + 2)?,
-                    ))
-                })
-                .collect::<DiskResult<_>>()?;
-            Ok(entries)
+            slot_entries(page)
         })?;
         self.recompute_space(id.block, &entries);
         Ok(id)
@@ -701,20 +722,20 @@ impl HeapFile {
         f: &mut dyn FnMut(HeapId, Vec<u8>) -> DiskResult<()>,
     ) -> DiskResult<()> {
         for b in 0..self.blocks {
-            let slots = self.with_page(b, |page| {
+            let entries = self.with_page(b, |page| {
                 if page.as_slice()[0] != KIND_SLOTTED {
                     return Ok(Vec::new());
                 }
-                let n = read_u16(page, 1)?;
-                (0..n)
-                    .map(|s| Ok((s, read_u16(page, HDR + s as usize * SLOT)?)))
-                    .collect::<DiskResult<Vec<(u16, u16)>>>()
+                slot_entries(page)
             })?;
-            for (slot, off) in slots {
+            for (slot, &(off, _)) in entries.iter().enumerate() {
                 if off == 0 {
                     continue;
                 }
-                let id = HeapId { block: b, slot };
+                let id = HeapId {
+                    block: b,
+                    slot: slot as u16,
+                };
                 let payload = self.get(id)?;
                 f(id, payload)?;
             }
@@ -726,6 +747,54 @@ impl HeapFile {
     pub fn flush(&mut self) -> DiskResult<()> {
         self.bm.flush_all(None)
     }
+}
+
+/// Every slot-directory entry `(off, len)` of a slotted page.
+fn slot_entries(page: &Page) -> DiskResult<Vec<(u16, u16)>> {
+    let n = read_u16(page, 1)? as usize;
+    (0..n)
+        .map(|s| {
+            Ok((
+                read_u16(page, HDR + s * SLOT)?,
+                read_u16(page, HDR + s * SLOT + 2)?,
+            ))
+        })
+        .collect()
+}
+
+/// The slot-directory entry `(off, len)` of live slot `id` on its page,
+/// verifying the page kind and that the slot is in use.
+fn live_slot(page: &Page, id: HeapId) -> DiskResult<(u16, u16)> {
+    if page.as_slice()[0] != KIND_SLOTTED {
+        return Err(DiskError::State(format!(
+            "heap: {id} does not address a slotted page"
+        )));
+    }
+    if id.slot >= read_u16(page, 1)? {
+        return Err(DiskError::State(format!("heap: no slot {id}")));
+    }
+    let off = read_u16(page, HDR + id.slot as usize * SLOT)?;
+    if off == 0 {
+        return Err(DiskError::State(format!("heap: read of erased slot {id}")));
+    }
+    Ok((off, read_u16(page, HDR + id.slot as usize * SLOT + 2)?))
+}
+
+/// Free slot `id`'s bytes (the slot stays in the directory), raise
+/// `free_ptr` to the lowest remaining payload so the gap counts as free
+/// rather than dead, and return the page's slot entries.
+fn clear_slot(page: &mut Page, id: HeapId) -> DiskResult<Vec<(u16, u16)>> {
+    write_u16(page, HDR + id.slot as usize * SLOT, 0)?;
+    write_u16(page, HDR + id.slot as usize * SLOT + 2, 0)?;
+    let entries = slot_entries(page)?;
+    let low = entries
+        .iter()
+        .filter(|(o, _)| *o != 0)
+        .map(|(o, _)| *o)
+        .min()
+        .unwrap_or(page.size() as u16);
+    write_u16(page, 3, low)?;
+    Ok(entries)
 }
 
 fn read_u16(page: &Page, off: usize) -> DiskResult<u16> {
@@ -746,6 +815,15 @@ fn write_u32(page: &mut Page, off: usize, v: u32) -> DiskResult<()> {
     page.write_at(off, &v.to_le_bytes())
 }
 
+/// `(total length, first overflow block)` when `body` is a spilled
+/// record's stub, `None` for an inline body.
+fn spilled(body: &[u8]) -> DiskResult<Option<(usize, u32)>> {
+    match body.first() {
+        Some(&SPILLED) => parse_stub(body).map(Some),
+        _ => Ok(None),
+    }
+}
+
 fn parse_stub(body: &[u8]) -> DiskResult<(usize, u32)> {
     if body.len() != STUB {
         return Err(DiskError::Corrupt(format!(
@@ -762,6 +840,8 @@ fn parse_stub(body: &[u8]) -> DiskResult<(usize, u32)> {
 mod tests {
     use super::super::tempdir::TempDir;
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn setup(page: usize, pool: usize) -> (TempDir, HeapFile) {
         let dir = TempDir::new("heap").unwrap();
@@ -905,5 +985,142 @@ mod tests {
                 format!("record-number-{i:04}").as_bytes()
             );
         }
+    }
+
+    /// The placement rule the fit tree replaces: walk the free-space map
+    /// in block order and stop at the first page whose free plus dead
+    /// bytes cover the body and, when no slot is free for reuse, a new
+    /// directory entry.
+    fn linear_first_fit(heap: &HeapFile, need: u16) -> Option<u32> {
+        heap.space.iter().enumerate().find_map(|(b, sp)| {
+            let cost = if sp.free_slots > 0 {
+                need
+            } else {
+                need + SLOT as u16
+            };
+            (sp.free >= cost || sp.free + sp.dead >= cost).then_some(b as u32)
+        })
+    }
+
+    /// Every body size a 128-byte page can be asked for, plus one too big.
+    fn assert_tree_matches_linear(heap: &HeapFile) -> Result<(), TestCaseError> {
+        for need in 1..=PAGE as u16 {
+            prop_assert_eq!(
+                heap.fit.first_fit(need),
+                linear_first_fit(heap, need),
+                "first fit for {} bytes",
+                need
+            );
+        }
+        Ok(())
+    }
+
+    const PAGE: usize = 128;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Placement equivalence: random inserts, erases and updates —
+        /// inline and spilled, so pages compact in place, chains spill
+        /// and free, and virgin blocks are reused — with flushes and
+        /// reopens (a `rescan`) in between. After every step the tree's
+        /// first fit equals the linear walk's for every body size, each
+        /// inline insert lands on the block the walk picks (or on the
+        /// block a new page would take), and contents and `stats()`
+        /// match a shadow map.
+        #[test]
+        fn fit_tree_places_exactly_like_linear_first_fit(
+            ops in prop::collection::vec((0u8..8, 0usize..1000, 0usize..300), 1..120),
+        ) {
+            let dir = TempDir::new("heap-fit").unwrap();
+            let fm = Arc::new(FileMgr::new(dir.path(), PAGE).unwrap());
+            let mut heap = HeapFile::open(Arc::clone(&fm), "heap.dat", 4).unwrap();
+            let mut shadow: BTreeMap<HeapId, Vec<u8>> = BTreeMap::new();
+            for (i, (op, pick, len)) in ops.into_iter().enumerate() {
+                // Mostly small records so pages fill and fragment; a few
+                // past the inline limit so chains spill.
+                let len = if len < 270 { len % 60 } else { len };
+                let bytes: Vec<u8> = (0..len).map(|j| (i + j) as u8).collect();
+                let live: Vec<HeapId> = shadow.keys().copied().collect();
+                match op {
+                    0..=2 => {
+                        let inline = len <= heap.inline_max();
+                        let need = if inline { len as u16 + 1 } else { STUB as u16 };
+                        let want = linear_first_fit(&heap, need);
+                        let fresh = heap.virgin.last().copied().unwrap_or(heap.blocks);
+                        let id = heap.insert(&bytes).unwrap();
+                        if inline {
+                            prop_assert_eq!(id.block, want.unwrap_or(fresh));
+                        }
+                        shadow.insert(id, bytes);
+                    }
+                    3 | 4 if !live.is_empty() => {
+                        let id = live[pick % live.len()];
+                        heap.erase(id).unwrap();
+                        shadow.remove(&id);
+                    }
+                    5 | 6 if !live.is_empty() => {
+                        let id = live[pick % live.len()];
+                        let new_id = heap.update(id, &bytes).unwrap();
+                        shadow.remove(&id);
+                        shadow.insert(new_id, bytes);
+                    }
+                    7 => {
+                        heap.flush().unwrap();
+                        let stats = heap.stats();
+                        drop(heap);
+                        heap = HeapFile::open(Arc::clone(&fm), "heap.dat", 4).unwrap();
+                        prop_assert_eq!(heap.stats(), stats);
+                    }
+                    _ => {}
+                }
+                assert_tree_matches_linear(&heap)?;
+                let stats = heap.stats();
+                prop_assert_eq!(stats.records, shadow.len() as u64);
+                prop_assert_eq!(
+                    stats.live_bytes,
+                    shadow.values().map(|v| v.len() as u64).sum::<u64>()
+                );
+            }
+            for (id, bytes) in &shadow {
+                prop_assert_eq!(&heap.get(*id).unwrap(), bytes);
+            }
+        }
+    }
+
+    /// Overflow links are disk bytes: a corrupt one fails the read with
+    /// an error instead of reaching the buffer pool's dense page table.
+    #[test]
+    fn corrupt_chain_links_fail_without_pinning_wild_blocks() {
+        let (_d, mut heap) = setup(128, 4);
+        let id = heap.insert(&[9; 1000]).unwrap();
+        let first = heap
+            .with_page(id.block, |page| {
+                let (off, len) = live_slot(page, id)?;
+                parse_stub(page.read_at(off as usize, len as usize)?)
+            })
+            .unwrap()
+            .1;
+        heap.with_page_mut(first, |page| write_u32(page, 1, 0x7FFF_FFFF))
+            .unwrap();
+        assert!(matches!(heap.get(id), Err(DiskError::State(_))));
+        assert!(heap.erase(id).is_err());
+    }
+
+    #[test]
+    fn fit_tree_finds_the_lowest_block_that_fits() {
+        let mut tree = FitTree::default();
+        assert_eq!(tree.first_fit(1), None);
+        for (b, cap) in [(0, 3), (1, 10), (2, 7), (40, 50)] {
+            tree.set(b, cap);
+        }
+        assert_eq!(tree.first_fit(3), Some(0));
+        assert_eq!(tree.first_fit(4), Some(1));
+        assert_eq!(tree.first_fit(11), Some(40));
+        assert_eq!(tree.first_fit(51), None);
+        tree.set(1, 0);
+        assert_eq!(tree.first_fit(4), Some(2));
+        tree.clear();
+        assert_eq!(tree.first_fit(1), None);
     }
 }

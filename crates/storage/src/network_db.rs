@@ -260,14 +260,14 @@ impl HeapBackend {
 /// codec. The ordering key inside each set is *not* persisted — it is a
 /// function of the values and the schema's `SET KEYS`, re-derived on
 /// recovery — but the arrival sequence is, because it is allocator state.
-fn encode_record(rec: &StoredRecord, links: &[(String, u64, u64)]) -> Vec<u8> {
+fn encode_record(id: u64, rtype: &str, values: &[Value], links: &[(String, u64, u64)]) -> Vec<u8> {
     use crate::disk::codec::ByteWriter;
     let mut w = ByteWriter::new();
     w.put_u8(REC_MAGIC);
-    w.put_u64(rec.id.0);
-    w.put_str(&rec.rtype);
-    w.put_u32(rec.values.len() as u32);
-    for v in &rec.values {
+    w.put_u64(id);
+    w.put_str(rtype);
+    w.put_u32(values.len() as u32);
+    for v in values {
         w.put_value(v);
     }
     w.put_u32(links.len() as u32);
@@ -282,7 +282,7 @@ fn encode_record(rec: &StoredRecord, links: &[(String, u64, u64)]) -> Vec<u8> {
 /// Inverse of [`encode_record`]; total (typed errors, no panics) because
 /// recovery feeds it bytes a crash may have damaged.
 fn decode_record(bytes: &[u8]) -> Result<(StoredRecord, PersistedLinks), String> {
-    use crate::disk::codec::ByteReader;
+    use crate::disk::codec::{capacity, ByteReader};
     fn ctx<T>(r: Result<T, crate::disk::codec::CodecError>) -> Result<T, String> {
         r.map_err(|e| e.to_string())
     }
@@ -294,12 +294,12 @@ fn decode_record(bytes: &[u8]) -> Result<(StoredRecord, PersistedLinks), String>
     let id = ctx(r.get_u64("record id"))?;
     let rtype = ctx(r.get_str("record type"))?;
     let n_values = ctx(r.get_u32("value count"))?;
-    let mut values = Vec::with_capacity(n_values as usize);
+    let mut values = Vec::with_capacity(capacity(n_values, &r));
     for _ in 0..n_values {
         values.push(ctx(r.get_value("field value"))?);
     }
     let n_links = ctx(r.get_u32("link count"))?;
-    let mut links = Vec::with_capacity(n_links as usize);
+    let mut links = Vec::with_capacity(capacity(n_links, &r));
     for _ in 0..n_links {
         let set = ctx(r.get_str("link set"))?;
         let owner = ctx(r.get_u64("link owner"))?;
@@ -615,6 +615,16 @@ impl NetworkDb {
         }
     }
 
+    /// A record's type, read from RAM (the Mem map, or the heap's type
+    /// map), so type and existence checks never fetch a record.
+    fn rtype_of(&self, id: RecordId) -> DbResult<&str> {
+        match &self.records {
+            Backend::Mem(m) => m.get(&id.0).map(|rec| rec.rtype.as_str()),
+            Backend::Heap(h) => h.rtypes.get(&id.0).map(String::as_str),
+        }
+        .ok_or_else(|| DbError::NotFound(format!("record #{}", id.0)))
+    }
+
     /// Insert a freshly created record (store / undo-of-erase).
     fn backend_insert(&mut self, rec: StoredRecord) {
         match &mut self.records {
@@ -623,7 +633,7 @@ impl NetworkDb {
             }
             Backend::Heap(h) => {
                 let id = rec.id.0;
-                let bytes = encode_record(&rec, &[]);
+                let bytes = encode_record(id, &rec.rtype, &rec.values, &[]);
                 let hid = h
                     .with_heap(|heap| heap.insert(&bytes))
                     .unwrap_or_else(|e| panic!("heap insert #{id}: {e}"));
@@ -650,9 +660,10 @@ impl NetworkDb {
         }
     }
 
-    /// Overwrite a record's values (modify / undo-of-modify). Returns
-    /// false if the record does not exist.
-    fn backend_set_values(&mut self, id: u64, values: Vec<Value>) -> bool {
+    /// Overwrite the values of record `id`, of type `rtype` (modify /
+    /// undo-of-modify). The caller already holds the record, so nothing
+    /// is fetched here. Returns false if the record does not exist.
+    fn backend_set_values(&mut self, id: u64, rtype: &str, values: Vec<Value>) -> bool {
         match &mut self.records {
             Backend::Mem(m) => match m.get_mut(&id) {
                 Some(rec) => {
@@ -662,15 +673,13 @@ impl NetworkDb {
                 None => false,
             },
             Backend::Heap(h) => {
-                let Some(mut rec) = h.fetch(id) else {
+                let Some(&hid) = h.dir.get(&id) else {
                     return false;
                 };
-                rec.values = values;
                 // Values rewrite resyncs the link section too (it is
                 // being re-encoded anyway), so drop any pending marker.
                 let links = persisted_links_of(&self.sets, id);
-                let bytes = encode_record(&rec, &links);
-                let hid = h.dir[&id];
+                let bytes = encode_record(id, rtype, &values, &links);
                 let new_hid = h
                     .with_heap(|heap| heap.update(hid, &bytes))
                     .unwrap_or_else(|e| panic!("heap update #{id}: {e}"));
@@ -701,13 +710,12 @@ impl NetworkDb {
         };
         let pending: Vec<u64> = h.link_dirty.iter().copied().collect();
         for id in pending {
-            let Some(mut rec) = h.fetch(id) else {
+            let Some(rec) = h.fetch(id) else {
                 h.link_dirty.remove(&id);
                 continue;
             };
             let links = persisted_links_of(&self.sets, id);
-            rec.id = RecordId(id);
-            let bytes = encode_record(&rec, &links);
+            let bytes = encode_record(id, &rec.rtype, &rec.values, &links);
             let hid = h.dir[&id];
             let new_hid = h
                 .with_heap(|heap| heap.update(hid, &bytes))
@@ -838,7 +846,7 @@ impl NetworkDb {
                 else {
                     return;
                 };
-                self.backend_set_values(id, values.clone());
+                self.backend_set_values(id, &rtype, values.clone());
                 self.index_update(&rtype, &current, &values, id);
             }
             NetUndo::Erase { rec, links } => {
@@ -973,7 +981,7 @@ impl NetworkDb {
     }
 
     fn load_state_into(mut db: NetworkDb, bytes: &[u8]) -> DbResult<NetworkDb> {
-        use crate::disk::codec::ByteReader;
+        use crate::disk::codec::{capacity, ByteReader};
         fn decode<T>(r: Result<T, crate::disk::codec::CodecError>) -> DbResult<T> {
             r.map_err(|e| DbError::constraint(format!("state image: {e}")))
         }
@@ -987,7 +995,7 @@ impl NetworkDb {
             let id = decode(r.get_u64("record id"))?;
             let rtype = decode(r.get_str("record type"))?;
             let n_values = decode(r.get_u32("value count"))?;
-            let mut values = Vec::with_capacity(n_values as usize);
+            let mut values = Vec::with_capacity(capacity(n_values, &r));
             for _ in 0..n_values {
                 values.push(decode(r.get_value("field value"))?);
             }
@@ -1012,7 +1020,7 @@ impl NetworkDb {
                 let n_members = decode(r.get_u64("member count"))?;
                 for _ in 0..n_members {
                     let n_key = decode(r.get_u32("key arity"))?;
-                    let mut key = Vec::with_capacity(n_key as usize);
+                    let mut key = Vec::with_capacity(capacity(n_key, &r));
                     for _ in 0..n_key {
                         key.push(decode(r.get_value("key value"))?);
                     }
@@ -1325,11 +1333,11 @@ impl NetworkDb {
                     "record type {rtype} is not the member of set {set_name}"
                 )));
             }
-            let owner_rec = self.get(*owner)?;
-            if set.owner.record_name() != Some(owner_rec.rtype.as_str()) {
+            let owner_type = self.rtype_of(*owner)?;
+            if set.owner.record_name() != Some(owner_type) {
                 return Err(DbError::Membership(format!(
-                    "record #{} of type {} cannot own set {set_name}",
-                    owner.0, owner_rec.rtype
+                    "record #{} of type {owner_type} cannot own set {set_name}",
+                    owner.0
                 )));
             }
             planned.push((set, *owner));
@@ -1404,11 +1412,10 @@ impl NetworkDb {
                 mem_rec.rtype
             )));
         }
-        let owner_rec = self.get(owner)?;
-        if set.owner.record_name() != Some(owner_rec.rtype.as_str()) {
+        let owner_type = self.rtype_of(owner)?;
+        if set.owner.record_name() != Some(owner_type) {
             return Err(DbError::Membership(format!(
-                "record type {} cannot own set {set_name}",
-                owner_rec.rtype
+                "record type {owner_type} cannot own set {set_name}"
             )));
         }
         if self.sets[set_name].owner_of.contains_key(&member.0) {
@@ -1493,7 +1500,7 @@ impl NetworkDb {
     ///
     /// Returns all erased record ids (the root first).
     pub fn erase(&mut self, id: RecordId, cascade: bool) -> DbResult<Vec<RecordId>> {
-        self.get(id)?;
+        self.rtype_of(id)?;
         let mut erased = Vec::new();
         self.erase_inner(id, cascade, &mut erased)?;
         Ok(erased)
@@ -1505,7 +1512,7 @@ impl NetworkDb {
         cascade: bool,
         erased: &mut Vec<RecordId>,
     ) -> DbResult<()> {
-        let rtype = self.get(id)?.rtype.clone();
+        let rtype = self.rtype_of(id)?.to_string();
         // Gather owned occurrences.
         let owned_sets: Vec<SetDef> = self
             .schema
@@ -1627,7 +1634,7 @@ impl NetworkDb {
             }
         }
         // Commit the new values, then reposition.
-        if !self.backend_set_values(id.0, new_row.clone()) {
+        if !self.backend_set_values(id.0, &rec.rtype, new_row.clone()) {
             return Err(DbError::NotFound(format!("record #{}", id.0)));
         }
         self.index_update(&rec.rtype, &rec.values, &new_row, id.0);
@@ -1795,13 +1802,13 @@ impl NetworkDb {
         Ok(())
     }
 
-    /// Key tuple of a member already stored in the database.
-    fn member_key(&self, member: u64, keys: &[String]) -> KeyTuple {
+    /// Key tuple of a member stored in the database (`None` when it is
+    /// not: a dangling link in a decoded image).
+    fn member_key(&self, member: u64, keys: &[String]) -> Option<KeyTuple> {
         self.with_rec(member, |mrec| match self.schema.record(&mrec.rtype) {
             Some(mrt) => key_tuple(mrt, &mrec.values, keys),
             None => KeyTuple(Vec::new()),
         })
-        .unwrap_or_else(|| panic!("member #{member} missing from the record store"))
     }
 
     /// Can a record with values `row` be connected under `owner` in `set`?
@@ -1957,10 +1964,11 @@ impl NetworkDb {
                         return Err(format!("set {name}: ord_of[#{member}] stale"));
                     }
                     let want_key = if set.keys.is_empty() {
-                        KeyTuple(Vec::new())
+                        self.backend_contains(member).then(|| KeyTuple(Vec::new()))
                     } else {
                         self.member_key(member, &set.keys)
-                    };
+                    }
+                    .ok_or_else(|| format!("set {name}: member #{member} is not stored"))?;
                     if ord.0 != want_key {
                         return Err(format!(
                             "set {name}: #{member} filed under {:?}, want {:?}",
@@ -2396,5 +2404,78 @@ mod tests {
         assert!(db
             .store("EMP", &[("EMP-NAME", Value::str("X"))], &[])
             .is_err());
+    }
+
+    mod decoders {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn sample_record() -> Vec<u8> {
+            encode_record(
+                7,
+                "EMP",
+                &[Value::str("ADAMS"), Value::Int(41), Value::Null],
+                &[("DIV-EMP".to_string(), 3, 9)],
+            )
+        }
+
+        /// A record whose value count claims `u32::MAX` entries: the
+        /// decoder must fail on the missing bytes, not try to reserve
+        /// room for four billion values first.
+        #[test]
+        fn corrupt_counts_fail_without_huge_reservations() {
+            let mut w = crate::disk::codec::ByteWriter::new();
+            w.put_u8(REC_MAGIC);
+            w.put_u64(7);
+            w.put_str("EMP");
+            w.put_u32(u32::MAX);
+            assert!(decode_record(&w.into_bytes()).is_err());
+
+            let mut w = crate::disk::codec::ByteWriter::new();
+            w.put_u64(STATE_MAGIC);
+            w.put_u64(2);
+            w.put_u64(1);
+            w.put_u64(1);
+            w.put_str("EMP");
+            w.put_u32(u32::MAX);
+            assert!(NetworkDb::from_state_bytes(company_schema(), &w.into_bytes()).is_err());
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The heap record decoder and the state-image loader are total:
+            /// arbitrary bytes, and valid images with one byte replaced and
+            /// the tail cut, decode or fail with an error — never a panic or
+            /// an abort.
+            #[test]
+            fn record_and_state_decoders_are_total(
+                noise in prop::collection::vec(any::<u8>(), 0..96),
+                at in any::<usize>(),
+                byte in any::<u8>(),
+                cut in any::<usize>(),
+            ) {
+                let _ = decode_record(&noise);
+                let _ = NetworkDb::from_state_bytes(company_schema(), &noise);
+
+                let mut rec = sample_record();
+                let i = at % rec.len();
+                rec[i] = byte;
+                rec.truncate(rec.len() - cut % 4);
+                let _ = decode_record(&rec);
+
+                let (db, _, _) = company_db();
+                let mut state = db.state_bytes();
+                let i = at % state.len();
+                state[i] = byte;
+                state.truncate(state.len() - cut % 8);
+                if let Ok(back) = NetworkDb::from_state_bytes(company_schema(), &state) {
+                    prop_assert!(back.check_access_structures().is_ok());
+                }
+                let mut prefixed = STATE_MAGIC.to_le_bytes().to_vec();
+                prefixed.extend_from_slice(&noise);
+                let _ = NetworkDb::from_state_bytes(company_schema(), &prefixed);
+            }
+        }
     }
 }

@@ -1,0 +1,103 @@
+//! Pin budget of the paged record path, as exact `buffer.pins` deltas.
+//!
+//! Each record operation on a paged [`NetworkDb`] pins the pages it
+//! touches once: a read is one pin of the record's page; a store checks
+//! its owners' types from RAM and pins only the page it writes; modify
+//! and erase fetch the record once and write its page once. A pin
+//! counted here is a buffer-pool lookup, not necessarily a disk read, so
+//! the budget holds whatever the pool size.
+
+use dbpc_datamodel::network::{FieldDef, NetworkSchema, RecordTypeDef, SetDef};
+use dbpc_datamodel::types::FieldType;
+use dbpc_datamodel::value::Value;
+use dbpc_obs::local_snapshot;
+use dbpc_storage::disk::BUFFER_PINS;
+use dbpc_storage::{NetworkDb, RecordId};
+
+fn schema() -> NetworkSchema {
+    NetworkSchema::new("COMPANY-NAME")
+        .with_record(RecordTypeDef::new(
+            "DIV",
+            vec![FieldDef::new("DIV-NAME", FieldType::Char(20))],
+        ))
+        .with_record(RecordTypeDef::new(
+            "EMP",
+            vec![
+                FieldDef::new("EMP-NAME", FieldType::Char(25)),
+                FieldDef::new("AGE", FieldType::Int(2)),
+            ],
+        ))
+        .with_set(SetDef::system("ALL-DIV", "DIV", vec!["DIV-NAME"]))
+        .with_set(SetDef::owned("DIV-EMP", "DIV", "EMP", vec!["EMP-NAME"]))
+}
+
+/// Buffer pins spent by `f`.
+fn pins<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = local_snapshot();
+    let out = f();
+    (out, local_snapshot().since(&before).counter(BUFFER_PINS))
+}
+
+fn store_emp(db: &mut NetworkDb, name: &str, div: RecordId) -> RecordId {
+    db.store(
+        "EMP",
+        &[("EMP-NAME", Value::str(name)), ("AGE", Value::Int(30))],
+        &[("DIV-EMP", div)],
+    )
+    .unwrap()
+}
+
+/// A paged database holding one division with two employees, every
+/// payload rewritten once so later same-size modifies stay in place.
+fn setup(pool: usize) -> (NetworkDb, RecordId, [RecordId; 2]) {
+    let mut db = NetworkDb::new_paged(schema(), 4096, pool).unwrap();
+    let div = db
+        .store("DIV", &[("DIV-NAME", Value::str("SALES"))], &[])
+        .unwrap();
+    let emps = [
+        store_emp(&mut db, "ADAMS", div),
+        store_emp(&mut db, "BAKER", div),
+    ];
+    db.sync_links().unwrap();
+    (db, div, emps)
+}
+
+#[test]
+fn paged_record_operations_stay_within_their_pin_budget() {
+    // With one frame nearly every pin misses, with sixteen none do: the
+    // budget is the same either way.
+    for pool in [1, 16] {
+        let (mut db, div, [adams, baker]) = setup(pool);
+
+        // A read of an inline record: one pin of its page.
+        let (rec, n) = pins(|| db.get(adams).unwrap());
+        assert_eq!(rec.values[0], Value::str("ADAMS"));
+        assert_eq!(n, 1, "get (pool {pool})");
+
+        // A store connected to an owner checks the owner's type from RAM:
+        // the only pin is the page the new record is written to.
+        let (carter, n) = pins(|| store_emp(&mut db, "CARTER", div));
+        assert_eq!(n, 1, "store with an owner connect (pool {pool})");
+
+        // A same-size modify fetches the record once and rewrites it in
+        // place: one pin to read, one to write.
+        let (res, n) = pins(|| db.modify(baker, &[("AGE", Value::Int(41))]));
+        res.unwrap();
+        assert_eq!(n, 2, "modify (pool {pool})");
+        assert_eq!(db.field_value(baker, "AGE").unwrap(), Value::Int(41));
+
+        // An erase fetches the record once (for the undo image and the
+        // index maintenance) and clears its slot under one more pin.
+        let (res, n) = pins(|| db.erase(carter, false));
+        assert_eq!(res.unwrap(), vec![carter]);
+        assert_eq!(n, 2, "erase (pool {pool})");
+
+        // A cascade costs the same per record: two employees and their
+        // division, two pins each.
+        let (res, n) = pins(|| db.erase(div, true));
+        assert_eq!(res.unwrap().len(), 3);
+        assert_eq!(n, 6, "cascading erase of three records (pool {pool})");
+        assert_eq!(db.record_count(), 0);
+        db.check_access_structures().unwrap();
+    }
+}
