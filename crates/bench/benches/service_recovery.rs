@@ -25,9 +25,9 @@
 //!
 //! Full runs additionally assert the timing gate: midpoint-crash
 //! recovery ≤ 0.8× the from-scratch re-run. The journal makes that
-//! hardware-independent: recovery re-executes only the lost suffix and
-//! reloads the context translation from the durable store, so it does
-//! strictly less work than the re-run at any thread count.
+//! hardware-independent: recovery translates the context exactly as the
+//! re-run does and re-executes only the lost suffix, so it does strictly
+//! less work than the re-run at any thread count.
 //!
 //! Smoke mode (`DBPC_BENCH_SMOKE=1`): 40 jobs, timing gate skipped
 //! (scheduling noise dominates at that size), no artifact written.

@@ -13,6 +13,10 @@
 //!   each side. Queued jobs replay that state instead of rebuilding it —
 //!   on this corpus the per-job pipeline spends most of its time there,
 //!   which is what the `BENCH_service_load` amortization figure measures.
+//!   The translation lives in RAM only: the source database is
+//!   authoritative, so every registration translates it afresh, a
+//!   restarted service included (retranslating is cheaper than reloading
+//!   a persisted copy would be).
 //! * **Admission control**: a bounded FIFO queue. [`Session::submit`]
 //!   blocks while the queue is full — backpressure, not unbounded memory —
 //!   and [`Ticket::wait`] parks until the job's worker publishes its
@@ -57,11 +61,12 @@
 //! or shutdown gauges, which `dbpc-obs` excludes from deterministic
 //! comparisons.
 //!
-//! **Crash safety** (PR 9): a durable service additionally journals every
-//! admission and every published result through the [`JobJournal`] under
-//! `durable_root/journal`. A service restarted over the same root replays
-//! exactly the admitted-but-incomplete jobs — original sequence numbers
-//! and session ids preserved, so the replayed captures slot into the
+//! **Crash safety** (PR 9): a durable service journals every admission
+//! and every published result through the [`JobJournal`] under
+//! `durable_root/journal`, the only files the service keeps. A service
+//! restarted over the same root replays exactly the
+//! admitted-but-incomplete jobs — original sequence numbers and session
+//! ids preserved, so the replayed captures slot into the
 //! shutdown [`RunReport`] where the lost originals would have been, and
 //! the deterministic projection of the recovered report is byte-identical
 //! to an uninterrupted run's (the E21 chaos matrix,
@@ -90,12 +95,12 @@ use dbpc_obs::metrics::MetricValue;
 use dbpc_obs::{Capture, MetricsFrame, MetricsRegistry, RunReport};
 use dbpc_restructure::Restructuring;
 use dbpc_storage::locks::{ConcurrencyMgr, LockError, LockKind, LockRes, LockTable};
-use dbpc_storage::{pool, DurableNetworkDb, DurableOptions, NetworkDb};
+use dbpc_storage::{pool, NetworkDb};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -122,11 +127,6 @@ pub const SERVICE_CONTEXTS: &str = "service.contexts";
 pub const SERVICE_QUEUE_DEPTH_MAX: &str = "service.queue_depth_max";
 /// Racy shutdown stat: submits that had to block on a full queue.
 pub const SERVICE_BACKPRESSURE_WAITS: &str = "service.backpressure_waits";
-/// Racy shutdown stat (durable services only): contexts whose translated
-/// target was recovered from the durable store instead of re-translated.
-/// Crash-dependent — a recovered run reports `1` where the uninterrupted
-/// run reports `0` — so it must not land in deterministic projections.
-pub const SERVICE_CONTEXTS_RECOVERED: &str = "service.contexts_recovered";
 /// Racy shutdown stat: jobs shed by admission policy or drain expiry.
 pub const SERVICE_SHED: &str = "service.shed";
 /// Racy shutdown stat: circuit-breaker trips across all contexts.
@@ -139,18 +139,6 @@ pub const SERVICE_RESULTS_RECOVERED: &str = "service.results_recovered";
 /// Racy shutdown stat: journal disk/decode errors (the journal wedges on
 /// the first disk error; the service stays available).
 pub const SERVICE_JOURNAL_ERRORS: &str = "service.journal_errors";
-/// Racy shutdown stat (heap-backed contexts only): heap pages across every
-/// context engine that lives out of core. Whether a context is heap-backed
-/// depends on the recovery path taken (a recovered durable target is paged,
-/// a freshly translated one is in RAM), so like the other crash-dependent
-/// stats these ride as `Racy` — visible in the full shutdown report,
-/// excluded from deterministic projections.
-pub const SERVICE_HEAP_PAGES: &str = "heap.pages";
-/// Racy shutdown stat: live records across heap-backed context engines.
-pub const SERVICE_HEAP_RECORDS: &str = "heap.records";
-/// Racy shutdown stat: pages-weighted fill factor (percent) across
-/// heap-backed context engines.
-pub const SERVICE_HEAP_FILL_PCT: &str = "heap.fill_pct";
 
 /// Recover a mutex guard from poisoning. Every service critical section is
 /// a plain container operation (queue push/pop, pool checkout, memo
@@ -186,14 +174,9 @@ pub struct ServiceConfig {
     pub permissive: bool,
     /// The conversion pipeline configuration, fault plan included.
     pub supervisor: Supervisor,
-    /// When set, [`ServiceBuilder::register_context`] keeps each context's
-    /// translated target database in a [`DurableNetworkDb`] under this
-    /// directory, keyed by `(source fingerprint, schema + restructuring
-    /// hash)`. A service restarted over the same root recovers the
-    /// translation from disk — snapshot plus write-ahead log — instead of
-    /// re-running it; [`SERVICE_CONTEXTS_RECOVERED`] counts the hits. The
-    /// root also hosts the [`JobJournal`] (under `journal/`), which makes
-    /// the service itself crash-safe: see the module docs.
+    /// Where the [`JobJournal`] lives (under `journal/`, the only thing
+    /// the service writes here), which makes the service crash-safe: see
+    /// the module docs. `None` runs without a journal.
     pub durable_root: Option<PathBuf>,
     /// Test hook fired at every job-journal boundary — the E21 crash
     /// matrix's kill switch. `None` in production configurations.
@@ -414,11 +397,6 @@ impl EnginePool {
     fn checkout(&self) -> NetworkDb {
         let mut st = lock(&self.inner);
         st.spares.pop().unwrap_or_else(|| st.base.clone())
-    }
-
-    /// Heap statistics of the pool's base engine (`None` in-memory).
-    fn heap_stats(&self) -> Option<dbpc_storage::disk::HeapStats> {
-        lock(&self.inner).base.heap_stats()
     }
 
     fn checkin(&self, db: NetworkDb) {
@@ -682,7 +660,6 @@ type ObsShard = (u64, Capture, MetricsFrame);
 struct ServiceInner {
     config: ServiceConfig,
     contexts: Vec<Arc<Context>>,
-    contexts_recovered: u64,
     lock_table: LockTable,
     queue: Queue,
     sink: Mutex<Vec<ObsShard>>,
@@ -723,52 +700,6 @@ pub struct RecoveryStats {
     pub next_seq: u64,
 }
 
-/// Open (or seed) the durable store for one context's translated target.
-///
-/// The directory key pins the full input: the source database fingerprint
-/// and a hash of the target schema + restructuring, with the same pair
-/// stamped into the store's metadata and re-verified on recovery. A
-/// directory that fails to open (corrupt, or written under an older key
-/// scheme) is wiped and re-seeded — the source database is authoritative,
-/// the store is only a cache of the translation.
-fn durable_target(
-    root: &Path,
-    target_schema: &NetworkSchema,
-    restructuring: &Restructuring,
-    source: &NetworkDb,
-) -> PipelineResult<(NetworkDb, bool)> {
-    let source_fp = source.fingerprint();
-    let mut h = DefaultHasher::new();
-    format!("{target_schema:?}").hash(&mut h);
-    format!("{restructuring:?}").hash(&mut h);
-    let rest_fp = h.finish();
-    let dir = root.join(format!("ctx-{source_fp:016x}-{rest_fp:016x}"));
-    let mut meta = Vec::with_capacity(16);
-    meta.extend_from_slice(&source_fp.to_le_bytes());
-    meta.extend_from_slice(&rest_fp.to_le_bytes());
-    let open =
-        |dir: &Path| DurableNetworkDb::open(dir, target_schema.clone(), DurableOptions::default());
-    let mut durable = match open(&dir) {
-        Ok(d) => d,
-        Err(_) => {
-            let _ = std::fs::remove_dir_all(&dir);
-            open(&dir).map_err(durable_err)?
-        }
-    };
-    if durable.generation() > 0 && durable.meta() == meta.as_slice() {
-        return Ok((durable.engine().clone(), true));
-    }
-    let target = restructuring
-        .translate(source)
-        .map_err(|e| PipelineError::stage(Stage::Translation, e))?;
-    durable.import(&target, &meta).map_err(durable_err)?;
-    Ok((target, false))
-}
-
-fn durable_err(e: dbpc_storage::DiskError) -> PipelineError {
-    ModelError::invalid(format!("durable context store: {e}")).into()
-}
-
 /// Builds a [`ConversionService`]: register contexts, then [`start`]
 /// workers — or run the same jobs inline with [`run_serial`] for a
 /// reference result.
@@ -778,7 +709,6 @@ fn durable_err(e: dbpc_storage::DiskError) -> PipelineError {
 pub struct ServiceBuilder {
     config: ServiceConfig,
     contexts: Vec<Arc<Context>>,
-    contexts_recovered: u64,
 }
 
 impl ServiceBuilder {
@@ -786,7 +716,6 @@ impl ServiceBuilder {
         ServiceBuilder {
             config,
             contexts: Vec::new(),
-            contexts_recovered: 0,
         }
     }
 
@@ -806,19 +735,9 @@ impl ServiceBuilder {
             .supervisor
             .memoize_analysis
             .then(|| dbpc_analyzer::cache::schema_fingerprint(schema));
-        let target = match self.config.durable_root.clone() {
-            None => restructuring
-                .translate(&source)
-                .map_err(|e| PipelineError::stage(Stage::Translation, e))?,
-            Some(root) => {
-                let (target, recovered) =
-                    durable_target(&root, &mapping.target, restructuring, &source)?;
-                if recovered {
-                    self.contexts_recovered += 1;
-                }
-                target
-            }
-        };
+        let target = restructuring
+            .translate(&source)
+            .map_err(|e| PipelineError::stage(Stage::Translation, e))?;
         let cap = self.config.resolved_workers();
         let id = self.contexts.len();
         let space_source = u32::try_from(id)
@@ -881,7 +800,6 @@ impl ServiceBuilder {
             queue: Queue::new(self.config.queue_capacity, self.config.admission),
             config: self.config,
             contexts: self.contexts,
-            contexts_recovered: self.contexts_recovered,
             lock_table: LockTable::new(),
             sink: Mutex::new(seeded),
             journal,
@@ -927,13 +845,6 @@ impl ServiceBuilder {
             next_session: AtomicU64::new(0),
             finalized: false,
         }
-    }
-
-    /// Contexts whose translated target was recovered from the durable
-    /// store rather than re-translated (always `0` without
-    /// [`ServiceConfig::durable_root`]).
-    pub fn contexts_recovered(&self) -> u64 {
-        self.contexts_recovered
     }
 
     /// The serial reference: execute `jobs` inline, in order, through the
@@ -1144,33 +1055,6 @@ fn assemble(inner: &ServiceInner) -> RunReport {
         if value > 0 {
             stats.set(name, MetricValue::Racy(value));
         }
-    }
-    if inner.config.durable_root.is_some() {
-        stats.set(
-            SERVICE_CONTEXTS_RECOVERED,
-            MetricValue::Racy(inner.contexts_recovered),
-        );
-    }
-    // Physical footprint of out-of-core context engines, summed across
-    // every heap-backed pool. Zero-suppressed: all-in-RAM runs keep their
-    // report bytes, and heap-backed presence is recovery-path-dependent
-    // (hence Racy, like the other crash-dependent stats above).
-    let heap = inner
-        .contexts
-        .iter()
-        .flat_map(|ctx| [ctx.source.heap_stats(), ctx.target.heap_stats()])
-        .flatten()
-        .fold((0u64, 0u64, 0u64), |(pages, records, fill_x_pages), st| {
-            (
-                pages + st.pages,
-                records + st.records,
-                fill_x_pages + st.fill_pct * st.pages,
-            )
-        });
-    if heap.0 > 0 {
-        stats.set(SERVICE_HEAP_PAGES, MetricValue::Racy(heap.0));
-        stats.set(SERVICE_HEAP_RECORDS, MetricValue::Racy(heap.1));
-        stats.set(SERVICE_HEAP_FILL_PCT, MetricValue::Racy(heap.2 / heap.0));
     }
     registry.absorb(&stats);
     registry.set_gauge(SERVICE_WORKERS, inner.config.resolved_workers() as i64);
@@ -1588,6 +1472,7 @@ mod tests {
     use dbpc_dml::host::parse_program;
     use dbpc_restructure::Transform;
     use dbpc_storage::locks::{LOCKS_EXCLUSIVE, LOCKS_SHARED};
+    use std::path::Path;
 
     fn company_schema() -> NetworkSchema {
         NetworkSchema::new("COMPANY-NAME")
@@ -2059,37 +1944,40 @@ END PROGRAM;",
         }
     }
 
-    /// Durable contexts: the first builder seeds the store (translate +
-    /// import + checkpoint); a second builder over the same root recovers
-    /// the translated target from disk — same pool base fingerprint, no
-    /// re-translation — and its shutdown report carries the recovery
-    /// gauge.
+    /// A context is its translation in RAM: two builds over one durable
+    /// root translate to the same target, and after each run the root
+    /// holds nothing but the job journal.
     #[test]
-    fn durable_root_recovers_contexts_across_builders() {
+    fn durable_root_holds_only_the_journal() {
         let tmp = dbpc_storage::TempDir::new("svc-durable").unwrap();
-        let config = || ServiceConfig {
-            durable_root: Some(tmp.path().to_path_buf()),
-            ..ServiceConfig::default()
+        let entries = || {
+            let mut names: Vec<String> = std::fs::read_dir(tmp.path())
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
         };
-        let (b1, ctx) = builder(config());
-        assert_eq!(b1.contexts_recovered(), 0);
-        let seeded_fp = b1.contexts[ctx].target.base_fp;
-        drop(b1);
-
-        let (b2, ctx) = builder(config());
-        assert_eq!(b2.contexts_recovered(), 1);
-        assert_eq!(b2.contexts[ctx].target.base_fp, seeded_fp);
-        let svc = b2.start();
-        let session = svc.session();
-        let out = session.submit(ctx, read_only_program(), 0).unwrap().wait();
-        assert_eq!(
-            out.level,
-            Some(EquivalenceLevel::Strict),
-            "{:?}",
-            out.report
-        );
-        let report = svc.shutdown();
-        assert_eq!(report.metrics.counter(SERVICE_CONTEXTS_RECOVERED), 1);
+        let mut base_fps = Vec::new();
+        for _ in 0..2 {
+            let (b, ctx) = builder(ServiceConfig {
+                durable_root: Some(tmp.path().to_path_buf()),
+                ..ServiceConfig::default()
+            });
+            base_fps.push(b.contexts[ctx].target.base_fp);
+            let svc = b.start();
+            let session = svc.session();
+            let out = session.submit(ctx, read_only_program(), 0).unwrap().wait();
+            assert_eq!(
+                out.level,
+                Some(EquivalenceLevel::Strict),
+                "{:?}",
+                out.report
+            );
+            svc.shutdown();
+            assert_eq!(entries(), ["journal"]);
+        }
+        assert_eq!(base_fps[0], base_fps[1]);
     }
 
     #[test]

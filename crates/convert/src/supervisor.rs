@@ -60,7 +60,8 @@ pub struct Supervisor {
     /// byte-identical to an unsupervised run.
     pub fault: FaultPlan,
     /// Statistics of the source database, when the caller has them (the
-    /// fallback ladder snapshots a [`StatCatalog`] before converting).
+    /// fallback ladder snapshots a
+    /// [`StatCatalog`](dbpc_storage::StatCatalog) before converting).
     /// Feeds the optimizer's advisory plan pass; `None` (the default)
     /// leaves the optimizer byte-identical to the stats-blind pipeline.
     pub plan_stats: Option<dbpc_storage::StatCatalog>,

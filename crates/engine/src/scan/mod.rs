@@ -22,7 +22,7 @@
 //! never the observable 1979 trace.
 //!
 //! Operators pull one item at a time (`next()` is Volcano-shaped) and
-//! propagate [`RunError`] instead of panicking, matching the executors'
+//! propagate [`RunError`](crate::RunError) instead of panicking, matching the executors'
 //! error discipline.
 
 pub mod planner;

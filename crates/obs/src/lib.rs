@@ -11,7 +11,7 @@
 //! crate's translation work stats) and no stage timing or structured
 //! tracing at all. This crate replaces them with one substrate:
 //!
-//! * [`span`] — a `Span`/`Event` model under a **deterministic logical
+//! * [`span`](mod@span) — a `Span`/`Event` model under a **deterministic logical
 //!   clock**: monotonic per-run sequence numbers order everything;
 //!   wall-clock time is optional (`DBPC_OBS_WALL=1`) and excluded from
 //!   equality, so traces are byte-identical across machines and thread

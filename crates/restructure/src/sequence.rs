@@ -43,13 +43,15 @@ impl Restructuring {
         Ok(s)
     }
 
-    /// Translate a database across all transforms, in order.
+    /// Translate a database across all transforms, in order. Each
+    /// transform reads its input and builds a new database, so the source
+    /// is copied only when there is no transform to run.
     pub fn translate(&self, db: &NetworkDb) -> DbResult<NetworkDb> {
-        let mut d = db.clone();
+        let mut d: Option<NetworkDb> = None;
         for t in &self.transforms {
-            d = translate(&d, t)?;
+            d = Some(translate(d.as_ref().unwrap_or(db), t)?);
         }
-        Ok(d)
+        Ok(d.unwrap_or_else(|| db.clone()))
     }
 
     /// Like [`Restructuring::translate`], but each transform's rebuild
@@ -64,16 +66,19 @@ impl Restructuring {
         batch: usize,
         crash: &mut dyn FnMut(usize) -> bool,
     ) -> DbResult<NetworkDb> {
-        let mut d = db.clone();
+        let mut d: Option<NetworkDb> = None;
         for t in &self.transforms {
-            d = match crate::data::translate_batched(&d, t, batch, crash)? {
-                crate::data::BatchedOutcome::Complete(out) => out,
-                crate::data::BatchedOutcome::Crashed(ckpt) => {
-                    crate::data::resume_translation(&d, t, ckpt)?
-                }
-            };
+            let src = d.as_ref().unwrap_or(db);
+            d = Some(
+                match crate::data::translate_batched(src, t, batch, crash)? {
+                    crate::data::BatchedOutcome::Complete(out) => out,
+                    crate::data::BatchedOutcome::Crashed(ckpt) => {
+                        crate::data::resume_translation(src, t, ckpt)?
+                    }
+                },
+            );
         }
-        Ok(d)
+        Ok(d.unwrap_or_else(|| db.clone()))
     }
 
     /// The inverse sequence (reversed inverses), if every step has one.

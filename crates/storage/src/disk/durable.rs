@@ -568,9 +568,9 @@ impl DurableNetworkDb {
     }
 
     /// Replace the (empty or stale) contents with a full copy of `db` and
-    /// checkpoint it — how the conversion service persists a freshly
-    /// translated target database. The schema must match the one the
-    /// handle was opened with.
+    /// checkpoint it — how the durable translator seeds a `DeleteWhere`
+    /// target with its source. The schema must match the one the handle
+    /// was opened with.
     pub fn import(&mut self, db: &NetworkDb, meta: &[u8]) -> DiskResult<()> {
         self.ready()?;
         if !self.marks.is_empty() {
@@ -593,10 +593,11 @@ impl DurableNetworkDb {
     /// Import rewrites the whole heap file in place, so the undo log must
     /// cover every old page up front: pre-image all of them, zero them so
     /// no stale slotted page survives at an offset the rebuild does not
-    /// overwrite, rebuild straight into the heap (eviction during the
-    /// build is safe — every flushed page is covered by a pre-image or by
-    /// the tail-zeroing rule in [`rollback_torn_checkpoint`]), then run
-    /// the ordinary checkpoint with the undo already prepared.
+    /// overwrite, copy straight into the heap with
+    /// [`NetworkDb::to_paged_on`] (eviction during the copy is safe —
+    /// every flushed page is covered by a pre-image or by the
+    /// tail-zeroing rule in [`rollback_torn_checkpoint`]), then run the
+    /// ordinary checkpoint with the undo already prepared.
     fn import_inner(&mut self, db: &NetworkDb, meta: &[u8]) -> DiskResult<()> {
         let next = self.gen + 1;
         let old_blocks = self.fm.block_count(HEAP)?;
@@ -605,15 +606,9 @@ impl DurableNetworkDb {
         for b in 0..old_blocks {
             self.fm.write(&BlockId::new(HEAP, b), &zero)?;
         }
-        let state = db.state_bytes();
-        let mut rebuilt = NetworkDb::from_state_bytes_paged(
-            db.schema().clone(),
-            &state,
-            Arc::clone(&self.fm),
-            HEAP,
-            self.pool,
-        )
-        .map_err(DiskError::Engine)?;
+        let mut rebuilt = db
+            .to_paged_on(Arc::clone(&self.fm), HEAP, self.pool)
+            .map_err(DiskError::Engine)?;
         if let Some(bm) = rebuilt.heap_buffer() {
             bm.set_no_steal(true);
         }

@@ -11,7 +11,7 @@
 //!
 //! Layer map (each layer only speaks to the one below):
 //!
-//! * [`file`] — [`FileMgr`]: fixed-size pages, random-access block I/O,
+//! * [`file`](mod@file) — [`FileMgr`]: fixed-size pages, random-access block I/O,
 //!   numbered physical ops with seeded fault injection ([`faults`]);
 //! * [`log`] — [`LogMgr`]: checksummed WAL records, LSNs, idempotent
 //!   torn-tail recovery;

@@ -40,11 +40,6 @@ pub struct RecordId(pub u64);
 /// Owner id used for occurrences of system-owned sets.
 pub const SYSTEM_OWNER: RecordId = RecordId(0);
 
-/// Leading magic of a serialized state image ("DBPCNET1" in LE bytes);
-/// versioned so a future layout change fails loudly instead of decoding
-/// garbage.
-const STATE_MAGIC: u64 = u64::from_le_bytes(*b"DBPCNET1");
-
 /// A stored record occurrence. `values` is parallel to the record type's
 /// full field list; virtual-field slots hold `Null` and are resolved on
 /// read.
@@ -351,39 +346,32 @@ pub struct NetworkDb {
 
 impl Clone for NetworkDb {
     /// Mem databases clone structurally. Heap databases clone
-    /// *physically*: a fresh scratch heap is populated record by record,
-    /// preserving every logical id (and therefore the fingerprint).
-    /// Panics on disk errors — `Clone` has no error channel, and a
-    /// failing scratch volume is not a recoverable condition here.
+    /// *physically*, into a fresh scratch heap through the shared copy
+    /// routine, preserving every logical id (and therefore the
+    /// fingerprint). Panics on disk errors — `Clone` has no error
+    /// channel, and a failing scratch volume is not a recoverable
+    /// condition here.
     fn clone(&self) -> NetworkDb {
-        let records = match &self.records {
-            Backend::Mem(m) => Backend::Mem(m.clone()),
+        match &self.records {
+            Backend::Mem(m) => NetworkDb {
+                schema: self.schema.clone(),
+                records: Backend::Mem(m.clone()),
+                sets: self.sets.clone(),
+                by_type: self.by_type.clone(),
+                calc_indexes: self.calc_indexes.clone(),
+                next_id: self.next_id,
+                stats: self.stats.clone(),
+                journal: self.journal.clone(),
+            },
             Backend::Heap(h) => {
-                let mut fresh = HeapBackend::scratch(h.fm.page_size(), h.pool)
+                let mut copy = HeapBackend::scratch(h.fm.page_size(), h.pool)
+                    .and_then(|hb| self.copy_into_heap(hb))
                     .unwrap_or_else(|e| panic!("cloning paged db: {e}"));
-                for (&id, &hid) in &h.dir {
-                    let bytes = h
-                        .with_heap(|heap| heap.get(hid))
-                        .unwrap_or_else(|e| panic!("cloning record #{id}: {e}"));
-                    let nid = fresh
-                        .with_heap(|heap| heap.insert(&bytes))
-                        .unwrap_or_else(|e| panic!("cloning record #{id}: {e}"));
-                    fresh.dir.insert(id, nid);
-                }
-                fresh.rtypes = h.rtypes.clone();
-                fresh.link_dirty = h.link_dirty.clone();
-                Backend::Heap(Box::new(fresh))
+                copy.calc_indexes = self.calc_indexes.clone();
+                copy.stats = self.stats.clone();
+                copy.journal = self.journal.clone();
+                copy
             }
-        };
-        NetworkDb {
-            schema: self.schema.clone(),
-            records,
-            sets: self.sets.clone(),
-            by_type: self.by_type.clone(),
-            calc_indexes: self.calc_indexes.clone(),
-            next_id: self.next_id,
-            stats: self.stats.clone(),
-            journal: self.journal.clone(),
         }
     }
 }
@@ -758,14 +746,6 @@ impl NetworkDb {
         )
     }
 
-    /// Largest allocated record id, if any record exists.
-    pub fn max_record_id(&self) -> Option<RecordId> {
-        match &self.records {
-            Backend::Mem(m) => m.keys().next_back().map(|&i| RecordId(i)),
-            Backend::Heap(h) => h.dir.keys().next_back().map(|&i| RecordId(i)),
-        }
-    }
-
     /// Open a savepoint. Until it is rolled back or committed, every
     /// mutation journals its inverse. Savepoints nest.
     pub fn begin_savepoint(&mut self) -> Savepoint {
@@ -895,66 +875,21 @@ impl NetworkDb {
         h.finish()
     }
 
-    /// Serialize the full logical state — the exact inputs of
-    /// [`NetworkDb::fingerprint`]: the id allocator, every record, and
-    /// every set's link structure including arrival sequences. Derived
-    /// structures (`by_type`, calc-key indexes) are rebuilt on load. Used
-    /// by the disk layer's snapshot checkpoints; the layout lives here
-    /// because it reads private fields.
-    pub fn state_bytes(&self) -> Vec<u8> {
-        use crate::disk::codec::ByteWriter;
-        let mut w = ByteWriter::new();
-        w.put_u64(STATE_MAGIC);
-        w.put_u64(self.next_id);
-        w.put_u64(self.record_count() as u64);
-        self.for_each_rec(&mut |rec| {
-            w.put_u64(rec.id.0);
-            w.put_str(&rec.rtype);
-            w.put_u32(rec.values.len() as u32);
-            for v in &rec.values {
-                w.put_value(v);
-            }
-        });
-        w.put_u64(self.sets.len() as u64);
-        for (name, store) in &self.sets {
-            w.put_str(name);
-            w.put_u64(store.next_seq);
-            w.put_u64(store.members.len() as u64);
-            for (owner, occ) in &store.members {
-                w.put_u64(*owner);
-                w.put_u64(occ.len() as u64);
-                for ((key, seq), member) in occ {
-                    w.put_u32(key.0.len() as u32);
-                    for v in &key.0 {
-                        w.put_value(v);
-                    }
-                    w.put_u64(*seq);
-                    w.put_u64(*member);
-                }
-            }
-        }
-        w.into_bytes()
+    /// Copy this database into a **paged** twin over a self-cleaning
+    /// scratch heap file: same schema, same records, same allocator
+    /// state; `fingerprint()` equal by construction. The twin's working
+    /// set is bounded by `pool` frames of `page_size` bytes regardless
+    /// of how large the source is.
+    pub fn to_paged(&self, page_size: usize, pool: usize) -> DbResult<NetworkDb> {
+        self.copy_into_heap(HeapBackend::scratch(page_size, pool)?)
     }
 
-    /// Rebuild a database from [`NetworkDb::state_bytes`] output. The
-    /// schema must be the one the bytes were produced under (set names
-    /// are cross-checked). Every derived structure — `by_type` lists,
-    /// member→owner and member→position indexes — is reconstructed and
-    /// validated with [`NetworkDb::check_access_structures`]; calc-key
-    /// indexes rebuild lazily. The result's `fingerprint()` equals the
-    /// source's by construction.
-    pub fn from_state_bytes(schema: NetworkSchema, bytes: &[u8]) -> DbResult<NetworkDb> {
-        let db = NetworkDb::new(schema)?;
-        Self::load_state_into(db, bytes)
-    }
-
-    /// [`NetworkDb::from_state_bytes`], but into a **paged** database over
-    /// a caller-owned heap file, which must hold no live records (virgin
-    /// pages from a zeroed-out predecessor are fine). The durable engine's
-    /// import path uses this to rebuild a full copy out of core.
-    pub fn from_state_bytes_paged(
-        schema: NetworkSchema,
-        bytes: &[u8],
+    /// [`NetworkDb::to_paged`], but into a caller-owned heap file, which
+    /// must hold no live records (virgin pages from a zeroed-out
+    /// predecessor are fine). The durable engine's import copies through
+    /// this.
+    pub(crate) fn to_paged_on(
+        &self,
         fm: Arc<FileMgr>,
         file: &str,
         pool: usize,
@@ -962,106 +897,50 @@ impl NetworkDb {
         let hb = HeapBackend::on(fm, file, pool)?;
         if hb.stats().records > 0 {
             return Err(DbError::constraint(format!(
-                "from_state_bytes_paged: heap file {file} holds records"
+                "to_paged_on: heap file {file} holds records"
             )));
         }
-        let db = NetworkDb::with_backend(schema, Backend::Heap(Box::new(hb)))?;
-        Self::load_state_into(db, bytes)
+        self.copy_into_heap(hb)
     }
 
-    /// Copy this database into a **paged** twin over a self-cleaning
-    /// scratch heap file: same schema, same records, same allocator
-    /// state; `fingerprint()` equal by construction. The twin's working
-    /// set is bounded by `pool` frames of `page_size` bytes regardless
-    /// of how large the source is.
-    pub fn to_paged(&self, page_size: usize, pool: usize) -> DbResult<NetworkDb> {
-        let hb = HeapBackend::scratch(page_size, pool)?;
-        let db = NetworkDb::with_backend(self.schema.clone(), Backend::Heap(Box::new(hb)))?;
-        Self::load_state_into(db, &self.state_bytes())
-    }
-
-    fn load_state_into(mut db: NetworkDb, bytes: &[u8]) -> DbResult<NetworkDb> {
-        use crate::disk::codec::{capacity, ByteReader};
-        fn decode<T>(r: Result<T, crate::disk::codec::CodecError>) -> DbResult<T> {
-            r.map_err(|e| DbError::constraint(format!("state image: {e}")))
+    /// The one routine that copies a database into a heap ([`Clone`] of
+    /// a paged database, [`NetworkDb::to_paged`], the durable import).
+    /// Each record is written once, in ascending id order, with its
+    /// current set links encoded, so the copy needs no
+    /// [`NetworkDb::sync_links`]; the set stores, `by_type` lists and id
+    /// allocator carry over as they are, and the copy must pass
+    /// [`NetworkDb::check_access_structures`]. Calc-key indexes start
+    /// empty and rebuild lazily.
+    fn copy_into_heap(&self, mut hb: HeapBackend) -> DbResult<NetworkDb> {
+        let ids: Vec<u64> = match &self.records {
+            Backend::Mem(m) => m.keys().copied().collect(),
+            Backend::Heap(h) => h.dir.keys().copied().collect(),
+        };
+        for id in ids {
+            let Some((rtype, bytes)) = self.with_rec(id, |rec| {
+                let links = persisted_links_of(&self.sets, id);
+                let bytes = encode_record(id, &rec.rtype, &rec.values, &links);
+                (rec.rtype.clone(), bytes)
+            }) else {
+                continue;
+            };
+            let hid = hb.with_heap(|heap| heap.insert(&bytes))?;
+            hb.dir.insert(id, hid);
+            hb.rtypes.insert(id, rtype);
         }
-        let mut r = ByteReader::new(bytes);
-        if decode(r.get_u64("state magic"))? != STATE_MAGIC {
-            return Err(DbError::constraint("state image: bad magic".to_string()));
-        }
-        db.next_id = decode(r.get_u64("next_id"))?;
-        let n_records = decode(r.get_u64("record count"))?;
-        for _ in 0..n_records {
-            let id = decode(r.get_u64("record id"))?;
-            let rtype = decode(r.get_str("record type"))?;
-            let n_values = decode(r.get_u32("value count"))?;
-            let mut values = Vec::with_capacity(capacity(n_values, &r));
-            for _ in 0..n_values {
-                values.push(decode(r.get_value("field value"))?);
-            }
-            db.by_type.entry(rtype.clone()).or_default().push(id);
-            db.backend_insert(StoredRecord {
-                id: RecordId(id),
-                rtype,
-                values,
-            });
-        }
-        let n_sets = decode(r.get_u64("set count"))?;
-        for _ in 0..n_sets {
-            let name = decode(r.get_str("set name"))?;
-            let next_seq = decode(r.get_u64("set next_seq"))?;
-            let n_owners = decode(r.get_u64("owner count"))?;
-            let store = db.sets.get_mut(&name).ok_or_else(|| {
-                DbError::constraint(format!("state image: set {name} not in schema"))
-            })?;
-            store.next_seq = next_seq;
-            for _ in 0..n_owners {
-                let owner = decode(r.get_u64("owner id"))?;
-                let n_members = decode(r.get_u64("member count"))?;
-                for _ in 0..n_members {
-                    let n_key = decode(r.get_u32("key arity"))?;
-                    let mut key = Vec::with_capacity(capacity(n_key, &r));
-                    for _ in 0..n_key {
-                        key.push(decode(r.get_value("key value"))?);
-                    }
-                    let seq = decode(r.get_u64("arrival seq"))?;
-                    let member = decode(r.get_u64("member id"))?;
-                    let ord = (KeyTuple(key), seq);
-                    store
-                        .members
-                        .entry(owner)
-                        .or_default()
-                        .insert(ord.clone(), member);
-                    store.owner_of.insert(member, owner);
-                    store.ord_of.insert(member, ord);
-                }
-            }
-        }
-        if !r.is_empty() {
-            return Err(DbError::constraint(format!(
-                "state image: {} trailing bytes",
-                r.remaining()
-            )));
-        }
-        // `by_type` was filled in BTreeMap (ascending-id) order, which is
-        // creation order; the audit cross-checks everything anyway.
-        db.check_access_structures()
-            .map_err(|e| DbError::constraint(format!("state image: {e}")))?;
-        Ok(db)
-    }
-
-    /// Records with id strictly greater than `after`, ascending. Lets the
-    /// durable-translation journal diff "what did this batch store"
-    /// without holding references across the batch. Returned by value:
-    /// paged backends materialize each record from its heap page.
-    pub fn records_above(&self, after: RecordId) -> Vec<StoredRecord> {
-        match &self.records {
-            Backend::Mem(m) => m.range(after.0 + 1..).map(|(_, rec)| rec.clone()).collect(),
-            Backend::Heap(h) => {
-                let ids: Vec<u64> = h.dir.range(after.0 + 1..).map(|(&id, _)| id).collect();
-                ids.into_iter().filter_map(|id| h.fetch(id)).collect()
-            }
-        }
+        let copy = NetworkDb {
+            schema: self.schema.clone(),
+            records: Backend::Heap(Box::new(hb)),
+            sets: self.sets.clone(),
+            by_type: self.by_type.clone(),
+            calc_indexes: RefCell::new(BTreeMap::new()),
+            next_id: self.next_id,
+            stats: AccessStats::default(),
+            journal: UndoLog::default(),
+        };
+        copy.check_access_structures()
+            .map_err(|e| DbError::constraint(format!("heap copy: {e}")))?;
+        Ok(copy)
     }
 
     pub fn schema(&self) -> &NetworkSchema {
@@ -2430,51 +2309,28 @@ mod tests {
             w.put_str("EMP");
             w.put_u32(u32::MAX);
             assert!(decode_record(&w.into_bytes()).is_err());
-
-            let mut w = crate::disk::codec::ByteWriter::new();
-            w.put_u64(STATE_MAGIC);
-            w.put_u64(2);
-            w.put_u64(1);
-            w.put_u64(1);
-            w.put_str("EMP");
-            w.put_u32(u32::MAX);
-            assert!(NetworkDb::from_state_bytes(company_schema(), &w.into_bytes()).is_err());
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
-            /// The heap record decoder and the state-image loader are total:
-            /// arbitrary bytes, and valid images with one byte replaced and
-            /// the tail cut, decode or fail with an error — never a panic or
-            /// an abort.
+            /// The heap record decoder is total: arbitrary bytes, and a
+            /// valid record with one byte replaced and the tail cut, decode
+            /// or fail with an error — never a panic or an abort.
             #[test]
-            fn record_and_state_decoders_are_total(
+            fn record_decoder_is_total(
                 noise in prop::collection::vec(any::<u8>(), 0..96),
                 at in any::<usize>(),
                 byte in any::<u8>(),
                 cut in any::<usize>(),
             ) {
                 let _ = decode_record(&noise);
-                let _ = NetworkDb::from_state_bytes(company_schema(), &noise);
 
                 let mut rec = sample_record();
                 let i = at % rec.len();
                 rec[i] = byte;
                 rec.truncate(rec.len() - cut % 4);
                 let _ = decode_record(&rec);
-
-                let (db, _, _) = company_db();
-                let mut state = db.state_bytes();
-                let i = at % state.len();
-                state[i] = byte;
-                state.truncate(state.len() - cut % 8);
-                if let Ok(back) = NetworkDb::from_state_bytes(company_schema(), &state) {
-                    prop_assert!(back.check_access_structures().is_ok());
-                }
-                let mut prefixed = STATE_MAGIC.to_le_bytes().to_vec();
-                prefixed.extend_from_slice(&noise);
-                let _ = NetworkDb::from_state_bytes(company_schema(), &prefixed);
             }
         }
     }

@@ -12,13 +12,18 @@
 //!   the undo journal's logical records must exactly invert what the
 //!   heap backend did physically;
 //! * recovering a heap image twice yields the same database as
-//!   recovering it once, and both match the writer that produced it.
+//!   recovering it once, and both match the writer that produced it;
+//! * every copy into a heap — `to_paged`, `Clone` of a paged database,
+//!   and a durable `import` read back by a reopen — equals its source,
+//!   in-memory or paged.
 
 use dbpc_datamodel::network::{FieldDef, NetworkSchema, RecordTypeDef, SetDef};
 use dbpc_datamodel::types::FieldType;
 use dbpc_datamodel::value::Value;
 use dbpc_storage::disk::{FileMgr, HeapFile, HeapId, TempDir};
-use dbpc_storage::{NetworkDb, RecordId};
+use dbpc_storage::{
+    DurableNetworkDb, DurableOptions, NetworkDb, RecordId, StoredRecord, SyncPolicy, SYSTEM_OWNER,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -112,8 +117,12 @@ fn apply_ops(db: &mut NetworkDb, divs: &[RecordId], emps: &mut Vec<RecordId>, op
     }
 }
 
-fn seeded_paged_db() -> (NetworkDb, Vec<RecordId>) {
-    let mut db = NetworkDb::new_paged(schema(), PAGE, POOL).unwrap();
+fn seeded_db(paged: bool) -> (NetworkDb, Vec<RecordId>) {
+    let mut db = if paged {
+        NetworkDb::new_paged(schema(), PAGE, POOL).unwrap()
+    } else {
+        NetworkDb::new(schema()).unwrap()
+    };
     let divs: Vec<RecordId> = (0..3)
         .map(|d| {
             db.store("DIV", &[("DIV-NAME", Value::str(format!("DIV-{d}")))], &[])
@@ -121,6 +130,42 @@ fn seeded_paged_db() -> (NetworkDb, Vec<RecordId>) {
         })
         .collect();
     (db, divs)
+}
+
+/// The logical state of a database as its public read API sees it:
+/// the allocator state, every record of every type (in creation order),
+/// and the member list of every set under every possible owner.
+/// Together with `fingerprint()` — which also covers each member's
+/// ordering key and arrival sequence — this is what a copy must keep.
+type LogicalImage = (
+    (u64, Vec<(String, u64)>),
+    Vec<StoredRecord>,
+    Vec<(String, RecordId, Vec<RecordId>)>,
+);
+
+fn logical_image(db: &NetworkDb) -> LogicalImage {
+    let schema = db.schema();
+    let ids: Vec<RecordId> = schema
+        .records
+        .iter()
+        .flat_map(|rt| db.records_of_type(&rt.name))
+        .collect();
+    let records = ids.iter().map(|&id| db.get(id).unwrap()).collect();
+    let owners: Vec<RecordId> = std::iter::once(SYSTEM_OWNER).chain(ids).collect();
+    let members = schema
+        .sets
+        .iter()
+        .flat_map(|set| {
+            owners.iter().map(|&owner| {
+                (
+                    set.name.clone(),
+                    owner,
+                    db.members_of(&set.name, owner).unwrap(),
+                )
+            })
+        })
+        .collect();
+    (db.allocator_state(), records, members)
 }
 
 proptest! {
@@ -197,7 +242,7 @@ proptest! {
     }
 
     /// Savepoint rollback on a paged database is equivalent to never
-    /// having run the savepoint's ops: fingerprints and full state
+    /// having run the savepoint's ops: fingerprints and logical
     /// images match a twin database that only ran the prefix — even
     /// though the heap file underneath saw (and physically kept) every
     /// aborted insert and update.
@@ -206,11 +251,11 @@ proptest! {
         prefix in prop::collection::vec(db_op(), 0..25),
         suffix in prop::collection::vec(db_op(), 1..25),
     ) {
-        let (mut db, divs) = seeded_paged_db();
+        let (mut db, divs) = seeded_db(true);
         let mut emps = Vec::new();
         apply_ops(&mut db, &divs, &mut emps, &prefix);
 
-        let (mut twin, twin_divs) = seeded_paged_db();
+        let (mut twin, twin_divs) = seeded_db(true);
         let mut twin_emps = Vec::new();
         apply_ops(&mut twin, &twin_divs, &mut twin_emps, &prefix);
 
@@ -221,13 +266,13 @@ proptest! {
 
         prop_assert_eq!(db.fingerprint(), twin.fingerprint(),
             "rollback left a different logical state");
-        prop_assert_eq!(db.state_bytes(), twin.state_bytes(),
-            "rollback left different state bytes");
+        prop_assert_eq!(logical_image(&db), logical_image(&twin),
+            "rollback left a different logical image");
     }
 
     /// Recovery is idempotent: scan-rebuild a flushed heap image twice
     /// with fresh handles; both recovered databases must equal the
-    /// writer — fingerprint and state image — and each other.
+    /// writer — fingerprint and logical image — and each other.
     #[test]
     fn heap_recovery_twice_equals_recovery_once(
         ops in prop::collection::vec(db_op(), 1..40),
@@ -261,8 +306,44 @@ proptest! {
             "recovered database drifted from the writer");
         prop_assert_eq!(twice.fingerprint(), once.fingerprint(),
             "second recovery drifted from the first");
-        prop_assert_eq!(once.state_bytes(), db.state_bytes());
-        prop_assert_eq!(twice.state_bytes(), once.state_bytes());
+        prop_assert_eq!(logical_image(&once), logical_image(&db));
+        prop_assert_eq!(logical_image(&twice), logical_image(&once));
         prop_assert_eq!(once.allocator_state(), db.allocator_state());
+    }
+
+    /// Every copy into a heap equals its source: `to_paged`, `Clone` of
+    /// a paged database, and `DurableNetworkDb::import` read back by a
+    /// reopen, from an in-memory and from a paged source alike — same
+    /// fingerprint, same logical image, and intact access structures.
+    #[test]
+    fn heap_copies_equal_their_source(
+        paged in any::<bool>(),
+        ops in prop::collection::vec(db_op(), 0..40),
+    ) {
+        let (mut src, divs) = seeded_db(paged);
+        let mut emps = Vec::new();
+        apply_ops(&mut src, &divs, &mut emps, &ops);
+
+        let twin = src.to_paged(PAGE, POOL).unwrap();
+        let clone = if paged { src.clone() } else { twin.clone() };
+        let dir = TempDir::new("heap-copy-prop").unwrap();
+        let opts = DurableOptions {
+            page_size: 256,
+            buffers: POOL,
+            sync: SyncPolicy::Os,
+            ..DurableOptions::default()
+        };
+        let mut durable = DurableNetworkDb::open(dir.path(), schema(), opts.clone()).unwrap();
+        durable.import(&src, b"copy").unwrap();
+        drop(durable);
+        let reopened = DurableNetworkDb::open(dir.path(), schema(), opts).unwrap();
+
+        let want = logical_image(&src);
+        for (label, copy) in [("to_paged", &twin), ("clone", &clone), ("import", reopened.engine())] {
+            prop_assert!(copy.is_paged(), "{}: copy is not paged", label);
+            prop_assert_eq!(copy.fingerprint(), src.fingerprint(), "{}: fingerprint", label);
+            prop_assert_eq!(&logical_image(copy), &want, "{}: logical image", label);
+            prop_assert_eq!(copy.check_access_structures(), Ok(()), "{}: audit", label);
+        }
     }
 }
