@@ -78,6 +78,12 @@ DBPC_BENCH_SMOKE=1 cargo bench -p dbpc-bench --bench durability
 echo "==> bench smoke (service recovery)"
 DBPC_BENCH_SMOKE=1 cargo bench -p dbpc-bench --bench service_recovery
 
+# The full run adds the timing gate (midpoint recovery <= 0.8x the
+# from-scratch re-run), so a slow journal decoder cannot come back
+# unnoticed. It rewrites BENCH_service_recovery.json.
+echo "==> bench (service recovery, full run with timing gate)"
+cargo bench -p dbpc-bench --bench service_recovery
+
 echo "==> bench smoke (E22 out-of-core scale)"
 DBPC_BENCH_SMOKE=1 cargo bench -p dbpc-bench --bench scale
 

@@ -35,7 +35,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use dbpc_convert::journal::JobJournal;
+use dbpc_convert::journal::{JobJournal, JournalRecord};
 use dbpc_convert::service::{
     ConversionService, JobOutcome, RetryPolicy, ServiceBuilder, ServiceConfig, Ticket,
     SERVICE_JOBS, SERVICE_SHED,
@@ -149,7 +149,13 @@ fn main() {
         .expect("reopen journal to stage the lost admissions");
     assert_eq!(scan.next_seq, midpoint as u64);
     for (i, (program, key)) in jobs[midpoint..].iter().enumerate() {
-        journal.admit(scan.next_seq + i as u64, 0, 0, *key, program);
+        journal.append(&JournalRecord::admit(
+            scan.next_seq + i as u64,
+            0,
+            0,
+            *key,
+            program,
+        ));
     }
     assert_eq!(journal.errors(), 0, "staging admissions must not fault");
     drop(journal); // admits are already fsynced; a crash loses nothing

@@ -61,7 +61,9 @@ pub mod rules;
 pub mod service;
 pub mod supervisor;
 
-pub use journal::{BoundaryHook, JobJournal, JournalEvent, JournalScan, RecoveredJob};
+pub use journal::{
+    BoundaryHook, JobJournal, JournalEvent, JournalRecord, JournalScan, RecoveredJob,
+};
 pub use report::{Analyst, Answer, AutoAnalyst, ConversionReport, Question, Verdict, Warning};
 pub use service::{
     AdmissionPolicy, BreakerConfig, ConversionService, CtxId, JobOutcome, RecoveryStats,

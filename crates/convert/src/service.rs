@@ -80,7 +80,7 @@
 //! failing, re-probing after a cooldown.
 
 use crate::equivalence::{judge_equivalence, source_trace, EquivalenceLevel};
-use crate::journal::{BoundaryHook, JobJournal, RecoveredJob};
+use crate::journal::{BoundaryHook, JobJournal, JournalRecord, RecoveredJob};
 use crate::mapping::Mapping;
 use crate::report::{Analyst, AutoAnalyst, ConversionReport, PermissiveAnalyst, Verdict};
 use crate::supervisor::fault::panic_payload;
@@ -682,6 +682,16 @@ impl ServiceInner {
     fn journal<T>(&self, f: impl FnOnce(&mut JobJournal) -> T) -> Option<T> {
         self.journal.as_ref().map(|j| f(&mut lock(j)))
     }
+
+    /// Journal one record, if the service has a journal. The record is
+    /// encoded before the journal lock is taken, so the lock covers only
+    /// the WAL append (and an `ADMIT`'s fsync).
+    fn journal_append(&self, record: impl FnOnce() -> JournalRecord) {
+        if let Some(j) = &self.journal {
+            let record = record();
+            lock(j).append(&record);
+        }
+    }
 }
 
 /// What [`ServiceBuilder::start`] recovered from the job journal — all
@@ -824,7 +834,7 @@ impl ServiceBuilder {
             if job.ctx >= inner.contexts.len() {
                 // A journal from a run with more contexts registered than
                 // this one: never runnable here, so shed it durably.
-                inner.journal(|j| j.shed(job.seq));
+                inner.journal_append(|| JournalRecord::shed(job.seq));
                 inner.sheds.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
@@ -941,7 +951,7 @@ impl ConversionService {
             std::thread::sleep(Duration::from_millis(1));
         }
         for job in self.inner.queue.drain_remaining() {
-            self.inner.journal(|j| j.shed(job.seq));
+            self.inner.journal_append(|| JournalRecord::shed(job.seq));
             self.inner.sheds.fetch_add(1, Ordering::Relaxed);
             let queue_ns = job.queued_at.elapsed().as_nanos() as u64;
             job.slot.fill(JobOutcome {
@@ -1097,7 +1107,7 @@ impl Session<'_> {
             return Err(ModelError::invalid(format!("unknown context {ctx}")).into());
         }
         let seq = self.service.next_seq.fetch_add(1, Ordering::Relaxed);
-        inner.journal(|j| j.admit(seq, self.id, ctx, key, &program));
+        inner.journal_append(|| JournalRecord::admit(seq, self.id, ctx, key, &program));
         let slot = Slot::new();
         let job = Job {
             seq,
@@ -1111,7 +1121,7 @@ impl Session<'_> {
         match inner.queue.push(job) {
             Admitted::Queued => Ok(Ticket { slot }),
             Admitted::Rejected => {
-                inner.journal(|j| j.shed(seq));
+                inner.journal_append(|| JournalRecord::shed(seq));
                 inner.sheds.fetch_add(1, Ordering::Relaxed);
                 Err(PipelineError::Overloaded {
                     detail: format!(
@@ -1121,7 +1131,7 @@ impl Session<'_> {
                 })
             }
             Admitted::Shed(victim) => {
-                inner.journal(|j| j.shed(victim.seq));
+                inner.journal_append(|| JournalRecord::shed(victim.seq));
                 inner.sheds.fetch_add(1, Ordering::Relaxed);
                 let queue_ns = victim.queued_at.elapsed().as_nanos() as u64;
                 victim.slot.fill(JobOutcome {
@@ -1180,7 +1190,7 @@ fn worker_loop(inner: &ServiceInner) {
         dbpc_obs::time(SERVICE_EXEC_NS, exec_ns);
         dbpc_obs::time(SERVICE_QUEUE_WAIT_NS, queue_ns);
         let delta = dbpc_obs::local_snapshot().since(&before);
-        inner.journal(|j| j.done(job.seq, &cap, &delta));
+        inner.journal_append(|| JournalRecord::done(job.seq, &cap, &delta));
         lock(&inner.sink).push((job.seq, cap, delta));
         job.slot.fill(JobOutcome {
             seq: job.seq,
@@ -2015,6 +2025,96 @@ END PROGRAM;",
         assert_eq!(scan.admitted, 4);
         assert_eq!(scan.results.len(), 4, "drop must flush staged DONEs");
         assert!(scan.pending.is_empty(), "{:?}", scan.pending);
+    }
+
+    /// The shards a halted service journaled decode to exactly the ones
+    /// it kept in its sink: every recovered result equals its original.
+    #[test]
+    fn halted_service_journals_shards_that_decode_exactly() {
+        let tmp = dbpc_storage::TempDir::new("svc-halt-shards").unwrap();
+        let (b, ctx) = builder(ServiceConfig {
+            workers: 2,
+            durable_root: Some(tmp.path().to_path_buf()),
+            ..ServiceConfig::default()
+        });
+        let svc = b.start();
+        let session = svc.session();
+        for k in 0..8u64 {
+            let p = if k % 3 == 0 {
+                store_program()
+            } else {
+                read_only_program()
+            };
+            session.submit(ctx, p, k).unwrap().wait();
+        }
+        let journaled: Vec<ObsShard> = lock(&svc.inner.sink).clone();
+        assert_eq!(journaled.len(), 8);
+        svc.halt();
+
+        let (_, scan) =
+            crate::journal::JobJournal::open(&tmp.path().join("journal"), None, None).unwrap();
+        assert_eq!(scan.decode_errors, 0);
+        // Each admit's fsync made the previous job's staged DONE durable.
+        assert!(scan.results.len() >= 7, "{}", scan.results.len());
+        for (seq, cap, frame) in &scan.results {
+            let (_, cap0, frame0) = journaled.iter().find(|(s, _, _)| s == seq).unwrap();
+            assert_eq!((cap, frame), (cap0, frame0), "shard {seq}");
+            assert_eq!(
+                format!("{cap:?}"),
+                format!("{cap0:?}"),
+                "wall times of {seq}"
+            );
+        }
+    }
+
+    /// A journal written before `DONE` went binary: its tag-2 JSON `DONE`
+    /// is counted as a journal error and the job replays, to the report a
+    /// fresh run produces.
+    #[test]
+    fn legacy_json_done_replays_to_a_fresh_runs_report() {
+        let config = |root: &Path| ServiceConfig {
+            workers: 2,
+            durable_root: Some(root.to_path_buf()),
+            ..ServiceConfig::default()
+        };
+        let fresh_root = dbpc_storage::TempDir::new("svc-legacy-fresh").unwrap();
+        let (b, ctx) = builder(config(fresh_root.path()));
+        let svc = b.start();
+        svc.session()
+            .submit(ctx, read_only_program(), 5)
+            .unwrap()
+            .wait();
+        let fresh = svc.shutdown();
+
+        let root = dbpc_storage::TempDir::new("svc-legacy").unwrap();
+        let dir = root.path().join("journal");
+        let (mut j, _) = crate::journal::JobJournal::open(&dir, None, None).unwrap();
+        j.append(&JournalRecord::admit(0, 0, ctx, 5, &read_only_program()));
+        drop(j);
+        let fm =
+            dbpc_storage::disk::FileMgr::new(&dir, dbpc_storage::disk::DEFAULT_PAGE_SIZE).unwrap();
+        let (mut log, records) =
+            dbpc_storage::LogMgr::open(Arc::new(fm), crate::journal::JOURNAL_FILE).unwrap();
+        assert_eq!(records.len(), 1);
+        let json = r#"{"ticks":2,"spans":[{"kind":"event","name":"unit","open":0,"close":0}],"metrics":[{"name":"service.jobs","kind":"counter","value":1}]}"#;
+        let mut legacy = vec![crate::journal::TAG_DONE_JSON];
+        legacy.extend_from_slice(&0u64.to_le_bytes());
+        legacy.extend_from_slice(&(json.len() as u32).to_le_bytes());
+        legacy.extend_from_slice(json.as_bytes());
+        log.append(&legacy).unwrap();
+        log.flush().unwrap();
+        drop(log);
+
+        let (b, _) = builder(config(root.path()));
+        let svc = b.start();
+        let recovery = svc.recovery();
+        assert_eq!(recovery.admitted, 1);
+        assert_eq!(recovery.replayed, 1);
+        assert_eq!(recovery.results, 0);
+        let report = svc.shutdown();
+        assert_eq!(report.metrics.counter(SERVICE_JOURNAL_ERRORS), 1);
+        assert_eq!(report.metrics.counter(SERVICE_JOBS_REPLAYED), 1);
+        assert_eq!(report.deterministic(), fresh.deterministic());
     }
 
     /// Crash and recover, in-process: `halt()` abandons the journal

@@ -126,42 +126,6 @@ impl RunReport {
     }
 }
 
-/// Serialize one observability shard — a [`Capture`] plus the metrics
-/// delta frame recorded alongside it — to compact, byte-stable JSON.
-/// This is the durable-journal wire form for a single job's observed
-/// work: the service journals each completed job's shard so a recovered
-/// process can assemble the same [`RunReport`] without re-executing.
-pub fn shard_to_json(capture: &Capture, frame: &MetricsFrame) -> String {
-    Json::Obj(vec![
-        ("ticks".to_string(), Json::Int(capture.ticks as i64)),
-        (
-            "spans".to_string(),
-            Json::Arr(capture.spans.iter().map(span_to_json).collect()),
-        ),
-        ("metrics".to_string(), metrics_to_json(frame)),
-    ])
-    .to_string()
-}
-
-/// Parse a shard previously produced by [`shard_to_json`]. Inverts it
-/// exactly: `shard_to_json(&cap, &frame)` round-trips byte-identically.
-pub fn shard_from_json(text: &str) -> Result<(Capture, MetricsFrame), String> {
-    let doc = json::parse(text)?;
-    let ticks = doc
-        .get("ticks")
-        .and_then(Json::as_int)
-        .ok_or("shard missing integer `ticks`")? as u64;
-    let spans = doc
-        .get("spans")
-        .and_then(Json::as_arr)
-        .ok_or("shard missing array `spans`")?
-        .iter()
-        .map(span_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    let metrics = metrics_from_json(doc.get("metrics").ok_or("shard missing `metrics`")?)?;
-    Ok((Capture { spans, ticks }, metrics))
-}
-
 fn metrics_to_json(frame: &MetricsFrame) -> Json {
     let mut metrics = Vec::new();
     for (name, v) in frame.iter() {
@@ -392,25 +356,6 @@ mod tests {
         assert_eq!(back, r);
         assert_eq!(back.to_json(), text);
         validate_json(&text).unwrap();
-    }
-
-    #[test]
-    fn shard_json_round_trips_exactly() {
-        let ((), cap) = capture("job", || {
-            crate::span::span_with("stage.converter", &[("key", "7")], || {
-                crate::span::event("rewrite");
-            });
-        });
-        let mut frame = MetricsFrame::new();
-        frame.set("jobs.converted", MetricValue::Counter(1));
-        frame.set("locks.waits", MetricValue::Racy(2));
-        frame.set("host.threads", MetricValue::Gauge(4));
-        let text = shard_to_json(&cap, &frame);
-        let (cap2, frame2) = shard_from_json(&text).unwrap();
-        assert_eq!(cap2, cap);
-        assert_eq!(frame2, frame);
-        assert_eq!(shard_to_json(&cap2, &frame2), text);
-        assert!(shard_from_json("{}").is_err());
     }
 
     #[test]
