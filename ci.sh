@@ -94,6 +94,12 @@ DBPC_BENCH_SMOKE=1 cargo bench -p dbpc-bench --bench scale
 echo "==> E21 smoke (service crash-replay chaos matrix)"
 cargo test -q --test service_crash
 
+# The translation crash matrix is the one gate on data-translation crash
+# safety: a durable translation killed at every batch boundary of four
+# transform shapes must recover byte-identical to the one-shot.
+echo "==> translation crash matrix (durable translation recovery)"
+cargo test -q --test translation_recovery
+
 # The obs export path end to end: run the E2 study with DBPC_OBS_JSON set,
 # then validate the exported RunReport with the in-repo schema checker
 # (parse, logical-clock nesting, byte-identical round trip).

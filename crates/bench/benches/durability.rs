@@ -45,9 +45,7 @@ use std::time::Instant;
 use dbpc_corpus::named;
 use dbpc_datamodel::value::Value;
 use dbpc_obs::metrics::{local_snapshot, MetricsFrame};
-use dbpc_restructure::{
-    translate_batched, translate_durable, BatchedOutcome, DurableOutcome, DurableTranslationOptions,
-};
+use dbpc_restructure::{translate_durable, DurableOutcome, DurableTranslationOptions};
 use dbpc_storage::disk::{
     BUFFER_EVICTIONS, BUFFER_FLUSHES, BUFFER_PINS, DISK_READS, DISK_SYNCS, DISK_WRITES,
     WAL_APPENDS, WAL_BYTES, WAL_FLUSHES, WAL_RECOVERED,
@@ -299,24 +297,26 @@ fn main() {
 
     // ---- Recovery vs retranslate at the midpoint crash ---------------------
     let source = named::company_db(xlate_scale.0, xlate_scale.1, xlate_scale.2);
-    let transform = named::fig_4_4_restructuring().transforms[0].clone();
-    let mut boundaries = 0usize;
-    let one_shot = match translate_batched(&source, &transform, batch, &mut |_| {
-        boundaries += 1;
-        false
-    })
-    .unwrap()
-    {
-        BatchedOutcome::Complete(out) => out,
-        BatchedOutcome::Crashed(_) => unreachable!("never-crash plan crashed"),
-    };
+    let restructuring = named::fig_4_4_restructuring();
+    let transform = restructuring.transforms[0].clone();
+    let one_shot = restructuring.translate(&source).unwrap();
     let want_fp = one_shot.fingerprint();
     let want_stat = StatCatalog::of_network(&one_shot).fingerprint();
-    let midpoint = boundaries / 2;
     let opts = DurableTranslationOptions {
         batch,
         ..DurableTranslationOptions::default()
     };
+    // Count the boundaries with an uncrashed, untimed durable run.
+    let mut boundaries = 0usize;
+    {
+        let dir = TempDir::new("bench-durability-count").unwrap();
+        translate_durable(&source, &transform, dir.path(), &opts, &mut |_| {
+            boundaries += 1;
+            false
+        })
+        .unwrap();
+    }
+    let midpoint = boundaries / 2;
 
     // Recovery leg: crash a durable translation at the midpoint (sunk
     // cost), then time only the fresh-handle completion over the WAL.

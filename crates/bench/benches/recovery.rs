@@ -1,6 +1,6 @@
 //! Experiment E16: cost of the transactional substrate.
 //!
-//! Three prices are measured, all of which the robustness layer claims
+//! Two prices are measured, both of which the robustness layer claims
 //! are small:
 //!
 //! - **Verification cost** — the per-program cost of verifying a mutating
@@ -11,16 +11,14 @@
 //! - **Journal recording premium** — the same mutations with the journal
 //!   idle vs recording inverse ops under an open savepoint, no clone or
 //!   rollback in either leg: the raw cost of the undo log itself.
-//! - **Resume vs retranslate** — a batched data translation crashed at its
-//!   midpoint is completed two ways: resumed from the checkpoint, or
-//!   thrown away and retranslated from scratch. The ratio is what crash
-//!   recovery saves.
+//!
+//! What crash recovery of a data translation saves over retranslating is
+//! measured by `benches/durability.rs` (E20), on the durable path.
 //!
 //! Invariants asserted on every run:
 //!
 //! - Rollback restores the pre-savepoint fingerprint exactly; commit's
 //!   final state is fingerprint-identical to the journal-idle run.
-//! - The resumed translation is fingerprint-identical to the one-shot.
 //! - The E2 verification matrix (which now runs every program on shared
 //!   bases under savepoints) still renders, and its profile confirms the
 //!   deep-copy path is gone (`db_clones == 0`).
@@ -34,7 +32,6 @@ use std::time::Instant;
 use dbpc_corpus::harness::{success_rate_study_config, StudyConfig};
 use dbpc_corpus::named;
 use dbpc_datamodel::value::Value;
-use dbpc_restructure::{translate_batched, BatchedOutcome};
 use dbpc_storage::NetworkDb;
 
 /// One mutating-program-shaped pass against a large base: store a small
@@ -161,52 +158,6 @@ fn main() {
     let recording_overhead_pct =
         100.0 * (commit_ns as f64 - idle_ns as f64) / idle_ns.max(1) as f64;
 
-    // ---- Resume vs retranslate --------------------------------------------
-    let source = named::company_db(db_scale.0, db_scale.1, db_scale.2);
-    let transform = named::fig_4_4_restructuring().transforms[0].clone();
-    let batch = 16usize;
-    // Count boundaries, take the reference output.
-    let mut boundaries = 0usize;
-    let one_shot = match translate_batched(&source, &transform, batch, &mut |_| {
-        boundaries += 1;
-        false
-    })
-    .unwrap()
-    {
-        BatchedOutcome::Complete(out) => out,
-        BatchedOutcome::Crashed(_) => unreachable!(),
-    };
-    let midpoint = boundaries / 2;
-    // Only the resume leg is the recovery cost; the crashed leg is sunk
-    // work a real crash would have already paid.
-    let mut resume_leg_ns = u128::MAX;
-    let mut resumed = None;
-    for _ in 0..iters {
-        let ckpt =
-            match translate_batched(&source, &transform, batch, &mut |b| b == midpoint).unwrap() {
-                BatchedOutcome::Crashed(ckpt) => ckpt,
-                BatchedOutcome::Complete(_) => panic!("midpoint crash did not fire"),
-            };
-        let t = Instant::now();
-        let out = dbpc_restructure::resume_translation(&source, &transform, ckpt).unwrap();
-        resume_leg_ns = resume_leg_ns.min(t.elapsed().as_nanos());
-        resumed = Some(out);
-    }
-    let resumed = resumed.unwrap();
-    let (retranslate_ns, retranslated) = timed(iters, || {
-        match translate_batched(&source, &transform, batch, &mut |_| false).unwrap() {
-            BatchedOutcome::Complete(out) => out,
-            BatchedOutcome::Crashed(_) => unreachable!(),
-        }
-    });
-    assert_eq!(
-        resumed.fingerprint(),
-        one_shot.fingerprint(),
-        "resume must be byte-identical to the one-shot translation"
-    );
-    assert_eq!(retranslated.fingerprint(), one_shot.fingerprint());
-    let resume_speedup = retranslate_ns as f64 / resume_leg_ns.max(1) as f64;
-
     // ---- E2 matrix still renders on the savepoint substrate ----------------
     let (matrix_ns, study) = timed(1, || {
         success_rate_study_config(&StudyConfig::new(samples, 1979))
@@ -243,15 +194,6 @@ fn main() {
         "    \"recording_overhead_pct\": {recording_overhead_pct:.2}"
     )
     .unwrap();
-    writeln!(w, "  }},").unwrap();
-    writeln!(w, "  \"translation\": {{").unwrap();
-    writeln!(w, "    \"batch\": {batch},").unwrap();
-    writeln!(w, "    \"boundaries\": {boundaries},").unwrap();
-    writeln!(w, "    \"crash_at\": {midpoint},").unwrap();
-    writeln!(w, "    \"resume_ns\": {resume_leg_ns},").unwrap();
-    writeln!(w, "    \"retranslate_ns\": {retranslate_ns},").unwrap();
-    writeln!(w, "    \"resume_speedup\": {resume_speedup:.2},").unwrap();
-    writeln!(w, "    \"resume_identical\": true").unwrap();
     writeln!(w, "  }},").unwrap();
     writeln!(w, "  \"e2_matrix\": {{").unwrap();
     writeln!(w, "    \"wall_ns\": {matrix_ns},").unwrap();

@@ -43,12 +43,6 @@ pub struct EquivalenceResult {
     pub divergence: Option<String>,
 }
 
-impl EquivalenceResult {
-    pub fn is_acceptable(&self) -> bool {
-        !matches!(self.level, EquivalenceLevel::NotEquivalent)
-    }
-}
-
 /// Warnings that legitimately predict observable behavior change.
 pub(crate) fn predicts_behavior_change(w: &Warning) -> bool {
     matches!(

@@ -51,11 +51,6 @@ pub struct FaultPlan {
     /// Restrict probabilistic injection to these stages; `None` = all.
     pub stages: Option<Vec<Stage>>,
     targeted: Vec<Targeted>,
-    /// Simulated crashes inside data translation: `(key, batch)` pairs at
-    /// which a batched translation dies at a batch boundary. Unlike stage
-    /// faults these are *recoverable* — the pipeline resumes from the
-    /// translation checkpoint rather than failing the work item.
-    translation_crashes: Vec<(u64, usize)>,
     /// Deterministic disk faults (torn page writes, short writes, fsync
     /// failures) for the durable components a run drives — handed to
     /// [`FileMgr`][dbpc_storage::disk::FileMgr] construction wherever the
@@ -78,7 +73,6 @@ impl FaultPlan {
             panic_share: 0.0,
             stages: None,
             targeted: Vec::new(),
-            translation_crashes: Vec::new(),
             disk: None,
         }
     }
@@ -91,7 +85,6 @@ impl FaultPlan {
             panic_share: 0.5,
             stages: None,
             targeted: Vec::new(),
-            translation_crashes: Vec::new(),
             disk: None,
         }
     }
@@ -126,19 +119,6 @@ impl FaultPlan {
         self
     }
 
-    /// Add a simulated crash at batch boundary `batch` (zero-based) of
-    /// work item `key`'s data translation. Recovered by resuming from the
-    /// checkpoint, so results stay identical to the uncrashed run.
-    pub fn with_translation_crash(mut self, key: u64, batch: usize) -> FaultPlan {
-        self.translation_crashes.push((key, batch));
-        self
-    }
-
-    /// Does work item `key`'s translation crash at batch boundary `batch`?
-    pub fn translation_crash(&self, key: u64, batch: usize) -> bool {
-        self.translation_crashes.contains(&(key, batch))
-    }
-
     /// Attach deterministic disk faults — the storage layer's seeded
     /// torn-write / short-write / fsync-failure plan — to this pipeline
     /// plan, so one `FaultPlan` value configures a whole run's failure
@@ -158,7 +138,6 @@ impl FaultPlan {
     pub fn is_idle(&self) -> bool {
         self.probability <= 0.0
             && self.targeted.is_empty()
-            && self.translation_crashes.is_empty()
             && self.disk.as_ref().is_none_or(DiskFaultPlan::is_empty)
     }
 

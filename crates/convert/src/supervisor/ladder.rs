@@ -48,7 +48,7 @@ use dbpc_dml::host::Program;
 use dbpc_emulate::{run_bridged, Emulator, WriteBack};
 use dbpc_engine::host_exec::run_host_with_fuel;
 use dbpc_engine::{diff_traces, Inputs, RunError, Trace, DEFAULT_VERIFY_FUEL};
-use dbpc_restructure::{Restructuring, TRANSLATION_BATCH};
+use dbpc_restructure::Restructuring;
 use dbpc_storage::{NetworkDb, StatCatalog};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -439,10 +439,7 @@ fn attempt_rung(
 }
 
 /// Translate the source database for one rung attempt, under the
-/// translation-stage fault point. Runs in bounded batches; a planned
-/// translation crash kills the run at a batch boundary and is recovered
-/// by resuming from the checkpoint — the result is identical to an
-/// uncrashed translation.
+/// translation-stage fault point.
 fn translate(
     fault: &crate::supervisor::fault::FaultPlan,
     restructuring: &Restructuring,
@@ -453,9 +450,7 @@ fn translate(
     dbpc_obs::span(Stage::Translation.span_name(), || {
         fault.trip(Stage::Translation, key, attempt)?;
         restructuring
-            .translate_checkpointed(source_db, TRANSLATION_BATCH, &mut |b| {
-                fault.translation_crash(key, b)
-            })
+            .translate(source_db)
             .map_err(|e| PipelineError::stage(Stage::Translation, e))
     })
 }

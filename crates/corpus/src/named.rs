@@ -4,7 +4,6 @@
 //! so traces compare across strategies and runs.
 
 use dbpc_datamodel::constraint::Constraint;
-use dbpc_datamodel::hierarchical::HierSchema;
 use dbpc_datamodel::network::{FieldDef, NetworkSchema, RecordTypeDef, SetDef};
 use dbpc_datamodel::relational::{ColumnDef, RelationalSchema, TableDef};
 use dbpc_datamodel::types::FieldType;
@@ -405,12 +404,6 @@ pub fn personnel_relational_db(depts: usize, emps_per_dept: usize) -> DbResult<R
         }
     }
     Ok(db)
-}
-
-/// The company database as an IMS-style hierarchy (for the Mehl & Wang
-/// experiments). Virtual fields do not materialize.
-pub fn company_hier_schema() -> DbResult<HierSchema> {
-    crossmodel::network_schema_to_hier(&company_schema())
 }
 
 /// Hierarchical company database at scale.

@@ -124,11 +124,6 @@ impl TokenStream {
         matches!(self.peek(), Tok::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
 
-    /// True if the token after next is the identifier `kw`.
-    pub fn at_kw2(&self, kw: &str) -> bool {
-        matches!(self.peek2(), Tok::Ident(s) if s.eq_ignore_ascii_case(kw))
-    }
-
     /// Consume the identifier `kw` or fail.
     pub fn expect_kw(&mut self, kw: &str) -> ParseResult<()> {
         if self.at_kw(kw) {

@@ -93,16 +93,6 @@ impl SelectQuery {
         }
     }
 
-    pub fn with_where(mut self, p: SequelPred) -> SelectQuery {
-        self.where_ = Some(p);
-        self
-    }
-
-    pub fn with_order_by(mut self, cols: Vec<&str>) -> SelectQuery {
-        self.order_by = cols.into_iter().map(String::from).collect();
-        self
-    }
-
     pub fn nesting_depth(&self) -> usize {
         self.where_.as_ref().map_or(0, |w| w.nesting_depth())
     }

@@ -28,66 +28,10 @@ use dbpc_storage::keys::KeyTuple;
 use dbpc_storage::{DbError, DbResult, NetworkDb, RecordId, SYSTEM_OWNER};
 use std::collections::BTreeMap;
 
-/// Default batch size for checkpointed translation: small enough that a
-/// simulated crash loses bounded work, large enough that checkpoint
-/// bookkeeping is noise against per-record store cost.
-pub const TRANSLATION_BATCH: usize = 32;
-
-/// A resumable position inside a translation, captured at a batch
-/// boundary. Holds the partially-built output plus the cursors needed to
-/// continue: which phase of the rebuild plan was running, how far into
-/// its record list it got, and a fingerprint of the *source* database so
-/// a checkpoint cannot be resumed against different data.
-pub struct TranslationCheckpoint {
-    source_fingerprint: u64,
-    st: RunState<NetworkDb>,
-}
-
-impl TranslationCheckpoint {
-    /// How many full batches completed before the crash.
-    pub fn batches_done(&self) -> usize {
-        self.st.batches_done
-    }
-
-    /// The rebuild-plan cursor: (phase index, offset within the phase).
-    pub fn position(&self) -> (usize, usize) {
-        (self.st.phase, self.st.offset)
-    }
-}
-
-/// Outcome of a batched translation: either the finished database or a
-/// checkpoint captured at the batch boundary where the crash plan fired.
-pub enum BatchedOutcome {
-    Complete(NetworkDb),
-    Crashed(TranslationCheckpoint),
-}
-
 /// Translate `db` across `transform`, producing the restructured database.
+/// The rebuild plan runs in one go: no batch boundary is ever reached.
+/// [`crate::durable`] runs the same plan in committed batches.
 pub fn translate(db: &NetworkDb, transform: &Transform) -> DbResult<NetworkDb> {
-    match translate_batched(db, transform, usize::MAX, &mut |_| false)? {
-        BatchedOutcome::Complete(out) => Ok(out),
-        BatchedOutcome::Crashed(_) => Err(DbError::constraint(
-            "translation crashed without a crash plan",
-        )),
-    }
-}
-
-/// Translate in bounded batches, consulting `crash` at every batch
-/// boundary (with the zero-based batch index). When `crash` returns true
-/// the run stops *as a crash would*: the partial output and cursors come
-/// back as a [`TranslationCheckpoint`] for [`resume_translation`].
-///
-/// With a `crash` that never fires this is exactly [`translate`] — both
-/// run the same phase plan, so a crashed-and-resumed translation is
-/// byte-identical to a one-shot one, including the work counted by
-/// [`crate::stats`] (per-type preparation is re-derived but only
-/// *counted* when a phase is entered at offset zero).
-pub fn translate_batched(
-    db: &NetworkDb,
-    transform: &Transform,
-    batch: usize,
-    crash: &mut dyn FnMut(usize) -> bool,
-) -> DbResult<BatchedOutcome> {
     let target_schema = target_schema(db, transform)?;
     let out = match transform {
         // Schema unchanged: the §5.2 information-losing subset starts from
@@ -99,36 +43,8 @@ pub fn translate_batched(
         _ => db.fresh_like(target_schema.clone())?,
     };
     crate::stats::count_schema_clone();
-    let mut st = RunState::new(out, batch);
-    if run(db, transform, &target_schema, &mut st, crash)? {
-        return Ok(BatchedOutcome::Crashed(TranslationCheckpoint {
-            source_fingerprint: db.fingerprint(),
-            st,
-        }));
-    }
-    Ok(BatchedOutcome::Complete(st.out))
-}
-
-/// Continue a crashed translation from its checkpoint, running to
-/// completion. The result is byte-identical to the uncrashed translation.
-/// Fails if `db` is not the database the checkpoint was captured against.
-pub fn resume_translation(
-    db: &NetworkDb,
-    transform: &Transform,
-    ckpt: TranslationCheckpoint,
-) -> DbResult<NetworkDb> {
-    if ckpt.source_fingerprint != db.fingerprint() {
-        return Err(DbError::constraint(
-            "translation checkpoint does not match the source database",
-        ));
-    }
-    let target_schema = target_schema(db, transform)?;
-    let mut st = ckpt.st;
-    st.batch = usize::MAX;
-    st.in_batch = 0;
-    if run(db, transform, &target_schema, &mut st, &mut |_| false)? {
-        return Err(DbError::constraint("resumed translation crashed again"));
-    }
+    let mut st = RunState::new(out, usize::MAX);
+    run(db, transform, &target_schema, &mut st, &mut |_| false)?;
     Ok(st.out)
 }
 
@@ -221,8 +137,8 @@ fn plan_phases(schema: &NetworkSchema, transform: &Transform) -> DbResult<Vec<Ph
     }
 }
 
-/// The database a translation writes into. The in-memory paths write a
-/// plain [`NetworkDb`], whose batch boundaries do nothing; the durable
+/// The database a translation writes into. [`translate`] writes a plain
+/// [`NetworkDb`] and never reaches a batch boundary; the durable
 /// translator (`crate::durable`) writes a `DurableNetworkDb` and commits
 /// one transaction per batch. Every use is monomorphised, so the
 /// in-memory hot path carries none of the durable bookkeeping.
@@ -285,7 +201,7 @@ impl Target for NetworkDb {
 }
 
 /// Mutable translation state threaded through the phases; exactly what a
-/// checkpoint must capture.
+/// durable translation's commit notes must capture to resume.
 pub(crate) struct RunState<T> {
     pub(crate) out: T,
     pub(crate) idmap: BTreeMap<RecordId, RecordId>,
@@ -1189,72 +1105,6 @@ mod tests {
             .unwrap();
         }
         db
-    }
-
-    /// Crash at every batch boundary of a promote; each resumed run must
-    /// equal the one-shot translation bit for bit, stats included.
-    #[test]
-    fn crash_and_resume_matches_one_shot_at_every_boundary() {
-        let src = company_db();
-        let t = fig_4_4();
-        let before = crate::stats::snapshot();
-        let oneshot = translate(&src, &t).unwrap();
-        let oneshot_work = crate::stats::snapshot().since(&before);
-        let mut k = 0usize;
-        loop {
-            let mut fired = false;
-            let outcome = translate_batched(&src, &t, 2, &mut |b| {
-                if b == k {
-                    fired = true;
-                }
-                b == k
-            })
-            .unwrap();
-            let ckpt = match outcome {
-                BatchedOutcome::Complete(out) => {
-                    assert!(!fired, "complete run must not have crashed");
-                    assert_eq!(out.fingerprint(), oneshot.fingerprint());
-                    break;
-                }
-                BatchedOutcome::Crashed(c) => c,
-            };
-            let before = crate::stats::snapshot();
-            let resumed = resume_translation(&src, &t, ckpt).unwrap();
-            let _ = crate::stats::snapshot().since(&before);
-            assert_eq!(
-                resumed.fingerprint(),
-                oneshot.fingerprint(),
-                "crash at batch {k} diverged"
-            );
-            resumed.check_access_structures().unwrap();
-            k += 1;
-        }
-        assert!(k > 0, "batch=2 must produce at least one boundary");
-        // Crashed-and-resumed work equals one-shot work: re-running the
-        // whole matrix under crashes must not change the audit counters.
-        let before = crate::stats::snapshot();
-        let outcome = translate_batched(&src, &t, 2, &mut |b| b == 0).unwrap();
-        if let BatchedOutcome::Crashed(c) = outcome {
-            let _ = resume_translation(&src, &t, c).unwrap();
-        }
-        let crashed_work = crate::stats::snapshot().since(&before);
-        assert_eq!(crashed_work, oneshot_work);
-    }
-
-    /// A checkpoint refuses to resume against a different source.
-    #[test]
-    fn resume_rejects_mismatched_source() {
-        let src = company_db();
-        let t = fig_4_4();
-        let BatchedOutcome::Crashed(ckpt) =
-            translate_batched(&src, &t, 1, &mut |b| b == 0).unwrap()
-        else {
-            panic!("expected a crash at the first boundary");
-        };
-        let mut other = company_db();
-        let id = other.records_of_type("EMP")[0];
-        other.erase(id, true).unwrap();
-        assert!(resume_translation(&other, &t, ckpt).is_err());
     }
 
     /// Clone audit: translating an N-record database does O(record types)

@@ -1,13 +1,10 @@
-//! Durable, restartable data translation: the batch checkpoints of
-//! [`crate::data`] made crash-safe by writing the target into a
+//! Durable, restartable data translation: the rebuild plan of
+//! [`crate::data`] run in batches whose progress is written into a
 //! [`DurableNetworkDb`].
 //!
-//! [`translate_batched`][crate::data::translate_batched] already models a
-//! crash as an in-memory [`TranslationCheckpoint`][crate::data::TranslationCheckpoint]
-//! — useful for studying *bounded rework*, but the checkpoint dies with
-//! the process. Here the translator's output *is* a durable database
-//! under `root`, so the target's own redo log makes translation
-//! crash-safe:
+//! This is the crate's one resumable translation. The translator's output
+//! *is* a durable database under `root`, so the target's own redo log
+//! makes translation crash-safe:
 //!
 //! * each batch runs inside one savepoint, and at the batch boundary the
 //!   translator commits it together with a **commit note** (see
@@ -34,7 +31,7 @@
 //! [`StatCatalog`][dbpc_storage::StatCatalog] fingerprints are
 //! byte-identical to the one-shot translation's.
 
-use crate::data::{refresh_stats, run, target_schema, RunState, Target, TRANSLATION_BATCH};
+use crate::data::{refresh_stats, run, target_schema, RunState, Target};
 use crate::transform::Transform;
 use dbpc_datamodel::value::Value;
 use dbpc_storage::disk::codec::{ByteReader, ByteWriter};
@@ -45,6 +42,12 @@ use dbpc_storage::{DbError, DurableNetworkDb, DurableOptions, NetworkDb, RecordI
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::path::Path;
+
+/// Default batch size of a durable translation: units of work per
+/// committed batch. Small enough that a crash loses bounded work, large
+/// enough that the per-batch commit and its `fsync` stay noise against
+/// per-record store cost.
+pub const TRANSLATION_BATCH: usize = 32;
 
 /// Metric: batches replayed from a translation's redo log during recovery.
 pub const WAL_REPLAYED_BATCHES: &str = "restructure.wal_replayed_batches";

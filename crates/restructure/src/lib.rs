@@ -25,9 +25,8 @@ pub mod sequence;
 pub mod stats;
 pub mod transform;
 
-pub use data::{
-    resume_translation, translate_batched, BatchedOutcome, TranslationCheckpoint, TRANSLATION_BATCH,
+pub use durable::{
+    translate_durable, DurableOutcome, DurableTranslationOptions, TRANSLATION_BATCH,
 };
-pub use durable::{translate_durable, DurableOutcome, DurableTranslationOptions};
 pub use sequence::Restructuring;
 pub use transform::Transform;

@@ -54,33 +54,6 @@ impl Restructuring {
         Ok(d.unwrap_or_else(|| db.clone()))
     }
 
-    /// Like [`Restructuring::translate`], but each transform's rebuild
-    /// runs in bounded batches with `crash` consulted at every batch
-    /// boundary (zero-based index, per transform). A crash is recovered
-    /// by resuming from the captured checkpoint, so the result — data and
-    /// translation-work statistics alike — is identical to the uncrashed
-    /// run.
-    pub fn translate_checkpointed(
-        &self,
-        db: &NetworkDb,
-        batch: usize,
-        crash: &mut dyn FnMut(usize) -> bool,
-    ) -> DbResult<NetworkDb> {
-        let mut d: Option<NetworkDb> = None;
-        for t in &self.transforms {
-            let src = d.as_ref().unwrap_or(db);
-            d = Some(
-                match crate::data::translate_batched(src, t, batch, crash)? {
-                    crate::data::BatchedOutcome::Complete(out) => out,
-                    crate::data::BatchedOutcome::Crashed(ckpt) => {
-                        crate::data::resume_translation(src, t, ckpt)?
-                    }
-                },
-            );
-        }
-        Ok(d.unwrap_or_else(|| db.clone()))
-    }
-
     /// The inverse sequence (reversed inverses), if every step has one.
     pub fn inverse(&self) -> Option<Restructuring> {
         let mut inv = Vec::with_capacity(self.transforms.len());

@@ -174,11 +174,6 @@ impl BufferMgr {
         self.fm.page_size()
     }
 
-    /// The file manager this pool reads and writes through.
-    pub fn file_mgr(&self) -> &Arc<FileMgr> {
-        &self.fm
-    }
-
     /// Number of frames currently pinned at least once.
     pub fn pinned(&self) -> usize {
         self.frames.iter().filter(|f| f.pins > 0).count()

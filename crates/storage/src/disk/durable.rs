@@ -213,6 +213,14 @@ impl DurableNetworkDb {
             &next_seqs,
         )
         .map_err(|e| DiskError::Corrupt(format!("heap recovery: {e}")))?;
+        // Heap pages reach disk only inside a checkpoint, and a torn first
+        // checkpoint was just rolled back: with no generation on record
+        // the heap must be empty. Records here mean the MANIFEST was lost.
+        if gen == 0 && db.record_count() > 0 {
+            return Err(DiskError::Corrupt(
+                "MANIFEST names no checkpoint but the heap holds records".to_string(),
+            ));
+        }
         // From here on, dirty heap pages must never reach disk outside a
         // checkpoint: the on-disk heap image *is* the last checkpoint.
         // This must precede WAL replay — replayed ops dirty pages too.
@@ -281,11 +289,6 @@ impl DurableNetworkDb {
     /// the number of *dirty* pages, not to database size.
     pub fn disk_ops(&self) -> u64 {
         self.fm.op_count()
-    }
-
-    /// LSN of the newest WAL record in the current generation.
-    pub fn wal_lsn(&self) -> Lsn {
-        self.log.last_lsn()
     }
 
     /// True once a failed commit flush has wedged the handle (reopen the

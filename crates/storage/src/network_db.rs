@@ -996,13 +996,34 @@ impl NetworkDb {
         fields: &[&str],
         key: &[Value],
     ) -> DbResult<Option<Vec<RecordId>>> {
-        if fields.is_empty() || fields.len() != key.len() {
+        if fields.len() != key.len() {
+            return Ok(None);
+        }
+        self.with_calc_index(rtype, fields, |index| {
+            let hit = index.get(&KeyTuple(key.to_vec()));
+            self.stats.probed(hit.is_some());
+            hit.map(|v| v.iter().map(|&i| RecordId(i)).collect())
+                .unwrap_or_default()
+        })
+    }
+
+    /// Run `f` over the calc-key index of `rtype` on `fields`, building it
+    /// from the store on first use. `Ok(None)` when the field list is not
+    /// indexable: empty, or naming an unknown or `VIRTUAL` field. Counts
+    /// no access; the caller decides whether its use is a probe.
+    fn with_calc_index<T>(
+        &self,
+        rtype: &str,
+        fields: &[&str],
+        f: impl FnOnce(&CalcIndex) -> T,
+    ) -> DbResult<Option<T>> {
+        if fields.is_empty() {
             return Ok(None);
         }
         let rt = self.record_type(rtype)?;
         let mut idxs = Vec::with_capacity(fields.len());
-        for f in fields {
-            match rt.field_index(f) {
+        for field in fields {
+            match rt.field_index(field) {
                 Some(i) if !rt.fields[i].is_virtual() => idxs.push(i),
                 _ => return Ok(None),
             }
@@ -1012,29 +1033,28 @@ impl NetworkDb {
             fields.iter().map(|f| f.to_string()).collect::<Vec<_>>(),
         );
         let mut indexes = self.calc_indexes.borrow_mut();
-        let index = indexes.entry(index_key).or_insert_with(|| {
-            let mut map: BTreeMap<KeyTuple, Vec<u64>> = BTreeMap::new();
-            for &id in self
-                .by_type
-                .get(rtype)
-                .map(Vec::as_slice)
-                .unwrap_or_default()
-            {
-                let Some(k) = self.with_rec(id, |rec| {
+        if let Some(index) = indexes.get(&index_key) {
+            return Ok(Some(f(index)));
+        }
+        let mut map = CalcIndex::new();
+        for &id in self
+            .by_type
+            .get(rtype)
+            .map(Vec::as_slice)
+            .unwrap_or_default()
+        {
+            let k = self
+                .with_rec(id, |rec| {
                     KeyTuple(idxs.iter().map(|&i| rec.values[i].clone()).collect())
-                }) else {
-                    panic!("by_type lists record #{id} missing from the store");
-                };
-                map.entry(k).or_default().push(id);
-            }
-            map
-        });
-        let hit = index.get(&KeyTuple(key.to_vec()));
-        self.stats.probed(hit.is_some());
-        Ok(Some(
-            hit.map(|v| v.iter().map(|&i| RecordId(i)).collect())
-                .unwrap_or_default(),
-        ))
+                })
+                .ok_or_else(|| {
+                    DbError::NotFound(format!(
+                        "record #{id}: listed under type {rtype} but missing from the store"
+                    ))
+                })?;
+            map.entry(k).or_default().push(id);
+        }
+        Ok(Some(f(indexes.entry(index_key).or_insert(map))))
     }
 
     /// Current record count of a type. Non-counting: a statistics read,
@@ -1050,40 +1070,7 @@ impl NetworkDb {
     /// this before deciding probe vs scan. `Ok(None)` mirrors
     /// `find_keyed`'s not-indexable cases (unknown or `VIRTUAL` fields).
     pub fn keyed_distinct(&self, rtype: &str, fields: &[&str]) -> DbResult<Option<u64>> {
-        if fields.is_empty() {
-            return Ok(None);
-        }
-        let rt = self.record_type(rtype)?;
-        let mut idxs = Vec::with_capacity(fields.len());
-        for f in fields {
-            match rt.field_index(f) {
-                Some(i) if !rt.fields[i].is_virtual() => idxs.push(i),
-                _ => return Ok(None),
-            }
-        }
-        let index_key = (
-            rtype.to_string(),
-            fields.iter().map(|f| f.to_string()).collect::<Vec<_>>(),
-        );
-        let mut indexes = self.calc_indexes.borrow_mut();
-        let index = indexes.entry(index_key).or_insert_with(|| {
-            let mut map: BTreeMap<KeyTuple, Vec<u64>> = BTreeMap::new();
-            for &id in self
-                .by_type
-                .get(rtype)
-                .map(Vec::as_slice)
-                .unwrap_or_default()
-            {
-                let Some(k) = self.with_rec(id, |rec| {
-                    KeyTuple(idxs.iter().map(|&i| rec.values[i].clone()).collect())
-                }) else {
-                    panic!("by_type lists record #{id} missing from the store");
-                };
-                map.entry(k).or_default().push(id);
-            }
-            map
-        });
-        Ok(Some(index.len() as u64))
+        self.with_calc_index(rtype, fields, |index| index.len() as u64)
     }
 
     /// `(occurrences with members, total member links)` of a set — the
@@ -2269,6 +2256,57 @@ mod tests {
                 .unwrap(),
             None
         );
+    }
+
+    /// The planner's `keyed_distinct` builds the same lazy index a keyed
+    /// FIND uses but never counts an access; only `find_keyed` probes.
+    #[test]
+    fn keyed_distinct_shares_the_calc_index_and_counts_no_probe() {
+        let (mut db, mach, _) = company_db();
+        for (name, dept) in [("JONES", "SALES"), ("SMITH", "MFG"), ("ADAMS", "SALES")] {
+            db.store(
+                "EMP",
+                &[
+                    ("EMP-NAME", Value::str(name)),
+                    ("DEPT-NAME", Value::str(dept)),
+                ],
+                &[("DIV-EMP", mach)],
+            )
+            .unwrap();
+        }
+        let cold = db.access_stats().snapshot();
+        assert_eq!(db.keyed_distinct("EMP", &["DEPT-NAME"]).unwrap(), Some(2));
+        assert_eq!(db.access_stats().snapshot(), cold, "cold build counted");
+        let sales = db
+            .find_keyed("EMP", &["DEPT-NAME"], &[Value::str("SALES")])
+            .unwrap()
+            .expect("stored field is indexable");
+        assert_eq!(sales.len(), 2);
+        let probed = db.access_stats().snapshot();
+        assert_eq!(probed.index_probes, cold.index_probes + 1);
+        assert_eq!(probed.index_hits, cold.index_hits + 1);
+        assert_eq!(db.keyed_distinct("EMP", &["DEPT-NAME"]).unwrap(), Some(2));
+        assert_eq!(db.access_stats().snapshot(), probed, "warm read counted");
+        assert_eq!(db.keyed_distinct("EMP", &["DIV-NAME"]).unwrap(), None);
+        assert_eq!(db.keyed_distinct("EMP", &[]).unwrap(), None);
+    }
+
+    /// A type list naming a record the store lost is a typed error, not a
+    /// panic, when the calc index is first built over it.
+    #[test]
+    fn calc_index_build_over_a_lost_record_is_a_typed_error() {
+        let (mut db, _, _) = company_db();
+        let lost = db.records_of_type("DIV")[0];
+        let Backend::Mem(m) = &mut db.records else {
+            panic!("company_db is in memory");
+        };
+        m.remove(&lost.0);
+        let err = db.keyed_distinct("DIV", &["DIV-NAME"]).unwrap_err();
+        assert!(matches!(err, DbError::NotFound(_)), "{err}");
+        let err = db
+            .find_keyed("DIV", &["DIV-NAME"], &[Value::str("MACHINERY")])
+            .unwrap_err();
+        assert!(matches!(err, DbError::NotFound(_)), "{err}");
     }
 
     #[test]

@@ -270,18 +270,6 @@ impl RelationalDb {
         Ok(())
     }
 
-    /// Names of the indexed column sets of a table (index-key order).
-    pub fn index_column_sets(&self, table: &str) -> DbResult<Vec<Vec<String>>> {
-        Ok(self
-            .tables
-            .get(table)
-            .ok_or_else(|| DbError::unknown("table", table))?
-            .indexes
-            .iter()
-            .map(|ix| ix.cols.clone())
-            .collect())
-    }
-
     fn table_def(&self, name: &str) -> DbResult<&TableDef> {
         self.schema
             .table(name)
@@ -296,18 +284,6 @@ impl RelationalDb {
             .ok_or_else(|| DbError::unknown("table", table))?
             .rows
             .len())
-    }
-
-    /// Row ids of a table in insertion order.
-    pub fn row_ids(&self, table: &str) -> DbResult<Vec<RowId>> {
-        Ok(self
-            .tables
-            .get(table)
-            .ok_or_else(|| DbError::unknown("table", table))?
-            .rows
-            .keys()
-            .map(|&k| RowId(k))
-            .collect())
     }
 
     /// Fetch one row.

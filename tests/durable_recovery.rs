@@ -1,8 +1,8 @@
 //! Experiment E20: restart-across-process crash recovery.
 //!
-//! E16 proved crash recovery *within* one process — a checkpoint resumed
-//! by the same address space that took it. This matrix removes that
-//! comfort: a child process (`src/bin/durability_crash.rs`) is killed
+//! `tests/translation_recovery.rs` recovers a crashed translation inside
+//! the process that crashed it. This matrix removes that comfort: a
+//! child process (`src/bin/durability_crash.rs`) is killed
 //! for real (`exit(9)`, no unwinding, no destructors) at every commit
 //! boundary of a churn workload and at every WAL batch boundary of a
 //! mid-flight translation, and a *fresh* process must recover engine and
@@ -16,7 +16,7 @@ use dbpc::corpus::named;
 use dbpc::datamodel::value::Value;
 use dbpc::obs::metrics::{local_snapshot, MetricsRegistry};
 use dbpc::obs::RunReport;
-use dbpc::restructure::translate_batched;
+use dbpc::restructure::{translate_durable, DurableTranslationOptions};
 use dbpc::storage::{pool, DurableNetworkDb, DurableOptions, StatCatalog, SyncPolicy, TempDir};
 use std::path::Path;
 use std::process::{Command, Output};
@@ -120,18 +120,26 @@ fn engine_killed_at_every_commit_recovers_the_committed_prefix() {
 /// boundaries a batch-3 run consults (= the kill points to cover).
 fn translation_reference() -> (u64, u64, usize) {
     let src = named::company_db(4, 3, 8);
-    let transform = named::fig_4_4_restructuring().transforms[0].clone();
-    let mut boundaries = 0usize;
-    let out = match translate_batched(&src, &transform, 3, &mut |_| {
-        boundaries += 1;
-        false
-    })
-    .unwrap()
-    {
-        dbpc::restructure::BatchedOutcome::Complete(out) => out,
-        dbpc::restructure::BatchedOutcome::Crashed(_) => unreachable!("never-crash plan crashed"),
-    };
+    let restructuring = named::fig_4_4_restructuring();
+    let out = restructuring.translate(&src).unwrap();
     out.check_access_structures().unwrap();
+    let dir = TempDir::new("e20-xlate-count").unwrap();
+    let opts = DurableTranslationOptions {
+        batch: 3,
+        ..DurableTranslationOptions::default()
+    };
+    let mut boundaries = 0usize;
+    translate_durable(
+        &src,
+        &restructuring.transforms[0],
+        dir.path(),
+        &opts,
+        &mut |_| {
+            boundaries += 1;
+            false
+        },
+    )
+    .unwrap();
     (
         out.fingerprint(),
         StatCatalog::of_network(&out).fingerprint(),

@@ -17,8 +17,8 @@ use dbpc::datamodel::network::FieldDef;
 use dbpc::datamodel::relational::{ColumnDef, RelationalSchema, TableDef};
 use dbpc::datamodel::types::FieldType;
 use dbpc::datamodel::value::Value;
-use dbpc::restructure::{resume_translation, translate_batched, BatchedOutcome};
-use dbpc::storage::{HierDb, RelationalDb, StatCatalog, SYSTEM_OWNER};
+use dbpc::restructure::{translate_durable, DurableOutcome, DurableTranslationOptions};
+use dbpc::storage::{HierDb, RelationalDb, StatCatalog, TempDir, SYSTEM_OWNER};
 
 fn rel_db() -> RelationalDb {
     let schema = RelationalSchema::new("S").with_table(
@@ -195,18 +195,21 @@ fn crash_resumed_translation_yields_identical_catalog() {
     let source = named::company_db(4, 3, 8);
     let restructuring = named::fig_4_4_restructuring();
     let transform = &restructuring.transforms[0];
-
-    let one_shot = match translate_batched(&source, transform, 3, &mut |_| false).unwrap() {
-        BatchedOutcome::Complete(out) => out,
-        BatchedOutcome::Crashed(_) => unreachable!("never-crash plan crashed"),
+    let opts = DurableTranslationOptions {
+        batch: 3,
+        ..DurableTranslationOptions::default()
     };
+
+    let one_shot = restructuring.translate(&source).unwrap();
     let reference = StatCatalog::of_network(&one_shot);
     assert!(reference.total_records() > 0);
 
-    // Crash at every boundary; the resumed run's catalog must match.
+    // Crash a durable translation at every boundary; the catalog of the
+    // run that recovers from its log must match.
     let boundaries = {
+        let dir = TempDir::new("catalog-count").unwrap();
         let mut n = 0;
-        let _ = translate_batched(&source, transform, 3, &mut |_| {
+        translate_durable(&source, transform, dir.path(), &opts, &mut |_| {
             n += 1;
             false
         })
@@ -214,12 +217,21 @@ fn crash_resumed_translation_yields_identical_catalog() {
         n
     };
     for crash_at in 0..boundaries {
-        let ckpt = match translate_batched(&source, transform, 3, &mut |b| b == crash_at).unwrap() {
-            BatchedOutcome::Crashed(ckpt) => ckpt,
-            BatchedOutcome::Complete(_) => unreachable!("crash plan never fired"),
+        let dir = TempDir::new(&format!("catalog-crash-{crash_at}")).unwrap();
+        let crashed = translate_durable(&source, transform, dir.path(), &opts, &mut |b| {
+            b == crash_at
+        })
+        .unwrap();
+        assert!(
+            matches!(crashed, DurableOutcome::Crashed { .. }),
+            "crash plan never fired"
+        );
+        let DurableOutcome::Complete { out, .. } =
+            translate_durable(&source, transform, dir.path(), &opts, &mut |_| false).unwrap()
+        else {
+            unreachable!("recovery crashed without a crash plan")
         };
-        let resumed = resume_translation(&source, transform, ckpt).unwrap();
-        let catalog = StatCatalog::of_network(&resumed);
+        let catalog = StatCatalog::of_network(out.engine());
         assert_eq!(
             reference, catalog,
             "catalog diverged when crashed at boundary {crash_at}"
