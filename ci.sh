@@ -54,6 +54,9 @@ cargo test -q --workspace
 echo "==> cargo test -q --release -p dbpc-storage"
 cargo test -q --release -p dbpc-storage
 
+echo "==> bench smoke (access paths)"
+DBPC_BENCH_SMOKE=1 cargo bench -p dbpc-bench --bench access_paths
+
 echo "==> bench smoke (conversion throughput)"
 DBPC_BENCH_SMOKE=1 cargo bench -p dbpc-bench --bench conversion_throughput
 

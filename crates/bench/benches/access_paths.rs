@@ -8,9 +8,13 @@
 //! wall-clock: the paper's §1.1 equivalence criterion leaves the access
 //! path free, and the counters prove the cheaper path actually engaged
 //! while the traces stayed byte-identical.
+//!
+//! Smoke mode (`DBPC_BENCH_SMOKE=1`): every assertion active, no artifact
+//! written — the CI guard.
 
-use std::fmt::Write as _;
 use std::time::Instant;
+
+use dbpc_bench::artifact;
 
 use dbpc_datamodel::hierarchical::{HierSchema, SegmentDef};
 use dbpc_datamodel::network::FieldDef;
@@ -22,7 +26,8 @@ use dbpc_dml::sequel::parse_sequel_program;
 use dbpc_engine::dli_exec::run_dli;
 use dbpc_engine::sequel_exec::run_sequel;
 use dbpc_engine::Inputs;
-use dbpc_storage::{HierDb, RelationalDb};
+use dbpc_obs::json::Json;
+use dbpc_storage::{AccessProfile, HierDb, RelationalDb};
 
 const ROWS: i64 = 2000;
 const CLASSES: i64 = 10;
@@ -185,56 +190,55 @@ END PROGRAM.",
     );
 
     // ---- Emit artifact ----------------------------------------------------
-    let mut json = String::new();
-    let w = &mut json;
-    writeln!(w, "{{").unwrap();
-    writeln!(w, "  \"bench\": \"access_paths\",").unwrap();
-    writeln!(w, "  \"select\": {{").unwrap();
-    writeln!(w, "    \"table_rows\": {ROWS},").unwrap();
-    writeln!(w, "    \"matching_rows\": {matches},").unwrap();
-    writeln!(
-        w,
-        "    \"scan\": {{ \"rows_scanned\": {}, \"index_probes\": {}, \"index_hits\": {}, \"median_ns\": {} }},",
-        scan_trace.access.rows_scanned,
-        scan_trace.access.index_probes,
-        scan_trace.access.index_hits,
-        scan_ns
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "    \"indexed\": {{ \"rows_scanned\": {}, \"index_probes\": {}, \"index_hits\": {}, \"median_ns\": {} }},",
-        ix_trace.access.rows_scanned,
-        ix_trace.access.index_probes,
-        ix_trace.access.index_hits,
-        ix_ns
-    )
-    .unwrap();
-    writeln!(w, "    \"identical_traces\": true").unwrap();
-    writeln!(w, "  }},").unwrap();
-    writeln!(w, "  \"dli_gn\": {{").unwrap();
-    writeln!(w, "    \"segments\": {},", divs * (emps + 1)).unwrap();
-    writeln!(
-        w,
-        "    \"full_traversal\": {{ \"gn_calls\": {}, \"preorder_rebuilds\": {}, \"median_ns\": {} }},",
-        divs * emps + 1,
-        walk_trace.access.preorder_rebuilds,
-        walk_ns
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "    \"mutating_traversal\": {{ \"mutations\": {}, \"preorder_rebuilds\": {}, \"bound\": {} }}",
-        mutations,
-        mix_trace.access.preorder_rebuilds,
-        mutations + 1
-    )
-    .unwrap();
-    writeln!(w, "  }}").unwrap();
-    writeln!(w, "}}").unwrap();
-
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_access_paths.json");
-    std::fs::write(out, &json).unwrap();
-    println!("{json}");
-    println!("wrote {out}");
+    let counters = |a: &AccessProfile, ns: u128| {
+        Json::obj([
+            ("rows_scanned", a.rows_scanned.into()),
+            ("index_probes", a.index_probes.into()),
+            ("index_hits", a.index_hits.into()),
+            ("median_ns", ns.into()),
+        ])
+    };
+    artifact::emit(
+        "access_paths",
+        Json::obj([
+            (
+                "select",
+                Json::obj([
+                    ("table_rows", ROWS.into()),
+                    ("matching_rows", matches.into()),
+                    ("scan", counters(&scan_trace.access, scan_ns)),
+                    ("indexed", counters(&ix_trace.access, ix_ns)),
+                    ("identical_traces", true.into()),
+                ]),
+            ),
+            (
+                "dli_gn",
+                Json::obj([
+                    ("segments", (divs * (emps + 1)).into()),
+                    (
+                        "full_traversal",
+                        Json::obj([
+                            ("gn_calls", (divs * emps + 1).into()),
+                            (
+                                "preorder_rebuilds",
+                                walk_trace.access.preorder_rebuilds.into(),
+                            ),
+                            ("median_ns", walk_ns.into()),
+                        ]),
+                    ),
+                    (
+                        "mutating_traversal",
+                        Json::obj([
+                            ("mutations", mutations.into()),
+                            (
+                                "preorder_rebuilds",
+                                mix_trace.access.preorder_rebuilds.into(),
+                            ),
+                            ("bound", (mutations + 1).into()),
+                        ]),
+                    ),
+                ]),
+            ),
+        ]),
+    );
 }

@@ -11,21 +11,22 @@
 //! database builds vs. clones) that explain them.
 //!
 //! Thread-scaling configurations engage real parallelism only where the
-//! host has cores to offer; `host_parallelism` is recorded in the emitted
-//! `BENCH_conversion_throughput.json` so readers can interpret the
+//! host has cores to offer; the artifact header's `host_threads` in the
+//! emitted `BENCH_conversion_throughput.json` lets readers interpret the
 //! per-thread numbers.
 //!
 //! Smoke mode (`DBPC_BENCH_SMOKE=1`): one tiny iteration of everything,
 //! all invariant assertions active, no artifact written — the CI guard.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use dbpc_bench::artifact;
 use dbpc_corpus::harness::{
     cost_model, success_rate_study_config, CostParams, StudyConfig, StudyProfile,
 };
 use dbpc_corpus::named::company_db;
+use dbpc_obs::json::Json;
 use dbpc_restructure::data::translate;
 use dbpc_restructure::{stats as translation_stats, Transform};
 use dbpc_storage::{NetworkDb, RecordId, SYSTEM_OWNER};
@@ -100,10 +101,8 @@ struct MatrixRun {
 }
 
 fn main() {
-    let smoke = std::env::var("DBPC_BENCH_SMOKE").is_ok_and(|v| v == "1");
-    let (samples, iters) = if smoke { (1, 1) } else { (3, 5) };
+    let (samples, iters) = if artifact::smoke() { (1, 1) } else { (3, 5) };
     let seed = 1979u64;
-    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // ---- E2 matrix: seed pipeline vs. tuned pipeline at 1/2/4 threads -----
     let configs: [(&'static str, StudyConfig); 4] = [
@@ -262,107 +261,85 @@ fn main() {
     });
 
     // ---- Emit artifact ----------------------------------------------------
-    let speedup = |a: u128, b: u128| a as f64 / b.max(1) as f64;
-    let mut json = String::new();
-    let w = &mut json;
-    writeln!(w, "{{").unwrap();
-    writeln!(w, "  \"bench\": \"conversion_throughput\",").unwrap();
-    writeln!(w, "  \"host_parallelism\": {host_parallelism},").unwrap();
-    writeln!(w, "  \"smoke\": {smoke},").unwrap();
-    writeln!(w, "  \"e2_matrix\": {{").unwrap();
-    writeln!(w, "    \"samples_per_cell\": {samples},").unwrap();
-    writeln!(w, "    \"seed\": {seed},").unwrap();
-    writeln!(w, "    \"cells\": {},", runs[0].profile.cells_done).unwrap();
-    writeln!(
-        w,
-        "    \"programs\": {},",
-        runs[0].profile.programs_generated
-    )
-    .unwrap();
-    writeln!(w, "    \"identical_output\": true,").unwrap();
-    for run in &runs {
-        writeln!(
-            w,
-            "    \"{}\": {{ \"threads\": {}, \"best_ns\": {}, \"speedup_vs_seed\": {:.2}, \
-             \"analysis_cache_hits\": {}, \"analysis_cache_misses\": {}, \
-             \"generation_cache_hits\": {}, \
-             \"source_trace_hits\": {}, \"source_trace_misses\": {}, \
-             \"db_builds\": {}, \"db_clones\": {}, \"db_shared_runs\": {} }},",
-            run.label,
-            run.threads,
-            run.best_ns,
-            speedup(seed_ns, run.best_ns),
-            run.profile.analysis_cache_hits,
-            run.profile.analysis_cache_misses,
-            run.profile.generation_cache_hits,
-            run.profile.source_trace_hits,
-            run.profile.source_trace_misses,
-            run.profile.db_builds,
-            run.profile.db_clones,
-            run.profile.db_shared_runs
-        )
-        .unwrap();
-    }
-    writeln!(
-        w,
-        "    \"stage_ns_seed\": {{ \"generate\": {}, \"convert\": {}, \"verify\": {} }},",
-        runs[0].profile.generate_ns, runs[0].profile.convert_ns, runs[0].profile.verify_ns
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "    \"stage_ns_tuned\": {{ \"generate\": {}, \"convert\": {}, \"verify\": {} }}",
-        runs[1].profile.generate_ns, runs[1].profile.convert_ns, runs[1].profile.verify_ns
-    )
-    .unwrap();
-    writeln!(w, "  }},").unwrap();
-    writeln!(w, "  \"e9_cost_model\": {{").unwrap();
-    writeln!(w, "    \"identical_output\": true,").unwrap();
-    writeln!(w, "    \"seed_best_ns\": {cost_base_ns},").unwrap();
-    writeln!(w, "    \"tuned_best_ns\": {cost_tuned_ns},").unwrap();
-    writeln!(
-        w,
-        "    \"speedup\": {:.2}",
-        speedup(cost_base_ns, cost_tuned_ns)
-    )
-    .unwrap();
-    writeln!(w, "  }},").unwrap();
-    writeln!(w, "  \"translation_clone_audit\": {{").unwrap();
-    writeln!(w, "    \"record_types\": 2,").unwrap();
-    for (name, (records, work)) in ["small", "large"].iter().zip(&audits) {
-        writeln!(
-            w,
-            "    \"{name}\": {{ \"records\": {records}, \"schema_clones\": {}, \
-             \"record_type_preps\": {}, \"records_stored\": {} }},",
-            work.schema_clones, work.record_type_preps, work.records_stored
-        )
-        .unwrap();
-    }
-    writeln!(w, "    \"cloning_rebuild_best_ns\": {cloning_ns},").unwrap();
-    writeln!(w, "    \"borrowed_translate_best_ns\": {borrowed_ns},").unwrap();
-    writeln!(
-        w,
-        "    \"speedup\": {:.2}",
-        speedup(cloning_ns, borrowed_ns)
-    )
-    .unwrap();
-    writeln!(w, "  }},").unwrap();
-    writeln!(w, "  \"db_reuse\": {{").unwrap();
-    writeln!(w, "    \"build_best_ns\": {build_ns},").unwrap();
-    writeln!(w, "    \"clone_best_ns\": {clone_ns},").unwrap();
-    writeln!(w, "    \"speedup\": {:.2}", speedup(build_ns, clone_ns)).unwrap();
-    writeln!(w, "  }}").unwrap();
-    writeln!(w, "}}").unwrap();
-
-    println!("{json}");
-    if smoke {
-        println!("smoke mode: artifact not written");
-    } else {
-        let out = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_conversion_throughput.json"
-        );
-        std::fs::write(out, &json).unwrap();
-        println!("wrote {out}");
-    }
+    let speedup = |a: u128, b: u128| Json::from(a as f64 / b.max(1) as f64);
+    let run_json = |run: &MatrixRun| {
+        let p = &run.profile;
+        Json::obj([
+            ("threads", Json::from(run.threads)),
+            ("best_ns", run.best_ns.into()),
+            ("speedup_vs_seed", speedup(seed_ns, run.best_ns)),
+            ("analysis_cache_hits", p.analysis_cache_hits.into()),
+            ("analysis_cache_misses", p.analysis_cache_misses.into()),
+            ("generation_cache_hits", p.generation_cache_hits.into()),
+            ("source_trace_hits", p.source_trace_hits.into()),
+            ("source_trace_misses", p.source_trace_misses.into()),
+            ("db_builds", p.db_builds.into()),
+            ("db_clones", p.db_clones.into()),
+            ("db_shared_runs", p.db_shared_runs.into()),
+        ])
+    };
+    let stage_ns = |p: &StudyProfile| {
+        Json::obj([
+            ("generate", Json::from(p.generate_ns)),
+            ("convert", p.convert_ns.into()),
+            ("verify", p.verify_ns.into()),
+        ])
+    };
+    let e2_matrix = [
+        ("samples_per_cell", Json::from(samples)),
+        ("seed", seed.into()),
+        ("cells", runs[0].profile.cells_done.into()),
+        ("programs", runs[0].profile.programs_generated.into()),
+        ("identical_output", true.into()),
+    ]
+    .into_iter()
+    .chain(runs.iter().map(|run| (run.label, run_json(run))))
+    .chain([
+        ("stage_ns_seed", stage_ns(&runs[0].profile)),
+        ("stage_ns_tuned", stage_ns(&runs[1].profile)),
+    ]);
+    let audit = ["small", "large"]
+        .into_iter()
+        .zip(&audits)
+        .map(|(name, (records, work))| {
+            let audit = Json::obj([
+                ("records", Json::from(*records)),
+                ("schema_clones", work.schema_clones.into()),
+                ("record_type_preps", work.record_type_preps.into()),
+                ("records_stored", work.records_stored.into()),
+            ]);
+            (name, audit)
+        });
+    let clone_audit = [("record_types", Json::from(2))]
+        .into_iter()
+        .chain(audit)
+        .chain([
+            ("cloning_rebuild_best_ns", cloning_ns.into()),
+            ("borrowed_translate_best_ns", borrowed_ns.into()),
+            ("speedup", speedup(cloning_ns, borrowed_ns)),
+        ]);
+    artifact::emit(
+        "conversion_throughput",
+        Json::obj([
+            ("e2_matrix", Json::obj(e2_matrix)),
+            (
+                "e9_cost_model",
+                Json::obj([
+                    ("identical_output", Json::from(true)),
+                    ("seed_best_ns", cost_base_ns.into()),
+                    ("tuned_best_ns", cost_tuned_ns.into()),
+                    ("speedup", speedup(cost_base_ns, cost_tuned_ns)),
+                ]),
+            ),
+            ("translation_clone_audit", Json::obj(clone_audit)),
+            (
+                "db_reuse",
+                Json::obj([
+                    ("build_best_ns", Json::from(build_ns)),
+                    ("clone_best_ns", clone_ns.into()),
+                    ("speedup", speedup(build_ns, clone_ns)),
+                ]),
+            ),
+        ]),
+    );
 }

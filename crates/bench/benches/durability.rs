@@ -39,11 +39,12 @@
 //! Smoke mode (`DBPC_BENCH_SMOKE=1`): tiny workload, one timed
 //! iteration, all correctness assertions active, no artifact written.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use dbpc_bench::artifact;
 use dbpc_corpus::named;
 use dbpc_datamodel::value::Value;
+use dbpc_obs::json::Json;
 use dbpc_obs::metrics::{local_snapshot, MetricsFrame};
 use dbpc_restructure::{translate_durable, DurableOutcome, DurableTranslationOptions};
 use dbpc_storage::disk::{
@@ -162,13 +163,13 @@ fn io_counters() -> Vec<&'static str> {
     ]
 }
 
-fn write_counters(w: &mut String, key: &str, counts: &[(String, u64)], trailing_comma: bool) {
-    writeln!(w, "  \"{key}\": {{").unwrap();
-    for (i, (name, v)) in counts.iter().enumerate() {
-        let comma = if i + 1 == counts.len() { "" } else { "," };
-        writeln!(w, "    \"{name}\": {v}{comma}").unwrap();
-    }
-    writeln!(w, "  }}{}", if trailing_comma { "," } else { "" }).unwrap();
+/// The counter deltas as one artifact object.
+fn counters(counts: &[(String, u64)]) -> Json {
+    Json::obj(
+        counts
+            .iter()
+            .map(|(name, v)| (name.as_str(), Json::from(*v))),
+    )
 }
 
 fn durable_opts(sync: SyncPolicy) -> DurableOptions {
@@ -179,7 +180,7 @@ fn durable_opts(sync: SyncPolicy) -> DurableOptions {
 }
 
 fn main() {
-    let smoke = std::env::var("DBPC_BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = artifact::smoke();
     let (rounds, iters, xlate_scale, batch) = if smoke {
         (6usize, 1usize, (4, 3, 8), 3usize)
     } else {
@@ -374,52 +375,43 @@ fn main() {
     let recovery_vs_retranslate = recover_ns as f64 / retranslate_ns.max(1) as f64;
 
     // ---- Emit artifact ----------------------------------------------------
-    let mut json = String::new();
-    let w = &mut json;
-    writeln!(w, "{{").unwrap();
-    writeln!(w, "  \"bench\": \"durability\",").unwrap();
-    writeln!(w, "  \"smoke\": {smoke},").unwrap();
-    writeln!(w, "  \"churn\": {{").unwrap();
-    writeln!(w, "    \"rounds\": {rounds},").unwrap();
-    writeln!(w, "    \"in_memory_ns\": {mem_ns},").unwrap();
-    writeln!(w, "    \"wal_os_ns\": {os_ns},").unwrap();
-    writeln!(w, "    \"wal_fsync_ns\": {data_ns},").unwrap();
-    writeln!(w, "    \"wal_on_overhead_pct\": {wal_on_overhead_pct:.2},").unwrap();
-    writeln!(w, "    \"gate_pct\": 25.0,").unwrap();
-    writeln!(w, "    \"fsync_overhead_pct\": {fsync_overhead_pct:.2},").unwrap();
-    writeln!(
-        w,
-        "    \"fsync_floor_us_per_commit\": {fsync_floor_us_per_commit:.1},"
-    )
-    .unwrap();
-    writeln!(w, "    \"gate_one_sync_per_commit\": true,").unwrap();
-    writeln!(w, "    \"reopen_recovers_fingerprint\": true").unwrap();
-    writeln!(w, "  }},").unwrap();
-    write_counters(w, "churn_os_io", &os_io, true);
-    write_counters(w, "churn_data_io", &data_io, true);
-    writeln!(w, "  \"translation\": {{").unwrap();
-    writeln!(w, "    \"batch\": {batch},").unwrap();
-    writeln!(w, "    \"boundaries\": {boundaries},").unwrap();
-    writeln!(w, "    \"crash_at\": {midpoint},").unwrap();
-    writeln!(w, "    \"batches_replayed\": {replayed},").unwrap();
-    writeln!(w, "    \"recover_ns\": {recover_ns},").unwrap();
-    writeln!(w, "    \"retranslate_ns\": {retranslate_ns},").unwrap();
-    writeln!(
-        w,
-        "    \"recovery_vs_retranslate\": {recovery_vs_retranslate:.2},"
-    )
-    .unwrap();
-    writeln!(w, "    \"recovery_identical\": true").unwrap();
-    writeln!(w, "  }},").unwrap();
-    write_counters(w, "recovery_io", &recover_io, false);
-    writeln!(w, "}}").unwrap();
-
-    println!("{json}");
-    if smoke {
-        println!("smoke mode: artifact not written");
-    } else {
-        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_durability.json");
-        std::fs::write(out, &json).unwrap();
-        println!("wrote {out}");
-    }
+    artifact::emit(
+        "durability",
+        Json::obj([
+            (
+                "churn",
+                Json::obj([
+                    ("rounds", rounds.into()),
+                    ("in_memory_ns", mem_ns.into()),
+                    ("wal_os_ns", os_ns.into()),
+                    ("wal_fsync_ns", data_ns.into()),
+                    ("wal_on_overhead_pct", wal_on_overhead_pct.into()),
+                    ("gate_pct", 25.0.into()),
+                    ("fsync_overhead_pct", fsync_overhead_pct.into()),
+                    (
+                        "fsync_floor_us_per_commit",
+                        fsync_floor_us_per_commit.into(),
+                    ),
+                    ("gate_one_sync_per_commit", true.into()),
+                    ("reopen_recovers_fingerprint", true.into()),
+                ]),
+            ),
+            ("churn_os_io", counters(&os_io)),
+            ("churn_data_io", counters(&data_io)),
+            (
+                "translation",
+                Json::obj([
+                    ("batch", batch.into()),
+                    ("boundaries", boundaries.into()),
+                    ("crash_at", midpoint.into()),
+                    ("batches_replayed", replayed.into()),
+                    ("recover_ns", recover_ns.into()),
+                    ("retranslate_ns", retranslate_ns.into()),
+                    ("recovery_vs_retranslate", recovery_vs_retranslate.into()),
+                    ("recovery_identical", true.into()),
+                ]),
+            ),
+            ("recovery_io", counters(&recover_io)),
+        ]),
+    );
 }

@@ -24,12 +24,13 @@
 //! Smoke mode (`DBPC_BENCH_SMOKE=1`): one sample per cell, one timed
 //! iteration, all assertions active, no artifact written — the CI guard.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use dbpc_bench::artifact;
 use dbpc_convert::{ConversionReport, FaultPlan, Rung, Verdict, LADDER};
 use dbpc_corpus::harness::{ladder_reports, success_rate_study_config, StudyConfig};
 use dbpc_datamodel::error::PipelineError;
+use dbpc_obs::json::Json;
 
 /// Did an *injected* fault (as opposed to a genuine pipeline failure)
 /// contribute to this report's descent?
@@ -49,8 +50,7 @@ struct FaultRun {
 }
 
 fn main() {
-    let smoke = std::env::var("DBPC_BENCH_SMOKE").is_ok_and(|v| v == "1");
-    let (samples, iters) = if smoke { (1, 1) } else { (2, 3) };
+    let (samples, iters) = if artifact::smoke() { (1, 1) } else { (2, 3) };
     let seed = 1979u64;
     let fault_seed = 0xFA17u64;
 
@@ -124,62 +124,39 @@ fn main() {
 
     // ---- Emit artifact ----------------------------------------------------
     let total = clean.len();
-    let mut json = String::new();
-    let w = &mut json;
-    writeln!(w, "{{").unwrap();
-    writeln!(w, "  \"bench\": \"fault_tolerance\",").unwrap();
-    writeln!(w, "  \"smoke\": {smoke},").unwrap();
-    writeln!(w, "  \"samples_per_cell\": {samples},").unwrap();
-    writeln!(w, "  \"seed\": {seed},").unwrap();
-    writeln!(w, "  \"fault_seed\": {fault_seed},").unwrap();
-    writeln!(w, "  \"programs\": {total},").unwrap();
-    writeln!(w, "  \"idle_plan_identical_to_seed\": true,").unwrap();
-    writeln!(w, "  \"non_faulted_reports_identical\": true,").unwrap();
-    for (i, run) in runs.iter().enumerate() {
+    let run_json = |run: &FaultRun| {
+        let count = |keep: &dyn Fn(&ConversionReport) -> bool| {
+            Json::from(run.reports.iter().filter(|r| keep(r)).count())
+        };
         let survived = run.reports.iter().filter(|r| r.succeeded()).count();
-        let poisoned = run
-            .reports
-            .iter()
-            .filter(|r| r.verdict == Verdict::Poisoned)
-            .count();
-        let faulted = run.reports.iter().filter(|r| was_faulted(r)).count();
-        let programs_per_sec = total as f64 / (run.best_ns.max(1) as f64 / 1e9);
-        writeln!(w, "  \"{}\": {{", run.label).unwrap();
-        writeln!(w, "    \"fault_probability\": {},", run.probability).unwrap();
-        writeln!(w, "    \"best_ns\": {},", run.best_ns).unwrap();
-        writeln!(w, "    \"programs_per_sec\": {programs_per_sec:.2},").unwrap();
-        writeln!(
-            w,
-            "    \"survival_rate\": {:.4},",
-            survived as f64 / total as f64
-        )
-        .unwrap();
-        writeln!(w, "    \"programs_faulted\": {faulted},").unwrap();
-        writeln!(w, "    \"poisoned\": {poisoned},").unwrap();
-        writeln!(w, "    \"rung_distribution\": {{").unwrap();
-        let rungs: Vec<String> = LADDER
+        let rungs = LADDER
             .iter()
             .chain(std::iter::once(&Rung::Manual))
-            .map(|rung| {
-                let n = run.reports.iter().filter(|r| r.rung == *rung).count();
-                format!("      \"{rung}\": {n}")
-            })
-            .collect();
-        writeln!(w, "{}", rungs.join(",\n")).unwrap();
-        writeln!(w, "    }}").unwrap();
-        writeln!(w, "  }}{}", if i + 1 < runs.len() { "," } else { "" }).unwrap();
-    }
-    writeln!(w, "}}").unwrap();
-
-    println!("{json}");
-    if smoke {
-        println!("smoke mode: artifact not written");
-    } else {
-        let out = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_fault_tolerance.json"
-        );
-        std::fs::write(out, &json).unwrap();
-        println!("wrote {out}");
-    }
+            .map(|rung| (rung.to_string(), count(&|r| r.rung == *rung)));
+        Json::obj([
+            ("fault_probability", run.probability.into()),
+            ("best_ns", run.best_ns.into()),
+            (
+                "programs_per_sec",
+                (total as f64 / (run.best_ns.max(1) as f64 / 1e9)).into(),
+            ),
+            ("survival_rate", (survived as f64 / total as f64).into()),
+            ("programs_faulted", count(&was_faulted)),
+            ("poisoned", count(&|r| r.verdict == Verdict::Poisoned)),
+            ("rung_distribution", Json::obj(rungs)),
+        ])
+    };
+    let summary = [
+        ("samples_per_cell", Json::from(samples)),
+        ("seed", seed.into()),
+        ("fault_seed", fault_seed.into()),
+        ("programs", total.into()),
+        ("idle_plan_identical_to_seed", true.into()),
+        ("non_faulted_reports_identical", true.into()),
+    ];
+    let runs_json = runs.iter().map(|run| (run.label, run_json(run)));
+    artifact::emit(
+        "fault_tolerance",
+        Json::obj(summary.into_iter().chain(runs_json)),
+    );
 }

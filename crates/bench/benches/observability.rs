@@ -23,15 +23,16 @@
 //! and census assertions active, no artifact written and no premium gate
 //! (a single pair's wall clock is noise).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use dbpc_bench::artifact;
 use dbpc_corpus::harness::{success_rate_study_config, StudyConfig};
+use dbpc_obs::json::Json;
 
 const PREMIUM_BUDGET: f64 = 0.05;
 
 fn main() {
-    let smoke = std::env::var("DBPC_BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = artifact::smoke();
     let (samples, pairs, rounds) = if smoke { (1, 1, 1) } else { (4, 25, 3) };
     let seed = 1979u64;
     let config = StudyConfig {
@@ -109,37 +110,19 @@ fn main() {
         );
     }
 
-    let mut json = String::new();
-    let w = &mut json;
-    writeln!(w, "{{").unwrap();
-    writeln!(w, "  \"bench\": \"observability\",").unwrap();
-    writeln!(w, "  \"smoke\": {smoke},").unwrap();
-    writeln!(w, "  \"samples_per_cell\": {samples},").unwrap();
-    writeln!(w, "  \"seed\": {seed},").unwrap();
-    writeln!(w, "  \"pairs_per_round\": {pairs},").unwrap();
-    let per_round = round_premiums
-        .iter()
-        .map(|p| format!("{p:.4}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    writeln!(w, "  \"round_premiums\": [{per_round}],").unwrap();
-    writeln!(w, "  \"recording_on_sum_ns\": {best_on},").unwrap();
-    writeln!(w, "  \"recording_off_sum_ns\": {best_off},").unwrap();
-    writeln!(w, "  \"premium\": {premium:.4},").unwrap();
-    writeln!(w, "  \"premium_budget\": {PREMIUM_BUDGET},").unwrap();
-    writeln!(w, "  \"span_nodes\": {},", recorded.report.node_count()).unwrap();
-    writeln!(w, "  \"metrics\": {}", recorded.report.metrics.len()).unwrap();
-    writeln!(w, "}}").unwrap();
-
-    println!("{json}");
-    if smoke {
-        println!("smoke mode: artifact not written");
-    } else {
-        let out = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_observability.json"
-        );
-        std::fs::write(out, &json).unwrap();
-        println!("wrote {out}");
-    }
+    artifact::emit(
+        "observability",
+        Json::obj([
+            ("samples_per_cell", Json::from(samples)),
+            ("seed", seed.into()),
+            ("pairs_per_round", pairs.into()),
+            ("round_premiums", round_premiums.into()),
+            ("recording_on_sum_ns", best_on.into()),
+            ("recording_off_sum_ns", best_off.into()),
+            ("premium", premium.into()),
+            ("premium_budget", PREMIUM_BUDGET.into()),
+            ("span_nodes", recorded.report.node_count().into()),
+            ("metrics", recorded.report.metrics.len().into()),
+        ]),
+    );
 }

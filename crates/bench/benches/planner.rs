@@ -25,9 +25,9 @@
 //! iteration counts, all equivalence assertions active, timing gates and
 //! artifact skipped (single-pair wall clocks are noise).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use dbpc_bench::artifact;
 use dbpc_datamodel::hierarchical::{HierSchema, SegmentDef};
 use dbpc_datamodel::network::FieldDef;
 use dbpc_datamodel::relational::{ColumnDef, RelationalSchema, TableDef};
@@ -39,6 +39,7 @@ use dbpc_engine::dli_exec::run_dli;
 use dbpc_engine::scan::{set_plan_mode, PlanMode};
 use dbpc_engine::sequel_exec::run_sequel;
 use dbpc_engine::{Inputs, Trace};
+use dbpc_obs::json::Json;
 use dbpc_storage::RelationalDb;
 
 fn parts_db(rows: i64, classes: i64) -> RelationalDb {
@@ -153,7 +154,7 @@ fn best_round(rounds: &[(u128, u128)]) -> (u128, u128) {
 }
 
 fn main() {
-    let smoke = std::env::var("DBPC_BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = artifact::smoke();
     let (rounds, iters) = if smoke { (2usize, 1usize) } else { (8, 12) };
 
     // ---- e9_select: selective indexed SELECT (both modes probe) -----------
@@ -286,63 +287,53 @@ END PROGRAM;",
     }
 
     // ---- Emit artifact ----------------------------------------------------
-    let fmt_rounds = |rs: &[(u128, u128)]| {
-        let mut s = String::from("[");
-        for (i, (c, p)) in rs.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "[{c}, {p}]");
-        }
-        s.push(']');
-        s
-    };
-    let mut json = String::new();
-    let w = &mut json;
-    writeln!(w, "{{").unwrap();
-    writeln!(w, "  \"bench\": \"planner\",").unwrap();
-    writeln!(w, "  \"smoke\": {smoke},").unwrap();
-    writeln!(w, "  \"rounds\": {rounds},").unwrap();
-    writeln!(w, "  \"iters_per_round\": {iters},").unwrap();
-    writeln!(w, "  \"e9_select\": {{").unwrap();
-    writeln!(w, "    \"table_rows\": {select_rows},").unwrap();
-    writeln!(w, "    \"cost_based_ns\": {e9_cost},").unwrap();
-    writeln!(w, "    \"always_probe_ns\": {e9_probe},").unwrap();
-    writeln!(w, "    \"overhead_pct\": {e9_pct:.2},").unwrap();
-    writeln!(w, "    \"gate_pct\": 5.0,").unwrap();
-    writeln!(w, "    \"round_ns\": {},", fmt_rounds(&e9_rounds)).unwrap();
-    writeln!(w, "    \"identical_traces\": true").unwrap();
-    writeln!(w, "  }},").unwrap();
-    writeln!(w, "  \"e13_gn\": {{").unwrap();
-    writeln!(w, "    \"segments\": {},", 20 * (100 + 1)).unwrap();
-    writeln!(w, "    \"cost_based_ns\": {e13_cost},").unwrap();
-    writeln!(w, "    \"always_probe_ns\": {e13_probe},").unwrap();
-    writeln!(w, "    \"overhead_pct\": {e13_pct:.2},").unwrap();
-    writeln!(w, "    \"gate_pct\": 5.0,").unwrap();
-    writeln!(w, "    \"round_ns\": {},", fmt_rounds(&e13_rounds)).unwrap();
-    writeln!(w, "    \"identical_traces\": true").unwrap();
-    writeln!(w, "  }},").unwrap();
-    writeln!(w, "  \"skewed\": {{").unwrap();
-    writeln!(w, "    \"table_rows\": {skew_rows},").unwrap();
-    writeln!(w, "    \"distinct_keys\": 2,").unwrap();
-    writeln!(w, "    \"probe_candidates\": {},", skew_rows - 1).unwrap();
-    writeln!(w, "    \"matching_rows\": {},", skew_rows / 100).unwrap();
-    writeln!(w, "    \"cost_based_ns\": {skew_cost},").unwrap();
-    writeln!(w, "    \"always_probe_ns\": {skew_probe},").unwrap();
-    writeln!(w, "    \"speedup\": {skew_speedup:.2},").unwrap();
-    writeln!(w, "    \"gate_speedup\": 1.3,").unwrap();
-    writeln!(w, "    \"round_ns\": {},", fmt_rounds(&skew_rounds)).unwrap();
-    writeln!(w, "    \"identical_traces\": true,").unwrap();
-    writeln!(w, "    \"cost_based_probes\": 0").unwrap();
-    writeln!(w, "  }}").unwrap();
-    writeln!(w, "}}").unwrap();
-
-    println!("{json}");
-    if smoke {
-        println!("smoke mode: artifact not written");
-    } else {
-        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_planner.json");
-        std::fs::write(out, &json).unwrap();
-        println!("wrote {out}");
-    }
+    let round_ns =
+        |rs: &[(u128, u128)]| Json::Arr(rs.iter().map(|&(c, p)| vec![c, p].into()).collect());
+    artifact::emit(
+        "planner",
+        Json::obj([
+            ("rounds", Json::from(rounds)),
+            ("iters_per_round", iters.into()),
+            (
+                "e9_select",
+                Json::obj([
+                    ("table_rows", Json::from(select_rows)),
+                    ("cost_based_ns", e9_cost.into()),
+                    ("always_probe_ns", e9_probe.into()),
+                    ("overhead_pct", e9_pct.into()),
+                    ("gate_pct", 5.0.into()),
+                    ("round_ns", round_ns(&e9_rounds)),
+                    ("identical_traces", true.into()),
+                ]),
+            ),
+            (
+                "e13_gn",
+                Json::obj([
+                    ("segments", Json::from(20 * (100 + 1))),
+                    ("cost_based_ns", e13_cost.into()),
+                    ("always_probe_ns", e13_probe.into()),
+                    ("overhead_pct", e13_pct.into()),
+                    ("gate_pct", 5.0.into()),
+                    ("round_ns", round_ns(&e13_rounds)),
+                    ("identical_traces", true.into()),
+                ]),
+            ),
+            (
+                "skewed",
+                Json::obj([
+                    ("table_rows", Json::from(skew_rows)),
+                    ("distinct_keys", 2.into()),
+                    ("probe_candidates", (skew_rows - 1).into()),
+                    ("matching_rows", (skew_rows / 100).into()),
+                    ("cost_based_ns", skew_cost.into()),
+                    ("always_probe_ns", skew_probe.into()),
+                    ("speedup", skew_speedup.into()),
+                    ("gate_speedup", 1.3.into()),
+                    ("round_ns", round_ns(&skew_rounds)),
+                    ("identical_traces", true.into()),
+                    ("cost_based_probes", 0.into()),
+                ]),
+            ),
+        ]),
+    );
 }

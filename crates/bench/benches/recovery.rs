@@ -26,12 +26,13 @@
 //! Smoke mode (`DBPC_BENCH_SMOKE=1`): tiny workload, one timed iteration,
 //! all assertions active, no artifact written — the CI guard.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use dbpc_bench::artifact;
 use dbpc_corpus::harness::{success_rate_study_config, StudyConfig};
 use dbpc_corpus::named;
 use dbpc_datamodel::value::Value;
+use dbpc_obs::json::Json;
 use dbpc_storage::NetworkDb;
 
 /// One mutating-program-shaped pass against a large base: store a small
@@ -87,8 +88,7 @@ fn timed<R>(iters: usize, mut f: impl FnMut() -> R) -> (u128, R) {
 }
 
 fn main() {
-    let smoke = std::env::var("DBPC_BENCH_SMOKE").is_ok_and(|v| v == "1");
-    let (rounds, iters, db_scale, samples) = if smoke {
+    let (rounds, iters, db_scale, samples) = if artifact::smoke() {
         (4usize, 1usize, (4, 3, 8), 1usize)
     } else {
         (64, 5, (8, 4, 48), 2)
@@ -169,50 +169,36 @@ fn main() {
     assert!(study.profile.db_shared_runs > 0);
 
     // ---- Emit artifact ----------------------------------------------------
-    let mut json = String::new();
-    let w = &mut json;
-    writeln!(w, "{{").unwrap();
-    writeln!(w, "  \"bench\": \"recovery\",").unwrap();
-    writeln!(w, "  \"smoke\": {smoke},").unwrap();
-    writeln!(w, "  \"churn_rounds\": {rounds},").unwrap();
-    writeln!(w, "  \"verification\": {{").unwrap();
-    writeln!(w, "    \"deep_copy_ns\": {deep_copy_ns},").unwrap();
-    writeln!(w, "    \"savepoint_ns\": {savepoint_ns},").unwrap();
-    writeln!(
-        w,
-        "    \"savepoint_vs_copy_pct\": {savepoint_vs_copy_pct:.2},"
-    )
-    .unwrap();
-    writeln!(w, "    \"target_pct\": 10.0,").unwrap();
-    writeln!(w, "    \"rollback_restores_fingerprint\": true").unwrap();
-    writeln!(w, "  }},").unwrap();
-    writeln!(w, "  \"journal\": {{").unwrap();
-    writeln!(w, "    \"idle_ns\": {idle_ns},").unwrap();
-    writeln!(w, "    \"commit_ns\": {commit_ns},").unwrap();
-    writeln!(
-        w,
-        "    \"recording_overhead_pct\": {recording_overhead_pct:.2}"
-    )
-    .unwrap();
-    writeln!(w, "  }},").unwrap();
-    writeln!(w, "  \"e2_matrix\": {{").unwrap();
-    writeln!(w, "    \"wall_ns\": {matrix_ns},").unwrap();
-    writeln!(w, "    \"db_clones\": 0,").unwrap();
-    writeln!(
-        w,
-        "    \"db_shared_runs\": {}",
-        study.profile.db_shared_runs
-    )
-    .unwrap();
-    writeln!(w, "  }}").unwrap();
-    writeln!(w, "}}").unwrap();
-
-    println!("{json}");
-    if smoke {
-        println!("smoke mode: artifact not written");
-    } else {
-        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recovery.json");
-        std::fs::write(out, &json).unwrap();
-        println!("wrote {out}");
-    }
+    artifact::emit(
+        "recovery",
+        Json::obj([
+            ("churn_rounds", Json::from(rounds)),
+            (
+                "verification",
+                Json::obj([
+                    ("deep_copy_ns", Json::from(deep_copy_ns)),
+                    ("savepoint_ns", savepoint_ns.into()),
+                    ("savepoint_vs_copy_pct", savepoint_vs_copy_pct.into()),
+                    ("target_pct", 10.0.into()),
+                    ("rollback_restores_fingerprint", true.into()),
+                ]),
+            ),
+            (
+                "journal",
+                Json::obj([
+                    ("idle_ns", Json::from(idle_ns)),
+                    ("commit_ns", commit_ns.into()),
+                    ("recording_overhead_pct", recording_overhead_pct.into()),
+                ]),
+            ),
+            (
+                "e2_matrix",
+                Json::obj([
+                    ("wall_ns", Json::from(matrix_ns)),
+                    ("db_clones", 0.into()),
+                    ("db_shared_runs", study.profile.db_shared_runs.into()),
+                ]),
+            ),
+        ]),
+    );
 }

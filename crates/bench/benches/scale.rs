@@ -30,10 +30,11 @@
 //! million, one timed iteration, all assertions active, no artifact
 //! written.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use dbpc_bench::artifact;
 use dbpc_corpus::named;
+use dbpc_obs::json::Json;
 use dbpc_storage::NetworkDb;
 
 /// Peak resident set size of this process in kB (Linux `VmHWM`; 0 when
@@ -51,7 +52,7 @@ fn peak_rss_kb() -> u64 {
 }
 
 fn main() {
-    let smoke = std::env::var("DBPC_BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = artifact::smoke();
     // Corpus shape, heap page size, and pool frames. The full corpus is
     // 1000 divisions × 1000 employees = 1,001,000 records; 512 frames of
     // 4 KiB is 2 MiB of pool against a heap file in the tens of MB.
@@ -119,35 +120,25 @@ fn main() {
     );
 
     // ---- Emit artifact ----------------------------------------------------
-    let mut json = String::new();
-    let w = &mut json;
-    writeln!(w, "{{").unwrap();
-    writeln!(w, "  \"bench\": \"scale\",").unwrap();
-    writeln!(w, "  \"smoke\": {smoke},").unwrap();
-    writeln!(w, "  \"records\": {records},").unwrap();
-    writeln!(w, "  \"page_bytes\": {page},").unwrap();
-    writeln!(w, "  \"pool_frames\": {pool},").unwrap();
-    writeln!(w, "  \"pool_bytes\": {pool_bytes},").unwrap();
-    writeln!(w, "  \"heap_bytes\": {data_bytes},").unwrap();
-    writeln!(w, "  \"pool_pct_of_data\": {pool_pct:.2},").unwrap();
-    writeln!(w, "  \"gate_pool_pct\": 4.0,").unwrap();
-    writeln!(w, "  \"source_pages\": {},", src_stats.pages).unwrap();
-    writeln!(w, "  \"source_fill_pct\": {},", src_stats.fill_pct).unwrap();
-    writeln!(w, "  \"target_pages\": {},", tgt_stats.pages).unwrap();
-    writeln!(w, "  \"target_records\": {},", tgt_stats.records).unwrap();
-    writeln!(w, "  \"build_ns\": {build_ns},").unwrap();
-    writeln!(w, "  \"translate_ns\": {translate_ns},").unwrap();
-    writeln!(w, "  \"translate_records_per_sec\": {translate_rps:.0},").unwrap();
-    writeln!(w, "  \"peak_rss_kb\": {rss_kb},").unwrap();
-    writeln!(w, "  \"equivalence_fingerprints_match\": true").unwrap();
-    writeln!(w, "}}").unwrap();
-
-    println!("{json}");
-    if smoke {
-        println!("smoke mode: artifact not written");
-    } else {
-        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
-        std::fs::write(out, &json).unwrap();
-        println!("wrote {out}");
-    }
+    artifact::emit(
+        "scale",
+        Json::obj([
+            ("records", Json::from(records)),
+            ("page_bytes", page.into()),
+            ("pool_frames", pool.into()),
+            ("pool_bytes", pool_bytes.into()),
+            ("heap_bytes", data_bytes.into()),
+            ("pool_pct_of_data", pool_pct.into()),
+            ("gate_pool_pct", 4.0.into()),
+            ("source_pages", src_stats.pages.into()),
+            ("source_fill_pct", src_stats.fill_pct.into()),
+            ("target_pages", tgt_stats.pages.into()),
+            ("target_records", tgt_stats.records.into()),
+            ("build_ns", build_ns.into()),
+            ("translate_ns", translate_ns.into()),
+            ("translate_records_per_sec", translate_rps.into()),
+            ("peak_rss_kb", rss_kb.into()),
+            ("equivalence_fingerprints_match", true.into()),
+        ]),
+    );
 }

@@ -33,17 +33,21 @@
 //! a loaded CI host the throughput ratio is dominated by scheduling noise
 //! rather than by the amortization being measured.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use dbpc_bench::artifact;
 use dbpc_convert::equivalence::{check_equivalence, EquivalenceLevel};
 use dbpc_convert::report::{AutoAnalyst, Verdict};
-use dbpc_convert::service::{CtxId, JobOutcome, ServiceBuilder, ServiceConfig, Ticket};
+use dbpc_convert::service::{
+    CtxId, JobOutcome, ServiceBuilder, ServiceConfig, Ticket, SERVICE_BACKPRESSURE_WAITS,
+    SERVICE_QUEUE_DEPTH_MAX,
+};
 use dbpc_convert::Supervisor;
 use dbpc_corpus::gen::{generate_program, ProgramClass};
 use dbpc_corpus::named;
 use dbpc_dml::host::Program;
 use dbpc_engine::Inputs;
+use dbpc_obs::json::Json;
 use dbpc_storage::locks::{LOCKS_EXCLUSIVE, LOCKS_SHARED, LOCKS_TIMEOUTS, LOCKS_WAITS};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
@@ -145,8 +149,8 @@ struct ServiceRun {
     p50_ms: f64,
     p99_ms: f64,
     poisoned: usize,
-    queue_depth_max: i64,
-    backpressure_waits: i64,
+    queue_depth_max: u64,
+    backpressure_waits: u64,
     locks_shared: u64,
     locks_exclusive: u64,
     locks_waits: u64,
@@ -154,7 +158,7 @@ struct ServiceRun {
 }
 
 fn main() {
-    let smoke = std::env::var("DBPC_BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = artifact::smoke();
     let jobs_n = if smoke { 120 } else { 1000 };
     let jobs = workload(jobs_n);
     let mutating = jobs_n / 5;
@@ -214,8 +218,8 @@ fn main() {
                 p50_ms: percentile_ms(&latencies, 0.50),
                 p99_ms: percentile_ms(&latencies, 0.99),
                 poisoned,
-                queue_depth_max: report.metrics.gauge("service.queue_depth_max"),
-                backpressure_waits: report.metrics.gauge("service.backpressure_waits"),
+                queue_depth_max: report.metrics.counter(SERVICE_QUEUE_DEPTH_MAX),
+                backpressure_waits: report.metrics.counter(SERVICE_BACKPRESSURE_WAITS),
                 locks_shared: report.metrics.counter(LOCKS_SHARED),
                 locks_exclusive: report.metrics.counter(LOCKS_EXCLUSIVE),
                 locks_waits: report.metrics.counter(LOCKS_WAITS),
@@ -238,66 +242,45 @@ fn main() {
     }
 
     // ---- Emit artifact ----------------------------------------------------
-    let mut json = String::new();
-    let w = &mut json;
-    writeln!(w, "{{").unwrap();
-    writeln!(w, "  \"bench\": \"service_load\",").unwrap();
-    writeln!(w, "  \"smoke\": {smoke},").unwrap();
-    writeln!(w, "  \"seed\": {SEED},").unwrap();
-    writeln!(w, "  \"jobs\": {jobs_n},").unwrap();
-    writeln!(w, "  \"mutating_jobs\": {mutating},").unwrap();
-    writeln!(w, "  \"verified_jobs\": {verified},").unwrap();
-    writeln!(
-        w,
-        "  \"hardware_threads\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    )
-    .unwrap();
-    writeln!(w, "  \"baseline_per_job_pipeline\": {{").unwrap();
-    writeln!(w, "    \"workers\": 1,").unwrap();
-    writeln!(w, "    \"wall_ns\": {baseline_ns},").unwrap();
-    writeln!(w, "    \"jobs_per_sec\": {baseline_jobs_per_sec:.2}").unwrap();
-    writeln!(w, "  }},").unwrap();
-    writeln!(w, "  \"service\": [").unwrap();
-    for (i, run) in runs.iter().enumerate() {
+    let service = runs.iter().map(|run| {
         let jobs_per_sec = jobs_n as f64 / (run.wall_ns.max(1) as f64 / 1e9);
-        writeln!(w, "    {{").unwrap();
-        writeln!(w, "      \"workers\": {},", run.workers).unwrap();
-        writeln!(w, "      \"wall_ns\": {},", run.wall_ns).unwrap();
-        writeln!(w, "      \"jobs_per_sec\": {jobs_per_sec:.2},").unwrap();
-        writeln!(w, "      \"latency_p50_ms\": {:.3},", run.p50_ms).unwrap();
-        writeln!(w, "      \"latency_p99_ms\": {:.3},", run.p99_ms).unwrap();
-        writeln!(w, "      \"poisoned\": {},", run.poisoned).unwrap();
-        writeln!(w, "      \"identical_to_serial\": true,").unwrap();
-        writeln!(w, "      \"queue_depth_max\": {},", run.queue_depth_max).unwrap();
-        writeln!(
-            w,
-            "      \"backpressure_waits\": {},",
-            run.backpressure_waits
-        )
-        .unwrap();
-        writeln!(w, "      \"locks_shared\": {},", run.locks_shared).unwrap();
-        writeln!(w, "      \"locks_exclusive\": {},", run.locks_exclusive).unwrap();
-        writeln!(w, "      \"locks_waits\": {},", run.locks_waits).unwrap();
-        writeln!(w, "      \"locks_timeouts\": {}", run.locks_timeouts).unwrap();
-        writeln!(w, "    }}{}", if i + 1 < runs.len() { "," } else { "" }).unwrap();
-    }
-    writeln!(w, "  ],").unwrap();
-    writeln!(
-        w,
-        "  \"speedup_8_workers_vs_baseline\": {:.2},",
-        eight_jobs_per_sec / baseline_jobs_per_sec
-    )
-    .unwrap();
-    writeln!(w, "  \"gate_2x_amortization\": true").unwrap();
-    writeln!(w, "}}").unwrap();
-
-    println!("{json}");
-    if smoke {
-        println!("smoke mode: artifact not written");
-    } else {
-        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service_load.json");
-        std::fs::write(out, &json).unwrap();
-        println!("wrote {out}");
-    }
+        Json::obj([
+            ("workers", Json::from(run.workers)),
+            ("wall_ns", run.wall_ns.into()),
+            ("jobs_per_sec", jobs_per_sec.into()),
+            ("latency_p50_ms", run.p50_ms.into()),
+            ("latency_p99_ms", run.p99_ms.into()),
+            ("poisoned", run.poisoned.into()),
+            ("identical_to_serial", true.into()),
+            ("queue_depth_max", run.queue_depth_max.into()),
+            ("backpressure_waits", run.backpressure_waits.into()),
+            ("locks_shared", run.locks_shared.into()),
+            ("locks_exclusive", run.locks_exclusive.into()),
+            ("locks_waits", run.locks_waits.into()),
+            ("locks_timeouts", run.locks_timeouts.into()),
+        ])
+    });
+    artifact::emit(
+        "service_load",
+        Json::obj([
+            ("seed", Json::from(SEED)),
+            ("jobs", jobs_n.into()),
+            ("mutating_jobs", mutating.into()),
+            ("verified_jobs", verified.into()),
+            (
+                "baseline_per_job_pipeline",
+                Json::obj([
+                    ("workers", Json::from(1)),
+                    ("wall_ns", baseline_ns.into()),
+                    ("jobs_per_sec", baseline_jobs_per_sec.into()),
+                ]),
+            ),
+            ("service", Json::Arr(service.collect())),
+            (
+                "speedup_8_workers_vs_baseline",
+                (eight_jobs_per_sec / baseline_jobs_per_sec).into(),
+            ),
+            ("gate_2x_amortization", true.into()),
+        ]),
+    );
 }

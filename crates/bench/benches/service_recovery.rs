@@ -32,9 +32,9 @@
 //! Smoke mode (`DBPC_BENCH_SMOKE=1`): 40 jobs, timing gate skipped
 //! (scheduling noise dominates at that size), no artifact written.
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+use dbpc_bench::artifact;
 use dbpc_convert::journal::{JobJournal, JournalRecord};
 use dbpc_convert::service::{
     ConversionService, JobOutcome, RetryPolicy, ServiceBuilder, ServiceConfig, Ticket,
@@ -45,6 +45,7 @@ use dbpc_corpus::named;
 use dbpc_datamodel::error::PipelineError;
 use dbpc_dml::host::Program;
 use dbpc_engine::Inputs;
+use dbpc_obs::json::Json;
 use dbpc_storage::TempDir;
 use std::path::Path;
 
@@ -105,7 +106,7 @@ fn submit_all(svc: &ConversionService, jobs: &[(Program, u64)]) -> Vec<Ticket> {
 }
 
 fn main() {
-    let smoke = std::env::var("DBPC_BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = artifact::smoke();
     let jobs_n = if smoke { 40 } else { 200 };
     let jobs = workload(jobs_n);
     let midpoint = jobs_n / 2;
@@ -282,45 +283,34 @@ fn main() {
     );
 
     // ---- Emit artifact --------------------------------------------------
-    let mut json = String::new();
-    let w = &mut json;
-    writeln!(w, "{{").unwrap();
-    writeln!(w, "  \"bench\": \"service_recovery\",").unwrap();
-    writeln!(w, "  \"smoke\": {smoke},").unwrap();
-    writeln!(w, "  \"seed\": {SEED},").unwrap();
-    writeln!(w, "  \"jobs\": {jobs_n},").unwrap();
-    writeln!(w, "  \"workers\": {WORKERS},").unwrap();
-    writeln!(w, "  \"rerun_from_scratch_wall_ns\": {rerun_ns},").unwrap();
-    writeln!(w, "  \"midpoint_crash\": {{").unwrap();
-    writeln!(
-        w,
-        "    \"completed_before_crash\": {completed_before_crash},"
-    )
-    .unwrap();
-    writeln!(w, "    \"recovery_wall_ns\": {recovery_ns},").unwrap();
-    writeln!(w, "    \"results_recovered\": {},", recovery.results).unwrap();
-    writeln!(w, "    \"jobs_replayed\": {},", recovery.replayed).unwrap();
-    writeln!(w, "    \"byte_identical_report\": true").unwrap();
-    writeln!(w, "  }},").unwrap();
-    writeln!(w, "  \"recovery_vs_rerun_ratio\": {ratio:.3},").unwrap();
-    writeln!(w, "  \"gate_recovery_below_0_8x\": {},", !smoke).unwrap();
-    writeln!(w, "  \"bounded_drain\": {{").unwrap();
-    writeln!(w, "    \"executed\": {drained_jobs},").unwrap();
-    writeln!(w, "    \"shed\": {drained_shed},").unwrap();
-    writeln!(w, "    \"replayed_after_reopen\": {}", after_drain.replayed).unwrap();
-    writeln!(w, "  }},").unwrap();
-    writeln!(w, "  \"backoff_deterministic\": true").unwrap();
-    writeln!(w, "}}").unwrap();
-
-    println!("{json}");
-    if smoke {
-        println!("smoke mode: artifact not written");
-    } else {
-        let out = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_service_recovery.json"
-        );
-        std::fs::write(out, &json).unwrap();
-        println!("wrote {out}");
-    }
+    artifact::emit(
+        "service_recovery",
+        Json::obj([
+            ("seed", Json::from(SEED)),
+            ("jobs", jobs_n.into()),
+            ("workers", WORKERS.into()),
+            ("rerun_from_scratch_wall_ns", rerun_ns.into()),
+            (
+                "midpoint_crash",
+                Json::obj([
+                    ("completed_before_crash", Json::from(completed_before_crash)),
+                    ("recovery_wall_ns", recovery_ns.into()),
+                    ("results_recovered", recovery.results.into()),
+                    ("jobs_replayed", recovery.replayed.into()),
+                    ("byte_identical_report", true.into()),
+                ]),
+            ),
+            ("recovery_vs_rerun_ratio", ratio.into()),
+            ("gate_recovery_below_0_8x", (!smoke).into()),
+            (
+                "bounded_drain",
+                Json::obj([
+                    ("executed", Json::from(drained_jobs)),
+                    ("shed", drained_shed.into()),
+                    ("replayed_after_reopen", after_drain.replayed.into()),
+                ]),
+            ),
+            ("backoff_deterministic", true.into()),
+        ]),
+    );
 }

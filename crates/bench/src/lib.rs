@@ -4,7 +4,8 @@
 //! exists per latency-shaped experiment in EXPERIMENTS.md (E1, E3–E8), and
 //! one report binary per table-shaped experiment (E2 `success_rate`,
 //! E9 `cost_model`, plus the consolidated `experiments` table printer whose
-//! output EXPERIMENTS.md records).
+//! output EXPERIMENTS.md records). Benches that leave a `BENCH_*.json`
+//! artifact write it through [`artifact`].
 
 use dbpc_convert::report::AutoAnalyst;
 use dbpc_convert::Supervisor;
@@ -74,6 +75,46 @@ pub fn convert_for_fig44(program: &Program, optimize: bool) -> Program {
         .expect("analyzer accepts")
         .program
         .expect("workload converts")
+}
+
+/// The one writer of the `BENCH_<bench>.json` artifacts at the repo root.
+pub mod artifact {
+    use dbpc_obs::json::Json;
+
+    /// Smoke mode (`DBPC_BENCH_SMOKE=1`): a bench runs a small workload with
+    /// every assertion active and writes no artifact.
+    pub fn smoke() -> bool {
+        std::env::var("DBPC_BENCH_SMOKE").is_ok_and(|v| v == "1")
+    }
+
+    /// The members every artifact opens with.
+    pub fn header(bench: &str) -> Vec<(String, Json)> {
+        let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        vec![
+            ("bench".to_string(), bench.into()),
+            ("smoke".to_string(), smoke().into()),
+            ("host_threads".to_string(), host_threads.into()),
+        ]
+    }
+
+    /// Print the artifact — [`header`] followed by the members of `body` —
+    /// and, outside smoke mode, write it to `BENCH_<bench>.json`.
+    pub fn emit(bench: &str, body: Json) {
+        let Json::Obj(members) = body else {
+            panic!("{bench}: an artifact body is a JSON object");
+        };
+        let mut doc = header(bench);
+        doc.extend(members);
+        let text = Json::Obj(doc).pretty() + "\n";
+        print!("{text}");
+        if smoke() {
+            println!("smoke mode: artifact not written");
+        } else {
+            let out = format!("{}/../../BENCH_{bench}.json", env!("CARGO_MANIFEST_DIR"));
+            std::fs::write(&out, text).unwrap();
+            println!("wrote {out}");
+        }
+    }
 }
 
 #[cfg(test)]

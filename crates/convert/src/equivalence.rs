@@ -58,13 +58,20 @@ pub(crate) fn predicts_behavior_change(w: &Warning) -> bool {
 pub fn check_equivalence(
     mut source_db: NetworkDb,
     original: &Program,
-    target_db: NetworkDb,
+    mut target_db: NetworkDb,
     converted: &Program,
     inputs: &Inputs,
     warnings: &[Warning],
 ) -> Result<EquivalenceResult, RunError> {
     let original_trace = source_trace(&mut source_db, original, inputs)?;
-    check_equivalence_against(original_trace, target_db, converted, inputs, warnings)
+    let (level, converted_trace, divergence) =
+        judge_equivalence(&original_trace, &mut target_db, converted, inputs, warnings)?;
+    Ok(EquivalenceResult {
+        level,
+        original_trace,
+        converted_trace,
+        divergence,
+    })
 }
 
 /// The ground-truth half of [`check_equivalence`]: the original program's
@@ -82,30 +89,11 @@ pub fn source_trace(
     run_host(source_db, original, inputs.clone())
 }
 
-/// The judgment half of [`check_equivalence`]: run the converted program
-/// and compare against an already-computed original trace.
-pub fn check_equivalence_against(
-    original_trace: Trace,
-    mut target_db: NetworkDb,
-    converted: &Program,
-    inputs: &Inputs,
-    warnings: &[Warning],
-) -> Result<EquivalenceResult, RunError> {
-    let (level, converted_trace, divergence) =
-        judge_equivalence(&original_trace, &mut target_db, converted, inputs, warnings)?;
-    Ok(EquivalenceResult {
-        level,
-        original_trace,
-        converted_trace,
-        divergence,
-    })
-}
-
-/// The comparison core behind every `check_equivalence_*` entry point: run
-/// the converted program on a **borrowed** database and judge its trace
-/// against a **borrowed** original trace. Nothing is consumed, so batch
-/// harnesses holding a memoized trace and a shared base database pay no
-/// per-program clone at all.
+/// The comparison core behind [`check_equivalence`] and the batch
+/// harnesses: run the converted program on a **borrowed** database and
+/// judge its trace against a **borrowed** original trace. Nothing is
+/// consumed, so batch harnesses holding a memoized trace and a shared base
+/// database pay no per-program clone at all.
 ///
 /// Any update the converted program performs is left in `target_db` — the
 /// caller owns that consequence; batch harnesses wrap the call in a

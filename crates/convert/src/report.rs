@@ -309,11 +309,9 @@ pub struct ConversionReport {
     pub fallbacks: Vec<crate::supervisor::ladder::RungFailure>,
     /// Structured observability for this conversion: the span tree and
     /// metrics recorded while producing it. `None` on the plain entry
-    /// points (zero overhead); filled by [`Supervisor::convert_traced`]
-    /// and [`Supervisor::convert_batch_traced`].
+    /// points (zero overhead); filled by [`Supervisor::convert_traced`].
     ///
     /// [`Supervisor::convert_traced`]: crate::supervisor::Supervisor::convert_traced
-    /// [`Supervisor::convert_batch_traced`]: crate::supervisor::Supervisor::convert_batch_traced
     pub run_report: Option<Box<dbpc_obs::RunReport>>,
 }
 

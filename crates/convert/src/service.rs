@@ -1275,7 +1275,7 @@ fn execute_job(
     // The graph is a zero-cost view over the target schema; building it
     // per job keeps the context free of self-references.
     let apg = AccessPathGraph::new(&ctx.mapping.target);
-    let report = match config.supervisor.convert_prepared(
+    let report = match config.supervisor.convert_one(
         &ctx.mapping,
         &apg,
         &ctx.schema,

@@ -141,37 +141,6 @@ impl Supervisor {
         )
     }
 
-    /// One supervised conversion attempt against *pre-built* schema-level
-    /// state: the conversion service hoists the [`Mapping`], the target
-    /// [`AccessPathGraph`], and the schema fingerprint once per registered
-    /// context and replays them for every queued job, exactly as
-    /// [`Supervisor::convert_batch_keyed`] hoists them per batch. Outcomes
-    /// are identical to [`Supervisor::convert_attempt`]; only the
-    /// per-job setup cost differs.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn convert_prepared(
-        &self,
-        mapping: &Mapping,
-        apg: &AccessPathGraph,
-        source_schema: &NetworkSchema,
-        schema_fp: Option<u64>,
-        program: &Program,
-        analyst: &mut dyn Analyst,
-        key: u64,
-        attempt: usize,
-    ) -> PipelineResult<ConversionReport> {
-        self.convert_one(
-            mapping,
-            apg,
-            source_schema,
-            schema_fp,
-            program,
-            analyst,
-            key,
-            attempt,
-        )
-    }
-
     /// Convert a batch of programs under one restructuring.
     ///
     /// The schema-level work — validating the triple and deriving the
@@ -268,30 +237,15 @@ impl Supervisor {
         Ok(report)
     }
 
-    /// [`Supervisor::convert_batch`] with structured observability: returns
-    /// the per-program reports plus one batch-level [`dbpc_obs::RunReport`]
-    /// whose span forest covers every program in order under one clock.
-    pub fn convert_batch_traced(
-        &self,
-        source_schema: &NetworkSchema,
-        restructuring: &Restructuring,
-        programs: &[Program],
-        analyst: &mut dyn Analyst,
-    ) -> ModelResult<(Vec<ConversionReport>, dbpc_obs::RunReport)> {
-        let before = dbpc_obs::local_snapshot();
-        let (outcome, cap) = dbpc_obs::capture("convert-batch", || {
-            self.convert_batch(source_schema, restructuring, programs, analyst)
-        });
-        let delta = dbpc_obs::local_snapshot().since(&before);
-        let mut registry = dbpc_obs::MetricsRegistry::new();
-        registry.absorb(&delta);
-        registry.observe("convert.batch_size", programs.len() as u64);
-        let report = dbpc_obs::RunReport::assemble("convert-batch", vec![cap], registry);
-        Ok((outcome?, report))
-    }
-
+    /// One supervised conversion attempt against *pre-built* schema-level
+    /// state: the [`Mapping`], the target [`AccessPathGraph`], and the
+    /// schema fingerprint. [`Supervisor::convert_batch_keyed`] builds them
+    /// once per batch and the conversion service once per registered
+    /// context, then both replay them for every program. Outcomes are
+    /// identical to [`Supervisor::convert_attempt`]; only the per-program
+    /// setup cost differs.
     #[allow(clippy::too_many_arguments)]
-    fn convert_one(
+    pub(crate) fn convert_one(
         &self,
         mapping: &Mapping,
         apg: &AccessPathGraph,

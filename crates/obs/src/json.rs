@@ -1,12 +1,14 @@
-//! A minimal JSON value model, writer, and recursive-descent parser.
+//! A minimal JSON value model, writers, and recursive-descent parser.
 //!
-//! The workspace is dependency-free by policy, and run reports only need a
-//! small, fully-deterministic subset of JSON: objects keep their insertion
-//! order (so `to_json` output is byte-stable), numbers are integers (the
-//! report schema never needs floats), and strings escape the mandatory
-//! control/quote/backslash set. The parser accepts what the writer emits
-//! plus ordinary whitespace — enough for round-tripping and for the CI
-//! schema checker, not a general-purpose JSON library.
+//! The workspace is dependency-free by policy, and its two JSON producers
+//! — run reports and the `BENCH_*.json` bench artifacts — only need a small,
+//! fully-deterministic subset of JSON: objects keep their insertion order
+//! (so output is byte-stable), integers and floats are separate variants
+//! (a float is written in Rust's shortest round-trip form, a non-finite one
+//! as `null`), and strings escape the mandatory control/quote/backslash
+//! set. [`Json::write`] is compact; [`Json::pretty`] puts one object member
+//! per line for human-read artifacts. The parser accepts what the writers
+//! emit plus ordinary whitespace — not a general-purpose JSON library.
 
 use std::fmt;
 
@@ -15,14 +17,20 @@ use std::fmt;
 pub enum Json {
     Null,
     Bool(bool),
-    /// Integer-valued number (the report schema emits integers only).
     Int(i64),
+    /// A number written with a fraction or exponent.
+    Float(f64),
     Str(String),
     Arr(Vec<Json>),
     Obj(Vec<(String, Json)>),
 }
 
 impl Json {
+    /// An object from `(key, value)` members, in order.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     pub fn as_int(&self) -> Option<i64> {
         match self {
             Json::Int(v) => Some(*v),
@@ -57,6 +65,34 @@ impl Json {
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v)
+    }
+}
+
+macro_rules! from {
+    ($($t:ty: $v:ident => $json:expr;)*) => {$(
+        impl From<$t> for Json {
+            fn from($v: $t) -> Json {
+                $json
+            }
+        }
+    )*};
+}
+
+// Unsigned integers beyond `i64::MAX` saturate.
+from! {
+    i32: v => Json::Int(v.into());
+    i64: v => Json::Int(v);
+    u64: v => Json::Int(i64::try_from(v).unwrap_or(i64::MAX));
+    usize: v => Json::Int(i64::try_from(v).unwrap_or(i64::MAX));
+    u128: v => Json::Int(i64::try_from(v).unwrap_or(i64::MAX));
+    f64: v => Json::Float(v);
+    bool: v => Json::Bool(v);
+    &str: v => Json::Str(v.to_string());
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
     }
 }
 
@@ -95,6 +131,10 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Int(v) => out.push_str(&v.to_string()),
+            // `{:?}` is the shortest form that parses back to the same
+            // bits, and always carries a `.` or an exponent.
+            Json::Float(v) if v.is_finite() => out.push_str(&format!("{v:?}")),
+            Json::Float(_) => out.push_str("null"),
             Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
@@ -119,6 +159,43 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+
+    /// Serialize with one object member per line, indented two spaces per
+    /// level. An array is expanded one item per line when it holds an
+    /// object, and written compactly otherwise.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(&mut out, 0);
+        out
+    }
+
+    fn write_pretty(&self, out: &mut String, depth: usize) {
+        let (open, close, items): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Obj(members) if !members.is_empty() => (
+                '{',
+                '}',
+                members.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+            ),
+            Json::Arr(items) if items.iter().any(|v| matches!(v, Json::Obj(_))) => {
+                ('[', ']', items.iter().map(|v| (None, v)).collect())
+            }
+            _ => return self.write(out),
+        };
+        let indent = |out: &mut String, depth: usize| out.push_str(&"  ".repeat(depth));
+        out.push(open);
+        for (i, (key, value)) in items.into_iter().enumerate() {
+            out.push_str(if i > 0 { ",\n" } else { "\n" });
+            indent(out, depth + 1);
+            if let Some(key) = key {
+                write_str(out, key);
+                out.push_str(": ");
+            }
+            value.write_pretty(out, depth + 1);
+        }
+        out.push('\n');
+        indent(out, depth);
+        out.push(close);
     }
 }
 
@@ -203,16 +280,25 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
-        if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
-            return Err(format!(
-                "non-integer number at byte {start} (report schema is integer-only)"
-            ));
+        let float = matches!(self.peek(), Some(b'.' | b'e' | b'E'));
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| "invalid utf8 in number".to_string())?;
-        text.parse::<i64>()
-            .map(Json::Int)
-            .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
+        let value = if float {
+            text.parse::<f64>()
+                .map(Json::Float)
+                .map_err(|e| e.to_string())
+        } else {
+            text.parse::<i64>()
+                .map(Json::Int)
+                .map_err(|e| e.to_string())
+        };
+        value.map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -374,10 +460,56 @@ mod tests {
     }
 
     #[test]
-    fn rejects_trailing_garbage_and_floats() {
+    fn rejects_trailing_garbage() {
         assert!(parse("{} x").is_err());
-        assert!(parse("1.5").is_err());
         assert!(parse("[1,]").is_err());
+        assert!(parse("1.5.5").is_err());
+    }
+
+    #[test]
+    fn floats_round_trip_in_shortest_form() {
+        for v in [
+            1.5,
+            -0.25,
+            2.0,
+            1e-7,
+            1e21,
+            0.1 + 0.2,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ] {
+            let text = Json::Float(v).to_string();
+            assert_eq!(parse(&text).unwrap(), Json::Float(v), "{text}");
+        }
+        assert_eq!(Json::Float(2.0).to_string(), "2.0");
+        assert_eq!(Json::Float(0.1).to_string(), "0.1");
+    }
+
+    #[test]
+    fn non_finite_floats_are_written_as_null() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::Float(v).to_string(), "null");
+        }
+    }
+
+    #[test]
+    fn pretty_parses_back_to_the_same_value() {
+        let v = Json::obj([
+            ("bench", Json::from("x")),
+            ("ratio", 0.75.into()),
+            ("rounds", vec![vec![1, 2], vec![3, 4]].into()),
+            (
+                "runs",
+                Json::Arr(vec![Json::obj([("n", Json::from(1))]), Json::Null]),
+            ),
+            ("empty", Json::obj::<&str>([])),
+        ]);
+        let text = v.pretty();
+        assert_eq!(parse(&text).unwrap(), v);
+        assert!(text.starts_with("{\n  \"bench\": \"x\",\n  \"ratio\": 0.75,\n"));
+        assert!(text.contains("\"rounds\": [[1,2],[3,4]],\n"));
+        assert!(text.contains("\"runs\": [\n    {\n      \"n\": 1\n    },\n    null\n  ],"));
+        assert!(text.ends_with("\"empty\": {}\n}"));
     }
 
     #[test]

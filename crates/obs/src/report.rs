@@ -101,9 +101,13 @@ impl RunReport {
         doc.to_string()
     }
 
-    /// Parse a report previously produced by [`RunReport::to_json`].
+    /// Parse a report previously produced by [`RunReport::to_json`]. A
+    /// report holds integers only, so any float in `text` is refused.
     pub fn from_json(text: &str) -> Result<RunReport, String> {
         let doc = json::parse(text)?;
+        if holds_float(&doc) {
+            return Err("run reports hold integers only".to_string());
+        }
         let label = doc
             .get("label")
             .and_then(Json::as_str)
@@ -123,6 +127,15 @@ impl RunReport {
             spans,
             metrics,
         })
+    }
+}
+
+fn holds_float(v: &Json) -> bool {
+    match v {
+        Json::Float(_) => true,
+        Json::Arr(items) => items.iter().any(holds_float),
+        Json::Obj(members) => members.iter().any(|(_, v)| holds_float(v)),
+        _ => false,
     }
 }
 
@@ -364,6 +377,20 @@ mod tests {
         let text = sample().to_json();
         let mangled = text.replace("\"close\":", "\"close_\":");
         assert!(validate_json(&mangled).is_err());
+    }
+
+    #[test]
+    fn float_metric_values_and_span_clocks_are_refused() {
+        let text = sample().to_json();
+        for (from, to) in [
+            ("\"value\":3}", "\"value\":3.0}"),
+            ("\"open\":0", "\"open\":0.0"),
+        ] {
+            assert!(text.contains(from), "{from}");
+            let floated = text.replacen(from, to, 1);
+            assert!(RunReport::from_json(&floated).is_err(), "{to}");
+            assert!(validate_json(&floated).is_err(), "{to}");
+        }
     }
 
     #[test]
