@@ -103,6 +103,13 @@ cargo test -q --test service_crash
 echo "==> translation crash matrix (durable translation recovery)"
 cargo test -q --test translation_recovery
 
+# The paged record store must stay invisible: the E2/E9 program slice
+# runs byte-identical on paged databases under 4, 32 and 4096 frames and
+# on the in-memory engine. It is the oracle for every change to the heap,
+# its directory and its single-field reads.
+echo "==> buffer-pressure equivalence (paged vs in-memory byte identity)"
+cargo test -q --test buffer_pressure
+
 # The obs export path end to end: run the E2 study with DBPC_OBS_JSON set,
 # then validate the exported RunReport with the in-repo schema checker
 # (parse, logical-clock nesting, byte-identical round trip).

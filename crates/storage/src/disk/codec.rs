@@ -234,6 +234,17 @@ impl<'a> ByteReader<'a> {
             t => Err(fail(context, format!("unknown value tag {t}"))),
         }
     }
+
+    /// Step over one tagged [`Value`] without building it: the tag is
+    /// checked and the bytes it announces must be there.
+    pub fn skip_value(&mut self, context: &'static str) -> CodecResult<()> {
+        match self.get_u8(context)? {
+            0 => Ok(()),
+            1 | 2 => self.take(8, context).map(drop),
+            3 => self.get_bytes(context).map(drop),
+            t => Err(fail(context, format!("unknown value tag {t}"))),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -295,6 +306,36 @@ mod tests {
     fn bad_value_tag_is_an_error() {
         let mut r = ByteReader::new(&[9]);
         assert!(r.get_value("v").is_err());
+        let mut r = ByteReader::new(&[9]);
+        assert!(r.skip_value("v").is_err());
+    }
+
+    #[test]
+    fn skip_value_steps_over_exactly_one_value() {
+        let vals = [
+            Value::Null,
+            Value::Int(-7),
+            Value::Float(0.5),
+            Value::str("DETROIT"),
+        ];
+        let mut w = ByteWriter::new();
+        for v in &vals {
+            w.put_value(v);
+        }
+        let bytes = w.into_bytes();
+        for (i, v) in vals.iter().enumerate() {
+            let mut r = ByteReader::new(&bytes);
+            for _ in 0..i {
+                r.skip_value("t").unwrap();
+            }
+            assert_eq!(&r.get_value("t").unwrap(), v);
+        }
+        // A string whose length runs past the input is not skipped.
+        let mut r = ByteReader::new(&bytes[..bytes.len() - 1]);
+        for _ in 0..3 {
+            r.skip_value("t").unwrap();
+        }
+        assert!(r.skip_value("t").is_err());
     }
 
     #[test]

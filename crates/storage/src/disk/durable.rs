@@ -75,6 +75,7 @@
 use super::codec::{capacity, fnv64, ByteReader, ByteWriter};
 use super::faults::DiskFaultPlan;
 use super::file::{BlockId, FileMgr, Page, DEFAULT_PAGE_SIZE};
+use super::heap::HeapFile;
 use super::log::{LogMgr, Lsn};
 use super::{DiskError, DiskResult};
 use crate::network_db::{NetworkDb, RecordId};
@@ -202,6 +203,15 @@ impl DurableNetworkDb {
         let (next_id, next_seqs, meta) = if gen > 0 {
             read_meta_blob(&fm, gen, schema_fp)?
         } else {
+            // Heap pages reach disk only inside a checkpoint, and a torn
+            // first checkpoint was just rolled back: with no generation on
+            // record the heap must be empty. Records here mean the
+            // MANIFEST was lost.
+            if HeapFile::open(Arc::clone(&fm), HEAP, 1)?.stats().records > 0 {
+                return Err(DiskError::Corrupt(
+                    "MANIFEST names no checkpoint but the heap holds records".to_string(),
+                ));
+            }
             (1, Vec::new(), Vec::new())
         };
         let mut db = NetworkDb::recover_paged(
@@ -213,14 +223,6 @@ impl DurableNetworkDb {
             &next_seqs,
         )
         .map_err(|e| DiskError::Corrupt(format!("heap recovery: {e}")))?;
-        // Heap pages reach disk only inside a checkpoint, and a torn first
-        // checkpoint was just rolled back: with no generation on record
-        // the heap must be empty. Records here mean the MANIFEST was lost.
-        if gen == 0 && db.record_count() > 0 {
-            return Err(DiskError::Corrupt(
-                "MANIFEST names no checkpoint but the heap holds records".to_string(),
-            ));
-        }
         // From here on, dirty heap pages must never reach disk outside a
         // checkpoint: the on-disk heap image *is* the last checkpoint.
         // This must precede WAL replay — replayed ops dirty pages too.

@@ -26,11 +26,19 @@
 //! root-to-leaf descent instead of a walk over every page), and the
 //! virgin block free list. Placement is deterministic — lowest eligible
 //! block first — so identical operation sequences produce identical files.
+//! An insert updates its page's map entry incrementally (the bytes it
+//! took, the slot it reused) instead of rescanning the slot directory,
+//! which it walks only to find a free slot the map says is there.
 //!
 //! A record operation pins its slotted page once, not once per step: a
-//! read finds, checks and copies the slot under one pin, and an erase or
-//! same-size rewrite of an inline record changes the page under that
-//! same pin.
+//! read finds, checks and copies the slot under one pin (or, through
+//! [`HeapFile::read`], lends the caller the payload in the frame without
+//! copying it), and an erase or same-size rewrite of an inline record
+//! changes the page under that same pin.
+//!
+//! Page headers are disk bytes: every offset computed from them is
+//! checked, and a header that disagrees with itself or with the
+//! free-space map is [`DiskError::Corrupt`], never a wrapped `u16`.
 //!
 //! The heap marks frames dirty with LSN 0: its crash consistency is
 //! fenced by the owner's checkpoint protocol (see `disk::durable`), not
@@ -92,7 +100,7 @@ pub struct HeapStats {
 }
 
 /// Per-slotted-page free-space map entry.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PageSpace {
     /// Contiguous free bytes between the slot directory and `free_ptr`.
     free: u16,
@@ -110,6 +118,62 @@ impl PageSpace {
     fn usable(&self) -> u16 {
         let entry = if self.free_slots > 0 { 0 } else { SLOT as u16 };
         (self.free + self.dead).saturating_sub(entry)
+    }
+
+    /// The entry a scan of a page's slot directory yields: what
+    /// [`HeapFile::open`] rebuilds, and what every incremental update must
+    /// agree with. Fails on entries no consistent page can hold.
+    fn of_entries(entries: &[(u16, u16)], page_size: usize) -> DiskResult<PageSpace> {
+        let live = entries.iter().filter(|(off, _)| *off != 0);
+        let free_ptr = live.clone().map(|&(off, _)| off as usize).min();
+        let free_ptr = free_ptr.unwrap_or(page_size);
+        let live_bytes: usize = live.map(|&(_, len)| len as usize).sum();
+        let dir_end = HDR + entries.len() * SLOT;
+        let free = free_ptr.checked_sub(dir_end);
+        let dead = page_size
+            .checked_sub(free_ptr)
+            .and_then(|data| data.checked_sub(live_bytes));
+        let (Some(free), Some(dead)) = (free, dead) else {
+            return Err(DiskError::Corrupt(format!(
+                "heap page of {} slots: payloads overlap the directory or the page end",
+                entries.len()
+            )));
+        };
+        Ok(PageSpace {
+            free: free as u16,
+            dead: dead as u16,
+            free_slots: entries.iter().filter(|(off, _)| *off == 0).count() as u16,
+        })
+    }
+}
+
+/// A slot body: an inline payload behind its marker byte, or the stub of
+/// a spilled one. Written straight into the frame, never assembled in a
+/// buffer of its own.
+#[derive(Debug, Clone, Copy)]
+enum Body<'a> {
+    Inline(&'a [u8]),
+    Stub([u8; STUB]),
+}
+
+impl Body<'_> {
+    /// Bytes the body takes in the data area.
+    fn len(&self) -> u16 {
+        match self {
+            Body::Inline(payload) => payload.len() as u16 + 1,
+            Body::Stub(_) => STUB as u16,
+        }
+    }
+
+    fn write(&self, page: &mut Page, off: u16) -> DiskResult<()> {
+        let off = off as usize;
+        match self {
+            Body::Inline(payload) => {
+                page.write_at(off, &[INLINE])?;
+                page.write_at(off + 1, payload)
+            }
+            Body::Stub(stub) => page.write_at(off, stub),
+        }
     }
 }
 
@@ -256,7 +320,7 @@ impl HeapFile {
                 KIND_SLOTTED => {
                     self.records += entries.iter().filter(|(off, _)| *off != 0).count() as u64;
                     self.live_bytes += live_bytes;
-                    self.recompute_space(b, &entries);
+                    self.recompute_space(b, &entries)?;
                 }
                 other => {
                     return Err(DiskError::Corrupt(format!(
@@ -370,30 +434,16 @@ impl HeapFile {
         Ok(b)
     }
 
-    fn recompute_space(&mut self, b: u32, entries: &[(u16, u16)]) {
-        let ps = self.page_size() as u16;
-        let n = entries.len() as u16;
-        let free_ptr = entries
-            .iter()
-            .filter(|(off, _)| *off != 0)
-            .map(|(off, _)| *off)
-            .min()
-            .unwrap_or(ps);
-        let dir_end = HDR as u16 + n * SLOT as u16;
-        let live: u16 = entries
-            .iter()
-            .filter(|(off, _)| *off != 0)
-            .map(|(_, len)| *len)
-            .sum();
-        let free_slots = entries.iter().filter(|(off, _)| *off == 0).count() as u16;
-        self.set_space(
-            b,
-            PageSpace {
-                free: free_ptr - dir_end,
-                dead: (ps - free_ptr) - live,
-                free_slots,
-            },
-        );
+    /// Reset page `b`'s map entry to what a scan of its slot directory
+    /// yields.
+    fn recompute_space(&mut self, b: u32, entries: &[(u16, u16)]) -> DiskResult<()> {
+        let sp = PageSpace::of_entries(entries, self.page_size())?;
+        self.set_space(b, sp);
+        Ok(())
+    }
+
+    fn space_of(&self, b: u32) -> PageSpace {
+        self.space.get(b as usize).copied().unwrap_or_default()
     }
 
     fn set_space(&mut self, b: u32, sp: PageSpace) {
@@ -410,7 +460,7 @@ impl HeapFile {
     /// fit in block order keeps placement deterministic.
     fn place(&mut self, need: u16) -> DiskResult<u32> {
         if let Some(b) = self.fit.first_fit(need) {
-            let sp = self.space.get(b as usize).copied().unwrap_or_default();
+            let sp = self.space_of(b);
             let cost = if sp.free_slots > 0 {
                 need
             } else {
@@ -442,16 +492,23 @@ impl HeapFile {
     /// [`HeapId`]s are unaffected.
     fn compact(&mut self, b: u32) -> DiskResult<()> {
         let entries = self.with_page_mut(b, |page| {
-            let ps = page.size();
             let mut entries = slot_entries(page)?;
+            let dir_end = HDR + entries.len() * SLOT;
             // Move highest-offset payloads first so writes never overlap
             // unmoved live bytes.
             let mut order: Vec<usize> = (0..entries.len()).filter(|&s| entries[s].0 != 0).collect();
             order.sort_by_key(|&s| std::cmp::Reverse(entries[s].0));
-            let mut top = ps as u16;
+            let mut top = page.size() as u16;
             for s in order {
                 let (off, len) = entries[s];
-                top -= len;
+                top = top
+                    .checked_sub(len)
+                    .filter(|&top| top as usize >= dir_end)
+                    .ok_or_else(|| {
+                        DiskError::Corrupt(format!(
+                            "heap [{b}]: live payloads overflow the page while compacting"
+                        ))
+                    })?;
                 if top != off {
                     let bytes = page.read_at(off as usize, len as usize)?.to_vec();
                     page.write_at(top as usize, &bytes)?;
@@ -462,61 +519,76 @@ impl HeapFile {
             write_u16(page, 3, top)?;
             Ok(entries)
         })?;
-        self.recompute_space(b, &entries);
-        Ok(())
+        self.recompute_space(b, &entries)
     }
 
-    /// Carve `body.len()` bytes out of page `b`'s data area and bind them
-    /// to a slot (reusing a free slot when one exists). Returns the handle.
-    fn bind_slot(&mut self, b: u32, body: &[u8]) -> DiskResult<HeapId> {
-        let len = body.len() as u16;
-        let (slot, entries) = self.with_page_mut(b, |page| {
-            let n = read_u16(page, 1)? as usize;
-            let free_ptr = read_u16(page, 3)?;
-            let slot = (0..n).find(|&s| matches!(read_u16(page, HDR + s * SLOT), Ok(0)));
+    /// Carve `body` out of page `b`'s data area and bind it to a slot,
+    /// reusing a free slot when one exists. The page's map entry, which
+    /// [`HeapFile::place`] just consulted, is updated in step with the
+    /// page instead of being rebuilt from its slot directory; the
+    /// directory is walked only to find the free slot the map promises.
+    fn bind_slot(&mut self, b: u32, body: Body) -> DiskResult<HeapId> {
+        let len = body.len();
+        let mut sp = self.space_of(b);
+        let reuse = sp.free_slots > 0;
+        let cost = if reuse { len } else { len + SLOT as u16 };
+        let slot = self.with_page_mut(b, |page| {
+            let (n, free_ptr) = header(page)?;
+            let dir_end = HDR as u16 + n * SLOT as u16;
+            if free_ptr - dir_end != sp.free || sp.free < cost {
+                return Err(DiskError::Corrupt(format!(
+                    "heap [{b}]: page has {} free bytes, the free-space map {}, {cost} needed",
+                    free_ptr - dir_end,
+                    sp.free
+                )));
+            }
             let off = free_ptr - len;
-            page.write_at(off as usize, body)?;
-            write_u16(page, 3, off)?;
-            let s = match slot {
-                Some(s) => s,
-                None => {
-                    write_u16(page, 1, n as u16 + 1)?;
-                    n
-                }
+            let s = if reuse {
+                (0..n)
+                    .find(|&s| matches!(read_u16(page, HDR + s as usize * SLOT), Ok(0)))
+                    .ok_or_else(|| {
+                        DiskError::Corrupt(format!(
+                            "heap [{b}]: the free-space map promises a free slot the page lacks"
+                        ))
+                    })?
+            } else {
+                write_u16(page, 1, n + 1)?;
+                n
             };
-            write_u16(page, HDR + s * SLOT, off)?;
-            write_u16(page, HDR + s * SLOT + 2, len)?;
-            Ok((s as u16, slot_entries(page)?))
+            body.write(page, off)?;
+            write_u16(page, 3, off)?;
+            write_u16(page, HDR + s as usize * SLOT, off)?;
+            write_u16(page, HDR + s as usize * SLOT + 2, len)?;
+            Ok(s)
         })?;
-        self.recompute_space(b, &entries);
+        sp.free -= cost;
+        sp.free_slots -= u16::from(reuse);
+        self.set_space(b, sp);
         Ok(HeapId { block: b, slot })
     }
 
     /// Slot body for `payload`: inline behind a marker byte, or a stub
     /// pointing at a freshly written overflow chain.
-    fn body_for(&mut self, payload: &[u8]) -> DiskResult<Vec<u8>> {
+    fn body_for<'a>(&mut self, payload: &'a [u8]) -> DiskResult<Body<'a>> {
         if payload.len() <= self.inline_max() {
-            let mut body = Vec::with_capacity(payload.len() + 1);
-            body.push(INLINE);
-            body.extend_from_slice(payload);
-            Ok(body)
+            Ok(Body::Inline(payload))
         } else {
-            self.spill_stub(payload)
+            self.spill_stub(payload).map(Body::Stub)
         }
     }
 
     /// Store `payload`, returning its stable handle.
     pub fn insert(&mut self, payload: &[u8]) -> DiskResult<HeapId> {
         let body = self.body_for(payload)?;
-        let b = self.place(body.len() as u16)?;
-        let id = self.bind_slot(b, &body)?;
+        let b = self.place(body.len())?;
+        let id = self.bind_slot(b, body)?;
         self.records += 1;
         self.live_bytes += payload.len() as u64;
         Ok(id)
     }
 
     /// Write `payload` into an overflow chain, returning the slot stub.
-    fn spill_stub(&mut self, payload: &[u8]) -> DiskResult<Vec<u8>> {
+    fn spill_stub(&mut self, payload: &[u8]) -> DiskResult<[u8; STUB]> {
         let chunk_max = self.page_size() - OVF_HDR;
         let mut chunks: Vec<&[u8]> = payload.chunks(chunk_max).collect();
         if chunks.is_empty() {
@@ -535,34 +607,44 @@ impl HeapFile {
                 page.write_at(OVF_HDR, chunk)
             })?;
         }
-        let mut stub = Vec::with_capacity(STUB);
-        stub.push(SPILLED);
-        stub.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        stub.extend_from_slice(&blocks[0].to_le_bytes());
+        let mut stub = [0; STUB];
+        stub[0] = SPILLED;
+        stub[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        stub[5..].copy_from_slice(&blocks[0].to_le_bytes());
         Ok(stub)
     }
 
     /// Fetch the payload stored at `id`: one pin of its page, and one
     /// copy of an inline payload (straight out of the frame).
     pub fn get(&mut self, id: HeapId) -> DiskResult<Vec<u8>> {
-        let mut out = Vec::new();
-        let stub = self.with_page(id.block, |page| {
-            let (off, len) = live_slot(page, id)?;
-            let body = page.read_at(off as usize, len as usize)?;
-            match body.first() {
-                Some(&INLINE) => {
-                    out.extend_from_slice(&body[1..]);
-                    Ok(None)
-                }
-                Some(&SPILLED) => parse_stub(body).map(Some),
-                _ => Err(DiskError::Corrupt(format!("heap: {id} has no marker byte"))),
+        self.read(id, |payload| Ok(payload.to_vec()))
+    }
+
+    /// Run `f` over the payload stored at `id` without copying it out
+    /// first: an inline payload is lent straight from its frame, under the
+    /// one pin that finds and checks the slot. A spilled payload is
+    /// assembled from its overflow chain, as [`HeapFile::get`] copies it.
+    pub fn read<T>(&mut self, id: HeapId, f: impl FnOnce(&[u8]) -> DiskResult<T>) -> DiskResult<T> {
+        let fid = self.pin(id.block)?;
+        let stub = match self.bm.page(fid).and_then(|page| stored_body(page, id)) {
+            Ok(Body::Inline(payload)) => {
+                let out = f(payload);
+                self.bm.unpin(fid)?;
+                return out;
             }
-        })?;
-        let Some((total, first)) = stub else {
-            return Ok(out);
+            Ok(Body::Stub(stub)) => parse_stub(&stub),
+            Err(e) => Err(e),
         };
+        self.bm.unpin(fid)?;
+        let (total, first) = stub?;
+        let payload = self.read_chain(id, total, first)?;
+        f(&payload)
+    }
+
+    /// The `total` bytes of `id`'s overflow chain starting at `first`.
+    fn read_chain(&mut self, id: HeapId, total: usize, first: u32) -> DiskResult<Vec<u8>> {
         // The stub is disk bytes: never reserve more than the file holds.
-        out.reserve(total.min(self.file_bytes() as usize));
+        let mut out = Vec::with_capacity(total.min(self.file_bytes() as usize));
         let mut b = first;
         while b != NO_BLOCK {
             b = self.with_page(b, |page| {
@@ -623,7 +705,7 @@ impl HeapFile {
                 self.with_page_mut(id.block, |page| clear_slot(page, id))?
             }
         };
-        self.recompute_space(id.block, &entries);
+        self.recompute_space(id.block, &entries)?;
         self.records -= 1;
         Ok(())
     }
@@ -668,51 +750,59 @@ impl HeapFile {
 
         // General path: erase, then try to rebind the same slot on the
         // same page before falling back to a fresh placement.
-        match old_stub {
+        let old_bytes = match old_stub {
             Some((total, first)) => {
                 self.free_chain(first)?;
-                self.live_bytes -= total as u64;
+                total as u64
             }
-            None => self.live_bytes -= u64::from(len).saturating_sub(1),
-        }
+            None => u64::from(len).saturating_sub(1),
+        };
         let body = self.body_for(payload)?;
-        let need = body.len() as u16;
+        let need = body.len();
         // Free the old bytes (slot stays allocated to us).
         let entries = self.with_page_mut(id.block, |page| clear_slot(page, id))?;
-        self.recompute_space(id.block, &entries);
-        let sp = self
-            .space
-            .get(id.block as usize)
-            .copied()
-            .unwrap_or_default();
+        self.recompute_space(id.block, &entries)?;
+        let sp = self.space_of(id.block);
         let new_id = if sp.free >= need {
-            self.rebind(id, &body)?
+            self.rebind(id, body)?
         } else if sp.free + sp.dead >= need {
             self.compact(id.block)?;
-            self.rebind(id, &body)?
+            self.rebind(id, body)?
         } else {
             // Relocation: the old slot stays behind as a free slot, the
             // record count is unchanged.
             let b = self.place(need)?;
-            self.bind_slot(b, &body)?
+            self.bind_slot(b, body)?
         };
-        self.live_bytes += payload.len() as u64;
+        self.live_bytes = self.live_bytes - old_bytes + payload.len() as u64;
         Ok(new_id)
     }
 
-    /// Re-point slot `id.slot` of its page at freshly written `body`.
-    fn rebind(&mut self, id: HeapId, body: &[u8]) -> DiskResult<HeapId> {
-        let len = body.len() as u16;
-        let entries = self.with_page_mut(id.block, |page| {
-            let free_ptr = read_u16(page, 3)?;
+    /// Re-point slot `id.slot` of its page, freed by the caller, at
+    /// freshly written `body`; the map entry is updated in step, as
+    /// [`HeapFile::bind_slot`] updates it.
+    fn rebind(&mut self, id: HeapId, body: Body) -> DiskResult<HeapId> {
+        let len = body.len();
+        let mut sp = self.space_of(id.block);
+        self.with_page_mut(id.block, |page| {
+            let (n, free_ptr) = header(page)?;
+            let dir_end = HDR as u16 + n * SLOT as u16;
+            if free_ptr - dir_end != sp.free || sp.free < len || sp.free_slots == 0 {
+                return Err(DiskError::Corrupt(format!(
+                    "heap {id}: page has {} free bytes, the free-space map {}, {len} needed",
+                    free_ptr - dir_end,
+                    sp.free
+                )));
+            }
             let off = free_ptr - len;
-            page.write_at(off as usize, body)?;
+            body.write(page, off)?;
             write_u16(page, 3, off)?;
             write_u16(page, HDR + id.slot as usize * SLOT, off)?;
-            write_u16(page, HDR + id.slot as usize * SLOT + 2, len)?;
-            slot_entries(page)
+            write_u16(page, HDR + id.slot as usize * SLOT + 2, len)
         })?;
-        self.recompute_space(id.block, &entries);
+        sp.free -= len;
+        sp.free_slots -= 1;
+        self.set_space(id.block, sp);
         Ok(id)
     }
 
@@ -762,6 +852,39 @@ fn slot_entries(page: &Page) -> DiskResult<Vec<(u16, u16)>> {
         .collect()
 }
 
+/// Slot count and `free_ptr` of a slotted page, checked against each
+/// other and the page size, so the offsets carved out of the gap between
+/// the directory and the data area cannot wrap.
+fn header(page: &Page) -> DiskResult<(u16, u16)> {
+    let n = read_u16(page, 1)?;
+    let free_ptr = read_u16(page, 3)?;
+    let dir_end = HDR + n as usize * SLOT;
+    if dir_end > free_ptr as usize || free_ptr as usize > page.size() {
+        return Err(DiskError::Corrupt(format!(
+            "heap page header: {n} slots and free_ptr {free_ptr} on a {}-byte page",
+            page.size()
+        )));
+    }
+    Ok((n, free_ptr))
+}
+
+/// The body stored in live slot `id`, borrowed from its page: the inline
+/// payload behind its marker, or a spilled record's stub.
+fn stored_body(page: &Page, id: HeapId) -> DiskResult<Body<'_>> {
+    let (off, len) = live_slot(page, id)?;
+    let body = page.read_at(off as usize, len as usize)?;
+    match body.split_first() {
+        Some((&INLINE, payload)) => Ok(Body::Inline(payload)),
+        Some((&SPILLED, _)) => {
+            let stub = body.try_into().map_err(|_| {
+                DiskError::Corrupt(format!("heap: {id} has a spilled stub of {len} bytes"))
+            })?;
+            Ok(Body::Stub(stub))
+        }
+        _ => Err(DiskError::Corrupt(format!("heap: {id} has no marker byte"))),
+    }
+}
+
 /// The slot-directory entry `(off, len)` of live slot `id` on its page,
 /// verifying the page kind and that the slot is in use.
 fn live_slot(page: &Page, id: HeapId) -> DiskResult<(u16, u16)> {
@@ -782,18 +905,34 @@ fn live_slot(page: &Page, id: HeapId) -> DiskResult<(u16, u16)> {
 
 /// Free slot `id`'s bytes (the slot stays in the directory), raise
 /// `free_ptr` to the lowest remaining payload so the gap counts as free
-/// rather than dead, and return the page's slot entries.
+/// rather than dead, and return the page's slot entries. The header's
+/// `free_ptr` must be the lowest payload before the slot is cleared too:
+/// nothing is written to a page whose header says otherwise.
 fn clear_slot(page: &mut Page, id: HeapId) -> DiskResult<Vec<(u16, u16)>> {
+    let (_, free_ptr) = header(page)?;
+    let mut entries = slot_entries(page)?;
+    let low = |entries: &[(u16, u16)]| {
+        entries
+            .iter()
+            .filter(|(o, _)| *o != 0)
+            .map(|(o, _)| *o)
+            .min()
+            .unwrap_or(page.size() as u16)
+    };
+    if free_ptr != low(&entries) {
+        return Err(DiskError::Corrupt(format!(
+            "heap {id}: free_ptr {free_ptr} is not the lowest payload {}",
+            low(&entries)
+        )));
+    }
+    let Some(entry) = entries.get_mut(id.slot as usize) else {
+        return Err(DiskError::State(format!("heap: no slot {id}")));
+    };
+    *entry = (0, 0);
+    let free_ptr = low(&entries);
     write_u16(page, HDR + id.slot as usize * SLOT, 0)?;
     write_u16(page, HDR + id.slot as usize * SLOT + 2, 0)?;
-    let entries = slot_entries(page)?;
-    let low = entries
-        .iter()
-        .filter(|(o, _)| *o != 0)
-        .map(|(o, _)| *o)
-        .min()
-        .unwrap_or(page.size() as u16);
-    write_u16(page, 3, low)?;
+    write_u16(page, 3, free_ptr)?;
     Ok(entries)
 }
 
@@ -1015,6 +1154,25 @@ mod tests {
         Ok(())
     }
 
+    /// Every page's free-space map entry equals what a rescan of its
+    /// bytes builds: slotted pages the entry their slot directory yields,
+    /// every other block an empty one. The map is kept incrementally, so
+    /// this is the check on that accounting.
+    fn assert_map_matches_pages(heap: &mut HeapFile) -> Result<(), TestCaseError> {
+        for b in 0..heap.blocks {
+            let scanned = heap
+                .with_page(b, |page| {
+                    if page.as_slice()[0] != KIND_SLOTTED {
+                        return Ok(PageSpace::default());
+                    }
+                    PageSpace::of_entries(&slot_entries(page)?, page.size())
+                })
+                .unwrap();
+            prop_assert_eq!(heap.space_of(b), scanned, "free-space map of block {}", b);
+        }
+        Ok(())
+    }
+
     const PAGE: usize = 128;
 
     proptest! {
@@ -1026,8 +1184,9 @@ mod tests {
         /// reopens (a `rescan`) in between. After every step the tree's
         /// first fit equals the linear walk's for every body size, each
         /// inline insert lands on the block the walk picks (or on the
-        /// block a new page would take), and contents and `stats()`
-        /// match a shadow map.
+        /// block a new page would take), every page's free-space map
+        /// entry equals the one its bytes yield, and contents and
+        /// `stats()` match a shadow map.
         #[test]
         fn fit_tree_places_exactly_like_linear_first_fit(
             ops in prop::collection::vec((0u8..8, 0usize..1000, 0usize..300), 1..120),
@@ -1075,6 +1234,7 @@ mod tests {
                     _ => {}
                 }
                 assert_tree_matches_linear(&heap)?;
+                assert_map_matches_pages(&mut heap)?;
                 let stats = heap.stats();
                 prop_assert_eq!(stats.records, shadow.len() as u64);
                 prop_assert_eq!(
@@ -1105,6 +1265,69 @@ mod tests {
             .unwrap();
         assert!(matches!(heap.get(id), Err(DiskError::State(_))));
         assert!(heap.erase(id).is_err());
+    }
+
+    /// `free_ptr` is disk bytes too: a header pointing below the slot
+    /// directory, past the page, or anywhere but the lowest payload fails
+    /// inserts and updates with `Corrupt` (no `u16` wraps, in either build
+    /// profile) and leaves the page as it was.
+    #[test]
+    fn corrupt_free_ptr_fails_inserts_and_updates() {
+        let (_d, mut heap) = setup(128, 4);
+        let id = heap.insert(b"resident").unwrap();
+        let good = heap.with_page(id.block, |page| read_u16(page, 3)).unwrap();
+        for bad in [
+            0,
+            3,
+            HDR as u16 + SLOT as u16 - 1,
+            good - 40,
+            good + 1,
+            200,
+            u16::MAX,
+        ] {
+            heap.with_page_mut(id.block, |page| write_u16(page, 3, bad))
+                .unwrap();
+            let err = heap.insert(b"newcomer").unwrap_err();
+            assert!(
+                matches!(err, DiskError::Corrupt(_)),
+                "insert, free_ptr {bad}: {err}"
+            );
+            let err = heap.update(id, b"grown resident").unwrap_err();
+            assert!(
+                matches!(err, DiskError::Corrupt(_)),
+                "update, free_ptr {bad}: {err}"
+            );
+            let err = heap.erase(id).unwrap_err();
+            assert!(
+                matches!(err, DiskError::Corrupt(_)),
+                "erase, free_ptr {bad}: {err}"
+            );
+            assert_eq!(heap.get(id).unwrap(), b"resident");
+        }
+        heap.with_page_mut(id.block, |page| write_u16(page, 3, good))
+            .unwrap();
+        let other = heap.insert(b"newcomer").unwrap();
+        assert_eq!(heap.update(id, b"grown resident").unwrap(), id);
+        assert_eq!(heap.get(other).unwrap(), b"newcomer");
+        assert_eq!(heap.get(id).unwrap(), b"grown resident");
+    }
+
+    /// A borrowed read sees the stored payload, inline or spilled, and a
+    /// closure's error comes back as the read's.
+    #[test]
+    fn read_lends_the_stored_payload() {
+        let (_d, mut heap) = setup(128, 2);
+        let small = heap.insert(b"in the frame").unwrap();
+        let jumbo: Vec<u8> = (0..700u32).map(|i| (i % 253) as u8).collect();
+        let big = heap.insert(&jumbo).unwrap();
+        assert_eq!(heap.read(small, |p| Ok(p == b"in the frame")), Ok(true));
+        assert_eq!(heap.read(big, |p| Ok(p == jumbo.as_slice())), Ok(true));
+        let err = heap
+            .read(small, |_| Err::<(), _>(DiskError::Corrupt("no".into())))
+            .unwrap_err();
+        assert!(matches!(err, DiskError::Corrupt(_)));
+        heap.erase(small).unwrap();
+        assert!(heap.read(small, |p| Ok(p.len())).is_err());
     }
 
     #[test]

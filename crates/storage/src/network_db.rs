@@ -26,10 +26,12 @@ use crate::keys::KeyTuple;
 use crate::stats::AccessStats;
 use crate::txn::{Savepoint, UndoLog};
 use dbpc_datamodel::constraint::Constraint;
-use dbpc_datamodel::network::{Insertion, NetworkSchema, RecordTypeDef, Retention, SetDef};
+use dbpc_datamodel::network::{
+    Insertion, NetworkSchema, RecordTypeDef, Retention, SetDef, VirtualVia,
+};
 use dbpc_datamodel::value::Value;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -187,8 +189,8 @@ type PersistedLinks = Vec<(String, u64, u64)>;
 /// [`HeapFile`] under a capped buffer pool, so database size is bounded
 /// by disk; all derived structures (set stores, `by_type` lists,
 /// calc-key indexes) stay in RAM as indexes over record ids, and the
-/// id → [`HeapId`] directory is the one structure that grows with the
-/// record count (two words per record).
+/// id-indexed [`Directory`] (16 bytes per id) is the one record-store
+/// structure that grows with the record count.
 enum Backend {
     Mem(BTreeMap<u64, StoredRecord>),
     Heap(Box<HeapBackend>),
@@ -198,7 +200,7 @@ impl std::fmt::Debug for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Backend::Mem(m) => write!(f, "Mem({} records)", m.len()),
-            Backend::Heap(h) => write!(f, "Heap({} records)", h.dir.len()),
+            Backend::Heap(h) => write!(f, "Heap({} records)", h.dir.live),
         }
     }
 }
@@ -213,14 +215,106 @@ struct HeapBackend {
     /// Base pool capacity, remembered for `fresh_like` and `clone`.
     pool: usize,
     heap: RefCell<HeapFile>,
-    /// Logical record id → physical slot, ascending (= creation) order.
-    dir: BTreeMap<u64, HeapId>,
-    /// Record types by id — kept in RAM so type dispatch, `by_type`
-    /// bookkeeping, and erase paths never fault a page in.
-    rtypes: BTreeMap<u64, String>,
-    /// Records whose set links changed since the last `sync_links`
-    /// (payload link sections are refreshed lazily, at checkpoints).
-    link_dirty: BTreeSet<u64>,
+    dir: Directory,
+    /// Ids whose link bit was set since the last `sync_links`, in the
+    /// order it was set. An id may repeat (a rolled-back store's id is
+    /// allocated again) or have been rewritten or erased since; the sync
+    /// sorts, dedups and skips those.
+    pending: Vec<u64>,
+}
+
+/// Record ids per [`Directory`] chunk.
+const DIR_CHUNK: usize = 1024;
+
+/// The record directory of a paged database, indexed by logical record
+/// id. Ids are allocated in ascending order, so it is a dense table, held
+/// in chunks of [`DIR_CHUNK`] ids: a chunk whose records have all been
+/// erased is freed, so the directory stays proportional to the live
+/// records however many ids a workload storing and erasing burns through.
+#[derive(Default)]
+struct Directory {
+    chunks: Vec<Option<Box<DirChunk>>>,
+    /// Live entries.
+    live: usize,
+}
+
+struct DirChunk {
+    /// Live entries in this chunk.
+    live: usize,
+    entries: [Option<DirEntry>; DIR_CHUNK],
+}
+
+impl Directory {
+    /// Chunk and position of `id`.
+    fn split(id: u64) -> Option<(usize, usize)> {
+        let id = usize::try_from(id).ok()?;
+        Some((id / DIR_CHUNK, id % DIR_CHUNK))
+    }
+
+    fn get(&self, id: u64) -> Option<&DirEntry> {
+        let (c, i) = Directory::split(id)?;
+        self.chunks.get(c)?.as_ref()?.entries[i].as_ref()
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut DirEntry> {
+        let (c, i) = Directory::split(id)?;
+        self.chunks.get_mut(c)?.as_mut()?.entries[i].as_mut()
+    }
+
+    fn insert(&mut self, id: u64, entry: DirEntry) {
+        let (c, i) = (id as usize / DIR_CHUNK, id as usize % DIR_CHUNK);
+        if self.chunks.len() <= c {
+            self.chunks.resize_with(c + 1, || None);
+        }
+        let chunk = self.chunks[c].get_or_insert_with(|| {
+            Box::new(DirChunk {
+                live: 0,
+                entries: [None; DIR_CHUNK],
+            })
+        });
+        if chunk.entries[i].replace(entry).is_none() {
+            chunk.live += 1;
+            self.live += 1;
+        }
+    }
+
+    fn remove(&mut self, id: u64) -> Option<DirEntry> {
+        let (c, i) = Directory::split(id)?;
+        let slot = self.chunks.get_mut(c)?;
+        let chunk = slot.as_mut()?;
+        let entry = chunk.entries[i].take()?;
+        chunk.live -= 1;
+        self.live -= 1;
+        if chunk.live == 0 {
+            *slot = None;
+        }
+        Some(entry)
+    }
+
+    /// Live record ids, ascending.
+    fn ids(&self) -> impl Iterator<Item = u64> + '_ {
+        let chunks = self.chunks.iter().enumerate();
+        chunks
+            .filter_map(|(c, chunk)| Some((c * DIR_CHUNK, chunk.as_ref()?)))
+            .flat_map(|(base, chunk)| {
+                let entries = chunk.entries.iter().enumerate();
+                entries.filter_map(move |(i, e)| e.as_ref().map(|_| (base + i) as u64))
+            })
+    }
+}
+
+/// One record's directory entry in a paged database.
+#[derive(Debug, Clone, Copy)]
+struct DirEntry {
+    /// Where the payload lives.
+    hid: HeapId,
+    /// The record's type, as an index into the schema's record list —
+    /// kept in RAM so type dispatch, `by_type` bookkeeping, single-field
+    /// reads and erase paths never fault a page in for it.
+    rtype: u32,
+    /// The set links changed since the payload was last written (its link
+    /// section is refreshed lazily, at checkpoints).
+    link_dirty: bool,
 }
 
 impl HeapBackend {
@@ -234,14 +328,38 @@ impl HeapBackend {
         f(&mut self.heap.borrow_mut()).map_err(|e| DbError::constraint(format!("heap: {e}")))
     }
 
-    fn fetch(&self, id: u64) -> Option<StoredRecord> {
-        let hid = *self.dir.get(&id)?;
-        let bytes = self
-            .with_heap(|h| h.get(hid))
+    /// Enter record `id`, stored at `hid`, queueing it for the next link
+    /// sync when `link_dirty` says its payload holds stale links.
+    fn bind(&mut self, id: u64, hid: HeapId, rtype: u32, link_dirty: bool) {
+        let entry = DirEntry {
+            hid,
+            rtype,
+            link_dirty,
+        };
+        self.dir.insert(id, entry);
+        if link_dirty {
+            self.pending.push(id);
+        }
+    }
+
+    /// Run `decode` over record `id`'s payload where it lies in its pinned
+    /// frame (one pin; a spilled payload is assembled first). `None` when
+    /// there is no such record.
+    fn read<T>(&self, id: u64, decode: impl FnOnce(&[u8]) -> Result<T, String>) -> Option<T> {
+        let hid = self.dir.get(id)?.hid;
+        let decoded = self
+            .with_heap(|h| h.read(hid, |bytes| Ok(decode(bytes))))
             .unwrap_or_else(|e| panic!("heap record #{id} unreadable: {e}"));
-        let (rec, _) =
-            decode_record(&bytes).unwrap_or_else(|e| panic!("heap record #{id} undecodable: {e}"));
-        Some(rec)
+        Some(decoded.unwrap_or_else(|e| panic!("heap record #{id} undecodable: {e}")))
+    }
+
+    fn fetch(&self, id: u64) -> Option<StoredRecord> {
+        self.read(id, |bytes| decode_record(bytes).map(|(rec, _)| rec))
+    }
+
+    /// Stored field `idx` of record `id`, without decoding the rest.
+    fn value(&self, id: u64, idx: usize) -> Option<Value> {
+        self.read(id, |bytes| value_at(bytes, id, idx))
     }
 
     /// Current physical statistics of the heap file.
@@ -312,6 +430,42 @@ fn decode_record(bytes: &[u8]) -> Result<(StoredRecord, PersistedLinks), String>
         },
         links,
     ))
+}
+
+/// Stored field `idx` of the payload of record `id`, read by stepping over
+/// the fields before it instead of decoding them. On the way it checks
+/// what [`decode_record`] would: the magic, that the payload is record
+/// `id`'s, the value count, and every skipped value's tag.
+fn value_at(bytes: &[u8], id: u64, idx: usize) -> Result<Value, String> {
+    use crate::disk::codec::ByteReader;
+    fn ctx<T>(r: Result<T, crate::disk::codec::CodecError>) -> Result<T, String> {
+        r.map_err(|e| e.to_string())
+    }
+    let mut r = ByteReader::new(bytes);
+    let magic = ctx(r.get_u8("record magic"))?;
+    if magic != REC_MAGIC {
+        return Err(format!("bad record magic 0x{magic:02X}"));
+    }
+    let stored = ctx(r.get_u64("record id"))?;
+    if stored != id {
+        return Err(format!("payload holds record #{stored}"));
+    }
+    ctx(r.get_bytes("record type"))?;
+    let n_values = ctx(r.get_u32("value count"))?;
+    if idx >= n_values as usize {
+        return Err(format!("field {idx} of a record with {n_values} values"));
+    }
+    for _ in 0..idx {
+        ctx(r.skip_value("field value"))?;
+    }
+    ctx(r.get_value("field value"))
+}
+
+/// Index of record type `rtype` in `schema`'s record list: the type id a
+/// paged directory entry holds.
+fn type_index(schema: &NetworkSchema, rtype: &str) -> Option<u32> {
+    let i = schema.records.iter().position(|rt| rt.name == rtype)?;
+    u32::try_from(i).ok()
 }
 
 /// A record's current set memberships `(set, owner, arrival seq)`, read
@@ -399,9 +553,8 @@ impl HeapBackend {
             fm,
             pool,
             heap: RefCell::new(heap),
-            dir: BTreeMap::new(),
-            rtypes: BTreeMap::new(),
-            link_dirty: BTreeSet::new(),
+            dir: Directory::default(),
+            pending: Vec::new(),
         })
     }
 }
@@ -473,16 +626,20 @@ impl NetworkDb {
             })?;
         }
         for (id, (rec, links, hid)) in decoded {
+            // Ids are disk bytes, and the directory is indexed by them.
+            if id == 0 || id >= next_id {
+                return Err(DbError::constraint(format!(
+                    "heap recovery: record #{id} outside the allocated ids 1..{next_id}"
+                )));
+            }
+            let t = type_index(&db.schema, &rec.rtype)
+                .ok_or_else(|| DbError::unknown("record", &rec.rtype))?;
             let Backend::Heap(h) = &mut db.records else {
                 return Err(DbError::constraint("recover_paged: not a heap backend"));
             };
-            h.dir.insert(id, hid);
-            h.rtypes.insert(id, rec.rtype.clone());
+            h.bind(id, hid, t, false);
             db.by_type.entry(rec.rtype.clone()).or_default().push(id);
-            let rt = db
-                .schema
-                .record(&rec.rtype)
-                .ok_or_else(|| DbError::unknown("record", &rec.rtype))?;
+            let rt = &db.schema.records[t as usize];
             for (set_name, owner, seq) in links {
                 let set = db
                     .schema
@@ -587,7 +744,7 @@ impl NetworkDb {
                 }
             }
             Backend::Heap(h) => {
-                for &id in h.dir.keys().collect::<Vec<_>>() {
+                for id in h.dir.ids() {
                     if let Some(rec) = h.fetch(id) {
                         f(&rec);
                     }
@@ -599,16 +756,20 @@ impl NetworkDb {
     fn backend_contains(&self, id: u64) -> bool {
         match &self.records {
             Backend::Mem(m) => m.contains_key(&id),
-            Backend::Heap(h) => h.dir.contains_key(&id),
+            Backend::Heap(h) => h.dir.get(id).is_some(),
         }
     }
 
-    /// A record's type, read from RAM (the Mem map, or the heap's type
-    /// map), so type and existence checks never fetch a record.
+    /// A record's type, read from RAM (the Mem map, or the heap's
+    /// directory), so type and existence checks never fetch a record.
     fn rtype_of(&self, id: RecordId) -> DbResult<&str> {
         match &self.records {
             Backend::Mem(m) => m.get(&id.0).map(|rec| rec.rtype.as_str()),
-            Backend::Heap(h) => h.rtypes.get(&id.0).map(String::as_str),
+            Backend::Heap(h) => h
+                .dir
+                .get(id.0)
+                .and_then(|e| self.schema.records.get(e.rtype as usize))
+                .map(|rt| rt.name.as_str()),
         }
         .ok_or_else(|| DbError::NotFound(format!("record #{}", id.0)))
     }
@@ -622,12 +783,14 @@ impl NetworkDb {
             Backend::Heap(h) => {
                 let id = rec.id.0;
                 let bytes = encode_record(id, &rec.rtype, &rec.values, &[]);
-                let hid = h
-                    .with_heap(|heap| heap.insert(&bytes))
-                    .unwrap_or_else(|e| panic!("heap insert #{id}: {e}"));
-                h.dir.insert(id, hid);
-                h.rtypes.insert(id, rec.rtype);
-                h.link_dirty.insert(id);
+                let placed = type_index(&self.schema, &rec.rtype)
+                    .ok_or_else(|| format!("unknown record type {}", rec.rtype))
+                    .and_then(|t| {
+                        let hid = h.with_heap(|heap| heap.insert(&bytes));
+                        hid.map(|hid| (hid, t)).map_err(|e| e.to_string())
+                    });
+                let (hid, t) = placed.unwrap_or_else(|e| panic!("heap insert #{id}: {e}"));
+                h.bind(id, hid, t, true);
             }
         }
     }
@@ -638,9 +801,7 @@ impl NetworkDb {
             Backend::Mem(m) => m.remove(&id),
             Backend::Heap(h) => {
                 let rec = h.fetch(id)?;
-                let hid = h.dir.remove(&id)?;
-                h.rtypes.remove(&id);
-                h.link_dirty.remove(&id);
+                let hid = h.dir.remove(id)?.hid;
                 h.with_heap(|heap| heap.erase(hid))
                     .unwrap_or_else(|e| panic!("heap erase #{id}: {e}"));
                 Some(rec)
@@ -661,18 +822,20 @@ impl NetworkDb {
                 None => false,
             },
             Backend::Heap(h) => {
-                let Some(&hid) = h.dir.get(&id) else {
+                let Some(hid) = h.dir.get(id).map(|e| e.hid) else {
                     return false;
                 };
                 // Values rewrite resyncs the link section too (it is
-                // being re-encoded anyway), so drop any pending marker.
+                // being re-encoded anyway), so clear the dirty bit.
                 let links = persisted_links_of(&self.sets, id);
                 let bytes = encode_record(id, rtype, &values, &links);
                 let new_hid = h
                     .with_heap(|heap| heap.update(hid, &bytes))
                     .unwrap_or_else(|e| panic!("heap update #{id}: {e}"));
-                h.dir.insert(id, new_hid);
-                h.link_dirty.remove(&id);
+                if let Some(e) = h.dir.get_mut(id) {
+                    e.hid = new_hid;
+                    e.link_dirty = false;
+                }
                 true
             }
         }
@@ -682,8 +845,9 @@ impl NetworkDb {
     /// refreshed lazily by [`NetworkDb::sync_links`]. No-op in Mem mode.
     fn touch_links(&mut self, id: u64) {
         if let Backend::Heap(h) = &mut self.records {
-            if h.dir.contains_key(&id) {
-                h.link_dirty.insert(id);
+            if let Some(e) = h.dir.get_mut(id).filter(|e| !e.link_dirty) {
+                e.link_dirty = true;
+                h.pending.push(id);
             }
         }
     }
@@ -696,20 +860,31 @@ impl NetworkDb {
         let Backend::Heap(h) = &mut self.records else {
             return Ok(());
         };
-        let pending: Vec<u64> = h.link_dirty.iter().copied().collect();
-        for id in pending {
+        let mut pending = std::mem::take(&mut h.pending);
+        pending.sort_unstable();
+        pending.dedup();
+        for (i, &id) in pending.iter().enumerate() {
+            let Some(hid) = h.dir.get(id).filter(|e| e.link_dirty).map(|e| e.hid) else {
+                continue;
+            };
             let Some(rec) = h.fetch(id) else {
-                h.link_dirty.remove(&id);
                 continue;
             };
             let links = persisted_links_of(&self.sets, id);
             let bytes = encode_record(id, &rec.rtype, &rec.values, &links);
-            let hid = h.dir[&id];
-            let new_hid = h
-                .with_heap(|heap| heap.update(hid, &bytes))
-                .map_err(|e| DbError::constraint(format!("link sync #{id}: {e}")))?;
-            h.dir.insert(id, new_hid);
-            h.link_dirty.remove(&id);
+            let new_hid = match h.with_heap(|heap| heap.update(hid, &bytes)) {
+                Ok(new_hid) => new_hid,
+                Err(e) => {
+                    // What is not yet synced stays pending for the next
+                    // sync.
+                    h.pending = pending.split_off(i);
+                    return Err(DbError::constraint(format!("link sync #{id}: {e}")));
+                }
+            };
+            if let Some(e) = h.dir.get_mut(id) {
+                e.hid = new_hid;
+                e.link_dirty = false;
+            }
         }
         Ok(())
     }
@@ -914,19 +1089,23 @@ impl NetworkDb {
     fn copy_into_heap(&self, mut hb: HeapBackend) -> DbResult<NetworkDb> {
         let ids: Vec<u64> = match &self.records {
             Backend::Mem(m) => m.keys().copied().collect(),
-            Backend::Heap(h) => h.dir.keys().copied().collect(),
+            Backend::Heap(h) => h.dir.ids().collect(),
         };
         for id in ids {
             let Some((rtype, bytes)) = self.with_rec(id, |rec| {
                 let links = persisted_links_of(&self.sets, id);
                 let bytes = encode_record(id, &rec.rtype, &rec.values, &links);
-                (rec.rtype.clone(), bytes)
+                (type_index(&self.schema, &rec.rtype), bytes)
             }) else {
                 continue;
             };
+            let rtype = rtype.ok_or_else(|| {
+                DbError::constraint(format!(
+                    "heap copy: record #{id} has a type outside the schema"
+                ))
+            })?;
             let hid = hb.with_heap(|heap| heap.insert(&bytes))?;
-            hb.dir.insert(id, hid);
-            hb.rtypes.insert(id, rtype);
+            hb.bind(id, hid, rtype, false);
         }
         let copy = NetworkDb {
             schema: self.schema.clone(),
@@ -955,7 +1134,7 @@ impl NetworkDb {
     pub fn record_count(&self) -> usize {
         match &self.records {
             Backend::Mem(m) => m.len(),
-            Backend::Heap(h) => h.dir.len(),
+            Backend::Heap(h) => h.dir.live,
         }
     }
 
@@ -1107,35 +1286,44 @@ impl NetworkDb {
     /// Read a field, resolving virtual fields through the owner. A virtual
     /// field of a disconnected member reads as `Null` (the "null instructor"
     /// device of §3.1).
+    ///
+    /// A paged record's type comes from the directory, and a stored field
+    /// is read out of the record's pinned page alone, the rest of the
+    /// payload undecoded; a virtual field reads only the owner's page.
     pub fn field_value(&self, id: RecordId, field: &str) -> DbResult<Value> {
-        // Resolve in two steps so the virtual-field recursion runs after
-        // the record access completes (no store borrow held across it).
-        enum Fetched {
-            Plain(Value),
-            Virtual { set: String, source: String },
-        }
-        let step = self
-            .with_rec(id.0, |rec| -> DbResult<Fetched> {
-                let rt = self.record_type(&rec.rtype)?;
-                let idx = rt
-                    .field_index(field)
-                    .ok_or_else(|| DbError::unknown("field", format!("{}.{}", rec.rtype, field)))?;
-                match &rt.fields[idx].virtual_via {
-                    None => Ok(Fetched::Plain(rec.values[idx].clone())),
-                    Some(v) => Ok(Fetched::Virtual {
-                        set: v.set.clone(),
-                        source: v.source_field.clone(),
-                    }),
-                }
-            })
-            .ok_or_else(|| DbError::NotFound(format!("record #{}", id.0)))??;
-        match step {
-            Fetched::Plain(v) => Ok(v),
-            Fetched::Virtual { set, source } => match self.owner_in(&set, id)? {
+        let not_found = || DbError::NotFound(format!("record #{}", id.0));
+        let stored = match &self.records {
+            Backend::Mem(m) => {
+                let rec = m.get(&id.0).ok_or_else(not_found)?;
+                self.field_slot(&rec.rtype, field)?
+                    .map(|idx| rec.values.get(idx).cloned())
+            }
+            Backend::Heap(h) => {
+                let rtype = self.rtype_of(id)?;
+                self.field_slot(rtype, field)?.map(|idx| h.value(id.0, idx))
+            }
+        };
+        match stored {
+            Ok(value) => value.ok_or_else(not_found),
+            Err(via) => match self.owner_in(&via.set, id)? {
                 None => Ok(Value::Null),
-                Some(owner) => self.field_value(owner, &source),
+                Some(owner) => self.field_value(owner, &via.source_field),
             },
         }
+    }
+
+    /// Where `field` of a record of type `rtype` is read: `Ok` with its
+    /// index in the stored values, or `Err` with the owner path a virtual
+    /// field resolves through.
+    fn field_slot(&self, rtype: &str, field: &str) -> DbResult<Result<usize, &VirtualVia>> {
+        let rt = self.record_type(rtype)?;
+        let idx = rt
+            .field_index(field)
+            .ok_or_else(|| DbError::unknown("field", format!("{rtype}.{field}")))?;
+        Ok(match &rt.fields[idx].virtual_via {
+            None => Ok(idx),
+            Some(via) => Err(via),
+        })
     }
 
     /// All field values of a record in declaration order, virtuals resolved.
@@ -2321,6 +2509,52 @@ mod tests {
         assert!(db
             .store("EMP", &[("EMP-NAME", Value::str("X"))], &[])
             .is_err());
+    }
+
+    /// Storing and erasing burns through ids: the paged directory frees
+    /// each chunk whose records are all gone, and still lists the live
+    /// ones in id order.
+    #[test]
+    fn directory_frees_chunks_whose_records_are_all_erased() {
+        let mut db = NetworkDb::new_paged(company_schema(), 4096, 8).unwrap();
+        let ids: Vec<RecordId> = (0..3000)
+            .map(|i| {
+                db.store("DIV", &[("DIV-NAME", Value::str(format!("D{i}")))], &[])
+                    .unwrap()
+            })
+            .collect();
+        for &id in &ids[..2500] {
+            db.erase(id, false).unwrap();
+        }
+        let Backend::Heap(h) = &db.records else {
+            unreachable!("new_paged builds a heap backend");
+        };
+        let held = h.dir.chunks.iter().filter(|c| c.is_some()).count();
+        assert_eq!(held, 1, "only the chunk of ids 2048..3072 has live records");
+        let live: Vec<RecordId> = h.dir.ids().map(RecordId).collect();
+        assert_eq!(live, ids[2500..]);
+        assert_eq!(db.record_count(), 500);
+        db.check_access_structures().unwrap();
+    }
+
+    /// The directory is indexed by record id, and recovery reads ids from
+    /// disk: one past the allocator's `next_id` is a typed error, not a
+    /// directory sized by a corrupt number.
+    #[test]
+    fn recovery_rejects_ids_the_allocator_never_allocated() {
+        let dir = TempDir::new("netdb-wild-id").unwrap();
+        let fm = Arc::new(FileMgr::new(dir.path(), 256).unwrap());
+        let mut heap = HeapFile::open(Arc::clone(&fm), "heap.dat", 4).unwrap();
+        heap.insert(&encode_record(u64::MAX, "DIV", &[Value::str("X")], &[]))
+            .unwrap();
+        heap.flush().unwrap();
+        drop(heap);
+        let err =
+            NetworkDb::recover_paged(company_schema(), fm, "heap.dat", 4, 5, &[]).unwrap_err();
+        assert!(
+            err.to_string().contains("outside the allocated ids"),
+            "{err}"
+        );
     }
 
     mod decoders {

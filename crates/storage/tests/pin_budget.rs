@@ -25,6 +25,7 @@ fn schema() -> NetworkSchema {
             vec![
                 FieldDef::new("EMP-NAME", FieldType::Char(25)),
                 FieldDef::new("AGE", FieldType::Int(2)),
+                FieldDef::virtual_field("DIV-NAME", FieldType::Char(20), "DIV-EMP", "DIV-NAME"),
             ],
         ))
         .with_set(SetDef::system("ALL-DIV", "DIV", vec!["DIV-NAME"]))
@@ -99,5 +100,24 @@ fn paged_record_operations_stay_within_their_pin_budget() {
         assert_eq!(n, 6, "cascading erase of three records (pool {pool})");
         assert_eq!(db.record_count(), 0);
         db.check_access_structures().unwrap();
+    }
+}
+
+#[test]
+fn single_field_reads_pin_one_page() {
+    for pool in [1, 16] {
+        let (db, _, [adams, _]) = setup(pool);
+
+        // A stored field is read out of the record's page alone: its type
+        // comes from the directory, not from a fetch.
+        let (v, n) = pins(|| db.field_value(adams, "AGE").unwrap());
+        assert_eq!(v, Value::Int(30));
+        assert_eq!(n, 1, "stored field (pool {pool})");
+
+        // A virtual field pins only the owner's page: the member's set
+        // link and type are in RAM.
+        let (v, n) = pins(|| db.field_value(adams, "DIV-NAME").unwrap());
+        assert_eq!(v, Value::str("SALES"));
+        assert_eq!(n, 1, "virtual field (pool {pool})");
     }
 }
