@@ -1,7 +1,9 @@
 //! Pinning buffer manager with clock replacement.
 //!
-//! A fixed pool of page frames mediates all data-page I/O (the snapshot
-//! reader/writer in [`super::durable`] goes through it). Clients pin a
+//! A bounded pool of page frames mediates all data-page I/O (the snapshot
+//! reader/writer in [`super::durable`] goes through it). Frames are
+//! allocated on first use, so a pool costs only the pages it has held.
+//! Clients pin a
 //! block — faulting it in from the file manager on a miss — mutate the
 //! frame image, mark it dirty with the LSN of the log record describing
 //! the change, and unpin. Eviction uses the clock (second-chance)
@@ -120,7 +122,9 @@ impl PageTable {
     }
 }
 
-/// A fixed pool of page frames over one [`FileMgr`].
+/// A pool of at most `capacity` page frames over one [`FileMgr`],
+/// allocated as misses need them: the clock only runs once the pool is
+/// full.
 ///
 /// In **no-steal** mode ([`BufferMgr::set_no_steal`]) dirty frames are
 /// never eviction victims: the pool grows one frame at a time instead,
@@ -136,35 +140,37 @@ pub struct BufferMgr {
     fm: Arc<FileMgr>,
     frames: Vec<Frame>,
     table: PageTable,
-    /// Frames that have never held a block; while there are any, a miss
-    /// takes the lowest-numbered one instead of running the clock.
+    /// Frames holding no block (one whose read failed, or a no-steal
+    /// growth frame); while there are any, a miss takes the
+    /// lowest-numbered one instead of allocating or running the clock.
     unused: usize,
     hand: usize,
-    /// Capacity requested at construction; `trim` shrinks back to it.
+    /// Capacity requested at construction: the pool grows to it on
+    /// demand, and `trim` shrinks back to it.
     base_capacity: usize,
     /// Never evict dirty frames; grow the pool instead.
     no_steal: bool,
 }
 
 impl BufferMgr {
-    /// Create a pool of `capacity` frames (at least 1).
+    /// Create a pool of up to `capacity` frames (at least 1), none of
+    /// them allocated yet.
     pub fn new(fm: Arc<FileMgr>, capacity: usize) -> DiskResult<BufferMgr> {
         if capacity == 0 {
             return Err(DiskError::Config("buffer pool capacity 0".to_string()));
         }
-        let ps = fm.page_size();
-        let frames = (0..capacity).map(|_| Frame::new(ps)).collect();
         Ok(BufferMgr {
             fm,
-            frames,
+            frames: Vec::new(),
             table: PageTable::default(),
-            unused: capacity,
+            unused: 0,
             hand: 0,
             base_capacity: capacity,
             no_steal: false,
         })
     }
 
+    /// Frames allocated so far.
     pub fn capacity(&self) -> usize {
         self.frames.len()
     }
@@ -278,15 +284,19 @@ impl BufferMgr {
         Ok(FrameId(i))
     }
 
-    /// Clock sweep for an unpinned victim frame. In no-steal mode dirty
-    /// frames are also skipped, and an exhausted sweep grows the pool by
-    /// one frame instead of aborting.
+    /// A frame for a miss: an empty one, a new one while the pool is
+    /// below its capacity, or else a clock sweep's unpinned victim. In
+    /// no-steal mode dirty frames are also skipped, and an exhausted
+    /// sweep grows the pool by one frame instead of aborting.
     fn victim(&mut self) -> DiskResult<usize> {
-        // First preference: a frame never used at all.
+        // First preference: a frame holding nothing.
         if self.unused > 0 {
             if let Some(i) = self.frames.iter().position(|f| f.blk.is_none()) {
                 return Ok(i);
             }
+        }
+        if self.frames.len() < self.base_capacity {
+            return Ok(self.grow());
         }
         // Two full sweeps: the first clears reference bits, the second
         // must then find any eligible frame if one exists.
@@ -304,13 +314,18 @@ impl BufferMgr {
             return Ok(i);
         }
         if self.no_steal {
-            self.frames.push(Frame::new(self.fm.page_size()));
-            self.unused += 1;
-            return Ok(self.frames.len() - 1);
+            return Ok(self.grow());
         }
         Err(DiskError::BufferAbort {
             capacity: self.frames.len(),
         })
+    }
+
+    /// Allocate one more (empty) frame; returns its index.
+    fn grow(&mut self) -> usize {
+        self.frames.push(Frame::new(self.fm.page_size()));
+        self.unused += 1;
+        self.frames.len() - 1
     }
 
     fn check(&self, id: FrameId) -> DiskResult<()> {
@@ -471,8 +486,9 @@ mod tests {
     }
 
     /// The replacement policy with linear scans instead of a page table:
-    /// frames looked up by comparing every block id, the first never-used
-    /// frame found by a scan. Same clock, same no-steal growth, same trim.
+    /// frames looked up by comparing every block id, the first empty
+    /// frame found by a scan. Same growth to capacity on demand, same
+    /// clock, same no-steal growth, same trim.
     #[derive(Debug, Default, Clone, Copy)]
     struct ModelFrame {
         /// `(file index, block number)`.
@@ -495,7 +511,6 @@ mod tests {
     impl LinearModel {
         fn new(capacity: usize) -> LinearModel {
             LinearModel {
-                frames: vec![ModelFrame::default(); capacity],
                 base: capacity,
                 ..LinearModel::default()
             }
@@ -525,6 +540,10 @@ mod tests {
         fn victim(&mut self) -> Option<usize> {
             if let Some(i) = self.frames.iter().position(|f| f.blk.is_none()) {
                 return Some(i);
+            }
+            if self.frames.len() < self.base {
+                self.frames.push(ModelFrame::default());
+                return Some(self.frames.len() - 1);
             }
             for _ in 0..self.frames.len() * 2 {
                 let i = self.hand;

@@ -219,8 +219,11 @@ struct HeapBackend {
     /// Ids whose link bit was set since the last `sync_links`, in the
     /// order it was set. An id may repeat (a rolled-back store's id is
     /// allocated again) or have been rewritten or erased since; the sync
-    /// sorts, dedups and skips those.
+    /// sorts, dedups and skips those, and so does [`HeapBackend::queue`]
+    /// whenever the list outgrows twice the live records.
     pending: Vec<u64>,
+    /// Encode buffer every payload write reuses.
+    buf: Vec<u8>,
 }
 
 /// Record ids per [`Directory`] chunk.
@@ -338,7 +341,21 @@ impl HeapBackend {
         };
         self.dir.insert(id, entry);
         if link_dirty {
-            self.pending.push(id);
+            self.queue(id);
+        }
+    }
+
+    /// Queue `id` for the next link sync. A heap nobody checkpoints never
+    /// drains the queue, so once it outgrows twice the live records it is
+    /// cut down to the distinct ids still waiting.
+    fn queue(&mut self, id: u64) {
+        self.pending.push(id);
+        if self.pending.len() > 2 * self.dir.live + 64 {
+            let dir = &self.dir;
+            self.pending.sort_unstable();
+            self.pending.dedup();
+            self.pending
+                .retain(|&id| dir.get(id).is_some_and(|e| e.link_dirty));
         }
     }
 
@@ -362,6 +379,25 @@ impl HeapBackend {
         self.read(id, |bytes| value_at(bytes, id, idx))
     }
 
+    /// Encode record `id` into the reused buffer and hand it to `write`.
+    fn encode<T>(
+        &mut self,
+        id: u64,
+        rtype: &str,
+        values: &[Value],
+        links: &[(String, u64, u64)],
+        write: impl FnOnce(&mut HeapFile, &[u8]) -> crate::disk::DiskResult<T>,
+    ) -> DbResult<T> {
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        let mut w = crate::disk::codec::ByteWriter::over(buf);
+        encode_record(&mut w, id, rtype, values, links);
+        let buf = w.into_bytes();
+        let out = self.with_heap(|heap| write(heap, &buf));
+        self.buf = buf;
+        out
+    }
+
     /// Current physical statistics of the heap file.
     fn stats(&self) -> HeapStats {
         self.heap.borrow().stats()
@@ -373,9 +409,13 @@ impl HeapBackend {
 /// codec. The ordering key inside each set is *not* persisted — it is a
 /// function of the values and the schema's `SET KEYS`, re-derived on
 /// recovery — but the arrival sequence is, because it is allocator state.
-fn encode_record(id: u64, rtype: &str, values: &[Value], links: &[(String, u64, u64)]) -> Vec<u8> {
-    use crate::disk::codec::ByteWriter;
-    let mut w = ByteWriter::new();
+fn encode_record(
+    w: &mut crate::disk::codec::ByteWriter,
+    id: u64,
+    rtype: &str,
+    values: &[Value],
+    links: &[(String, u64, u64)],
+) {
     w.put_u8(REC_MAGIC);
     w.put_u64(id);
     w.put_str(rtype);
@@ -389,7 +429,6 @@ fn encode_record(id: u64, rtype: &str, values: &[Value], links: &[(String, u64, 
         w.put_u64(*owner);
         w.put_u64(*seq);
     }
-    w.into_bytes()
 }
 
 /// Inverse of [`encode_record`]; total (typed errors, no panics) because
@@ -483,7 +522,9 @@ fn persisted_links_of(sets: &BTreeMap<String, SetStore>, id: u64) -> PersistedLi
 /// An owner-coupled-set database instance.
 #[derive(Debug)]
 pub struct NetworkDb {
-    schema: NetworkSchema,
+    /// Shared with every copy of the database, and borrowed (never
+    /// cloned) by each mutation.
+    schema: Arc<NetworkSchema>,
     records: Backend,
     sets: BTreeMap<String, SetStore>,
     /// Record ids per record type, ascending (= creation order).
@@ -508,7 +549,7 @@ impl Clone for NetworkDb {
     fn clone(&self) -> NetworkDb {
         match &self.records {
             Backend::Mem(m) => NetworkDb {
-                schema: self.schema.clone(),
+                schema: Arc::clone(&self.schema),
                 records: Backend::Mem(m.clone()),
                 sets: self.sets.clone(),
                 by_type: self.by_type.clone(),
@@ -555,6 +596,7 @@ impl HeapBackend {
             heap: RefCell::new(heap),
             dir: Directory::default(),
             pending: Vec::new(),
+            buf: Vec::new(),
         })
     }
 }
@@ -678,7 +720,7 @@ impl NetworkDb {
             .map(|s| (s.name.clone(), SetStore::default()))
             .collect();
         Ok(NetworkDb {
-            schema,
+            schema: Arc::new(schema),
             records,
             sets,
             by_type: BTreeMap::new(),
@@ -774,19 +816,23 @@ impl NetworkDb {
         .ok_or_else(|| DbError::NotFound(format!("record #{}", id.0)))
     }
 
-    /// Insert a freshly created record (store / undo-of-erase).
-    fn backend_insert(&mut self, rec: StoredRecord) {
+    /// Insert freshly created record `id` of type `rtype` (store /
+    /// undo-of-erase). A heap payload is encoded straight from `values`.
+    fn backend_insert(&mut self, id: u64, rtype: &str, values: &[Value]) {
         match &mut self.records {
             Backend::Mem(m) => {
-                m.insert(rec.id.0, rec);
+                let rec = StoredRecord {
+                    id: RecordId(id),
+                    rtype: rtype.to_string(),
+                    values: values.to_vec(),
+                };
+                m.insert(id, rec);
             }
             Backend::Heap(h) => {
-                let id = rec.id.0;
-                let bytes = encode_record(id, &rec.rtype, &rec.values, &[]);
-                let placed = type_index(&self.schema, &rec.rtype)
-                    .ok_or_else(|| format!("unknown record type {}", rec.rtype))
+                let placed = type_index(&self.schema, rtype)
+                    .ok_or_else(|| format!("unknown record type {rtype}"))
                     .and_then(|t| {
-                        let hid = h.with_heap(|heap| heap.insert(&bytes));
+                        let hid = h.encode(id, rtype, values, &[], |heap, b| heap.insert(b));
                         hid.map(|hid| (hid, t)).map_err(|e| e.to_string())
                     });
                 let (hid, t) = placed.unwrap_or_else(|e| panic!("heap insert #{id}: {e}"));
@@ -812,11 +858,11 @@ impl NetworkDb {
     /// Overwrite the values of record `id`, of type `rtype` (modify /
     /// undo-of-modify). The caller already holds the record, so nothing
     /// is fetched here. Returns false if the record does not exist.
-    fn backend_set_values(&mut self, id: u64, rtype: &str, values: Vec<Value>) -> bool {
+    fn backend_set_values(&mut self, id: u64, rtype: &str, values: &[Value]) -> bool {
         match &mut self.records {
             Backend::Mem(m) => match m.get_mut(&id) {
                 Some(rec) => {
-                    rec.values = values;
+                    rec.values = values.to_vec();
                     true
                 }
                 None => false,
@@ -828,9 +874,8 @@ impl NetworkDb {
                 // Values rewrite resyncs the link section too (it is
                 // being re-encoded anyway), so clear the dirty bit.
                 let links = persisted_links_of(&self.sets, id);
-                let bytes = encode_record(id, rtype, &values, &links);
                 let new_hid = h
-                    .with_heap(|heap| heap.update(hid, &bytes))
+                    .encode(id, rtype, values, &links, |heap, b| heap.update(hid, b))
                     .unwrap_or_else(|e| panic!("heap update #{id}: {e}"));
                 if let Some(e) = h.dir.get_mut(id) {
                     e.hid = new_hid;
@@ -847,7 +892,7 @@ impl NetworkDb {
         if let Backend::Heap(h) = &mut self.records {
             if let Some(e) = h.dir.get_mut(id).filter(|e| !e.link_dirty) {
                 e.link_dirty = true;
-                h.pending.push(id);
+                h.queue(id);
             }
         }
     }
@@ -871,8 +916,8 @@ impl NetworkDb {
                 continue;
             };
             let links = persisted_links_of(&self.sets, id);
-            let bytes = encode_record(id, &rec.rtype, &rec.values, &links);
-            let new_hid = match h.with_heap(|heap| heap.update(hid, &bytes)) {
+            let update = |heap: &mut HeapFile, b: &[u8]| heap.update(hid, b);
+            let new_hid = match h.encode(id, &rec.rtype, &rec.values, &links, update) {
                 Ok(new_hid) => new_hid,
                 Err(e) => {
                     // What is not yet synced stays pending for the next
@@ -1001,7 +1046,7 @@ impl NetworkDb {
                 else {
                     return;
                 };
-                self.backend_set_values(id, &rtype, values.clone());
+                self.backend_set_values(id, &rtype, &values);
                 self.index_update(&rtype, &current, &values, id);
             }
             NetUndo::Erase { rec, links } => {
@@ -1010,7 +1055,7 @@ impl NetworkDb {
                 let pos = ids.partition_point(|&m| m < id);
                 ids.insert(pos, id);
                 self.index_add(&rec.rtype, &rec.values, id);
-                self.backend_insert(rec);
+                self.backend_insert(id, &rec.rtype, &rec.values);
                 for (set, owner, ord) in links {
                     if let Some(store) = self.sets.get_mut(&set) {
                         store.relink_at(owner, id, ord);
@@ -1092,23 +1137,24 @@ impl NetworkDb {
             Backend::Heap(h) => h.dir.ids().collect(),
         };
         for id in ids {
-            let Some((rtype, bytes)) = self.with_rec(id, |rec| {
+            let Some(placed) = self.with_rec(id, |rec| {
+                let rtype = type_index(&self.schema, &rec.rtype).ok_or_else(|| {
+                    DbError::constraint(format!(
+                        "heap copy: record #{id} has a type outside the schema"
+                    ))
+                })?;
                 let links = persisted_links_of(&self.sets, id);
-                let bytes = encode_record(id, &rec.rtype, &rec.values, &links);
-                (type_index(&self.schema, &rec.rtype), bytes)
+                let insert = |heap: &mut HeapFile, b: &[u8]| heap.insert(b);
+                let hid = hb.encode(id, &rec.rtype, &rec.values, &links, insert)?;
+                Ok::<_, DbError>((hid, rtype))
             }) else {
                 continue;
             };
-            let rtype = rtype.ok_or_else(|| {
-                DbError::constraint(format!(
-                    "heap copy: record #{id} has a type outside the schema"
-                ))
-            })?;
-            let hid = hb.with_heap(|heap| heap.insert(&bytes))?;
+            let (hid, rtype) = placed?;
             hb.bind(id, hid, rtype, false);
         }
         let copy = NetworkDb {
-            schema: self.schema.clone(),
+            schema: Arc::clone(&self.schema),
             records: Backend::Heap(Box::new(hb)),
             sets: self.sets.clone(),
             by_type: self.by_type.clone(),
@@ -1326,14 +1372,32 @@ impl NetworkDb {
         })
     }
 
-    /// All field values of a record in declaration order, virtuals resolved.
+    /// All field values of a record in declaration order, virtuals
+    /// resolved: one read of the record, plus one read of the owner per
+    /// virtual field. A stored row that does not hold one value per field
+    /// is `NotFound`, as a single field missing from it is for
+    /// [`NetworkDb::field_value`].
     pub fn resolved_values(&self, id: RecordId) -> DbResult<Vec<Value>> {
         let rec = self.get(id)?;
-        let rt = self.record_type(&rec.rtype)?.clone();
-        rt.fields
-            .iter()
-            .map(|f| self.field_value(id, &f.name))
-            .collect()
+        let rt = self.record_type(&rec.rtype)?;
+        let mut values = rec.values;
+        if values.len() != rt.fields.len() {
+            return Err(DbError::NotFound(format!(
+                "record #{}: {} values for {} fields",
+                id.0,
+                values.len(),
+                rt.fields.len()
+            )));
+        }
+        for (value, f) in values.iter_mut().zip(&rt.fields) {
+            if let Some(via) = &f.virtual_via {
+                *value = match self.owner_in(&via.set, id)? {
+                    None => Value::Null,
+                    Some(owner) => self.field_value(owner, &via.source_field)?,
+                };
+            }
+        }
+        Ok(values)
     }
 
     // -- mutation ----------------------------------------------------------
@@ -1350,7 +1414,10 @@ impl NetworkDb {
         values: &[(&str, Value)],
         connects: &[(&str, RecordId)],
     ) -> DbResult<RecordId> {
-        let rt = self.record_type(rtype)?.clone();
+        let schema = Arc::clone(&self.schema);
+        let rt = schema
+            .record(rtype)
+            .ok_or_else(|| DbError::unknown("record", rtype))?;
         let mut row = vec![Value::Null; rt.fields.len()];
         for (name, v) in values {
             let idx = rt
@@ -1372,16 +1439,14 @@ impl NetworkDb {
         }
 
         // Row-level declarative constraints.
-        self.check_row_constraints(rtype, &rt, &row, None)?;
+        self.check_row_constraints(rtype, rt, &row, None)?;
 
         // Validate the requested connections before anything is inserted.
-        let mut planned: Vec<(SetDef, RecordId)> = Vec::new();
+        let mut planned: Vec<(&SetDef, RecordId)> = Vec::new();
         for (set_name, owner) in connects {
-            let set = self
-                .schema
+            let set = schema
                 .set(set_name)
-                .ok_or_else(|| DbError::unknown("set", *set_name))?
-                .clone();
+                .ok_or_else(|| DbError::unknown("set", *set_name))?;
             if set.member != rtype {
                 return Err(DbError::Membership(format!(
                     "record type {rtype} is not the member of set {set_name}"
@@ -1398,7 +1463,7 @@ impl NetworkDb {
         }
         // AUTOMATIC record-owned sets must be connected at store time; an
         // Existence constraint demands connection regardless of class.
-        for set in self.schema.sets_with_member(rtype) {
+        for set in schema.sets_with_member(rtype) {
             if set.owner.record_name().is_none() {
                 continue;
             }
@@ -1415,36 +1480,29 @@ impl NetworkDb {
 
         // Pre-check occupancy rules for each planned connection.
         for (set, owner) in &planned {
-            self.check_connectable(set, *owner, &rt, &row)?;
+            self.check_connectable(set, *owner, rt, &row)?;
         }
         // System sets: duplicate-key check against the single occurrence.
-        let system_sets: Vec<SetDef> = self
-            .schema
-            .system_sets_of(rtype)
-            .into_iter()
-            .cloned()
-            .collect();
+        let system_sets = schema.system_sets_of(rtype);
         for set in &system_sets {
-            self.check_connectable(set, SYSTEM_OWNER, &rt, &row)?;
+            self.check_connectable(set, SYSTEM_OWNER, rt, &row)?;
         }
 
         let id = RecordId(self.next_id);
         self.next_id += 1;
-        self.backend_insert(StoredRecord {
-            id,
-            rtype: rtype.to_string(),
-            values: row.clone(),
-        });
-        self.by_type
-            .entry(rtype.to_string())
-            .or_default()
-            .push(id.0);
+        self.backend_insert(id.0, rtype, &row);
+        match self.by_type.get_mut(rtype) {
+            Some(ids) => ids.push(id.0),
+            None => {
+                self.by_type.insert(rtype.to_string(), vec![id.0]);
+            }
+        }
         self.index_add(rtype, &row, id.0);
         for set in &system_sets {
-            self.insert_member(set, SYSTEM_OWNER, id, &rt, &row);
+            self.insert_member(set, SYSTEM_OWNER, id, rt, &row);
         }
         for (set, owner) in &planned {
-            self.insert_member(set, *owner, id, &rt, &row);
+            self.insert_member(set, *owner, id, rt, &row);
         }
         // One op covers the record and its store-time links; the undo
         // tears them all down, mirroring an erase.
@@ -1454,11 +1512,10 @@ impl NetworkDb {
 
     /// Connect an existing record into a set occurrence (`CONNECT`).
     pub fn connect(&mut self, set_name: &str, owner: RecordId, member: RecordId) -> DbResult<()> {
-        let set = self
-            .schema
+        let schema = Arc::clone(&self.schema);
+        let set = schema
             .set(set_name)
-            .ok_or_else(|| DbError::unknown("set", set_name))?
-            .clone();
+            .ok_or_else(|| DbError::unknown("set", set_name))?;
         let mem_rec = self.get(member)?;
         if set.member != mem_rec.rtype {
             return Err(DbError::Membership(format!(
@@ -1478,9 +1535,11 @@ impl NetworkDb {
                 member.0
             )));
         }
-        let rt = self.record_type(&mem_rec.rtype)?.clone();
-        self.check_connectable(&set, owner, &rt, &mem_rec.values)?;
-        self.insert_member(&set, owner, member, &rt, &mem_rec.values);
+        let rt = schema
+            .record(&mem_rec.rtype)
+            .ok_or_else(|| DbError::unknown("record", &mem_rec.rtype))?;
+        self.check_connectable(set, owner, rt, &mem_rec.values)?;
+        self.insert_member(set, owner, member, rt, &mem_rec.values);
         self.touch_links(member.0);
         self.journal.record_with(|| NetUndo::Link {
             set: set_name.to_string(),
@@ -1497,8 +1556,7 @@ impl NetworkDb {
         let set = self
             .schema
             .set(set_name)
-            .ok_or_else(|| DbError::unknown("set", set_name))?
-            .clone();
+            .ok_or_else(|| DbError::unknown("set", set_name))?;
         if set.retention == Retention::Mandatory {
             return Err(DbError::Membership(format!(
                 "cannot disconnect MANDATORY member from {set_name}"
@@ -1566,15 +1624,10 @@ impl NetworkDb {
         cascade: bool,
         erased: &mut Vec<RecordId>,
     ) -> DbResult<()> {
-        let rtype = self.rtype_of(id)?.to_string();
+        let schema = Arc::clone(&self.schema);
         // Gather owned occurrences.
-        let owned_sets: Vec<SetDef> = self
-            .schema
-            .sets_owned_by(&rtype)
-            .into_iter()
-            .cloned()
-            .collect();
-        for set in &owned_sets {
+        let owned_sets = schema.sets_owned_by(self.rtype_of(id)?);
+        for set in owned_sets {
             let members: Vec<u64> = self.sets[&set.name].members_in_order(id.0);
             if members.is_empty() {
                 continue;
@@ -1635,7 +1688,10 @@ impl NetworkDb {
     /// within any set occurrence whose keys it changes.
     pub fn modify(&mut self, id: RecordId, assigns: &[(&str, Value)]) -> DbResult<()> {
         let rec = self.get(id)?;
-        let rt = self.record_type(&rec.rtype)?.clone();
+        let schema = Arc::clone(&self.schema);
+        let rt = schema
+            .record(&rec.rtype)
+            .ok_or_else(|| DbError::unknown("record", &rec.rtype))?;
         let mut new_row = rec.values.clone();
         for (name, v) in assigns {
             let idx = rt
@@ -1655,21 +1711,16 @@ impl NetworkDb {
             }
             new_row[idx] = v.clone();
         }
-        self.check_row_constraints(&rec.rtype, &rt, &new_row, Some(id))?;
+        self.check_row_constraints(&rec.rtype, rt, &new_row, Some(id))?;
 
         // Which sets' key tuples change?
-        let member_sets: Vec<SetDef> = self
-            .schema
-            .sets_with_member(&rec.rtype)
-            .into_iter()
-            .cloned()
-            .collect();
+        let member_sets = schema.sets_with_member(&rec.rtype);
         for set in &member_sets {
             if set.keys.is_empty() {
                 continue;
             }
-            let old_key = key_tuple(&rt, &rec.values, &set.keys);
-            let new_key = key_tuple(&rt, &new_row, &set.keys);
+            let old_key = key_tuple(rt, &rec.values, &set.keys);
+            let new_key = key_tuple(rt, &new_row, &set.keys);
             if old_key == new_key {
                 continue;
             }
@@ -1688,7 +1739,7 @@ impl NetworkDb {
             }
         }
         // Commit the new values, then reposition.
-        if !self.backend_set_values(id.0, &rec.rtype, new_row.clone()) {
+        if !self.backend_set_values(id.0, &rec.rtype, &new_row) {
             return Err(DbError::NotFound(format!("record #{}", id.0)));
         }
         self.index_update(&rec.rtype, &rec.values, &new_row, id.0);
@@ -1700,8 +1751,8 @@ impl NetworkDb {
             if set.keys.is_empty() {
                 continue;
             }
-            let old_key = key_tuple(&rt, &rec.values, &set.keys);
-            let new_key = key_tuple(&rt, &new_row, &set.keys);
+            let old_key = key_tuple(rt, &rec.values, &set.keys);
+            let new_key = key_tuple(rt, &new_row, &set.keys);
             if old_key == new_key {
                 continue;
             }
@@ -2497,6 +2548,21 @@ mod tests {
         assert!(matches!(err, DbError::NotFound(_)), "{err}");
     }
 
+    /// A stored row without one value per field is a typed error from
+    /// `resolved_values`, not a silently truncated row, in memory and on
+    /// a heap.
+    #[test]
+    fn resolved_values_of_a_short_row_is_not_found() {
+        let (mem, _, _) = company_db();
+        let paged = mem.to_paged(256, 4).unwrap();
+        for mut db in [mem, paged] {
+            let div = db.records_of_type("DIV")[0];
+            assert!(db.backend_set_values(div.0, "DIV", &[Value::str("MACHINERY")]));
+            let err = db.resolved_values(div).unwrap_err();
+            assert!(matches!(err, DbError::NotFound(_)), "{err}");
+        }
+    }
+
     #[test]
     fn existence_constraint_blocks_manual_orphan() {
         let mut schema = company_schema().with_constraint(Constraint::Existence {
@@ -2537,6 +2603,41 @@ mod tests {
         db.check_access_structures().unwrap();
     }
 
+    /// A paged database nobody checkpoints never drains its link-sync
+    /// queue: storing and rolling back forever must not grow it without
+    /// bound.
+    #[test]
+    fn link_sync_queue_stays_bounded_without_checkpoints() {
+        let mut db = NetworkDb::new_paged(company_schema(), 4096, 8).unwrap();
+        let mach = db
+            .store("DIV", &[("DIV-NAME", Value::str("MACHINERY"))], &[])
+            .unwrap();
+        for i in 0..100_000 {
+            let sp = db.begin_savepoint();
+            db.store(
+                "EMP",
+                &[("EMP-NAME", Value::str(format!("E{i}")))],
+                &[("DIV-EMP", mach)],
+            )
+            .unwrap();
+            db.rollback_to(sp);
+            let Backend::Heap(h) = &db.records else {
+                unreachable!("new_paged builds a heap backend");
+            };
+            // Twice the live records at the store's peak, plus the slack.
+            let bound = 2 * (db.record_count() + 1) + 64;
+            assert!(h.pending.len() <= bound, "cycle {i}");
+        }
+        db.check_access_structures().unwrap();
+    }
+
+    /// The payload of a record, as the heap backend encodes it.
+    fn encoded(id: u64, rtype: &str, values: &[Value], links: &[(String, u64, u64)]) -> Vec<u8> {
+        let mut w = crate::disk::codec::ByteWriter::new();
+        encode_record(&mut w, id, rtype, values, links);
+        w.into_bytes()
+    }
+
     /// The directory is indexed by record id, and recovery reads ids from
     /// disk: one past the allocator's `next_id` is a typed error, not a
     /// directory sized by a corrupt number.
@@ -2545,7 +2646,7 @@ mod tests {
         let dir = TempDir::new("netdb-wild-id").unwrap();
         let fm = Arc::new(FileMgr::new(dir.path(), 256).unwrap());
         let mut heap = HeapFile::open(Arc::clone(&fm), "heap.dat", 4).unwrap();
-        heap.insert(&encode_record(u64::MAX, "DIV", &[Value::str("X")], &[]))
+        heap.insert(&encoded(u64::MAX, "DIV", &[Value::str("X")], &[]))
             .unwrap();
         heap.flush().unwrap();
         drop(heap);
@@ -2562,7 +2663,7 @@ mod tests {
         use proptest::prelude::*;
 
         fn sample_record() -> Vec<u8> {
-            encode_record(
+            encoded(
                 7,
                 "EMP",
                 &[Value::str("ADAMS"), Value::Int(41), Value::Null],

@@ -1,7 +1,8 @@
 //! Pin budget of the paged record path, as exact `buffer.pins` deltas.
 //!
 //! Each record operation on a paged [`NetworkDb`] pins the pages it
-//! touches once: a read is one pin of the record's page; a store checks
+//! touches once: a read is one pin of the record's page (plus one of the
+//! owner's per virtual field it resolves); a store checks
 //! its owners' types from RAM and pins only the page it writes; modify
 //! and erase fetch the record once and write its page once. A pin
 //! counted here is a buffer-pool lookup, not necessarily a disk read, so
@@ -119,5 +120,14 @@ fn single_field_reads_pin_one_page() {
         let (v, n) = pins(|| db.field_value(adams, "DIV-NAME").unwrap());
         assert_eq!(v, Value::str("SALES"));
         assert_eq!(n, 1, "virtual field (pool {pool})");
+
+        // A resolved row decodes the record once and reads each virtual
+        // field's owner once: EMP has one virtual field, so two pins.
+        let (row, n) = pins(|| db.resolved_values(adams).unwrap());
+        assert_eq!(
+            row,
+            vec![Value::str("ADAMS"), Value::Int(30), Value::str("SALES")]
+        );
+        assert_eq!(n, 2, "resolved values (pool {pool})");
     }
 }
