@@ -110,6 +110,15 @@ cargo test -q --test translation_recovery
 echo "==> buffer-pressure equivalence (paged vs in-memory byte identity)"
 cargo test -q --test buffer_pressure
 
+# The set-store oracles: savepoint rollback and commit across every
+# unlink-by-key path (connect, disconnect, reposition, erase), in memory
+# and on a 4-frame paged twin, and duplicate set keys refused by store,
+# connect and rename without a trace.
+echo "==> set-store rollback invariants (in memory and paged)"
+cargo test -q --test txn_invariants
+echo "==> set-store invariants (ordering, duplicates refused)"
+cargo test -q --test storage_invariants
+
 # The obs export path end to end: run the E2 study with DBPC_OBS_JSON set,
 # then validate the exported RunReport with the in-repo schema checker
 # (parse, logical-clock nesting, byte-identical round trip).

@@ -16,10 +16,12 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-/// A single field value.
-#[derive(Debug, Clone, PartialEq)]
+/// A single field value. The default is `Null`, the value of a field no
+/// one assigned.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum Value {
     /// The null marker. Sorts before every non-null value.
+    #[default]
     Null,
     /// Signed integer (`PIC 9(n)` with implicit sign).
     Int(i64),

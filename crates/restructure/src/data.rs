@@ -324,7 +324,8 @@ fn phase_copy_mapped<T: Target>(
     }
     // Field plan: which old field index (or transform default) supplies
     // each stored target field — per type, so the per-record loop below
-    // only clones values.
+    // only moves values out of the fetched record. Target field names are
+    // unique, so no old index is planned twice.
     let mut field_plan: Vec<(&str, FieldSrc)> = Vec::with_capacity(new_rt.fields.len());
     for nf in &new_rt.fields {
         if nf.is_virtual() {
@@ -369,12 +370,12 @@ fn phase_copy_mapped<T: Target>(
     let items = db.records_of_type(old_type);
     let mut stored = crate::stats::StoredTally::new();
     for (i, &old_id) in items.iter().enumerate().skip(offset) {
-        let old_rec = db.get(old_id)?;
+        let mut old_rec = db.get(old_id)?;
         let values: Vec<(&str, Value)> = field_plan
             .iter()
             .map(|(name, src)| {
                 let v = match src {
-                    FieldSrc::Old(idx) => old_rec.values[*idx].clone(),
+                    FieldSrc::Old(idx) => std::mem::take(&mut old_rec.values[*idx]),
                     FieldSrc::Default(d) => (*d).clone(),
                 };
                 (*name, v)
@@ -511,10 +512,10 @@ fn phase_copy_plain<T: Target>(
     let items = db.records_of_type(rtype);
     let mut stored = crate::stats::StoredTally::new();
     for (i, &old_id) in items.iter().enumerate().skip(offset) {
-        let old_rec = db.get(old_id)?;
+        let mut old_rec = db.get(old_id)?;
         let values: Vec<(&str, Value)> = stored_fields
             .iter()
-            .map(|(i, name)| (*name, old_rec.values[*i].clone()))
+            .map(|(i, name)| (*name, std::mem::take(&mut old_rec.values[*i])))
             .collect();
         let mut connects: Vec<(&str, RecordId)> = Vec::with_capacity(member_sets.len());
         for s in &member_sets {
@@ -632,10 +633,10 @@ fn phase_promote_members<T: Target>(
     let items = db.records_of_type(record);
     let mut stored = crate::stats::StoredTally::new();
     for (i, &old_id) in items.iter().enumerate().skip(offset) {
-        let old_rec = db.get(old_id)?;
+        let mut old_rec = db.get(old_id)?;
         let values: Vec<(&str, Value)> = stored_fields
             .iter()
-            .map(|(i, name)| (*name, old_rec.values[*i].clone()))
+            .map(|(i, name)| (*name, std::mem::take(&mut old_rec.values[*i])))
             .collect();
         let mut connects: Vec<(&str, RecordId)> = Vec::with_capacity(other_sets.len() + 1);
         match db.owner_in(via_set, old_id)? {
@@ -645,7 +646,7 @@ fn phase_promote_members<T: Target>(
                 let v = if rt.fields[promoted_idx].is_virtual() {
                     db.field_value(old_id, field)?
                 } else {
-                    old_rec.values[promoted_idx].clone()
+                    std::mem::take(&mut old_rec.values[promoted_idx])
                 };
                 let group = st
                     .group_map

@@ -31,6 +31,7 @@ use dbpc_datamodel::network::{
 };
 use dbpc_datamodel::value::Value;
 use std::cell::RefCell;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -52,116 +53,175 @@ pub struct StoredRecord {
     pub values: Vec<Value>,
 }
 
-/// Ordering key of a member within a set occurrence: the declared set-key
-/// tuple, tie-broken by arrival sequence. Keyed sets sort by key alone
-/// (duplicates are rejected, so the sequence never decides between live
-/// members); keyless sets have an empty tuple and degrade to pure arrival
-/// (chronological) order — exactly the two orders §4.2 prescribes.
-type MemberOrd = (KeyTuple, u64);
-
 /// Index identity: (record type, CALC field names) — one index per probe shape.
 type CalcIndexKey = (String, Vec<String>);
 /// One maintained index: key tuple → ids of matching records, in storage order.
 type CalcIndex = BTreeMap<KeyTuple, Vec<u64>>;
 
-/// Storage for one set type: per-owner ordered member maps plus the
-/// member→owner and member→position indexes. Ordered maps make CONNECT,
-/// DISCONNECT, ERASE and MODIFY repositioning O(log members) where the
-/// former `Vec` representation paid an O(members) `retain` scan.
+/// Storage for one set type: a member table and the per-owner
+/// occurrences. Each link is one member-table entry plus one occurrence
+/// entry, and a keyed link holds its key once, in the occurrence. A
+/// member is unlinked by its key, which the caller recomputes from the
+/// row it holds, so CONNECT, DISCONNECT, ERASE and MODIFY repositioning
+/// are O(log members) without a second copy of the key.
 #[derive(Debug, Clone, Default)]
 struct SetStore {
-    members: BTreeMap<u64, BTreeMap<MemberOrd, u64>>,
-    owner_of: BTreeMap<u64, u64>,
-    /// member → its ordering key inside `members[owner_of[member]]`, so a
-    /// member can be unlinked without scanning its siblings.
-    ord_of: BTreeMap<u64, MemberOrd>,
+    /// member → (owner, arrival seq).
+    links: BTreeMap<u64, (u64, u64)>,
+    /// owner → its occurrence; an empty occurrence is dropped.
+    occs: BTreeMap<u64, Occurrence>,
     next_seq: u64,
 }
 
-impl SetStore {
-    fn link(&mut self, owner: u64, member: u64, key: KeyTuple) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.members
-            .entry(owner)
-            .or_default()
-            .insert((key.clone(), seq), member);
-        self.ord_of.insert(member, (key, seq));
-        self.owner_of.insert(member, owner);
+/// One set occurrence, in the order §4.2 prescribes.
+#[derive(Debug, Clone)]
+enum Occurrence {
+    /// A keyed set's members by set key: key → (arrival seq, member).
+    /// The key alone orders them, because `store`, `connect` and
+    /// `modify` refuse a duplicate key within an occurrence.
+    Keyed(BTreeMap<KeyTuple, (u64, u64)>),
+    /// A keyless set's members in arrival (chronological) order:
+    /// seq → member.
+    Chrono(BTreeMap<u64, u64>),
+}
+
+impl Occurrence {
+    fn len(&self) -> usize {
+        match self {
+            Occurrence::Keyed(m) => m.len(),
+            Occurrence::Chrono(m) => m.len(),
+        }
     }
 
-    /// Unlink `member` from its occurrence; returns the former owner.
-    fn unlink(&mut self, member: u64) -> Option<u64> {
-        let owner = self.owner_of.remove(&member)?;
-        if let Some(ord) = self.ord_of.remove(&member) {
-            if let Some(occ) = self.members.get_mut(&owner) {
-                occ.remove(&ord);
-                if occ.is_empty() {
-                    self.members.remove(&owner);
-                }
-            }
+    /// `(key, seq, member)` in set order; a keyless link's key is empty.
+    fn entries(&self) -> Box<dyn Iterator<Item = (&[Value], u64, u64)> + '_> {
+        match self {
+            Occurrence::Keyed(m) => Box::new(m.iter().map(|(k, &(s, mem))| (&k.0[..], s, mem))),
+            Occurrence::Chrono(m) => Box::new(m.iter().map(|(&s, &mem)| (&[][..], s, mem))),
         }
-        Some(owner)
+    }
+}
+
+/// Insert `value` at `key` unless `key` is taken; whether it was inserted.
+fn insert_new<K: Ord, V>(map: &mut BTreeMap<K, V>, key: K, value: V) -> bool {
+    match map.entry(key) {
+        Entry::Vacant(slot) => {
+            slot.insert(value);
+            true
+        }
+        Entry::Occupied(_) => false,
+    }
+}
+
+impl SetStore {
+    /// Link `member` under `owner` at a fresh arrival sequence. `key` is
+    /// its set key, `None` for a keyless set.
+    fn link(&mut self, owner: u64, member: u64, key: Option<KeyTuple>) -> bool {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.relink_at(owner, member, seq, key)
+    }
+
+    /// File `member` under `owner` at arrival sequence `seq`, which
+    /// [`SetStore::link`] draws and the undo and recovery paths restore.
+    /// Refuses, changing nothing, when the member is already linked or
+    /// the occurrence already holds its key (keyless: its seq), so a link
+    /// is never overwritten.
+    fn relink_at(&mut self, owner: u64, member: u64, seq: u64, key: Option<KeyTuple>) -> bool {
+        let Entry::Vacant(link) = self.links.entry(member) else {
+            return false;
+        };
+        let occ = self.occs.entry(owner).or_insert_with(|| match key {
+            Some(_) => Occurrence::Keyed(BTreeMap::new()),
+            None => Occurrence::Chrono(BTreeMap::new()),
+        });
+        let filed = match (occ, key) {
+            (Occurrence::Keyed(m), Some(key)) => insert_new(m, key, (seq, member)),
+            (Occurrence::Chrono(m), None) => insert_new(m, seq, member),
+            _ => false,
+        };
+        if filed {
+            link.insert((owner, seq));
+        } else {
+            self.drop_if_empty(owner);
+        }
+        filed
+    }
+
+    /// Unlink `member`, whose set key is `key` (`None` for a keyless
+    /// set); returns its former `(owner, seq)`.
+    fn unlink(&mut self, member: u64, key: Option<&KeyTuple>) -> Option<(u64, u64)> {
+        let (owner, seq) = self.links.remove(&member)?;
+        match (self.occs.get_mut(&owner), key) {
+            (Some(Occurrence::Keyed(m)), Some(key)) if m.get(key) == Some(&(seq, member)) => {
+                m.remove(key);
+            }
+            (Some(Occurrence::Chrono(m)), _) => {
+                m.remove(&seq);
+            }
+            _ => {}
+        }
+        self.drop_if_empty(owner);
+        Some((owner, seq))
+    }
+
+    fn drop_if_empty(&mut self, owner: u64) {
+        if self.occs.get(&owner).is_some_and(|occ| occ.len() == 0) {
+            self.occs.remove(&owner);
+        }
     }
 
     fn members_in_order(&self, owner: u64) -> Vec<u64> {
-        self.members
-            .get(&owner)
-            .map(|occ| occ.values().copied().collect())
-            .unwrap_or_default()
+        match self.occs.get(&owner) {
+            Some(Occurrence::Keyed(m)) => m.values().map(|&(_, member)| member).collect(),
+            Some(Occurrence::Chrono(m)) => m.values().copied().collect(),
+            None => Vec::new(),
+        }
     }
 
     fn occurrence_len(&self, owner: u64) -> usize {
-        self.members.get(&owner).map(|occ| occ.len()).unwrap_or(0)
+        self.occs.get(&owner).map_or(0, Occurrence::len)
     }
 
     /// Does the occurrence under `owner` already hold `key`?
     fn contains_key_under(&self, owner: u64, key: &KeyTuple) -> bool {
-        self.members.get(&owner).is_some_and(|occ| {
-            occ.range((key.clone(), 0)..=(key.clone(), u64::MAX))
-                .next()
-                .is_some()
-        })
-    }
-
-    /// Reinstate a link at its **original** ordering key (undo path only:
-    /// unlike [`SetStore::link`] no new arrival sequence is drawn, so the
-    /// member returns to exactly the position it held).
-    fn relink_at(&mut self, owner: u64, member: u64, ord: MemberOrd) {
-        self.members
-            .entry(owner)
-            .or_default()
-            .insert(ord.clone(), member);
-        self.owner_of.insert(member, owner);
-        self.ord_of.insert(member, ord);
+        matches!(self.occs.get(&owner), Some(Occurrence::Keyed(m)) if m.contains_key(key))
     }
 }
 
 /// Physical inverse of one network mutation, journaled while a savepoint
-/// is open. Set-store maps, `by_type` lists, and any materialized
-/// calc-key index are maintained through the undo application, so a
-/// rollback leaves every derived structure consistent.
+/// is open. Set stores, `by_type` lists, and any materialized calc-key
+/// index are maintained through the undo application, so a rollback
+/// leaves every derived structure consistent. A set key is never
+/// journaled: the undo recomputes it from the member's row, which the
+/// later ops, undone first, have already restored.
 #[derive(Debug, Clone)]
 enum NetUndo {
     /// Undo a STORE: remove the record and its automatic/planned links.
     Store { id: u64 },
-    /// Undo a CONNECT (or the link half of a MODIFY reposition).
+    /// Undo a CONNECT.
     Link { set: String, member: u64 },
-    /// Undo a DISCONNECT (or the unlink half of a MODIFY reposition):
-    /// reinstate the link at its original ordering key.
+    /// Undo a DISCONNECT: reinstate the link at its original owner and
+    /// arrival sequence.
     Unlink {
         set: String,
         owner: u64,
         member: u64,
-        ord: MemberOrd,
+        seq: u64,
     },
-    /// Undo the value half of a MODIFY: restore the previous row image.
-    Values { id: u64, values: Vec<Value> },
+    /// Undo a MODIFY: restore the previous row image, and move the
+    /// record back to its original `(set, owner, seq)` in every set the
+    /// modify repositioned.
+    Values {
+        id: u64,
+        values: Vec<Value>,
+        moved: PersistedLinks,
+    },
     /// Undo one record's removal inside an ERASE cascade: reinstate the
     /// record and every set link it held as a member.
     Erase {
         rec: StoredRecord,
-        links: Vec<(String, u64, MemberOrd)>,
+        links: PersistedLinks,
     },
 }
 
@@ -512,9 +572,8 @@ fn type_index(schema: &NetworkSchema, rtype: &str) -> Option<u32> {
 fn persisted_links_of(sets: &BTreeMap<String, SetStore>, id: u64) -> PersistedLinks {
     sets.iter()
         .filter_map(|(name, st)| {
-            let owner = *st.owner_of.get(&id)?;
-            let (_, seq) = st.ord_of.get(&id)?;
-            Some((name.clone(), owner, *seq))
+            let &(owner, seq) = st.links.get(&id)?;
+            Some((name.clone(), owner, seq))
         })
         .collect()
 }
@@ -687,16 +746,14 @@ impl NetworkDb {
                     .schema
                     .set(&set_name)
                     .ok_or_else(|| DbError::unknown("set", &set_name))?;
-                let key = if set.keys.is_empty() {
-                    KeyTuple(Vec::new())
-                } else {
-                    key_tuple(rt, &rec.values, &set.keys)
-                };
+                let key = set_key(set, rt, &rec.values);
                 let store = db
                     .sets
                     .get_mut(&set_name)
                     .ok_or_else(|| DbError::unknown("set", &set_name))?;
-                store.relink_at(owner, id, (key, seq));
+                if !store.relink_at(owner, id, seq, key) {
+                    return Err(refused_link(&set_name, owner, id));
+                }
             }
         }
         db.next_id = next_id;
@@ -1005,16 +1062,14 @@ impl NetworkDb {
     }
 
     fn apply_undo(&mut self, op: NetUndo) {
+        let schema = Arc::clone(&self.schema);
         match op {
             NetUndo::Store { id } => {
                 // Mirror of `erase_inner`'s teardown: any link made *after*
                 // the store was journaled separately and is already undone
                 // (LIFO), so what remains are the store-time connections.
-                for store in self.sets.values_mut() {
-                    store.unlink(id);
-                    store.members.remove(&id);
-                }
                 if let Some(rec) = self.backend_remove(id) {
+                    self.unlink_member(&rec);
                     if let Some(ids) = self.by_type.get_mut(&rec.rtype) {
                         if let Ok(pos) = ids.binary_search(&id) {
                             ids.remove(pos);
@@ -1024,8 +1079,11 @@ impl NetworkDb {
                 }
             }
             NetUndo::Link { set, member } => {
+                let key = schema
+                    .set(&set)
+                    .and_then(|s| self.member_set_key(s, member));
                 if let Some(store) = self.sets.get_mut(&set) {
-                    store.unlink(member);
+                    store.unlink(member, key.as_ref());
                 }
                 self.touch_links(member);
             }
@@ -1033,19 +1091,37 @@ impl NetworkDb {
                 set,
                 owner,
                 member,
-                ord,
+                seq,
             } => {
+                let key = schema
+                    .set(&set)
+                    .and_then(|s| self.member_set_key(s, member));
                 if let Some(store) = self.sets.get_mut(&set) {
-                    store.relink_at(owner, member, ord);
+                    let linked = store.relink_at(owner, member, seq, key);
+                    debug_assert!(linked, "undo of a disconnect refused in {set}");
                 }
                 self.touch_links(member);
             }
-            NetUndo::Values { id, values } => {
+            NetUndo::Values { id, values, moved } => {
                 let Some((rtype, current)) =
                     self.with_rec(id, |r| (r.rtype.clone(), r.values.clone()))
                 else {
                     return;
                 };
+                // Move the links back first, so the row rewrite below
+                // persists them as they were before the modify.
+                let rt = schema.record(&rtype);
+                for (set, owner, seq) in moved {
+                    let (Some(def), Some(rt)) = (schema.set(&set), rt) else {
+                        continue;
+                    };
+                    if let Some(store) = self.sets.get_mut(&set) {
+                        store.unlink(id, set_key(def, rt, &current).as_ref());
+                        let linked = store.relink_at(owner, id, seq, set_key(def, rt, &values));
+                        debug_assert!(linked, "undo of a reposition refused in {set}");
+                    }
+                    self.touch_links(id);
+                }
                 self.backend_set_values(id, &rtype, &values);
                 self.index_update(&rtype, &current, &values, id);
             }
@@ -1056,9 +1132,15 @@ impl NetworkDb {
                 ids.insert(pos, id);
                 self.index_add(&rec.rtype, &rec.values, id);
                 self.backend_insert(id, &rec.rtype, &rec.values);
-                for (set, owner, ord) in links {
+                let rt = schema.record(&rec.rtype);
+                for (set, owner, seq) in links {
+                    let key = schema
+                        .set(&set)
+                        .zip(rt)
+                        .and_then(|(def, rt)| set_key(def, rt, &rec.values));
                     if let Some(store) = self.sets.get_mut(&set) {
-                        store.relink_at(owner, id, ord);
+                        let linked = store.relink_at(owner, id, seq, key);
+                        debug_assert!(linked, "undo of an erase refused in {set}");
                     }
                 }
             }
@@ -1082,11 +1164,11 @@ impl NetworkDb {
         for (name, store) in &self.sets {
             name.hash(&mut h);
             store.next_seq.hash(&mut h);
-            store.members.len().hash(&mut h);
-            for (owner, occ) in &store.members {
+            store.occs.len().hash(&mut h);
+            for (owner, occ) in &store.occs {
                 owner.hash(&mut h);
-                for ((key, seq), member) in occ {
-                    key.0.hash(&mut h);
+                for (key, seq, member) in occ.entries() {
+                    key.hash(&mut h);
                     seq.hash(&mut h);
                     member.hash(&mut h);
                 }
@@ -1301,20 +1383,13 @@ impl NetworkDb {
     /// `(occurrences with members, total member links)` of a set — the
     /// planner's fan-out statistic. Non-counting.
     pub fn set_fanout(&self, set: &str) -> DbResult<(u64, u64)> {
-        let store = self
-            .sets
-            .get(set)
-            .ok_or_else(|| DbError::unknown("set", set))?;
-        let occupied = store.members.values().filter(|occ| !occ.is_empty()).count();
-        Ok((occupied as u64, store.owner_of.len() as u64))
+        let store = self.set_store(set)?;
+        Ok((store.occs.len() as u64, store.links.len() as u64))
     }
 
     /// Members of a set occurrence, in set-key order.
     pub fn members_of(&self, set: &str, owner: RecordId) -> DbResult<Vec<RecordId>> {
-        let store = self
-            .sets
-            .get(set)
-            .ok_or_else(|| DbError::unknown("set", set))?;
+        let store = self.set_store(set)?;
         let ids = store.members_in_order(owner.0);
         self.stats.scanned(ids.len() as u64);
         Ok(ids.into_iter().map(RecordId).collect())
@@ -1322,11 +1397,11 @@ impl NetworkDb {
 
     /// The owner of `member` in `set`, if connected.
     pub fn owner_in(&self, set: &str, member: RecordId) -> DbResult<Option<RecordId>> {
-        let store = self
-            .sets
-            .get(set)
-            .ok_or_else(|| DbError::unknown("set", set))?;
-        Ok(store.owner_of.get(&member.0).map(|&i| RecordId(i)))
+        let store = self.set_store(set)?;
+        Ok(store
+            .links
+            .get(&member.0)
+            .map(|&(owner, _)| RecordId(owner)))
     }
 
     /// Read a field, resolving virtual fields through the owner. A virtual
@@ -1478,14 +1553,21 @@ impl NetworkDb {
             }
         }
 
-        // Pre-check occupancy rules for each planned connection.
-        for (set, owner) in &planned {
-            self.check_connectable(set, *owner, rt, &row)?;
-        }
-        // System sets: duplicate-key check against the single occurrence.
-        let system_sets = schema.system_sets_of(rtype);
-        for set in &system_sets {
-            self.check_connectable(set, SYSTEM_OWNER, rt, &row)?;
+        // Pre-check occupancy rules for each planned connection, then the
+        // duplicate-key check of each system set's single occurrence,
+        // keeping every set key for its link.
+        let system_sets = schema
+            .sets
+            .iter()
+            .filter(|s| s.is_system() && s.member == rtype);
+        let mut links: Vec<(&SetDef, RecordId, Option<KeyTuple>)> =
+            Vec::with_capacity(planned.len() + 1);
+        for (set, owner) in planned
+            .into_iter()
+            .chain(system_sets.map(|s| (s, SYSTEM_OWNER)))
+        {
+            let key = self.check_connectable(set, owner, rt, &row)?;
+            links.push((set, owner, key));
         }
 
         let id = RecordId(self.next_id);
@@ -1498,11 +1580,8 @@ impl NetworkDb {
             }
         }
         self.index_add(rtype, &row, id.0);
-        for set in &system_sets {
-            self.insert_member(set, SYSTEM_OWNER, id, rt, &row);
-        }
-        for (set, owner) in &planned {
-            self.insert_member(set, *owner, id, rt, &row);
+        for (set, owner, key) in links {
+            self.link_member(set, owner, id, key)?;
         }
         // One op covers the record and its store-time links; the undo
         // tears them all down, mirroring an erase.
@@ -1529,7 +1608,7 @@ impl NetworkDb {
                 "record type {owner_type} cannot own set {set_name}"
             )));
         }
-        if self.sets[set_name].owner_of.contains_key(&member.0) {
+        if self.set_store(set_name)?.links.contains_key(&member.0) {
             return Err(DbError::Membership(format!(
                 "record #{} already connected in set {set_name}",
                 member.0
@@ -1538,8 +1617,8 @@ impl NetworkDb {
         let rt = schema
             .record(&mem_rec.rtype)
             .ok_or_else(|| DbError::unknown("record", &mem_rec.rtype))?;
-        self.check_connectable(set, owner, rt, &mem_rec.values)?;
-        self.insert_member(set, owner, member, rt, &mem_rec.values);
+        let key = self.check_connectable(set, owner, rt, &mem_rec.values)?;
+        self.link_member(set, owner, member, key)?;
         self.touch_links(member.0);
         self.journal.record_with(|| NetUndo::Link {
             set: set_name.to_string(),
@@ -1553,8 +1632,8 @@ impl NetworkDb {
     /// Rejected for `MANDATORY` members and for sets carrying an existence
     /// constraint; enforces a declared cardinality minimum on the owner.
     pub fn disconnect(&mut self, set_name: &str, member: RecordId) -> DbResult<()> {
-        let set = self
-            .schema
+        let schema = Arc::clone(&self.schema);
+        let set = schema
             .set(set_name)
             .ok_or_else(|| DbError::unknown("set", set_name))?;
         if set.retention == Retention::Mandatory {
@@ -1567,11 +1646,9 @@ impl NetworkDb {
                 "EXISTENCE ON {set_name} forbids disconnect"
             )));
         }
-        let Some(store) = self.sets.get(set_name) else {
-            return Err(DbError::unknown("set", set_name));
-        };
-        let owner = *store
-            .owner_of
+        let store = self.set_store(set_name)?;
+        let &(owner, seq) = store
+            .links
             .get(&member.0)
             .ok_or_else(|| DbError::Membership(format!("record not connected in {set_name}")))?;
         if let Some(min) = self.cardinality_min(set_name) {
@@ -1582,20 +1659,19 @@ impl NetworkDb {
                 )));
             }
         }
-        let Some(store) = self.sets.get_mut(set_name) else {
-            return Err(DbError::unknown("set", set_name));
-        };
-        let ord = store.ord_of.get(&member.0).cloned();
-        store.unlink(member.0);
-        self.touch_links(member.0);
-        if let Some(ord) = ord {
-            self.journal.record_with(|| NetUndo::Unlink {
-                set: set_name.to_string(),
-                owner,
-                member: member.0,
-                ord,
-            });
+        // A keyed link is found by its key: read it off the member's row.
+        let key = self.member_set_key(set, member.0);
+        if !set.keys.is_empty() && key.is_none() {
+            return Err(DbError::NotFound(format!("record #{}", member.0)));
         }
+        self.set_store_mut(set_name)?.unlink(member.0, key.as_ref());
+        self.touch_links(member.0);
+        self.journal.record_with(|| NetUndo::Unlink {
+            set: set_name.to_string(),
+            owner,
+            member: member.0,
+            seq,
+        });
         Ok(())
     }
 
@@ -1628,7 +1704,7 @@ impl NetworkDb {
         // Gather owned occurrences.
         let owned_sets = schema.sets_owned_by(self.rtype_of(id)?);
         for set in owned_sets {
-            let members: Vec<u64> = self.sets[&set.name].members_in_order(id.0);
+            let members: Vec<u64> = self.set_store(&set.name)?.members_in_order(id.0);
             if members.is_empty() {
                 continue;
             }
@@ -1651,28 +1727,17 @@ impl NetworkDb {
         }
         // Snapshot this record's member links for the undo journal before
         // tearing them down.
-        let links: Vec<(String, u64, MemberOrd)> = if self.journal.active() {
-            self.sets
-                .iter()
-                .filter_map(|(name, st)| {
-                    let owner = *st.owner_of.get(&id.0)?;
-                    let ord = st.ord_of.get(&id.0)?.clone();
-                    Some((name.clone(), owner, ord))
-                })
-                .collect()
+        let links = if self.journal.active() {
+            persisted_links_of(&self.sets, id.0)
         } else {
             Vec::new()
         };
-        // Remove from all sets in which it participates as member. (Any
-        // occurrence it *owned* is empty by now: members were either erased
-        // above or their presence aborted the operation.)
-        for store in self.sets.values_mut() {
-            store.unlink(id.0);
-            store.members.remove(&id.0);
-        }
         let Some(rec) = self.backend_remove(id.0) else {
             return Err(DbError::NotFound(format!("record #{}", id.0)));
         };
+        // Any occurrence it *owned* is empty by now: members were either
+        // erased above or their presence aborted the operation.
+        self.unlink_member(&rec);
         if let Some(ids) = self.by_type.get_mut(&rec.rtype) {
             if let Ok(pos) = ids.binary_search(&id.0) {
                 ids.remove(pos);
@@ -1713,22 +1778,23 @@ impl NetworkDb {
         }
         self.check_row_constraints(&rec.rtype, rt, &new_row, Some(id))?;
 
-        // Which sets' key tuples change?
-        let member_sets = schema.sets_with_member(&rec.rtype);
-        for set in &member_sets {
-            if set.keys.is_empty() {
+        // Which sets' key tuples change? A duplicate among the siblings is
+        // refused before anything is written: a single ordered-map probe
+        // per set. The record itself cannot collide — its old key differs
+        // from the new one.
+        let mut moves: Vec<(&SetDef, KeyTuple, KeyTuple)> = Vec::new();
+        for set in schema.sets.iter().filter(|s| s.member == rec.rtype) {
+            let (Some(old_key), Some(new_key)) =
+                (set_key(set, rt, &rec.values), set_key(set, rt, &new_row))
+            else {
                 continue;
-            }
-            let old_key = key_tuple(rt, &rec.values, &set.keys);
-            let new_key = key_tuple(rt, &new_row, &set.keys);
+            };
             if old_key == new_key {
                 continue;
             }
-            if let Some(&owner) = self.sets[&set.name].owner_of.get(&id.0) {
-                // Duplicate check against siblings: a single ordered-map
-                // probe. The record itself cannot collide — its old key
-                // differs from `new_key`.
-                let dup = self.sets[&set.name].contains_key_under(owner, &new_key);
+            let store = self.set_store(&set.name)?;
+            if let Some(&(owner, _)) = store.links.get(&id.0) {
+                let dup = store.contains_key_under(owner, &new_key);
                 self.stats.probed(dup);
                 if dup {
                     return Err(DbError::Duplicate {
@@ -1737,50 +1803,29 @@ impl NetworkDb {
                     });
                 }
             }
+            moves.push((set, old_key, new_key));
         }
-        // Commit the new values, then reposition.
+        // Commit the new values, then reposition: unlink by the old key,
+        // link at the new one with a fresh arrival sequence.
         if !self.backend_set_values(id.0, &rec.rtype, &new_row) {
             return Err(DbError::NotFound(format!("record #{}", id.0)));
         }
         self.index_update(&rec.rtype, &rec.values, &new_row, id.0);
-        self.journal.record_with(|| NetUndo::Values {
-            id: id.0,
-            values: rec.values.clone(),
-        });
-        for set in &member_sets {
-            if set.keys.is_empty() {
-                continue;
+        let mut moved = PersistedLinks::new();
+        for (set, old_key, new_key) in moves {
+            if let Some((owner, seq)) = self.set_store_mut(&set.name)?.unlink(id.0, Some(&old_key))
+            {
+                self.link_member(set, RecordId(owner), id, Some(new_key))?;
+                moved.push((set.name.clone(), owner, seq));
             }
-            let old_key = key_tuple(rt, &rec.values, &set.keys);
-            let new_key = key_tuple(rt, &new_row, &set.keys);
-            if old_key == new_key {
-                continue;
-            }
-            let Some(store) = self.sets.get_mut(&set.name) else {
-                continue;
-            };
-            let old_ord = store.ord_of.get(&id.0).cloned();
-            if let Some(owner) = store.unlink(id.0) {
-                store.link(owner, id.0, new_key);
-                if let Some(ord) = old_ord {
-                    // LIFO: undo the relink first, then restore the old
-                    // position — journal the pair in operation order.
-                    self.journal.record_with(|| NetUndo::Unlink {
-                        set: set.name.clone(),
-                        owner,
-                        member: id.0,
-                        ord,
-                    });
-                    self.journal.record_with(|| NetUndo::Link {
-                        set: set.name.clone(),
-                        member: id.0,
-                    });
-                }
-            }
-            // Repositioning drew a fresh arrival sequence; the persisted
-            // link section is refreshed at the next sync.
+            // The persisted link section is refreshed at the next sync.
             self.touch_links(id.0);
         }
+        self.journal.record_with(|| NetUndo::Values {
+            id: id.0,
+            values: rec.values,
+            moved,
+        });
         Ok(())
     }
 
@@ -1918,15 +1963,17 @@ impl NetworkDb {
 
     /// Can a record with values `row` be connected under `owner` in `set`?
     /// Checks cardinality maxima and duplicate set keys (one ordered-map
-    /// probe into the occurrence).
+    /// probe into the occurrence). Returns the record's set key, `None`
+    /// for a keyless set, for [`NetworkDb::link_member`] to move into the
+    /// occurrence.
     fn check_connectable(
         &self,
         set: &SetDef,
         owner: RecordId,
         rt: &RecordTypeDef,
         row: &[Value],
-    ) -> DbResult<()> {
-        let store = &self.sets[&set.name];
+    ) -> DbResult<Option<KeyTuple>> {
+        let store = self.set_store(&set.name)?;
         if let Some(max) = self.cardinality_max(&set.name) {
             if store.occurrence_len(owner.0) as u32 >= max {
                 return Err(DbError::constraint(format!(
@@ -1935,9 +1982,9 @@ impl NetworkDb {
                 )));
             }
         }
-        if !set.keys.is_empty() {
-            let key = key_tuple(rt, row, &set.keys);
-            let dup = store.contains_key_under(owner.0, &key);
+        let key = set_key(set, rt, row);
+        if let Some(key) = &key {
+            let dup = store.contains_key_under(owner.0, key);
             self.stats.probed(dup);
             if dup {
                 return Err(DbError::Duplicate {
@@ -1946,27 +1993,59 @@ impl NetworkDb {
                 });
             }
         }
-        Ok(())
+        Ok(key)
     }
 
-    /// Link a member into its occurrence; the ordered map places it at its
-    /// key position (keyed sets) or at the chronological end (keyless).
-    fn insert_member(
+    /// Link `member` under `owner` in `set` at a fresh arrival sequence:
+    /// at its position by `key` (from [`NetworkDb::check_connectable`]),
+    /// or at the chronological end of a keyless set.
+    fn link_member(
         &mut self,
         set: &SetDef,
         owner: RecordId,
         member: RecordId,
-        rt: &RecordTypeDef,
-        row: &[Value],
-    ) {
-        let key = if set.keys.is_empty() {
-            KeyTuple(Vec::new())
+        key: Option<KeyTuple>,
+    ) -> DbResult<()> {
+        if self.set_store_mut(&set.name)?.link(owner.0, member.0, key) {
+            Ok(())
         } else {
-            key_tuple(rt, row, &set.keys)
-        };
-        if let Some(store) = self.sets.get_mut(&set.name) {
-            store.link(owner.0, member.0, key);
+            Err(refused_link(&set.name, owner.0, member.0))
         }
+    }
+
+    /// Take record `rec` out of every set it is linked in as a member,
+    /// each link found by the set key of `rec`'s row.
+    fn unlink_member(&mut self, rec: &StoredRecord) {
+        let schema = Arc::clone(&self.schema);
+        let Some(rt) = schema.record(&rec.rtype) else {
+            return;
+        };
+        for set in schema.sets.iter().filter(|s| s.member == rec.rtype) {
+            if let Some(store) = self.sets.get_mut(&set.name) {
+                store.unlink(rec.id.0, set_key(set, rt, &rec.values).as_ref());
+            }
+        }
+    }
+
+    /// The set key of stored record `member` in `set`, read off its row
+    /// (one read). `None` for a keyless set, or when it is not stored.
+    fn member_set_key(&self, set: &SetDef, member: u64) -> Option<KeyTuple> {
+        if set.keys.is_empty() {
+            return None;
+        }
+        self.member_key(member, &set.keys)
+    }
+
+    fn set_store(&self, set: &str) -> DbResult<&SetStore> {
+        self.sets
+            .get(set)
+            .ok_or_else(|| DbError::unknown("set", set))
+    }
+
+    fn set_store_mut(&mut self, set: &str) -> DbResult<&mut SetStore> {
+        self.sets
+            .get_mut(set)
+            .ok_or_else(|| DbError::unknown("set", set))
     }
 
     // -- calc-key index maintenance ----------------------------------------
@@ -2050,23 +2129,27 @@ impl NetworkDb {
             return Err(format!("by_type missing entry for {rtype}"));
         }
 
-        // Set stores: members ↔ owner_of ↔ ord_of, plus key correctness.
+        // Set stores: occurrences ↔ member table, plus key correctness.
         for (name, store) in &self.sets {
             let Some(set) = self.schema.set(name) else {
                 return Err(format!("set {name} stored but not in schema"));
             };
             let mut linked = 0usize;
-            for (&owner, occ) in &store.members {
-                if occ.is_empty() {
+            for (&owner, occ) in &store.occs {
+                if occ.len() == 0 {
                     return Err(format!("set {name}: empty occurrence kept for #{owner}"));
                 }
-                for (ord, &member) in occ {
+                if matches!(occ, Occurrence::Keyed(_)) == set.keys.is_empty() {
+                    return Err(format!(
+                        "set {name}: occurrence of #{owner} ordered wrongly"
+                    ));
+                }
+                for (key, seq, member) in occ.entries() {
                     linked += 1;
-                    if store.owner_of.get(&member) != Some(&owner) {
-                        return Err(format!("set {name}: owner_of[#{member}] ≠ #{owner}"));
-                    }
-                    if store.ord_of.get(&member) != Some(ord) {
-                        return Err(format!("set {name}: ord_of[#{member}] stale"));
+                    if store.links.get(&member) != Some(&(owner, seq)) {
+                        return Err(format!(
+                            "set {name}: member table entry of #{member} ≠ (#{owner}, {seq})"
+                        ));
                     }
                     let want_key = if set.keys.is_empty() {
                         self.backend_contains(member).then(|| KeyTuple(Vec::new()))
@@ -2074,19 +2157,18 @@ impl NetworkDb {
                         self.member_key(member, &set.keys)
                     }
                     .ok_or_else(|| format!("set {name}: member #{member} is not stored"))?;
-                    if ord.0 != want_key {
+                    if key != want_key.0 {
                         return Err(format!(
-                            "set {name}: #{member} filed under {:?}, want {:?}",
-                            ord.0, want_key.0
+                            "set {name}: #{member} filed under {key:?}, want {:?}",
+                            want_key.0
                         ));
                     }
                 }
             }
-            if store.owner_of.len() != linked || store.ord_of.len() != linked {
+            if store.links.len() != linked {
                 return Err(format!(
-                    "set {name}: {} owner_of / {} ord_of entries for {linked} links",
-                    store.owner_of.len(),
-                    store.ord_of.len()
+                    "set {name}: {} member table entries for {linked} links",
+                    store.links.len()
                 ));
             }
         }
@@ -2108,6 +2190,21 @@ impl NetworkDb {
             }
         }
         Ok(())
+    }
+}
+
+/// The set key of a member of `set` whose row is `row`: `None` for a
+/// keyless set.
+fn set_key(set: &SetDef, rt: &RecordTypeDef, row: &[Value]) -> Option<KeyTuple> {
+    (!set.keys.is_empty()).then(|| key_tuple(rt, row, &set.keys))
+}
+
+/// The error for a link [`SetStore::relink_at`] refused: the member is
+/// linked already, or its occurrence holds its key.
+fn refused_link(set: &str, owner: u64, member: u64) -> DbError {
+    DbError::Duplicate {
+        scope: format!("set {set}, occurrence of #{owner}"),
+        key: format!("record #{member}: linked already, or its set key is taken"),
     }
 }
 
@@ -2656,6 +2753,30 @@ mod tests {
             err.to_string().contains("outside the allocated ids"),
             "{err}"
         );
+    }
+
+    /// Two payloads that file equal keys in one occurrence — a damaged
+    /// heap — are a typed error on recovery, never one link silently
+    /// overwriting the other.
+    #[test]
+    fn recovery_refuses_two_equal_keys_in_one_occurrence() {
+        let dir = TempDir::new("netdb-dup-key").unwrap();
+        let fm = Arc::new(FileMgr::new(dir.path(), 256).unwrap());
+        let mut heap = HeapFile::open(Arc::clone(&fm), "heap.dat", 4).unwrap();
+        let div = [Value::str("MACHINERY"), Value::str("DETROIT")];
+        let emp = [Value::str("JONES"), Value::Null, Value::Null, Value::Null];
+        heap.insert(&encoded(1, "DIV", &div, &[("ALL-DIV".into(), 0, 0)]))
+            .unwrap();
+        for (id, seq) in [(2, 0), (3, 1)] {
+            let links = [("DIV-EMP".to_string(), 1, seq)];
+            heap.insert(&encoded(id, "EMP", &emp, &links)).unwrap();
+        }
+        heap.flush().unwrap();
+        drop(heap);
+        let seqs = [("ALL-DIV".to_string(), 1), ("DIV-EMP".to_string(), 2)];
+        let err =
+            NetworkDb::recover_paged(company_schema(), fm, "heap.dat", 4, 4, &seqs).unwrap_err();
+        assert!(matches!(err, DbError::Duplicate { .. }), "{err}");
     }
 
     mod decoders {

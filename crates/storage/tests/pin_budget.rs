@@ -105,6 +105,43 @@ fn paged_record_operations_stay_within_their_pin_budget() {
 }
 
 #[test]
+fn set_link_operations_stay_within_their_pin_budget() {
+    for pool in [1, 16] {
+        let (mut db, div, [adams, _]) = setup(pool);
+
+        // A disconnect from a keyed set reads the member once, for the
+        // set key its link is filed under; the link itself is in RAM.
+        let (res, n) = pins(|| db.disconnect("DIV-EMP", adams));
+        res.unwrap();
+        assert_eq!(n, 1, "disconnect from a keyed set (pool {pool})");
+        let unlinked = db.fingerprint();
+
+        // A connect reads the member once, for its type and set key; the
+        // owner's type comes from RAM.
+        let sp = db.begin_savepoint();
+        let (res, n) = pins(|| db.connect("DIV-EMP", div, adams));
+        res.unwrap();
+        assert_eq!(n, 1, "connect (pool {pool})");
+
+        // Rolling the connect back reads the member once, for its key.
+        let ((), n) = pins(|| db.rollback_to(sp));
+        assert_eq!(n, 1, "rollback of a connect (pool {pool})");
+        assert_eq!(db.fingerprint(), unlinked);
+
+        // Rolling a disconnect back reads the member once, for the key
+        // its link is filed under again.
+        db.connect("DIV-EMP", div, adams).unwrap();
+        let linked = db.fingerprint();
+        let sp = db.begin_savepoint();
+        db.disconnect("DIV-EMP", adams).unwrap();
+        let ((), n) = pins(|| db.rollback_to(sp));
+        assert_eq!(n, 1, "rollback of a disconnect (pool {pool})");
+        assert_eq!(db.fingerprint(), linked);
+        db.check_access_structures().unwrap();
+    }
+}
+
+#[test]
 fn single_field_reads_pin_one_page() {
     for pool in [1, 16] {
         let (db, _, [adams, _]) = setup(pool);

@@ -9,7 +9,7 @@ use dbpc::datamodel::network::{FieldDef, SetOwner};
 use dbpc::datamodel::relational::{ColumnDef, RelationalSchema, TableDef};
 use dbpc::datamodel::types::FieldType;
 use dbpc::datamodel::value::{cmp_tuple, Value};
-use dbpc::storage::{HierDb, NetworkDb, RecordId, RelationalDb, SYSTEM_OWNER};
+use dbpc::storage::{DbError, HierDb, NetworkDb, RecordId, RelationalDb, SYSTEM_OWNER};
 use proptest::prelude::*;
 
 /// One random mutation.
@@ -41,6 +41,21 @@ enum Op {
     Disconnect {
         pick: u8,
     },
+    /// Store a new `EMP` under a division with a sibling's `EMP-NAME`.
+    DupStore {
+        pick: u8,
+    },
+    /// Give a second `EMP` a connected sibling's `EMP-NAME` outside the
+    /// set, then connect it under the sibling's division.
+    DupConnect {
+        pick: u8,
+        other: u8,
+    },
+    /// Rename an `EMP` to the `EMP-NAME` of a sibling in its division.
+    DupRename {
+        pick: u8,
+        other: u8,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -59,6 +74,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(|pick| Op::EraseEmp { pick }),
         any::<u8>().prop_map(|pick| Op::EraseDivCascade { pick }),
         any::<u8>().prop_map(|pick| Op::Disconnect { pick }),
+        any::<u8>().prop_map(|pick| Op::DupStore { pick }),
+        (any::<u8>(), any::<u8>()).prop_map(|(pick, other)| Op::DupConnect { pick, other }),
+        (any::<u8>(), any::<u8>()).prop_map(|(pick, other)| Op::DupRename { pick, other }),
     ]
 }
 
@@ -128,7 +146,64 @@ fn apply(db: &mut NetworkDb, op: &Op) {
                 let _ = db.disconnect("DIV-EMP", id);
             }
         }
+        Op::DupStore { pick: p } => {
+            if let Some((emp, div)) = connected_emp(db, *p) {
+                let name = db.field_value(emp, "EMP-NAME").unwrap();
+                refused_without_trace(db, "store", |db| {
+                    db.store("EMP", &[("EMP-NAME", name)], &[("DIV-EMP", div)])
+                        .map(|_| ())
+                });
+            }
+        }
+        Op::DupConnect { pick: p, other } => {
+            let Some((emp, div)) = connected_emp(db, *p) else {
+                return;
+            };
+            let Some(second) = pick(&db.records_of_type("EMP"), *other).filter(|&e| e != emp)
+            else {
+                return;
+            };
+            if db.owner_in("DIV-EMP", second).unwrap().is_some() {
+                db.disconnect("DIV-EMP", second).unwrap();
+            }
+            // Outside the set, the name collides with nothing.
+            let name = db.field_value(emp, "EMP-NAME").unwrap();
+            db.modify(second, &[("EMP-NAME", name)]).unwrap();
+            refused_without_trace(db, "connect", |db| db.connect("DIV-EMP", div, second));
+        }
+        Op::DupRename { pick: p, other } => {
+            let Some((emp, div)) = connected_emp(db, *p) else {
+                return;
+            };
+            let siblings = db.members_of("DIV-EMP", div).unwrap();
+            if let Some(second) = pick(&siblings, *other).filter(|&e| e != emp) {
+                let name = db.field_value(emp, "EMP-NAME").unwrap();
+                refused_without_trace(db, "rename", |db| db.modify(second, &[("EMP-NAME", name)]));
+            }
+        }
     }
+}
+
+/// An `EMP` connected in `DIV-EMP`, with its division.
+fn connected_emp(db: &NetworkDb, k: u8) -> Option<(RecordId, RecordId)> {
+    let emp = pick(&db.records_of_type("EMP"), k)?;
+    Some((emp, db.owner_in("DIV-EMP", emp).unwrap()?))
+}
+
+/// `op` must fail with `DbError::Duplicate` and leave the database as it
+/// found it.
+fn refused_without_trace(
+    db: &mut NetworkDb,
+    what: &str,
+    op: impl FnOnce(&mut NetworkDb) -> Result<(), DbError>,
+) {
+    let before = db.fingerprint();
+    let err = op(db).unwrap_err();
+    assert!(
+        matches!(err, DbError::Duplicate { .. }),
+        "duplicate {what}: {err}"
+    );
+    assert_eq!(db.fingerprint(), before, "refused {what} left a trace");
 }
 
 /// The engine's structural invariants.

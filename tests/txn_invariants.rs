@@ -33,6 +33,8 @@ enum NetOp {
     EraseEmp { pick: u8 },
     EraseDivCascade { pick: u8 },
     Disconnect { pick: u8 },
+    Connect { pick: u8, div: u8 },
+    Rename { pick: u8, n: u16 },
 }
 
 fn net_op_strategy() -> impl Strategy<Value = NetOp> {
@@ -44,7 +46,20 @@ fn net_op_strategy() -> impl Strategy<Value = NetOp> {
         any::<u8>().prop_map(|pick| NetOp::EraseEmp { pick }),
         any::<u8>().prop_map(|pick| NetOp::EraseDivCascade { pick }),
         any::<u8>().prop_map(|pick| NetOp::Disconnect { pick }),
+        (any::<u8>(), any::<u8>()).prop_map(|(pick, div)| NetOp::Connect { pick, div }),
+        (any::<u8>(), any::<u16>()).prop_map(|(pick, n)| NetOp::Rename { pick, n }),
     ]
+}
+
+/// The company database of `company_db(3, 3, 5)`, in memory or in a
+/// paged twin whose four 256-byte frames hold only part of its heap.
+fn net_db(paged: bool) -> NetworkDb {
+    if !paged {
+        return named::company_db(3, 3, 5);
+    }
+    let mut db = NetworkDb::new_paged(named::company_schema(), 256, 4).unwrap();
+    named::fill_company_db(&mut db, 3, 3, 5);
+    db
 }
 
 fn pick(ids: &[RecordId], k: u8) -> Option<RecordId> {
@@ -101,6 +116,18 @@ fn apply_net(db: &mut NetworkDb, op: &NetOp) {
         NetOp::Disconnect { pick: p } => {
             if let Some(id) = pick(&db.records_of_type("EMP"), *p) {
                 let _ = db.disconnect("DIV-EMP", id);
+            }
+        }
+        NetOp::Connect { pick: p, div } => {
+            let emp = pick(&db.records_of_type("EMP"), *p);
+            if let (Some(e), Some(d)) = (emp, pick(&db.records_of_type("DIV"), *div)) {
+                let _ = db.connect("DIV-EMP", d, e);
+            }
+        }
+        NetOp::Rename { pick: p, n } => {
+            // A new set key: repositions the member in `DIV-EMP`.
+            if let Some(id) = pick(&db.records_of_type("EMP"), *p) {
+                let _ = db.modify(id, &[("EMP-NAME", Value::str(format!("R{n:05}")))]);
             }
         }
     }
@@ -244,68 +271,73 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Network: savepoint + suffix + rollback ≡ never running the suffix,
-    /// for the full logical state and every derived structure.
+    /// for the full logical state and every derived structure, in memory
+    /// and paged.
     #[test]
     fn network_rollback_erases_the_suffix(
         prefix in prop::collection::vec(net_op_strategy(), 0..40),
         suffix in prop::collection::vec(net_op_strategy(), 1..40),
     ) {
-        let mut db = named::company_db(3, 3, 5);
-        // Materialize a calc-key index so rollback must restore it (or its
-        // source of truth) rather than start from a cold cache.
-        db.find_keyed("EMP", &["DEPT-NAME"], &[Value::str("D0")]).unwrap();
-        for op in &prefix {
-            apply_net(&mut db, op);
+        for paged in [false, true] {
+            let mut db = net_db(paged);
+            // Materialize a calc-key index so rollback must restore it (or
+            // its source of truth) rather than start from a cold cache.
+            db.find_keyed("EMP", &["DEPT-NAME"], &[Value::str("D0")]).unwrap();
+            for op in &prefix {
+                apply_net(&mut db, op);
+            }
+            let before = db.fingerprint();
+            let sp = db.begin_savepoint();
+            for op in &suffix {
+                apply_net(&mut db, op);
+            }
+            db.rollback_to(sp);
+            prop_assert_eq!(db.fingerprint(), before, "paged: {}", paged);
+            db.check_access_structures().unwrap();
         }
-        let before = db.fingerprint();
-        let sp = db.begin_savepoint();
-        for op in &suffix {
-            apply_net(&mut db, op);
-        }
-        db.rollback_to(sp);
-        prop_assert_eq!(db.fingerprint(), before);
-        db.check_access_structures().unwrap();
     }
 
     /// Network: commit ≡ running the same ops with no savepoint at all,
     /// and a nested rollback inside a committed outer savepoint undoes
-    /// exactly its own ops.
+    /// exactly its own ops, in memory and paged.
     #[test]
     fn network_commit_keeps_and_nested_rollback_peels(
         a in prop::collection::vec(net_op_strategy(), 0..25),
         b in prop::collection::vec(net_op_strategy(), 1..25),
     ) {
-        // Commit path: savepoints are pure bookkeeping.
-        let mut plain = named::company_db(3, 3, 5);
-        let mut txn = named::company_db(3, 3, 5);
-        for op in a.iter().chain(&b) {
-            apply_net(&mut plain, op);
-        }
-        let sp = txn.begin_savepoint();
-        for op in a.iter().chain(&b) {
-            apply_net(&mut txn, op);
-        }
-        txn.commit(sp);
-        prop_assert_eq!(txn.fingerprint(), plain.fingerprint());
+        for paged in [false, true] {
+            // Commit path: savepoints are pure bookkeeping.
+            let mut plain = net_db(paged);
+            let mut txn = net_db(paged);
+            for op in a.iter().chain(&b) {
+                apply_net(&mut plain, op);
+            }
+            let sp = txn.begin_savepoint();
+            for op in a.iter().chain(&b) {
+                apply_net(&mut txn, op);
+            }
+            txn.commit(sp);
+            prop_assert_eq!(txn.fingerprint(), plain.fingerprint(), "paged: {}", paged);
 
-        // Nested path: outer(a) + inner(b rolled back) ≡ a alone.
-        let mut just_a = named::company_db(3, 3, 5);
-        for op in &a {
-            apply_net(&mut just_a, op);
+            // Nested path: outer(a) + inner(b rolled back) ≡ a alone.
+            let mut just_a = net_db(paged);
+            for op in &a {
+                apply_net(&mut just_a, op);
+            }
+            let mut nested = net_db(paged);
+            let outer = nested.begin_savepoint();
+            for op in &a {
+                apply_net(&mut nested, op);
+            }
+            let inner = nested.begin_savepoint();
+            for op in &b {
+                apply_net(&mut nested, op);
+            }
+            nested.rollback_to(inner);
+            nested.commit(outer);
+            prop_assert_eq!(nested.fingerprint(), just_a.fingerprint(), "paged: {}", paged);
+            nested.check_access_structures().unwrap();
         }
-        let mut nested = named::company_db(3, 3, 5);
-        let outer = nested.begin_savepoint();
-        for op in &a {
-            apply_net(&mut nested, op);
-        }
-        let inner = nested.begin_savepoint();
-        for op in &b {
-            apply_net(&mut nested, op);
-        }
-        nested.rollback_to(inner);
-        nested.commit(outer);
-        prop_assert_eq!(nested.fingerprint(), just_a.fingerprint());
-        nested.check_access_structures().unwrap();
     }
 
     /// Relational: rollback restores rows, the pk index, and the secondary
