@@ -31,9 +31,10 @@ cargo clippy -p dbpc-corpus --lib --no-deps -- -D warnings -D clippy::unwrap_use
 cargo clippy -p dbpc-restructure --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
 # Docs link to public names by path; a rename or deletion must not leave
-# a dangling intra-doc link behind.
-echo "==> cargo doc (deny broken intra-doc links)"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace --offline
+# a dangling intra-doc link behind, and no other rustdoc warning (a public
+# doc linking a private item, a redundant link target) may pass either.
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 # The repository benchmark is a workspace of its own (benchmark/), so the
 # steps above never format, lint, build or test it.

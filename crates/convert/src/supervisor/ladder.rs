@@ -11,7 +11,7 @@
 //! 2. **Rewriting without the optimizer** — same rules, no §5.4 cleanup
 //!    (isolates optimizer faults);
 //! 3. **DML emulation** — the unmodified program over an
-//!    [`Emulator`](dbpc_emulate::Emulator) view of the target database;
+//!    [`Emulator`] view of the target database;
 //! 4. **Bridge program** — [`dbpc_emulate::run_bridged`] with differential
 //!    write-back (requires an invertible restructuring);
 //! 5. **Manual** — [`Verdict::NeedsManualWork`], carrying the full account

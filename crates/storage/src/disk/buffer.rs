@@ -11,6 +11,16 @@
 //! pinned aborts with [`DiskError::BufferAbort`] rather than evicting
 //! under someone's feet.
 //!
+//! **Finding a victim.** The pool keeps one bit per frame, set while the
+//! frame could be a victim: unpinned, and not dirty under no-steal. The
+//! bit changes only when a pin count moves between 0 and 1, when a dirty
+//! frame is flushed, and when the pool grows, fails a read, switches
+//! no-steal or trims. A miss's clock sweep jumps from the hand to the
+//! next set bit a 64-frame word at a time, so it never visits a pinned
+//! or (under no-steal) dirty frame; it still clears the reference bit of
+//! every eligible frame it passes and takes the first one without it, so
+//! the victims are exactly those of a sweep over every frame.
+//!
 //! **WAL discipline.** Flushing a dirty frame first calls
 //! [`LogMgr::flush_before`] with the frame's recorded LSN, so a data page
 //! can never reach disk ahead of the log records that explain it.
@@ -62,6 +72,11 @@ impl Frame {
             referenced: false,
         }
     }
+}
+
+/// Bit `i` of a frame bitmap: word index and mask.
+fn bit(i: usize) -> (usize, u64) {
+    (i / 64, 1 << (i % 64))
 }
 
 /// Handle to a pinned frame, by pool index.
@@ -132,14 +147,20 @@ impl PageTable {
 /// dirty set has been checkpointed. This is what keeps the on-disk image
 /// of a durable heap exactly at its last checkpoint between checkpoints.
 ///
-/// Resident blocks are found through a [`PageTable`] kept in step with
+/// Resident blocks are found through a page table kept in step with
 /// every miss, eviction and trim, so a hit costs O(1) however large a
-/// no-steal pool has grown.
+/// no-steal pool has grown. A miss's clock sweep visits only the frames
+/// an eligibility bitmap marks as possible victims, so it costs nothing
+/// per pinned frame, or per dirty frame a no-steal pool has grown by.
 #[derive(Debug)]
 pub struct BufferMgr {
     fm: Arc<FileMgr>,
     frames: Vec<Frame>,
     table: PageTable,
+    /// One bit per frame, set iff the frame could be a clock victim:
+    /// `pins == 0 && !(no_steal && dirty)`. Bits past the last frame are
+    /// clear.
+    eligible: Vec<u64>,
     /// Frames holding no block (one whose read failed, or a no-steal
     /// growth frame); while there are any, a miss takes the
     /// lowest-numbered one instead of allocating or running the clock.
@@ -163,6 +184,7 @@ impl BufferMgr {
             fm,
             frames: Vec::new(),
             table: PageTable::default(),
+            eligible: Vec::new(),
             unused: 0,
             hand: 0,
             base_capacity: capacity,
@@ -190,6 +212,7 @@ impl BufferMgr {
     /// exists, so un-checkpointed changes can only live in RAM.
     pub fn set_no_steal(&mut self, on: bool) {
         self.no_steal = on;
+        self.rebuild_eligible();
     }
 
     /// Blocks currently held in dirty frames, in block order.
@@ -232,6 +255,49 @@ impl BufferMgr {
         }
         self.unused = self.frames.iter().filter(|f| f.blk.is_none()).count();
         self.hand = 0;
+        self.rebuild_eligible();
+    }
+
+    /// Whether frame `i` could be a clock victim.
+    fn is_eligible(&self, i: usize) -> bool {
+        let f = &self.frames[i];
+        f.pins == 0 && !(self.no_steal && f.dirty)
+    }
+
+    /// Recompute the eligibility bitmap from the frames.
+    fn rebuild_eligible(&mut self) {
+        self.eligible.clear();
+        self.eligible.resize(self.frames.len().div_ceil(64), 0);
+        for i in 0..self.frames.len() {
+            if self.is_eligible(i) {
+                self.set_eligible(i);
+            }
+        }
+    }
+
+    fn set_eligible(&mut self, i: usize) {
+        let (w, m) = bit(i);
+        self.eligible[w] |= m;
+    }
+
+    fn clear_eligible(&mut self, i: usize) {
+        let (w, m) = bit(i);
+        self.eligible[w] &= !m;
+    }
+
+    /// The first eligible frame at or after `from`, wrapping once past
+    /// the end of the pool.
+    fn next_eligible(&self, from: usize) -> Option<usize> {
+        let first_from = |from: usize| {
+            let (mut w, _) = bit(from);
+            let mut word = self.eligible.get(w)? & (u64::MAX << (from % 64));
+            while word == 0 {
+                w += 1;
+                word = *self.eligible.get(w)?;
+            }
+            Some(w * 64 + word.trailing_zeros() as usize)
+        };
+        first_from(from).or_else(|| first_from(0))
     }
 
     /// Pin `blk` into a frame, reading it from disk on a miss. Evicting a
@@ -246,8 +312,12 @@ impl BufferMgr {
         let file = self.table.file(&blk.file);
         if let Some(i) = self.table.get(file, blk.num) {
             dbpc_obs::racy(BUFFER_HITS, 1);
-            self.frames[i].pins += 1;
-            self.frames[i].referenced = true;
+            if self.frames[i].pins == 0 {
+                self.clear_eligible(i);
+            }
+            let f = &mut self.frames[i];
+            f.pins += 1;
+            f.referenced = true;
             return Ok(FrameId(i));
         }
         let i = self.victim()?;
@@ -255,6 +325,7 @@ impl BufferMgr {
             dbpc_obs::racy(BUFFER_EVICTIONS, 1);
         }
         self.flush_frame(i, log)?;
+        self.clear_eligible(i);
         let frame = &mut self.frames[i];
         match frame.blk.as_mut() {
             Some(old) => {
@@ -278,6 +349,7 @@ impl BufferMgr {
             frame.blk = None;
             frame.pins = 0;
             self.unused += 1;
+            self.set_eligible(i);
             return Err(e);
         }
         self.table.set(file, blk.num, i)?;
@@ -286,8 +358,10 @@ impl BufferMgr {
 
     /// A frame for a miss: an empty one, a new one while the pool is
     /// below its capacity, or else a clock sweep's unpinned victim. In
-    /// no-steal mode dirty frames are also skipped, and an exhausted
-    /// sweep grows the pool by one frame instead of aborting.
+    /// no-steal mode dirty frames are also skipped, and a pool with no
+    /// eligible frame grows by one frame instead of aborting. The sweep
+    /// visits eligible frames only (see the module docs): a sweep over
+    /// every frame did nothing to the others but skip them.
     fn victim(&mut self) -> DiskResult<usize> {
         // First preference: a frame holding nothing.
         if self.unused > 0 {
@@ -298,34 +372,34 @@ impl BufferMgr {
         if self.frames.len() < self.base_capacity {
             return Ok(self.grow());
         }
-        // Two full sweeps: the first clears reference bits, the second
-        // must then find any eligible frame if one exists.
-        for _ in 0..self.frames.len() * 2 {
-            let i = self.hand;
-            self.hand = (self.hand + 1) % self.frames.len();
-            let f = &mut self.frames[i];
-            if f.pins > 0 || (self.no_steal && f.dirty) {
-                continue;
+        let Some(mut i) = self.next_eligible(self.hand) else {
+            if self.no_steal {
+                return Ok(self.grow());
             }
-            if f.referenced {
-                f.referenced = false;
-                continue;
-            }
-            return Ok(i);
+            return Err(DiskError::BufferAbort {
+                capacity: self.frames.len(),
+            });
+        };
+        // At most one lap clears reference bits; the frame it started
+        // from is then found again without one.
+        while self.frames[i].referenced {
+            self.frames[i].referenced = false;
+            i = self.next_eligible(i + 1).unwrap_or(i);
         }
-        if self.no_steal {
-            return Ok(self.grow());
-        }
-        Err(DiskError::BufferAbort {
-            capacity: self.frames.len(),
-        })
+        self.hand = (i + 1) % self.frames.len();
+        Ok(i)
     }
 
-    /// Allocate one more (empty) frame; returns its index.
+    /// Allocate one more (empty, eligible) frame; returns its index.
     fn grow(&mut self) -> usize {
+        let i = self.frames.len();
         self.frames.push(Frame::new(self.fm.page_size()));
+        if self.eligible.len() <= i / 64 {
+            self.eligible.push(0);
+        }
+        self.set_eligible(i);
         self.unused += 1;
-        self.frames.len() - 1
+        i
     }
 
     fn check(&self, id: FrameId) -> DiskResult<()> {
@@ -350,7 +424,8 @@ impl BufferMgr {
 
     /// Record that the frame was modified, described by log record `lsn`
     /// (0 for changes outside the log, e.g. snapshot bulk writes that are
-    /// fenced by a manifest instead).
+    /// fenced by a manifest instead). The frame is pinned, so it is not
+    /// eligible either way: its bit is settled when its last pin goes.
     pub fn mark_dirty(&mut self, id: FrameId, lsn: Lsn) -> DiskResult<()> {
         self.check(id)?;
         let f = &mut self.frames[id.0];
@@ -363,6 +438,9 @@ impl BufferMgr {
     pub fn unpin(&mut self, id: FrameId) -> DiskResult<()> {
         self.check(id)?;
         self.frames[id.0].pins -= 1;
+        if self.is_eligible(id.0) {
+            self.set_eligible(id.0);
+        }
         Ok(())
     }
 
@@ -384,6 +462,9 @@ impl BufferMgr {
             .ok_or_else(|| DiskError::Config("dirty frame with no block".to_string()))?;
         self.fm.write(blk, &frame.page)?;
         self.frames[i].dirty = false;
+        if self.is_eligible(i) {
+            self.set_eligible(i);
+        }
         dbpc_obs::racy(BUFFER_FLUSHES, 1);
         Ok(())
     }
@@ -582,75 +663,113 @@ mod tests {
         (snap.counter(BUFFER_HITS), snap.counter(BUFFER_EVICTIONS))
     }
 
+    /// A pin, unpin, mark-dirty, flush or trim on both the pool and the
+    /// model: `(op, file, block, pick)`, with op 0 or 1 a pin, 2 an
+    /// unpin, 3 a mark-dirty, 4 a flush and 5 a trim.
+    type Op = (u8, u8, u64, u8);
+
+    /// Drive `ops` through a pool of `base` frames and the linear-scan
+    /// model side by side. Both must pin the same frames, abort together,
+    /// keep the same frame count and count the same hits and evictions;
+    /// after every op the pool's eligibility bitmap must equal one
+    /// recomputed from its frames.
+    fn check_against_model(base: usize, no_steal: bool, ops: &[Op]) -> TestCaseResult {
+        let (_dir, mut bm) = setup(base);
+        bm.set_no_steal(no_steal);
+        let mut model = LinearModel::new(base);
+        model.no_steal = no_steal;
+        let files = ["data", "other"];
+        let mut held: Vec<FrameId> = Vec::new();
+        let start = counters();
+        for &(op, file, num, pick) in ops {
+            match op {
+                0 | 1 => {
+                    let got = bm.pin(&BlockId::new(files[file as usize], num), None);
+                    let want = model.pin((file, num));
+                    match (got, want) {
+                        (Ok(id), Some(i)) => {
+                            prop_assert_eq!(id.0, i);
+                            held.push(id);
+                        }
+                        (Err(DiskError::BufferAbort { .. }), None) => {}
+                        (got, want) => {
+                            prop_assert!(false, "pin diverged: {:?} vs {:?}", got, want);
+                        }
+                    }
+                }
+                2 if !held.is_empty() => {
+                    let id = held.swap_remove(pick as usize % held.len());
+                    bm.unpin(id).unwrap();
+                    model.frames[id.0].pins -= 1;
+                }
+                3 if !held.is_empty() => {
+                    let id = held[pick as usize % held.len()];
+                    bm.mark_dirty(id, 0).unwrap();
+                    model.frames[id.0].dirty = true;
+                }
+                4 => {
+                    bm.flush_all(None).unwrap();
+                    for f in &mut model.frames {
+                        f.dirty = false;
+                    }
+                }
+                // Trim at a quiescent point, as its contract says:
+                // release every pin first.
+                5 => {
+                    for id in held.drain(..) {
+                        bm.unpin(id).unwrap();
+                        model.frames[id.0].pins -= 1;
+                    }
+                    bm.trim();
+                    model.trim();
+                }
+                _ => {}
+            }
+            prop_assert_eq!(bm.capacity(), model.frames.len());
+            let bits = bm.eligible.clone();
+            bm.rebuild_eligible();
+            prop_assert_eq!(&bits, &bm.eligible, "eligibility bitmap out of step");
+        }
+        let end = counters();
+        prop_assert_eq!(end.0 - start.0, model.hits);
+        prop_assert_eq!(end.1 - start.1, model.evictions);
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The page table changes how a resident block is found, never
-        /// which frame: random pin / unpin / mark-dirty / flush / trim
-        /// sequences over two files, with and without no-steal growth,
-        /// return the same frames, aborts, hits and evictions as the
-        /// linear-scan model.
+        /// The page table and the eligibility bitmap change how a
+        /// resident block and a victim are found, never which frame:
+        /// random pin / unpin / mark-dirty / flush / trim sequences over
+        /// two files, with and without no-steal growth, return the same
+        /// frames, aborts, hits and evictions as the linear-scan model.
         #[test]
         fn page_table_matches_linear_scan_model(
             no_steal in any::<bool>(),
             ops in prop::collection::vec((0u8..6, 0u8..2, 0u64..10, any::<u8>()), 1..200),
         ) {
-            let (_dir, mut bm) = setup(3);
-            bm.set_no_steal(no_steal);
-            let mut model = LinearModel::new(3);
-            model.no_steal = no_steal;
-            let files = ["data", "other"];
-            let mut held: Vec<FrameId> = Vec::new();
-            let start = counters();
-            for (op, file, num, pick) in ops {
-                match op {
-                    0 | 1 => {
-                        let got = bm.pin(&BlockId::new(files[file as usize], num), None);
-                        let want = model.pin((file, num));
-                        match (got, want) {
-                            (Ok(id), Some(i)) => {
-                                prop_assert_eq!(id.0, i);
-                                held.push(id);
-                            }
-                            (Err(DiskError::BufferAbort { .. }), None) => {}
-                            (got, want) => {
-                                prop_assert!(false, "pin diverged: {:?} vs {:?}", got, want);
-                            }
-                        }
-                    }
-                    2 if !held.is_empty() => {
-                        let id = held.swap_remove(pick as usize % held.len());
-                        bm.unpin(id).unwrap();
-                        model.frames[id.0].pins -= 1;
-                    }
-                    3 if !held.is_empty() => {
-                        let id = held[pick as usize % held.len()];
-                        bm.mark_dirty(id, 0).unwrap();
-                        model.frames[id.0].dirty = true;
-                    }
-                    4 => {
-                        bm.flush_all(None).unwrap();
-                        for f in &mut model.frames {
-                            f.dirty = false;
-                        }
-                    }
-                    // Trim at a quiescent point, as its contract says:
-                    // release every pin first.
-                    5 => {
-                        for id in held.drain(..) {
-                            bm.unpin(id).unwrap();
-                            model.frames[id.0].pins -= 1;
-                        }
-                        bm.trim();
-                        model.trim();
-                    }
-                    _ => {}
-                }
-                prop_assert_eq!(bm.capacity(), model.frames.len());
-            }
-            let end = counters();
-            prop_assert_eq!(end.0 - start.0, model.hits);
-            prop_assert_eq!(end.1 - start.1, model.evictions);
+            check_against_model(3, no_steal, &ops)?;
+        }
+
+        /// The same check on pools that span several bitmap words: a base
+        /// of 65 frames, 2 × 300 blocks, and flushes and trims rare
+        /// enough that a no-steal pool grows past 128 frames between
+        /// them, so sweeps cross word boundaries and wrap.
+        #[test]
+        fn wide_pool_matches_linear_scan_model(
+            no_steal in any::<bool>(),
+            ops in prop::collection::vec(
+                (
+                    prop_oneof![40 => 0u8..2, 30 => Just(2u8), 30 => Just(3u8), 1 => 4u8..6],
+                    0u8..2,
+                    0u64..300,
+                    any::<u8>(),
+                ),
+                1..1500,
+            ),
+        ) {
+            check_against_model(65, no_steal, &ops)?;
         }
     }
 }

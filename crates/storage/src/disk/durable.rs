@@ -28,7 +28,7 @@
 //! positions from declared keys plus arrival order, and
 //! [`NetworkDb::fingerprint`] hashes nothing but functions of that call
 //! history — so a fresh process recovers a byte-identical fingerprint,
-//! and the [`StatCatalog`](crate::StatCatalog) fingerprint (a pure
+//! and the [`StatCatalog`] fingerprint (a pure
 //! function of the state) comes along for free.
 //!
 //! ## Out-of-core records, page-granular checkpoints

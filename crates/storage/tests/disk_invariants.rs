@@ -1,9 +1,10 @@
 //! Property tests for the disk substrate's safety invariants.
 //!
-//! Three families, per the durability PR's test plan:
+//! Three families:
 //!
 //! * random pin/unpin/write/flush interleavings never evict a pinned
-//!   page and always round-trip page bytes through the buffer pool;
+//!   page and always round-trip page bytes through the buffer pool, and
+//!   under no-steal never write a dirty page before a flush;
 //! * WAL recovery is idempotent — opening a log with a lost or torn
 //!   tail twice yields exactly the records and file bytes of opening
 //!   it once;
@@ -121,6 +122,93 @@ proptest! {
             let got = fresh.page(id).unwrap().read_at(0, PAGE).unwrap();
             prop_assert_eq!(&got, exp, "block {} did not round-trip to disk", blk);
             fresh.unpin(id).unwrap();
+        }
+    }
+
+    /// The no-steal contract, model-checked: with no-steal on, a random
+    /// interleaving of pin / write / unpin / flush / trim never lets a
+    /// dirty frame reach disk through eviction — every block's file bytes
+    /// stay its image as of the last `flush_all` — and a miss on a pool
+    /// whose frames are all pinned or dirty grows the pool by one frame
+    /// instead of aborting (nor grows it while a clean unpinned frame is
+    /// left). A trim at a quiescent point shrinks it back to its base.
+    #[test]
+    fn no_steal_interleavings_keep_disk_at_last_flush(
+        ops in prop::collection::vec((0u8..5, 0u64..BLOCKS, any::<u8>()), 1..60),
+    ) {
+        let dir = TempDir::new("buffer-nosteal").unwrap();
+        let fm = Arc::new(FileMgr::new(dir.path(), PAGE).unwrap());
+        let mut bm = BufferMgr::new(fm.clone(), CAPACITY).unwrap();
+        bm.set_no_steal(true);
+
+        let zero = vec![0u8; PAGE];
+        // What each block reads as through the pool, and on disk.
+        let mut expected: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut flushed: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut dirty: BTreeSet<u64> = BTreeSet::new();
+        let mut pinned: Vec<(dbpc_storage::disk::FrameId, u64)> = Vec::new();
+
+        for &(op, block, fill) in &ops {
+            match op {
+                0 => {
+                    // Under no-steal, dirty and pinned blocks are all
+                    // resident, each in its own frame.
+                    let mut held: BTreeSet<u64> = pinned.iter().map(|p| p.1).collect();
+                    held.extend(&dirty);
+                    let before = bm.capacity();
+                    let id = bm.pin(&BlockId::new("data", block), None);
+                    prop_assert!(id.is_ok(), "no-steal pin failed: {:?}", id);
+                    let id = id.unwrap();
+                    let got = bm.page(id).unwrap().read_at(0, PAGE).unwrap();
+                    prop_assert_eq!(&got, expected.get(&block).unwrap_or(&zero));
+                    pinned.push((id, block));
+                    if before >= CAPACITY && held.len() == before && !held.contains(&block) {
+                        prop_assert_eq!(bm.capacity(), before + 1, "full no-steal pool did not grow");
+                    } else if before >= CAPACITY {
+                        prop_assert_eq!(bm.capacity(), before, "pool grew with a clean victim left");
+                    }
+                }
+                1 if !pinned.is_empty() => {
+                    let (id, blk) = pinned[block as usize % pinned.len()];
+                    let off = fill as usize % (PAGE - 8);
+                    bm.page_mut(id).unwrap().write_at(off, &[fill; 8]).unwrap();
+                    bm.mark_dirty(id, 0).unwrap();
+                    expected.entry(blk).or_insert_with(|| zero.clone())[off..off + 8].fill(fill);
+                    dirty.insert(blk);
+                }
+                2 if !pinned.is_empty() => {
+                    let (id, _) = pinned.remove(block as usize % pinned.len());
+                    bm.unpin(id).unwrap();
+                }
+                3 => {
+                    bm.flush_all(None).unwrap();
+                    flushed = expected.clone();
+                    dirty.clear();
+                }
+                // The checkpoint's quiescent point: release, flush, trim.
+                4 => {
+                    for (id, _) in pinned.drain(..) {
+                        bm.unpin(id).unwrap();
+                    }
+                    bm.flush_all(None).unwrap();
+                    flushed = expected.clone();
+                    dirty.clear();
+                    bm.trim();
+                    prop_assert!(bm.capacity() <= CAPACITY, "trim left {} frames", bm.capacity());
+                }
+                _ => {}
+            }
+
+            let want: Vec<BlockId> = dirty.iter().map(|&b| BlockId::new("data", b)).collect();
+            prop_assert_eq!(bm.dirty_blocks(), want);
+            let mut page = Page::new(PAGE);
+            for b in 0..BLOCKS {
+                fm.read(&BlockId::new("data", b), &mut page).unwrap();
+                prop_assert_eq!(
+                    page.as_slice(), flushed.get(&b).unwrap_or(&zero).as_slice(),
+                    "block {} reached disk before a flush", b
+                );
+            }
         }
     }
 
