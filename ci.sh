@@ -104,6 +104,15 @@ cargo test -q --test service_crash
 echo "==> translation crash matrix (durable translation recovery)"
 cargo test -q --test translation_recovery
 
+# The checkpoint's crash-safety gate: the E20 matrices kill a child
+# process at every commit, every translation batch and every fault cell
+# inside a heap checkpoint, and a fresh process must recover the
+# committed prefix; the checkpoint-I/O tests hold a checkpoint to one
+# write per dirty page plus a fixed overhead.
+echo "==> checkpoint crash safety (E20 recovery matrix, checkpoint I/O bound)"
+cargo test -q --test durable_recovery
+cargo test -q -p dbpc-storage --test checkpoint_io
+
 # The paged record store must stay invisible: the E2/E9 program slice
 # runs byte-identical on paged databases under 4, 32 and 4096 frames and
 # on the in-memory engine. It is the oracle for every change to the heap,

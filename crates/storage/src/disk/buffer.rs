@@ -21,6 +21,17 @@
 //! every eligible frame it passes and takes the first one without it, so
 //! the victims are exactly those of a sweep over every frame.
 //!
+//! **Ping-pong slots.** A pool built [`BufferMgr::with_slots`] gives every
+//! logical page of its file two physical slots (see [`SlotMap`] for where
+//! they lie) and a [`SlotMap`] saying which one holds the page's image as
+//! of the last durable checkpoint. A miss reads that slot (or, once the page has
+//! been written since, the slot it was written to); a page past the map's
+//! page count reads as zeros; a dirty page is only ever written to the
+//! slot the map does not use. Until the owner adopts the map of the next
+//! generation ([`BufferMgr::next_slot_map`], [`BufferMgr::adopt_slot_map`])
+//! no byte of the checkpointed image is overwritten. A pool without a map
+//! addresses blocks one to one.
+//!
 //! **WAL discipline.** Flushing a dirty frame first calls
 //! [`LogMgr::flush_before`] with the frame's recorded LSN, so a data page
 //! can never reach disk ahead of the log records that explain it.
@@ -28,6 +39,7 @@
 //! Counters: `buffer.pins`, `buffer.hits`, `buffer.evictions`,
 //! `buffer.flushes`.
 
+use super::codec::{ByteReader, ByteWriter};
 use super::file::{BlockId, FileMgr, Page};
 use super::log::{LogMgr, Lsn};
 use super::{DiskError, DiskResult};
@@ -77,6 +89,171 @@ impl Frame {
 /// Bit `i` of a frame bitmap: word index and mask.
 fn bit(i: usize) -> (usize, u64) {
     (i / 64, 1 << (i % 64))
+}
+
+/// Whether bit `i` of a bitmap is set (bits past its end are clear).
+fn test_bit(words: &[u64], i: u64) -> bool {
+    let (w, m) = bit(i as usize);
+    words.get(w).is_some_and(|word| word & m != 0)
+}
+
+/// Pages per run of a slotted file (see [`SlotMap`]).
+const RUN: u64 = 64;
+
+/// Block of page `p`'s slot `s` (0 or 1).
+fn slot_block(p: u64, s: u64) -> u64 {
+    (p / RUN) * 2 * RUN + s * RUN + p % RUN
+}
+
+/// Where each logical page of a slotted file lives, in one generation:
+/// which of its two slots holds the page's image, plus how many pages the
+/// generation has.
+///
+/// The file is a sequence of runs of 128 blocks, and page `p` owns block
+/// `p mod 64` of each half of run `⌊p / 64⌋`: slot 0 in the first half,
+/// slot 1 in the second. So the slots of consecutive pages are
+/// consecutive blocks, and the pages a checkpoint writes to the same side
+/// of a run reach the file as one long extent rather than as one block
+/// each, which is what a file system syncs quickly. (Slots `2p` and
+/// `2p + 1` never coalesce: an fsync of 2,200 such 4 KiB writes on ext4
+/// took 36 ms against 5 ms contiguous.)
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SlotMap {
+    /// Logical pages with an image; later pages read as zeros.
+    pages: u64,
+    /// Bit `p` set: page `p`'s image is in its slot 1, else in slot 0.
+    odd: Vec<u64>,
+}
+
+impl SlotMap {
+    /// Logical pages the generation holds.
+    pub fn pages(&self) -> u64 {
+        self.pages
+    }
+
+    fn slot(&self, p: u64) -> u64 {
+        u64::from(test_bit(&self.odd, p))
+    }
+
+    /// Block holding page `p`'s image, if the generation has one.
+    pub fn image(&self, p: u64) -> Option<u64> {
+        (p < self.pages).then(|| slot_block(p, self.slot(p)))
+    }
+
+    /// The block of page `p` the map does not use.
+    fn spare(&self, p: u64) -> u64 {
+        slot_block(p, self.slot(p) ^ 1)
+    }
+
+    /// Blocks the file must have for every image to be in it.
+    pub fn min_blocks(&self) -> u64 {
+        (0..self.pages)
+            .rev()
+            .take(RUN as usize)
+            .filter_map(|p| self.image(p))
+            .max()
+            .map_or(0, |b| b + 1)
+    }
+
+    /// A map with no pages that keeps this map's slot choices: every page
+    /// written under it lands in a block this map does not use.
+    pub fn cleared(&self) -> SlotMap {
+        SlotMap {
+            pages: 0,
+            odd: self.odd.clone(),
+        }
+    }
+
+    /// Drop the bits of pages past the count, so equal maps encode alike.
+    fn canonical(mut self) -> SlotMap {
+        let words = self.pages.div_ceil(64) as usize;
+        self.odd.resize(words, 0);
+        if let Some(last) = self.odd.last_mut() {
+            let used = self.pages % 64;
+            if used > 0 {
+                *last &= (1 << used) - 1;
+            }
+        }
+        self
+    }
+
+    /// Append the map: the page count, then one bit per page in 64-bit
+    /// words.
+    pub fn encode(&self, w: &mut ByteWriter) {
+        let map = self.clone().canonical();
+        w.put_u64(map.pages);
+        for word in &map.odd {
+            w.put_u64(*word);
+        }
+    }
+
+    /// Read a map written by [`SlotMap::encode`]. A page count past the
+    /// heap's `u32` block range, or more words than the bytes left, is
+    /// [`DiskError::Corrupt`].
+    pub fn decode(r: &mut ByteReader) -> DiskResult<SlotMap> {
+        let pages = r.get_u64("slot map pages")?;
+        if pages > u64::from(u32::MAX) || pages.div_ceil(64) > r.remaining() as u64 / 8 {
+            return Err(DiskError::Corrupt(format!(
+                "slot map of {pages} pages in {} bytes",
+                r.remaining()
+            )));
+        }
+        let odd = (0..pages.div_ceil(64))
+            .map(|_| r.get_u64("slot map word"))
+            .collect::<Result<Vec<u64>, _>>()?;
+        Ok(SlotMap { pages, odd }.canonical())
+    }
+}
+
+/// A pool's slot map and the pages it has written since adopting it.
+#[derive(Debug)]
+struct Slots {
+    map: SlotMap,
+    /// Bit `p`: page `p` was written to its spare block since `map` was
+    /// adopted.
+    written: Vec<u64>,
+    /// One past the highest page written since `map` was adopted.
+    end: u64,
+}
+
+impl Slots {
+    fn new(map: SlotMap) -> Slots {
+        Slots {
+            map,
+            written: Vec::new(),
+            end: 0,
+        }
+    }
+
+    /// Block holding page `p`'s newest image on disk; `None` if it has
+    /// none (it reads as zeros).
+    fn source(&self, p: u64) -> Option<u64> {
+        if test_bit(&self.written, p) {
+            Some(self.map.spare(p))
+        } else {
+            self.map.image(p)
+        }
+    }
+
+    fn wrote(&mut self, p: u64) {
+        let (w, m) = bit(p as usize);
+        if self.written.len() <= w {
+            self.written.resize(w + 1, 0);
+        }
+        self.written[w] |= m;
+        self.end = self.end.max(p + 1);
+    }
+
+    /// The map with every page written since adoption in its new block.
+    fn next(&self) -> SlotMap {
+        let pages = self.map.pages.max(self.end);
+        let words = pages.div_ceil(64) as usize;
+        let word = |v: &[u64], i: usize| v.get(i).copied().unwrap_or(0);
+        let odd = (0..words)
+            .map(|i| word(&self.map.odd, i) ^ word(&self.written, i))
+            .collect();
+        SlotMap { pages, odd }.canonical()
+    }
 }
 
 /// Handle to a pinned frame, by pool index.
@@ -171,6 +348,8 @@ pub struct BufferMgr {
     base_capacity: usize,
     /// Never evict dirty frames; grow the pool instead.
     no_steal: bool,
+    /// Ping-pong addressing; `None` maps each block to itself.
+    slots: Option<Slots>,
 }
 
 impl BufferMgr {
@@ -189,7 +368,35 @@ impl BufferMgr {
             hand: 0,
             base_capacity: capacity,
             no_steal: false,
+            slots: None,
         })
+    }
+
+    /// Address the file through `map`: two slots per logical page, see
+    /// the module docs. Set before the first pin.
+    pub fn with_slots(mut self, map: SlotMap) -> BufferMgr {
+        self.slots = Some(Slots::new(map));
+        self
+    }
+
+    /// The slot map in force, if the pool has one.
+    pub fn slot_map(&self) -> Option<&SlotMap> {
+        self.slots.as_ref().map(|s| &s.map)
+    }
+
+    /// The map a checkpoint of what the pool has written so far would
+    /// adopt: every written page in the block it was written to, and the
+    /// page count grown to cover them. The owner writes every page below
+    /// that count (a heap allocates pages in order and writes each one it
+    /// allocates), so none of them is left pointing at a stale slot.
+    pub fn next_slot_map(&self) -> Option<SlotMap> {
+        self.slots.as_ref().map(Slots::next)
+    }
+
+    /// Make `map` the one in force and forget what was written under the
+    /// old one: called once `map` is the durable generation's.
+    pub fn adopt_slot_map(&mut self, map: SlotMap) {
+        self.slots = Some(Slots::new(map));
     }
 
     /// Frames allocated so far.
@@ -344,7 +551,17 @@ impl BufferMgr {
         frame.dirty = false;
         frame.lsn = 0;
         frame.referenced = true;
-        if let Err(e) = self.fm.read(blk, &mut frame.page) {
+        let read = match &self.slots {
+            None => self.fm.read(blk, &mut frame.page),
+            Some(s) => match s.source(blk.num) {
+                Some(num) => self.fm.read_block(&blk.file, num, &mut frame.page),
+                None => {
+                    frame.page.zero();
+                    Ok(())
+                }
+            },
+        };
+        if let Err(e) = read {
             // The frame's old contents are gone: it holds nothing now.
             frame.blk = None;
             frame.pins = 0;
@@ -460,7 +677,12 @@ impl BufferMgr {
             .blk
             .as_ref()
             .ok_or_else(|| DiskError::Config("dirty frame with no block".to_string()))?;
-        self.fm.write(blk, &frame.page)?;
+        let page = blk.num;
+        let num = self.slots.as_ref().map_or(page, |s| s.map.spare(page));
+        self.fm.write_block(&blk.file, num, &frame.page)?;
+        if let Some(s) = &mut self.slots {
+            s.wrote(page);
+        }
         self.frames[i].dirty = false;
         if self.is_eligible(i) {
             self.set_eligible(i);
@@ -469,10 +691,18 @@ impl BufferMgr {
         Ok(())
     }
 
-    /// Write back every dirty frame (honoring WAL order), leaving pins
-    /// untouched. Does not fsync — the caller owns the sync boundary.
+    /// Write back every dirty frame (honoring WAL order) in block order,
+    /// leaving pins untouched. Does not fsync — the caller owns the sync
+    /// boundary.
     pub fn flush_all(&mut self, mut log: Option<&mut LogMgr>) -> DiskResult<()> {
-        for i in 0..self.frames.len() {
+        let mut dirty: Vec<usize> = (0..self.frames.len())
+            .filter(|&i| self.frames[i].dirty)
+            .collect();
+        dirty.sort_unstable_by_key(|&i| {
+            let f = &self.frames[i];
+            (f.file, f.blk.as_ref().map(|b| b.num))
+        });
+        for i in dirty {
             self.flush_frame(i, log.as_deref_mut())?;
         }
         Ok(())
@@ -564,6 +794,99 @@ mod tests {
         assert_eq!(bm.pinned(), 1);
         bm.unpin(b).unwrap();
         assert_eq!(bm.pinned(), 0);
+    }
+
+    /// A map of `pages` pages whose odd-slot bits are `odd`, through the
+    /// persisted form.
+    fn slot_map(pages: u64, odd: &[u64]) -> SlotMap {
+        let mut w = ByteWriter::new();
+        w.put_u64(pages);
+        for word in odd {
+            w.put_u64(*word);
+        }
+        SlotMap::decode(&mut ByteReader::new(&w.into_bytes())).unwrap()
+    }
+
+    fn page_with(text: &[u8]) -> Page {
+        let mut page = Page::new(128);
+        page.write_at(0, text).unwrap();
+        page
+    }
+
+    /// A slotted pool reads each page from the slot its map names (zeros
+    /// past the page count), writes a dirty page only to the other slot,
+    /// reads it back from there once evicted, and after adopting the next
+    /// map writes the page back to its first slot.
+    #[test]
+    fn slotted_pool_reads_the_image_and_writes_the_spare_slot() {
+        let (_dir, bm) = setup(2);
+        let fm = Arc::clone(&bm.fm);
+        // Page p's slots are blocks p and RUN + p of the first run.
+        let (slot0, slot1) = (|p: u64| p, |p: u64| RUN + p);
+        // Page 0's image in its slot 1, page 1's in its slot 0.
+        fm.write_block("data", slot1(0), &page_with(b"p0-image"))
+            .unwrap();
+        fm.write_block("data", slot0(1), &page_with(b"p1-image"))
+            .unwrap();
+        fm.write_block("data", slot1(5), &page_with(b"stale"))
+            .unwrap();
+        let mut bm = bm.with_slots(slot_map(2, &[0b01]));
+        let read = |bm: &mut BufferMgr, num: u64| {
+            let id = bm.pin(&BlockId::new("data", num), None).unwrap();
+            let bytes = bm.page(id).unwrap().read_at(0, 8).unwrap().to_vec();
+            bm.unpin(id).unwrap();
+            bytes
+        };
+        assert_eq!(read(&mut bm, 0), b"p0-image");
+        assert_eq!(read(&mut bm, 1), b"p1-image");
+        // Past the page count: zeros, whatever a block there holds.
+        assert_eq!(read(&mut bm, 5), [0; 8]);
+
+        for (num, text) in [(0, b"p0-next!"), (5, b"p5-next!")] {
+            let id = bm.pin(&BlockId::new("data", num), None).unwrap();
+            bm.page_mut(id).unwrap().write_at(0, text).unwrap();
+            bm.mark_dirty(id, 0).unwrap();
+            bm.unpin(id).unwrap();
+        }
+        bm.flush_all(None).unwrap();
+        let raw = |num: u64| {
+            let mut page = Page::new(128);
+            fm.read_block("data", num, &mut page).unwrap();
+            page.read_at(0, 8).unwrap().to_vec()
+        };
+        assert_eq!(raw(slot1(0)), b"p0-image", "the image slot was overwritten");
+        assert_eq!(raw(slot0(0)), b"p0-next!");
+        assert_eq!(raw(slot1(5)), b"p5-next!");
+        // Evict both, then read them back from the slots just written.
+        for num in [2, 3, 4] {
+            read(&mut bm, num);
+        }
+        assert_eq!(read(&mut bm, 0), b"p0-next!");
+        assert_eq!(read(&mut bm, 5), b"p5-next!");
+
+        let next = bm.next_slot_map().unwrap();
+        assert_eq!(next.pages(), 6);
+        assert_eq!(
+            (0..7).map(|p| next.image(p)).collect::<Vec<_>>(),
+            [
+                Some(slot0(0)),
+                Some(slot0(1)),
+                Some(slot0(2)),
+                Some(slot0(3)),
+                Some(slot0(4)),
+                Some(slot1(5)),
+                None
+            ]
+        );
+        assert_eq!(next.min_blocks(), slot1(5) + 1);
+        bm.adopt_slot_map(next);
+        let id = bm.pin(&BlockId::new("data", 0), None).unwrap();
+        bm.page_mut(id).unwrap().write_at(0, b"p0-third").unwrap();
+        bm.mark_dirty(id, 0).unwrap();
+        bm.unpin(id).unwrap();
+        bm.flush_all(None).unwrap();
+        assert_eq!(raw(slot1(0)), b"p0-third");
+        assert_eq!(raw(slot0(0)), b"p0-next!");
     }
 
     /// The replacement policy with linear scans instead of a page table:
@@ -738,6 +1061,30 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A slot map survives its persisted form, bits past its page
+        /// count dropped; arbitrary bytes decode to a map or to
+        /// `Corrupt`, never a panic or a huge allocation.
+        #[test]
+        fn slot_map_codec_round_trips_and_rejects_garbage(
+            pages in 0u64..300,
+            odd in prop::collection::vec(any::<u64>(), 0..6),
+            garbage in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let map = SlotMap { pages, odd }.canonical();
+            let mut w = ByteWriter::new();
+            map.encode(&mut w);
+            let bytes = w.into_bytes();
+            let back = SlotMap::decode(&mut ByteReader::new(&bytes)).unwrap();
+            prop_assert_eq!(&back, &map);
+            for p in 0..pages + 2 {
+                prop_assert_eq!(back.image(p).is_some(), p < pages);
+            }
+            match SlotMap::decode(&mut ByteReader::new(&garbage)) {
+                Ok(m) => prop_assert!(m.pages() <= garbage.len() as u64 * 8),
+                Err(e) => prop_assert!(matches!(e, DiskError::Corrupt(_)), "{}", e),
+            }
+        }
 
         /// The page table and the eligibility bitmap change how a
         /// resident block and a victim are found, never which frame:

@@ -34,34 +34,55 @@
 //! ## Out-of-core records, page-granular checkpoints
 //!
 //! The engine inside is **paged**: records live in a slotted heap file
-//! (`heap.dat`) under a capped [`BufferMgr`](super::buffer::BufferMgr)
-//! pool, so database size is bounded by disk, not RAM. Between
-//! checkpoints the pool runs **no-steal** — dirty pages are never
-//! evicted to disk (the pool grows instead), so the on-disk heap image
-//! stays exactly the last checkpoint's state and WAL replay from it is
-//! always correct.
+//! (`heap.dat`) under a capped [`BufferMgr`]
+//! pool, so database size is bounded by disk, not RAM. Every logical heap
+//! page owns two physical slots in the file (shadow paging with a
+//! ping-pong page pair; the slots of 64 consecutive pages lie in two
+//! contiguous runs of blocks, so a checkpoint's writes coalesce), and
+//! each generation's [`SlotMap`] — one bit per page plus the page count
+//! — says which slot holds the page's checkpointed image. The pool reads
+//! a page from that slot and only ever writes it to the other one.
+//! Between checkpoints it also runs **no-steal**: dirty pages are never
+//! evicted (the pool grows instead), so un-checkpointed changes live only
+//! in RAM and the WAL.
 //!
-//! [`DurableNetworkDb::checkpoint`] is therefore *page-granular*: its
-//! I/O is proportional to the pages dirtied since the last checkpoint,
-//! not to database size. The protocol:
+//! [`DurableNetworkDb::checkpoint`] is therefore *page-granular*: one
+//! write per page dirtied since the last checkpoint plus a fixed
+//! overhead, whatever the database size, and no pre-image of anything.
+//! The protocol:
 //!
 //! 1. refresh lazily-synced set-link payloads ([`NetworkDb::sync_links`]);
-//! 2. write the **old on-disk image** of every dirty block into a
-//!    pre-image undo log (`ckpt.undo`) and fsync it;
-//! 3. flush the dirty heap pages in place and sync `heap.dat`;
+//! 2. write every dirty heap page, in block order, to the slot the
+//!    current map does not use;
+//! 3. sync `heap.dat`;
 //! 4. start an empty WAL for the next generation;
-//! 5. persist the allocator state (`next_id`, per-set arrival counters)
-//!    plus application metadata in a per-generation blob;
+//! 5. persist the allocator state (`next_id`, per-set arrival counters),
+//!    the next generation's slot map (each page written in step 2 in its
+//!    new slot) and application metadata in a per-generation meta blob;
 //! 6. flip the two-slot ping-pong manifest — the atomic switch;
-//! 7. retire the old generation's WAL/blob and the undo log.
+//! 7. adopt the new slot map in the pool, then retire the old
+//!    generation's WAL and meta blob.
 //!
-//! A crash before step 6 leaves the manifest on the old generation;
-//! recovery finds `ckpt.undo` prepared for a *newer* generation, rolls
-//! every recorded pre-image back (and re-zeroes blocks past the old
-//! end-of-file), and the old generation is intact. A crash after step 6
-//! finds the undo log prepared for the *current* generation and simply
-//! discards it. Recovery rebuilds all in-RAM indexes by scanning the
-//! heap ([`NetworkDb::recover_paged`]) and replaying the WAL.
+//! Nothing ever needs rolling back. Until step 6 the manifest names the
+//! old generation, and no step writes a byte of its heap slots, its WAL
+//! or its meta blob: a crash anywhere before the flip recovers it exactly,
+//! and whatever a torn step left behind lies in slots its map does not
+//! read or in the next generation's files, which the next checkpoint
+//! clears before writing. From step 6 on the manifest names the new
+//! generation, whose heap slots, WAL and meta blob were all durable
+//! before the flip. Recovery rebuilds all in-RAM indexes by scanning the
+//! heap through the map ([`NetworkDb::recover_paged`]) and replays the
+//! WAL. The space this costs is a heap file of about twice the logical
+//! heap.
+//!
+//! A fresh directory records generation 0 (an empty map) in the manifest
+//! before any heap page can be written, so a manifest naming no
+//! generation over a heap file that holds pages means the manifest was
+//! lost: the open is refused rather than recovering an empty database. A
+//! directory holds only `MANIFEST`, `heap.dat` and the generations' WALs
+//! and meta blobs; any other file was left by another on-disk format (an
+//! older one kept pre-image logs beside the heap), and the open refuses
+//! it as [`DiskError::Corrupt`], as it does a meta blob of another format.
 //!
 //! ## Failure semantics
 //!
@@ -72,10 +93,10 @@
 //! `kill -9` at that moment would have produced. Dropping the handle
 //! without committing loses exactly the uncommitted tail, nothing more.
 
+use super::buffer::{BufferMgr, SlotMap};
 use super::codec::{capacity, fnv64, ByteReader, ByteWriter};
 use super::faults::DiskFaultPlan;
 use super::file::{BlockId, FileMgr, Page, DEFAULT_PAGE_SIZE};
-use super::heap::HeapFile;
 use super::log::{LogMgr, Lsn};
 use super::{DiskError, DiskResult};
 use crate::network_db::{NetworkDb, RecordId};
@@ -124,14 +145,13 @@ impl Default for DurableOptions {
 }
 
 const MANIFEST: &str = "MANIFEST";
-/// The heap file holding every record, shared across generations; only
-/// the pages dirtied since the last checkpoint are rewritten.
+/// The heap file holding every record, two slots per page, shared across
+/// generations; only the pages dirtied since the last checkpoint are
+/// written, each to the slot its generation's map does not use.
 const HEAP: &str = "heap.dat";
-/// Pre-image undo log protecting in-place heap flushes (see module docs).
-const UNDO: &str = "ckpt.undo";
 const MAN_MAGIC: u64 = u64::from_le_bytes(*b"DBPCMAN1");
-const META_MAGIC: u64 = u64::from_le_bytes(*b"DBPCMET1");
-const UNDO_MAGIC: u64 = u64::from_le_bytes(*b"DBPCUND1");
+/// Meta blob format 2: the blob carries the generation's slot map.
+const META_MAGIC: u64 = u64::from_le_bytes(*b"DBPCMET2");
 const WAL_MAGIC: u64 = u64::from_le_bytes(*b"DBPCWAL1");
 
 const TAG_HEADER: u8 = 1;
@@ -151,6 +171,17 @@ fn wal_file(gen: u64) -> String {
 
 fn meta_file(gen: u64) -> String {
     format!("meta_{gen:06}.blob")
+}
+
+/// Whether `name` is a file this format writes: the manifest, the heap,
+/// or a generation's WAL or meta blob.
+fn is_format_file(name: &str) -> bool {
+    let numbered = |prefix: &str, suffix: &str| {
+        name.strip_prefix(prefix)
+            .and_then(|rest| rest.strip_suffix(suffix))
+            .is_some_and(|n| n.len() >= 6 && n.bytes().all(|b| b.is_ascii_digit()))
+    };
+    name == MANIFEST || name == HEAP || numbered("wal_", ".log") || numbered("meta_", ".blob")
 }
 
 /// Structural digest of a schema, stamped into snapshot and WAL headers
@@ -188,9 +219,10 @@ pub struct DurableNetworkDb {
 
 impl DurableNetworkDb {
     /// Open (or create) the database under `root`, recovering the last
-    /// committed state: manifest → torn-checkpoint rollback → heap scan →
-    /// WAL replay of committed transactions. Recovery is idempotent —
-    /// opening twice yields the same fingerprint as opening once.
+    /// committed state: manifest → the generation's meta blob and slot
+    /// map → heap scan → WAL replay of committed transactions. Recovery
+    /// writes nothing a second open would read differently, so opening
+    /// twice yields the same fingerprint as opening once.
     pub fn open(
         root: impl Into<PathBuf>,
         schema: NetworkSchema,
@@ -198,37 +230,52 @@ impl DurableNetworkDb {
     ) -> DiskResult<DurableNetworkDb> {
         let fm = Arc::new(FileMgr::new(root, opts.page_size)?.with_faults(opts.faults.clone()));
         let schema_fp = schema_fingerprint(&schema);
-        let gen = read_manifest(&fm)?;
-        rollback_torn_checkpoint(&fm, gen)?;
-        let (next_id, next_seqs, meta) = if gen > 0 {
+        let files = format_files(&fm)?;
+        let gen = match read_manifest(&fm)? {
+            Some(gen) => gen,
+            None => {
+                // A fresh directory records generation 0 before it writes
+                // a heap page or a later generation's file: either one
+                // here means the MANIFEST was lost.
+                let later = files
+                    .iter()
+                    .find(|f| ![MANIFEST, HEAP].contains(&f.as_str()) && **f != wal_file(0));
+                if fm.block_count(HEAP)? > 0 || later.is_some() {
+                    let what =
+                        later.map_or(format!("{HEAP} holds pages"), |f| format!("{f} exists"));
+                    return Err(DiskError::Corrupt(format!(
+                        "MANIFEST names no checkpoint but {what}"
+                    )));
+                }
+                write_manifest(&fm, 0)?;
+                0
+            }
+        };
+        let blob = if gen > 0 {
             read_meta_blob(&fm, gen, schema_fp)?
         } else {
-            // Heap pages reach disk only inside a checkpoint, and a torn
-            // first checkpoint was just rolled back: with no generation on
-            // record the heap must be empty. Records here mean the
-            // MANIFEST was lost.
-            if HeapFile::open(Arc::clone(&fm), HEAP, 1)?.stats().records > 0 {
-                return Err(DiskError::Corrupt(
-                    "MANIFEST names no checkpoint but the heap holds records".to_string(),
-                ));
-            }
-            (1, Vec::new(), Vec::new())
+            MetaBlob::empty()
         };
+        if fm.block_count(HEAP)? < blob.slots.min_blocks() {
+            return Err(DiskError::Corrupt(format!(
+                "{HEAP} is shorter than generation {gen}'s {} pages",
+                blob.slots.pages()
+            )));
+        }
         let mut db = NetworkDb::recover_paged(
             schema,
             Arc::clone(&fm),
             HEAP,
             opts.buffers,
-            next_id,
-            &next_seqs,
+            blob.next_id,
+            &blob.seqs,
+            Some(blob.slots),
         )
         .map_err(|e| DiskError::Corrupt(format!("heap recovery: {e}")))?;
-        // From here on, dirty heap pages must never reach disk outside a
-        // checkpoint: the on-disk heap image *is* the last checkpoint.
-        // This must precede WAL replay — replayed ops dirty pages too.
-        if let Some(bm) = db.heap_buffer() {
-            bm.set_no_steal(true);
-        }
+        // From here on dirty heap pages stay in RAM until a checkpoint
+        // writes each of them once. This precedes WAL replay — replayed
+        // ops dirty pages too.
+        heap_pool(&mut db)?.set_no_steal(true);
         let (mut log, records) = LogMgr::open(fm.clone(), wal_file(gen))?;
         let notes = replay(&mut db, &records, schema_fp)?;
         if records.is_empty() {
@@ -241,7 +288,7 @@ impl DurableNetworkDb {
             db,
             pool: opts.buffers,
             gen,
-            meta,
+            meta: blob.meta,
             schema_fp,
             sync: opts.sync,
             pending: Vec::new(),
@@ -499,19 +546,18 @@ impl DurableNetworkDb {
                 "checkpoint inside an open savepoint".to_string(),
             ));
         }
-        let result = self.checkpoint_inner(meta, false);
+        let result = self.checkpoint_inner(meta);
         if result.is_err() {
             self.wedged = true;
         }
         result
     }
 
-    fn checkpoint_inner(&mut self, meta: &[u8], undo_prepared: bool) -> DiskResult<()> {
+    fn checkpoint_inner(&mut self, meta: &[u8]) -> DiskResult<()> {
         let next = self.gen + 1;
         // Clear leftovers a crashed earlier checkpoint may have written;
         // the manifest still points at the current generation, so these
-        // files are garbage by definition (pre-images in UNDO were already
-        // rolled back by open()).
+        // files are garbage by definition.
         self.fm.remove(&meta_file(next))?;
         self.fm.remove(&wal_file(next))?;
 
@@ -519,20 +565,14 @@ impl DurableNetworkDb {
         //    set below is the complete committed delta.
         self.db.sync_links().map_err(DiskError::Engine)?;
 
-        // 2. Log pre-images of exactly the pages about to change, so a
-        //    crash mid-flush can restore the current generation's heap.
-        if !undo_prepared {
-            let dirty: Vec<u64> = match self.db.heap_buffer() {
-                Some(bm) => bm.dirty_blocks().iter().map(|b| b.num).collect(),
-                None => Vec::new(),
-            };
-            prepare_undo(&self.fm, next, &dirty)?;
-        }
-
-        // 3. Flush those pages in place and make the heap file durable.
-        //    Checkpoint I/O is therefore proportional to the number of
-        //    dirty pages, not to the database size.
-        self.db.flush_heap().map_err(DiskError::Engine)?;
+        // 2–3. Write each dirty page, in block order, to the slot the
+        //    current map does not use, straight through the pool so a
+        //    failed write reaches the caller as the disk error it is, and
+        //    make the heap file durable. I/O is proportional to the
+        //    number of dirty pages, not to the database size.
+        let pool = heap_pool(&mut self.db)?;
+        pool.flush_all(None)?;
+        let slots = pool.next_slot_map().ok_or_else(no_slot_map)?;
         self.fm.sync(HEAP)?;
 
         // 4. Fresh WAL for the new generation.
@@ -547,27 +587,28 @@ impl DurableNetworkDb {
         new_log.append(&header_record(self.schema_fp))?;
         new_log.flush()?;
 
-        // 5. Sidecar with the allocator state and caller metadata.
-        write_meta_blob(&self.fm, next, self.schema_fp, &self.db, meta)?;
+        // 5. Meta blob with the allocator state, the new slot map and
+        //    the caller's metadata.
+        write_meta_blob(&self.fm, next, self.schema_fp, &self.db, &slots, meta)?;
 
         // 6. Atomically flip the manifest to the new generation.
         write_manifest(&self.fm, next)?;
 
+        // 7. Only now is the new map the durable one: adopt it, shrink
+        //    the pool back to its base capacity now that nothing is
+        //    dirty, and retire the previous generation's WAL and meta
+        //    blob (gen 0 has a WAL but no blob).
+        let pool = heap_pool(&mut self.db)?;
+        pool.adopt_slot_map(slots);
+        pool.trim();
         let old = self.gen;
         self.log = new_log;
         self.gen = next;
         self.meta = meta.to_vec();
         self.notes.clear();
-        // 7. Retire the previous generation: its undo log, WAL, and meta
-        //    sidecar (gen 0 has a WAL but no sidecar). Shrink the pool
-        //    back to its base capacity now that nothing is dirty.
-        self.fm.remove(UNDO)?;
         self.fm.remove(&wal_file(old))?;
         if old > 0 {
             self.fm.remove(&meta_file(old))?;
-        }
-        if let Some(bm) = self.db.heap_buffer() {
-            bm.trim();
         }
         Ok(())
     }
@@ -595,31 +636,35 @@ impl DurableNetworkDb {
         result
     }
 
-    /// Import rewrites the whole heap file in place, so the undo log must
-    /// cover every old page up front: pre-image all of them, zero them so
-    /// no stale slotted page survives at an offset the rebuild does not
-    /// overwrite, copy straight into the heap with
-    /// [`NetworkDb::to_paged_on`] (eviction during the copy is safe —
-    /// every flushed page is covered by a pre-image or by the
-    /// tail-zeroing rule in [`rollback_torn_checkpoint`]), then run the
-    /// ordinary checkpoint with the undo already prepared.
+    /// Import copies `db` into a heap over an empty slot map that keeps
+    /// the current generation's slot choices
+    /// ([`SlotMap::cleared`]), so every page the copy writes — evicted
+    /// during the copy or flushed by the checkpoint — lands in a slot the
+    /// current generation does not use, then runs the ordinary
+    /// checkpoint. Until its manifest flip the current generation is
+    /// untouched.
     fn import_inner(&mut self, db: &NetworkDb, meta: &[u8]) -> DiskResult<()> {
-        let next = self.gen + 1;
-        let old_blocks = self.fm.block_count(HEAP)?;
-        prepare_undo(&self.fm, next, &(0..old_blocks).collect::<Vec<u64>>())?;
-        let zero = Page::new(self.fm.page_size());
-        for b in 0..old_blocks {
-            self.fm.write(&BlockId::new(HEAP, b), &zero)?;
-        }
+        let slots = heap_pool(&mut self.db)?
+            .slot_map()
+            .map(SlotMap::cleared)
+            .ok_or_else(no_slot_map)?;
         let mut rebuilt = db
-            .to_paged_on(Arc::clone(&self.fm), HEAP, self.pool)
+            .to_paged_on(Arc::clone(&self.fm), HEAP, self.pool, slots)
             .map_err(DiskError::Engine)?;
-        if let Some(bm) = rebuilt.heap_buffer() {
-            bm.set_no_steal(true);
-        }
+        heap_pool(&mut rebuilt)?.set_no_steal(true);
         self.db = rebuilt;
-        self.checkpoint_inner(meta, true)
+        self.checkpoint_inner(meta)
     }
+}
+
+/// The buffer pool of the durable engine's heap.
+fn heap_pool(db: &mut NetworkDb) -> DiskResult<&mut BufferMgr> {
+    db.heap_buffer()
+        .ok_or_else(|| DiskError::State("durable engine without a heap".to_string()))
+}
+
+fn no_slot_map() -> DiskError {
+    DiskError::State("durable heap pool has no slot map".to_string())
 }
 
 fn header_record(schema_fp: u64) -> Vec<u8> {
@@ -753,11 +798,13 @@ fn apply_op(db: &mut NetworkDb, op: &[u8]) -> DiskResult<()> {
     }
 }
 
-fn read_manifest(fm: &FileMgr) -> DiskResult<u64> {
+/// The newest generation a valid manifest slot names; `None` when no slot
+/// is valid (or there is no manifest).
+fn read_manifest(fm: &FileMgr) -> DiskResult<Option<u64>> {
     if !fm.exists(MANIFEST) {
-        return Ok(0);
+        return Ok(None);
     }
-    let mut best = 0u64;
+    let mut best = None;
     let mut page = Page::new(fm.page_size());
     for slot in 0..2u64 {
         fm.read(&BlockId::new(MANIFEST, slot), &mut page)?;
@@ -770,11 +817,37 @@ fn read_manifest(fm: &FileMgr) -> DiskResult<u64> {
         ) else {
             continue;
         };
-        if magic == MAN_MAGIC && sum == fnv64(&bytes[..16]) && gen > best {
-            best = gen;
+        if magic == MAN_MAGIC && sum == fnv64(&bytes[..16]) && best < Some(gen) {
+            best = Some(gen);
         }
     }
     Ok(best)
+}
+
+/// The files under the root, refusing any this format does not write
+/// (see the module docs): never open beside another format's leftovers.
+fn format_files(fm: &FileMgr) -> DiskResult<Vec<String>> {
+    let root = fm.root();
+    let io = |e: std::io::Error| DiskError::Io {
+        op: "list",
+        path: root.display().to_string(),
+        detail: e.to_string(),
+    };
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(root).map_err(io)? {
+        let name = entry
+            .map_err(io)?
+            .file_name()
+            .to_string_lossy()
+            .into_owned();
+        if !is_format_file(&name) {
+            return Err(DiskError::Corrupt(format!(
+                "{name}: not a file of this database format"
+            )));
+        }
+        files.push(name);
+    }
+    Ok(files)
 }
 
 fn write_manifest(fm: &FileMgr, gen: u64) -> DiskResult<()> {
@@ -789,93 +862,39 @@ fn write_manifest(fm: &FileMgr, gen: u64) -> DiskResult<()> {
     fm.sync(MANIFEST)
 }
 
-/// Write pre-images of `blocks` (heap block numbers) into the undo log,
-/// then fsync it. Layout: record 0 is a header
-/// `[UNDO_MAGIC][prepared_gen][old_block_count]`; each following record
-/// is `[u64 block][raw page bytes]`. Blocks at or past the current end
-/// of the heap file have no pre-image — rollback restores them by
-/// zeroing everything from `old_block_count` to the (possibly grown)
-/// end of file. The undo log reuses the WAL's checksummed record
-/// framing, so a torn undo write is indistinguishable from an absent
-/// one and recovery can discard it wholesale.
-fn prepare_undo(fm: &Arc<FileMgr>, prepared_gen: u64, blocks: &[u64]) -> DiskResult<()> {
-    fm.remove(UNDO)?;
-    let old_blocks = fm.block_count(HEAP)?;
-    let (mut log, _) = LogMgr::open(fm.clone(), UNDO)?;
-    let mut w = ByteWriter::new();
-    w.put_u64(UNDO_MAGIC);
-    w.put_u64(prepared_gen);
-    w.put_u64(old_blocks);
-    log.append(&w.into_bytes())?;
-    let mut page = Page::new(fm.page_size());
-    for &num in blocks {
-        if num >= old_blocks {
-            continue; // tail-zeroing covers pages past the old EOF
-        }
-        fm.read(&BlockId::new(HEAP, num), &mut page)?;
-        let mut rec = Vec::with_capacity(8 + page.size());
-        rec.extend_from_slice(&num.to_le_bytes());
-        rec.extend_from_slice(page.as_slice());
-        log.append(&rec)?;
-    }
-    log.flush()
+/// What a generation's meta blob holds beside the heap pages: everything
+/// a reopen needs that a heap scan cannot reconstruct (erased-record ids
+/// must never be reused, where each page's image lies, and the caller's
+/// opaque metadata).
+#[derive(Debug)]
+struct MetaBlob {
+    next_id: u64,
+    seqs: Vec<(String, u64)>,
+    slots: SlotMap,
+    meta: Vec<u8>,
 }
 
-/// Undo a checkpoint that crashed after pre-images were durable but
-/// before the manifest flipped: restore every logged page and zero the
-/// heap-file tail past the old end. If the manifest did flip (or the
-/// undo header never made it to disk), the pre-images are stale and are
-/// simply discarded. Idempotent — crashing inside rollback and running
-/// it again restores the same bytes.
-fn rollback_torn_checkpoint(fm: &Arc<FileMgr>, manifest_gen: u64) -> DiskResult<()> {
-    if !fm.exists(UNDO) {
-        return Ok(());
-    }
-    let (_, records) = LogMgr::open(fm.clone(), UNDO)?;
-    if let Some((_, header)) = records.first() {
-        let mut r = ByteReader::new(header);
-        if r.get_u64("undo magic")? != UNDO_MAGIC {
-            return Err(DiskError::Corrupt("bad undo-log magic".to_string()));
-        }
-        let prepared_gen = r.get_u64("undo prepared gen")?;
-        let old_blocks = r.get_u64("undo old block count")?;
-        if prepared_gen > manifest_gen {
-            let ps = fm.page_size();
-            let mut page = Page::new(ps);
-            for (_, rec) in &records[1..] {
-                if rec.len() != 8 + ps {
-                    return Err(DiskError::Corrupt(format!(
-                        "undo pre-image of {} bytes against page size {ps}",
-                        rec.len()
-                    )));
-                }
-                let num = u64::from_le_bytes(rec[..8].try_into().unwrap_or_default());
-                page.as_mut_slice().copy_from_slice(&rec[8..]);
-                fm.write(&BlockId::new(HEAP, num), &page)?;
-            }
-            let current = fm.block_count(HEAP)?;
-            if current > old_blocks {
-                let zero = Page::new(ps);
-                for b in old_blocks..current {
-                    fm.write(&BlockId::new(HEAP, b), &zero)?;
-                }
-            }
-            fm.sync(HEAP)?;
+impl MetaBlob {
+    /// Generation 0: no record, no page, no metadata.
+    fn empty() -> MetaBlob {
+        MetaBlob {
+            next_id: 1,
+            seqs: Vec::new(),
+            slots: SlotMap::default(),
+            meta: Vec::new(),
         }
     }
-    fm.remove(UNDO)
 }
 
-/// Persist the per-generation sidecar: one checksummed record holding
-/// `[META_MAGIC][schema_fp][next record id][set seq table][meta bytes]`
-/// — everything a reopen needs that is not reconstructible from the
-/// heap pages themselves (erased-record ids must never be reused, and
-/// caller metadata is opaque).
+/// Persist the per-generation blob: one checksummed record holding
+/// `[META_MAGIC][schema_fp][next record id][set seq table][slot map][meta
+/// bytes]`.
 fn write_meta_blob(
     fm: &Arc<FileMgr>,
     gen: u64,
     schema_fp: u64,
     db: &NetworkDb,
+    slots: &SlotMap,
     meta: &[u8],
 ) -> DiskResult<()> {
     let (next_id, seqs) = db.allocator_state();
@@ -888,18 +907,14 @@ fn write_meta_blob(
         w.put_str(set);
         w.put_u64(*seq);
     }
+    slots.encode(&mut w);
     w.put_bytes(meta);
     let (mut log, _) = LogMgr::open(fm.clone(), meta_file(gen))?;
     log.append(&w.into_bytes())?;
     log.flush()
 }
 
-#[allow(clippy::type_complexity)]
-fn read_meta_blob(
-    fm: &Arc<FileMgr>,
-    gen: u64,
-    schema_fp: u64,
-) -> DiskResult<(u64, Vec<(String, u64)>, Vec<u8>)> {
+fn read_meta_blob(fm: &Arc<FileMgr>, gen: u64, schema_fp: u64) -> DiskResult<MetaBlob> {
     let file = meta_file(gen);
     let (_, records) = LogMgr::open(fm.clone(), file.clone())?;
     let Some((_, rec)) = records.first() else {
@@ -907,7 +922,9 @@ fn read_meta_blob(
     };
     let mut r = ByteReader::new(rec);
     if r.get_u64("meta magic")? != META_MAGIC {
-        return Err(DiskError::Corrupt(format!("{file}: bad meta magic")));
+        return Err(DiskError::Corrupt(format!(
+            "{file}: bad meta magic (not this database format)"
+        )));
     }
     if r.get_u64("meta schema fingerprint")? != schema_fp {
         return Err(DiskError::Corrupt(format!(
@@ -922,12 +939,19 @@ fn read_meta_blob(
         let seq = r.get_u64("meta set seq")?;
         seqs.push((set, seq));
     }
+    let slots = SlotMap::decode(&mut r)?;
     let meta = r.get_bytes("meta payload")?.to_vec();
-    Ok((next_id, seqs, meta))
+    Ok(MetaBlob {
+        next_id,
+        seqs,
+        slots,
+        meta,
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::faults::DiskFault;
     use super::super::tempdir::TempDir;
     use super::*;
     use dbpc_datamodel::network::{FieldDef, RecordTypeDef, SetDef};
@@ -1201,6 +1225,246 @@ mod tests {
         drop(db);
         let db = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap();
         assert!(db.notes().is_empty(), "a checkpoint truncates the notes");
+    }
+
+    /// Every file of a directory: name and bytes.
+    type DirImage = Vec<(String, Vec<u8>)>;
+
+    fn dir_image(root: &std::path::Path) -> DirImage {
+        let mut files: DirImage = std::fs::read_dir(root)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// A fresh directory holding `image`.
+    fn lay_down(image: &[(String, Vec<u8>)], label: &str) -> TempDir {
+        let dir = TempDir::new(label).unwrap();
+        for (name, bytes) in image {
+            std::fs::write(dir.path().join(name), bytes).unwrap();
+        }
+        dir
+    }
+
+    /// A database one checkpoint in, whose live WAL then rewrites every
+    /// checkpointed record, grows the heap by new pages and relinks its
+    /// division: the next checkpoint writes old pages, new pages and
+    /// link payloads. Returns the directory image and its fingerprints.
+    fn sweep_fixture() -> (DirImage, (u64, u64)) {
+        let dir = TempDir::new("durable-sweep-fixture").unwrap();
+        let mut db = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap();
+        let div = seed_commit(&mut db);
+        db.checkpoint(b"one").unwrap();
+        let sp = db.begin_savepoint();
+        for emp in db.engine().records_of_type("EMP") {
+            db.modify(emp, &[("AGE", Value::Int(77))]).unwrap();
+        }
+        for e in 0..24 {
+            db.store(
+                "EMP",
+                &[
+                    ("EMP-NAME", Value::str(format!("NEW-{e:02}"))),
+                    ("AGE", Value::Int(40)),
+                ],
+                &[("DIV-EMP", div)],
+            )
+            .unwrap();
+        }
+        db.commit(sp).unwrap();
+        let want = (db.fingerprint(), db.stat_fingerprint());
+        drop(db);
+        (dir_image(dir.path()), want)
+    }
+
+    /// Generation `gen`'s slot map, as its meta blob records it.
+    fn slot_map(root: &std::path::Path, gen: u64) -> SlotMap {
+        let fm = Arc::new(FileMgr::new(root, opts_small().page_size).unwrap());
+        let fp = schema_fingerprint(&schema());
+        read_meta_blob(&fm, gen, fp).unwrap().slots
+    }
+
+    /// The raw bytes of every heap block holding an image under `slots`.
+    fn image_bytes(root: &std::path::Path, slots: &SlotMap) -> Vec<(u64, Vec<u8>)> {
+        let fm = FileMgr::new(root, opts_small().page_size).unwrap();
+        let mut page = Page::new(fm.page_size());
+        (0..slots.pages())
+            .map(|p| {
+                let block = slots.image(p).unwrap();
+                fm.read_block(HEAP, block, &mut page).unwrap();
+                (block, page.as_slice().to_vec())
+            })
+            .collect()
+    }
+
+    /// The disk-op indexes one clean checkpoint of `image` issues.
+    fn checkpoint_ops(image: &[(String, Vec<u8>)]) -> std::ops::Range<u64> {
+        let dir = lay_down(image, "durable-sweep-clean");
+        let mut db = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap();
+        let first = db.disk_ops();
+        db.checkpoint(b"two").unwrap();
+        first..db.disk_ops()
+    }
+
+    /// A fault on a checkpoint's heap page write reaches the caller as
+    /// the injected [`DiskError`] it is — not wrapped as an engine
+    /// error — like a fault on any other write of the checkpoint.
+    #[test]
+    fn checkpoint_write_faults_reach_the_caller_typed() {
+        let (image, _) = sweep_fixture();
+        let ops = checkpoint_ops(&image);
+        let mut fired = 0;
+        for op in ops {
+            let dir = lay_down(&image, "durable-typed-fault");
+            let mut opts = opts_small();
+            opts.faults = Some(DiskFaultPlan::default().with_fault_at(op, DiskFault::TornWrite));
+            let mut db = DurableNetworkDb::open(dir.path(), schema(), opts).unwrap();
+            match db.checkpoint(b"two") {
+                Ok(()) => {}
+                Err(DiskError::Injected { op_index, .. }) if op_index == op => fired += 1,
+                Err(e) => panic!("torn write at op {op} came back as {e:?}"),
+            }
+        }
+        // Every heap page write is one of them: the fixture dirties more
+        // pages than a checkpoint's WAL, blob and manifest writes.
+        assert!(fired > 8, "only {fired} checkpoint writes");
+    }
+
+    /// Fail one checkpoint at every disk op it issues, with each of a
+    /// torn write, a short write and a failed fsync. Whatever the fault,
+    /// the checkpointed generation's heap slots keep their bytes, a
+    /// fault-free reopen recovers the exact pre-checkpoint state, and a
+    /// clean checkpoint after it reopens to that state again.
+    #[test]
+    fn every_fault_in_one_checkpoint_leaves_the_checkpointed_generation_intact() {
+        let (image, want) = sweep_fixture();
+        let ops = checkpoint_ops(&image);
+        let fixture = lay_down(&image, "durable-sweep-gen1");
+        let slots = slot_map(fixture.path(), 1);
+        let gen1 = image_bytes(fixture.path(), &slots);
+        assert!(gen1.len() > 1);
+        for op in ops {
+            let mut fired = false;
+            for fault in [
+                DiskFault::TornWrite,
+                DiskFault::ShortWrite,
+                DiskFault::FsyncFail,
+            ] {
+                let dir = lay_down(&image, "durable-sweep");
+                let mut opts = opts_small();
+                opts.faults = Some(DiskFaultPlan::default().with_fault_at(op, fault));
+                let mut db = DurableNetworkDb::open(dir.path(), schema(), opts).unwrap();
+                match db.checkpoint(b"two") {
+                    // The fault is for the other kind of op.
+                    Ok(()) => {}
+                    Err(e) => {
+                        assert!(e.is_injected(), "{fault:?} at op {op}: {e}");
+                        fired = true;
+                    }
+                }
+                drop(db);
+                assert_eq!(
+                    image_bytes(dir.path(), &slots),
+                    gen1,
+                    "{fault:?} at op {op} overwrote a checkpointed slot"
+                );
+                let mut db = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap();
+                assert_eq!(
+                    (db.fingerprint(), db.stat_fingerprint()),
+                    want,
+                    "{fault:?} at op {op}: reopen drifted"
+                );
+                db.checkpoint(b"three").unwrap();
+                drop(db);
+                let db = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap();
+                assert_eq!(
+                    (db.fingerprint(), db.stat_fingerprint()),
+                    want,
+                    "{fault:?} at op {op}: clean checkpoint after the fault drifted"
+                );
+            }
+            assert!(fired, "no fault kind fired at op {op}");
+        }
+    }
+
+    /// A directory written by the previous on-disk format opens to a
+    /// typed refusal, never to a database in a wrong state: a generation
+    /// whose meta blob has the format-1 magic (and no slot map), and a
+    /// directory holding that format's pre-image log.
+    #[test]
+    fn directories_of_the_previous_format_are_refused() {
+        let dir = TempDir::new("durable-format-1").unwrap();
+        let mut db = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap();
+        seed_commit(&mut db);
+        db.checkpoint(b"old").unwrap();
+        drop(db);
+        let fm = Arc::new(FileMgr::new(dir.path(), opts_small().page_size).unwrap());
+        fm.remove(&meta_file(1)).unwrap();
+        let mut w = ByteWriter::new();
+        w.put_u64(u64::from_le_bytes(*b"DBPCMET1"));
+        w.put_u64(schema_fingerprint(&schema()));
+        w.put_u64(5);
+        w.put_u32(0);
+        w.put_bytes(b"old");
+        let (mut log, _) = LogMgr::open(Arc::clone(&fm), meta_file(1)).unwrap();
+        log.append(&w.into_bytes()).unwrap();
+        log.flush().unwrap();
+        drop((log, fm));
+        let err = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap_err();
+        assert!(matches!(err, DiskError::Corrupt(_)), "{err}");
+
+        let dir = TempDir::new("durable-format-1-undo").unwrap();
+        let mut db = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap();
+        seed_commit(&mut db);
+        drop(db);
+        std::fs::write(dir.path().join("ckpt.undo"), [0u8; 256]).unwrap();
+        let err = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap_err();
+        assert!(matches!(err, DiskError::Corrupt(_)), "{err}");
+    }
+
+    /// A fresh directory records generation 0 before anything else, so a
+    /// first checkpoint torn in the heap still reopens (to generation 0),
+    /// while the same heap without a MANIFEST is refused.
+    #[test]
+    fn torn_first_checkpoint_and_lost_manifest_are_told_apart() {
+        let dir = TempDir::new("durable-first-ckpt").unwrap();
+        let mut db = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap();
+        seed_commit(&mut db);
+        let want = db.fingerprint();
+        drop(db);
+        let mut opts = opts_small();
+        opts.faults = Some(DiskFaultPlan::default().with_fault_at(0, DiskFault::TornWrite));
+        let mut db = DurableNetworkDb::open(dir.path(), schema(), opts).unwrap();
+        assert!(db.checkpoint(b"torn").unwrap_err().is_injected());
+        drop(db);
+        let db = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap();
+        assert_eq!((db.generation(), db.fingerprint()), (0, want));
+        drop(db);
+
+        std::fs::remove_file(dir.path().join(MANIFEST)).unwrap();
+        let err = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap_err();
+        assert!(
+            err.to_string().contains("MANIFEST names no checkpoint"),
+            "{err}"
+        );
+
+        // An empty database checkpointed once, then its MANIFEST lost: no
+        // heap page gives it away, its generation-1 files do.
+        let dir = TempDir::new("durable-lost-empty").unwrap();
+        let mut db = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap();
+        db.checkpoint(b"empty").unwrap();
+        drop(db);
+        std::fs::remove_file(dir.path().join(MANIFEST)).unwrap();
+        let err = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap_err();
+        assert!(
+            err.to_string().contains("MANIFEST names no checkpoint"),
+            "{err}"
+        );
     }
 
     /// Well-formed redo ops over [`schema`], for truncation below.

@@ -207,6 +207,11 @@ impl FileMgr {
     /// Read block `blk` into `page`. Pages beyond the current end of file
     /// come back zeroed.
     pub fn read(&self, blk: &BlockId, page: &mut Page) -> DiskResult<()> {
+        self.read_block(&blk.file, blk.num, page)
+    }
+
+    /// [`FileMgr::read`] of block `num` of file `file`.
+    pub(crate) fn read_block(&self, file: &str, num: u64, page: &mut Page) -> DiskResult<()> {
         if page.size() != self.page_size {
             return Err(DiskError::Config(format!(
                 "page size {} does not match manager page size {}",
@@ -214,8 +219,8 @@ impl FileMgr {
                 self.page_size
             )));
         }
-        let off = blk.num * self.page_size as u64;
-        self.with_file(&blk.file, "read", |file| {
+        let off = num * self.page_size as u64;
+        self.with_file(file, "read", |file| {
             let buf = page.as_mut_slice();
             buf.fill(0);
             let mut done = 0;
@@ -237,6 +242,11 @@ impl FileMgr {
     /// to fault injection: a torn or short write persists a prefix of the
     /// page and reports [`DiskError::Injected`].
     pub fn write(&self, blk: &BlockId, page: &Page) -> DiskResult<()> {
+        self.write_block(&blk.file, blk.num, page)
+    }
+
+    /// [`FileMgr::write`] of block `num` of file `file`.
+    pub(crate) fn write_block(&self, file: &str, num: u64, page: &Page) -> DiskResult<()> {
         if page.size() != self.page_size {
             return Err(DiskError::Config(format!(
                 "page size {} does not match manager page size {}",
@@ -256,8 +266,8 @@ impl FileMgr {
             // Cannot happen: the plan only returns sync faults for sync ops.
             Some(DiskFault::FsyncFail) => page.size(),
         };
-        let off = blk.num * self.page_size as u64;
-        self.with_file(&blk.file, "write", |file| {
+        let off = num * self.page_size as u64;
+        self.with_file(file, "write", |file| {
             file.write_all_at(&page.as_slice()[..prefix], off)
         })?;
         dbpc_obs::racy(DISK_WRITES, 1);

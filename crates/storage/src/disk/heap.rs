@@ -42,9 +42,11 @@
 //!
 //! The heap marks frames dirty with LSN 0: its crash consistency is
 //! fenced by the owner's checkpoint protocol (see `disk::durable`), not
-//! by per-page WAL coupling.
+//! by per-page WAL coupling. Its block numbers are logical: a durable
+//! owner opens it with [`HeapFile::open_slotted`], and the pool maps each
+//! block to one of its two physical slots.
 
-use super::buffer::{BufferMgr, FrameId};
+use super::buffer::{BufferMgr, FrameId, SlotMap};
 use super::file::{BlockId, FileMgr, Page};
 use super::{DiskError, DiskResult};
 use std::sync::Arc;
@@ -272,9 +274,30 @@ impl HeapFile {
     /// Existing pages are scanned once to rebuild the free-space map.
     pub fn open(fm: Arc<FileMgr>, file: impl Into<String>, pool: usize) -> DiskResult<HeapFile> {
         let file = file.into();
-        let blocks = u32::try_from(fm.block_count(&file)?)
+        let blocks = fm.block_count(&file)?;
+        HeapFile::over(BufferMgr::new(fm, pool)?, file, blocks)
+    }
+
+    /// [`HeapFile::open`] for a file holding two slots per page: its pages
+    /// are the `map.pages()` pages of one generation, each read from the
+    /// slot `map` names (see [`BufferMgr::with_slots`]).
+    pub fn open_slotted(
+        fm: Arc<FileMgr>,
+        file: impl Into<String>,
+        pool: usize,
+        map: SlotMap,
+    ) -> DiskResult<HeapFile> {
+        let blocks = map.pages();
+        HeapFile::over(
+            BufferMgr::new(fm, pool)?.with_slots(map),
+            file.into(),
+            blocks,
+        )
+    }
+
+    fn over(bm: BufferMgr, file: String, blocks: u64) -> DiskResult<HeapFile> {
+        let blocks = u32::try_from(blocks)
             .map_err(|_| DiskError::Config(format!("heap {file} exceeds u32 blocks")))?;
-        let bm = BufferMgr::new(fm, pool)?;
         let mut heap = HeapFile {
             bm,
             cursor: BlockId::new(file, 0),
@@ -290,7 +313,7 @@ impl HeapFile {
     }
 
     /// Rebuild the free-space map, virgin list, and occupancy counters by
-    /// scanning every page. Also used after recovery rolls pages back.
+    /// scanning every page.
     pub fn rescan(&mut self) -> DiskResult<()> {
         self.space.clear();
         self.fit.clear();

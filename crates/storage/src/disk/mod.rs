@@ -16,10 +16,17 @@
 //! * [`log`] — [`LogMgr`]: checksummed WAL records, LSNs, idempotent
 //!   torn-tail recovery;
 //! * [`buffer`] — [`BufferMgr`]: pin/unpin accounting, clock
-//!   replacement, flush-before-write WAL discipline;
+//!   replacement, flush-before-write WAL discipline, and, given a
+//!   [`SlotMap`], ping-pong addressing: two physical slots per logical
+//!   page, reads from the slot holding the checkpointed image, writes
+//!   only to the other one;
+//! * [`heap`] — [`HeapFile`]: slotted record pages and overflow chains
+//!   over one pool, with a RAM free-space map rebuilt by a page scan;
 //! * [`durable`] — [`DurableNetworkDb`]: a [`crate::NetworkDb`] whose
 //!   outermost savepoint commits are logical redo records in the WAL,
-//!   checkpointed into paged snapshots behind a ping-pong manifest;
+//!   checkpointed by writing the dirty heap pages to their free slots
+//!   and persisting the new slot map in a meta blob behind a ping-pong
+//!   manifest flip — no pre-image, nothing to roll back;
 //! * [`codec`] / [`tempdir`] — byte framing and self-cleaning scratch
 //!   directories shared by all of the above.
 //!
@@ -36,7 +43,9 @@ pub mod heap;
 pub mod log;
 pub mod tempdir;
 
-pub use buffer::{BufferMgr, FrameId, BUFFER_EVICTIONS, BUFFER_FLUSHES, BUFFER_HITS, BUFFER_PINS};
+pub use buffer::{
+    BufferMgr, FrameId, SlotMap, BUFFER_EVICTIONS, BUFFER_FLUSHES, BUFFER_HITS, BUFFER_PINS,
+};
 pub use durable::{DurableNetworkDb, DurableOptions, SyncPolicy};
 pub use faults::{DiskFault, DiskFaultPlan};
 pub use file::{

@@ -18,6 +18,7 @@
 //!   domain) is enforced on every mutation, so moving a constraint between
 //!   program logic and the schema is observable.
 
+use crate::disk::buffer::SlotMap;
 use crate::disk::file::FileMgr;
 use crate::disk::heap::{HeapFile, HeapId, HeapStats};
 use crate::disk::tempdir::TempDir;
@@ -639,15 +640,25 @@ impl HeapBackend {
             FileMgr::new(dir.path(), page_size)
                 .map_err(|e| DbError::constraint(format!("heap scratch: {e}")))?,
         );
-        let mut hb = HeapBackend::on(fm, "heap.dat", pool)?;
+        let mut hb = HeapBackend::on(fm, "heap.dat", pool, None)?;
         hb.scratch = Some(dir);
         Ok(hb)
     }
 
-    /// A heap backend over a caller-owned file manager (durable engine).
-    fn on(fm: Arc<FileMgr>, file: &str, pool: usize) -> DbResult<HeapBackend> {
-        let heap = HeapFile::open(Arc::clone(&fm), file, pool)
-            .map_err(|e| DbError::constraint(format!("heap open: {e}")))?;
+    /// A heap backend over a caller-owned file manager; with `slots`, a
+    /// file of two slots per page read through that map (the durable
+    /// engine's, see [`HeapFile::open_slotted`]).
+    fn on(
+        fm: Arc<FileMgr>,
+        file: &str,
+        pool: usize,
+        slots: Option<SlotMap>,
+    ) -> DbResult<HeapBackend> {
+        let heap = match slots {
+            None => HeapFile::open(Arc::clone(&fm), file, pool),
+            Some(map) => HeapFile::open_slotted(Arc::clone(&fm), file, pool, map),
+        }
+        .map_err(|e| DbError::constraint(format!("heap open: {e}")))?;
         Ok(HeapBackend {
             scratch: None,
             fm,
@@ -684,7 +695,7 @@ impl NetworkDb {
         file: &str,
         pool: usize,
     ) -> DbResult<NetworkDb> {
-        let hb = HeapBackend::on(fm, file, pool)?;
+        let hb = HeapBackend::on(fm, file, pool, None)?;
         if hb.stats().pages > 0 {
             return Err(DbError::constraint(format!(
                 "paged_on: heap file {file} is not empty"
@@ -698,7 +709,8 @@ impl NetworkDb {
     /// set stores from the persisted `(set, owner, seq)` links (ordering
     /// keys re-derived from values + schema keys). The caller supplies
     /// the allocator state the scan cannot know — `next_id` and each
-    /// set's arrival counter — from its own durable metadata.
+    /// set's arrival counter — from its own durable metadata, and, for a
+    /// file of two slots per page, the generation's [`SlotMap`].
     pub fn recover_paged(
         schema: NetworkSchema,
         fm: Arc<FileMgr>,
@@ -706,8 +718,9 @@ impl NetworkDb {
         pool: usize,
         next_id: u64,
         next_seqs: &[(String, u64)],
+        slots: Option<SlotMap>,
     ) -> DbResult<NetworkDb> {
-        let hb = HeapBackend::on(fm, file, pool)?;
+        let hb = HeapBackend::on(fm, file, pool, slots)?;
         let mut db = NetworkDb::with_backend(schema, Backend::Heap(Box::new(hb)))?;
         // Collect (id → payload parts) in one heap pass, ascending
         // physical order; then rebuild RAM structures in id order.
@@ -1186,17 +1199,19 @@ impl NetworkDb {
         self.copy_into_heap(HeapBackend::scratch(page_size, pool)?)
     }
 
-    /// [`NetworkDb::to_paged`], but into a caller-owned heap file, which
-    /// must hold no live records (virgin pages from a zeroed-out
-    /// predecessor are fine). The durable engine's import copies through
-    /// this.
+    /// [`NetworkDb::to_paged`], but into a caller-owned file of two slots
+    /// per page, read and written through `slots`, which must hold no live
+    /// records. The durable engine's import copies through this, over a
+    /// map with no pages, so the copy lands in blocks the checkpointed
+    /// generation does not use.
     pub(crate) fn to_paged_on(
         &self,
         fm: Arc<FileMgr>,
         file: &str,
         pool: usize,
+        slots: SlotMap,
     ) -> DbResult<NetworkDb> {
-        let hb = HeapBackend::on(fm, file, pool)?;
+        let hb = HeapBackend::on(fm, file, pool, Some(slots))?;
         if hb.stats().records > 0 {
             return Err(DbError::constraint(format!(
                 "to_paged_on: heap file {file} holds records"
@@ -2747,8 +2762,8 @@ mod tests {
             .unwrap();
         heap.flush().unwrap();
         drop(heap);
-        let err =
-            NetworkDb::recover_paged(company_schema(), fm, "heap.dat", 4, 5, &[]).unwrap_err();
+        let err = NetworkDb::recover_paged(company_schema(), fm, "heap.dat", 4, 5, &[], None)
+            .unwrap_err();
         assert!(
             err.to_string().contains("outside the allocated ids"),
             "{err}"
@@ -2774,8 +2789,8 @@ mod tests {
         heap.flush().unwrap();
         drop(heap);
         let seqs = [("ALL-DIV".to_string(), 1), ("DIV-EMP".to_string(), 2)];
-        let err =
-            NetworkDb::recover_paged(company_schema(), fm, "heap.dat", 4, 4, &seqs).unwrap_err();
+        let err = NetworkDb::recover_paged(company_schema(), fm, "heap.dat", 4, 4, &seqs, None)
+            .unwrap_err();
         assert!(matches!(err, DbError::Duplicate { .. }), "{err}");
     }
 

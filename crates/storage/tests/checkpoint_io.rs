@@ -1,10 +1,10 @@
 //! Checkpoint cost regression: I/O proportional to **dirty pages**, not
 //! to database size.
 //!
-//! The page-granular checkpoint protocol (pre-image undo of dirty
-//! blocks, flush of dirty frames, fresh WAL, meta blob, manifest flip)
-//! touches disk only for pages the interval actually dirtied plus a
-//! small fixed overhead. These tests diff [`DurableNetworkDb::disk_ops`]
+//! The page-granular checkpoint protocol (dirty frames written to their
+//! free slots, heap sync, fresh WAL, meta blob with the new slot map,
+//! manifest flip) touches disk only for pages the interval actually
+//! dirtied plus a small fixed overhead. These tests diff [`DurableNetworkDb::disk_ops`]
 //! around checkpoints to pin that contract, so a regression back to
 //! whole-database snapshots (the pre-heap design) fails loudly here.
 
@@ -119,7 +119,7 @@ fn checkpoint_io_tracks_dirty_pages_not_database_size() {
     );
 
     // A checkpoint with nothing dirty pays only the fixed protocol
-    // overhead (undo header, WAL reset, meta blob, manifest), also
+    // overhead (heap sync, WAL reset, meta blob, manifest), also
     // size-independent.
     assert!(
         idle_large <= idle_small + 2,
@@ -128,5 +128,43 @@ fn checkpoint_io_tracks_dirty_pages_not_database_size() {
     assert!(
         idle_large < 32,
         "idle checkpoint overhead {idle_large} ops — fixed cost regressed"
+    );
+}
+
+/// The exact bound: a checkpoint writes each dirty heap page once and
+/// adds only the fixed protocol overhead an idle checkpoint pays (heap
+/// sync, fresh WAL, meta blob, manifest). The dirty pages here are all
+/// old pages — every record is rewritten after a full checkpoint — so a
+/// protocol that also logs each page's pre-image pays about twice this.
+#[test]
+fn checkpoint_writes_each_dirty_page_once() {
+    let dir = TempDir::new("ckpt-io-once").unwrap();
+    let mut db = DurableNetworkDb::open(dir.path(), schema(), opts()).unwrap();
+    let ids = seed(&mut db, 800);
+    db.checkpoint(b"full").unwrap();
+
+    let before = db.disk_ops();
+    db.checkpoint(b"idle").unwrap();
+    let overhead = db.disk_ops() - before;
+
+    let sp = db.begin_savepoint();
+    for (i, &id) in ids.iter().enumerate() {
+        db.modify(id, &[("AGE", Value::Int(64 - (i % 45) as i64))])
+            .unwrap();
+    }
+    db.commit(sp).unwrap();
+    let pages = db.engine().heap_stats().unwrap().pages;
+    let before = db.disk_ops();
+    db.checkpoint(b"rewrite").unwrap();
+    let rewrite = db.disk_ops() - before;
+
+    assert!(
+        rewrite <= pages + overhead,
+        "checkpoint of {pages} dirty pages cost {rewrite} ops, more than one write \
+         per page plus the {overhead}-op idle overhead"
+    );
+    assert!(
+        rewrite >= pages,
+        "checkpoint cost {rewrite} ops for {pages} dirty pages: pages went unwritten"
     );
 }

@@ -294,11 +294,11 @@ proptest! {
         let (next_id, seqs) = db.allocator_state();
 
         let once = NetworkDb::recover_paged(
-            schema(), Arc::clone(&fm), "heap.dat", POOL, next_id, &seqs,
+            schema(), Arc::clone(&fm), "heap.dat", POOL, next_id, &seqs, None,
         )
         .unwrap();
         let twice = NetworkDb::recover_paged(
-            schema(), Arc::clone(&fm), "heap.dat", POOL, next_id, &seqs,
+            schema(), Arc::clone(&fm), "heap.dat", POOL, next_id, &seqs, None,
         )
         .unwrap();
 

@@ -211,9 +211,10 @@ impl Mutator for FaultingDb {
         }
     }
     fn checkpoint(&mut self) {
-        // A checkpoint crash is the interesting cell: pre-image, heap
-        // page flush, WAL roll, and manifest flip boundaries all live
-        // inside this call now that records are heap-resident.
+        // A checkpoint crash is the interesting cell: heap page writes
+        // to free slots, heap sync, WAL roll, meta blob, and manifest
+        // flip boundaries all live inside this call now that records
+        // are heap-resident.
         if DurableNetworkDb::checkpoint(&mut self.db, b"e20").is_err() {
             bail_faulted(self.acked);
         }

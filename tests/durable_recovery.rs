@@ -196,8 +196,8 @@ fn translation_killed_at_every_wal_boundary_recovers_byte_identical() {
 
 /// Crash the heap-backed engine *inside* its checkpoints: with 256-byte
 /// pages and a 4-frame pool, a positional torn write, short write, or
-/// failed fsync lands on undo pre-image writes, heap page flushes, WAL
-/// rolls, and manifest flips. Wherever the fault fires the child dies
+/// failed fsync lands on heap page writes to free slots, the heap sync,
+/// WAL rolls, meta blobs, and manifest flips. Wherever the fault fires the child dies
 /// with no cleanup after printing how many commits it had acknowledged;
 /// a fault-free probe must recover exactly that committed prefix —
 /// engine and statistics fingerprints both — and the whole matrix must
@@ -224,8 +224,9 @@ fn heap_checkpoint_faults_recover_the_acknowledged_prefix() {
         match out.status.code() {
             // The fault fired mid-I/O and the child died with no cleanup.
             // Recovery must land on a committed prefix — never a torn or
-            // invented state. A failed fsync corrupts no bytes (and any
-            // flushed heap page is rolled back from its pre-image), so
+            // invented state. A failed fsync corrupts no bytes (and a heap
+            // page is only ever written to a slot the checkpointed
+            // generation does not use), so
             // those cells must recover *exactly* the acknowledged
             // prefix; a torn/short write may additionally have damaged
             // acknowledged WAL records sharing the tail page, so there
