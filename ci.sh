@@ -58,6 +58,13 @@ cargo test -q --release -p dbpc-storage
 echo "==> bench smoke (access paths)"
 DBPC_BENCH_SMOKE=1 cargo bench -p dbpc-bench --bench access_paths
 
+# The paper's efficiency claims (EXPERIMENTS E1, E3-E8) as orderings of
+# paired timings: rewrite < emulate < bridge, optimized < unoptimized,
+# declarative < procedural, differential <= full retranslation, and
+# analysis cost linear in program size.
+echo "==> bench smoke (paper shapes)"
+DBPC_BENCH_SMOKE=1 cargo bench -p dbpc-bench --bench paper_shapes
+
 echo "==> bench smoke (conversion throughput)"
 DBPC_BENCH_SMOKE=1 cargo bench -p dbpc-bench --bench conversion_throughput
 

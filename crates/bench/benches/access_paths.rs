@@ -1,9 +1,9 @@
 //! Experiment E12: access-path layer — indexed SELECT vs. full scan, and
 //! amortized hierarchic positioning for DL/I GN traversals.
 //!
-//! Unlike the criterion benches, this harness also emits a machine-readable
-//! artifact (`BENCH_access_paths.json` at the repo root) carrying the
-//! per-run access counters alongside the timings, because the acceptance
+//! The machine-readable artifact (`BENCH_access_paths.json` at the repo
+//! root) carries the per-run access counters alongside the timings,
+//! because the acceptance
 //! claims are about *work done* (rows scanned, preorder rebuilds), not just
 //! wall-clock: the paper's §1.1 equivalence criterion leaves the access
 //! path free, and the counters prove the cheaper path actually engaged

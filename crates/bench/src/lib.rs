@@ -1,11 +1,11 @@
 //! # dbpc-bench
 //!
-//! Shared workloads for the benchmark harness. One Criterion bench target
-//! exists per latency-shaped experiment in EXPERIMENTS.md (E1, E3–E8), and
-//! one report binary per table-shaped experiment (E2 `success_rate`,
-//! E9 `cost_model`, plus the consolidated `experiments` table printer whose
-//! output EXPERIMENTS.md records). Benches that leave a `BENCH_*.json`
-//! artifact write it through [`artifact`].
+//! Shared workloads for the benchmark harness. The paper's latency-shaped
+//! claims (EXPERIMENTS.md E1, E3–E8) are gated by one bench,
+//! `paper_shapes`, which times each pair of arms with [`paired`]; the
+//! table-shaped experiments have a report binary each (E2 `success_rate`,
+//! E9 `cost_model`). Benches that leave a `BENCH_*.json` artifact write it
+//! through [`artifact`].
 
 use dbpc_convert::report::AutoAnalyst;
 use dbpc_convert::Supervisor;
@@ -113,6 +113,125 @@ pub mod artifact {
             let out = format!("{}/../../BENCH_{bench}.json", env!("CARGO_MANIFEST_DIR"));
             std::fs::write(&out, text).unwrap();
             println!("wrote {out}");
+        }
+    }
+}
+
+/// Paired timing of two arms in one process, so that drift in the host's
+/// speed over a run moves both arms of a comparison alike.
+pub mod paired {
+    use std::time::{Duration, Instant};
+
+    /// What [`ratio`] measured.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Paired {
+        /// The median of the per-round ratios `a / b`.
+        pub ratio: f64,
+        /// The median time of arm `a`.
+        pub a: Duration,
+        /// The median time of arm `b`.
+        pub b: Duration,
+    }
+
+    /// Time `f`, handing back its result so that dropping it stays
+    /// outside the measurement.
+    pub fn timed<T>(f: impl FnOnce() -> T) -> (Duration, T) {
+        let t = Instant::now();
+        let out = f();
+        (t.elapsed(), out)
+    }
+
+    /// Run each arm once untimed, then once each in `rounds` rounds: `a`
+    /// first in even rounds and `b` first in odd ones, so neither arm
+    /// always inherits the other's cache state. Each call returns the
+    /// time it measured (see [`timed`]), which leaves an arm's set-up,
+    /// such as cloning a database, outside its time.
+    pub fn ratio(
+        rounds: usize,
+        mut a: impl FnMut() -> Duration,
+        mut b: impl FnMut() -> Duration,
+    ) -> Paired {
+        assert!(rounds > 0, "a paired ratio needs a round");
+        a();
+        b();
+        let (mut ta, mut tb, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+        for round in 0..rounds {
+            let (x, y) = if round % 2 == 0 {
+                let x = a();
+                (x, b())
+            } else {
+                let y = b();
+                (a(), y)
+            };
+            ratios.push(x.as_secs_f64() / y.as_secs_f64());
+            ta.push(x.as_secs_f64());
+            tb.push(y.as_secs_f64());
+        }
+        Paired {
+            ratio: median(&mut ratios),
+            a: Duration::from_secs_f64(median(&mut ta)),
+            b: Duration::from_secs_f64(median(&mut tb)),
+        }
+    }
+
+    /// The median of `xs`: the middle value, or the mean of the two middle
+    /// values of an even count.
+    pub fn median(xs: &mut [f64]) -> f64 {
+        assert!(!xs.is_empty(), "the median of nothing");
+        xs.sort_by(f64::total_cmp);
+        let mid = xs.len() / 2;
+        if xs.len() % 2 == 1 {
+            xs[mid]
+        } else {
+            (xs[mid - 1] + xs[mid]) / 2.0
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use std::cell::RefCell;
+
+        /// An arm that logs its calls and returns the untimed warm-up's
+        /// time, then `script`'s times in turn, in microseconds.
+        fn arm<'a>(
+            name: char,
+            script: &'a [u64],
+            log: &'a RefCell<Vec<char>>,
+        ) -> impl FnMut() -> Duration + 'a {
+            let mut times = std::iter::once(&1).chain(script);
+            move || {
+                log.borrow_mut().push(name);
+                Duration::from_micros(*times.next().expect("a scripted call"))
+            }
+        }
+
+        fn scripted(a_us: &[u64], b_us: &[u64]) -> (Paired, Vec<char>) {
+            let log = RefCell::new(Vec::new());
+            let paired = ratio(a_us.len(), arm('a', a_us, &log), arm('b', b_us, &log));
+            (paired, log.into_inner())
+        }
+
+        #[test]
+        fn the_first_arm_alternates_round_by_round() {
+            let (_, order) = scripted(&[1; 4], &[1; 4]);
+            // The untimed warm-up, then a, b, a, b first in turn.
+            let pairs: Vec<String> = order.chunks(2).map(String::from_iter).collect();
+            assert_eq!(pairs, ["ab", "ab", "ba", "ab", "ba"]);
+        }
+
+        #[test]
+        fn the_ratio_is_the_median_of_the_per_round_ratios() {
+            let close = |x: f64, want: f64| (x - want).abs() < 1e-9;
+            // Per-round ratios 3, 0.5, 2: median 2, where the arms'
+            // medians (30 / 20) would give 1.5.
+            let (p, _) = scripted(&[30, 10, 40], &[10, 20, 20]);
+            assert!(close(p.ratio, 2.0), "{p:?}");
+            assert!(close(p.a.as_secs_f64(), 30e-6) && close(p.b.as_secs_f64(), 20e-6));
+            // An even count: ratios 3, 0.5, 2, 1 give (1 + 2) / 2, where
+            // the arms' medians (20 / 15) would give 1.33.
+            let (p, _) = scripted(&[30, 10, 40, 10], &[10, 20, 20, 10]);
+            assert!(close(p.ratio, 1.5), "{p:?}");
         }
     }
 }

@@ -61,7 +61,8 @@
 //!    new slot) and application metadata in a per-generation meta blob;
 //! 6. flip the two-slot ping-pong manifest — the atomic switch;
 //! 7. adopt the new slot map in the pool, then retire the old
-//!    generation's WAL and meta blob.
+//!    generation's WAL and meta blob. When a checkpoint stops between
+//!    steps 6 and 7, the next open retires them instead.
 //!
 //! Nothing ever needs rolling back. Until step 6 the manifest names the
 //! old generation, and no step writes a byte of its heap slots, its WAL
@@ -173,15 +174,20 @@ fn meta_file(gen: u64) -> String {
     format!("meta_{gen:06}.blob")
 }
 
+/// The generation a WAL or meta blob file name belongs to.
+fn generation_of(name: &str) -> Option<u64> {
+    let n = match name.strip_prefix("wal_") {
+        Some(rest) => rest.strip_suffix(".log")?,
+        None => name.strip_prefix("meta_")?.strip_suffix(".blob")?,
+    };
+    let numbered = n.len() >= 6 && n.bytes().all(|b| b.is_ascii_digit());
+    numbered.then(|| n.parse().ok()).flatten()
+}
+
 /// Whether `name` is a file this format writes: the manifest, the heap,
 /// or a generation's WAL or meta blob.
 fn is_format_file(name: &str) -> bool {
-    let numbered = |prefix: &str, suffix: &str| {
-        name.strip_prefix(prefix)
-            .and_then(|rest| rest.strip_suffix(suffix))
-            .is_some_and(|n| n.len() >= 6 && n.bytes().all(|b| b.is_ascii_digit()))
-    };
-    name == MANIFEST || name == HEAP || numbered("wal_", ".log") || numbered("meta_", ".blob")
+    name == MANIFEST || name == HEAP || generation_of(name).is_some()
 }
 
 /// Structural digest of a schema, stamped into snapshot and WAL headers
@@ -232,7 +238,23 @@ impl DurableNetworkDb {
         let schema_fp = schema_fingerprint(&schema);
         let files = format_files(&fm)?;
         let gen = match read_manifest(&fm)? {
-            Some(gen) => gen,
+            Some(gen) => {
+                // A checkpoint that flipped the manifest but never reached
+                // step 7 (a crash, or a failed manifest sync) left the
+                // earlier generations' WALs and meta blobs behind. Make
+                // the flip durable, then retire them.
+                let stale: Vec<&String> = files
+                    .iter()
+                    .filter(|f| generation_of(f).is_some_and(|k| k < gen))
+                    .collect();
+                if !stale.is_empty() {
+                    fm.sync(MANIFEST)?;
+                    for f in stale {
+                        fm.remove(f)?;
+                    }
+                }
+                gen
+            }
             None => {
                 // A fresh directory records generation 0 before it writes
                 // a heap page or a later generation's file: either one
@@ -1390,6 +1412,37 @@ mod tests {
             }
             assert!(fired, "no fault kind fired at op {op}");
         }
+    }
+
+    /// A checkpoint whose manifest write lands but whose manifest sync
+    /// fails wedges before it retires the old generation; the reopen
+    /// retires it, so two clean checkpoints later the directory holds
+    /// only the live generation's files.
+    #[test]
+    fn a_checkpoint_stopped_after_the_flip_leaves_no_stale_generation() {
+        let (image, _) = sweep_fixture();
+        let last = checkpoint_ops(&image).end - 1;
+        let dir = lay_down(&image, "durable-stale-gen");
+        let mut opts = opts_small();
+        opts.faults = Some(DiskFaultPlan::default().with_fault_at(last, DiskFault::FsyncFail));
+        let mut db = DurableNetworkDb::open(dir.path(), schema(), opts).unwrap();
+        let err = db.checkpoint(b"two").unwrap_err();
+        assert!(err.is_injected(), "{err}");
+        drop(db);
+        let mut db = DurableNetworkDb::open(dir.path(), schema(), opts_small()).unwrap();
+        assert_eq!(db.generation(), 2, "the manifest write landed");
+        db.checkpoint(b"three").unwrap();
+        db.checkpoint(b"four").unwrap();
+        drop(db);
+        let mut files: Vec<String> = std::fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(
+            files,
+            [MANIFEST, HEAP, &meta_file(4), &wal_file(4)].map(String::from)
+        );
     }
 
     /// A directory written by the previous on-disk format opens to a
