@@ -120,6 +120,12 @@ echo "==> checkpoint crash safety (E20 recovery matrix, checkpoint I/O bound)"
 cargo test -q --test durable_recovery
 cargo test -q -p dbpc-storage --test checkpoint_io
 
+# The paged record path's I/O budget: each record operation pins its
+# pages an exact number of times, and a pool miss reads the disk only for
+# a page it evicted earlier, never for a page the heap has just appended.
+echo "==> paged I/O budget (exact pins and disk reads)"
+cargo test -q -p dbpc-storage --test pin_budget
+
 # The paged record store must stay invisible: the E2/E9 program slice
 # runs byte-identical on paged databases under 4, 32 and 4096 frames and
 # on the in-memory engine. It is the oracle for every change to the heap,

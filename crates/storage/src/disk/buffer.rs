@@ -1,15 +1,13 @@
-//! Pinning buffer manager with clock replacement.
+//! Pinning buffer manager with clock replacement over one slotted file.
 //!
-//! A bounded pool of page frames mediates all data-page I/O (the snapshot
-//! reader/writer in [`super::durable`] goes through it). Frames are
-//! allocated on first use, so a pool costs only the pages it has held.
-//! Clients pin a
-//! block — faulting it in from the file manager on a miss — mutate the
-//! frame image, mark it dirty with the LSN of the log record describing
-//! the change, and unpin. Eviction uses the clock (second-chance)
-//! algorithm over unpinned frames only; a pool where every frame is
-//! pinned aborts with [`DiskError::BufferAbort`] rather than evicting
-//! under someone's feet.
+//! A bounded pool of page frames mediates all heap-page I/O. It serves
+//! one file, named at construction, and addresses its pages by number.
+//! Frames are allocated on first use, so a pool costs only the pages it
+//! has held. Clients pin a page — faulting it in from the file manager on
+//! a miss — mutate the frame image, mark it dirty, and unpin. Eviction
+//! uses the clock (second-chance) algorithm over unpinned frames only; a
+//! pool where every frame is pinned aborts with [`DiskError::BufferAbort`]
+//! rather than evicting under someone's feet.
 //!
 //! **Finding a victim.** The pool keeps one bit per frame, set while the
 //! frame could be a victim: unpinned, and not dirty under no-steal. The
@@ -21,27 +19,29 @@
 //! every eligible frame it passes and takes the first one without it, so
 //! the victims are exactly those of a sweep over every frame.
 //!
-//! **Ping-pong slots.** A pool built [`BufferMgr::with_slots`] gives every
-//! logical page of its file two physical slots (see [`SlotMap`] for where
-//! they lie) and a [`SlotMap`] saying which one holds the page's image as
-//! of the last durable checkpoint. A miss reads that slot (or, once the page has
-//! been written since, the slot it was written to); a page past the map's
-//! page count reads as zeros; a dirty page is only ever written to the
-//! slot the map does not use. Until the owner adopts the map of the next
-//! generation ([`BufferMgr::next_slot_map`], [`BufferMgr::adopt_slot_map`])
-//! no byte of the checkpointed image is overwritten. A pool without a map
-//! addresses blocks one to one.
+//! **Ping-pong slots.** Every page of the file has two physical slots
+//! (see [`SlotMap`] for where they lie), and the pool's [`SlotMap`] says
+//! which one holds the page's image as of the last durable checkpoint. A
+//! miss reads that slot (or, once the page has been written since, the
+//! slot it was written to); a page past the map's page count reads as
+//! zeros without touching the file; a dirty page is only ever written to
+//! the slot the map does not use. Until the owner adopts the map of the
+//! next generation ([`BufferMgr::next_slot_map`],
+//! [`BufferMgr::adopt_slot_map`]) no byte of the checkpointed image is
+//! overwritten. A scratch heap's pool starts from [`SlotMap::default`]
+//! and never adopts: its fresh pages cost no read, and an evicted dirty
+//! page is written to its spare slot and read back from there.
 //!
-//! **WAL discipline.** Flushing a dirty frame first calls
-//! [`LogMgr::flush_before`] with the frame's recorded LSN, so a data page
-//! can never reach disk ahead of the log records that explain it.
+//! Nothing here knows about the WAL: a durable owner runs the pool
+//! no-steal, so no page reaches disk between checkpoints, and its
+//! checkpoint writes pages only to slots the durable generation does not
+//! read (see `disk::durable`).
 //!
 //! Counters: `buffer.pins`, `buffer.hits`, `buffer.evictions`,
 //! `buffer.flushes`.
 
 use super::codec::{ByteReader, ByteWriter};
-use super::file::{BlockId, FileMgr, Page};
-use super::log::{LogMgr, Lsn};
+use super::file::{FileMgr, Page};
 use super::{DiskError, DiskResult};
 use std::sync::Arc;
 
@@ -60,14 +60,10 @@ pub const BUFFER_FLUSHES: &str = "buffer.flushes";
 #[derive(Debug)]
 struct Frame {
     page: Page,
-    blk: Option<BlockId>,
-    /// Index of `blk.file` in the page table (meaningless while `blk`
-    /// is `None`).
-    file: usize,
+    /// Number of the page the frame holds.
+    blk: Option<u64>,
     pins: u32,
     dirty: bool,
-    /// LSN of the newest log record describing this frame's contents.
-    lsn: Lsn,
     /// Clock reference bit: second chance before eviction.
     referenced: bool,
 }
@@ -77,10 +73,8 @@ impl Frame {
         Frame {
             page: Page::new(page_size),
             blk: None,
-            file: 0,
             pins: 0,
             dirty: false,
-            lsn: 0,
             referenced: false,
         }
     }
@@ -260,63 +254,11 @@ impl Slots {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameId(usize);
 
-/// Page-table slot of a block that is not resident.
+/// Page-table entry of a page that is not resident.
 const ABSENT: u32 = u32::MAX;
 
-/// The page table: for every file the pool has seen, a dense
-/// block-number → frame-index vector. A pin hit is a short scan over the
-/// (few) file names plus one index, never a scan over the frames, and
-/// the file name is compared rather than hashed. The vector is as long as
-/// the highest block number pinned, 4 bytes per block.
-#[derive(Debug, Default)]
-struct PageTable {
-    files: Vec<(String, Vec<u32>)>,
-}
-
-impl PageTable {
-    /// Index of `file`, registering it on first sight.
-    fn file(&mut self, file: &str) -> usize {
-        match self.files.iter().position(|(name, _)| name == file) {
-            Some(i) => i,
-            None => {
-                self.files.push((file.to_string(), Vec::new()));
-                self.files.len() - 1
-            }
-        }
-    }
-
-    fn get(&self, file: usize, num: u64) -> Option<usize> {
-        let slot = *self.files[file].1.get(usize::try_from(num).ok()?)?;
-        (slot != ABSENT).then_some(slot as usize)
-    }
-
-    fn set(&mut self, file: usize, num: u64, frame: usize) -> DiskResult<()> {
-        let (Ok(num), Ok(frame)) = (usize::try_from(num), u32::try_from(frame)) else {
-            return Err(DiskError::Config(format!(
-                "block {num} / frame {frame} outside the page table"
-            )));
-        };
-        let blocks = &mut self.files[file].1;
-        if blocks.len() <= num {
-            blocks.resize(num + 1, ABSENT);
-        }
-        blocks[num] = frame;
-        Ok(())
-    }
-
-    fn clear(&mut self, file: usize, num: u64) {
-        if let Some(slot) = usize::try_from(num)
-            .ok()
-            .and_then(|n| self.files[file].1.get_mut(n))
-        {
-            *slot = ABSENT;
-        }
-    }
-}
-
-/// A pool of at most `capacity` page frames over one [`FileMgr`],
-/// allocated as misses need them: the clock only runs once the pool is
-/// full.
+/// A pool of at most `capacity` page frames over one file, allocated as
+/// misses need them: the clock only runs once the pool is full.
 ///
 /// In **no-steal** mode ([`BufferMgr::set_no_steal`]) dirty frames are
 /// never eviction victims: the pool grows one frame at a time instead,
@@ -324,21 +266,25 @@ impl PageTable {
 /// dirty set has been checkpointed. This is what keeps the on-disk image
 /// of a durable heap exactly at its last checkpoint between checkpoints.
 ///
-/// Resident blocks are found through a page table kept in step with
-/// every miss, eviction and trim, so a hit costs O(1) however large a
-/// no-steal pool has grown. A miss's clock sweep visits only the frames
-/// an eligibility bitmap marks as possible victims, so it costs nothing
-/// per pinned frame, or per dirty frame a no-steal pool has grown by.
+/// Resident pages are found through a page table kept in step with every
+/// miss, eviction and trim, so a hit costs O(1) however large a no-steal
+/// pool has grown. A miss's clock sweep visits only the frames an
+/// eligibility bitmap marks as possible victims, so it costs nothing per
+/// pinned frame, or per dirty frame a no-steal pool has grown by.
 #[derive(Debug)]
 pub struct BufferMgr {
     fm: Arc<FileMgr>,
+    /// The file every page lives in.
+    file: String,
     frames: Vec<Frame>,
-    table: PageTable,
+    /// Page number → frame index, [`ABSENT`] for a page not resident. As
+    /// long as the highest page pinned, 4 bytes per page.
+    table: Vec<u32>,
     /// One bit per frame, set iff the frame could be a clock victim:
     /// `pins == 0 && !(no_steal && dirty)`. Bits past the last frame are
     /// clear.
     eligible: Vec<u64>,
-    /// Frames holding no block (one whose read failed, or a no-steal
+    /// Frames holding no page (one whose read failed, or a no-steal
     /// growth frame); while there are any, a miss takes the
     /// lowest-numbered one instead of allocating or running the clock.
     unused: usize,
@@ -348,40 +294,38 @@ pub struct BufferMgr {
     base_capacity: usize,
     /// Never evict dirty frames; grow the pool instead.
     no_steal: bool,
-    /// Ping-pong addressing; `None` maps each block to itself.
-    slots: Option<Slots>,
+    slots: Slots,
 }
 
 impl BufferMgr {
     /// Create a pool of up to `capacity` frames (at least 1), none of
-    /// them allocated yet.
-    pub fn new(fm: Arc<FileMgr>, capacity: usize) -> DiskResult<BufferMgr> {
+    /// them allocated yet, over the pages of `file` that `map` places.
+    pub fn new(
+        fm: Arc<FileMgr>,
+        file: impl Into<String>,
+        capacity: usize,
+        map: SlotMap,
+    ) -> DiskResult<BufferMgr> {
         if capacity == 0 {
             return Err(DiskError::Config("buffer pool capacity 0".to_string()));
         }
         Ok(BufferMgr {
             fm,
+            file: file.into(),
             frames: Vec::new(),
-            table: PageTable::default(),
+            table: Vec::new(),
             eligible: Vec::new(),
             unused: 0,
             hand: 0,
             base_capacity: capacity,
             no_steal: false,
-            slots: None,
+            slots: Slots::new(map),
         })
     }
 
-    /// Address the file through `map`: two slots per logical page, see
-    /// the module docs. Set before the first pin.
-    pub fn with_slots(mut self, map: SlotMap) -> BufferMgr {
-        self.slots = Some(Slots::new(map));
-        self
-    }
-
-    /// The slot map in force, if the pool has one.
-    pub fn slot_map(&self) -> Option<&SlotMap> {
-        self.slots.as_ref().map(|s| &s.map)
+    /// The slot map in force.
+    pub fn slot_map(&self) -> &SlotMap {
+        &self.slots.map
     }
 
     /// The map a checkpoint of what the pool has written so far would
@@ -389,14 +333,14 @@ impl BufferMgr {
     /// page count grown to cover them. The owner writes every page below
     /// that count (a heap allocates pages in order and writes each one it
     /// allocates), so none of them is left pointing at a stale slot.
-    pub fn next_slot_map(&self) -> Option<SlotMap> {
-        self.slots.as_ref().map(Slots::next)
+    pub fn next_slot_map(&self) -> SlotMap {
+        self.slots.next()
     }
 
     /// Make `map` the one in force and forget what was written under the
     /// old one: called once `map` is the durable generation's.
     pub fn adopt_slot_map(&mut self, map: SlotMap) {
-        self.slots = Some(Slots::new(map));
+        self.slots = Slots::new(map);
     }
 
     /// Frames allocated so far.
@@ -422,16 +366,44 @@ impl BufferMgr {
         self.rebuild_eligible();
     }
 
-    /// Blocks currently held in dirty frames, in block order.
-    pub fn dirty_blocks(&self) -> Vec<BlockId> {
-        let mut blks: Vec<BlockId> = self
+    /// Pages currently held in dirty frames, in page order.
+    pub fn dirty_blocks(&self) -> Vec<u64> {
+        let mut blks: Vec<u64> = self
             .frames
             .iter()
             .filter(|f| f.dirty)
-            .filter_map(|f| f.blk.clone())
+            .filter_map(|f| f.blk)
             .collect();
-        blks.sort();
+        blks.sort_unstable();
         blks
+    }
+
+    /// Frame holding page `num`, if it is resident.
+    fn lookup(&self, num: u64) -> Option<usize> {
+        let slot = *self.table.get(usize::try_from(num).ok()?)?;
+        (slot != ABSENT).then_some(slot as usize)
+    }
+
+    fn set_table(&mut self, num: u64, frame: usize) -> DiskResult<()> {
+        let (Ok(num), Ok(frame)) = (usize::try_from(num), u32::try_from(frame)) else {
+            return Err(DiskError::Config(format!(
+                "page {num} / frame {frame} outside the page table"
+            )));
+        };
+        if self.table.len() <= num {
+            self.table.resize(num + 1, ABSENT);
+        }
+        self.table[num] = frame;
+        Ok(())
+    }
+
+    fn clear_table(&mut self, num: u64) {
+        if let Some(slot) = usize::try_from(num)
+            .ok()
+            .and_then(|n| self.table.get_mut(n))
+        {
+            *slot = ABSENT;
+        }
     }
 
     /// Drop clean, unpinned frames until the pool is back at its base
@@ -447,17 +419,16 @@ impl BufferMgr {
         while self.frames.len() > self.base_capacity && i > 0 {
             i -= 1;
             if self.frames[i].pins == 0 && !self.frames[i].dirty {
-                let f = self.frames.remove(i);
-                if let Some(blk) = &f.blk {
-                    self.table.clear(f.file, blk.num);
+                if let Some(num) = self.frames.remove(i).blk {
+                    self.clear_table(num);
                 }
             }
         }
-        // Removal shifted frame indexes: re-point every resident block.
-        for (i, f) in self.frames.iter().enumerate() {
-            if let Some(blk) = &f.blk {
+        // Removal shifted frame indexes: re-point every resident page.
+        for i in 0..self.frames.len() {
+            if let Some(num) = self.frames[i].blk {
                 // Cannot fail: the entry already existed before the shift.
-                let _ = self.table.set(f.file, blk.num, i);
+                let _ = self.set_table(num, i);
             }
         }
         self.unused = self.frames.iter().filter(|f| f.blk.is_none()).count();
@@ -507,17 +478,16 @@ impl BufferMgr {
         first_from(from).or_else(|| first_from(0))
     }
 
-    /// Pin `blk` into a frame, reading it from disk on a miss. Evicting a
-    /// victim flushes it first (honoring WAL order via `log`). Fails with
+    /// Pin page `num` into a frame, reading it from disk on a miss.
+    /// Evicting a victim writes it back first. Fails with
     /// [`DiskError::BufferAbort`] when every frame is pinned.
     ///
-    /// The page table is dense per file, so its size follows the highest
-    /// block number pinned: callers bound block numbers they read from
-    /// disk by the file's size before pinning them.
-    pub fn pin(&mut self, blk: &BlockId, log: Option<&mut LogMgr>) -> DiskResult<FrameId> {
+    /// The page table is dense, so its size follows the highest page
+    /// pinned: callers bound page numbers they read from disk by the
+    /// file's size before pinning them.
+    pub fn pin(&mut self, num: u64) -> DiskResult<FrameId> {
         dbpc_obs::racy(BUFFER_PINS, 1);
-        let file = self.table.file(&blk.file);
-        if let Some(i) = self.table.get(file, blk.num) {
+        if let Some(i) = self.lookup(num) {
             dbpc_obs::racy(BUFFER_HITS, 1);
             if self.frames[i].pins == 0 {
                 self.clear_eligible(i);
@@ -531,35 +501,22 @@ impl BufferMgr {
         if self.frames[i].blk.is_some() {
             dbpc_obs::racy(BUFFER_EVICTIONS, 1);
         }
-        self.flush_frame(i, log)?;
+        self.flush_frame(i)?;
         self.clear_eligible(i);
-        let frame = &mut self.frames[i];
-        match frame.blk.as_mut() {
-            Some(old) => {
-                self.table.clear(frame.file, old.num);
-                // Reuse the name's allocation: most misses stay in one file.
-                old.file.clone_from(&blk.file);
-                old.num = blk.num;
-            }
-            None => {
-                self.unused -= 1;
-                frame.blk = Some(blk.clone());
-            }
+        match self.frames[i].blk.replace(num) {
+            Some(old) => self.clear_table(old),
+            None => self.unused -= 1,
         }
-        frame.file = file;
+        let frame = &mut self.frames[i];
         frame.pins = 1;
         frame.dirty = false;
-        frame.lsn = 0;
         frame.referenced = true;
-        let read = match &self.slots {
-            None => self.fm.read(blk, &mut frame.page),
-            Some(s) => match s.source(blk.num) {
-                Some(num) => self.fm.read_block(&blk.file, num, &mut frame.page),
-                None => {
-                    frame.page.zero();
-                    Ok(())
-                }
-            },
+        let read = match self.slots.source(num) {
+            Some(block) => self.fm.read(&self.file, block, &mut frame.page),
+            None => {
+                frame.page.zero();
+                Ok(())
+            }
         };
         if let Err(e) = read {
             // The frame's old contents are gone: it holds nothing now.
@@ -569,7 +526,7 @@ impl BufferMgr {
             self.set_eligible(i);
             return Err(e);
         }
-        self.table.set(file, blk.num, i)?;
+        self.set_table(num, i)?;
         Ok(FrameId(i))
     }
 
@@ -639,15 +596,11 @@ impl BufferMgr {
         Ok(&mut self.frames[id.0].page)
     }
 
-    /// Record that the frame was modified, described by log record `lsn`
-    /// (0 for changes outside the log, e.g. snapshot bulk writes that are
-    /// fenced by a manifest instead). The frame is pinned, so it is not
-    /// eligible either way: its bit is settled when its last pin goes.
-    pub fn mark_dirty(&mut self, id: FrameId, lsn: Lsn) -> DiskResult<()> {
+    /// Record that the frame was modified. The frame is pinned, so it is
+    /// not eligible either way: its bit is settled when its last pin goes.
+    pub fn mark_dirty(&mut self, id: FrameId) -> DiskResult<()> {
         self.check(id)?;
-        let f = &mut self.frames[id.0];
-        f.dirty = true;
-        f.lsn = f.lsn.max(lsn);
+        self.frames[id.0].dirty = true;
         Ok(())
     }
 
@@ -661,28 +614,18 @@ impl BufferMgr {
         Ok(())
     }
 
-    fn flush_frame(&mut self, i: usize, log: Option<&mut LogMgr>) -> DiskResult<()> {
+    /// Write frame `i`, if dirty, to its page's spare slot.
+    fn flush_frame(&mut self, i: usize) -> DiskResult<()> {
         let frame = &self.frames[i];
         if !frame.dirty {
             return Ok(());
         }
-        if let Some(log) = log {
-            log.flush_before(frame.lsn)?;
-        } else if frame.lsn > 0 {
-            return Err(DiskError::Config(
-                "flushing a logged page without a log manager".to_string(),
-            ));
-        }
-        let blk = frame
+        let num = frame
             .blk
-            .as_ref()
-            .ok_or_else(|| DiskError::Config("dirty frame with no block".to_string()))?;
-        let page = blk.num;
-        let num = self.slots.as_ref().map_or(page, |s| s.map.spare(page));
-        self.fm.write_block(&blk.file, num, &frame.page)?;
-        if let Some(s) = &mut self.slots {
-            s.wrote(page);
-        }
+            .ok_or_else(|| DiskError::Config("dirty frame with no page".to_string()))?;
+        self.fm
+            .write(&self.file, self.slots.map.spare(num), &frame.page)?;
+        self.slots.wrote(num);
         self.frames[i].dirty = false;
         if self.is_eligible(i) {
             self.set_eligible(i);
@@ -691,19 +634,15 @@ impl BufferMgr {
         Ok(())
     }
 
-    /// Write back every dirty frame (honoring WAL order) in block order,
-    /// leaving pins untouched. Does not fsync — the caller owns the sync
-    /// boundary.
-    pub fn flush_all(&mut self, mut log: Option<&mut LogMgr>) -> DiskResult<()> {
+    /// Write back every dirty frame in page order, leaving pins
+    /// untouched. Does not fsync — the caller owns the sync boundary.
+    pub fn flush_all(&mut self) -> DiskResult<()> {
         let mut dirty: Vec<usize> = (0..self.frames.len())
             .filter(|&i| self.frames[i].dirty)
             .collect();
-        dirty.sort_unstable_by_key(|&i| {
-            let f = &self.frames[i];
-            (f.file, f.blk.as_ref().map(|b| b.num))
-        });
+        dirty.sort_unstable_by_key(|&i| self.frames[i].blk);
         for i in dirty {
-            self.flush_frame(i, log.as_deref_mut())?;
+            self.flush_frame(i)?;
         }
         Ok(())
     }
@@ -718,26 +657,25 @@ mod tests {
     fn setup(cap: usize) -> (TempDir, BufferMgr) {
         let dir = TempDir::new("buffer").unwrap();
         let fm = Arc::new(FileMgr::new(dir.path(), 128).unwrap());
-        let bm = BufferMgr::new(fm, cap).unwrap();
+        let bm = BufferMgr::new(fm, "data", cap, SlotMap::default()).unwrap();
         (dir, bm)
     }
 
     #[test]
     fn pin_mutate_flush_round_trips() {
         let (_dir, mut bm) = setup(2);
-        let blk = BlockId::new("data", 0);
-        let id = bm.pin(&blk, None).unwrap();
+        let id = bm.pin(0).unwrap();
         bm.page_mut(id).unwrap().write_at(0, b"buffered").unwrap();
-        bm.mark_dirty(id, 0).unwrap();
+        bm.mark_dirty(id).unwrap();
         bm.unpin(id).unwrap();
-        bm.flush_all(None).unwrap();
+        bm.flush_all().unwrap();
 
         // Force the frame out, then re-pin: bytes must come back from disk.
         for n in 1..=2 {
-            let id = bm.pin(&BlockId::new("data", n), None).unwrap();
+            let id = bm.pin(n).unwrap();
             bm.unpin(id).unwrap();
         }
-        let id = bm.pin(&blk, None).unwrap();
+        let id = bm.pin(0).unwrap();
         assert_eq!(bm.page(id).unwrap().read_at(0, 8).unwrap(), b"buffered");
         bm.unpin(id).unwrap();
     }
@@ -745,28 +683,27 @@ mod tests {
     #[test]
     fn fully_pinned_pool_aborts_instead_of_evicting() {
         let (_dir, mut bm) = setup(2);
-        let a = bm.pin(&BlockId::new("data", 0), None).unwrap();
-        let _b = bm.pin(&BlockId::new("data", 1), None).unwrap();
-        let err = bm.pin(&BlockId::new("data", 2), None).unwrap_err();
+        let a = bm.pin(0).unwrap();
+        let _b = bm.pin(1).unwrap();
+        let err = bm.pin(2).unwrap_err();
         assert!(matches!(err, DiskError::BufferAbort { capacity: 2 }));
         bm.unpin(a).unwrap();
         // Now there is a victim.
-        bm.pin(&BlockId::new("data", 2), None).unwrap();
+        bm.pin(2).unwrap();
     }
 
     #[test]
     fn eviction_writes_dirty_victim_back() {
         let (_dir, mut bm) = setup(1);
-        let blk0 = BlockId::new("data", 0);
-        let id = bm.pin(&blk0, None).unwrap();
+        let id = bm.pin(0).unwrap();
         bm.page_mut(id).unwrap().write_at(0, b"victim").unwrap();
-        bm.mark_dirty(id, 0).unwrap();
+        bm.mark_dirty(id).unwrap();
         bm.unpin(id).unwrap();
 
         // Pinning another block evicts frame 0, flushing it.
-        let id = bm.pin(&BlockId::new("data", 1), None).unwrap();
+        let id = bm.pin(1).unwrap();
         bm.unpin(id).unwrap();
-        let id = bm.pin(&blk0, None).unwrap();
+        let id = bm.pin(0).unwrap();
         assert_eq!(bm.page(id).unwrap().read_at(0, 6).unwrap(), b"victim");
         bm.unpin(id).unwrap();
     }
@@ -774,19 +711,18 @@ mod tests {
     #[test]
     fn stale_frame_ids_are_rejected() {
         let (_dir, mut bm) = setup(1);
-        let id = bm.pin(&BlockId::new("data", 0), None).unwrap();
+        let id = bm.pin(0).unwrap();
         bm.unpin(id).unwrap();
         assert!(bm.page(id).is_err());
         assert!(bm.unpin(id).is_err());
-        assert!(bm.mark_dirty(id, 0).is_err());
+        assert!(bm.mark_dirty(id).is_err());
     }
 
     #[test]
     fn repinning_counts_nested_pins() {
         let (_dir, mut bm) = setup(2);
-        let blk = BlockId::new("data", 0);
-        let a = bm.pin(&blk, None).unwrap();
-        let b = bm.pin(&blk, None).unwrap();
+        let a = bm.pin(0).unwrap();
+        let b = bm.pin(0).unwrap();
         assert_eq!(a, b);
         assert_eq!(bm.pinned(), 1);
         bm.unpin(a).unwrap();
@@ -819,20 +755,18 @@ mod tests {
     /// map writes the page back to its first slot.
     #[test]
     fn slotted_pool_reads_the_image_and_writes_the_spare_slot() {
-        let (_dir, bm) = setup(2);
-        let fm = Arc::clone(&bm.fm);
+        let dir = TempDir::new("buffer-slots").unwrap();
+        let fm = Arc::new(FileMgr::new(dir.path(), 128).unwrap());
         // Page p's slots are blocks p and RUN + p of the first run.
         let (slot0, slot1) = (|p: u64| p, |p: u64| RUN + p);
         // Page 0's image in its slot 1, page 1's in its slot 0.
-        fm.write_block("data", slot1(0), &page_with(b"p0-image"))
-            .unwrap();
-        fm.write_block("data", slot0(1), &page_with(b"p1-image"))
-            .unwrap();
-        fm.write_block("data", slot1(5), &page_with(b"stale"))
-            .unwrap();
-        let mut bm = bm.with_slots(slot_map(2, &[0b01]));
+        fm.write("data", slot1(0), &page_with(b"p0-image")).unwrap();
+        fm.write("data", slot0(1), &page_with(b"p1-image")).unwrap();
+        fm.write("data", slot1(5), &page_with(b"stale")).unwrap();
+        let map = slot_map(2, &[0b01]);
+        let mut bm = BufferMgr::new(Arc::clone(&fm), "data", 2, map).unwrap();
         let read = |bm: &mut BufferMgr, num: u64| {
-            let id = bm.pin(&BlockId::new("data", num), None).unwrap();
+            let id = bm.pin(num).unwrap();
             let bytes = bm.page(id).unwrap().read_at(0, 8).unwrap().to_vec();
             bm.unpin(id).unwrap();
             bytes
@@ -843,15 +777,15 @@ mod tests {
         assert_eq!(read(&mut bm, 5), [0; 8]);
 
         for (num, text) in [(0, b"p0-next!"), (5, b"p5-next!")] {
-            let id = bm.pin(&BlockId::new("data", num), None).unwrap();
+            let id = bm.pin(num).unwrap();
             bm.page_mut(id).unwrap().write_at(0, text).unwrap();
-            bm.mark_dirty(id, 0).unwrap();
+            bm.mark_dirty(id).unwrap();
             bm.unpin(id).unwrap();
         }
-        bm.flush_all(None).unwrap();
+        bm.flush_all().unwrap();
         let raw = |num: u64| {
             let mut page = Page::new(128);
-            fm.read_block("data", num, &mut page).unwrap();
+            fm.read("data", num, &mut page).unwrap();
             page.read_at(0, 8).unwrap().to_vec()
         };
         assert_eq!(raw(slot1(0)), b"p0-image", "the image slot was overwritten");
@@ -864,7 +798,7 @@ mod tests {
         assert_eq!(read(&mut bm, 0), b"p0-next!");
         assert_eq!(read(&mut bm, 5), b"p5-next!");
 
-        let next = bm.next_slot_map().unwrap();
+        let next = bm.next_slot_map();
         assert_eq!(next.pages(), 6);
         assert_eq!(
             (0..7).map(|p| next.image(p)).collect::<Vec<_>>(),
@@ -880,23 +814,22 @@ mod tests {
         );
         assert_eq!(next.min_blocks(), slot1(5) + 1);
         bm.adopt_slot_map(next);
-        let id = bm.pin(&BlockId::new("data", 0), None).unwrap();
+        let id = bm.pin(0).unwrap();
         bm.page_mut(id).unwrap().write_at(0, b"p0-third").unwrap();
-        bm.mark_dirty(id, 0).unwrap();
+        bm.mark_dirty(id).unwrap();
         bm.unpin(id).unwrap();
-        bm.flush_all(None).unwrap();
+        bm.flush_all().unwrap();
         assert_eq!(raw(slot1(0)), b"p0-third");
         assert_eq!(raw(slot0(0)), b"p0-next!");
     }
 
     /// The replacement policy with linear scans instead of a page table:
-    /// frames looked up by comparing every block id, the first empty
+    /// frames looked up by comparing every page number, the first empty
     /// frame found by a scan. Same growth to capacity on demand, same
     /// clock, same no-steal growth, same trim.
     #[derive(Debug, Default, Clone, Copy)]
     struct ModelFrame {
-        /// `(file index, block number)`.
-        blk: Option<(u8, u64)>,
+        blk: Option<u64>,
         pins: u32,
         dirty: bool,
         referenced: bool,
@@ -921,7 +854,7 @@ mod tests {
         }
 
         /// Frame index pinned, or `None` for a buffer abort.
-        fn pin(&mut self, blk: (u8, u64)) -> Option<usize> {
+        fn pin(&mut self, blk: u64) -> Option<usize> {
             if let Some(i) = self.frames.iter().position(|f| f.blk == Some(blk)) {
                 self.hits += 1;
                 self.frames[i].pins += 1;
@@ -987,9 +920,9 @@ mod tests {
     }
 
     /// A pin, unpin, mark-dirty, flush or trim on both the pool and the
-    /// model: `(op, file, block, pick)`, with op 0 or 1 a pin, 2 an
-    /// unpin, 3 a mark-dirty, 4 a flush and 5 a trim.
-    type Op = (u8, u8, u64, u8);
+    /// model: `(op, page, pick)`, with op 0 or 1 a pin, 2 an unpin, 3 a
+    /// mark-dirty, 4 a flush and 5 a trim.
+    type Op = (u8, u64, u8);
 
     /// Drive `ops` through a pool of `base` frames and the linear-scan
     /// model side by side. Both must pin the same frames, abort together,
@@ -1001,14 +934,13 @@ mod tests {
         bm.set_no_steal(no_steal);
         let mut model = LinearModel::new(base);
         model.no_steal = no_steal;
-        let files = ["data", "other"];
         let mut held: Vec<FrameId> = Vec::new();
         let start = counters();
-        for &(op, file, num, pick) in ops {
+        for &(op, num, pick) in ops {
             match op {
                 0 | 1 => {
-                    let got = bm.pin(&BlockId::new(files[file as usize], num), None);
-                    let want = model.pin((file, num));
+                    let got = bm.pin(num);
+                    let want = model.pin(num);
                     match (got, want) {
                         (Ok(id), Some(i)) => {
                             prop_assert_eq!(id.0, i);
@@ -1027,11 +959,11 @@ mod tests {
                 }
                 3 if !held.is_empty() => {
                     let id = held[pick as usize % held.len()];
-                    bm.mark_dirty(id, 0).unwrap();
+                    bm.mark_dirty(id).unwrap();
                     model.frames[id.0].dirty = true;
                 }
                 4 => {
-                    bm.flush_all(None).unwrap();
+                    bm.flush_all().unwrap();
                     for f in &mut model.frames {
                         f.dirty = false;
                     }
@@ -1088,19 +1020,19 @@ mod tests {
 
         /// The page table and the eligibility bitmap change how a
         /// resident block and a victim are found, never which frame:
-        /// random pin / unpin / mark-dirty / flush / trim sequences over
-        /// two files, with and without no-steal growth, return the same
-        /// frames, aborts, hits and evictions as the linear-scan model.
+        /// random pin / unpin / mark-dirty / flush / trim sequences,
+        /// with and without no-steal growth, return the same frames,
+        /// aborts, hits and evictions as the linear-scan model.
         #[test]
         fn page_table_matches_linear_scan_model(
             no_steal in any::<bool>(),
-            ops in prop::collection::vec((0u8..6, 0u8..2, 0u64..10, any::<u8>()), 1..200),
+            ops in prop::collection::vec((0u8..6, 0u64..20, any::<u8>()), 1..200),
         ) {
             check_against_model(3, no_steal, &ops)?;
         }
 
         /// The same check on pools that span several bitmap words: a base
-        /// of 65 frames, 2 × 300 blocks, and flushes and trims rare
+        /// of 65 frames, 600 pages, and flushes and trims rare
         /// enough that a no-steal pool grows past 128 frames between
         /// them, so sweeps cross word boundaries and wrap.
         #[test]
@@ -1109,8 +1041,7 @@ mod tests {
             ops in prop::collection::vec(
                 (
                     prop_oneof![40 => 0u8..2, 30 => Just(2u8), 30 => Just(3u8), 1 => 4u8..6],
-                    0u8..2,
-                    0u64..300,
+                    0u64..600,
                     any::<u8>(),
                 ),
                 1..1500,

@@ -97,7 +97,7 @@
 use super::buffer::{BufferMgr, SlotMap};
 use super::codec::{capacity, fnv64, ByteReader, ByteWriter};
 use super::faults::DiskFaultPlan;
-use super::file::{BlockId, FileMgr, Page, DEFAULT_PAGE_SIZE};
+use super::file::{FileMgr, Page, DEFAULT_PAGE_SIZE};
 use super::log::{LogMgr, Lsn};
 use super::{DiskError, DiskResult};
 use crate::network_db::{NetworkDb, RecordId};
@@ -291,7 +291,7 @@ impl DurableNetworkDb {
             opts.buffers,
             blob.next_id,
             &blob.seqs,
-            Some(blob.slots),
+            blob.slots,
         )
         .map_err(|e| DiskError::Corrupt(format!("heap recovery: {e}")))?;
         // From here on dirty heap pages stay in RAM until a checkpoint
@@ -593,8 +593,8 @@ impl DurableNetworkDb {
         //    make the heap file durable. I/O is proportional to the
         //    number of dirty pages, not to the database size.
         let pool = heap_pool(&mut self.db)?;
-        pool.flush_all(None)?;
-        let slots = pool.next_slot_map().ok_or_else(no_slot_map)?;
+        pool.flush_all()?;
+        let slots = pool.next_slot_map();
         self.fm.sync(HEAP)?;
 
         // 4. Fresh WAL for the new generation.
@@ -666,12 +666,9 @@ impl DurableNetworkDb {
     /// checkpoint. Until its manifest flip the current generation is
     /// untouched.
     fn import_inner(&mut self, db: &NetworkDb, meta: &[u8]) -> DiskResult<()> {
-        let slots = heap_pool(&mut self.db)?
-            .slot_map()
-            .map(SlotMap::cleared)
-            .ok_or_else(no_slot_map)?;
+        let slots = heap_pool(&mut self.db)?.slot_map().cleared();
         let mut rebuilt = db
-            .to_paged_on(Arc::clone(&self.fm), HEAP, self.pool, slots)
+            .to_paged_at(Arc::clone(&self.fm), HEAP, self.pool, slots)
             .map_err(DiskError::Engine)?;
         heap_pool(&mut rebuilt)?.set_no_steal(true);
         self.db = rebuilt;
@@ -683,10 +680,6 @@ impl DurableNetworkDb {
 fn heap_pool(db: &mut NetworkDb) -> DiskResult<&mut BufferMgr> {
     db.heap_buffer()
         .ok_or_else(|| DiskError::State("durable engine without a heap".to_string()))
-}
-
-fn no_slot_map() -> DiskError {
-    DiskError::State("durable heap pool has no slot map".to_string())
 }
 
 fn header_record(schema_fp: u64) -> Vec<u8> {
@@ -829,7 +822,7 @@ fn read_manifest(fm: &FileMgr) -> DiskResult<Option<u64>> {
     let mut best = None;
     let mut page = Page::new(fm.page_size());
     for slot in 0..2u64 {
-        fm.read(&BlockId::new(MANIFEST, slot), &mut page)?;
+        fm.read(MANIFEST, slot, &mut page)?;
         let bytes = page.as_slice();
         let mut r = ByteReader::new(bytes);
         let (Ok(magic), Ok(gen), Ok(sum)) = (
@@ -880,7 +873,7 @@ fn write_manifest(fm: &FileMgr, gen: u64) -> DiskResult<()> {
     let mut page = Page::new(fm.page_size());
     page.write_at(0, &head)?;
     page.write_at(16, &fnv64(&head).to_le_bytes())?;
-    fm.write(&BlockId::new(MANIFEST, gen % 2), &page)?;
+    fm.write(MANIFEST, gen % 2, &page)?;
     fm.sync(MANIFEST)
 }
 
@@ -1318,7 +1311,7 @@ mod tests {
         (0..slots.pages())
             .map(|p| {
                 let block = slots.image(p).unwrap();
-                fm.read_block(HEAP, block, &mut page).unwrap();
+                fm.read(HEAP, block, &mut page).unwrap();
                 (block, page.as_slice().to_vec())
             })
             .collect()

@@ -1,11 +1,13 @@
-//! Paged random-access files: [`Page`], [`BlockId`], and [`FileMgr`].
+//! Paged random-access files: [`Page`] and [`FileMgr`].
 //!
 //! The file manager is the only module that touches the OS filesystem.
-//! Every file it manages is an array of fixed-size pages addressed by
-//! [`BlockId`]; reads and writes move whole pages. Reading past the end
-//! of a file yields a zeroed page (the convention the log manager's
-//! recovery scan relies on: a zero length prefix means "no record
-//! here"), and writing past the end extends the file.
+//! Every file it manages is an array of fixed-size pages addressed by a
+//! file name and a block number; reads and writes move whole pages. The
+//! heap's buffer pool and the WAL each own one file, and the manifest and
+//! meta blobs are files of their own. Reading past the end of a file
+//! yields a zeroed page (the convention the log manager's recovery scan
+//! relies on: a zero length prefix means "no record here"), and writing
+//! past the end extends the file.
 //!
 //! Physical writes and syncs are numbered by a shared op counter, and an
 //! optional [`DiskFaultPlan`] consults that number to decide whether the
@@ -16,7 +18,6 @@
 use super::faults::{DiskFault, DiskFaultPlan};
 use super::{DiskError, DiskResult};
 use std::collections::BTreeMap;
-use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -39,29 +40,6 @@ pub const DEFAULT_PAGE_SIZE: usize = 4096;
 pub enum DiskOp {
     Write,
     Sync,
-}
-
-/// Address of one page: a file name (relative to the manager's root
-/// directory) and a block number within it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BlockId {
-    pub file: String,
-    pub num: u64,
-}
-
-impl BlockId {
-    pub fn new(file: impl Into<String>, num: u64) -> BlockId {
-        BlockId {
-            file: file.into(),
-            num,
-        }
-    }
-}
-
-impl fmt::Display for BlockId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[{}]", self.file, self.num)
-    }
 }
 
 /// A fixed-size in-memory page image.
@@ -204,14 +182,9 @@ impl FileMgr {
         f(file).map_err(|e| io_err(op, &self.path_of(name), &e))
     }
 
-    /// Read block `blk` into `page`. Pages beyond the current end of file
-    /// come back zeroed.
-    pub fn read(&self, blk: &BlockId, page: &mut Page) -> DiskResult<()> {
-        self.read_block(&blk.file, blk.num, page)
-    }
-
-    /// [`FileMgr::read`] of block `num` of file `file`.
-    pub(crate) fn read_block(&self, file: &str, num: u64, page: &mut Page) -> DiskResult<()> {
+    /// Read block `num` of `file` (a name under the root) into `page`.
+    /// Pages beyond the current end of file come back zeroed.
+    pub fn read(&self, file: &str, num: u64, page: &mut Page) -> DiskResult<()> {
         if page.size() != self.page_size {
             return Err(DiskError::Config(format!(
                 "page size {} does not match manager page size {}",
@@ -238,15 +211,10 @@ impl FileMgr {
         Ok(())
     }
 
-    /// Write `page` to block `blk`, extending the file if needed. Subject
-    /// to fault injection: a torn or short write persists a prefix of the
-    /// page and reports [`DiskError::Injected`].
-    pub fn write(&self, blk: &BlockId, page: &Page) -> DiskResult<()> {
-        self.write_block(&blk.file, blk.num, page)
-    }
-
-    /// [`FileMgr::write`] of block `num` of file `file`.
-    pub(crate) fn write_block(&self, file: &str, num: u64, page: &Page) -> DiskResult<()> {
+    /// Write `page` to block `num` of `file`, extending the file if
+    /// needed. Subject to fault injection: a torn or short write persists
+    /// a prefix of the page and reports [`DiskError::Injected`].
+    pub fn write(&self, file: &str, num: u64, page: &Page) -> DiskResult<()> {
         if page.size() != self.page_size {
             return Err(DiskError::Config(format!(
                 "page size {} does not match manager page size {}",
@@ -340,19 +308,18 @@ mod tests {
         let fm = FileMgr::new(dir.path(), 128).unwrap();
         let mut page = Page::new(128);
         page.write_at(0, b"hello pages").unwrap();
-        let blk = BlockId::new("data", 3);
-        fm.write(&blk, &page).unwrap();
+        fm.write("data", 3, &page).unwrap();
         assert_eq!(fm.block_count("data").unwrap(), 4);
 
         let mut back = Page::new(128);
-        fm.read(&blk, &mut back).unwrap();
+        fm.read("data", 3, &mut back).unwrap();
         assert_eq!(back.read_at(0, 11).unwrap(), b"hello pages");
 
         // Block 1 was never written: the file has a hole there, read as zeros.
-        fm.read(&BlockId::new("data", 1), &mut back).unwrap();
+        fm.read("data", 1, &mut back).unwrap();
         assert!(back.as_slice().iter().all(|&b| b == 0));
         // Fully past EOF too.
-        fm.read(&BlockId::new("data", 99), &mut back).unwrap();
+        fm.read("data", 99, &mut back).unwrap();
         assert!(back.as_slice().iter().all(|&b| b == 0));
     }
 
@@ -365,8 +332,7 @@ mod tests {
             .with_faults(Some(plan));
         let mut page = Page::new(128);
         page.as_mut_slice().fill(0xAB);
-        let blk = BlockId::new("data", 0);
-        let err = fm.write(&blk, &page).unwrap_err();
+        let err = fm.write("data", 0, &page).unwrap_err();
         assert!(matches!(
             err,
             DiskError::Injected {
@@ -375,7 +341,7 @@ mod tests {
             }
         ));
         let mut back = Page::new(128);
-        fm.read(&blk, &mut back).unwrap();
+        fm.read("data", 0, &mut back).unwrap();
         assert!(back.as_slice()[..64].iter().all(|&b| b == 0xAB));
         assert!(back.as_slice()[64..].iter().all(|&b| b == 0));
     }
@@ -388,7 +354,7 @@ mod tests {
             .unwrap()
             .with_faults(Some(plan));
         let page = Page::new(128);
-        fm.write(&BlockId::new("data", 0), &page).unwrap(); // op 0
+        fm.write("data", 0, &page).unwrap(); // op 0
         assert!(matches!(
             fm.sync("data").unwrap_err(), // op 1
             DiskError::Injected {

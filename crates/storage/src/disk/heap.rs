@@ -40,14 +40,15 @@
 //! checked, and a header that disagrees with itself or with the
 //! free-space map is [`DiskError::Corrupt`], never a wrapped `u16`.
 //!
-//! The heap marks frames dirty with LSN 0: its crash consistency is
-//! fenced by the owner's checkpoint protocol (see `disk::durable`), not
-//! by per-page WAL coupling. Its block numbers are logical: a durable
-//! owner opens it with [`HeapFile::open_slotted`], and the pool maps each
-//! block to one of its two physical slots.
+//! The heap's crash consistency is fenced by the owner's checkpoint
+//! protocol (see `disk::durable`), not by per-page WAL coupling. Its
+//! block numbers are logical pages of its pool's file, and the pool maps
+//! each one to one of its two physical slots through the [`SlotMap`]
+//! [`HeapFile::open`] is given: a durable owner's checkpointed map, or an
+//! empty one for a fresh or scratch heap.
 
 use super::buffer::{BufferMgr, FrameId, SlotMap};
-use super::file::{BlockId, FileMgr, Page};
+use super::file::{FileMgr, Page};
 use super::{DiskError, DiskResult};
 use std::sync::Arc;
 
@@ -251,10 +252,7 @@ impl FitTree {
 #[derive(Debug)]
 pub struct HeapFile {
     bm: BufferMgr,
-    /// Address of the block being pinned: the file name is fixed and
-    /// only the number changes, so pinning never allocates a name.
-    cursor: BlockId,
-    /// Number of blocks currently in the file.
+    /// Number of logical blocks currently in the heap.
     blocks: u32,
     /// Free-space map, indexed by block (all-zero for blocks that are
     /// not slotted pages).
@@ -270,37 +268,20 @@ pub struct HeapFile {
 }
 
 impl HeapFile {
-    /// Open (or create) heap file `file` with a pool of `pool` frames.
-    /// Existing pages are scanned once to rebuild the free-space map.
-    pub fn open(fm: Arc<FileMgr>, file: impl Into<String>, pool: usize) -> DiskResult<HeapFile> {
-        let file = file.into();
-        let blocks = fm.block_count(&file)?;
-        HeapFile::over(BufferMgr::new(fm, pool)?, file, blocks)
-    }
-
-    /// [`HeapFile::open`] for a file holding two slots per page: its pages
-    /// are the `map.pages()` pages of one generation, each read from the
-    /// slot `map` names (see [`BufferMgr::with_slots`]).
-    pub fn open_slotted(
+    /// Open heap file `file`, with a pool of `pool` frames, as the
+    /// `map.pages()` pages `map` places (see [`BufferMgr`]); an empty map
+    /// opens an empty heap. Existing pages are scanned once to rebuild
+    /// the free-space map.
+    pub fn open(
         fm: Arc<FileMgr>,
         file: impl Into<String>,
         pool: usize,
         map: SlotMap,
     ) -> DiskResult<HeapFile> {
-        let blocks = map.pages();
-        HeapFile::over(
-            BufferMgr::new(fm, pool)?.with_slots(map),
-            file.into(),
-            blocks,
-        )
-    }
-
-    fn over(bm: BufferMgr, file: String, blocks: u64) -> DiskResult<HeapFile> {
-        let blocks = u32::try_from(blocks)
-            .map_err(|_| DiskError::Config(format!("heap {file} exceeds u32 blocks")))?;
+        let blocks = u32::try_from(map.pages())
+            .map_err(|_| DiskError::Config("heap exceeds u32 blocks".to_string()))?;
         let mut heap = HeapFile {
-            bm,
-            cursor: BlockId::new(file, 0),
+            bm: BufferMgr::new(fm, file, pool, map)?,
             blocks,
             space: Vec::new(),
             fit: FitTree::default(),
@@ -347,8 +328,7 @@ impl HeapFile {
                 }
                 other => {
                     return Err(DiskError::Corrupt(format!(
-                        "heap {}[{b}]: unknown page kind 0x{other:02x}",
-                        self.cursor.file
+                        "heap [{b}]: unknown page kind 0x{other:02x}"
                     )))
                 }
             }
@@ -374,7 +354,8 @@ impl HeapFile {
         }
     }
 
-    /// Total file size in bytes.
+    /// Bytes of the heap's logical pages: pages × page size. The file
+    /// itself is larger, since every page has two slots in it.
     pub fn file_bytes(&self) -> u64 {
         u64::from(self.blocks) * self.page_size() as u64
     }
@@ -394,13 +375,9 @@ impl HeapFile {
     /// pool's page table is dense, so it must never see a wild number.
     fn pin(&mut self, b: u32) -> DiskResult<FrameId> {
         if b >= self.blocks {
-            return Err(DiskError::State(format!(
-                "heap {}: block {b} out of range",
-                self.cursor.file
-            )));
+            return Err(DiskError::State(format!("heap: block {b} out of range")));
         }
-        self.cursor.num = u64::from(b);
-        self.bm.pin(&self.cursor, None)
+        self.bm.pin(u64::from(b))
     }
 
     /// Pin block `b`, run `f` on its page, unpin. Read-only.
@@ -421,7 +398,7 @@ impl HeapFile {
         let fid = self.pin(b)?;
         let out = self.bm.page_mut(fid).and_then(f);
         if let Ok((_, true)) = out {
-            self.bm.mark_dirty(fid, 0)?;
+            self.bm.mark_dirty(fid)?;
         }
         self.bm.unpin(fid)?;
         out.map(|(v, _)| v)
@@ -858,7 +835,7 @@ impl HeapFile {
 
     /// Write back every dirty frame. Does not fsync.
     pub fn flush(&mut self) -> DiskResult<()> {
-        self.bm.flush_all(None)
+        self.bm.flush_all()
     }
 }
 
@@ -1008,7 +985,7 @@ mod tests {
     fn setup(page: usize, pool: usize) -> (TempDir, HeapFile) {
         let dir = TempDir::new("heap").unwrap();
         let fm = Arc::new(FileMgr::new(dir.path(), page).unwrap());
-        let heap = HeapFile::open(fm, "heap.dat", pool).unwrap();
+        let heap = HeapFile::open(fm, "heap.dat", pool, SlotMap::default()).unwrap();
         (dir, heap)
     }
 
@@ -1095,7 +1072,7 @@ mod tests {
     fn reopen_rebuilds_free_map_and_counts() {
         let dir = TempDir::new("heap-reopen").unwrap();
         let fm = Arc::new(FileMgr::new(dir.path(), 128).unwrap());
-        let mut heap = HeapFile::open(Arc::clone(&fm), "heap.dat", 4).unwrap();
+        let mut heap = HeapFile::open(Arc::clone(&fm), "heap.dat", 4, SlotMap::default()).unwrap();
         let keep = heap.insert(b"keeper").unwrap();
         let gone = heap.insert(b"goner!").unwrap();
         let jumbo: Vec<u8> = vec![7; 500];
@@ -1103,9 +1080,10 @@ mod tests {
         heap.erase(gone).unwrap();
         heap.flush().unwrap();
         let stats = heap.stats();
+        let map = heap.buffer().next_slot_map();
         drop(heap);
 
-        let mut heap = HeapFile::open(fm, "heap.dat", 4).unwrap();
+        let mut heap = HeapFile::open(fm, "heap.dat", 4, map).unwrap();
         assert_eq!(heap.stats(), stats);
         assert_eq!(heap.get(keep).unwrap(), b"keeper");
         assert_eq!(heap.get(big).unwrap(), jumbo);
@@ -1216,7 +1194,8 @@ mod tests {
         ) {
             let dir = TempDir::new("heap-fit").unwrap();
             let fm = Arc::new(FileMgr::new(dir.path(), PAGE).unwrap());
-            let mut heap = HeapFile::open(Arc::clone(&fm), "heap.dat", 4).unwrap();
+            let mut heap =
+                HeapFile::open(Arc::clone(&fm), "heap.dat", 4, SlotMap::default()).unwrap();
             let mut shadow: BTreeMap<HeapId, Vec<u8>> = BTreeMap::new();
             for (i, (op, pick, len)) in ops.into_iter().enumerate() {
                 // Mostly small records so pages fill and fragment; a few
@@ -1250,8 +1229,9 @@ mod tests {
                     7 => {
                         heap.flush().unwrap();
                         let stats = heap.stats();
+                        let map = heap.buffer().next_slot_map();
                         drop(heap);
-                        heap = HeapFile::open(Arc::clone(&fm), "heap.dat", 4).unwrap();
+                        heap = HeapFile::open(Arc::clone(&fm), "heap.dat", 4, map).unwrap();
                         prop_assert_eq!(heap.stats(), stats);
                     }
                     _ => {}

@@ -11,9 +11,10 @@
 //! in-memory tail page; nothing is durable until [`LogMgr::flush`] (write
 //! tail + fsync) or [`LogMgr::flush_os`] (write tail, let the OS page
 //! cache carry it — durable against process kill, not power loss)
-//! succeeds. [`LogMgr::flush_before`] gives the buffer manager the
-//! classic WAL guarantee: no data page reaches disk before the log
-//! records that describe it.
+//! succeeds. The log records logical redo only: no heap page is ever
+//! written under an LSN, because the heap's pool keeps dirty pages in RAM
+//! until a checkpoint writes them to slots the durable generation does
+//! not read (see `disk::durable`).
 //!
 //! **Recovery.** [`LogMgr::open`] scans the file from block zero,
 //! verifying each record's checksum. The first zero length, truncated
@@ -24,7 +25,7 @@
 //! finds nothing left to truncate.
 
 use super::codec::fnv64;
-use super::file::{BlockId, FileMgr, Page};
+use super::file::{FileMgr, Page};
 use super::{DiskError, DiskResult};
 use std::sync::Arc;
 
@@ -51,15 +52,14 @@ const REC_HEADER: usize = 4 + 8;
 #[derive(Debug)]
 pub struct LogMgr {
     fm: Arc<FileMgr>,
-    /// Address of the tail block; `blk.file` is the log's file name. Kept
-    /// as a whole [`BlockId`] so the hot write path never re-clones the
-    /// name.
-    blk: BlockId,
+    /// The log's file name.
+    file: String,
+    /// Block number of the tail block.
+    tail: u64,
     /// In-memory image of the tail block.
     page: Page,
     tail_used: usize,
     next_lsn: Lsn,
-    last_flushed: Lsn,
     /// Tail page has staged bytes not yet written to the file.
     dirty: bool,
     /// Bytes were written to the file since the last successful sync.
@@ -80,7 +80,7 @@ impl LogMgr {
         let mut stream = vec![0u8; blocks as usize * ps];
         let mut scratch = Page::new(ps);
         for b in 0..blocks {
-            fm.read(&BlockId::new(file.clone(), b), &mut scratch)?;
+            fm.read(&file, b, &mut scratch)?;
             stream[b as usize * ps..][..ps].copy_from_slice(scratch.as_slice());
         }
 
@@ -122,18 +122,18 @@ impl LogMgr {
         let last = records.len() as Lsn;
         let mut mgr = LogMgr {
             fm,
-            blk: BlockId::new(file, (pos / ps) as u64),
+            file,
+            tail: (pos / ps) as u64,
             page: Page::new(ps),
             tail_used: pos % ps,
             next_lsn: last + 1,
-            last_flushed: last,
             dirty: false,
             needs_sync: false,
         };
         // Rebuild the tail page image from the valid prefix, zeroing
         // whatever follows it.
-        if (mgr.blk.num as usize) < blocks as usize {
-            let base = mgr.blk.num as usize * ps;
+        if mgr.tail < blocks {
+            let base = mgr.tail as usize * ps;
             mgr.page
                 .as_mut_slice()
                 .copy_from_slice(&stream[base..base + ps]);
@@ -143,8 +143,8 @@ impl LogMgr {
             // Cleansing write: persist the zeroed tail so the torn bytes
             // can never be re-read, making a second recovery a no-op.
             dbpc_obs::racy(WAL_TRUNCATIONS, 1);
-            mgr.fm.write(&mgr.blk, &mgr.page)?;
-            mgr.fm.sync(&mgr.blk.file)?;
+            mgr.fm.write(&mgr.file, mgr.tail, &mgr.page)?;
+            mgr.fm.sync(&mgr.file)?;
         }
         Ok((mgr, records))
     }
@@ -174,9 +174,9 @@ impl LogMgr {
                 self.dirty = true;
                 off += n;
                 if self.tail_used == ps {
-                    self.fm.write(&self.blk, &self.page)?;
+                    self.fm.write(&self.file, self.tail, &self.page)?;
                     self.needs_sync = true;
-                    self.blk.num += 1;
+                    self.tail += 1;
                     self.tail_used = 0;
                     self.page.zero();
                     self.dirty = false;
@@ -192,15 +192,14 @@ impl LogMgr {
 
     fn flush_inner(&mut self, sync: bool) -> DiskResult<()> {
         if self.dirty {
-            self.fm.write(&self.blk, &self.page)?;
+            self.fm.write(&self.file, self.tail, &self.page)?;
             self.dirty = false;
             self.needs_sync = true;
         }
         if sync && self.needs_sync {
-            self.fm.sync(&self.blk.file)?;
+            self.fm.sync(&self.file)?;
             self.needs_sync = false;
         }
-        self.last_flushed = self.next_lsn - 1;
         dbpc_obs::racy(WAL_FLUSHES, 1);
         Ok(())
     }
@@ -217,25 +216,9 @@ impl LogMgr {
         self.flush_inner(false)
     }
 
-    /// Ensure every record up to and including `lsn` is flushed — the
-    /// flush-before-write hook the buffer manager calls before letting a
-    /// data page with `lsn` as its latest modifier reach disk.
-    pub fn flush_before(&mut self, lsn: Lsn) -> DiskResult<()> {
-        if lsn > self.last_flushed {
-            self.flush()
-        } else {
-            Ok(())
-        }
-    }
-
     /// LSN of the most recently appended record (0 if none).
     pub fn last_lsn(&self) -> Lsn {
         self.next_lsn - 1
-    }
-
-    /// LSN up to which the log is flushed (0 if nothing flushed).
-    pub fn last_flushed(&self) -> Lsn {
-        self.last_flushed
     }
 }
 
@@ -262,7 +245,7 @@ mod tests {
             assert_eq!(lsn, i + 1);
         }
         log.flush().unwrap();
-        assert_eq!(log.last_flushed(), 10);
+        assert_eq!(log.last_lsn(), 10);
         drop(log);
 
         let (log2, recs) = LogMgr::open(fm, "wal").unwrap();

@@ -11,15 +11,17 @@
 //!
 //! Layer map (each layer only speaks to the one below):
 //!
-//! * [`file`](mod@file) — [`FileMgr`]: fixed-size pages, random-access block I/O,
-//!   numbered physical ops with seeded fault injection ([`faults`]);
-//! * [`log`] — [`LogMgr`]: checksummed WAL records, LSNs, idempotent
-//!   torn-tail recovery;
-//! * [`buffer`] — [`BufferMgr`]: pin/unpin accounting, clock
-//!   replacement, flush-before-write WAL discipline, and, given a
-//!   [`SlotMap`], ping-pong addressing: two physical slots per logical
-//!   page, reads from the slot holding the checkpointed image, writes
-//!   only to the other one;
+//! * [`file`](mod@file) — [`FileMgr`]: fixed-size pages addressed by file
+//!   name and block number, numbered physical ops with seeded fault
+//!   injection ([`faults`]);
+//! * [`log`] — [`LogMgr`]: checksummed WAL records of logical redo, LSNs,
+//!   idempotent torn-tail recovery;
+//! * [`buffer`] — [`BufferMgr`]: a pool over one file, addressed by page
+//!   number: pin/unpin accounting, clock replacement, optional no-steal
+//!   growth, and ping-pong addressing through a [`SlotMap`]: two physical
+//!   slots per page, reads from the slot holding the checkpointed image
+//!   (none for a page the map does not hold), writes only to the other
+//!   one;
 //! * [`heap`] — [`HeapFile`]: slotted record pages and overflow chains
 //!   over one pool, with a RAM free-space map rebuilt by a page scan;
 //! * [`durable`] — [`DurableNetworkDb`]: a [`crate::NetworkDb`] whose
@@ -48,9 +50,7 @@ pub use buffer::{
 };
 pub use durable::{DurableNetworkDb, DurableOptions, SyncPolicy};
 pub use faults::{DiskFault, DiskFaultPlan};
-pub use file::{
-    BlockId, DiskOp, FileMgr, Page, DEFAULT_PAGE_SIZE, DISK_READS, DISK_SYNCS, DISK_WRITES,
-};
+pub use file::{DiskOp, FileMgr, Page, DEFAULT_PAGE_SIZE, DISK_READS, DISK_SYNCS, DISK_WRITES};
 pub use heap::{HeapFile, HeapId, HeapStats};
 pub use log::{LogMgr, Lsn, WAL_APPENDS, WAL_BYTES, WAL_FLUSHES, WAL_RECOVERED, WAL_TRUNCATIONS};
 pub use tempdir::TempDir;

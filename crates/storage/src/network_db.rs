@@ -640,25 +640,16 @@ impl HeapBackend {
             FileMgr::new(dir.path(), page_size)
                 .map_err(|e| DbError::constraint(format!("heap scratch: {e}")))?,
         );
-        let mut hb = HeapBackend::on(fm, "heap.dat", pool, None)?;
+        let mut hb = HeapBackend::on(fm, "heap.dat", pool, SlotMap::default())?;
         hb.scratch = Some(dir);
         Ok(hb)
     }
 
-    /// A heap backend over a caller-owned file manager; with `slots`, a
-    /// file of two slots per page read through that map (the durable
-    /// engine's, see [`HeapFile::open_slotted`]).
-    fn on(
-        fm: Arc<FileMgr>,
-        file: &str,
-        pool: usize,
-        slots: Option<SlotMap>,
-    ) -> DbResult<HeapBackend> {
-        let heap = match slots {
-            None => HeapFile::open(Arc::clone(&fm), file, pool),
-            Some(map) => HeapFile::open_slotted(Arc::clone(&fm), file, pool, map),
-        }
-        .map_err(|e| DbError::constraint(format!("heap open: {e}")))?;
+    /// A heap backend over a caller-owned file manager: the pages of
+    /// `file` that `slots` places (see [`HeapFile::open`]).
+    fn on(fm: Arc<FileMgr>, file: &str, pool: usize, slots: SlotMap) -> DbResult<HeapBackend> {
+        let heap = HeapFile::open(Arc::clone(&fm), file, pool, slots)
+            .map_err(|e| DbError::constraint(format!("heap open: {e}")))?;
         Ok(HeapBackend {
             scratch: None,
             fm,
@@ -686,31 +677,15 @@ impl NetworkDb {
         NetworkDb::with_backend(schema, Backend::Heap(Box::new(hb)))
     }
 
-    /// Create an empty paged database whose heap file lives in a
-    /// caller-owned [`FileMgr`] (the durable engine shares its directory
-    /// with the WAL and manifest). The heap file must be empty or absent.
-    pub fn paged_on(
-        schema: NetworkSchema,
-        fm: Arc<FileMgr>,
-        file: &str,
-        pool: usize,
-    ) -> DbResult<NetworkDb> {
-        let hb = HeapBackend::on(fm, file, pool, None)?;
-        if hb.stats().pages > 0 {
-            return Err(DbError::constraint(format!(
-                "paged_on: heap file {file} is not empty"
-            )));
-        }
-        NetworkDb::with_backend(schema, Backend::Heap(Box::new(hb)))
-    }
-
     /// Reopen a paged database from an existing heap file: scan every
     /// live payload, rebuild the id directory, `by_type` lists, and all
     /// set stores from the persisted `(set, owner, seq)` links (ordering
     /// keys re-derived from values + schema keys). The caller supplies
     /// the allocator state the scan cannot know — `next_id` and each
-    /// set's arrival counter — from its own durable metadata, and, for a
-    /// file of two slots per page, the generation's [`SlotMap`].
+    /// set's arrival counter — from its own durable metadata, and the
+    /// [`SlotMap`] placing the heap's pages in the file. Over an empty map
+    /// (with `next_id` 1 and no counters) this opens an empty database
+    /// whose heap lives in a caller-owned [`FileMgr`].
     pub fn recover_paged(
         schema: NetworkSchema,
         fm: Arc<FileMgr>,
@@ -718,7 +693,7 @@ impl NetworkDb {
         pool: usize,
         next_id: u64,
         next_seqs: &[(String, u64)],
-        slots: Option<SlotMap>,
+        slots: SlotMap,
     ) -> DbResult<NetworkDb> {
         let hb = HeapBackend::on(fm, file, pool, slots)?;
         let mut db = NetworkDb::with_backend(schema, Backend::Heap(Box::new(hb)))?;
@@ -1004,12 +979,17 @@ impl NetworkDb {
         Ok(())
     }
 
-    /// Flush every dirty heap page to disk (no-op for Mem). Does not
-    /// fsync — the caller owns the sync boundary.
-    pub fn flush_heap(&mut self) -> DbResult<()> {
+    /// Flush every dirty heap page to disk and return the map that reads
+    /// the flushed heap back through [`NetworkDb::recover_paged`] (a no-op
+    /// returning an empty map for Mem). Does not fsync — the caller owns
+    /// the sync boundary.
+    pub fn flush_heap(&mut self) -> DbResult<SlotMap> {
         match &mut self.records {
-            Backend::Mem(_) => Ok(()),
-            Backend::Heap(h) => h.with_heap(|heap| heap.flush()),
+            Backend::Mem(_) => Ok(SlotMap::default()),
+            Backend::Heap(h) => h.with_heap(|heap| {
+                heap.flush()?;
+                Ok(heap.buffer().next_slot_map())
+            }),
         }
     }
 
@@ -1204,17 +1184,17 @@ impl NetworkDb {
     /// records. The durable engine's import copies through this, over a
     /// map with no pages, so the copy lands in blocks the checkpointed
     /// generation does not use.
-    pub(crate) fn to_paged_on(
+    pub(crate) fn to_paged_at(
         &self,
         fm: Arc<FileMgr>,
         file: &str,
         pool: usize,
         slots: SlotMap,
     ) -> DbResult<NetworkDb> {
-        let hb = HeapBackend::on(fm, file, pool, Some(slots))?;
+        let hb = HeapBackend::on(fm, file, pool, slots)?;
         if hb.stats().records > 0 {
             return Err(DbError::constraint(format!(
-                "to_paged_on: heap file {file} holds records"
+                "to_paged_at: heap file {file} holds records"
             )));
         }
         self.copy_into_heap(hb)
@@ -2757,13 +2737,14 @@ mod tests {
     fn recovery_rejects_ids_the_allocator_never_allocated() {
         let dir = TempDir::new("netdb-wild-id").unwrap();
         let fm = Arc::new(FileMgr::new(dir.path(), 256).unwrap());
-        let mut heap = HeapFile::open(Arc::clone(&fm), "heap.dat", 4).unwrap();
+        let mut heap = HeapFile::open(Arc::clone(&fm), "heap.dat", 4, SlotMap::default()).unwrap();
         heap.insert(&encoded(u64::MAX, "DIV", &[Value::str("X")], &[]))
             .unwrap();
         heap.flush().unwrap();
+        let map = heap.buffer().next_slot_map();
         drop(heap);
-        let err = NetworkDb::recover_paged(company_schema(), fm, "heap.dat", 4, 5, &[], None)
-            .unwrap_err();
+        let err =
+            NetworkDb::recover_paged(company_schema(), fm, "heap.dat", 4, 5, &[], map).unwrap_err();
         assert!(
             err.to_string().contains("outside the allocated ids"),
             "{err}"
@@ -2777,7 +2758,7 @@ mod tests {
     fn recovery_refuses_two_equal_keys_in_one_occurrence() {
         let dir = TempDir::new("netdb-dup-key").unwrap();
         let fm = Arc::new(FileMgr::new(dir.path(), 256).unwrap());
-        let mut heap = HeapFile::open(Arc::clone(&fm), "heap.dat", 4).unwrap();
+        let mut heap = HeapFile::open(Arc::clone(&fm), "heap.dat", 4, SlotMap::default()).unwrap();
         let div = [Value::str("MACHINERY"), Value::str("DETROIT")];
         let emp = [Value::str("JONES"), Value::Null, Value::Null, Value::Null];
         heap.insert(&encoded(1, "DIV", &div, &[("ALL-DIV".into(), 0, 0)]))
@@ -2787,9 +2768,10 @@ mod tests {
             heap.insert(&encoded(id, "EMP", &emp, &links)).unwrap();
         }
         heap.flush().unwrap();
+        let map = heap.buffer().next_slot_map();
         drop(heap);
         let seqs = [("ALL-DIV".to_string(), 1), ("DIV-EMP".to_string(), 2)];
-        let err = NetworkDb::recover_paged(company_schema(), fm, "heap.dat", 4, 4, &seqs, None)
+        let err = NetworkDb::recover_paged(company_schema(), fm, "heap.dat", 4, 4, &seqs, map)
             .unwrap_err();
         assert!(matches!(err, DbError::Duplicate { .. }), "{err}");
     }

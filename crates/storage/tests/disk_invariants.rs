@@ -3,7 +3,8 @@
 //! Three families:
 //!
 //! * random pin/unpin/write/flush interleavings never evict a pinned
-//!   page and always round-trip page bytes through the buffer pool, and
+//!   page and always round-trip page bytes through the buffer pool (and,
+//!   after a flush, through a fresh pool over the next slot map), and
 //!   under no-steal never write a dirty page before a flush;
 //! * WAL recovery is idempotent — opening a log with a lost or torn
 //!   tail twice yields exactly the records and file bytes of opening
@@ -11,8 +12,9 @@
 //! * scratch directories clean up after themselves (the temp-dir
 //!   hygiene guard).
 
+use dbpc_storage::disk::codec::{ByteReader, ByteWriter};
 use dbpc_storage::disk::tempdir::scratch_root;
-use dbpc_storage::disk::{BlockId, BufferMgr, DiskError, FileMgr, LogMgr, Page, TempDir};
+use dbpc_storage::disk::{BufferMgr, DiskError, FileMgr, LogMgr, Page, SlotMap, TempDir};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -26,10 +28,22 @@ fn file_bytes(fm: &FileMgr, name: &str) -> Vec<u8> {
     let mut page = Page::new(fm.page_size());
     let mut out = Vec::new();
     for b in 0..fm.block_count(name).unwrap() {
-        fm.read(&BlockId::new(name, b), &mut page).unwrap();
+        fm.read(name, b, &mut page).unwrap();
         out.extend_from_slice(page.as_slice());
     }
     out
+}
+
+/// A map of `pages` pages, each with its image in slot 1: where a pool
+/// starting from [`SlotMap::default`] (every image in slot 0) writes each
+/// page it flushes.
+fn spare_slots(pages: u64) -> SlotMap {
+    let mut w = ByteWriter::new();
+    w.put_u64(pages);
+    for _ in 0..pages.div_ceil(64) {
+        w.put_u64(u64::MAX);
+    }
+    SlotMap::decode(&mut ByteReader::new(&w.into_bytes())).unwrap()
 }
 
 fn wal_payload(i: usize, len: usize) -> Vec<u8> {
@@ -45,14 +59,15 @@ proptest! {
     /// under its holder (that would mean it was evicted), `pinned()`
     /// must track the distinct pinned blocks exactly, a full pool must
     /// abort rather than evict, and after a final flush a fresh pool
-    /// over the same file must read back the shadow map byte-for-byte.
+    /// over the same file, opened on the old pool's next slot map, must
+    /// read back the shadow map byte-for-byte.
     #[test]
     fn buffer_interleavings_preserve_pins_and_bytes(
         ops in prop::collection::vec((0u8..4, 0u64..BLOCKS, any::<u8>()), 1..40),
     ) {
         let dir = TempDir::new("buffer-prop").unwrap();
         let fm = Arc::new(FileMgr::new(dir.path(), PAGE).unwrap());
-        let mut bm = BufferMgr::new(fm.clone(), CAPACITY).unwrap();
+        let mut bm = BufferMgr::new(fm.clone(), "data", CAPACITY, SlotMap::default()).unwrap();
 
         // Shadow model: what each block's page should read as right now.
         let mut expected: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
@@ -62,7 +77,7 @@ proptest! {
             match op {
                 // Pin: a hit or fault-in must surface the modeled bytes;
                 // a full pool must refuse with BufferAbort, never evict.
-                0 => match bm.pin(&BlockId::new("data", block), None) {
+                0 => match bm.pin(block) {
                     Ok(id) => {
                         let exp = expected.entry(block).or_insert_with(|| vec![0u8; PAGE]);
                         let got = bm.page(id).unwrap().read_at(0, PAGE).unwrap();
@@ -85,7 +100,7 @@ proptest! {
                     let (id, blk) = pinned[block as usize % pinned.len()];
                     let off = fill as usize % (PAGE - 8);
                     bm.page_mut(id).unwrap().write_at(off, &[fill; 8]).unwrap();
-                    bm.mark_dirty(id, 0).unwrap();
+                    bm.mark_dirty(id).unwrap();
                     let exp = expected.entry(blk).or_insert_with(|| vec![0u8; PAGE]);
                     exp[off..off + 8].fill(fill);
                 }
@@ -93,7 +108,7 @@ proptest! {
                     let (id, _) = pinned.remove(block as usize % pinned.len());
                     bm.unpin(id).unwrap();
                 }
-                3 => bm.flush_all(None).unwrap(),
+                3 => bm.flush_all().unwrap(),
                 _ => {}
             }
 
@@ -110,15 +125,16 @@ proptest! {
         }
 
         // Drain pins, force everything to disk, and check durability with
-        // a brand-new pool over the same file.
+        // a brand-new pool over the same file and the pages it placed.
         for (id, _) in pinned.drain(..) {
             bm.unpin(id).unwrap();
         }
-        bm.flush_all(None).unwrap();
+        bm.flush_all().unwrap();
+        let map = bm.next_slot_map();
         drop(bm);
-        let mut fresh = BufferMgr::new(fm, CAPACITY).unwrap();
+        let mut fresh = BufferMgr::new(fm, "data", CAPACITY, map).unwrap();
         for (blk, exp) in &expected {
-            let id = fresh.pin(&BlockId::new("data", *blk), None).unwrap();
+            let id = fresh.pin(*blk).unwrap();
             let got = fresh.page(id).unwrap().read_at(0, PAGE).unwrap();
             prop_assert_eq!(&got, exp, "block {} did not round-trip to disk", blk);
             fresh.unpin(id).unwrap();
@@ -127,8 +143,9 @@ proptest! {
 
     /// The no-steal contract, model-checked: with no-steal on, a random
     /// interleaving of pin / write / unpin / flush / trim never lets a
-    /// dirty frame reach disk through eviction — every block's file bytes
-    /// stay its image as of the last `flush_all` — and a miss on a pool
+    /// dirty frame reach disk through eviction — every block of the file
+    /// holds, byte for byte, the image as of the last `flush_all` of the
+    /// page whose spare slot it is, or zeros — and a miss on a pool
     /// whose frames are all pinned or dirty grows the pool by one frame
     /// instead of aborting (nor grows it while a clean unpinned frame is
     /// left). A trim at a quiescent point shrinks it back to its base.
@@ -138,8 +155,9 @@ proptest! {
     ) {
         let dir = TempDir::new("buffer-nosteal").unwrap();
         let fm = Arc::new(FileMgr::new(dir.path(), PAGE).unwrap());
-        let mut bm = BufferMgr::new(fm.clone(), CAPACITY).unwrap();
+        let mut bm = BufferMgr::new(fm.clone(), "data", CAPACITY, SlotMap::default()).unwrap();
         bm.set_no_steal(true);
+        let spare = spare_slots(BLOCKS);
 
         let zero = vec![0u8; PAGE];
         // What each block reads as through the pool, and on disk.
@@ -156,7 +174,7 @@ proptest! {
                     let mut held: BTreeSet<u64> = pinned.iter().map(|p| p.1).collect();
                     held.extend(&dirty);
                     let before = bm.capacity();
-                    let id = bm.pin(&BlockId::new("data", block), None);
+                    let id = bm.pin(block);
                     prop_assert!(id.is_ok(), "no-steal pin failed: {:?}", id);
                     let id = id.unwrap();
                     let got = bm.page(id).unwrap().read_at(0, PAGE).unwrap();
@@ -172,7 +190,7 @@ proptest! {
                     let (id, blk) = pinned[block as usize % pinned.len()];
                     let off = fill as usize % (PAGE - 8);
                     bm.page_mut(id).unwrap().write_at(off, &[fill; 8]).unwrap();
-                    bm.mark_dirty(id, 0).unwrap();
+                    bm.mark_dirty(id).unwrap();
                     expected.entry(blk).or_insert_with(|| zero.clone())[off..off + 8].fill(fill);
                     dirty.insert(blk);
                 }
@@ -181,7 +199,7 @@ proptest! {
                     bm.unpin(id).unwrap();
                 }
                 3 => {
-                    bm.flush_all(None).unwrap();
+                    bm.flush_all().unwrap();
                     flushed = expected.clone();
                     dirty.clear();
                 }
@@ -190,7 +208,7 @@ proptest! {
                     for (id, _) in pinned.drain(..) {
                         bm.unpin(id).unwrap();
                     }
-                    bm.flush_all(None).unwrap();
+                    bm.flush_all().unwrap();
                     flushed = expected.clone();
                     dirty.clear();
                     bm.trim();
@@ -199,14 +217,17 @@ proptest! {
                 _ => {}
             }
 
-            let want: Vec<BlockId> = dirty.iter().map(|&b| BlockId::new("data", b)).collect();
+            let want: Vec<u64> = dirty.iter().copied().collect();
             prop_assert_eq!(bm.dirty_blocks(), want);
-            let mut page = Page::new(PAGE);
-            for b in 0..BLOCKS {
-                fm.read(&BlockId::new("data", b), &mut page).unwrap();
+            // Every raw block of the file: a page's spare slot holds its
+            // last flushed image, every other block zeros.
+            let raw = file_bytes(&fm, "data");
+            for (b, bytes) in raw.chunks(PAGE).enumerate() {
+                let page = (0..BLOCKS).find(|&p| spare.image(p) == Some(b as u64));
+                let want = page.and_then(|p| flushed.get(&p)).unwrap_or(&zero);
                 prop_assert_eq!(
-                    page.as_slice(), flushed.get(&b).unwrap_or(&zero).as_slice(),
-                    "block {} reached disk before a flush", b
+                    bytes, want.as_slice(),
+                    "block {} ({:?}) reached disk before a flush", b, page
                 );
             }
         }
@@ -245,14 +266,14 @@ proptest! {
                 // The durable stream ends exactly here; plant a garbage
                 // length header at that offset, as a torn append would.
                 let end: usize = lens.iter().map(|l| 12 + l).sum();
-                let blk = BlockId::new("wal", (end / 128) as u64);
+                let blk = (end / 128) as u64;
                 let mut page = Page::new(128);
                 if !end.is_multiple_of(128) {
-                    fm.read(&blk, &mut page).unwrap();
+                    fm.read("wal", blk, &mut page).unwrap();
                 }
                 let n = (128 - end % 128).min(4);
                 page.write_at(end % 128, &[0xFF; 4][..n]).unwrap();
-                fm.write(&blk, &page).unwrap();
+                fm.write("wal", blk, &page).unwrap();
                 fm.sync("wal").unwrap();
             }
         }
@@ -292,7 +313,7 @@ fn tempdirs_leave_no_strays_behind() {
         std::fs::create_dir_all(dir.path().join("nested/deep")).unwrap();
         std::fs::write(dir.path().join("nested/deep/file.bin"), b"payload").unwrap();
         let fm = FileMgr::new(dir.path(), 128).unwrap();
-        fm.write(&BlockId::new("data", 0), &Page::new(128)).unwrap();
+        fm.write("data", 0, &Page::new(128)).unwrap();
         fm.sync("data").unwrap();
         made.push(dir.path().to_path_buf());
         drop(dir);

@@ -20,7 +20,7 @@
 use dbpc_datamodel::network::{FieldDef, NetworkSchema, RecordTypeDef, SetDef};
 use dbpc_datamodel::types::FieldType;
 use dbpc_datamodel::value::Value;
-use dbpc_storage::disk::{FileMgr, HeapFile, HeapId, TempDir};
+use dbpc_storage::disk::{FileMgr, HeapFile, HeapId, SlotMap, TempDir};
 use dbpc_storage::{
     DurableNetworkDb, DurableOptions, NetworkDb, RecordId, StoredRecord, SyncPolicy, SYSTEM_OWNER,
 };
@@ -175,15 +175,17 @@ proptest! {
     /// insert / erase / update, every live record must read back
     /// exactly, iteration must visit exactly the shadow map's payloads,
     /// and the stats must account for every live byte. A periodic
-    /// flush + fresh-handle rescan proves the disk image alone carries
-    /// the whole store even though the pool held only 4 frames.
+    /// flush + fresh-handle rescan (through the old pool's next slot map)
+    /// proves the disk image alone carries the whole store even though
+    /// the pool held only 4 frames.
     #[test]
     fn heap_ops_match_shadow_map(
         ops in prop::collection::vec((0u8..4, any::<u8>(), 0usize..300), 1..60),
     ) {
         let dir = TempDir::new("heap-prop").unwrap();
         let fm = Arc::new(FileMgr::new(dir.path(), PAGE).unwrap());
-        let mut heap = HeapFile::open(Arc::clone(&fm), "heap.dat", POOL).unwrap();
+        let mut heap =
+            HeapFile::open(Arc::clone(&fm), "heap.dat", POOL, SlotMap::default()).unwrap();
         let mut shadow: BTreeMap<HeapId, Vec<u8>> = BTreeMap::new();
         let mut order: Vec<HeapId> = Vec::new();
 
@@ -215,7 +217,8 @@ proptest! {
                     // Crash-free restart: flush, reopen a fresh handle
                     // over the same file, keep going.
                     heap.flush().unwrap();
-                    heap = HeapFile::open(Arc::clone(&fm), "heap.dat", POOL).unwrap();
+                    let map = heap.buffer().next_slot_map();
+                    heap = HeapFile::open(Arc::clone(&fm), "heap.dat", POOL, map).unwrap();
                 }
                 _ => {}
             }
@@ -271,16 +274,20 @@ proptest! {
     }
 
     /// Recovery is idempotent: scan-rebuild a flushed heap image twice
-    /// with fresh handles; both recovered databases must equal the
-    /// writer — fingerprint and logical image — and each other.
+    /// with fresh handles, through the writer's next slot map; both
+    /// recovered databases must equal the writer — fingerprint and
+    /// logical image — and each other. The writer itself is a recovery
+    /// over an empty map: an empty paged database on a caller-owned file.
     #[test]
     fn heap_recovery_twice_equals_recovery_once(
         ops in prop::collection::vec(db_op(), 1..40),
     ) {
         let dir = TempDir::new("heap-recover-prop").unwrap();
         let fm = Arc::new(FileMgr::new(dir.path(), PAGE).unwrap());
-        let mut db =
-            NetworkDb::paged_on(schema(), Arc::clone(&fm), "heap.dat", POOL).unwrap();
+        let mut db = NetworkDb::recover_paged(
+            schema(), Arc::clone(&fm), "heap.dat", POOL, 1, &[], SlotMap::default(),
+        )
+        .unwrap();
         let divs: Vec<RecordId> = (0..3)
             .map(|d| {
                 db.store("DIV", &[("DIV-NAME", Value::str(format!("DIV-{d}")))], &[])
@@ -290,15 +297,15 @@ proptest! {
         let mut emps = Vec::new();
         apply_ops(&mut db, &divs, &mut emps, &ops);
         db.sync_links().unwrap();
-        db.flush_heap().unwrap();
+        let map = db.flush_heap().unwrap();
         let (next_id, seqs) = db.allocator_state();
 
         let once = NetworkDb::recover_paged(
-            schema(), Arc::clone(&fm), "heap.dat", POOL, next_id, &seqs, None,
+            schema(), Arc::clone(&fm), "heap.dat", POOL, next_id, &seqs, map.clone(),
         )
         .unwrap();
         let twice = NetworkDb::recover_paged(
-            schema(), Arc::clone(&fm), "heap.dat", POOL, next_id, &seqs, None,
+            schema(), Arc::clone(&fm), "heap.dat", POOL, next_id, &seqs, map,
         )
         .unwrap();
 

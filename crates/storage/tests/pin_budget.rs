@@ -1,4 +1,5 @@
-//! Pin budget of the paged record path, as exact `buffer.pins` deltas.
+//! Paged I/O budget of the record path, as exact `buffer.pins` and
+//! `disk.reads` deltas.
 //!
 //! Each record operation on a paged [`NetworkDb`] pins the pages it
 //! touches once: a read is one pin of the record's page (plus one of the
@@ -7,12 +8,16 @@
 //! and erase fetch the record once and write its page once. A pin
 //! counted here is a buffer-pool lookup, not necessarily a disk read, so
 //! the budget holds whatever the pool size.
+//!
+//! A pin that misses reads the disk only for a page the pool evicted
+//! earlier: a page the heap has just appended has no image on disk yet
+//! and is faulted in as zeros.
 
 use dbpc_datamodel::network::{FieldDef, NetworkSchema, RecordTypeDef, SetDef};
 use dbpc_datamodel::types::FieldType;
 use dbpc_datamodel::value::Value;
 use dbpc_obs::local_snapshot;
-use dbpc_storage::disk::BUFFER_PINS;
+use dbpc_storage::disk::{BUFFER_HITS, BUFFER_PINS, DISK_READS};
 use dbpc_storage::{NetworkDb, RecordId};
 
 fn schema() -> NetworkSchema {
@@ -166,5 +171,58 @@ fn single_field_reads_pin_one_page() {
             vec![Value::str("ADAMS"), Value::Int(30), Value::str("SALES")]
         );
         assert_eq!(n, 2, "resolved values (pool {pool})");
+    }
+}
+
+/// What `f` cost: disk reads, buffer misses, and heap pages appended.
+fn reads<T>(db: &mut NetworkDb, f: impl FnOnce(&mut NetworkDb) -> T) -> (T, [u64; 3]) {
+    let pages = |db: &NetworkDb| db.heap_stats().map_or(0, |s| s.pages);
+    let (before, pages_before) = (local_snapshot(), pages(db));
+    let out = f(db);
+    let delta = local_snapshot().since(&before);
+    let misses = delta.counter(BUFFER_PINS) - delta.counter(BUFFER_HITS);
+    let appended = pages(db) - pages_before;
+    (out, [delta.counter(DISK_READS), misses, appended])
+}
+
+#[test]
+fn scratch_heaps_read_back_only_evicted_pages() {
+    // 512-byte pages hold a handful of records each, so 400 employees
+    // fill dozens of pages: all resident under 128 frames, never under 2.
+    for pool in [128, 2] {
+        let mut db = NetworkDb::new_paged(schema(), 512, pool).unwrap();
+        let ((div, emps), [disk, misses, appended]) = reads(&mut db, |db| {
+            let div = db
+                .store("DIV", &[("DIV-NAME", Value::str("SALES"))], &[])
+                .unwrap();
+            let emps: Vec<RecordId> = (0..400)
+                .map(|i| store_emp(db, &format!("E{i:04}"), div))
+                .collect();
+            db.sync_links().unwrap();
+            (div, emps)
+        });
+        assert!(appended > 20, "{appended} pages (pool {pool})");
+        // Every miss on a page the heap appended is free; the rest are
+        // pages read back after an eviction.
+        assert_eq!(disk, misses - appended, "stores (pool {pool})");
+        if pool == 128 {
+            assert_eq!(disk, 0, "stores under an ample pool");
+        }
+
+        // Reading every record back misses only on evicted pages, and
+        // each such miss is one read.
+        let (_, [disk, misses, appended]) = reads(&mut db, |db| {
+            assert_eq!(db.get(div).unwrap().values[0], Value::str("SALES"));
+            for &emp in &emps {
+                db.get(emp).unwrap();
+            }
+        });
+        assert_eq!(appended, 0);
+        assert_eq!(disk, misses, "reads (pool {pool})");
+        if pool == 128 {
+            assert_eq!(disk, 0, "reads under an ample pool");
+        } else {
+            assert!(disk > 20, "a 2-frame pool re-read only {disk} pages");
+        }
     }
 }
