@@ -89,9 +89,10 @@ DBPC_BENCH_SMOKE=1 cargo bench -p dbpc-bench --bench durability
 echo "==> bench smoke (service recovery)"
 DBPC_BENCH_SMOKE=1 cargo bench -p dbpc-bench --bench service_recovery
 
-# The full run adds the timing gate (midpoint recovery <= 0.8x the
-# from-scratch re-run), so a slow journal decoder cannot come back
-# unnoticed. It rewrites BENCH_service_recovery.json.
+# The full run adds the timing gate: over alternating rounds, the median
+# of midpoint recovery / from-scratch re-run is <= 0.8 (dbpc_bench::paired),
+# so a slow journal decoder cannot come back unnoticed. It rewrites
+# BENCH_service_recovery.json.
 echo "==> bench (service recovery, full run with timing gate)"
 cargo bench -p dbpc-bench --bench service_recovery
 

@@ -7,14 +7,19 @@
 //! claims are about *work done* (rows scanned, preorder rebuilds), not just
 //! wall-clock: the paper's §1.1 equivalence criterion leaves the access
 //! path free, and the counters prove the cheaper path actually engaged
-//! while the traces stayed byte-identical.
+//! while the traces stayed byte-identical. Each timing pairs two arms in
+//! alternating rounds ([`paired::ratio`]): scan against indexed SELECT,
+//! and the mutating GN traversal against the pure one, each traversal on
+//! a fresh copy of the same forest. Every timed run repeats its arm's
+//! trace and counter checks.
 //!
 //! Smoke mode (`DBPC_BENCH_SMOKE=1`): every assertion active, no artifact
 //! written — the CI guard.
 
-use std::time::Instant;
+use std::time::Duration;
 
 use dbpc_bench::artifact;
+use dbpc_bench::paired::{self, timed};
 
 use dbpc_datamodel::hierarchical::{HierSchema, SegmentDef};
 use dbpc_datamodel::network::FieldDef;
@@ -25,13 +30,13 @@ use dbpc_dml::dli::parse_dli;
 use dbpc_dml::sequel::parse_sequel_program;
 use dbpc_engine::dli_exec::run_dli;
 use dbpc_engine::sequel_exec::run_sequel;
-use dbpc_engine::Inputs;
+use dbpc_engine::{Inputs, Trace};
 use dbpc_obs::json::Json;
 use dbpc_storage::{AccessProfile, HierDb, RelationalDb};
 
 const ROWS: i64 = 2000;
 const CLASSES: i64 = 10;
-const ITERS: u32 = 30;
+const ROUNDS: usize = 30;
 
 fn parts_db(with_index: bool) -> RelationalDb {
     let schema = RelationalSchema::new("INVENTORY").with_table(
@@ -63,17 +68,19 @@ fn parts_db(with_index: bool) -> RelationalDb {
     db
 }
 
-/// Median wall-clock of `ITERS` runs of `f`, in nanoseconds.
-fn median_ns<F: FnMut()>(mut f: F) -> u128 {
-    let mut samples: Vec<u128> = (0..ITERS)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+/// An arm of a paired timing: `run` times one run, whose trace must
+/// repeat `want`'s events and pass `check` on its access counters.
+fn checked<'a>(
+    want: &'a Trace,
+    mut run: impl FnMut() -> (Duration, Trace) + 'a,
+    check: impl Fn(&AccessProfile) + 'a,
+) -> impl FnMut() -> Duration + 'a {
+    move || {
+        let (d, trace) = run();
+        assert_eq!(trace.events, want.events, "a timed run changed its trace");
+        check(&trace.access);
+        d
+    }
 }
 
 fn forest(divs: usize, emps_per_div: usize) -> HierDb {
@@ -127,19 +134,30 @@ END PROGRAM;",
         "indexed and scanning SELECT must be observably identical"
     );
     let matches = (ROWS / CLASSES) as u64;
-    assert_eq!(scan_trace.access.rows_scanned, ROWS as u64);
-    assert_eq!(
-        ix_trace.access.rows_scanned, matches,
-        "indexed SELECT must scan O(matches) rows"
-    );
-    assert!(ix_trace.access.index_hits > 0);
+    let scan_check = |a: &AccessProfile| assert_eq!(a.rows_scanned, ROWS as u64);
+    let ix_check = |a: &AccessProfile| {
+        assert_eq!(
+            a.rows_scanned, matches,
+            "indexed SELECT must scan O(matches) rows"
+        );
+        assert!(a.index_hits > 0);
+    };
+    scan_check(&scan_trace.access);
+    ix_check(&ix_trace.access);
 
-    let scan_ns = median_ns(|| {
-        run_sequel(&mut scan_db, &query, Inputs::new()).unwrap();
-    });
-    let ix_ns = median_ns(|| {
-        run_sequel(&mut ix_db, &query, Inputs::new()).unwrap();
-    });
+    let scan_vs_indexed = paired::ratio(
+        ROUNDS,
+        checked(
+            &scan_trace,
+            || timed(|| run_sequel(&mut scan_db, &query, Inputs::new()).unwrap()),
+            scan_check,
+        ),
+        checked(
+            &ix_trace,
+            || timed(|| run_sequel(&mut ix_db, &query, Inputs::new()).unwrap()),
+            ix_check,
+        ),
+    );
 
     // ---- Hierarchic: full GN traversal, then one with mutations -----------
     let walk = parse_dli(
@@ -154,15 +172,15 @@ END PROGRAM.",
     )
     .unwrap();
     let (divs, emps) = (20usize, 100usize);
-    let mut walk_db = forest(divs, emps);
-    let walk_trace = run_dli(&mut walk_db, &walk, Inputs::new()).unwrap();
-    assert!(
-        walk_trace.access.preorder_rebuilds <= 1,
-        "pure navigation must reuse the cached preorder"
-    );
-    let walk_ns = median_ns(|| {
-        run_dli(&mut walk_db, &walk, Inputs::new()).unwrap();
-    });
+    let base = forest(divs, emps);
+    let walk_trace = run_dli(&mut base.clone(), &walk, Inputs::new()).unwrap();
+    let walk_check = |a: &AccessProfile| {
+        assert!(
+            a.preorder_rebuilds <= 1,
+            "pure navigation must reuse the cached preorder"
+        );
+    };
+    walk_check(&walk_trace.access);
 
     let mix = parse_dli(
         "DLI PROGRAM MIX.
@@ -182,20 +200,35 @@ END PROGRAM.",
     )
     .unwrap();
     let mutations = 3u64; // 2 ISRT + 1 DLET
-    let mut mix_db = forest(divs, emps);
-    let mix_trace = run_dli(&mut mix_db, &mix, Inputs::new()).unwrap();
-    assert!(
-        mix_trace.access.preorder_rebuilds <= mutations + 1,
-        "rebuilds must be bounded by mutations + 1"
+    let mix_trace = run_dli(&mut base.clone(), &mix, Inputs::new()).unwrap();
+    let mix_check = |a: &AccessProfile| {
+        assert!(
+            a.preorder_rebuilds <= mutations + 1,
+            "rebuilds must be bounded by mutations + 1"
+        );
+    };
+    mix_check(&mix_trace.access);
+
+    // Each traversal runs on its own copy of the forest; copying is set-up.
+    let on_copy = |program| {
+        let base = &base;
+        move || {
+            let mut db = base.clone();
+            timed(|| run_dli(&mut db, program, Inputs::new()).unwrap())
+        }
+    };
+    let mutating_vs_full = paired::ratio(
+        ROUNDS,
+        checked(&mix_trace, on_copy(&mix), mix_check),
+        checked(&walk_trace, on_copy(&walk), walk_check),
     );
 
     // ---- Emit artifact ----------------------------------------------------
-    let counters = |a: &AccessProfile, ns: u128| {
+    let counters = |a: &AccessProfile| {
         Json::obj([
             ("rows_scanned", a.rows_scanned.into()),
             ("index_probes", a.index_probes.into()),
             ("index_hits", a.index_hits.into()),
-            ("median_ns", ns.into()),
         ])
     };
     artifact::emit(
@@ -206,8 +239,9 @@ END PROGRAM.",
                 Json::obj([
                     ("table_rows", ROWS.into()),
                     ("matching_rows", matches.into()),
-                    ("scan", counters(&scan_trace.access, scan_ns)),
-                    ("indexed", counters(&ix_trace.access, ix_ns)),
+                    ("scan", counters(&scan_trace.access)),
+                    ("indexed", counters(&ix_trace.access)),
+                    ("scan_vs_indexed", scan_vs_indexed.json("scan", "indexed")),
                     ("identical_traces", true.into()),
                 ]),
             ),
@@ -223,7 +257,6 @@ END PROGRAM.",
                                 "preorder_rebuilds",
                                 walk_trace.access.preorder_rebuilds.into(),
                             ),
-                            ("median_ns", walk_ns.into()),
                         ]),
                     ),
                     (
@@ -236,6 +269,10 @@ END PROGRAM.",
                             ),
                             ("bound", (mutations + 1).into()),
                         ]),
+                    ),
+                    (
+                        "mutating_vs_full",
+                        mutating_vs_full.json("mutating", "full"),
                     ),
                 ]),
             ),

@@ -10,18 +10,21 @@
 //! work counters (schema clones per translation, analysis cache hits,
 //! database builds vs. clones) that explain them.
 //!
-//! Thread-scaling configurations engage real parallelism only where the
-//! host has cores to offer; the artifact header's `host_threads` in the
-//! emitted `BENCH_conversion_throughput.json` lets readers interpret the
+//! Every speedup is the median per-round ratio baseline / tuned of the two
+//! configurations run in alternating rounds ([`paired::ratio`]), and every
+//! timed run re-checks its output. Thread-scaling configurations engage
+//! real parallelism only where the host has cores to offer; the artifact
+//! header's `host_threads` in the emitted
+//! `BENCH_conversion_throughput.json` lets readers interpret the
 //! per-thread numbers.
 //!
-//! Smoke mode (`DBPC_BENCH_SMOKE=1`): one tiny iteration of everything,
+//! Smoke mode (`DBPC_BENCH_SMOKE=1`): one tiny round of everything,
 //! all invariant assertions active, no artifact written — the CI guard.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use dbpc_bench::artifact;
+use dbpc_bench::paired::{self, timed, Paired};
 use dbpc_corpus::harness::{
     cost_model, success_rate_study_config, CostParams, StudyConfig, StudyProfile,
 };
@@ -30,21 +33,6 @@ use dbpc_obs::json::Json;
 use dbpc_restructure::data::translate;
 use dbpc_restructure::{stats as translation_stats, Transform};
 use dbpc_storage::{NetworkDb, RecordId, SYSTEM_OWNER};
-
-/// Best-of-N wall clock. On a shared, single-core host, scheduler
-/// interference only ever *adds* time, so the minimum is the stable
-/// estimator of a configuration's actual cost — medians of block-wise runs
-/// drift with whatever else the machine was doing during that block.
-fn best_ns<F: FnMut()>(iters: u32, mut f: F) -> u128 {
-    (0..iters)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos()
-        })
-        .min()
-        .unwrap()
-}
 
 /// The pre-optimization data-translation inner loop, reconstructed against
 /// the public storage API: per *record* it re-clones the record-type
@@ -96,12 +84,14 @@ fn cloning_rebuild(db: &NetworkDb) -> NetworkDb {
 struct MatrixRun {
     label: &'static str,
     threads: usize,
-    best_ns: u128,
+    /// The seed pipeline against this configuration; `None` for the seed
+    /// pipeline itself.
+    vs_seed: Option<Paired>,
     profile: StudyProfile,
 }
 
 fn main() {
-    let (samples, iters) = if artifact::smoke() { (1, 1) } else { (3, 5) };
+    let (samples, rounds) = if artifact::smoke() { (1, 1) } else { (3, 5) };
     let seed = 1979u64;
 
     // ---- E2 matrix: seed pipeline vs. tuned pipeline at 1/2/4 threads -----
@@ -143,23 +133,22 @@ fn main() {
         runs.push(MatrixRun {
             label,
             threads: study.profile.threads,
-            best_ns: u128::MAX,
+            vs_seed: None,
             profile: study.profile,
         });
     }
-    // Interleave one timed run of every configuration per round, keeping
-    // each configuration's best: a slow system phase then degrades the
-    // whole round instead of biasing whichever configuration it landed on.
-    for _ in 0..iters {
-        for (run, (_, config)) in runs.iter_mut().zip(&configs) {
-            let t = Instant::now();
-            let s = success_rate_study_config(config);
-            let ns = t.elapsed().as_nanos();
-            assert_eq!(s.rows, reference.rows);
-            run.best_ns = run.best_ns.min(ns);
+    let matrix_arm = |config| {
+        let rows = &reference.rows;
+        move || {
+            let (d, s) = timed(|| success_rate_study_config(config));
+            assert_eq!(&s.rows, rows);
+            d
         }
+    };
+    for (run, (_, config)) in runs.iter_mut().zip(&configs).skip(1) {
+        let seed = matrix_arm(&configs[0].1);
+        run.vs_seed = Some(paired::ratio(rounds, seed, matrix_arm(config)));
     }
-    let seed_ns = runs[0].best_ns;
 
     // The tuned pipeline memoizes analysis and generation and swaps
     // per-program database rebuilds for shared-base runs (update-free
@@ -169,10 +158,9 @@ fn main() {
     assert_eq!(runs[0].profile.generation_cache_hits, 0);
     assert!(runs[1].profile.analysis_cache_hits > 0);
     assert!(runs[1].profile.generation_cache_hits > 0);
-    assert_eq!(runs[0].profile.db_clones, 0);
     assert_eq!(runs[0].profile.db_shared_runs, 0);
     assert_eq!(
-        runs[1].profile.db_clones + runs[1].profile.db_shared_runs,
+        runs[1].profile.db_shared_runs,
         runs[1].profile.equivalence_runs + runs[1].profile.source_trace_misses
     );
     assert!(runs[1].profile.db_shared_runs > 0);
@@ -209,17 +197,20 @@ fn main() {
         report_tuned.to_string(),
         "cost report must not depend on the pipeline configuration"
     );
-    let (mut cost_base_ns, mut cost_tuned_ns) = (u128::MAX, u128::MAX);
-    for _ in 0..iters {
-        for (slot, config) in [
-            (&mut cost_base_ns, &interactive_base),
-            (&mut cost_tuned_ns, &interactive_tuned),
-        ] {
-            let t = Instant::now();
-            cost_model(&success_rate_study_config(config), CostParams::default());
-            *slot = (*slot).min(t.elapsed().as_nanos());
+    let cost_arm = |config| {
+        let want = report_base.to_string();
+        move || {
+            let (d, report) =
+                timed(|| cost_model(&success_rate_study_config(config), CostParams::default()));
+            assert_eq!(report.to_string(), want);
+            d
         }
-    }
+    };
+    let e9 = paired::ratio(
+        rounds,
+        cost_arm(&interactive_base),
+        cost_arm(&interactive_tuned),
+    );
 
     // ---- Translation clone audit ------------------------------------------
     let rename = Transform::RenameRecord {
@@ -244,39 +235,38 @@ fn main() {
         assert_eq!(work.records_stored as usize, records);
         audits.push((records, work));
     }
-    let cloning_ns = best_ns(iters, || {
-        cloning_rebuild(&large_db);
-    });
-    let borrowed_ns = best_ns(iters, || {
-        translate(&large_db, &rename).unwrap();
-    });
+    let clone_audit_timing = paired::ratio(
+        rounds,
+        || timed(|| cloning_rebuild(&large_db)).0,
+        || timed(|| translate(&large_db, &rename).unwrap()).0,
+    );
 
     // ---- Database reuse: build-from-scratch vs. clone ---------------------
     let base = company_db(4, 3, 8);
-    let build_ns = best_ns(iters, || {
-        company_db(4, 3, 8);
-    });
-    let clone_ns = best_ns(iters, || {
-        let _ = base.clone();
-    });
+    let db_reuse = paired::ratio(
+        rounds,
+        || timed(|| company_db(4, 3, 8)).0,
+        || timed(|| base.clone()).0,
+    );
 
     // ---- Emit artifact ----------------------------------------------------
-    let speedup = |a: u128, b: u128| Json::from(a as f64 / b.max(1) as f64);
     let run_json = |run: &MatrixRun| {
         let p = &run.profile;
-        Json::obj([
-            ("threads", Json::from(run.threads)),
-            ("best_ns", run.best_ns.into()),
-            ("speedup_vs_seed", speedup(seed_ns, run.best_ns)),
-            ("analysis_cache_hits", p.analysis_cache_hits.into()),
-            ("analysis_cache_misses", p.analysis_cache_misses.into()),
-            ("generation_cache_hits", p.generation_cache_hits.into()),
-            ("source_trace_hits", p.source_trace_hits.into()),
-            ("source_trace_misses", p.source_trace_misses.into()),
-            ("db_builds", p.db_builds.into()),
-            ("db_clones", p.db_clones.into()),
-            ("db_shared_runs", p.db_shared_runs.into()),
-        ])
+        let timing = run.vs_seed.as_ref().map(|v| v.json("seed", "tuned"));
+        Json::obj(
+            [("threads", Json::from(run.threads))]
+                .into_iter()
+                .chain(timing.map(|t| ("seed_vs_tuned", t)))
+                .chain([
+                    ("analysis_cache_hits", p.analysis_cache_hits.into()),
+                    ("analysis_cache_misses", p.analysis_cache_misses.into()),
+                    ("generation_cache_hits", p.generation_cache_hits.into()),
+                    ("source_trace_hits", p.source_trace_hits.into()),
+                    ("source_trace_misses", p.source_trace_misses.into()),
+                    ("db_builds", p.db_builds.into()),
+                    ("db_shared_runs", p.db_shared_runs.into()),
+                ]),
+        )
     };
     let stage_ns = |p: &StudyProfile| {
         Json::obj([
@@ -313,11 +303,10 @@ fn main() {
     let clone_audit = [("record_types", Json::from(2))]
         .into_iter()
         .chain(audit)
-        .chain([
-            ("cloning_rebuild_best_ns", cloning_ns.into()),
-            ("borrowed_translate_best_ns", borrowed_ns.into()),
-            ("speedup", speedup(cloning_ns, borrowed_ns)),
-        ]);
+        .chain([(
+            "cloning_vs_borrowed",
+            clone_audit_timing.json("cloning_rebuild", "borrowed_translate"),
+        )]);
     artifact::emit(
         "conversion_throughput",
         Json::obj([
@@ -326,20 +315,11 @@ fn main() {
                 "e9_cost_model",
                 Json::obj([
                     ("identical_output", Json::from(true)),
-                    ("seed_best_ns", cost_base_ns.into()),
-                    ("tuned_best_ns", cost_tuned_ns.into()),
-                    ("speedup", speedup(cost_base_ns, cost_tuned_ns)),
+                    ("seed_vs_tuned", e9.json("seed", "tuned")),
                 ]),
             ),
             ("translation_clone_audit", Json::obj(clone_audit)),
-            (
-                "db_reuse",
-                Json::obj([
-                    ("build_best_ns", Json::from(build_ns)),
-                    ("clone_best_ns", clone_ns.into()),
-                    ("speedup", speedup(build_ns, clone_ns)),
-                ]),
-            ),
+            ("db_reuse", db_reuse.json("build", "clone")),
         ]),
     );
 }

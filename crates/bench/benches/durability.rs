@@ -8,14 +8,14 @@
 //!   `SyncPolicy::Os` (commit = write to the OS page cache, the E20
 //!   crash model: survives `kill -9`, not power loss), and
 //!   `DurableNetworkDb` with `SyncPolicy::Data` (fsync per commit, the
-//!   power-loss model). Gates: the `Os` leg within 25% of in-memory,
-//!   and — because the `Data` leg's several-hundred-percent wall-clock
-//!   overhead is device physics, not implementation — an I/O-count
-//!   proof that the commit path issues *exactly one* fsync per
-//!   committed transaction (and the `Os` leg zero). That pins the
-//!   overhead to the fsync floor (reported per commit as
-//!   `fsync_floor_us_per_commit`); batching below one sync per commit
-//!   is the `Os` policy's durability contract, not a `Data` tuning
+//!   power-loss model). Gates: the `Os` leg's time over the in-memory
+//!   leg's at most 1.25, and — because the `Data` leg's
+//!   several-hundred-percent wall-clock overhead is device physics, not
+//!   implementation — an I/O-count proof that the commit path issues
+//!   *exactly one* fsync per committed transaction (and the `Os` leg
+//!   zero). That pins the overhead to the fsync floor (reported per
+//!   commit as `fsync_floor_us_per_commit`); batching below one sync per
+//!   commit is the `Os` policy's durability contract, not a `Data` tuning
 //!   opportunity.
 //! - **Recovery vs retranslate** — a durable translation crashed at its
 //!   midpoint batch boundary is finished two ways: recovered by a fresh
@@ -25,23 +25,29 @@
 //!   retranslated into a fresh directory. Both must be byte-identical to
 //!   the uncrashed run.
 //!
-//! The artifact also records the physical-op counters (`disk.*`,
-//! `wal.*`, `buffer.*`) each leg generated, so the I/O budget is
-//! inspectable instead of inferred.
+//! Each comparison (`Os` vs in-memory, `Data` vs `Os`, recovery vs
+//! retranslate) runs its two legs in alternating rounds
+//! ([`paired::ratio`]) and reads the median of the per-round ratios. The
+//! artifact also records the physical-op counters (`disk.*`, `wal.*`,
+//! `buffer.*`) each leg generated, so the I/O budget is inspectable
+//! instead of inferred.
 //!
-//! Invariants asserted on every run (smoke included):
+//! Invariants asserted on every timed leg (smoke included):
 //!
-//! - all three churn legs land on the same engine fingerprint, and
-//!   reopening the `Os` directory in a fresh handle recovers it;
-//! - the recovered translation equals the uncrashed one, engine and
+//! - every churn leg lands on the in-memory engine fingerprint, the
+//!   `Data` leg issues exactly one device sync per commit and the `Os`
+//!   leg none, and reopening an `Os` directory in a fresh handle
+//!   recovers the committed state;
+//! - every recovered translation equals the uncrashed one, engine and
 //!   `StatCatalog` fingerprints both, with the expected replay depth.
 //!
-//! Smoke mode (`DBPC_BENCH_SMOKE=1`): tiny workload, one timed
-//! iteration, all correctness assertions active, no artifact written.
+//! Smoke mode (`DBPC_BENCH_SMOKE=1`): tiny workload, one timed round,
+//! all correctness assertions active, no artifact written.
 
-use std::time::Instant;
+use std::time::Duration;
 
 use dbpc_bench::artifact;
+use dbpc_bench::paired::{self, timed};
 use dbpc_corpus::named;
 use dbpc_datamodel::value::Value;
 use dbpc_obs::json::Json;
@@ -123,19 +129,6 @@ fn churn_durable(db: &mut DurableNetworkDb, round: usize) {
     db.erase(div, true).unwrap();
 }
 
-/// Best-of-`iters` wall time of `f`, which receives the iteration index.
-fn timed<R>(iters: usize, mut f: impl FnMut(usize) -> R) -> (u128, R) {
-    let mut best = u128::MAX;
-    let mut out = None;
-    for i in 0..iters {
-        let t = Instant::now();
-        let r = f(i);
-        best = best.min(t.elapsed().as_nanos());
-        out = Some(r);
-    }
-    (best, out.unwrap())
-}
-
 /// Delta of the named counters between two thread-local snapshots.
 fn counter_delta(
     before: &MetricsFrame,
@@ -179,9 +172,59 @@ fn durable_opts(sync: SyncPolicy) -> DurableOptions {
     }
 }
 
+/// One churn leg through the durable wrapper under `sync`: a fresh
+/// directory, one transaction per round, timed from the first savepoint to
+/// the last commit. Returns the time, the leg's I/O counter deltas and the
+/// directory, after checking the fingerprint against the in-memory run's
+/// and the device syncs against the policy's.
+fn durable_leg(
+    sync: SyncPolicy,
+    rounds: usize,
+    want_fp: u64,
+) -> (Duration, Vec<(String, u64)>, TempDir) {
+    let dir = TempDir::new("bench-durability-churn").unwrap();
+    let mut db =
+        DurableNetworkDb::open(dir.path(), named::company_schema(), durable_opts(sync)).unwrap();
+    let before = local_snapshot();
+    let (d, ()) = timed(|| {
+        for r in 0..rounds {
+            let sp = db.begin_savepoint();
+            churn_durable(&mut db, r);
+            db.commit(sp).unwrap();
+        }
+    });
+    let io = counter_delta(&before, &local_snapshot(), &io_counters());
+    assert_eq!(
+        db.fingerprint(),
+        want_fp,
+        "{sync:?} leg diverged from the in-memory run"
+    );
+    let syncs = io
+        .iter()
+        .find(|(n, _)| n == DISK_SYNCS)
+        .map_or(0, |(_, v)| *v);
+    // The `Data` leg's several-hundred-percent wall-clock overhead is the
+    // fsync floor, not write amplification, and this check proves it: the
+    // commit path issues *exactly* one device sync per committed
+    // transaction (the `Os` leg issues zero — its flushes stop at the
+    // page cache). Group-committing below one-sync-per-commit would mean
+    // acknowledging commits that a power cut could still lose, which is
+    // the `Os` policy's contract, not `Data`'s; anyone who wants the
+    // cheaper point on that curve picks the policy, not a looser fsync.
+    let want_syncs = match sync {
+        SyncPolicy::Data => rounds as u64,
+        SyncPolicy::Os => 0,
+    };
+    assert_eq!(
+        syncs, want_syncs,
+        "{sync:?} policy: one device sync per Data commit, none for Os"
+    );
+    (d, io, dir)
+}
+
 fn main() {
     let smoke = artifact::smoke();
-    let (rounds, iters, xlate_scale, batch) = if smoke {
+    let (rounds, pairs, xlate_scale, batch) = if smoke {
         (6usize, 1usize, (4, 3, 8), 3usize)
     } else {
         (48, 15, (8, 4, 48), 16)
@@ -190,111 +233,59 @@ fn main() {
     // ---- WAL-on overhead: in-memory vs Os vs Data --------------------------
     // One transaction (savepoint → churn round → commit) per round in every
     // leg, so the in-memory leg pays the same undo-journal bookkeeping and
-    // the difference is exactly the durability machinery. The three legs
-    // are interleaved inside one iteration loop — paired measurement — so
-    // host load drift hits them equally instead of skewing whichever leg
-    // happened to run under the heavier moment; each leg reports its best
-    // iteration. Construction/open happens outside the timers in all legs.
+    // the difference is exactly the durability machinery. Construction and
+    // open happen outside the timers in all legs.
     let schema = named::company_schema();
-    let mut mem_ns = u128::MAX;
-    let mut mem_fp = 0u64;
-    let mut os_ns = u128::MAX;
-    let mut os_kept: Option<(TempDir, u64)> = None;
-    let mut os_io = Vec::new();
-    let mut data_ns = u128::MAX;
-    let mut data_io = Vec::new();
-    let mut data_fp = 0u64;
-    for _ in 0..iters {
+    let mem_run = || {
         let mut db = NetworkDb::new(schema.clone()).unwrap();
-        let t = Instant::now();
-        for r in 0..rounds {
-            let sp = db.begin_savepoint();
-            churn_mem(&mut db, r);
-            db.commit(sp);
-        }
-        mem_ns = mem_ns.min(t.elapsed().as_nanos());
-        mem_fp = db.fingerprint();
-
-        let dir = TempDir::new("bench-durability-os").unwrap();
-        let mut db =
+        let (d, ()) = timed(|| {
+            for r in 0..rounds {
+                let sp = db.begin_savepoint();
+                churn_mem(&mut db, r);
+                db.commit(sp);
+            }
+        });
+        (d, db.fingerprint())
+    };
+    let mem_fp = mem_run().1;
+    let mem_leg = || {
+        let (d, fp) = mem_run();
+        assert_eq!(fp, mem_fp, "the in-memory churn is deterministic");
+        d
+    };
+    let mut os_io = Vec::new();
+    let mut os_leg = || {
+        let (d, io, dir) = durable_leg(SyncPolicy::Os, rounds, mem_fp);
+        // The durability proof, not just the price: a fresh handle over
+        // the leg's directory recovers the exact committed state.
+        let reopened =
             DurableNetworkDb::open(dir.path(), schema.clone(), durable_opts(SyncPolicy::Os))
                 .unwrap();
-        let before = local_snapshot();
-        let t = Instant::now();
-        for r in 0..rounds {
-            let sp = db.begin_savepoint();
-            churn_durable(&mut db, r);
-            db.commit(sp).unwrap();
-        }
-        let ns = t.elapsed().as_nanos();
-        os_io = counter_delta(&before, &local_snapshot(), &io_counters());
-        if ns < os_ns {
-            os_ns = ns;
-            os_kept = Some((dir, db.fingerprint()));
-        }
-
-        let dir = TempDir::new("bench-durability-data").unwrap();
-        let mut db =
-            DurableNetworkDb::open(dir.path(), schema.clone(), durable_opts(SyncPolicy::Data))
-                .unwrap();
-        let before = local_snapshot();
-        let t = Instant::now();
-        for r in 0..rounds {
-            let sp = db.begin_savepoint();
-            churn_durable(&mut db, r);
-            db.commit(sp).unwrap();
-        }
-        data_ns = data_ns.min(t.elapsed().as_nanos());
-        data_io = counter_delta(&before, &local_snapshot(), &io_counters());
-        data_fp = db.fingerprint();
-    }
-    let (os_dir, os_fp) = os_kept.unwrap();
-
-    assert_eq!(os_fp, mem_fp, "Os leg diverged from the in-memory run");
-    assert_eq!(data_fp, mem_fp, "Data leg diverged from the in-memory run");
-    // The durability proof, not just the price: a fresh handle over the
-    // Os leg's directory recovers the exact committed state.
-    let reopened =
-        DurableNetworkDb::open(os_dir.path(), schema.clone(), durable_opts(SyncPolicy::Os))
-            .unwrap();
-    assert_eq!(
-        reopened.fingerprint(),
-        mem_fp,
-        "reopen did not recover the committed state"
-    );
-    drop(reopened);
-
-    let wal_on_overhead_pct = 100.0 * (os_ns as f64 - mem_ns as f64) / mem_ns.max(1) as f64;
-    let fsync_overhead_pct = 100.0 * (data_ns as f64 - mem_ns as f64) / mem_ns.max(1) as f64;
+        assert_eq!(
+            reopened.fingerprint(),
+            mem_fp,
+            "reopen did not recover the committed state"
+        );
+        os_io = io;
+        d
+    };
+    let mut data_io = Vec::new();
+    let data_leg = || {
+        let (d, io, _dir) = durable_leg(SyncPolicy::Data, rounds, mem_fp);
+        data_io = io;
+        d
+    };
+    let wal_on = paired::ratio(pairs, &mut os_leg, mem_leg);
+    let fsync = paired::ratio(pairs, data_leg, &mut os_leg);
     if !smoke {
         assert!(
-            wal_on_overhead_pct <= 25.0,
-            "WAL-on (Os) overhead {wal_on_overhead_pct:.1}% exceeds the 25% gate"
+            wal_on.ratio <= 1.25,
+            "WAL-on (Os) over in-memory {:.3} exceeds the 1.25 gate",
+            wal_on.ratio
         );
     }
-    // The `Data` leg's several-hundred-percent wall-clock overhead is the
-    // fsync floor, not write amplification, and this gate proves it: the
-    // commit path issues *exactly* one device sync per committed
-    // transaction (the `Os` leg issues zero — its flushes stop at the
-    // page cache). Group-committing below one-sync-per-commit would mean
-    // acknowledging commits that a power cut could still lose, which is
-    // the `Os` policy's contract, not `Data`'s; anyone who wants the
-    // cheaper point on that curve picks the policy, not a looser fsync.
-    let data_syncs = data_io
-        .iter()
-        .find(|(n, _)| n == DISK_SYNCS)
-        .map_or(0, |(_, v)| *v);
-    let os_syncs = os_io
-        .iter()
-        .find(|(n, _)| n == DISK_SYNCS)
-        .map_or(0, |(_, v)| *v);
-    assert_eq!(
-        data_syncs, rounds as u64,
-        "Data policy must fsync exactly once per commit (the floor, no amplification)"
-    );
-    assert_eq!(os_syncs, 0, "Os policy must never reach the device");
     let fsync_floor_us_per_commit =
-        (data_ns.saturating_sub(os_ns)) as f64 / rounds.max(1) as f64 / 1e3;
+        fsync.a.saturating_sub(fsync.b).as_secs_f64() / rounds.max(1) as f64 * 1e6;
 
     // ---- Recovery vs retranslate at the midpoint crash ---------------------
     let source = named::company_db(xlate_scale.0, xlate_scale.1, xlate_scale.2);
@@ -321,10 +312,8 @@ fn main() {
 
     // Recovery leg: crash a durable translation at the midpoint (sunk
     // cost), then time only the fresh-handle completion over the WAL.
-    let mut recover_ns = u128::MAX;
     let mut recover_io = Vec::new();
-    let mut replayed = 0usize;
-    for _ in 0..iters {
+    let recover_leg = || {
         let dir = TempDir::new("bench-durability-recover").unwrap();
         match translate_durable(&source, &transform, dir.path(), &opts, &mut |b| {
             b == midpoint
@@ -335,21 +324,17 @@ fn main() {
             DurableOutcome::Complete { .. } => panic!("midpoint crash did not fire"),
         }
         let before = local_snapshot();
-        let t = Instant::now();
-        let out = match translate_durable(&source, &transform, dir.path(), &opts, &mut |_| false)
-            .unwrap()
-        {
-            DurableOutcome::Complete {
-                out,
-                batches_replayed,
-            } => {
-                replayed = batches_replayed;
-                out
-            }
-            DurableOutcome::Crashed { .. } => unreachable!("recovery leg crashed"),
-        };
-        recover_ns = recover_ns.min(t.elapsed().as_nanos());
+        let (d, outcome) =
+            timed(|| translate_durable(&source, &transform, dir.path(), &opts, &mut |_| false));
         recover_io = counter_delta(&before, &local_snapshot(), &io_counters());
+        let DurableOutcome::Complete {
+            out,
+            batches_replayed,
+        } = outcome.unwrap()
+        else {
+            unreachable!("recovery leg crashed")
+        };
+        assert_eq!(batches_replayed, midpoint + 1, "unexpected replay depth");
         assert_eq!(
             out.engine().fingerprint(),
             want_fp,
@@ -360,19 +345,20 @@ fn main() {
             want_stat,
             "recovered statistics drifted"
         );
-    }
-    assert_eq!(replayed, midpoint + 1, "unexpected replay depth");
-
+        d
+    };
     // Retranslate leg: a fresh durable run from scratch, journal and all.
-    let (retranslate_ns, retranslated_fp) = timed(iters, |_| {
+    let retranslate_leg = || {
         let dir = TempDir::new("bench-durability-full").unwrap();
-        match translate_durable(&source, &transform, dir.path(), &opts, &mut |_| false).unwrap() {
-            DurableOutcome::Complete { out, .. } => out.engine().fingerprint(),
+        let (d, outcome) =
+            timed(|| translate_durable(&source, &transform, dir.path(), &opts, &mut |_| false));
+        match outcome.unwrap() {
+            DurableOutcome::Complete { out, .. } => assert_eq!(out.engine().fingerprint(), want_fp),
             DurableOutcome::Crashed { .. } => unreachable!("uncrashed plan crashed"),
         }
-    });
-    assert_eq!(retranslated_fp, want_fp);
-    let recovery_vs_retranslate = recover_ns as f64 / retranslate_ns.max(1) as f64;
+        d
+    };
+    let recovery = paired::ratio(pairs, recover_leg, retranslate_leg);
 
     // ---- Emit artifact ----------------------------------------------------
     artifact::emit(
@@ -382,12 +368,9 @@ fn main() {
                 "churn",
                 Json::obj([
                     ("rounds", rounds.into()),
-                    ("in_memory_ns", mem_ns.into()),
-                    ("wal_os_ns", os_ns.into()),
-                    ("wal_fsync_ns", data_ns.into()),
-                    ("wal_on_overhead_pct", wal_on_overhead_pct.into()),
-                    ("gate_pct", 25.0.into()),
-                    ("fsync_overhead_pct", fsync_overhead_pct.into()),
+                    ("wal_os_vs_in_memory", wal_on.json("wal_os", "in_memory")),
+                    ("gate_ratio", 1.25.into()),
+                    ("wal_fsync_vs_wal_os", fsync.json("wal_fsync", "wal_os")),
                     (
                         "fsync_floor_us_per_commit",
                         fsync_floor_us_per_commit.into(),
@@ -404,10 +387,11 @@ fn main() {
                     ("batch", batch.into()),
                     ("boundaries", boundaries.into()),
                     ("crash_at", midpoint.into()),
-                    ("batches_replayed", replayed.into()),
-                    ("recover_ns", recover_ns.into()),
-                    ("retranslate_ns", retranslate_ns.into()),
-                    ("recovery_vs_retranslate", recovery_vs_retranslate.into()),
+                    ("batches_replayed", (midpoint + 1).into()),
+                    (
+                        "recover_vs_retranslate",
+                        recovery.json("recover", "retranslate"),
+                    ),
                     ("recovery_identical", true.into()),
                 ]),
             ),

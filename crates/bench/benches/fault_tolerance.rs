@@ -9,10 +9,12 @@
 //!   automatic strategy (any rung above manual, nothing poisoned);
 //! - **Rung distribution** — how far down the §2 ladder the batch is
 //!   pushed as the fault rate rises;
-//! - **Throughput** — wall-clock cost of the supervision (catch_unwind,
-//!   retries, fallback rungs) at each fault rate.
+//! - **Supervision cost** — the wall-clock cost of the supervision
+//!   (catch_unwind, retries, fallback rungs) at each fault rate, as the
+//!   median per-round ratio of the faulted descent over the idle one run
+//!   in alternating rounds ([`paired::ratio`]).
 //!
-//! Invariants asserted on every run:
+//! Invariants asserted on every run, timed ones included:
 //!
 //! - With the fault machinery present but idle, the plain (ladder-free)
 //!   pipeline renders a study matrix **byte-identical** to the seed
@@ -21,12 +23,16 @@
 //!   a report byte-identical to the fault-free run — faults never leak
 //!   across programs.
 //!
+//! - Every descent is deterministic: each timed run's reports equal the
+//!   first run's at the same fault rate.
+//!
 //! Smoke mode (`DBPC_BENCH_SMOKE=1`): one sample per cell, one timed
-//! iteration, all assertions active, no artifact written — the CI guard.
+//! round, all assertions active, no artifact written — the CI guard.
 
-use std::time::Instant;
+use std::time::Duration;
 
 use dbpc_bench::artifact;
+use dbpc_bench::paired::{self, timed};
 use dbpc_convert::{ConversionReport, FaultPlan, Rung, Verdict, LADDER};
 use dbpc_corpus::harness::{ladder_reports, success_rate_study_config, StudyConfig};
 use dbpc_datamodel::error::PipelineError;
@@ -45,12 +51,25 @@ fn was_faulted(report: &ConversionReport) -> bool {
 struct FaultRun {
     label: &'static str,
     probability: f64,
-    best_ns: u128,
     reports: Vec<ConversionReport>,
 }
 
+/// One timed ladder descent under `config`, checked against `run`'s
+/// reports: the descent is deterministic.
+fn descent(run: &FaultRun, config: StudyConfig) -> impl FnMut() -> Duration + '_ {
+    move || {
+        let (d, reports) = timed(|| ladder_reports(&config));
+        assert_eq!(
+            reports, run.reports,
+            "{}: descent is deterministic",
+            run.label
+        );
+        d
+    }
+}
+
 fn main() {
-    let (samples, iters) = if artifact::smoke() { (1, 1) } else { (2, 3) };
+    let (samples, rounds) = if artifact::smoke() { (1, 1) } else { (2, 3) };
     let seed = 1979u64;
     let fault_seed = 0xFA17u64;
 
@@ -74,7 +93,7 @@ fn main() {
         fault_plan: FaultPlan::seeded(fault_seed, probability),
         ..StudyConfig::new(samples, seed)
     };
-    let mut runs = [
+    let runs = [
         ("no_faults", 0.0),
         ("faults_5pct", 0.05),
         ("faults_20pct", 0.20),
@@ -82,25 +101,21 @@ fn main() {
     .map(|(label, probability)| FaultRun {
         label,
         probability,
-        best_ns: u128::MAX,
         reports: ladder_reports(&config(probability)),
     });
 
-    // Interleave timed iterations, keeping each configuration's best, so a
-    // slow system phase degrades a whole round rather than one fault rate.
-    for _ in 0..iters {
-        for run in runs.iter_mut() {
-            let t = Instant::now();
-            let reports = ladder_reports(&config(run.probability));
-            let ns = t.elapsed().as_nanos();
-            assert_eq!(
-                reports, run.reports,
-                "{}: descent is deterministic",
-                run.label
-            );
-            run.best_ns = run.best_ns.min(ns);
-        }
-    }
+    // Each faulted descent against the idle one.
+    let timings: Vec<_> = (runs[1..].iter())
+        .map(|run| {
+            let faulted = descent(run, config(run.probability));
+            let idle = descent(&runs[0], config(0.0));
+            let p = paired::ratio(rounds, faulted, idle);
+            (
+                format!("{}_vs_{}", run.label, runs[0].label),
+                p.json("faulted", "idle"),
+            )
+        })
+        .collect();
 
     // ---- Fault isolation ---------------------------------------------------
     // Any program the plan did not hit descends exactly as in the
@@ -135,11 +150,6 @@ fn main() {
             .map(|rung| (rung.to_string(), count(&|r| r.rung == *rung)));
         Json::obj([
             ("fault_probability", run.probability.into()),
-            ("best_ns", run.best_ns.into()),
-            (
-                "programs_per_sec",
-                (total as f64 / (run.best_ns.max(1) as f64 / 1e9)).into(),
-            ),
             ("survival_rate", (survived as f64 / total as f64).into()),
             ("programs_faulted", count(&was_faulted)),
             ("poisoned", count(&|r| r.verdict == Verdict::Poisoned)),
@@ -154,9 +164,12 @@ fn main() {
         ("idle_plan_identical_to_seed", true.into()),
         ("non_faulted_reports_identical", true.into()),
     ];
-    let runs_json = runs.iter().map(|run| (run.label, run_json(run)));
+    let runs_json = runs
+        .iter()
+        .map(|run| (run.label.to_string(), run_json(run)));
+    let summary = summary.into_iter().map(|(k, v)| (k.to_string(), v));
     artifact::emit(
         "fault_tolerance",
-        Json::obj(summary.into_iter().chain(runs_json)),
+        Json::obj(summary.chain(runs_json).chain(timings)),
     );
 }

@@ -7,33 +7,49 @@
 //! Both configurations must render the byte-identical study matrix:
 //! recording is an observer, never a participant.
 //!
-//! Measurement: shared runners drift (frequency scaling, CPU steal) on the
-//! second scale, which swamps a millisecond-scale premium when the two
-//! configurations are timed in separate blocks. Each round therefore
-//! interleaves recording-on and recording-off runs pairwise (alternating
-//! which goes first) and compares the *summed* times, so drift lands on
-//! both sides; the gate takes the minimum premium over several rounds as
-//! the least-noise-contaminated estimate, and the artifact reports every
-//! round.
+//! Measurement: the two configurations run in alternating rounds
+//! ([`paired::ratio`]), one study each per round, and the gate reads the
+//! median of the per-round ratios, so host drift lands on both sides; the
+//! artifact reports every round's ratio.
 //!
-//! Emits `BENCH_observability.json` with the timed comparison and the
+//! The same pairing prices recording on the conversion service: a
+//! 1,000-job, 2-worker run of E19's job mix with recording on against
+//! off. That premium is recorded, not gated; both runs must return the
+//! byte-identical outcomes.
+//!
+//! Emits `BENCH_observability.json` with the timed comparisons and the
 //! recorded run's span/metric census.
 //!
-//! Smoke mode (`DBPC_BENCH_SMOKE=1`): one tiny iteration, matrix-identity
-//! and census assertions active, no artifact written and no premium gate
-//! (a single pair's wall clock is noise).
+//! Smoke mode (`DBPC_BENCH_SMOKE=1`): one tiny round of each comparison,
+//! matrix, outcome and census assertions active, no artifact written and
+//! no premium gate (a single pair's wall clock is noise).
 
-use std::time::Instant;
+use std::time::Duration;
 
-use dbpc_bench::artifact;
+use dbpc_bench::paired::{self, timed};
+use dbpc_bench::{artifact, service_builder, service_jobs, submit_all};
+use dbpc_convert::service::{ServiceConfig, Ticket};
 use dbpc_corpus::harness::{success_rate_study_config, StudyConfig};
 use dbpc_obs::json::Json;
 
 const PREMIUM_BUDGET: f64 = 0.05;
+const SERVICE_WORKERS: usize = 2;
+
+/// Run `f` with recording switched to `on`, then switch it back on.
+fn recording<T>(on: bool, f: impl FnOnce() -> T) -> T {
+    dbpc_obs::set_recording(on);
+    let out = f();
+    dbpc_obs::set_recording(true);
+    out
+}
 
 fn main() {
     let smoke = artifact::smoke();
-    let (samples, pairs, rounds) = if smoke { (1, 1, 1) } else { (4, 25, 3) };
+    let (samples, rounds, jobs_n, service_rounds) = if smoke {
+        (1, 1, 120, 1)
+    } else {
+        (4, 75, 1000, 5)
+    };
     let seed = 1979u64;
     let config = StudyConfig {
         threads: 1,
@@ -43,9 +59,7 @@ fn main() {
     // Warm the process-wide memo caches once so both timed configurations
     // run against the same steady state.
     let recorded = success_rate_study_config(&config);
-    dbpc_obs::set_recording(false);
-    let silent = success_rate_study_config(&config);
-    dbpc_obs::set_recording(true);
+    let silent = recording(false, || success_rate_study_config(&config));
 
     // Recording is an observer: the matrix is identical with it off.
     assert_eq!(recorded.rows, silent.rows);
@@ -59,54 +73,54 @@ fn main() {
     assert_eq!(silent.profile.cells_done, 0);
     assert_eq!(silent.profile.equivalence_runs, 0);
 
-    let time_on = || {
-        let t = Instant::now();
-        let s = success_rate_study_config(&config);
-        let ns = t.elapsed().as_nanos();
-        assert_eq!(s.rows, recorded.rows);
-        ns
+    let study_arm = |on| {
+        let (config, recorded) = (&config, &recorded);
+        move || -> Duration {
+            let (d, s) = recording(on, || timed(|| success_rate_study_config(config)));
+            assert_eq!(s.rows, recorded.rows);
+            d
+        }
     };
-    let time_off = || {
-        dbpc_obs::set_recording(false);
-        let t = Instant::now();
-        let s = success_rate_study_config(&config);
-        let ns = t.elapsed().as_nanos();
-        dbpc_obs::set_recording(true);
-        assert_eq!(s.rows, recorded.rows);
-        ns
-    };
+    let study = paired::ratio(rounds, study_arm(true), study_arm(false));
 
-    let mut round_premiums: Vec<f64> = Vec::with_capacity(rounds);
-    let (mut best_on, mut best_off) = (0u128, 0u128);
-    for _ in 0..rounds {
-        let (mut on_sum, mut off_sum) = (0u128, 0u128);
-        for i in 0..pairs {
-            let (on, off) = if i % 2 == 0 {
-                let on = time_on();
-                (on, time_off())
-            } else {
-                let off = time_off();
-                (time_on(), off)
-            };
-            on_sum += on;
-            off_sum += off;
+    // ---- The service's recording premium (recorded, not gated) ------------
+    let jobs = service_jobs(jobs_n);
+    let config = || ServiceConfig {
+        workers: SERVICE_WORKERS,
+        ..ServiceConfig::default()
+    };
+    let serial = service_builder(config()).run_serial(&jobs).unwrap();
+    let want: Vec<_> = serial.iter().map(|o| (&o.report, &o.level)).collect();
+    let service_arm = |on| {
+        let (jobs, want) = (&jobs, &want);
+        move || -> Duration {
+            let (d, outcomes) = recording(on, || {
+                let svc = service_builder(config()).start();
+                let run = timed(|| {
+                    let tickets = submit_all(&svc, jobs);
+                    tickets.into_iter().map(Ticket::wait).collect::<Vec<_>>()
+                });
+                svc.shutdown();
+                run
+            });
+            let got: Vec<_> = outcomes.iter().map(|o| (&o.report, &o.level)).collect();
+            assert!(got == *want, "recording changed a service outcome");
+            d
         }
-        let premium = on_sum as f64 / off_sum.max(1) as f64 - 1.0;
-        if round_premiums.iter().all(|p| premium < *p) {
-            best_on = on_sum;
-            best_off = off_sum;
-        }
-        round_premiums.push(premium);
-    }
-    let premium = round_premiums.iter().copied().fold(f64::MAX, f64::min);
+    };
+    let service = paired::ratio(service_rounds, service_arm(true), service_arm(false));
+
+    // ---- The study's premium gate ------------------------------------------
+    let premium = study.ratio - 1.0;
     if !smoke {
         assert!(
             premium <= PREMIUM_BUDGET,
-            "recording premium {:.2}% exceeds the {:.0}% budget in every round \
-             (per-round: {:?})",
+            "recording premium {:.2}% exceeds the {:.0}% budget (per-round ratios: {:?}; \
+             the service's premium, not gated: {:.2}%)",
             premium * 100.0,
             PREMIUM_BUDGET * 100.0,
-            round_premiums
+            study.ratios,
+            (service.ratio - 1.0) * 100.0
         );
     }
 
@@ -115,12 +129,21 @@ fn main() {
         Json::obj([
             ("samples_per_cell", Json::from(samples)),
             ("seed", seed.into()),
-            ("pairs_per_round", pairs.into()),
-            ("round_premiums", round_premiums.into()),
-            ("recording_on_sum_ns", best_on.into()),
-            ("recording_off_sum_ns", best_off.into()),
+            ("rounds", rounds.into()),
+            ("on_vs_off", study.json("recording_on", "recording_off")),
             ("premium", premium.into()),
             ("premium_budget", PREMIUM_BUDGET.into()),
+            ("service_premium", (service.ratio - 1.0).into()),
+            (
+                "service",
+                Json::obj([
+                    ("jobs", Json::from(jobs_n)),
+                    ("workers", SERVICE_WORKERS.into()),
+                    ("rounds", service_rounds.into()),
+                    ("on_vs_off", service.json("recording_on", "recording_off")),
+                    ("identical_outcomes", true.into()),
+                ]),
+            ),
             ("span_nodes", recorded.report.node_count().into()),
             ("metrics", recorded.report.metrics.len().into()),
         ]),

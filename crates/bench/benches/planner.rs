@@ -4,30 +4,33 @@
 //! The PR 1 executors probed an index whenever one matched the predicate
 //! (`PlanMode::AlwaysProbe` reproduces them exactly). The cost-based
 //! planner (`PlanMode::CostBased`) prices probe vs scan from `StatCatalog`
-//! numbers. Three workloads, each timed as paired interleaved rounds
-//! (alternating which mode goes first, gating on the least-contaminated
-//! round) so shared-runner drift lands on both sides:
+//! numbers. Three workloads, each timed as one run per mode in
+//! alternating rounds ([`paired::ratio`]) and judged on the median of the
+//! per-round ratios, so shared-runner drift lands on both modes:
 //!
 //! * **e9_select** — the E9/E12-shaped selective SELECT (10% selectivity,
-//!   secondary index): both modes probe, so cost-based must stay within
-//!   5% — the price of planning itself.
+//!   secondary index): both modes probe, so cost-based / always-probe
+//!   must stay ≤ 1.05 — the price of planning itself.
 //! * **e13_gn** — the E13 DL/I GN sweep: a single candidate path, so the
-//!   planner adds pure overhead; within 5%.
+//!   planner adds pure overhead; cost-based / always-probe ≤ 1.05.
 //! * **skewed** — a 4 000-row table whose indexed column holds two values
 //!   split 3 999 : 1, queried on the majority value plus a residual
 //!   predicate. Probing fetches ~all rows point-wise and discards almost
-//!   all of them; the planner must choose the scan and win ≥ 1.3×.
+//!   all of them; the planner must choose the scan, always-probe /
+//!   cost-based ≥ 1.3.
 //!
-//! Every leg asserts trace identity between the modes before any timing
-//! counts — the plan is free only because it is observably invisible.
+//! Every timed run's trace is checked against the other mode's — the plan
+//! is free only because it is observably invisible.
 //!
-//! Emits `BENCH_planner.json`. Smoke mode (`DBPC_BENCH_SMOKE=1`): tiny
-//! iteration counts, all equivalence assertions active, timing gates and
-//! artifact skipped (single-pair wall clocks are noise).
+//! Emits `BENCH_planner.json`. Smoke mode (`DBPC_BENCH_SMOKE=1`): a few
+//! rounds, every trace assertion active, timing gates and artifact
+//! skipped (a few rounds' wall clocks are noise).
 
-use std::time::Instant;
+use std::cell::RefCell;
+use std::time::Duration;
 
 use dbpc_bench::artifact;
+use dbpc_bench::paired::{self, timed, Paired};
 use dbpc_datamodel::hierarchical::{HierSchema, SegmentDef};
 use dbpc_datamodel::network::FieldDef;
 use dbpc_datamodel::relational::{ColumnDef, RelationalSchema, TableDef};
@@ -113,49 +116,30 @@ fn under<T>(mode: PlanMode, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Paired interleaved timing: each round alternates which mode runs first
-/// and sums `iters` runs per mode; returns per-round (cost_based_ns,
-/// always_probe_ns). The gate consumes the round with the best baseline
-/// (least drift-contaminated).
-fn paired_rounds(rounds: usize, iters: usize, mut run: impl FnMut() -> Trace) -> Vec<(u128, u128)> {
-    let mut out = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        let mut cost = 0u128;
-        let mut probe = 0u128;
-        for pair in 0..iters {
-            let cost_first = (round + pair) % 2 == 0;
-            let order = if cost_first {
-                [PlanMode::CostBased, PlanMode::AlwaysProbe]
-            } else {
-                [PlanMode::AlwaysProbe, PlanMode::CostBased]
-            };
-            for mode in order {
-                let t = Instant::now();
-                under(mode, &mut run);
-                let ns = t.elapsed().as_nanos();
-                if mode == PlanMode::CostBased {
-                    cost += ns;
-                } else {
-                    probe += ns;
-                }
-            }
+/// Pair a run of `run` under `modes[0]` (arm `a`) against one under
+/// `modes[1]` (arm `b`), checking every timed run's trace against `want`.
+fn paired_modes(
+    rounds: usize,
+    modes: [PlanMode; 2],
+    want: &Trace,
+    run: impl FnMut() -> Trace,
+) -> Paired {
+    let run = RefCell::new(run);
+    let arm = |mode| {
+        let run = &run;
+        move || -> Duration {
+            let (d, trace) = timed(|| under(mode, &mut *run.borrow_mut()));
+            assert_eq!(&trace, want, "plan choice leaked into trace");
+            d
         }
-        out.push((cost, probe));
-    }
-    out
-}
-
-/// The round whose baseline (always-probe) leg was fastest.
-fn best_round(rounds: &[(u128, u128)]) -> (u128, u128) {
-    *rounds
-        .iter()
-        .min_by_key(|(_, probe)| *probe)
-        .expect("at least one round")
+    };
+    paired::ratio(rounds, arm(modes[0]), arm(modes[1]))
 }
 
 fn main() {
     let smoke = artifact::smoke();
-    let (rounds, iters) = if smoke { (2usize, 1usize) } else { (8, 12) };
+    let rounds = if smoke { 3 } else { 96 };
+    let cost_probe = [PlanMode::CostBased, PlanMode::AlwaysProbe];
 
     // ---- e9_select: selective indexed SELECT (both modes probe) -----------
     let select_rows = 2000i64;
@@ -178,11 +162,9 @@ END PROGRAM;",
         t_cost.access.index_hits > 0,
         "e9_select: cost-based planner must pick the probe here"
     );
-    let e9_rounds = paired_rounds(rounds, iters, || {
+    let e9 = paired_modes(rounds, cost_probe, &t_cost, || {
         run_sequel(&mut db, &query, Inputs::new()).unwrap()
     });
-    let (e9_cost, e9_probe) = best_round(&e9_rounds);
-    let e9_pct = 100.0 * (e9_cost as f64 - e9_probe as f64) / e9_probe as f64;
 
     // ---- e13_gn: DL/I full GN sweep (single-path; planner overhead) -------
     let walk = parse_dli(
@@ -229,11 +211,9 @@ END PROGRAM.",
         run_dli(&mut hier, &walk, Inputs::new()).unwrap()
     });
     assert_eq!(t_cost, t_probe, "e13_gn: plan choice leaked into trace");
-    let e13_rounds = paired_rounds(rounds, iters, || {
+    let e13 = paired_modes(rounds, cost_probe, &t_cost, || {
         run_dli(&mut hier, &walk, Inputs::new()).unwrap()
     });
-    let (e13_cost, e13_probe) = best_round(&e13_rounds);
-    let e13_pct = 100.0 * (e13_cost as f64 - e13_probe as f64) / e13_probe as f64;
 
     // ---- skewed: majority-value probe vs planner-chosen scan --------------
     let skew_rows = 4000i64;
@@ -248,12 +228,12 @@ FROM PART
 WHERE CLASS = 'BULK' AND QTY = 3;
 END PROGRAM;",
     );
-    let mut skew = skewed_db(skew_rows);
+    let mut skew_db = skewed_db(skew_rows);
     let t_cost = under(PlanMode::CostBased, || {
-        run_sequel(&mut skew, &skew_query, Inputs::new()).unwrap()
+        run_sequel(&mut skew_db, &skew_query, Inputs::new()).unwrap()
     });
     let t_probe = under(PlanMode::AlwaysProbe, || {
-        run_sequel(&mut skew, &skew_query, Inputs::new()).unwrap()
+        run_sequel(&mut skew_db, &skew_query, Inputs::new()).unwrap()
     });
     assert_eq!(t_cost, t_probe, "skewed: plan choice leaked into trace");
     assert_eq!(
@@ -264,45 +244,41 @@ END PROGRAM;",
         t_probe.access.index_probes > 0,
         "skewed: the heuristic baseline must actually probe"
     );
-    let skew_rounds = paired_rounds(rounds, iters, || {
-        run_sequel(&mut skew, &skew_query, Inputs::new()).unwrap()
+    let probe_cost = [PlanMode::AlwaysProbe, PlanMode::CostBased];
+    let skew = paired_modes(rounds, probe_cost, &t_cost, || {
+        run_sequel(&mut skew_db, &skew_query, Inputs::new()).unwrap()
     });
-    let (skew_cost, skew_probe) = best_round(&skew_rounds);
-    let skew_speedup = skew_probe as f64 / skew_cost as f64;
 
     // ---- Gates ------------------------------------------------------------
     if !smoke {
         assert!(
-            e9_pct <= 5.0,
-            "e9_select: cost-based {e9_pct:.2}% over the probing baseline (gate 5%)"
+            e9.ratio <= 1.05,
+            "e9_select: cost-based / probing baseline {:.3} (gate 1.05)",
+            e9.ratio
         );
         assert!(
-            e13_pct <= 5.0,
-            "e13_gn: cost-based {e13_pct:.2}% over the probing baseline (gate 5%)"
+            e13.ratio <= 1.05,
+            "e13_gn: cost-based / probing baseline {:.3} (gate 1.05)",
+            e13.ratio
         );
         assert!(
-            skew_speedup >= 1.3,
-            "skewed: cost-based only {skew_speedup:.2}x faster (gate 1.3x)"
+            skew.ratio >= 1.3,
+            "skewed: cost-based only {:.2}x faster (gate 1.3x)",
+            skew.ratio
         );
     }
 
     // ---- Emit artifact ----------------------------------------------------
-    let round_ns =
-        |rs: &[(u128, u128)]| Json::Arr(rs.iter().map(|&(c, p)| vec![c, p].into()).collect());
     artifact::emit(
         "planner",
         Json::obj([
             ("rounds", Json::from(rounds)),
-            ("iters_per_round", iters.into()),
             (
                 "e9_select",
                 Json::obj([
                     ("table_rows", Json::from(select_rows)),
-                    ("cost_based_ns", e9_cost.into()),
-                    ("always_probe_ns", e9_probe.into()),
-                    ("overhead_pct", e9_pct.into()),
-                    ("gate_pct", 5.0.into()),
-                    ("round_ns", round_ns(&e9_rounds)),
+                    ("cost_vs_probe", e9.json("cost_based", "always_probe")),
+                    ("gate_ratio", 1.05.into()),
                     ("identical_traces", true.into()),
                 ]),
             ),
@@ -310,11 +286,8 @@ END PROGRAM;",
                 "e13_gn",
                 Json::obj([
                     ("segments", Json::from(20 * (100 + 1))),
-                    ("cost_based_ns", e13_cost.into()),
-                    ("always_probe_ns", e13_probe.into()),
-                    ("overhead_pct", e13_pct.into()),
-                    ("gate_pct", 5.0.into()),
-                    ("round_ns", round_ns(&e13_rounds)),
+                    ("cost_vs_probe", e13.json("cost_based", "always_probe")),
+                    ("gate_ratio", 1.05.into()),
                     ("identical_traces", true.into()),
                 ]),
             ),
@@ -325,11 +298,8 @@ END PROGRAM;",
                     ("distinct_keys", 2.into()),
                     ("probe_candidates", (skew_rows - 1).into()),
                     ("matching_rows", (skew_rows / 100).into()),
-                    ("cost_based_ns", skew_cost.into()),
-                    ("always_probe_ns", skew_probe.into()),
-                    ("speedup", skew_speedup.into()),
+                    ("probe_vs_cost", skew.json("always_probe", "cost_based")),
                     ("gate_speedup", 1.3.into()),
-                    ("round_ns", round_ns(&skew_rounds)),
                     ("identical_traces", true.into()),
                     ("cost_based_probes", 0.into()),
                 ]),

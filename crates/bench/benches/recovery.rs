@@ -12,23 +12,24 @@
 //!   idle vs recording inverse ops under an open savepoint, no clone or
 //!   rollback in either leg: the raw cost of the undo log itself.
 //!
-//! What crash recovery of a data translation saves over retranslating is
+//! Each price pairs its two legs in alternating rounds
+//! ([`paired::ratio`]) and reads the median of the per-round ratios. What
+//! crash recovery of a data translation saves over retranslating is
 //! measured by `benches/durability.rs` (E20), on the durable path.
 //!
-//! Invariants asserted on every run:
+//! Invariants asserted on every timed leg:
 //!
-//! - Rollback restores the pre-savepoint fingerprint exactly; commit's
-//!   final state is fingerprint-identical to the journal-idle run.
+//! - Rollback restores the pre-savepoint fingerprint exactly; the
+//!   journal-idle and the committing legs land on one final state.
 //! - The E2 verification matrix (which now runs every program on shared
-//!   bases under savepoints) still renders, and its profile confirms the
-//!   deep-copy path is gone (`db_clones == 0`).
+//!   bases under savepoints) still renders, and its profile confirms that
+//!   verification runs on the shared bases (`db_shared_runs > 0`).
 //!
-//! Smoke mode (`DBPC_BENCH_SMOKE=1`): tiny workload, one timed iteration,
-//! all assertions active, no artifact written — the CI guard.
-
-use std::time::Instant;
+//! Smoke mode (`DBPC_BENCH_SMOKE=1`): tiny workload, one timed round, all
+//! assertions active, no artifact written — the CI guard.
 
 use dbpc_bench::artifact;
+use dbpc_bench::paired::{self, timed};
 use dbpc_corpus::harness::{success_rate_study_config, StudyConfig};
 use dbpc_corpus::named;
 use dbpc_datamodel::value::Value;
@@ -75,20 +76,8 @@ fn churn(db: &mut NetworkDb, round: usize) {
     db.erase(div, true).unwrap();
 }
 
-fn timed<R>(iters: usize, mut f: impl FnMut() -> R) -> (u128, R) {
-    let mut best = u128::MAX;
-    let mut out = None;
-    for _ in 0..iters {
-        let t = Instant::now();
-        let r = f();
-        best = best.min(t.elapsed().as_nanos());
-        out = Some(r);
-    }
-    (best, out.unwrap())
-}
-
 fn main() {
-    let (rounds, iters, db_scale, samples) = if artifact::smoke() {
+    let (rounds, pairs, db_scale, samples) = if artifact::smoke() {
         (4usize, 1usize, (4, 3, 8), 1usize)
     } else {
         (64, 5, (8, 4, 48), 2)
@@ -102,70 +91,67 @@ fn main() {
     // deep-copy baseline it replaced.
     let base = named::company_db(db_scale.0, db_scale.1, db_scale.2);
     let base_fp = base.fingerprint();
+    // The state both journal legs must end in.
+    let churned_fp = {
+        let mut db = base.clone();
+        (0..rounds).for_each(|r| churn(&mut db, r));
+        db.fingerprint()
+    };
 
-    let (deep_copy_ns, copied_db) = timed(iters, || {
-        let mut last = None;
-        for r in 0..rounds {
-            let mut db = base.clone();
-            churn(&mut db, r);
-            last = Some(db);
-        }
-        last.unwrap()
-    });
+    let deep_copy = || {
+        timed(|| {
+            for r in 0..rounds {
+                churn(&mut base.clone(), r);
+            }
+        })
+        .0
+    };
     let mut shared = base.clone();
-    let (savepoint_ns, ()) = timed(iters, || {
-        for r in 0..rounds {
-            let sp = shared.begin_savepoint();
-            churn(&mut shared, r);
-            shared.rollback_to(sp);
-        }
-    });
-    assert_eq!(
-        shared.fingerprint(),
-        base_fp,
-        "every rollback must restore the pre-savepoint state"
-    );
+    let savepoint = || {
+        let (d, ()) = timed(|| {
+            for r in 0..rounds {
+                let sp = shared.begin_savepoint();
+                churn(&mut shared, r);
+                shared.rollback_to(sp);
+            }
+        });
+        assert_eq!(
+            shared.fingerprint(),
+            base_fp,
+            "every rollback must restore the pre-savepoint state"
+        );
+        d
+    };
+    let verification = paired::ratio(pairs, savepoint, deep_copy);
     shared.check_access_structures().unwrap();
-    let _ = copied_db;
-    let savepoint_vs_copy_pct =
-        100.0 * (savepoint_ns as f64 - deep_copy_ns as f64) / deep_copy_ns.max(1) as f64;
 
     // ---- Pure journal recording premium ------------------------------------
     // The same mutations with the journal idle vs recording-then-committing
     // on one working copy: the raw cost of pushing inverse ops, with no
-    // clone or rollback in either leg.
-    let (idle_ns, idle_db) = timed(iters, || {
-        let mut db = base.clone();
-        for r in 0..rounds {
-            churn(&mut db, r);
+    // clone or rollback in either leg. Cloning the base is set-up.
+    let journal_leg = |record: bool| {
+        let base = &base;
+        move || {
+            let mut db = base.clone();
+            let (d, ()) = timed(|| {
+                let sp = record.then(|| db.begin_savepoint());
+                (0..rounds).for_each(|r| churn(&mut db, r));
+                if let Some(sp) = sp {
+                    db.commit(sp);
+                }
+            });
+            assert_eq!(
+                db.fingerprint(),
+                churned_fp,
+                "commit must land on the journal-idle state"
+            );
+            d
         }
-        db
-    });
-    let (commit_ns, commit_db) = timed(iters, || {
-        let mut db = base.clone();
-        let sp = db.begin_savepoint();
-        for r in 0..rounds {
-            churn(&mut db, r);
-        }
-        db.commit(sp);
-        db
-    });
-    assert_eq!(
-        commit_db.fingerprint(),
-        idle_db.fingerprint(),
-        "commit must land on the journal-idle state"
-    );
-    let recording_overhead_pct =
-        100.0 * (commit_ns as f64 - idle_ns as f64) / idle_ns.max(1) as f64;
+    };
+    let journal = paired::ratio(pairs, journal_leg(true), journal_leg(false));
 
     // ---- E2 matrix still renders on the savepoint substrate ----------------
-    let (matrix_ns, study) = timed(1, || {
-        success_rate_study_config(&StudyConfig::new(samples, 1979))
-    });
-    assert_eq!(
-        study.profile.db_clones, 0,
-        "verification must not clone working copies anymore"
-    );
+    let (matrix, study) = timed(|| success_rate_study_config(&StudyConfig::new(samples, 1979)));
     assert!(study.profile.db_shared_runs > 0);
 
     // ---- Emit artifact ----------------------------------------------------
@@ -176,26 +162,19 @@ fn main() {
             (
                 "verification",
                 Json::obj([
-                    ("deep_copy_ns", Json::from(deep_copy_ns)),
-                    ("savepoint_ns", savepoint_ns.into()),
-                    ("savepoint_vs_copy_pct", savepoint_vs_copy_pct.into()),
-                    ("target_pct", 10.0.into()),
+                    (
+                        "savepoint_vs_deep_copy",
+                        verification.json("savepoint", "deep_copy"),
+                    ),
+                    ("target_ratio", 1.1.into()),
                     ("rollback_restores_fingerprint", true.into()),
                 ]),
             ),
-            (
-                "journal",
-                Json::obj([
-                    ("idle_ns", Json::from(idle_ns)),
-                    ("commit_ns", commit_ns.into()),
-                    ("recording_overhead_pct", recording_overhead_pct.into()),
-                ]),
-            ),
+            ("journal", journal.json("commit", "idle")),
             (
                 "e2_matrix",
                 Json::obj([
-                    ("wall_ns", Json::from(matrix_ns)),
-                    ("db_clones", 0.into()),
+                    ("wall_ns", Json::from(matrix.as_nanos())),
                     ("db_shared_runs", study.profile.db_shared_runs.into()),
                 ]),
             ),

@@ -13,7 +13,8 @@
 //!
 //! - corpus size, heap-file bytes, pool bytes, and the pool/data ratio
 //!   (asserted ≤ 4% in the full run — the out-of-core claim);
-//! - build and translate wall-clock plus records/second;
+//! - build and translate wall-clock, each one run through
+//!   [`paired::timed`](dbpc_bench::paired::timed), plus records/second;
 //! - peak RSS (`VmHWM`) — *reported*, not gated: the pool is bounded by
 //!   construction, while the RAM-side id directory and set indexes grow
 //!   O(records) by design (DESIGN.md §12);
@@ -30,9 +31,8 @@
 //! million, one timed iteration, all assertions active, no artifact
 //! written.
 
-use std::time::Instant;
-
 use dbpc_bench::artifact;
+use dbpc_bench::paired::timed;
 use dbpc_corpus::named;
 use dbpc_obs::json::Json;
 use dbpc_storage::NetworkDb;
@@ -65,10 +65,11 @@ fn main() {
     let transform = named::fig_4_4_restructuring();
 
     // ---- Build: stream the corpus into the paged engine --------------------
-    let t = Instant::now();
-    let mut src = NetworkDb::new_paged(named::company_schema(), page, pool).unwrap();
-    named::fill_company_db(&mut src, divisions, 3, emps_per_div);
-    let build_ns = t.elapsed().as_nanos();
+    let (build, src) = timed(|| {
+        let mut src = NetworkDb::new_paged(named::company_schema(), page, pool).unwrap();
+        named::fill_company_db(&mut src, divisions, 3, emps_per_div);
+        src
+    });
     assert!(src.is_paged());
     let src_stats = src.heap_stats().unwrap();
     assert_eq!(src_stats.records as usize, records);
@@ -83,15 +84,13 @@ fn main() {
     }
 
     // ---- Translate: Figure 4.4 over the out-of-core source -----------------
-    let t = Instant::now();
-    let tgt = transform.translate(&src).unwrap();
-    let translate_ns = t.elapsed().as_nanos();
+    let (translate, tgt) = timed(|| transform.translate(&src).unwrap());
     assert!(
         tgt.is_paged(),
         "fresh_like must keep the target out of core"
     );
     let tgt_stats = tgt.heap_stats().unwrap();
-    let translate_rps = records as f64 / (translate_ns as f64 / 1e9);
+    let translate_rps = records as f64 / translate.as_secs_f64();
     let rss_kb = peak_rss_kb();
 
     // ---- Equivalence at an overlapping corpus size --------------------------
@@ -134,8 +133,8 @@ fn main() {
             ("source_fill_pct", src_stats.fill_pct.into()),
             ("target_pages", tgt_stats.pages.into()),
             ("target_records", tgt_stats.records.into()),
-            ("build_ns", build_ns.into()),
-            ("translate_ns", translate_ns.into()),
+            ("build_ns", build.as_nanos().into()),
+            ("translate_ns", translate.as_nanos().into()),
             ("translate_records_per_sec", translate_rps.into()),
             ("peak_rss_kb", rss_kb.into()),
             ("equivalence_fingerprints_match", true.into()),

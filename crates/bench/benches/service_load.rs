@@ -18,32 +18,35 @@
 //! hardware-independent, and the 2× gate below holds even on a single
 //! hardware thread, where worker parallelism alone could never produce it.
 //!
-//! Gates asserted on every run (smoke included):
+//! Each worker count is timed against the baseline in alternating rounds
+//! ([`paired::ratio`]): the per-round ratio is the baseline's wall time
+//! over the service's, and the median of those ratios is the speedup.
+//!
+//! Gates asserted on every timed service run (smoke included):
 //!
 //! - zero poisoned jobs at every worker count;
 //! - every `(report, level)` byte-identical to the serial reference
 //!   (`ServiceBuilder::run_serial`) at every worker count.
 //!
-//! Full runs additionally assert the timing gate: 8-worker service
-//! throughput ≥ 2× the 1-worker per-job baseline.
+//! Full runs additionally assert the timing gate: the 8-worker service's
+//! speedup over the per-job baseline ≥ 2.
 //!
-//! Smoke mode (`DBPC_BENCH_SMOKE=1`): 120 jobs, no artifact written — the
-//! CI guard. As with the planner bench, the equivalence and poison gates
-//! stay active in smoke but the timing gate is skipped: at 120 jobs under
-//! a loaded CI host the throughput ratio is dominated by scheduling noise
-//! rather than by the amortization being measured.
+//! Smoke mode (`DBPC_BENCH_SMOKE=1`): 120 jobs, one round, no artifact
+//! written — the CI guard. As with the planner bench, the equivalence and
+//! poison gates stay active in smoke but the timing gate is skipped: at
+//! 120 jobs under a loaded CI host the throughput ratio is dominated by
+//! scheduling noise rather than by the amortization being measured.
 
-use std::time::Instant;
+use std::time::Duration;
 
-use dbpc_bench::artifact;
+use dbpc_bench::paired::{self, timed, Paired};
+use dbpc_bench::{artifact, service_builder, service_jobs, submit_all, SERVICE_SEED};
 use dbpc_convert::equivalence::{check_equivalence, EquivalenceLevel};
 use dbpc_convert::report::{AutoAnalyst, Verdict};
 use dbpc_convert::service::{
-    CtxId, JobOutcome, ServiceBuilder, ServiceConfig, Ticket, SERVICE_BACKPRESSURE_WAITS,
-    SERVICE_QUEUE_DEPTH_MAX,
+    CtxId, JobOutcome, ServiceConfig, Ticket, SERVICE_BACKPRESSURE_WAITS, SERVICE_QUEUE_DEPTH_MAX,
 };
 use dbpc_convert::Supervisor;
-use dbpc_corpus::gen::{generate_program, ProgramClass};
 use dbpc_corpus::named;
 use dbpc_dml::host::Program;
 use dbpc_engine::Inputs;
@@ -51,57 +54,6 @@ use dbpc_obs::json::Json;
 use dbpc_storage::locks::{LOCKS_EXCLUSIVE, LOCKS_SHARED, LOCKS_TIMEOUTS, LOCKS_WAITS};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
-const SEED: u64 = 1979;
-
-/// 80/20 read/mutate mix, deterministic per seed. Like real sustained
-/// traffic, the generator replays a bounded corpus of distinct programs
-/// (the seed cycles) rather than inventing a fresh program per request —
-/// repeats are what the service's ground-truth memo amortizes. Every job
-/// still carries a distinct fault/identity key.
-fn workload(n: usize) -> Vec<(CtxId, Program, u64)> {
-    const READ: [ProgramClass; 4] = [
-        ProgramClass::PlainReport,
-        ProgramClass::SortedReport,
-        ProgramClass::AggregateOnly,
-        ProgramClass::VirtualRef,
-    ];
-    const MUTATE: [ProgramClass; 4] = [
-        ProgramClass::StoreEmp,
-        ProgramClass::ModifyAge,
-        ProgramClass::ModifyDept,
-        ProgramClass::DeleteEmp,
-    ];
-    let seeds = (n / 20).max(8);
-    (0..n)
-        .map(|i| {
-            let class = if i % 5 == 4 {
-                MUTATE[i % MUTATE.len()]
-            } else {
-                READ[i % READ.len()]
-            };
-            let seed = SEED
-                .wrapping_mul(0x9E37_79B9)
-                .wrapping_add((i % seeds) as u64);
-            let key = SEED.wrapping_add(i as u64);
-            (0usize, generate_program(class, seed), key)
-        })
-        .collect()
-}
-
-fn builder(workers: usize) -> ServiceBuilder {
-    let mut b = ServiceBuilder::new(ServiceConfig {
-        workers,
-        ..ServiceConfig::default()
-    });
-    b.register_context(
-        &named::company_schema(),
-        &named::fig_4_4_restructuring(),
-        named::company_db(2, 2, 6),
-        Inputs::new().with_terminal(&["RETRIEVE"]),
-    )
-    .unwrap();
-    b
-}
 
 /// The per-job pipeline the service replaces: every job rebuilds the
 /// conversion, retranslates the data, and reruns its own ground truth.
@@ -143,29 +95,19 @@ fn percentile_ms(sorted_ns: &[u64], q: f64) -> f64 {
     sorted_ns[idx] as f64 / 1e6
 }
 
-struct ServiceRun {
-    workers: usize,
-    wall_ns: u128,
-    p50_ms: f64,
-    p99_ms: f64,
-    poisoned: usize,
-    queue_depth_max: u64,
-    backpressure_waits: u64,
-    locks_shared: u64,
-    locks_exclusive: u64,
-    locks_waits: u64,
-    locks_timeouts: u64,
-}
-
 fn main() {
     let smoke = artifact::smoke();
-    let jobs_n = if smoke { 120 } else { 1000 };
-    let jobs = workload(jobs_n);
+    let (jobs_n, rounds) = if smoke { (120, 1) } else { (1000, 5) };
+    let jobs = service_jobs(jobs_n);
     let mutating = jobs_n / 5;
+    let config = |workers| ServiceConfig {
+        workers,
+        ..ServiceConfig::default()
+    };
 
     // ---- Serial reference --------------------------------------------------
     // The acceptance bar every concurrent run is compared against.
-    let serial: Vec<JobOutcome> = builder(1).run_serial(&jobs).unwrap();
+    let serial: Vec<JobOutcome> = service_builder(config(1)).run_serial(&jobs).unwrap();
     assert!(
         serial.iter().all(|o| o.report.verdict != Verdict::Poisoned),
         "serial reference poisoned a job"
@@ -173,113 +115,96 @@ fn main() {
     let verified = serial.iter().filter(|o| o.level.is_some()).count();
 
     // ---- Per-job pipeline baseline ----------------------------------------
-    let t = Instant::now();
-    for job in &jobs {
-        let (verdict, _) = baseline_job(job);
-        assert_ne!(verdict, Verdict::Poisoned);
-    }
-    let baseline_ns = t.elapsed().as_nanos();
-    let baseline_jobs_per_sec = jobs_n as f64 / (baseline_ns.max(1) as f64 / 1e9);
+    let baseline = || {
+        let (d, verdicts) = timed(|| jobs.iter().map(baseline_job).collect::<Vec<_>>());
+        assert!(verdicts.iter().all(|(v, _)| *v != Verdict::Poisoned));
+        d
+    };
 
-    // ---- Service under load at 1 / 2 / 8 workers --------------------------
-    let runs: Vec<ServiceRun> = WORKER_COUNTS
+    // ---- Service under load at 1 / 2 / 8 workers, paired with the baseline -
+    // Each worker count's artifact entry reads its last timed run.
+    let per_sec = |d: Duration| jobs_n as f64 / d.as_secs_f64();
+    let runs: Vec<(Paired, Json)> = WORKER_COUNTS
         .iter()
         .map(|&workers| {
-            let svc = builder(workers).start();
-            let session = svc.session();
-            let t = Instant::now();
-            let tickets: Vec<Ticket> = jobs
-                .iter()
-                .map(|(c, p, k)| session.submit(*c, p.clone(), *k).unwrap())
-                .collect();
-            let outcomes: Vec<JobOutcome> = tickets.into_iter().map(Ticket::wait).collect();
-            let wall_ns = t.elapsed().as_nanos();
-            let report = svc.shutdown();
-
-            for (s, c) in serial.iter().zip(&outcomes) {
-                assert_eq!(
-                    (&s.report, &s.level),
-                    (&c.report, &c.level),
-                    "outcome at seq {} differs from the serial run ({workers} workers)",
-                    s.seq
-                );
-            }
-            let poisoned = outcomes
-                .iter()
-                .filter(|o| o.report.verdict == Verdict::Poisoned)
-                .count();
-            assert_eq!(poisoned, 0, "{workers} workers poisoned {poisoned} jobs");
-
+            let mut last = None;
+            let service = || {
+                let svc = service_builder(config(workers)).start();
+                let (d, outcomes) = timed(|| {
+                    let tickets = submit_all(&svc, &jobs);
+                    tickets.into_iter().map(Ticket::wait).collect::<Vec<_>>()
+                });
+                let report = svc.shutdown();
+                for (s, c) in serial.iter().zip(&outcomes) {
+                    assert_eq!(
+                        (&s.report, &s.level),
+                        (&c.report, &c.level),
+                        "outcome at seq {} differs from the serial run ({workers} workers)",
+                        s.seq
+                    );
+                }
+                let poisoned = (outcomes.iter())
+                    .filter(|o| o.report.verdict == Verdict::Poisoned)
+                    .count();
+                assert_eq!(poisoned, 0, "{workers} workers poisoned {poisoned} jobs");
+                last = Some((outcomes, report));
+                d
+            };
+            let vs_baseline = paired::ratio(rounds, baseline, service);
+            let (outcomes, report) = last.expect("a timed service run");
             let mut latencies: Vec<u64> = outcomes.iter().map(|o| o.queue_ns + o.exec_ns).collect();
             latencies.sort_unstable();
-            ServiceRun {
-                workers,
-                wall_ns,
-                p50_ms: percentile_ms(&latencies, 0.50),
-                p99_ms: percentile_ms(&latencies, 0.99),
-                poisoned,
-                queue_depth_max: report.metrics.counter(SERVICE_QUEUE_DEPTH_MAX),
-                backpressure_waits: report.metrics.counter(SERVICE_BACKPRESSURE_WAITS),
-                locks_shared: report.metrics.counter(LOCKS_SHARED),
-                locks_exclusive: report.metrics.counter(LOCKS_EXCLUSIVE),
-                locks_waits: report.metrics.counter(LOCKS_WAITS),
-                locks_timeouts: report.metrics.counter(LOCKS_TIMEOUTS),
-            }
+            let counter = |name| Json::from(report.metrics.counter(name));
+            let json = Json::obj([
+                ("workers", Json::from(workers)),
+                (
+                    "baseline_vs_service",
+                    vs_baseline.json("baseline", "service"),
+                ),
+                ("jobs_per_sec", per_sec(vs_baseline.b).into()),
+                ("latency_p50_ms", percentile_ms(&latencies, 0.50).into()),
+                ("latency_p99_ms", percentile_ms(&latencies, 0.99).into()),
+                ("poisoned", 0.into()),
+                ("identical_to_serial", true.into()),
+                ("queue_depth_max", counter(SERVICE_QUEUE_DEPTH_MAX)),
+                ("backpressure_waits", counter(SERVICE_BACKPRESSURE_WAITS)),
+                ("locks_shared", counter(LOCKS_SHARED)),
+                ("locks_exclusive", counter(LOCKS_EXCLUSIVE)),
+                ("locks_waits", counter(LOCKS_WAITS)),
+                ("locks_timeouts", counter(LOCKS_TIMEOUTS)),
+            ]);
+            (vs_baseline, json)
         })
         .collect();
 
     // ---- The 2× amortization gate (timing: full runs only) ----------------
-    let eight = runs
-        .iter()
-        .find(|r| r.workers == 8)
-        .expect("8-worker run present");
-    let eight_jobs_per_sec = jobs_n as f64 / (eight.wall_ns.max(1) as f64 / 1e9);
+    let eight = &runs[WORKER_COUNTS.iter().position(|&w| w == 8).unwrap()].0;
     if !smoke {
         assert!(
-            eight_jobs_per_sec >= 2.0 * baseline_jobs_per_sec,
-            "8-worker service ({eight_jobs_per_sec:.1} jobs/s) below 2x the per-job baseline ({baseline_jobs_per_sec:.1} jobs/s)"
+            eight.ratio >= 2.0,
+            "8-worker service only {:.2}x the per-job baseline (gate 2x)",
+            eight.ratio
         );
     }
 
     // ---- Emit artifact ----------------------------------------------------
-    let service = runs.iter().map(|run| {
-        let jobs_per_sec = jobs_n as f64 / (run.wall_ns.max(1) as f64 / 1e9);
-        Json::obj([
-            ("workers", Json::from(run.workers)),
-            ("wall_ns", run.wall_ns.into()),
-            ("jobs_per_sec", jobs_per_sec.into()),
-            ("latency_p50_ms", run.p50_ms.into()),
-            ("latency_p99_ms", run.p99_ms.into()),
-            ("poisoned", run.poisoned.into()),
-            ("identical_to_serial", true.into()),
-            ("queue_depth_max", run.queue_depth_max.into()),
-            ("backpressure_waits", run.backpressure_waits.into()),
-            ("locks_shared", run.locks_shared.into()),
-            ("locks_exclusive", run.locks_exclusive.into()),
-            ("locks_waits", run.locks_waits.into()),
-            ("locks_timeouts", run.locks_timeouts.into()),
-        ])
-    });
     artifact::emit(
         "service_load",
         Json::obj([
-            ("seed", Json::from(SEED)),
+            ("seed", Json::from(SERVICE_SEED)),
             ("jobs", jobs_n.into()),
             ("mutating_jobs", mutating.into()),
             ("verified_jobs", verified.into()),
+            ("rounds", rounds.into()),
             (
-                "baseline_per_job_pipeline",
-                Json::obj([
-                    ("workers", Json::from(1)),
-                    ("wall_ns", baseline_ns.into()),
-                    ("jobs_per_sec", baseline_jobs_per_sec.into()),
-                ]),
+                "baseline_per_job_pipeline_jobs_per_sec",
+                per_sec(eight.a).into(),
             ),
-            ("service", Json::Arr(service.collect())),
             (
-                "speedup_8_workers_vs_baseline",
-                (eight_jobs_per_sec / baseline_jobs_per_sec).into(),
+                "service",
+                Json::Arr(runs.iter().map(|(_, j)| j.clone()).collect()),
             ),
+            ("speedup_8_workers_vs_baseline", eight.ratio.into()),
             ("gate_2x_amortization", true.into()),
         ]),
     );

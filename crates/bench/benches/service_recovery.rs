@@ -23,113 +23,80 @@
 //!   different seed disagrees somewhere, and every delay respects the
 //!   cap and the half-to-full jitter window.
 //!
-//! Full runs additionally assert the timing gate: midpoint-crash
-//! recovery ≤ 0.8× the from-scratch re-run. The journal makes that
-//! hardware-independent: recovery translates the context exactly as the
-//! re-run does and re-executes only the lost suffix, so it does strictly
-//! less work than the re-run at any thread count.
+//! Full runs additionally assert the timing gate: recovery and re-run
+//! run in alternating rounds ([`paired::ratio`]), each round over a fresh
+//! crash, and the median per-round ratio recovery / re-run is ≤ 0.8. The
+//! journal makes that hardware-independent: recovery translates the
+//! context exactly as the re-run does and re-executes only the lost
+//! suffix, so it does strictly less work than the re-run at any thread
+//! count.
 //!
-//! Smoke mode (`DBPC_BENCH_SMOKE=1`): 40 jobs, timing gate skipped
-//! (scheduling noise dominates at that size), no artifact written.
+//! Smoke mode (`DBPC_BENCH_SMOKE=1`): 40 jobs, one round, timing gate
+//! skipped (scheduling noise dominates at that size), no artifact
+//! written.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use dbpc_bench::artifact;
+use dbpc_bench::paired::{self, timed};
+use dbpc_bench::{artifact, service_builder, service_jobs, submit_all, SERVICE_SEED};
 use dbpc_convert::journal::{JobJournal, JournalRecord};
 use dbpc_convert::service::{
-    ConversionService, JobOutcome, RetryPolicy, ServiceBuilder, ServiceConfig, Ticket,
-    SERVICE_JOBS, SERVICE_SHED,
+    ConversionService, JobOutcome, RetryPolicy, ServiceConfig, Ticket, SERVICE_JOBS, SERVICE_SHED,
 };
-use dbpc_corpus::gen::{generate_program, ProgramClass};
-use dbpc_corpus::named;
 use dbpc_datamodel::error::PipelineError;
-use dbpc_dml::host::Program;
-use dbpc_engine::Inputs;
 use dbpc_obs::json::Json;
 use dbpc_storage::TempDir;
 use std::path::Path;
 
-const SEED: u64 = 1979;
 const WORKERS: usize = 2;
 
-/// E19's 80/20 read/mutate mix: the service's design traffic.
-fn workload(n: usize) -> Vec<(Program, u64)> {
-    const READ: [ProgramClass; 4] = [
-        ProgramClass::PlainReport,
-        ProgramClass::SortedReport,
-        ProgramClass::AggregateOnly,
-        ProgramClass::VirtualRef,
-    ];
-    const MUTATE: [ProgramClass; 4] = [
-        ProgramClass::StoreEmp,
-        ProgramClass::ModifyAge,
-        ProgramClass::ModifyDept,
-        ProgramClass::DeleteEmp,
-    ];
-    let seeds = (n / 20).max(8);
-    (0..n)
-        .map(|i| {
-            let class = if i % 5 == 4 {
-                MUTATE[i % MUTATE.len()]
-            } else {
-                READ[i % READ.len()]
-            };
-            let seed = SEED
-                .wrapping_mul(0x9E37_79B9)
-                .wrapping_add((i % seeds) as u64);
-            (generate_program(class, seed), SEED.wrapping_add(i as u64))
-        })
-        .collect()
-}
-
 fn service(root: &Path, workers: usize) -> ConversionService {
-    let mut b = ServiceBuilder::new(ServiceConfig {
+    service_builder(ServiceConfig {
         workers,
         durable_root: Some(root.to_path_buf()),
         ..ServiceConfig::default()
-    });
-    b.register_context(
-        &named::company_schema(),
-        &named::fig_4_4_restructuring(),
-        named::company_db(2, 2, 6),
-        Inputs::new().with_terminal(&["RETRIEVE"]),
-    )
-    .expect("register company context");
-    b.start()
-}
-
-fn submit_all(svc: &ConversionService, jobs: &[(Program, u64)]) -> Vec<Ticket> {
-    let session = svc.session();
-    jobs.iter()
-        .map(|(p, k)| session.submit(0, p.clone(), *k).expect("submit"))
-        .collect()
+    })
+    .start()
 }
 
 fn main() {
     let smoke = artifact::smoke();
-    let jobs_n = if smoke { 40 } else { 200 };
-    let jobs = workload(jobs_n);
+    let (jobs_n, rounds) = if smoke { (40, 1) } else { (200, 5) };
+    let jobs = service_jobs(jobs_n);
     let midpoint = jobs_n / 2;
 
-    // ---- Uninterrupted reference (also the from-scratch re-run cost) ----
-    // After a crash without a journal the operator re-runs everything:
-    // survivors are indistinguishable from losses. This run is both the
-    // byte-identity reference and that baseline's price.
-    let rerun_dir = TempDir::new("e21-bench-rerun").expect("tempdir");
-    let t = Instant::now();
-    let svc = service(rerun_dir.path(), WORKERS);
+    // ---- Uninterrupted reference ----------------------------------------
+    // The byte-identity reference every re-run and recovery must match.
+    let ref_dir = TempDir::new("e21-bench-reference").expect("tempdir");
+    let svc = service(ref_dir.path(), WORKERS);
     for ticket in submit_all(&svc, &jobs) {
         ticket.wait();
     }
-    let clean_report = svc.shutdown();
-    let rerun_ns = t.elapsed().as_nanos();
-    assert_eq!(
-        clean_report.metrics.counter(SERVICE_JOBS),
-        jobs_n as u64,
-        "uninterrupted run must execute every job"
-    );
+    let clean = svc.shutdown().deterministic();
 
-    // ---- Midpoint crash -------------------------------------------------
+    // ---- From-scratch re-run --------------------------------------------
+    // After a crash without a journal the operator re-runs everything:
+    // survivors are indistinguishable from losses. This is that baseline's
+    // price: start, every job, shut down.
+    let rerun = || {
+        let dir = TempDir::new("e21-bench-rerun").expect("tempdir");
+        let (d, report) = timed(|| {
+            let svc = service(dir.path(), WORKERS);
+            for ticket in submit_all(&svc, &jobs) {
+                ticket.wait();
+            }
+            svc.shutdown()
+        });
+        assert_eq!(
+            report.metrics.counter(SERVICE_JOBS),
+            jobs_n as u64,
+            "uninterrupted run must execute every job"
+        );
+        assert_eq!(report.deterministic(), clean, "re-run diverged");
+        d
+    };
+
+    // ---- Midpoint crash, then timed recovery ----------------------------
     // The crash state to price: first half completed and durable, second
     // half admitted (fsynced) but never executed — a kill right after
     // the last admission's fsync. An in-process harness cannot freeze
@@ -138,62 +105,66 @@ fn main() {
     // public API; the *real* process kills at every boundary are
     // `tests/service_crash.rs`' job, and E21 proves this state is
     // exactly what they leave behind.
-    let crash_dir = TempDir::new("e21-bench-crash").expect("tempdir");
-    let svc = service(crash_dir.path(), WORKERS);
-    let mut completed_before_crash = 0u64;
-    for ticket in submit_all(&svc, &jobs[..midpoint]) {
-        ticket.wait();
-        completed_before_crash += 1;
-    }
-    svc.shutdown();
-    let (mut journal, scan) = JobJournal::open(&crash_dir.path().join("journal"), None, None)
-        .expect("reopen journal to stage the lost admissions");
-    assert_eq!(scan.next_seq, midpoint as u64);
-    for (i, (program, key)) in jobs[midpoint..].iter().enumerate() {
-        journal.append(&JournalRecord::admit(
-            scan.next_seq + i as u64,
-            0,
-            0,
-            *key,
-            program,
-        ));
-    }
-    assert_eq!(journal.errors(), 0, "staging admissions must not fault");
-    drop(journal); // admits are already fsynced; a crash loses nothing
+    let mut last_recovery = None;
+    let recover = || {
+        let crash_dir = TempDir::new("e21-bench-crash").expect("tempdir");
+        let svc = service(crash_dir.path(), WORKERS);
+        for ticket in submit_all(&svc, &jobs[..midpoint]) {
+            ticket.wait();
+        }
+        svc.shutdown();
+        let (mut journal, scan) = JobJournal::open(&crash_dir.path().join("journal"), None, None)
+            .expect("reopen journal to stage the lost admissions");
+        assert_eq!(scan.next_seq, midpoint as u64);
+        for (i, (ctx, program, key)) in jobs[midpoint..].iter().enumerate() {
+            journal.append(&JournalRecord::admit(
+                scan.next_seq + i as u64,
+                0,
+                *ctx,
+                *key,
+                program,
+            ));
+        }
+        assert_eq!(journal.errors(), 0, "staging admissions must not fault");
+        drop(journal); // admits are already fsynced; a crash loses nothing
 
-    // ---- Timed recovery -------------------------------------------------
-    let t = Instant::now();
-    let svc = service(crash_dir.path(), WORKERS);
-    let recovery = svc.recovery();
-    let recovered_report = svc.shutdown();
-    let recovery_ns = t.elapsed().as_nanos();
+        let (d, (recovery, report)) = timed(|| {
+            let svc = service(crash_dir.path(), WORKERS);
+            let recovery = svc.recovery();
+            (recovery, svc.shutdown())
+        });
+        assert_eq!(
+            recovery.admitted, jobs_n as u64,
+            "every admission was fsynced before its ticket existed"
+        );
+        assert_eq!(
+            recovery.results + recovery.replayed,
+            jobs_n as u64,
+            "recovered results and replayed jobs must partition the admissions"
+        );
+        assert_eq!(
+            recovery.replayed,
+            (jobs_n - midpoint) as u64,
+            "the lost half must come back via replay, nothing more"
+        );
+        assert_eq!(
+            report.deterministic(),
+            clean,
+            "recovered report must be byte-identical to the uninterrupted run"
+        );
+        last_recovery = Some(recovery);
+        d
+    };
 
-    assert_eq!(
-        recovery.admitted, jobs_n as u64,
-        "every admission was fsynced before its ticket existed"
-    );
-    assert_eq!(
-        recovery.results + recovery.replayed,
-        jobs_n as u64,
-        "recovered results and replayed jobs must partition the admissions"
-    );
-    assert_eq!(
-        recovery.replayed,
-        (jobs_n - midpoint) as u64,
-        "the lost half must come back via replay, nothing more"
-    );
-    assert_eq!(
-        recovered_report.deterministic(),
-        clean_report.deterministic(),
-        "recovered report must be byte-identical to the uninterrupted run"
-    );
-
-    let ratio = recovery_ns as f64 / rerun_ns.max(1) as f64;
+    let timing = paired::ratio(rounds, recover, rerun);
+    let recovery = last_recovery.expect("a timed recovery");
     if !smoke {
         assert!(
-            ratio <= 0.8,
-            "midpoint recovery ({recovery_ns} ns) above 0.8x the from-scratch \
-             re-run ({rerun_ns} ns): ratio {ratio:.2}"
+            timing.ratio <= 0.8,
+            "midpoint recovery above 0.8x the from-scratch re-run: ratio {:.2} \
+             (per-round ratios: {:?})",
+            timing.ratio,
+            timing.ratios
         );
     }
 
@@ -286,21 +257,20 @@ fn main() {
     artifact::emit(
         "service_recovery",
         Json::obj([
-            ("seed", Json::from(SEED)),
+            ("seed", Json::from(SERVICE_SEED)),
             ("jobs", jobs_n.into()),
             ("workers", WORKERS.into()),
-            ("rerun_from_scratch_wall_ns", rerun_ns.into()),
+            ("rounds", rounds.into()),
             (
                 "midpoint_crash",
                 Json::obj([
-                    ("completed_before_crash", Json::from(completed_before_crash)),
-                    ("recovery_wall_ns", recovery_ns.into()),
+                    ("completed_before_crash", Json::from(midpoint)),
                     ("results_recovered", recovery.results.into()),
                     ("jobs_replayed", recovery.replayed.into()),
                     ("byte_identical_report", true.into()),
                 ]),
             ),
-            ("recovery_vs_rerun_ratio", ratio.into()),
+            ("recovery_vs_rerun", timing.json("recovery", "rerun")),
             ("gate_recovery_below_0_8x", (!smoke).into()),
             (
                 "bounded_drain",

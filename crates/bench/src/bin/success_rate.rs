@@ -27,12 +27,11 @@ fn main() {
         p.threads, p.cells_done, p.programs_generated
     );
     println!(
-        "          analysis cache {} hits / {} misses; {} db builds + {} clones; \
+        "          analysis cache {} hits / {} misses; {} db builds; \
          gen {:.1}ms conv {:.1}ms verify {:.1}ms",
         p.analysis_cache_hits,
         p.analysis_cache_misses,
         p.db_builds,
-        p.db_clones,
         p.generate_ns as f64 / 1e6,
         p.convert_ns as f64 / 1e6,
         p.verify_ns as f64 / 1e6

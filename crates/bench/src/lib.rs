@@ -1,16 +1,21 @@
 //! # dbpc-bench
 //!
-//! Shared workloads for the benchmark harness. The paper's latency-shaped
-//! claims (EXPERIMENTS.md E1, E3–E8) are gated by one bench,
-//! `paper_shapes`, which times each pair of arms with [`paired`]; the
-//! table-shaped experiments have a report binary each (E2 `success_rate`,
-//! E9 `cost_model`). Benches that leave a `BENCH_*.json` artifact write it
+//! Shared workloads for the benchmark harness. Every bench times through
+//! [`paired`]: two arms in alternating rounds, judged on the median of the
+//! per-round ratios ([`paired::ratio`]), and a one-shot with
+//! [`paired::timed`]. The paper's latency-shaped claims (EXPERIMENTS.md E1,
+//! E3–E8) are gated by one bench, `paper_shapes`; the table-shaped
+//! experiments have a report binary each (E2 `success_rate`, E9
+//! `cost_model`). Benches that leave a `BENCH_*.json` artifact write it
 //! through [`artifact`].
 
 use dbpc_convert::report::AutoAnalyst;
+use dbpc_convert::service::{ConversionService, CtxId, ServiceBuilder, ServiceConfig, Ticket};
 use dbpc_convert::Supervisor;
+use dbpc_corpus::gen::{generate_program, ProgramClass};
 use dbpc_corpus::named;
 use dbpc_dml::host::{parse_program, Program};
+use dbpc_engine::Inputs;
 use dbpc_restructure::Restructuring;
 use dbpc_storage::NetworkDb;
 
@@ -77,6 +82,68 @@ pub fn convert_for_fig44(program: &Program, optimize: bool) -> Program {
         .expect("workload converts")
 }
 
+/// The seed of the conversion service's job mix ([`service_jobs`]).
+pub const SERVICE_SEED: u64 = 1979;
+
+/// The conversion service's design traffic (E19): `n` jobs on context 0,
+/// 80% read-only and 20% mutating, deterministic per [`SERVICE_SEED`].
+/// Like real sustained traffic, the mix replays a bounded corpus of
+/// distinct programs (the seed cycles) rather than inventing a fresh
+/// program per request — repeats are what the service's ground-truth memo
+/// amortizes. Every job still carries a distinct fault/identity key.
+pub fn service_jobs(n: usize) -> Vec<(CtxId, Program, u64)> {
+    const READ: [ProgramClass; 4] = [
+        ProgramClass::PlainReport,
+        ProgramClass::SortedReport,
+        ProgramClass::AggregateOnly,
+        ProgramClass::VirtualRef,
+    ];
+    const MUTATE: [ProgramClass; 4] = [
+        ProgramClass::StoreEmp,
+        ProgramClass::ModifyAge,
+        ProgramClass::ModifyDept,
+        ProgramClass::DeleteEmp,
+    ];
+    let seeds = (n / 20).max(8);
+    (0..n)
+        .map(|i| {
+            let class = if i % 5 == 4 {
+                MUTATE[i % MUTATE.len()]
+            } else {
+                READ[i % READ.len()]
+            };
+            let seed = SERVICE_SEED
+                .wrapping_mul(0x9E37_79B9)
+                .wrapping_add((i % seeds) as u64);
+            let key = SERVICE_SEED.wrapping_add(i as u64);
+            (0, generate_program(class, seed), key)
+        })
+        .collect()
+}
+
+/// A conversion service under `config` with the company context (the
+/// Figure 4.2→4.4 restructuring over a small company database) as
+/// context 0, the one [`service_jobs`] targets.
+pub fn service_builder(config: ServiceConfig) -> ServiceBuilder {
+    let mut b = ServiceBuilder::new(config);
+    b.register_context(
+        &named::company_schema(),
+        &named::fig_4_4_restructuring(),
+        named::company_db(2, 2, 6),
+        Inputs::new().with_terminal(&["RETRIEVE"]),
+    )
+    .expect("the company context registers");
+    b
+}
+
+/// Submit every job of `jobs` to `svc` in order, through one session.
+pub fn submit_all(svc: &ConversionService, jobs: &[(CtxId, Program, u64)]) -> Vec<Ticket> {
+    let session = svc.session();
+    (jobs.iter())
+        .map(|(c, p, k)| session.submit(*c, p.clone(), *k).expect("submit"))
+        .collect()
+}
+
 /// The one writer of the `BENCH_<bench>.json` artifacts at the repo root.
 pub mod artifact {
     use dbpc_obs::json::Json;
@@ -118,12 +185,14 @@ pub mod artifact {
 }
 
 /// Paired timing of two arms in one process, so that drift in the host's
-/// speed over a run moves both arms of a comparison alike.
+/// speed over a run moves both arms of a comparison alike. The only clock
+/// the benches read is [`paired::timed`]'s.
 pub mod paired {
+    use dbpc_obs::json::Json;
     use std::time::{Duration, Instant};
 
     /// What [`ratio`] measured.
-    #[derive(Debug, Clone, Copy)]
+    #[derive(Debug, Clone)]
     pub struct Paired {
         /// The median of the per-round ratios `a / b`.
         pub ratio: f64,
@@ -131,6 +200,21 @@ pub mod paired {
         pub a: Duration,
         /// The median time of arm `b`.
         pub b: Duration,
+        /// Each round's ratio `a / b`, in round order.
+        pub ratios: Vec<f64>,
+    }
+
+    impl Paired {
+        /// The artifact form: the ratio, each arm's median time under its
+        /// name (`<a>_ns`, `<b>_ns`) and the per-round ratios.
+        pub fn json(&self, a: &str, b: &str) -> Json {
+            Json::obj([
+                ("ratio".to_string(), Json::from(self.ratio)),
+                (format!("{a}_ns"), self.a.as_nanos().into()),
+                (format!("{b}_ns"), self.b.as_nanos().into()),
+                ("round_ratios".to_string(), self.ratios.clone().into()),
+            ])
+        }
     }
 
     /// Time `f`, handing back its result so that dropping it stays
@@ -168,9 +252,10 @@ pub mod paired {
             tb.push(y.as_secs_f64());
         }
         Paired {
-            ratio: median(&mut ratios),
+            ratio: median(&mut ratios.clone()),
             a: Duration::from_secs_f64(median(&mut ta)),
             b: Duration::from_secs_f64(median(&mut tb)),
+            ratios,
         }
     }
 
@@ -227,6 +312,7 @@ pub mod paired {
             // medians (30 / 20) would give 1.5.
             let (p, _) = scripted(&[30, 10, 40], &[10, 20, 20]);
             assert!(close(p.ratio, 2.0), "{p:?}");
+            assert_eq!(p.ratios, [3.0, 0.5, 2.0], "rounds in order");
             assert!(close(p.a.as_secs_f64(), 30e-6) && close(p.b.as_secs_f64(), 20e-6));
             // An even count: ratios 3, 0.5, 2, 1 give (1 + 2) / 2, where
             // the arms' medians (20 / 15) would give 1.33.

@@ -2,7 +2,9 @@
 //! run written by the one artifact writer: it parses with the workspace's
 //! JSON parser and names the bench it came from. Artifacts and bench
 //! targets match both ways, so deleting or adding a target cannot leave a
-//! stale or a missing artifact behind.
+//! stale or a missing artifact behind. Every bench reads the clock through
+//! `dbpc_bench::paired`, so none can judge its timings by an estimator of
+//! its own.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -50,6 +52,18 @@ fn artifacts_and_bench_targets_match() {
         assert!(
             !source.contains("artifact::emit") || artifacts.contains(&name),
             "benches/{name}.rs writes an artifact but BENCH_{name}.json is not committed"
+        );
+    }
+}
+
+#[test]
+fn benches_read_the_clock_only_through_paired() {
+    let benches = Path::new(env!("CARGO_MANIFEST_DIR")).join("benches");
+    for name in stems(&benches, "", ".rs") {
+        let source = std::fs::read_to_string(benches.join(format!("{name}.rs"))).unwrap();
+        assert!(
+            !source.contains("Instant::now"),
+            "benches/{name}.rs reads the clock itself; time it with dbpc_bench::paired"
         );
     }
 }

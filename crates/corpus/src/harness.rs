@@ -44,7 +44,6 @@ pub const EQUIVALENCE_RUNS: &str = "study.equivalence_runs";
 pub const SOURCE_TRACE_HITS: &str = "study.source_trace_hits";
 pub const SOURCE_TRACE_MISSES: &str = "study.source_trace_misses";
 pub const DB_BUILDS: &str = "study.db_builds";
-pub const DB_CLONES: &str = "study.db_clones";
 pub const DB_SHARED_RUNS: &str = "study.db_shared_runs";
 pub const TRANSLATIONS: &str = "study.translations";
 pub const GENERATE_NS: &str = "study.generate_ns";
@@ -182,10 +181,6 @@ pub struct StudyProfile {
     pub source_trace_misses: u64,
     /// Verification databases built from scratch.
     pub db_builds: u64,
-    /// Verification databases cloned from a per-cell base. Always zero
-    /// since the undo journal: kept so the clone audit can assert the
-    /// deep-copy path stayed deleted.
-    pub db_clones: u64,
     /// Verification runs executed directly on a shared base database —
     /// every run since the undo journal: updating programs run inside a
     /// savepoint that is rolled back, so no working copy is ever needed.
@@ -217,7 +212,6 @@ impl StudyProfile {
             source_trace_hits: frame.counter(SOURCE_TRACE_HITS),
             source_trace_misses: frame.counter(SOURCE_TRACE_MISSES),
             db_builds: frame.counter(DB_BUILDS),
-            db_clones: frame.counter(DB_CLONES),
             db_shared_runs: frame.counter(DB_SHARED_RUNS),
             translations: frame.counter(TRANSLATIONS),
             generate_ns: frame.time_ns(GENERATE_NS),
@@ -1011,7 +1005,6 @@ mod tests {
         // deleted; the baseline rebuilds and re-translates for every
         // program.
         assert!(tuned.profile.db_builds <= cells);
-        assert_eq!(tuned.profile.db_clones, 0);
         assert_eq!(
             tuned.profile.db_shared_runs,
             tuned.profile.equivalence_runs + tuned.profile.source_trace_misses
@@ -1021,7 +1014,6 @@ mod tests {
             baseline.profile.db_builds,
             baseline.profile.programs_converted
         );
-        assert_eq!(baseline.profile.db_clones, 0);
         assert_eq!(baseline.profile.db_shared_runs, 0);
         assert!(tuned.profile.db_builds < baseline.profile.db_builds);
         // Source-trace memoization: each verified program's ground truth is

@@ -215,11 +215,6 @@ impl LogMgr {
     pub fn flush_os(&mut self) -> DiskResult<()> {
         self.flush_inner(false)
     }
-
-    /// LSN of the most recently appended record (0 if none).
-    pub fn last_lsn(&self) -> Lsn {
-        self.next_lsn - 1
-    }
 }
 
 #[cfg(test)]
@@ -245,17 +240,16 @@ mod tests {
             assert_eq!(lsn, i + 1);
         }
         log.flush().unwrap();
-        assert_eq!(log.last_lsn(), 10);
         drop(log);
 
-        let (log2, recs) = LogMgr::open(fm, "wal").unwrap();
+        let (mut log2, recs) = LogMgr::open(fm, "wal").unwrap();
         assert_eq!(recs.len(), 10);
         for (i, (lsn, payload)) in recs.iter().enumerate() {
             assert_eq!(*lsn, i as u64 + 1);
             assert_eq!(payload.len(), 40 + (i % 3) * 100);
             assert!(payload.iter().all(|&b| b == i as u8));
         }
-        assert_eq!(log2.last_lsn(), 10);
+        assert_eq!(log2.append(b"next").unwrap(), 11);
     }
 
     #[test]

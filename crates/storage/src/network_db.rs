@@ -1180,10 +1180,10 @@ impl NetworkDb {
     }
 
     /// [`NetworkDb::to_paged`], but into a caller-owned file of two slots
-    /// per page, read and written through `slots`, which must hold no live
-    /// records. The durable engine's import copies through this, over a
-    /// map with no pages, so the copy lands in blocks the checkpointed
-    /// generation does not use.
+    /// per page, read and written through `slots`, a map with no pages
+    /// ([`SlotMap::cleared`]). The durable engine's import copies through
+    /// this, so the copy lands in blocks the checkpointed generation does
+    /// not use.
     pub(crate) fn to_paged_at(
         &self,
         fm: Arc<FileMgr>,
@@ -1191,13 +1191,7 @@ impl NetworkDb {
         pool: usize,
         slots: SlotMap,
     ) -> DbResult<NetworkDb> {
-        let hb = HeapBackend::on(fm, file, pool, slots)?;
-        if hb.stats().records > 0 {
-            return Err(DbError::constraint(format!(
-                "to_paged_at: heap file {file} holds records"
-            )));
-        }
-        self.copy_into_heap(hb)
+        self.copy_into_heap(HeapBackend::on(fm, file, pool, slots)?)
     }
 
     /// The one routine that copies a database into a heap ([`Clone`] of
