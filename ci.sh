@@ -106,6 +106,14 @@ DBPC_BENCH_SMOKE=1 cargo bench -p dbpc-bench --bench scale
 echo "==> E21 smoke (service crash-replay chaos matrix)"
 cargo test -q --test service_crash
 
+# A finished service job's observability shard is its encoded DONE bytes,
+# bracketed by dense metric ids: the bracket's delta must equal the
+# snapshot delta entry for entry, and a durable service and a journal-less
+# one must keep (and report) the same bytes.
+echo "==> per-job observability shards (bracket equals snapshot, one shard encoding)"
+cargo test -q -p dbpc-obs --lib bracket_delta_equals_snapshot_since
+cargo test -q -p dbpc-convert --lib -- one_shard_encoding halted_service_journals_shards
+
 # The translation crash matrix is the one gate on data-translation crash
 # safety: a durable translation killed at every batch boundary of four
 # transform shapes must recover byte-identical to the one-shot.

@@ -28,7 +28,10 @@
 //! the binary shard codec below — which is all the shutdown report
 //! assembly needs; the job outcome itself is deliberately not persisted,
 //! because a replayed job recomputes it as a pure function of
-//! `(context, program, key)` (the service's determinism contract).
+//! `(context, program, key)` (the service's determinism contract). The
+//! service keeps every finished job's shard as these same bytes, journal
+//! or not, and [`decode_done`] turns live and recovered ones alike back
+//! into a capture and a metrics frame.
 //!
 //! A span is `flags` (bit 0: event, bit 1: wall time present), name,
 //! open and close seqs, the wall time when flagged, the attributes as
@@ -145,8 +148,9 @@ pub struct RecoveredJob {
 pub struct JournalScan {
     /// Admitted, neither completed nor shed — the replay set, seq order.
     pub pending: Vec<RecoveredJob>,
-    /// Completed jobs' observability shards, seq order.
-    pub results: Vec<(u64, Capture, MetricsFrame)>,
+    /// Completed jobs' `DONE` payloads, each validated by decoding it, in
+    /// seq order ([`decode_done`] reads one back).
+    pub results: Vec<(u64, Box<[u8]>)>,
     /// Seqs that were shed (admission policy or bounded drain).
     pub shed: Vec<u64>,
     /// Intact `ADMIT` records found.
@@ -203,20 +207,20 @@ impl JobJournal {
         })?;
 
         let mut admits: BTreeMap<u64, RecoveredJob> = BTreeMap::new();
-        let mut dones: BTreeMap<u64, (Capture, MetricsFrame)> = BTreeMap::new();
+        let mut dones: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         let mut shed: BTreeSet<u64> = BTreeSet::new();
         let mut next_seq = 0u64;
         let mut decode_errors = 0u64;
-        for (_, payload) in &records {
-            match decode(payload) {
+        for (_, payload) in records {
+            match decode(&payload) {
                 Ok(Record::Admit(job)) => {
                     next_seq = next_seq.max(job.seq + 1);
                     admits.insert(job.seq, job);
                 }
-                Ok(Record::Done(seq, cap, frame)) => {
+                Ok(Record::Done(seq, _, _)) => {
                     next_seq = next_seq.max(seq + 1);
                     // Last-wins: a replayed job's second DONE supersedes.
-                    dones.insert(seq, (cap, frame));
+                    dones.insert(seq, payload);
                 }
                 Ok(Record::Shed(seq)) => {
                     next_seq = next_seq.max(seq + 1);
@@ -232,7 +236,7 @@ impl JobJournal {
             .collect();
         let results = dones
             .into_iter()
-            .map(|(seq, (cap, frame))| (seq, cap, frame))
+            .map(|(seq, payload)| (seq, payload.into_boxed_slice()))
             .collect();
         Ok((
             JobJournal {
@@ -323,7 +327,7 @@ impl JobJournal {
 /// append (and an `ADMIT`'s fsync).
 #[derive(Debug)]
 pub struct JournalRecord {
-    payload: Vec<u8>,
+    payload: Box<[u8]>,
     /// The boundary event the append fires.
     staged: JournalEvent,
 }
@@ -340,25 +344,24 @@ impl JournalRecord {
         w.put_u64(key);
         w.put_u64(fnv64(text.as_bytes()));
         w.put_str(&text);
-        JournalRecord {
-            payload: w.into_bytes(),
-            staged: JournalEvent::AdmitStaged,
-        }
+        JournalRecord::new(w, JournalEvent::AdmitStaged)
     }
 
     /// A completed job's observability shard: its capture and the metrics
-    /// delta recorded alongside it.
-    pub fn done(seq: u64, capture: &Capture, delta: &MetricsFrame) -> JournalRecord {
-        // A service job's shard encodes to about 2 KB.
+    /// delta recorded alongside it, a [`MetricsFrame`] or a bracket's
+    /// [`Delta`](dbpc_obs::Delta), in name order either way.
+    pub fn done<'a, M>(seq: u64, capture: &Capture, delta: M) -> JournalRecord
+    where
+        M: IntoIterator<Item = (&'a str, MetricValue), IntoIter: ExactSizeIterator>,
+    {
+        // A service job's shard encodes to about 1.7 KB; the payload is
+        // cut to its exact length below.
         let mut w = ByteWriter::over(Vec::with_capacity(2048));
         w.put_u8(TAG_DONE);
         w.put_u64(seq);
         put_capture(&mut w, capture);
         put_frame(&mut w, delta);
-        JournalRecord {
-            payload: w.into_bytes(),
-            staged: JournalEvent::DoneStaged,
-        }
+        JournalRecord::new(w, JournalEvent::DoneStaged)
     }
 
     /// A shed seq (admission rejection, eviction, or drain expiry), so
@@ -367,10 +370,19 @@ impl JournalRecord {
         let mut w = ByteWriter::new();
         w.put_u8(TAG_SHED);
         w.put_u64(seq);
+        JournalRecord::new(w, JournalEvent::ShedStaged)
+    }
+
+    fn new(w: ByteWriter, staged: JournalEvent) -> JournalRecord {
         JournalRecord {
-            payload: w.into_bytes(),
-            staged: JournalEvent::ShedStaged,
+            payload: w.into_bytes().into_boxed_slice(),
+            staged,
         }
+    }
+
+    /// The encoded payload, exactly as [`JobJournal::append`] writes it.
+    pub fn into_payload(self) -> Box<[u8]> {
+        self.payload
     }
 }
 
@@ -430,26 +442,30 @@ fn put_span(w: &mut ByteWriter, node: &SpanNode) {
     }
 }
 
-fn put_frame(w: &mut ByteWriter, frame: &MetricsFrame) {
-    w.put_u32(frame.len() as u32);
-    for (name, value) in frame.iter() {
+fn put_frame<'a>(
+    w: &mut ByteWriter,
+    frame: impl IntoIterator<Item = (&'a str, MetricValue), IntoIter: ExactSizeIterator>,
+) {
+    let entries = frame.into_iter();
+    w.put_u32(entries.len() as u32);
+    for (name, value) in entries {
         w.put_str(name);
         match value {
             MetricValue::Counter(n) => {
                 w.put_u8(METRIC_COUNTER);
-                w.put_u64(*n);
+                w.put_u64(n);
             }
             MetricValue::Racy(n) => {
                 w.put_u8(METRIC_RACY);
-                w.put_u64(*n);
+                w.put_u64(n);
             }
             MetricValue::Gauge(g) => {
                 w.put_u8(METRIC_GAUGE);
-                w.put_i64(*g);
+                w.put_i64(g);
             }
             MetricValue::Time(n) => {
                 w.put_u8(METRIC_TIME);
-                w.put_u64(*n);
+                w.put_u64(n);
             }
             MetricValue::Hist(h) => {
                 w.put_u8(METRIC_HIST);
@@ -564,6 +580,15 @@ fn get_frame(r: &mut ByteReader) -> CodecResult<MetricsFrame> {
     Ok(frame)
 }
 
+/// Decode one `DONE` payload — a live shard the service kept or one a
+/// recovery scan validated — into its seq, capture and metrics frame.
+pub fn decode_done(payload: &[u8]) -> CodecResult<(u64, Capture, MetricsFrame)> {
+    match decode(payload)? {
+        Record::Done(seq, capture, frame) => Ok((seq, capture, frame)),
+        _ => Err(codec_err("journal tag", "not a DONE record")),
+    }
+}
+
 fn decode(payload: &[u8]) -> CodecResult<Record> {
     let mut r = ByteReader::new(payload);
     let record = match r.get_u8("journal tag")? {
@@ -640,14 +665,6 @@ END PROGRAM;",
 
     fn admit(seq: u64, session: u64, key: u64, p: &Program) -> JournalRecord {
         JournalRecord::admit(seq, session, 0, key, p)
-    }
-
-    /// Decode a `DONE` payload back into its shard.
-    fn decode_done(record: &JournalRecord) -> (u64, Capture, MetricsFrame) {
-        match decode(&record.payload).unwrap() {
-            Record::Done(seq, cap, frame) => (seq, cap, frame),
-            other => panic!("expected a DONE, decoded {other:?}"),
-        }
     }
 
     /// Exact shard equality: `SpanNode`'s `PartialEq` skips `wall_ns`,
@@ -743,7 +760,8 @@ END PROGRAM;",
         j.append(&admit(1, 0, 8, &p));
         j.append(&admit(2, 1, 9, &p));
         let (cap, frame) = shard();
-        j.append(&JournalRecord::done(0, &cap, &frame));
+        let done = JournalRecord::done(0, &cap, &frame);
+        j.append(&done);
         j.append(&JournalRecord::shed(2));
         j.finalize();
         drop(j);
@@ -758,12 +776,15 @@ END PROGRAM;",
         let pending = &scan.pending[0];
         assert_eq!((pending.seq, pending.session, pending.key), (1, 0, 8));
         assert_eq!(pending.program, p);
-        // The completed shard round-trips exactly.
+        // The completed shard round-trips exactly, as the very bytes written.
         assert_eq!(scan.results.len(), 1);
-        let (seq, cap2, frame2) = &scan.results[0];
+        let (seq, payload) = &scan.results[0];
         assert_eq!(*seq, 0);
-        assert_eq!(cap2, &cap);
-        assert_eq!(frame2, &frame);
+        assert_eq!(payload, &done.into_payload());
+        let (seq2, cap2, frame2) = decode_done(payload).unwrap();
+        assert_eq!(seq2, 0);
+        assert_eq!(cap2, cap);
+        assert_eq!(frame2, frame);
     }
 
     #[test]
@@ -850,7 +871,7 @@ END PROGRAM;",
             }),
         );
         let record = JournalRecord::done(u64::MAX, &cap, &frame);
-        let (seq, cap2, frame2) = decode_done(&record);
+        let (seq, cap2, frame2) = decode_done(&record.payload).unwrap();
         assert_eq!(seq, u64::MAX);
         assert!(same_shard(&(cap2, frame2), &(cap, frame)));
     }
@@ -936,7 +957,8 @@ END PROGRAM;",
             let mut g = Gen(seed);
             let (cap, frame) = (g.capture(), g.frame());
             let seq = g.next();
-            let (seq2, cap2, frame2) = decode_done(&JournalRecord::done(seq, &cap, &frame));
+            let record = JournalRecord::done(seq, &cap, &frame);
+            let (seq2, cap2, frame2) = decode_done(&record.payload).unwrap();
             prop_assert_eq!(seq2, seq);
             prop_assert!(same_shard(&(cap2, frame2), &(cap, frame)));
         }
@@ -958,7 +980,7 @@ END PROGRAM;",
                 1 => JournalRecord::done(g.next(), &g.capture(), &g.frame()),
                 _ => JournalRecord::shed(g.next()),
             };
-            let mut bytes = record.payload;
+            let mut bytes = record.payload.into_vec();
             prop_assert!(decode(&bytes).is_ok());
             for (at, mask) in flips {
                 let at = at as usize % bytes.len();

@@ -80,7 +80,7 @@
 //! failing, re-probing after a cooldown.
 
 use crate::equivalence::{judge_equivalence, source_trace, EquivalenceLevel};
-use crate::journal::{BoundaryHook, JobJournal, JournalRecord, RecoveredJob};
+use crate::journal::{decode_done, BoundaryHook, JobJournal, JournalRecord, RecoveredJob};
 use crate::mapping::Mapping;
 use crate::report::{Analyst, AutoAnalyst, ConversionReport, PermissiveAnalyst, Verdict};
 use crate::supervisor::fault::panic_payload;
@@ -92,7 +92,7 @@ use dbpc_datamodel::network::NetworkSchema;
 use dbpc_dml::host::{Program, Stmt};
 use dbpc_engine::{Inputs, Trace};
 use dbpc_obs::metrics::MetricValue;
-use dbpc_obs::{Capture, MetricsFrame, MetricsRegistry, RunReport};
+use dbpc_obs::{MetricsFrame, MetricsRegistry, RunReport};
 use dbpc_restructure::Restructuring;
 use dbpc_storage::locks::{ConcurrencyMgr, LockError, LockKind, LockRes, LockTable};
 use dbpc_storage::{pool, NetworkDb};
@@ -652,17 +652,17 @@ impl Queue {
     }
 }
 
-/// Per-job observability shard: `(seq, span tree, metrics delta)`, merged
-/// in admission order at shutdown so the assembled report is a pure
-/// function of the job sequence.
-type ObsShard = (u64, Capture, MetricsFrame);
-
 struct ServiceInner {
     config: ServiceConfig,
     contexts: Vec<Arc<Context>>,
     lock_table: LockTable,
     queue: Queue,
-    sink: Mutex<Vec<ObsShard>>,
+    /// Every finished job's observability shard (span tree and metrics
+    /// delta) as `(seq, DONE payload)`: the bytes the journal writes, kept
+    /// at their exact length whether or not the service has a journal, and
+    /// decoded in admission order at shutdown so the assembled report is a
+    /// pure function of the job sequence.
+    sink: Mutex<Vec<(u64, Box<[u8]>)>>,
     /// The durable job journal; `None` without a `durable_root` (or when
     /// the journal failed to open, which `journal_errors` records).
     journal: Option<Mutex<JobJournal>>,
@@ -770,7 +770,7 @@ impl ServiceBuilder {
     /// Spawn the worker pool and open the service for sessions.
     ///
     /// A durable service first opens its [`JobJournal`] and replays the
-    /// scan: completed jobs' observability shards seed the sink (their
+    /// scan: completed jobs' validated `DONE` payloads seed the sink (their
     /// reports were already served — they are *not* re-run), and
     /// admitted-but-incomplete jobs are re-enqueued with their original
     /// sequence numbers once the workers are up. Journal failures never
@@ -780,7 +780,7 @@ impl ServiceBuilder {
         let workers = self.config.resolved_workers();
         let mut journal = None;
         let mut recovery = RecoveryStats::default();
-        let mut seeded: Vec<ObsShard> = Vec::new();
+        let mut seeded = Vec::new();
         let mut replay: Vec<RecoveredJob> = Vec::new();
         let mut journal_errors = 0u64;
         if let Some(root) = &self.config.durable_root {
@@ -1019,19 +1019,27 @@ impl ConversionService {
 }
 
 /// Assemble the shutdown report from the inner state (shared by every
-/// shutdown flavor). Shards are merged in admission order and de-duplicated
-/// by sequence number — a recovered shard and a replayed one can never
-/// coexist for the same seq, but the report must not double-count even if
-/// a future caller arranges that.
+/// shutdown flavor). Shards are decoded and merged in admission order and
+/// de-duplicated by sequence number — a recovered shard and a replayed one
+/// can never coexist for the same seq, but the report must not
+/// double-count even if a future caller arranges that. Live and recovered
+/// shards are the same `DONE` bytes and pass through the journal's one
+/// decoder; one that fails to decode counts as a journal error.
 fn assemble(inner: &ServiceInner) -> RunReport {
     let mut shards = std::mem::take(&mut *lock(&inner.sink));
-    shards.sort_by_key(|(seq, _, _)| *seq);
-    shards.dedup_by_key(|(seq, _, _)| *seq);
+    shards.sort_by_key(|(seq, _)| *seq);
+    shards.dedup_by_key(|(seq, _)| *seq);
     let mut registry = MetricsRegistry::new();
     let mut captures = Vec::with_capacity(shards.len());
-    for (_, cap, delta) in shards {
-        registry.absorb(&delta);
-        captures.push(cap);
+    let mut undecodable = 0u64;
+    for (_, payload) in shards {
+        match decode_done(&payload) {
+            Ok((_, cap, delta)) => {
+                registry.absorb(&delta);
+                captures.push(cap);
+            }
+            Err(_) => undecodable += 1,
+        }
     }
     // Lock-wait telemetry is aggregated on the table itself (not the
     // ambient per-thread sheets — see `dbpc_storage::locks`), so the
@@ -1050,8 +1058,9 @@ fn assemble(inner: &ServiceInner) -> RunReport {
         SERVICE_BACKPRESSURE_WAITS,
         MetricValue::Racy(inner.queue.backpressure_waits.load(Ordering::Relaxed)),
     );
-    let journal_errors =
-        inner.journal_errors.load(Ordering::Relaxed) + inner.journal(|j| j.errors()).unwrap_or(0);
+    let journal_errors = inner.journal_errors.load(Ordering::Relaxed)
+        + inner.journal(|j| j.errors()).unwrap_or(0)
+        + undecodable;
     let trips: u64 = inner.breakers.iter().map(|b| lock(b).trips).sum();
     // Zero-suppressed (like `WaitStats::publish`): quiet runs keep their
     // pre-PR9 report bytes.
@@ -1171,7 +1180,7 @@ fn worker_loop(inner: &ServiceInner) {
             });
             continue;
         };
-        let before = dbpc_obs::local_snapshot();
+        let mark = dbpc_obs::local_mark();
         let label = format!("session{}.job{}", job.session, job.seq);
         let started = Instant::now();
         let ((report, level), cap) = dbpc_obs::capture(&label, || {
@@ -1189,9 +1198,11 @@ fn worker_loop(inner: &ServiceInner) {
         let exec_ns = started.elapsed().as_nanos() as u64;
         dbpc_obs::time(SERVICE_EXEC_NS, exec_ns);
         dbpc_obs::time(SERVICE_QUEUE_WAIT_NS, queue_ns);
-        let delta = dbpc_obs::local_snapshot().since(&before);
-        inner.journal_append(|| JournalRecord::done(job.seq, &cap, &delta));
-        lock(&inner.sink).push((job.seq, cap, delta));
+        // One encoding of the shard, journal or not: the journal appends
+        // these bytes and the sink keeps them.
+        let done = JournalRecord::done(job.seq, &cap, &mark.delta());
+        inner.journal(|j| j.append(&done));
+        lock(&inner.sink).push((job.seq, done.into_payload()));
         job.slot.fill(JobOutcome {
             seq: job.seq,
             report,
@@ -2047,7 +2058,10 @@ END PROGRAM;",
             };
             session.submit(ctx, p, k).unwrap().wait();
         }
-        let journaled: Vec<ObsShard> = lock(&svc.inner.sink).clone();
+        let journaled: Vec<_> = lock(&svc.inner.sink)
+            .iter()
+            .map(|(seq, payload)| (*seq, decode_done(payload).unwrap()))
+            .collect();
         assert_eq!(journaled.len(), 8);
         svc.halt();
 
@@ -2056,15 +2070,86 @@ END PROGRAM;",
         assert_eq!(scan.decode_errors, 0);
         // Each admit's fsync made the previous job's staged DONE durable.
         assert!(scan.results.len() >= 7, "{}", scan.results.len());
-        for (seq, cap, frame) in &scan.results {
-            let (_, cap0, frame0) = journaled.iter().find(|(s, _, _)| s == seq).unwrap();
-            assert_eq!((cap, frame), (cap0, frame0), "shard {seq}");
+        for (seq, payload) in &scan.results {
+            let (_, cap, frame) = decode_done(payload).unwrap();
+            let (_, (_, cap0, frame0)) = journaled.iter().find(|(s, _)| s == seq).unwrap();
+            assert_eq!((&cap, &frame), (cap0, frame0), "shard {seq}");
             assert_eq!(
                 format!("{cap:?}"),
                 format!("{cap0:?}"),
                 "wall times of {seq}"
             );
         }
+    }
+
+    /// Twelve jobs on context 0, every third one mutating.
+    fn twelve_jobs() -> Vec<(CtxId, Program, u64)> {
+        (0..12u64)
+            .map(|k| {
+                let p = if k % 3 == 0 {
+                    store_program()
+                } else {
+                    read_only_program()
+                };
+                (0, p, k)
+            })
+            .collect()
+    }
+
+    /// Submit `jobs` on one session and wait for every verdict.
+    fn run_jobs(svc: &ConversionService, jobs: &[(CtxId, Program, u64)]) {
+        let session = svc.session();
+        let tickets: Vec<Ticket> = jobs
+            .iter()
+            .map(|(c, p, k)| session.submit(*c, p.clone(), *k).unwrap())
+            .collect();
+        for t in tickets {
+            t.wait();
+        }
+    }
+
+    /// A durable service and a journal-less one keep their shards the same
+    /// way, so the same jobs assemble to the same deterministic report.
+    #[test]
+    fn one_shard_encoding_durable_and_journal_less_reports_match() {
+        let tmp = dbpc_storage::TempDir::new("svc-one-encoding").unwrap();
+        let reports: Vec<String> = [None, Some(tmp.path().to_path_buf())]
+            .into_iter()
+            .map(|durable_root| {
+                let (b, _) = builder(ServiceConfig {
+                    workers: 2,
+                    durable_root,
+                    ..ServiceConfig::default()
+                });
+                let svc = b.start();
+                run_jobs(&svc, &twelve_jobs());
+                svc.shutdown().deterministic().to_json()
+            })
+            .collect();
+        assert_eq!(reports[0], reports[1]);
+    }
+
+    /// Every shard the sink holds is, byte for byte, the `DONE` payload
+    /// the journal holds for that seq.
+    #[test]
+    fn one_shard_encoding_sink_holds_the_journals_done_bytes() {
+        let tmp = dbpc_storage::TempDir::new("svc-sink-bytes").unwrap();
+        let (b, _) = builder(ServiceConfig {
+            workers: 2,
+            durable_root: Some(tmp.path().to_path_buf()),
+            ..ServiceConfig::default()
+        });
+        let svc = b.start();
+        run_jobs(&svc, &twelve_jobs());
+        let mut kept = lock(&svc.inner.sink).clone();
+        kept.sort_by_key(|(seq, _)| *seq);
+        svc.shutdown();
+
+        let (_, scan) =
+            crate::journal::JobJournal::open(&tmp.path().join("journal"), None, None).unwrap();
+        assert_eq!(scan.decode_errors, 0);
+        assert_eq!(kept.len(), 12);
+        assert_eq!(scan.results, kept);
     }
 
     /// A journal written before `DONE` went binary: its tag-2 JSON `DONE`

@@ -221,13 +221,12 @@ impl Supervisor {
         program: &Program,
         analyst: &mut dyn Analyst,
     ) -> ModelResult<ConversionReport> {
-        let before = dbpc_obs::local_snapshot();
+        let mark = dbpc_obs::local_mark();
         let (outcome, cap) = dbpc_obs::capture("convert", || {
             self.convert(source_schema, restructuring, program, analyst)
         });
-        let delta = dbpc_obs::local_snapshot().since(&before);
         let mut registry = dbpc_obs::MetricsRegistry::new();
-        registry.absorb(&delta);
+        registry.absorb(&mark.delta());
         let mut report = outcome?;
         report.run_report = Some(Box::new(dbpc_obs::RunReport::assemble(
             "convert",

@@ -415,15 +415,14 @@ pub fn success_rate_study_config(config: &StudyConfig) -> StudyResult {
     // supervision boundary becomes an all-poisoned cell, not a dead batch.
     // Each cell runs under its own `dbpc_obs::capture` (so every span the
     // pipeline opens lands in the cell's tree) and brackets the worker's
-    // ambient metric sheet, shipping the per-cell delta frame back with the
+    // ambient metric sheet, shipping the per-cell delta back with the
     // result for the index-ordered merge below.
     let per_cell = pool::try_parallel_map(&units, threads, |_, &(t, pc)| {
-        let before = dbpc_obs::local_snapshot();
+        let mark = dbpc_obs::local_mark();
         let label = format!("cell.{}.{}", t.name(), pc.name());
         let (cell, capture) =
             dbpc_obs::capture(&label, || run_cell(&supervisor, &schema, config, t, pc));
-        let delta = dbpc_obs::local_snapshot().since(&before);
-        (cell, capture, delta)
+        (cell, capture, mark.delta())
     });
 
     // Reassemble in the fixed transform × program-class order. Captures and

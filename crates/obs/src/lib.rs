@@ -39,8 +39,8 @@ pub mod report;
 pub mod span;
 
 pub use metrics::{
-    count, gauge, local_remove, local_snapshot, racy, recording, set_recording, time, Hist,
-    MetricValue, MetricsFrame, MetricsRegistry,
+    count, gauge, local_mark, local_remove, local_snapshot, racy, recording, set_recording, time,
+    Delta, Hist, Mark, MetricValue, MetricsFrame, MetricsRegistry,
 };
 pub use report::RunReport;
 pub use span::{capture, event, event_with, in_capture, quiet, span, span_with, Capture, SpanNode};

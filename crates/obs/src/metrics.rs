@@ -3,11 +3,21 @@
 //! Recording sites call the free functions ([`count`], [`racy`], [`gauge`],
 //! [`time`]) with `&'static str` metric names; values accumulate in a
 //! thread-local sheet. Harnesses bracket a unit of work with
-//! [`local_snapshot`] and [`MetricsFrame::since`], ship the delta back from
-//! the worker that did the work, and merge the per-item frames in item
-//! order into a [`MetricsRegistry`] — the same index-ordered reassembly the
+//! [`local_mark`] and [`Mark::delta`], ship the [`Delta`] back from the
+//! worker that did the work, and merge the per-item deltas in item order
+//! into a [`MetricsRegistry`] — the same index-ordered reassembly the
 //! thread pool already uses for results, so the merged frame is a pure
 //! function of the work list, not of scheduling.
+//!
+//! ## Dense ids
+//!
+//! Each metric name gets a process-wide dense id on first use, interned by
+//! its text, so two codegen units' copies of one literal are one metric.
+//! The thread sheet is a `Vec` indexed by id: a mark copies it, and a
+//! delta subtracts element by element, reading names only to put the
+//! entries in name order. [`local_snapshot`] reads the same sheet into a
+//! name-keyed [`MetricsFrame`], and `local_snapshot().since(&before)`
+//! equals the bracket's delta entry for entry.
 //!
 //! ## Determinism contract
 //!
@@ -36,9 +46,11 @@
 //! [`Time`]: MetricValue::Time
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Process-wide recording switch (benchmarks measure the recording premium
 /// by flipping it off). Checked with a relaxed load on every record call.
@@ -223,28 +235,31 @@ impl MetricsFrame {
         }
     }
 
-    /// Merge `other` into `self`: counters/racy/time add, gauges take
-    /// `other`'s value, histograms merge. Commutative for every additive
-    /// kind; callers nevertheless merge shards in item-index order so the
-    /// whole pipeline has one canonical merge order.
-    pub fn merge(&mut self, other: &MetricsFrame) {
-        for (name, v) in &other.entries {
+    /// Merge `other` (a frame or a [`Delta`]) into `self`: counters/racy/
+    /// time add, gauges take `other`'s value, histograms merge. Commutative
+    /// for every additive kind; callers nevertheless merge shards in
+    /// item-index order so the whole pipeline has one canonical merge
+    /// order.
+    pub fn merge<'a>(&mut self, other: impl IntoIterator<Item = (&'a str, MetricValue)>) {
+        for (name, v) in other {
             match (self.entries.get_mut(name), v) {
                 (Some(MetricValue::Counter(a)), MetricValue::Counter(b)) => *a += b,
                 (Some(MetricValue::Racy(a)), MetricValue::Racy(b)) => *a += b,
                 (Some(MetricValue::Time(a)), MetricValue::Time(b)) => *a += b,
-                (Some(MetricValue::Hist(a)), MetricValue::Hist(b)) => a.merge(b),
-                (Some(slot), other_v) => *slot = *other_v,
+                (Some(MetricValue::Hist(a)), MetricValue::Hist(b)) => a.merge(&b),
+                (Some(slot), other_v) => *slot = other_v,
                 (None, other_v) => {
-                    self.entries.insert(name.clone(), *other_v);
+                    self.entries.insert(name.to_string(), other_v);
                 }
             }
         }
     }
 
     /// Deltas since `earlier`: additive kinds subtract (saturating), gauges
-    /// and histograms take `self`'s value. The bracketing idiom:
-    /// `let before = local_snapshot(); … ; let d = local_snapshot().since(&before);`
+    /// and histograms take `self`'s value. Bracketing the ambient sheet
+    /// this way (`local_snapshot().since(&before)`) gives the same entries
+    /// as [`local_mark`] and [`Mark::delta`], which skip the name-keyed
+    /// maps.
     pub fn since(&self, earlier: &MetricsFrame) -> MetricsFrame {
         let mut out = MetricsFrame::new();
         for (name, v) in &self.entries {
@@ -299,6 +314,21 @@ impl MetricsFrame {
     }
 }
 
+/// A frame's entries by value, in name order: the shape
+/// [`MetricsFrame::merge`], [`MetricsRegistry::absorb`] and encoders take,
+/// which a bracket's [`Delta`] shares.
+impl<'a> IntoIterator for &'a MetricsFrame {
+    type Item = (&'a str, MetricValue);
+    type IntoIter = std::iter::Map<
+        std::collections::btree_map::Iter<'a, String, MetricValue>,
+        fn((&'a String, &'a MetricValue)) -> (&'a str, MetricValue),
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.iter().map(|(name, v)| (name.as_str(), *v))
+    }
+}
+
 impl fmt::Display for MetricsFrame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (name, v) in &self.entries {
@@ -337,10 +367,10 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Absorb one shard (a per-item or per-worker delta frame). Callers
-    /// MUST absorb in item-index order — the registry records arrival
-    /// order as the canonical merge order.
-    pub fn absorb(&mut self, shard: &MetricsFrame) {
+    /// Absorb one shard (a per-item or per-worker delta frame, or a
+    /// [`Delta`]). Callers MUST absorb in item-index order — the registry
+    /// records arrival order as the canonical merge order.
+    pub fn absorb<'a>(&mut self, shard: impl IntoIterator<Item = (&'a str, MetricValue)>) {
         self.merged.merge(shard);
         self.shards += 1;
     }
@@ -370,11 +400,40 @@ impl MetricsRegistry {
 }
 
 // ---------------------------------------------------------------------------
-// Thread-local ambient sheet
+// Dense metric ids and the thread-local ambient sheet
 // ---------------------------------------------------------------------------
 
-/// Fast thread-local accumulator: static-name keys, no string allocation
-/// on the record path.
+/// The process-wide interner: one dense id per metric name, assigned on
+/// first use and never reused. Keyed by the name's text, so two codegen
+/// units' copies of one literal share an id.
+static IDS: Mutex<BTreeMap<&'static str, usize>> = Mutex::new(BTreeMap::new());
+
+fn ids() -> MutexGuard<'static, BTreeMap<&'static str, usize>> {
+    IDS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Hashes a name's address for [`Sheet::ids`]: a multiply and a fold,
+/// since the keys are already unique machine words.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|b| self.write_usize(*b as usize));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        let h = (self.0 ^ n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 29);
+    }
+}
+
+/// A sheet value: [`MetricValue`] without the histogram, which only
+/// frames carry, so a mark copies 16 bytes per id.
 #[derive(Debug, Clone, Copy)]
 enum LocalVal {
     Counter(u64),
@@ -383,111 +442,93 @@ enum LocalVal {
     Time(u64),
 }
 
-/// One open-addressed slot: the name's address (its identity on the record
-/// path), the name itself (for snapshots), and the running value.
-type Slot = Option<(usize, &'static str, LocalVal)>;
+impl LocalVal {
+    /// The delta from `earlier`, by [`MetricsFrame::since`]'s rule: an
+    /// additive kind subtracts (saturating) an earlier value of the same
+    /// kind; a gauge or a changed kind takes `self`.
+    fn since(self, earlier: Option<LocalVal>) -> LocalVal {
+        match (self, earlier) {
+            (LocalVal::Counter(a), Some(LocalVal::Counter(b))) => {
+                LocalVal::Counter(a.saturating_sub(b))
+            }
+            (LocalVal::Racy(a), Some(LocalVal::Racy(b))) => LocalVal::Racy(a.saturating_sub(b)),
+            (LocalVal::Time(a), Some(LocalVal::Time(b))) => LocalVal::Time(a.saturating_sub(b)),
+            (v, _) => v,
+        }
+    }
 
-const SLOTS: usize = 256;
+    fn value(self) -> MetricValue {
+        match self {
+            LocalVal::Counter(c) => MetricValue::Counter(c),
+            LocalVal::Racy(c) => MetricValue::Racy(c),
+            LocalVal::Gauge(g) => MetricValue::Gauge(g),
+            LocalVal::Time(t) => MetricValue::Time(t),
+        }
+    }
+}
 
 /// The per-thread sheet. Record calls are the hottest instrumented path in
 /// the workspace (every counter bump on every translated record and engine
-/// run lands here), so the table is keyed by the *address* of the
-/// `&'static str` name — one multiply-hash and a pointer compare instead
-/// of ordered string comparisons over dotted names with long shared
-/// prefixes. Rust may give the same literal a different address in
-/// different codegen units, so [`Sheet::merge_into`] merges slots by name;
-/// the address is an identity only within one call site's lifetime.
+/// run lands here), so a name is resolved to its dense id through a
+/// thread-local cache keyed by the `&'static str`'s address and length —
+/// one multiply-hash and a word compare — and the value sits in a `Vec`
+/// indexed by that id. A bracket ([`local_mark`], [`Mark::delta`]) is
+/// then a copy of that `Vec` and an element-by-element subtraction.
 struct Sheet {
-    slots: [Slot; SLOTS],
-    /// Spill map in case a pathological workload exceeds the table
-    /// (≈40 names exist today; correctness must not depend on that).
-    overflow: BTreeMap<&'static str, LocalVal>,
-}
-
-fn slot_index(key: usize) -> usize {
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) & (SLOTS - 1)
+    /// Name address and length → dense id. Two copies of one literal at
+    /// different addresses are two keys with the same id.
+    ids: HashMap<(usize, usize), usize, BuildHasherDefault<AddrHasher>>,
+    /// Value by id; `None` where this thread has recorded nothing under
+    /// that id (or [`local_remove`]d it).
+    vals: Vec<Option<LocalVal>>,
+    /// Every id this thread has seen, with its name, in name order: the
+    /// order snapshots and deltas are read in.
+    order: Vec<(&'static str, usize)>,
 }
 
 impl Sheet {
-    /// Find-or-insert by name address; `add` folds into an existing value.
-    fn upsert(&mut self, name: &'static str, make: LocalVal, add: impl FnOnce(&mut LocalVal)) {
-        let key = name.as_ptr() as usize;
-        let mut i = slot_index(key);
-        for _ in 0..SLOTS {
-            let slot = &mut self.slots[i];
-            match slot {
-                Some((k, _, v)) if *k == key => {
-                    add(v);
-                    return;
-                }
-                None => {
-                    *slot = Some((key, name, make));
-                    return;
-                }
-                Some(_) => i = (i + 1) & (SLOTS - 1),
-            }
-        }
-        match self.overflow.get_mut(name) {
-            Some(v) => add(v),
-            None => {
-                self.overflow.insert(name, make);
-            }
-        }
+    /// The value slot for `name`, interning the name on this thread's
+    /// first use of its address.
+    fn slot(&mut self, name: &'static str) -> &mut Option<LocalVal> {
+        let key = (name.as_ptr() as usize, name.len());
+        let id = match self.ids.get(&key) {
+            Some(&id) => id,
+            None => self.learn(key, name),
+        };
+        &mut self.vals[id]
     }
 
-    /// Merge every live entry into a name-keyed map. Two slots can carry
-    /// the same name under different addresses (cross-codegen-unit literal
-    /// duplication): accumulating kinds add, gauges keep the later slot.
-    fn merge_into(&self, out: &mut BTreeMap<&'static str, LocalVal>) {
-        let live = self
-            .slots
-            .iter()
-            .flatten()
-            .map(|(_, name, v)| (*name, *v))
-            .chain(self.overflow.iter().map(|(n, v)| (*n, *v)));
-        for (name, v) in live {
-            match (out.get_mut(name), v) {
-                (Some(LocalVal::Counter(a)), LocalVal::Counter(b)) => *a += b,
-                (Some(LocalVal::Racy(a)), LocalVal::Racy(b)) => *a += b,
-                (Some(LocalVal::Time(a)), LocalVal::Time(b)) => *a += b,
-                (Some(slot), v) => *slot = v,
-                (None, v) => {
-                    out.insert(name, v);
-                }
-            }
+    #[cold]
+    fn learn(&mut self, key: (usize, usize), name: &'static str) -> usize {
+        let id = {
+            let mut ids = ids();
+            let next = ids.len();
+            *ids.entry(name).or_insert(next)
+        };
+        self.ids.insert(key, id);
+        if self.vals.len() <= id {
+            self.vals.resize(id + 1, None);
         }
+        if let Err(at) = self.order.binary_search(&(name, id)) {
+            self.order.insert(at, (name, id));
+        }
+        id
     }
 
-    /// Drop every entry named `name`, rebuilding the probe sequences that
-    /// plain slot-clearing would break.
-    fn remove(&mut self, name: &str) {
-        self.overflow.remove(name);
-        if !self.slots.iter().flatten().any(|(_, n, _)| *n == name) {
-            return;
-        }
-        let keep: Vec<(usize, &'static str, LocalVal)> = self
-            .slots
+    /// Live entries in name order.
+    fn live(&self) -> impl Iterator<Item = (&'static str, usize, LocalVal)> + '_ {
+        self.order
             .iter()
-            .flatten()
-            .filter(|(_, n, _)| *n != name)
-            .copied()
-            .collect();
-        self.slots = [None; SLOTS];
-        for (key, n, v) in keep {
-            let mut i = slot_index(key);
-            while self.slots[i].is_some() {
-                i = (i + 1) & (SLOTS - 1);
-            }
-            self.slots[i] = Some((key, n, v));
-        }
+            .filter_map(|&(name, id)| self.vals[id].map(|v| (name, id, v)))
     }
 }
 
 thread_local! {
     static LOCAL: RefCell<Sheet> = const {
         RefCell::new(Sheet {
-            slots: [None; SLOTS],
-            overflow: BTreeMap::new(),
+            ids: HashMap::with_hasher(BuildHasherDefault::new()),
+            vals: Vec::new(),
+            order: Vec::new(),
         })
     };
 }
@@ -496,7 +537,10 @@ fn local_add(name: &'static str, make: LocalVal, add: impl FnOnce(&mut LocalVal)
     if !recording() || crate::span::is_quiet() {
         return;
     }
-    LOCAL.with(|l| l.borrow_mut().upsert(name, make, add));
+    LOCAL.with(|l| match l.borrow_mut().slot(name) {
+        Some(v) => add(v),
+        slot @ None => *slot = Some(make),
+    });
 }
 
 /// Add `n` to this thread's deterministic counter `name`.
@@ -536,32 +580,110 @@ pub fn time(name: &'static str, ns: u64) {
 
 /// Snapshot this thread's ambient sheet as a [`MetricsFrame`].
 pub fn local_snapshot() -> MetricsFrame {
-    let mut merged: BTreeMap<&'static str, LocalVal> = BTreeMap::new();
-    LOCAL.with(|l| l.borrow().merge_into(&mut merged));
-    let mut out = MetricsFrame::new();
-    for (name, v) in merged {
-        let mv = match v {
-            LocalVal::Counter(c) => MetricValue::Counter(c),
-            LocalVal::Racy(c) => MetricValue::Racy(c),
-            LocalVal::Gauge(g) => MetricValue::Gauge(g),
-            LocalVal::Time(t) => MetricValue::Time(t),
-        };
-        out.set(name, mv);
-    }
-    out
+    LOCAL.with(|l| MetricsFrame {
+        entries: l
+            .borrow()
+            .live()
+            .map(|(name, _, v)| (name.to_string(), v.value()))
+            .collect(),
+    })
 }
 
 /// Remove one entry from this thread's ambient sheet (test/bench isolation
 /// for subsystems with an explicit `reset`, e.g. the analysis cache).
 pub fn local_remove(name: &str) {
+    let Some(id) = ids().get(name).copied() else {
+        return;
+    };
     LOCAL.with(|l| {
-        l.borrow_mut().remove(name);
+        if let Some(slot) = l.borrow_mut().vals.get_mut(id) {
+            *slot = None;
+        }
     });
 }
+
+/// The opening of a bracket on this thread's ambient sheet: a copy of its
+/// values by id. Read it back with [`Mark::delta`] on the same thread.
+#[derive(Debug)]
+pub struct Mark(Vec<Option<LocalVal>>);
+
+/// Open a bracket: `let mark = local_mark(); … ; let d = mark.delta();`.
+pub fn local_mark() -> Mark {
+    LOCAL.with(|l| Mark(l.borrow().vals.clone()))
+}
+
+impl Mark {
+    /// This thread's metrics since the mark, entry for entry what
+    /// `local_snapshot().since(&before)` gives for a `before` snapshotted
+    /// at the mark — computed by id, with no name-keyed map and no
+    /// `String`.
+    pub fn delta(&self) -> Delta {
+        LOCAL.with(|l| {
+            let sheet = l.borrow();
+            // One allocation, sized by the names this thread has seen.
+            let mut entries = Vec::with_capacity(sheet.order.len());
+            entries.extend(sheet.live().map(|(name, id, now)| {
+                let was = self.0.get(id).copied().flatten();
+                (name, now.since(was))
+            }));
+            Delta { entries }
+        })
+    }
+}
+
+/// A bracket's metric deltas in name order (see [`Mark::delta`]). It
+/// iterates as `(name, value)` like a [`MetricsFrame`], so either one
+/// feeds [`MetricsRegistry::absorb`] or an encoder.
+#[derive(Debug)]
+pub struct Delta {
+    entries: Vec<(&'static str, LocalVal)>,
+}
+
+impl Delta {
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    pub fn iter(&self) -> DeltaIter<'_> {
+        self.into_iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a Delta {
+    type Item = (&'a str, MetricValue);
+    type IntoIter = DeltaIter<'a>;
+
+    fn into_iter(self) -> DeltaIter<'a> {
+        DeltaIter(self.entries.iter())
+    }
+}
+
+/// A [`Delta`]'s entries by value, in name order.
+#[derive(Debug, Clone)]
+pub struct DeltaIter<'a>(std::slice::Iter<'a, (&'static str, LocalVal)>);
+
+impl<'a> Iterator for DeltaIter<'a> {
+    type Item = (&'a str, MetricValue);
+
+    fn next(&mut self) -> Option<(&'a str, MetricValue)> {
+        self.0.next().map(|(name, v)| (*name, v.value()))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for DeltaIter<'_> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn counters_accumulate_and_bracket() {
@@ -635,6 +757,102 @@ mod tests {
         assert_eq!(r.frame().counter("x"), 3);
         assert_eq!(r.frame().hist("sizes").count, 1);
         assert_eq!(r.frame().gauge("host.threads"), 4);
+    }
+
+    /// Two `&'static str` with equal text at different addresses, as two
+    /// codegen units' copies of one literal can be.
+    fn twins() -> (&'static str, &'static str) {
+        let a: &'static str = Box::leak(String::from("test.bracket.twin").into_boxed_str());
+        let b: &'static str = Box::leak(String::from("test.bracket.twin").into_boxed_str());
+        assert_ne!(a.as_ptr(), b.as_ptr());
+        (a, b)
+    }
+
+    /// One recording op on name `i` of `names`, drawn from `(kind, i, v)`.
+    fn apply(names: &[&'static str], (kind, i, v): (u8, usize, u32)) {
+        let name = names[i % names.len()];
+        match kind {
+            0 => count(name, u64::from(v)),
+            1 => racy(name, u64::from(v)),
+            2 => gauge(name, i64::from(v) - (1 << 31)),
+            3 => time(name, u64::from(v)),
+            _ => local_remove(name),
+        }
+    }
+
+    /// A delta's entries in order, to compare a bracket with a snapshot.
+    fn entries<'a>(
+        delta: impl IntoIterator<Item = (&'a str, MetricValue)>,
+    ) -> Vec<(&'a str, MetricValue)> {
+        delta.into_iter().collect()
+    }
+
+    #[test]
+    fn twin_literals_share_one_id() {
+        let (a, b) = twins();
+        let mark = local_mark();
+        count(a, 2);
+        count(b, 3);
+        assert_eq!(local_snapshot().counter("test.bracket.twin"), 5);
+        let delta = mark.delta();
+        assert_eq!(delta.len(), 1);
+        assert_eq!(
+            delta.iter().next(),
+            Some(("test.bracket.twin", MetricValue::Counter(5)))
+        );
+        local_remove(a);
+        assert!(local_snapshot().get("test.bracket.twin").is_none());
+    }
+
+    /// Over 256 names on one thread: no name count changes the result.
+    #[test]
+    fn bracket_delta_equals_snapshot_since_past_256_names() {
+        let names: Vec<&'static str> = (0..300)
+            .map(|i| &*Box::leak(format!("test.bracket.many.{i:03}").into_boxed_str()))
+            .collect();
+        for (i, name) in names.iter().enumerate() {
+            count(name, i as u64);
+        }
+        let before = local_snapshot();
+        let mark = local_mark();
+        for (i, name) in names.iter().enumerate().step_by(7) {
+            apply(&names, ((i % 5) as u8, i, i as u32 * 11));
+            count(name, 1);
+        }
+        let (bracket, snapshot) = (mark.delta(), local_snapshot().since(&before));
+        assert!(bracket.len() >= 300, "{}", bracket.len());
+        assert_eq!(entries(&bracket), entries(&snapshot));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over random interleavings of every recording op on ten names
+        /// (two of them twins), a bracket opened at a random point gives
+        /// `local_snapshot().since(&before)` entry for entry.
+        #[test]
+        fn bracket_delta_equals_snapshot_since(
+            ops in prop::collection::vec((0u8..5, 0usize..10, any::<u32>()), 0..64),
+            at in any::<usize>(),
+        ) {
+            let (a, b) = twins();
+            let names = [
+                "test.bracket.c0", "test.bracket.c1", "test.bracket.c2", "test.bracket.r",
+                "test.bracket.g", "test.bracket.t0", "test.bracket.t1", "test.bracket.mixed",
+                a, b,
+            ];
+            let at = at % (ops.len() + 1);
+            for op in &ops[..at] {
+                apply(&names, *op);
+            }
+            let before = local_snapshot();
+            let mark = local_mark();
+            for op in &ops[at..] {
+                apply(&names, *op);
+            }
+            let (bracket, snapshot) = (mark.delta(), local_snapshot().since(&before));
+            prop_assert_eq!(entries(&bracket), entries(&snapshot));
+        }
     }
 
     #[test]
