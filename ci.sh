@@ -114,6 +114,13 @@ echo "==> per-job observability shards (bracket equals snapshot, one shard encod
 cargo test -q -p dbpc-obs --lib bracket_delta_equals_snapshot_since
 cargo test -q -p dbpc-convert --lib -- one_shard_encoding halted_service_journals_shards
 
+# Every admitted job is accounted exactly once: a start-up shed counts as
+# shed, not replayed; a drain shed is journaled and never replayed; and
+# the concurrent service stays byte-identical to its serial reference.
+echo "==> service admission and recovery accounting"
+cargo test -q -p dbpc-convert --lib -- startup_sheds_are_counted_as_shed_not_replayed drain_sheds_are_journaled_and_never_replayed
+cargo test -q --test service_equivalence
+
 # The translation crash matrix is the one gate on data-translation crash
 # safety: a durable translation killed at every batch boundary of four
 # transform shapes must recover byte-identical to the one-shot.

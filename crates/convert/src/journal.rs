@@ -151,7 +151,8 @@ pub struct JournalScan {
     /// Completed jobs' `DONE` payloads, each validated by decoding it, in
     /// seq order ([`decode_done`] reads one back).
     pub results: Vec<(u64, Box<[u8]>)>,
-    /// Seqs that were shed (admission policy or bounded drain).
+    /// Seqs that were shed (bounded drain, or an unregistered context at
+    /// start-up).
     pub shed: Vec<u64>,
     /// Intact `ADMIT` records found.
     pub admitted: u64,
@@ -364,7 +365,7 @@ impl JournalRecord {
         JournalRecord::new(w, JournalEvent::DoneStaged)
     }
 
-    /// A shed seq (admission rejection, eviction, or drain expiry), so
+    /// A shed seq (drain expiry, or an unregistered context at start-up), so
     /// recovery never replays a job the client was told failed.
     pub fn shed(seq: u64) -> JournalRecord {
         let mut w = ByteWriter::new();

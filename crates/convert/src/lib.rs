@@ -66,9 +66,9 @@ pub use journal::{
 };
 pub use report::{Analyst, Answer, AutoAnalyst, ConversionReport, Question, Verdict, Warning};
 pub use service::{
-    AdmissionPolicy, BreakerConfig, ConversionService, CtxId, JobOutcome, RecoveryStats,
-    RetryPolicy, ServiceBuilder, ServiceConfig, Session, Ticket,
+    ConversionService, CtxId, JobOutcome, RecoveryStats, RetryPolicy, ServiceBuilder,
+    ServiceConfig, Session, Ticket,
 };
 pub use supervisor::fault::{FaultKind, FaultPlan};
-pub use supervisor::ladder::{run_ladder, LadderConfig, LadderOutcome, Rung, RungFailure, LADDER};
+pub use supervisor::ladder::{run_ladder, LadderOutcome, Rung, RungFailure, LADDER};
 pub use supervisor::Supervisor;

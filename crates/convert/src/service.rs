@@ -71,18 +71,18 @@
 //! the deterministic projection of the recovered report is byte-identical
 //! to an uninterrupted run's (the E21 chaos matrix,
 //! `src/bin/service_crash.rs`, kills the process at every journal boundary
-//! to prove it). Overload is handled by policy rather than by dying:
-//! [`AdmissionPolicy`] picks blocking backpressure, reject-new, or
-//! shed-oldest; [`RetryPolicy`] replaces the fixed retry loop with a
-//! seeded, thread-count-invariant exponential backoff under an optional
-//! per-job deadline; and a per-context circuit breaker
-//! ([`BreakerConfig`]) fast-fails jobs against a context that keeps
-//! failing, re-probing after a cooldown.
+//! to prove it). A full queue always blocks the submitter, and
+//! [`RetryPolicy`] spaces a job's retries by a seeded,
+//! thread-count-invariant exponential backoff, so no job's outcome
+//! depends on the wall clock. A journaled `SHED` comes from two places
+//! only: jobs still queued when [`ConversionService::shutdown_within`]'s
+//! drain budget expires, and replayed jobs that name a context this run
+//! did not register.
 
 use crate::equivalence::{judge_equivalence, source_trace, EquivalenceLevel};
 use crate::journal::{decode_done, BoundaryHook, JobJournal, JournalRecord, RecoveredJob};
 use crate::mapping::Mapping;
-use crate::report::{Analyst, AutoAnalyst, ConversionReport, PermissiveAnalyst, Verdict};
+use crate::report::{AutoAnalyst, ConversionReport, Verdict};
 use crate::supervisor::fault::panic_payload;
 use crate::supervisor::ladder::{retryable, RungFailure};
 use crate::supervisor::{failure_report, Supervisor};
@@ -127,10 +127,8 @@ pub const SERVICE_CONTEXTS: &str = "service.contexts";
 pub const SERVICE_QUEUE_DEPTH_MAX: &str = "service.queue_depth_max";
 /// Racy shutdown stat: submits that had to block on a full queue.
 pub const SERVICE_BACKPRESSURE_WAITS: &str = "service.backpressure_waits";
-/// Racy shutdown stat: jobs shed by admission policy or drain expiry.
+/// Racy shutdown stat: jobs shed by drain expiry or at start-up.
 pub const SERVICE_SHED: &str = "service.shed";
-/// Racy shutdown stat: circuit-breaker trips across all contexts.
-pub const SERVICE_BREAKER_TRIPS: &str = "service.breaker_trips";
 /// Racy shutdown stat: admitted-but-incomplete jobs replayed from the
 /// journal at startup.
 pub const SERVICE_JOBS_REPLAYED: &str = "service.jobs_replayed";
@@ -156,22 +154,14 @@ pub struct ServiceConfig {
     /// machine's available parallelism ([`pool::default_threads`]) — the
     /// same resolution every batch harness uses.
     pub workers: usize,
-    /// Admission-queue bound: what happens at this depth is the
-    /// [`AdmissionPolicy`]'s decision.
+    /// Admission-queue bound: [`Session::submit`] blocks at this depth.
     pub queue_capacity: usize,
-    /// What [`Session::submit`] does when the queue is at capacity.
-    pub admission: AdmissionPolicy,
     /// How long a lock request waits before the table declares a timeout —
     /// the SimpleDB-style deadlock-resolution budget.
     pub lock_timeout: Duration,
     /// The retry schedule for lock timeouts and injected (retryable)
-    /// verification faults: attempt budget, deterministic backoff, and an
-    /// optional per-job deadline.
+    /// verification faults: attempt budget and deterministic backoff.
     pub retry: RetryPolicy,
-    /// The per-context circuit breaker (disabled by default).
-    pub breaker: BreakerConfig,
-    /// Approve analyst questions instead of rejecting them.
-    pub permissive: bool,
     /// The conversion pipeline configuration, fault plan included.
     pub supervisor: Supervisor,
     /// Where the [`JobJournal`] lives (under `journal/`, the only thing
@@ -188,11 +178,8 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 0,
             queue_capacity: 64,
-            admission: AdmissionPolicy::Block,
             lock_timeout: Duration::from_secs(5),
             retry: RetryPolicy::default(),
-            breaker: BreakerConfig::default(),
-            permissive: false,
             supervisor: Supervisor::default(),
             durable_root: None,
             journal_hook: None,
@@ -200,25 +187,9 @@ impl Default for ServiceConfig {
     }
 }
 
-/// What [`Session::submit`] does when the admission queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionPolicy {
-    /// Block the submitter until a worker frees a slot — backpressure,
-    /// the PR 7 behavior and the default.
-    #[default]
-    Block,
-    /// Refuse the new job: `submit` returns
-    /// [`PipelineError::Overloaded`] and the caller decides when to retry.
-    RejectNew,
-    /// Admit the new job and evict the oldest still-queued one, whose
-    /// ticket resolves to a [`Verdict::Rejected`] report carrying
-    /// [`PipelineError::Overloaded`] — freshest-work-wins shedding.
-    ShedOldest,
-}
-
 /// The retry schedule for retryable per-job failures (lock timeouts,
 /// injected transient faults): a bounded attempt budget with seeded
-/// exponential backoff and an optional wall-clock deadline.
+/// exponential backoff.
 ///
 /// The backoff delay is a pure function of `(seed, job key, attempt)` —
 /// like [`FaultPlan`][crate::FaultPlan] decisions it is invariant across
@@ -234,10 +205,6 @@ pub struct RetryPolicy {
     pub backoff_cap: Duration,
     /// Seed for the deterministic jitter.
     pub backoff_seed: u64,
-    /// Wall-clock budget measured from admission; a retry whose backoff
-    /// would land past the deadline fails with
-    /// [`PipelineError::DeadlineExceeded`] instead of sleeping.
-    pub deadline: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
@@ -247,7 +214,6 @@ impl Default for RetryPolicy {
             backoff_base: Duration::ZERO,
             backoff_cap: Duration::from_millis(100),
             backoff_seed: 0x1979,
-            deadline: None,
         }
     }
 }
@@ -273,79 +239,6 @@ impl RetryPolicy {
         z ^= z >> 31;
         let frac = (z >> 11) as f64 / (1u64 << 53) as f64;
         capped.mul_f64(0.5 + frac / 2.0)
-    }
-}
-
-/// Per-context circuit breaker: after `threshold` consecutive ladder
-/// failures on one context, jobs against it fast-fail with
-/// [`PipelineError::CircuitOpen`] for `cooldown`, then a single probe job
-/// is let through — success closes the breaker, failure re-opens it.
-#[derive(Debug, Clone)]
-pub struct BreakerConfig {
-    /// Consecutive failures that trip the breaker; `0` (default) disables.
-    pub threshold: u32,
-    /// How long the breaker stays open before admitting a probe.
-    pub cooldown: Duration,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            threshold: 0,
-            cooldown: Duration::from_millis(50),
-        }
-    }
-}
-
-/// Runtime state of one context's circuit breaker.
-#[derive(Debug, Default)]
-struct Breaker {
-    consecutive: u32,
-    trips: u64,
-    open_until: Option<Instant>,
-    probing: bool,
-}
-
-/// Gate one job through a context's breaker. `Err` means fast-fail.
-fn breaker_admit(config: &BreakerConfig, breaker: &Mutex<Breaker>) -> Result<(), PipelineError> {
-    if config.threshold == 0 {
-        return Ok(());
-    }
-    let mut b = lock(breaker);
-    match b.open_until {
-        None => Ok(()),
-        Some(until) if Instant::now() < until => Err(PipelineError::CircuitOpen {
-            trips: u32::try_from(b.trips).unwrap_or(u32::MAX),
-        }),
-        Some(_) if b.probing => Err(PipelineError::CircuitOpen {
-            trips: u32::try_from(b.trips).unwrap_or(u32::MAX),
-        }),
-        Some(_) => {
-            // Cooldown over: half-open. Exactly one probe runs; everyone
-            // else keeps fast-failing until the probe reports back.
-            b.probing = true;
-            Ok(())
-        }
-    }
-}
-
-/// Report a gated job's outcome back to its breaker.
-fn breaker_record(config: &BreakerConfig, breaker: &Mutex<Breaker>, success: bool) {
-    if config.threshold == 0 {
-        return;
-    }
-    let mut b = lock(breaker);
-    b.probing = false;
-    if success {
-        b.consecutive = 0;
-        b.open_until = None;
-    } else {
-        b.consecutive += 1;
-        if b.consecutive >= config.threshold {
-            b.trips += 1;
-            b.consecutive = 0;
-            b.open_until = Some(Instant::now() + config.cooldown);
-        }
     }
 }
 
@@ -445,6 +338,20 @@ struct Job {
     slot: Arc<Slot>,
 }
 
+impl Job {
+    /// Resolve the job's ticket without running it: a
+    /// [`Verdict::Rejected`] report carrying `error`.
+    fn refuse(self, error: PipelineError) {
+        self.slot.fill(JobOutcome {
+            seq: self.seq,
+            report: failure_report(Verdict::Rejected, error),
+            level: None,
+            queue_ns: self.queued_at.elapsed().as_nanos() as u64,
+            exec_ns: 0,
+        });
+    }
+}
+
 /// The published result of one job.
 #[derive(Debug, Clone)]
 pub struct JobOutcome {
@@ -502,22 +409,9 @@ impl Ticket {
     }
 }
 
-/// The outcome of one admission attempt (see [`AdmissionPolicy`]).
-enum Admitted {
-    /// The job is queued.
-    Queued,
-    /// `RejectNew` refused the job (queue full); nothing was queued.
-    Rejected,
-    /// `ShedOldest` queued the job and evicted this victim.
-    Shed(Job),
-    /// The queue is closed; nothing was queued.
-    Closed,
-}
-
 /// The bounded admission queue (see module docs).
 struct Queue {
     capacity: usize,
-    policy: AdmissionPolicy,
     state: Mutex<QueueState>,
     not_empty: Condvar,
     not_full: Condvar,
@@ -531,10 +425,9 @@ struct QueueState {
 }
 
 impl Queue {
-    fn new(capacity: usize, policy: AdmissionPolicy) -> Queue {
+    fn new(capacity: usize) -> Queue {
         Queue {
             capacity: capacity.max(1),
-            policy,
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 closed: false,
@@ -546,52 +439,10 @@ impl Queue {
         }
     }
 
-    /// Admission under the configured policy.
-    fn push(&self, job: Job) -> Admitted {
-        match self.policy {
-            AdmissionPolicy::Block => match self.requeue(job) {
-                Ok(()) => Admitted::Queued,
-                Err(_) => Admitted::Closed,
-            },
-            AdmissionPolicy::RejectNew => {
-                let mut st = lock(&self.state);
-                if st.closed {
-                    return Admitted::Closed;
-                }
-                if st.jobs.len() >= self.capacity {
-                    return Admitted::Rejected;
-                }
-                self.enqueue(&mut st, job);
-                drop(st);
-                self.not_empty.notify_one();
-                Admitted::Queued
-            }
-            AdmissionPolicy::ShedOldest => {
-                let mut st = lock(&self.state);
-                if st.closed {
-                    return Admitted::Closed;
-                }
-                let victim = if st.jobs.len() >= self.capacity {
-                    st.jobs.pop_front()
-                } else {
-                    None
-                };
-                self.enqueue(&mut st, job);
-                drop(st);
-                self.not_empty.notify_one();
-                match victim {
-                    Some(v) => Admitted::Shed(v),
-                    None => Admitted::Queued,
-                }
-            }
-        }
-    }
-
-    /// Blocking admission regardless of policy: waits while the queue is
-    /// at capacity. `Err` returns the job when the queue has been closed.
-    /// Journal replay uses this directly — recovered jobs are *already*
-    /// admitted, so no shedding policy may drop them.
-    fn requeue(&self, job: Job) -> Result<(), Job> {
+    /// Blocking admission: waits while the queue is at capacity — the
+    /// backpressure that bounds its memory. `Err` returns the job when
+    /// the queue has been closed.
+    fn push(&self, job: Job) -> Result<(), Job> {
         let mut st = lock(&self.state);
         while st.jobs.len() >= self.capacity && !st.closed {
             self.backpressure_waits.fetch_add(1, Ordering::Relaxed);
@@ -603,15 +454,11 @@ impl Queue {
         if st.closed {
             return Err(job);
         }
-        self.enqueue(&mut st, job);
+        st.jobs.push_back(job);
+        self.depth_max.fetch_max(st.jobs.len(), Ordering::Relaxed);
         drop(st);
         self.not_empty.notify_one();
         Ok(())
-    }
-
-    fn enqueue(&self, st: &mut QueueState, job: Job) {
-        st.jobs.push_back(job);
-        self.depth_max.fetch_max(st.jobs.len(), Ordering::Relaxed);
     }
 
     /// Worker side: next job, or `None` once the queue is closed *and*
@@ -666,9 +513,7 @@ struct ServiceInner {
     /// The durable job journal; `None` without a `durable_root` (or when
     /// the journal failed to open, which `journal_errors` records).
     journal: Option<Mutex<JobJournal>>,
-    /// One circuit breaker per registered context.
-    breakers: Vec<Mutex<Breaker>>,
-    /// Jobs shed: admission rejections, evictions, and drain expiries.
+    /// Jobs shed: drain expiries and start-up sheds.
     sheds: AtomicU64,
     /// Journal open/decode failures (wedge errors are read off the
     /// journal itself at shutdown).
@@ -704,7 +549,10 @@ pub struct RecoveryStats {
     pub results: u64,
     /// Admitted-but-incomplete jobs re-enqueued for replay.
     pub replayed: u64,
-    /// Journaled shed decisions honored (never replayed).
+    /// Shed jobs, never replayed: shed decisions already in the journal,
+    /// plus admitted-but-incomplete jobs shed at this start-up because
+    /// they name an unregistered context. So
+    /// `admitted == results + replayed + shed`.
     pub shed: u64,
     /// The sequence number new admissions continue from.
     pub next_seq: u64,
@@ -782,6 +630,7 @@ impl ServiceBuilder {
         let mut recovery = RecoveryStats::default();
         let mut seeded = Vec::new();
         let mut replay: Vec<RecoveredJob> = Vec::new();
+        let mut sheds = 0u64;
         let mut journal_errors = 0u64;
         if let Some(root) = &self.config.durable_root {
             match JobJournal::open(
@@ -789,32 +638,41 @@ impl ServiceBuilder {
                 self.config.supervisor.fault.disk_faults().cloned(),
                 self.config.journal_hook.clone(),
             ) {
-                Ok((j, scan)) => {
+                Ok((mut j, scan)) => {
+                    // A journal from a run with more contexts registered
+                    // than this one: those jobs are never runnable here,
+                    // so shed them durably instead of replaying them.
+                    let (runnable, stale): (Vec<_>, Vec<_>) = scan
+                        .pending
+                        .into_iter()
+                        .partition(|job| job.ctx < self.contexts.len());
+                    for job in &stale {
+                        j.append(&JournalRecord::shed(job.seq));
+                    }
+                    sheds = stale.len() as u64;
                     recovery = RecoveryStats {
                         admitted: scan.admitted,
                         results: scan.results.len() as u64,
-                        replayed: scan.pending.len() as u64,
-                        shed: scan.shed.len() as u64,
+                        replayed: runnable.len() as u64,
+                        shed: scan.shed.len() as u64 + sheds,
                         next_seq: scan.next_seq,
                     };
                     journal_errors += scan.decode_errors;
                     seeded = scan.results;
-                    replay = scan.pending;
+                    replay = runnable;
                     journal = Some(Mutex::new(j));
                 }
                 Err(_) => journal_errors += 1,
             }
         }
-        let breakers = self.contexts.iter().map(|_| Mutex::default()).collect();
         let inner = Arc::new(ServiceInner {
-            queue: Queue::new(self.config.queue_capacity, self.config.admission),
+            queue: Queue::new(self.config.queue_capacity),
             config: self.config,
             contexts: self.contexts,
             lock_table: LockTable::new(),
             sink: Mutex::new(seeded),
             journal,
-            breakers,
-            sheds: AtomicU64::new(0),
+            sheds: AtomicU64::new(sheds),
             journal_errors: AtomicU64::new(journal_errors),
             recovery,
         });
@@ -827,18 +685,11 @@ impl ServiceBuilder {
             })
             .filter_map(|h| h.ok())
             .collect();
-        // Replay after the workers are up, through the always-block path:
-        // recovered jobs are already admitted, so no policy may drop them,
-        // and a replay set larger than the queue drains as workers run.
+        // Replay after the workers are up: a replay set larger than the
+        // queue drains as workers run. The queue cannot be closed yet, so
+        // every recovered job is queued.
         for job in replay {
-            if job.ctx >= inner.contexts.len() {
-                // A journal from a run with more contexts registered than
-                // this one: never runnable here, so shed it durably.
-                inner.journal_append(|| JournalRecord::shed(job.seq));
-                inner.sheds.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let _ = inner.queue.requeue(Job {
+            let _ = inner.queue.push(Job {
                 seq: job.seq,
                 session: job.session,
                 ctx: job.ctx,
@@ -863,23 +714,13 @@ impl ServiceBuilder {
     /// concurrent run's `(report, level)` pairs are byte-identical to this.
     pub fn run_serial(&self, jobs: &[(CtxId, Program, u64)]) -> PipelineResult<Vec<JobOutcome>> {
         let table = LockTable::new();
-        let breakers: Vec<Mutex<Breaker>> =
-            self.contexts.iter().map(|_| Mutex::default()).collect();
         let mut out = Vec::with_capacity(jobs.len());
         for (seq, (ctx_id, program, key)) in jobs.iter().enumerate() {
             let ctx = self
                 .contexts
                 .get(*ctx_id)
                 .ok_or_else(|| ModelError::invalid(format!("unknown context {ctx_id}")))?;
-            let (report, level) = run_policied(
-                &self.config,
-                &table,
-                ctx,
-                &breakers[*ctx_id],
-                program,
-                *key,
-                Instant::now(),
-            );
+            let (report, level) = run_guarded(&self.config, &table, ctx, program, *key);
             out.push(JobOutcome {
                 seq: seq as u64,
                 report,
@@ -953,18 +794,8 @@ impl ConversionService {
         for job in self.inner.queue.drain_remaining() {
             self.inner.journal_append(|| JournalRecord::shed(job.seq));
             self.inner.sheds.fetch_add(1, Ordering::Relaxed);
-            let queue_ns = job.queued_at.elapsed().as_nanos() as u64;
-            job.slot.fill(JobOutcome {
-                seq: job.seq,
-                report: failure_report(
-                    Verdict::Rejected,
-                    PipelineError::Overloaded {
-                        detail: "drain deadline expired".to_string(),
-                    },
-                ),
-                level: None,
-                queue_ns,
-                exec_ns: 0,
+            job.refuse(PipelineError::Overloaded {
+                detail: "drain deadline expired".to_string(),
             });
         }
         self.join_workers();
@@ -985,18 +816,8 @@ impl ConversionService {
         let abandoned = self.inner.queue.drain_remaining();
         self.inner.queue.close();
         for job in abandoned {
-            let queue_ns = job.queued_at.elapsed().as_nanos() as u64;
-            job.slot.fill(JobOutcome {
-                seq: job.seq,
-                report: failure_report(
-                    Verdict::Rejected,
-                    PipelineError::Overloaded {
-                        detail: "service halted".to_string(),
-                    },
-                ),
-                level: None,
-                queue_ns,
-                exec_ns: 0,
+            job.refuse(PipelineError::Overloaded {
+                detail: "service halted".to_string(),
             });
         }
         self.join_workers();
@@ -1061,12 +882,10 @@ fn assemble(inner: &ServiceInner) -> RunReport {
     let journal_errors = inner.journal_errors.load(Ordering::Relaxed)
         + inner.journal(|j| j.errors()).unwrap_or(0)
         + undecodable;
-    let trips: u64 = inner.breakers.iter().map(|b| lock(b).trips).sum();
     // Zero-suppressed (like `WaitStats::publish`): quiet runs keep their
     // pre-PR9 report bytes.
     for (name, value) in [
         (SERVICE_SHED, inner.sheds.load(Ordering::Relaxed)),
-        (SERVICE_BREAKER_TRIPS, trips),
         (SERVICE_JOBS_REPLAYED, inner.recovery.replayed),
         (SERVICE_RESULTS_RECOVERED, inner.recovery.results),
         (SERVICE_JOURNAL_ERRORS, journal_errors),
@@ -1102,9 +921,8 @@ pub struct Session<'s> {
 impl Session<'_> {
     /// Submit one program for conversion + verification under context
     /// `ctx`. `key` is the job's fault/identity key (the `FaultPlan`
-    /// coordinate). What happens at a full queue is the configured
-    /// [`AdmissionPolicy`]'s call: block (default), refuse this job with
-    /// [`PipelineError::Overloaded`], or evict the oldest queued one.
+    /// coordinate). A full queue blocks the call until a worker frees a
+    /// slot.
     ///
     /// On a durable service the admission is journaled (and fsynced)
     /// *before* the job is queued: once `submit` returns a ticket, a
@@ -1128,36 +946,8 @@ impl Session<'_> {
             slot: Arc::clone(&slot),
         };
         match inner.queue.push(job) {
-            Admitted::Queued => Ok(Ticket { slot }),
-            Admitted::Rejected => {
-                inner.journal_append(|| JournalRecord::shed(seq));
-                inner.sheds.fetch_add(1, Ordering::Relaxed);
-                Err(PipelineError::Overloaded {
-                    detail: format!(
-                        "admission queue full (capacity {})",
-                        inner.config.queue_capacity
-                    ),
-                })
-            }
-            Admitted::Shed(victim) => {
-                inner.journal_append(|| JournalRecord::shed(victim.seq));
-                inner.sheds.fetch_add(1, Ordering::Relaxed);
-                let queue_ns = victim.queued_at.elapsed().as_nanos() as u64;
-                victim.slot.fill(JobOutcome {
-                    seq: victim.seq,
-                    report: failure_report(
-                        Verdict::Rejected,
-                        PipelineError::Overloaded {
-                            detail: "shed by a newer admission".to_string(),
-                        },
-                    ),
-                    level: None,
-                    queue_ns,
-                    exec_ns: 0,
-                });
-                Ok(Ticket { slot })
-            }
-            Admitted::Closed => Err(ModelError::invalid("service is shutting down").into()),
+            Ok(()) => Ok(Ticket { slot }),
+            Err(_) => Err(ModelError::invalid("service is shutting down").into()),
         }
     }
 }
@@ -1166,18 +956,10 @@ fn worker_loop(inner: &ServiceInner) {
     while let Some(job) = inner.queue.pop() {
         let queue_ns = job.queued_at.elapsed().as_nanos() as u64;
         let Some(ctx) = inner.contexts.get(job.ctx) else {
-            // Unreachable (submit validates), but a lost slot must not
-            // wedge a ticket.
-            job.slot.fill(JobOutcome {
-                seq: job.seq,
-                report: failure_report(
-                    Verdict::Rejected,
-                    ModelError::invalid(format!("unknown context {}", job.ctx)).into(),
-                ),
-                level: None,
-                queue_ns,
-                exec_ns: 0,
-            });
+            // Unreachable (submit and replay validate), but a lost slot
+            // must not wedge a ticket.
+            let error = ModelError::invalid(format!("unknown context {}", job.ctx));
+            job.refuse(error.into());
             continue;
         };
         let mark = dbpc_obs::local_mark();
@@ -1185,15 +967,7 @@ fn worker_loop(inner: &ServiceInner) {
         let started = Instant::now();
         let ((report, level), cap) = dbpc_obs::capture(&label, || {
             dbpc_obs::count(SERVICE_JOBS, 1);
-            run_policied(
-                &inner.config,
-                &inner.lock_table,
-                ctx,
-                &inner.breakers[job.ctx],
-                &job.program,
-                job.key,
-                job.queued_at,
-            )
+            run_guarded(&inner.config, &inner.lock_table, ctx, &job.program, job.key)
         });
         let exec_ns = started.elapsed().as_nanos() as u64;
         dbpc_obs::time(SERVICE_EXEC_NS, exec_ns);
@@ -1213,45 +987,20 @@ fn worker_loop(inner: &ServiceInner) {
     }
 }
 
-/// One job under the full service policy stack: circuit breaker first
-/// (fast-fail without touching a worker-second of pipeline time), then the
-/// panic boundary. Both the worker loop and the serial reference run jobs
-/// through this one function — the serial-equivalence contract.
-fn run_policied(
-    config: &ServiceConfig,
-    table: &LockTable,
-    ctx: &Context,
-    breaker: &Mutex<Breaker>,
-    program: &Program,
-    key: u64,
-    queued_at: Instant,
-) -> (ConversionReport, Option<EquivalenceLevel>) {
-    if let Err(error) = breaker_admit(&config.breaker, breaker) {
-        return (failure_report(Verdict::NeedsManualWork, error), None);
-    }
-    let (report, level) = run_guarded(config, table, ctx, program, key, queued_at);
-    // "Failure" for breaker purposes is the infrastructure kind — a job
-    // demoted or poisoned mid-verification — not an analyst rejection,
-    // which says nothing about the context's health.
-    let healthy = !matches!(report.verdict, Verdict::NeedsManualWork | Verdict::Poisoned);
-    breaker_record(&config.breaker, breaker, healthy);
-    (report, level)
-}
-
 /// One job under the panic boundary: a crash anywhere in conversion or
 /// verification yields a poisoned report for *this* job (locks released by
 /// the concurrency manager's unwind, replicas dropped), never a dead
-/// worker.
+/// worker. Both the worker loop and the serial reference run jobs
+/// through this one function — the serial-equivalence contract.
 fn run_guarded(
     config: &ServiceConfig,
     table: &LockTable,
     ctx: &Context,
     program: &Program,
     key: u64,
-    queued_at: Instant,
 ) -> (ConversionReport, Option<EquivalenceLevel>) {
     catch_unwind(AssertUnwindSafe(|| {
-        execute_job(config, table, ctx, program, key, queued_at)
+        execute_job(config, table, ctx, program, key)
     }))
     .unwrap_or_else(|payload| {
         (
@@ -1274,15 +1023,7 @@ fn execute_job(
     ctx: &Context,
     program: &Program,
     key: u64,
-    queued_at: Instant,
 ) -> (ConversionReport, Option<EquivalenceLevel>) {
-    let mut auto = AutoAnalyst;
-    let mut perm = PermissiveAnalyst;
-    let analyst: &mut dyn Analyst = if config.permissive {
-        &mut perm
-    } else {
-        &mut auto
-    };
     // The graph is a zero-cost view over the target schema; building it
     // per job keeps the context free of self-references.
     let apg = AccessPathGraph::new(&ctx.mapping.target);
@@ -1292,7 +1033,7 @@ fn execute_job(
         &ctx.schema,
         ctx.schema_fp,
         program,
-        analyst,
+        &mut AutoAnalyst,
         key,
         0,
     ) {
@@ -1310,7 +1051,6 @@ fn execute_job(
     if locks.values().all(|k| *k == LockKind::Shared) {
         dbpc_obs::count(SERVICE_READ_ONLY_JOBS, 1);
     }
-    let deadline = config.retry.deadline.map(|d| queued_at + d);
     let mut attempt = 0usize;
     loop {
         let mut mgr = ConcurrencyMgr::new(table);
@@ -1331,21 +1071,6 @@ fn execute_job(
             attempt += 1;
             if retryable(&error) && attempt <= config.retry.retries {
                 let delay = config.retry.backoff(key, attempt);
-                if let Some(deadline) = deadline {
-                    // Retrying would land past the deadline: give up now
-                    // with the time-budget error, not after sleeping.
-                    if Instant::now() + delay >= deadline {
-                        let attempts = u32::try_from(attempt).unwrap_or(u32::MAX);
-                        return (
-                            demote(
-                                report,
-                                attempt,
-                                PipelineError::DeadlineExceeded { attempts },
-                            ),
-                            None,
-                        );
-                    }
-                }
                 if !delay.is_zero() {
                     std::thread::sleep(delay);
                 }
@@ -1688,14 +1413,7 @@ END PROGRAM;",
         // exclusively for the whole test.
         let blocked = LockRes::record_type(context.space_target(), "EMP");
         table.x_lock(&blocked, Duration::from_secs(1)).unwrap();
-        let (report, level) = execute_job(
-            &b.config,
-            &table,
-            context,
-            &read_only_program(),
-            0,
-            Instant::now(),
-        );
+        let (report, level) = execute_job(&b.config, &table, context, &read_only_program(), 0);
         assert_eq!(report.verdict, Verdict::NeedsManualWork);
         assert_eq!(level, None);
         assert!(
@@ -1712,59 +1430,9 @@ END PROGRAM;",
         );
         table.unlock(&blocked, LockKind::Exclusive);
         // With the lock released, the same job verifies cleanly.
-        let (report, level) = execute_job(
-            &b.config,
-            &table,
-            context,
-            &read_only_program(),
-            0,
-            Instant::now(),
-        );
+        let (report, level) = execute_job(&b.config, &table, context, &read_only_program(), 0);
         assert!(report.succeeded());
         assert_eq!(level, Some(EquivalenceLevel::Strict));
-    }
-
-    /// The deadline cuts the retry schedule short: with a backoff that
-    /// must land past the deadline, the second attempt never happens and
-    /// the job degrades with `DeadlineExceeded` instead of `LockTimeout`.
-    #[test]
-    fn deadline_preempts_backoff_retry() {
-        let (b, ctx) = builder(ServiceConfig {
-            lock_timeout: Duration::from_millis(10),
-            retry: RetryPolicy {
-                retries: 5,
-                backoff_base: Duration::from_millis(200),
-                backoff_cap: Duration::from_millis(200),
-                deadline: Some(Duration::from_millis(50)),
-                ..RetryPolicy::default()
-            },
-            ..ServiceConfig::default()
-        });
-        let table = LockTable::new();
-        let context = &b.contexts[ctx];
-        let blocked = LockRes::record_type(context.space_target(), "EMP");
-        table.x_lock(&blocked, Duration::from_secs(1)).unwrap();
-        let (report, level) = execute_job(
-            &b.config,
-            &table,
-            context,
-            &read_only_program(),
-            0,
-            Instant::now(),
-        );
-        assert_eq!(report.verdict, Verdict::NeedsManualWork);
-        assert_eq!(level, None);
-        assert!(
-            matches!(
-                report.fallbacks.last(),
-                Some(RungFailure {
-                    error: PipelineError::DeadlineExceeded { attempts: 1 },
-                    ..
-                })
-            ),
-            "{:?}",
-            report.fallbacks
-        );
     }
 
     /// The backoff schedule is a pure function of `(seed, key, attempt)`:
@@ -1777,7 +1445,6 @@ END PROGRAM;",
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_millis(80),
             backoff_seed: 0x1979,
-            deadline: None,
         };
         for attempt in 1..=8usize {
             let nominal = Duration::from_millis(10 << (attempt - 1).min(3));
@@ -1795,10 +1462,10 @@ END PROGRAM;",
         assert_eq!(RetryPolicy::default().backoff(7, 3), Duration::ZERO);
     }
 
-    /// Admission policies at the queue layer: `RejectNew` refuses the
-    /// newcomer, `ShedOldest` evicts the oldest queued job.
+    /// A closed queue refuses new jobs, handing them back, and still
+    /// yields the jobs queued before it closed.
     #[test]
-    fn queue_admission_policies() {
+    fn closed_queue_refuses_push_and_keeps_queued_jobs() {
         let job = |seq: u64| Job {
             seq,
             session: 0,
@@ -1808,102 +1475,12 @@ END PROGRAM;",
             queued_at: Instant::now(),
             slot: Slot::new(),
         };
-        let q = Queue::new(1, AdmissionPolicy::RejectNew);
-        assert!(matches!(q.push(job(0)), Admitted::Queued));
-        assert!(matches!(q.push(job(1)), Admitted::Rejected));
+        let q = Queue::new(1);
+        assert!(q.push(job(0)).is_ok());
         q.close();
-        assert!(matches!(q.push(job(2)), Admitted::Closed));
-        // The queued job survives the rejection and the close.
+        assert_eq!(q.push(job(1)).map_err(|j| j.seq), Err(1));
         assert_eq!(q.pop().map(|j| j.seq), Some(0));
-
-        let q = Queue::new(2, AdmissionPolicy::ShedOldest);
-        assert!(matches!(q.push(job(0)), Admitted::Queued));
-        assert!(matches!(q.push(job(1)), Admitted::Queued));
-        match q.push(job(2)) {
-            Admitted::Shed(victim) => assert_eq!(victim.seq, 0),
-            other => panic!("expected Shed, got {}", admitted_name(&other)),
-        }
-        q.close();
-        let drained: Vec<u64> = q.drain_remaining().iter().map(|j| j.seq).collect();
-        assert_eq!(drained, vec![1, 2]);
-    }
-
-    fn admitted_name(a: &Admitted) -> &'static str {
-        match a {
-            Admitted::Queued => "Queued",
-            Admitted::Rejected => "Rejected",
-            Admitted::Shed(_) => "Shed",
-            Admitted::Closed => "Closed",
-        }
-    }
-
-    /// The circuit breaker: trips after `threshold` consecutive failures,
-    /// fast-fails while open, half-opens after the cooldown, and closes on
-    /// a successful probe.
-    #[test]
-    fn breaker_trips_fast_fails_and_reprobes() {
-        let (b, ctx) = builder(ServiceConfig {
-            lock_timeout: Duration::from_millis(10),
-            retry: RetryPolicy {
-                retries: 0,
-                ..RetryPolicy::default()
-            },
-            breaker: BreakerConfig {
-                threshold: 2,
-                cooldown: Duration::from_millis(20),
-            },
-            ..ServiceConfig::default()
-        });
-        let table = LockTable::new();
-        let context = &b.contexts[ctx];
-        let breaker = Mutex::new(Breaker::default());
-        let blocked = LockRes::record_type(context.space_target(), "EMP");
-        table.x_lock(&blocked, Duration::from_secs(5)).unwrap();
-        let run = |tbl: &LockTable| {
-            run_policied(
-                &b.config,
-                tbl,
-                context,
-                &breaker,
-                &read_only_program(),
-                0,
-                Instant::now(),
-            )
-        };
-        // Two lock-timeout failures trip the breaker...
-        for _ in 0..2 {
-            let (report, _) = run(&table);
-            assert_eq!(report.verdict, Verdict::NeedsManualWork);
-        }
-        assert_eq!(lock(&breaker).trips, 1);
-        // ...and the third job fast-fails without waiting on the lock.
-        let started = Instant::now();
-        let (report, _) = run(&table);
-        assert!(
-            matches!(
-                report.fallbacks.last(),
-                Some(RungFailure {
-                    error: PipelineError::CircuitOpen { trips: 1 },
-                    ..
-                })
-            ),
-            "{:?}",
-            report.fallbacks
-        );
-        assert!(
-            started.elapsed() < Duration::from_millis(10),
-            "fast-fail must not wait on the lock"
-        );
-        // After the cooldown the probe runs for real — and with the lock
-        // released it succeeds, closing the breaker.
-        std::thread::sleep(Duration::from_millis(25));
-        table.unlock(&blocked, LockKind::Exclusive);
-        let (report, level) = run(&table);
-        assert!(report.succeeded(), "{report:?}");
-        assert_eq!(level, Some(EquivalenceLevel::Strict));
-        let b2 = lock(&breaker);
-        assert_eq!(b2.open_until, None);
-        assert!(!b2.probing);
+        assert!(q.pop().is_none());
     }
 
     /// Admission control: a capacity-1 queue still completes every job,
@@ -2036,6 +1613,110 @@ END PROGRAM;",
         assert_eq!(scan.admitted, 4);
         assert_eq!(scan.results.len(), 4, "drop must flush staged DONEs");
         assert!(scan.pending.is_empty(), "{:?}", scan.pending);
+    }
+
+    /// A pending job whose context this run did not register is shed at
+    /// start-up and counted as shed, not replayed, so `admitted ==
+    /// results + replayed + shed`; a second restart replays nothing.
+    #[test]
+    fn startup_sheds_are_counted_as_shed_not_replayed() {
+        let tmp = dbpc_storage::TempDir::new("svc-startup-shed").unwrap();
+        let (mut j, _) = JobJournal::open(&tmp.path().join("journal"), None, None).unwrap();
+        j.append(&JournalRecord::admit(0, 0, 0, 0, &read_only_program()));
+        j.append(&JournalRecord::admit(1, 0, 1, 1, &read_only_program()));
+        drop(j);
+        let restart = || {
+            let (b, _) = builder(ServiceConfig {
+                workers: 1,
+                durable_root: Some(tmp.path().to_path_buf()),
+                ..ServiceConfig::default()
+            });
+            let svc = b.start();
+            let recovery = svc.recovery();
+            (recovery, svc.shutdown())
+        };
+        let stats = |results, replayed| RecoveryStats {
+            admitted: 2,
+            results,
+            replayed,
+            shed: 1,
+            next_seq: 2,
+        };
+
+        let (recovery, report) = restart();
+        assert_eq!(recovery, stats(0, 1));
+        assert_eq!(report.metrics.counter(SERVICE_JOBS_REPLAYED), 1);
+        assert_eq!(report.metrics.counter(SERVICE_SHED), 1);
+        assert_eq!(report.metrics.counter(SERVICE_JOBS), 1);
+
+        let (recovery, report) = restart();
+        assert_eq!(recovery, stats(1, 0));
+        assert_eq!(report.metrics.counter(SERVICE_JOBS_REPLAYED), 0);
+        assert_eq!(report.metrics.counter(SERVICE_RESULTS_RECOVERED), 1);
+    }
+
+    /// Jobs still queued when a zero drain budget expires are shed: each
+    /// ticket carries `Overloaded`, each shed is journaled, and a reopened
+    /// service replays none of them.
+    #[test]
+    fn drain_sheds_are_journaled_and_never_replayed() {
+        let tmp = dbpc_storage::TempDir::new("svc-drain-shed").unwrap();
+        let config = || ServiceConfig {
+            workers: 1,
+            durable_root: Some(tmp.path().to_path_buf()),
+            ..ServiceConfig::default()
+        };
+        let (b, ctx) = builder(config());
+        let svc = b.start();
+        let inner = Arc::clone(&svc.inner);
+        // Hold the target side's EMP type: the one worker parks on its
+        // first job, so the rest stay queued until the drain sheds them.
+        let blocked = LockRes::record_type(inner.contexts[ctx].space_target(), "EMP");
+        inner
+            .lock_table
+            .x_lock(&blocked, Duration::from_secs(5))
+            .unwrap();
+        let tickets: Vec<Ticket> = {
+            let session = svc.session();
+            (0..6)
+                .map(|k| session.submit(ctx, read_only_program(), k).unwrap())
+                .collect()
+        };
+        let drain = std::thread::spawn(move || svc.shutdown_within(Duration::ZERO));
+        while !inner.queue.is_empty() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        inner.lock_table.unlock(&blocked, LockKind::Exclusive);
+        let report = drain.join().unwrap();
+        let outcomes: Vec<JobOutcome> = tickets.into_iter().map(Ticket::wait).collect();
+        let shed = outcomes
+            .iter()
+            .filter(|o| o.report.verdict == Verdict::Rejected)
+            .inspect(|o| {
+                assert!(
+                    matches!(
+                        o.report.fallbacks.as_slice(),
+                        [RungFailure {
+                            error: PipelineError::Overloaded { .. },
+                            ..
+                        }]
+                    ),
+                    "{:?}",
+                    o.report
+                )
+            })
+            .count() as u64;
+        assert!(shed >= 5, "only the parked job may run: {shed} shed");
+        assert_eq!(report.metrics.counter(SERVICE_SHED), shed);
+        assert_eq!(report.metrics.counter(SERVICE_JOBS) + shed, 6);
+
+        let (b, _) = builder(config());
+        let svc = b.start();
+        let recovery = svc.recovery();
+        svc.shutdown();
+        assert_eq!(recovery.replayed, 0, "{recovery:?}");
+        assert_eq!(recovery.shed, shed, "{recovery:?}");
+        assert_eq!(recovery.results + recovery.shed, 6, "{recovery:?}");
     }
 
     /// The shards a halted service journaled decode to exactly the ones

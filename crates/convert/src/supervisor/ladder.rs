@@ -52,6 +52,11 @@ use dbpc_restructure::Restructuring;
 use dbpc_storage::{NetworkDb, StatCatalog};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+/// Extra attempts per rung after the first: the transient-fault budget.
+/// Every engine execution the ladder triggers runs with
+/// [`DEFAULT_VERIFY_FUEL`] as its interpreter fuel.
+const LADDER_RETRIES: usize = 1;
+
 /// A rung of the §2 strategy ladder, in descent order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rung {
@@ -103,24 +108,6 @@ pub struct RungFailure {
     pub error: PipelineError,
 }
 
-/// Supervision parameters for a ladder descent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LadderConfig {
-    /// Extra attempts per rung after the first (transient-fault budget).
-    pub retries: usize,
-    /// Interpreter fuel for every engine execution the ladder triggers.
-    pub verify_fuel: usize,
-}
-
-impl Default for LadderConfig {
-    fn default() -> Self {
-        LadderConfig {
-            retries: 1,
-            verify_fuel: DEFAULT_VERIFY_FUEL,
-        }
-    }
-}
-
 /// The result of a ladder descent.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LadderOutcome {
@@ -148,7 +135,6 @@ pub struct LadderOutcome {
 #[allow(clippy::too_many_arguments)]
 pub fn run_ladder(
     supervisor: &Supervisor,
-    cfg: &LadderConfig,
     source_schema: &NetworkSchema,
     restructuring: &Restructuring,
     program: &Program,
@@ -167,8 +153,12 @@ pub fn run_ladder(
     // place and rolled back. If the source program itself cannot run, no
     // automatic strategy can be verified — straight to manual.
     let sp = source_db.begin_savepoint();
-    let truth_result =
-        run_host_with_fuel(&mut *source_db, program, inputs.clone(), cfg.verify_fuel);
+    let truth_result = run_host_with_fuel(
+        &mut *source_db,
+        program,
+        inputs.clone(),
+        DEFAULT_VERIFY_FUEL,
+    );
     source_db.rollback_to(sp);
     if cfg!(debug_assertions) {
         debug_assert_eq!(
@@ -204,7 +194,7 @@ pub fn run_ladder(
     for rung in order {
         let mut attempts = 0usize;
         let mut last_err = PipelineError::stage(Stage::Converter, "rung not attempted");
-        while attempts <= cfg.retries {
+        while attempts <= LADDER_RETRIES {
             let attempt = attempts;
             attempts += 1;
             total_attempts += 1;
@@ -216,7 +206,6 @@ pub fn run_ladder(
                     catch_unwind(AssertUnwindSafe(|| {
                         attempt_rung(
                             supervisor,
-                            cfg,
                             rung,
                             source_schema,
                             restructuring,
@@ -338,7 +327,6 @@ fn rank_rungs(stats: &StatCatalog, program: &Program) -> [Rung; 4] {
 #[allow(clippy::too_many_arguments)]
 fn attempt_rung(
     supervisor: &Supervisor,
-    cfg: &LadderConfig,
     rung: Rung,
     source_schema: &NetworkSchema,
     restructuring: &Restructuring,
@@ -377,7 +365,7 @@ fn attempt_rung(
             let level = dbpc_obs::span(Stage::Verification.span_name(), || {
                 fault.trip(Stage::Verification, key, attempt)?;
                 let trace =
-                    run_host_with_fuel(&mut target, converted, inputs.clone(), cfg.verify_fuel)
+                    run_host_with_fuel(&mut target, converted, inputs.clone(), DEFAULT_VERIFY_FUEL)
                         .map_err(|e| run_error(Stage::Verification, e))?;
                 match diff_traces(truth, &trace) {
                     None => Ok(EquivalenceLevel::Strict),
@@ -398,8 +386,9 @@ fn attempt_rung(
                 .map_err(|e| PipelineError::stage(Stage::Converter, format!("emulation: {e}")))?;
             dbpc_obs::span(Stage::Verification.span_name(), || {
                 fault.trip(Stage::Verification, key, attempt)?;
-                let trace = run_host_with_fuel(&mut emu, program, inputs.clone(), cfg.verify_fuel)
-                    .map_err(|e| run_error(Stage::Verification, e))?;
+                let trace =
+                    run_host_with_fuel(&mut emu, program, inputs.clone(), DEFAULT_VERIFY_FUEL)
+                        .map_err(|e| run_error(Stage::Verification, e))?;
                 match diff_traces(truth, &trace) {
                     None => Ok((strategy_report(), EquivalenceLevel::Strict)),
                     Some(d) => Err(PipelineError::stage(

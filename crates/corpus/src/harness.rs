@@ -19,7 +19,7 @@ use dbpc_convert::equivalence::{
     check_equivalence, judge_equivalence, source_trace, EquivalenceLevel,
 };
 use dbpc_convert::report::{Analyst, AutoAnalyst, ConversionReport, PermissiveAnalyst};
-use dbpc_convert::{run_ladder, FaultPlan, LadderConfig, Rung, RungFailure, Supervisor, Verdict};
+use dbpc_convert::{run_ladder, FaultPlan, Rung, RungFailure, Supervisor, Verdict};
 use dbpc_datamodel::error::PipelineError;
 use dbpc_datamodel::network::NetworkSchema;
 use dbpc_dml::host::Program;
@@ -712,7 +712,6 @@ fn run_cell_ladder(
     let mut src_base = company_db(4, 3, 8);
     dbpc_obs::count(DB_BUILDS, 1);
     let restructuring = t.restructuring();
-    let ladder_cfg = LadderConfig::default();
     for (k, program) in programs.iter().enumerate() {
         cell.total += 1;
         let key = program_fault_key(t, pc, k);
@@ -726,7 +725,6 @@ fn run_cell_ladder(
             };
             run_ladder(
                 supervisor,
-                &ladder_cfg,
                 schema,
                 &restructuring,
                 program,
@@ -785,7 +783,6 @@ pub fn ladder_reports(config: &StudyConfig) -> Vec<ConversionReport> {
         ..Supervisor::default()
     };
     let inputs = Inputs::new().with_terminal(&["RETRIEVE"]);
-    let ladder_cfg = LadderConfig::default();
     let units: Vec<(TransformClass, ProgramClass, usize)> = TransformClass::ALL
         .iter()
         .flat_map(|t| {
@@ -810,7 +807,6 @@ pub fn ladder_reports(config: &StudyConfig) -> Vec<ConversionReport> {
         };
         run_ladder(
             &supervisor,
-            &ladder_cfg,
             &schema,
             &restructuring,
             &program,

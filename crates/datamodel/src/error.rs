@@ -146,21 +146,10 @@ pub enum PipelineError {
     /// degrade the job instead of wedging it. `resource` is the rendered
     /// lock resource (engine or record type) that could not be acquired.
     LockTimeout { resource: String },
-    /// The service refused or evicted the job under overload: admission
-    /// control (reject-new or shed-oldest) decided the queue was full, or
-    /// a bounded-time drain expired with the job still queued. Terminal —
+    /// The service dropped the job while it was still queued: a
+    /// bounded-time drain expired, or the service was halted. Terminal —
     /// the client must resubmit; the job never ran.
     Overloaded { detail: String },
-    /// The job's retry budget ran out of *time* rather than attempts: its
-    /// deadline expired before the deterministic backoff schedule could
-    /// retry again. `attempts` is how many attempts had completed when
-    /// the deadline cut the schedule short.
-    DeadlineExceeded { attempts: u32 },
-    /// A per-context circuit breaker was open when the job was picked up:
-    /// `trips` consecutive ladder failures on the same context tripped it,
-    /// and the job fast-failed without burning worker time. Terminal for
-    /// this submission; the breaker re-probes after its cooldown.
-    CircuitOpen { trips: u32 },
 }
 
 impl PipelineError {
@@ -192,12 +181,6 @@ impl fmt::Display for PipelineError {
             }
             PipelineError::Overloaded { detail } => {
                 write!(f, "service overloaded: {detail}")
-            }
-            PipelineError::DeadlineExceeded { attempts } => {
-                write!(f, "job deadline expired after {attempts} attempt(s)")
-            }
-            PipelineError::CircuitOpen { trips } => {
-                write!(f, "context circuit breaker open after {trips} trip(s)")
             }
         }
     }

@@ -93,10 +93,3 @@ impl Drop for StoredTally {
 pub fn snapshot() -> TranslationProfile {
     TranslationProfile::from_frame(&dbpc_obs::local_snapshot())
 }
-
-/// Zero this thread's counters (test/bench isolation).
-pub fn reset() {
-    dbpc_obs::local_remove(SCHEMA_CLONES);
-    dbpc_obs::local_remove(RECORD_TYPE_PREPS);
-    dbpc_obs::local_remove(RECORDS_STORED);
-}

@@ -120,8 +120,8 @@ fn cell_plan(cell: &str) -> FaultPlan {
 
 /// Build the service over `root` with the cell's fault plan. Backoff is
 /// enabled (non-zero base) so the `pipe` cell's retries actually walk
-/// the deterministic schedule; the deadline stays off and the breaker
-/// stays disabled so no job's *outcome* depends on wall-clock.
+/// the deterministic schedule; the backoff only delays a retry, so no
+/// job's *outcome* depends on wall-clock.
 fn build(root: &Path, workers: usize, cell: &str, hook: Option<BoundaryHook>) -> ConversionService {
     let supervisor = Supervisor {
         fault: cell_plan(cell),

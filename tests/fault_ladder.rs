@@ -21,7 +21,7 @@
 
 use dbpc::convert::equivalence::EquivalenceLevel;
 use dbpc::convert::report::AutoAnalyst;
-use dbpc::convert::{run_ladder, FaultKind, FaultPlan, LadderConfig, Rung, Supervisor, Verdict};
+use dbpc::convert::{run_ladder, FaultKind, FaultPlan, Rung, Supervisor, Verdict};
 use dbpc::corpus::gen::{ProgramClass, TransformClass};
 use dbpc::corpus::harness::{
     ladder_reports, program_fault_key, success_rate_study_config, StudyConfig,
@@ -53,7 +53,6 @@ fn descend(plan: FaultPlan) -> dbpc::convert::LadderOutcome {
     let mut db = named::company_db(4, 3, 8);
     run_ladder(
         &supervisor,
-        &LadderConfig::default(),
         &named::company_schema(),
         &named::fig_4_4_restructuring(),
         &clean_program(),

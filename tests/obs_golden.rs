@@ -14,7 +14,7 @@
 //! ```
 
 use dbpc::convert::report::AutoAnalyst;
-use dbpc::convert::{run_ladder, FaultKind, FaultPlan, LadderConfig, Supervisor};
+use dbpc::convert::{run_ladder, FaultKind, FaultPlan, Supervisor};
 use dbpc::corpus::named;
 use dbpc::datamodel::error::Stage;
 use dbpc::dml::host::parse_program;
@@ -127,7 +127,6 @@ fn optimizer_fault_ladder_report_renders_stably() {
         let mut db = named::company_db(4, 3, 8);
         run_ladder(
             &supervisor,
-            &LadderConfig::default(),
             &named::company_schema(),
             &named::fig_4_4_restructuring(),
             &fig_4_4_program(),
