@@ -121,6 +121,17 @@ echo "==> service admission and recovery accounting"
 cargo test -q -p dbpc-convert --lib -- startup_sheds_are_counted_as_shed_not_replayed drain_sheds_are_journaled_and_never_replayed
 cargo test -q --test service_equivalence
 
+# Convert-and-verify has one run boundary and one judge: all four
+# executors (host, DBTG, DL/I, SEQUEL) roll a failed run back through the
+# same atomic boundary and still report its access counters, and the
+# ladder's rungs and the E2 matrix, judged by one trace judge, stay
+# byte-identical.
+echo "==> one atomic run, one judge"
+cargo test -q --test executor_atomicity
+cargo test -q --test txn_invariants
+cargo test -q --test fault_ladder
+cargo test -q --test parallel_determinism
+
 # The translation crash matrix is the one gate on data-translation crash
 # safety: a durable translation killed at every batch boundary of four
 # transform shapes must recover byte-identical to the one-shot.

@@ -37,31 +37,6 @@ pub const CACHE_MISSES: &str = "analyzer.cache_misses";
 /// Metric name for total memo lookups (deterministic: one per call).
 pub const CACHE_LOOKUPS: &str = "analyzer.cache_lookups";
 
-/// Snapshot of this thread's cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub hits: u64,
-    pub misses: u64,
-}
-
-impl CacheStats {
-    /// Counter deltas since `earlier` (for bracketing a unit of work).
-    pub fn since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-        }
-    }
-
-    /// Read the `analyzer.*` cache counters out of a merged metrics frame.
-    pub fn from_frame(frame: &dbpc_obs::MetricsFrame) -> CacheStats {
-        CacheStats {
-            hits: frame.counter(CACHE_HITS),
-            misses: frame.counter(CACHE_MISSES),
-        }
-    }
-}
-
 /// Cache key: `(schema fingerprint, program fingerprint)`.
 type FingerprintKey = (u64, u64);
 
@@ -138,11 +113,6 @@ fn lock_cache() -> MutexGuard<'static, HashMap<FingerprintKey, Arc<AnalysisRepor
     CACHE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// This thread's cumulative hit/miss counters.
-pub fn cache_stats() -> CacheStats {
-    CacheStats::from_frame(&dbpc_obs::local_snapshot())
-}
-
 /// Drop the process-wide cache and zero this thread's counters (test/bench
 /// isolation). Concurrent users of the cache only get extra misses from
 /// this, never wrong reports.
@@ -204,19 +174,19 @@ END PROGRAM;"
     fn repeated_analysis_hits_the_cache() {
         let s = schema();
         let p = program(40);
-        let before = cache_stats();
+        let mark = dbpc_obs::local_mark();
         analyze_host_memo(&p, &s);
         analyze_host_memo(&p, &s);
         analyze_host_memo(&p, &s);
-        let delta = cache_stats().since(&before);
-        assert_eq!(delta.misses, 1);
-        assert_eq!(delta.hits, 2);
+        let delta = mark.delta();
+        assert_eq!(delta.counter(CACHE_MISSES), 1);
+        assert_eq!(delta.counter(CACHE_HITS), 2);
     }
 
     #[test]
     fn distinct_programs_and_schemas_miss() {
         let s = schema();
-        let before = cache_stats();
+        let mark = dbpc_obs::local_mark();
         analyze_host_memo(&program(51), &s);
         analyze_host_memo(&program(52), &s);
         let renamed = NetworkSchema {
@@ -224,8 +194,8 @@ END PROGRAM;"
             ..schema()
         };
         analyze_host_memo(&program(51), &renamed);
-        let delta = cache_stats().since(&before);
-        assert_eq!(delta.misses, 3);
-        assert_eq!(delta.hits, 0);
+        let delta = mark.delta();
+        assert_eq!(delta.counter(CACHE_MISSES), 3);
+        assert_eq!(delta.counter(CACHE_HITS), 0);
     }
 }

@@ -31,7 +31,8 @@ use dbpc_corpus::harness::{
 use dbpc_corpus::named::company_db;
 use dbpc_obs::json::Json;
 use dbpc_restructure::data::translate;
-use dbpc_restructure::{stats as translation_stats, Transform};
+use dbpc_restructure::stats::{RECORDS_STORED, RECORD_TYPE_PREPS, SCHEMA_CLONES};
+use dbpc_restructure::Transform;
 use dbpc_storage::{NetworkDb, RecordId, SYSTEM_OWNER};
 
 /// The pre-optimization data-translation inner loop, reconstructed against
@@ -221,19 +222,21 @@ fn main() {
     let mut audits = Vec::new();
     for db in [&small_db, &large_db] {
         let records = db.records_of_type("DIV").len() + db.records_of_type("EMP").len();
-        let before = translation_stats::snapshot();
+        let mark = dbpc_obs::local_mark();
         translate(db, &rename).unwrap();
-        let work = translation_stats::snapshot().since(&before);
+        let work = mark.delta();
+        let [schema_clones, record_type_preps, records_stored] =
+            [SCHEMA_CLONES, RECORD_TYPE_PREPS, RECORDS_STORED].map(|m| work.counter(m));
         assert_eq!(
-            work.schema_clones, 1,
+            schema_clones, 1,
             "one schema clone per translation, independent of N = {records}"
         );
         assert_eq!(
-            work.record_type_preps, 2,
+            record_type_preps, 2,
             "one plan per record type (DIV, EMP), independent of N = {records}"
         );
-        assert_eq!(work.records_stored as usize, records);
-        audits.push((records, work));
+        assert_eq!(records_stored as usize, records);
+        audits.push((records, [schema_clones, record_type_preps, records_stored]));
     }
     let clone_audit_timing = paired::ratio(
         rounds,
@@ -288,18 +291,17 @@ fn main() {
         ("stage_ns_seed", stage_ns(&runs[0].profile)),
         ("stage_ns_tuned", stage_ns(&runs[1].profile)),
     ]);
-    let audit = ["small", "large"]
-        .into_iter()
-        .zip(&audits)
-        .map(|(name, (records, work))| {
+    let audit = ["small", "large"].into_iter().zip(&audits).map(
+        |(name, (records, [schema_clones, record_type_preps, records_stored]))| {
             let audit = Json::obj([
                 ("records", Json::from(*records)),
-                ("schema_clones", work.schema_clones.into()),
-                ("record_type_preps", work.record_type_preps.into()),
-                ("records_stored", work.records_stored.into()),
+                ("schema_clones", (*schema_clones).into()),
+                ("record_type_preps", (*record_type_preps).into()),
+                ("records_stored", (*records_stored).into()),
             ]);
             (name, audit)
-        });
+        },
+    );
     let clone_audit = [("record_types", Json::from(2))]
         .into_iter()
         .chain(audit)

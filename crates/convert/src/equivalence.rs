@@ -44,7 +44,7 @@ pub struct EquivalenceResult {
 }
 
 /// Warnings that legitimately predict observable behavior change.
-pub(crate) fn predicts_behavior_change(w: &Warning) -> bool {
+fn predicts_behavior_change(w: &Warning) -> bool {
     matches!(
         w,
         Warning::InformationDeleted { .. }
@@ -63,7 +63,7 @@ pub fn check_equivalence(
     inputs: &Inputs,
     warnings: &[Warning],
 ) -> Result<EquivalenceResult, RunError> {
-    let original_trace = source_trace(&mut source_db, original, inputs)?;
+    let original_trace = run_host(&mut source_db, original, inputs.clone())?;
     let (level, converted_trace, divergence) =
         judge_equivalence(&original_trace, &mut target_db, converted, inputs, warnings)?;
     Ok(EquivalenceResult {
@@ -72,21 +72,6 @@ pub fn check_equivalence(
         converted_trace,
         divergence,
     })
-}
-
-/// The ground-truth half of [`check_equivalence`]: the original program's
-/// observable trace on its working copy of the source database.
-///
-/// Split out so batch harnesses can run the original **once** per program
-/// and judge many conversions against the same trace — the trace depends
-/// only on `(source_db, original, inputs)`, not on any restructuring, so a
-/// memoized trace and a fresh one are interchangeable.
-pub fn source_trace(
-    source_db: &mut NetworkDb,
-    original: &Program,
-    inputs: &Inputs,
-) -> Result<Trace, RunError> {
-    run_host(source_db, original, inputs.clone())
 }
 
 /// The comparison core behind [`check_equivalence`] and the batch
@@ -108,18 +93,28 @@ pub fn judge_equivalence(
     warnings: &[Warning],
 ) -> Result<(EquivalenceLevel, Trace, Option<String>), RunError> {
     let converted_trace = run_host(target_db, converted, inputs.clone())?;
-    let divergence = diff_traces(original_trace, &converted_trace);
-    let level = match &divergence {
-        None => EquivalenceLevel::Strict,
-        Some(_) => {
-            if warnings.iter().any(predicts_behavior_change) {
-                EquivalenceLevel::Warned
-            } else {
-                EquivalenceLevel::NotEquivalent
-            }
-        }
-    };
+    let (level, divergence) = judge_traces(original_trace, &converted_trace, warnings);
     Ok((level, converted_trace, divergence))
+}
+
+/// The judging rule, the one place a trace is compared with its ground
+/// truth: identical traces are [`EquivalenceLevel::Strict`]; divergent
+/// traces with a behavior-predicting warning are
+/// [`EquivalenceLevel::Warned`]; anything else is
+/// [`EquivalenceLevel::NotEquivalent`]. Returns the level and the first
+/// divergence, when not strict.
+pub(crate) fn judge_traces(
+    truth: &Trace,
+    trace: &Trace,
+    warnings: &[Warning],
+) -> (EquivalenceLevel, Option<String>) {
+    let divergence = diff_traces(truth, trace);
+    let level = match divergence {
+        None => EquivalenceLevel::Strict,
+        Some(_) if warnings.iter().any(predicts_behavior_change) => EquivalenceLevel::Warned,
+        Some(_) => EquivalenceLevel::NotEquivalent,
+    };
+    (level, divergence)
 }
 
 #[cfg(test)]

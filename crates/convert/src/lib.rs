@@ -17,9 +17,9 @@
 //!        interacting with a Conversion Analyst (the Analyst trait)
 //! ```
 //!
-//! * [`mapping`] — the Conversion Analyzer: validates that the declared
-//!   transformation sequence produces the declared target schema, and
-//!   classifies the changes.
+//! * [`mapping`] — the Conversion Analyzer: applies the declared
+//!   transformation sequence once, step by step, and keeps the schema
+//!   before each step and the target it produces.
 //! * [`rules`] — transformation rules, one family per
 //!   [`dbpc_restructure::Transform`]: path splicing for promoted/demoted
 //!   records, filter re-homing, SORT insertion for order preservation,

@@ -4,79 +4,55 @@
 //! order to classify the types of changes that have been made and to encode
 //! the descriptions in suitable internal representations."
 //!
-//! Inputs are the source schema, the declared target schema, and the
-//! declared restructuring (§1.1 gives all three). The analyzer:
+//! Inputs are the source schema and the declared restructuring (§1.1); the
+//! target schema is what the restructuring produces. The analyzer:
 //!
-//! 1. validates that the restructuring actually produces the target schema
-//!    (catching DBA declaration errors before any program is touched);
-//! 2. computes the classified structural diff;
-//! 3. derives the schema snapshot *before each transform step* — the
+//! 1. applies each transform once, failing on the first step the schema
+//!    cannot take (catching DBA declaration errors before any program is
+//!    touched), and validates the source and target schemas;
+//! 2. keeps the schema snapshot *before each transform step* — the
 //!    per-step contexts the transformation rules rewrite against.
+//!
+//! The classification of changes is per transform
+//! ([`Restructuring::affects_ordering`], [`Restructuring::affects_integrity`]
+//! and the [`Transform`](dbpc_restructure::Transform) variants themselves),
+//! which is what the rules read.
 
-use dbpc_datamodel::diff::{diff_network, SchemaChange};
-use dbpc_datamodel::error::{ModelError, ModelResult};
+use dbpc_datamodel::error::ModelResult;
 use dbpc_datamodel::network::NetworkSchema;
 use dbpc_restructure::Restructuring;
 
 /// Internal representation produced by the Conversion Analyzer.
 #[derive(Debug, Clone)]
 pub struct Mapping {
-    pub source: NetworkSchema,
     pub target: NetworkSchema,
     pub restructuring: Restructuring,
-    /// Classified structural changes (source vs. target).
-    pub changes: Vec<SchemaChange>,
     /// `snapshots[i]` is the schema before transform `i`
-    /// (`snapshots[0] == source`); `snapshots[n] == target`.
+    /// (`snapshots[0]` is the source); the last one is `target`.
     pub snapshots: Vec<NetworkSchema>,
 }
 
 impl Mapping {
-    /// Run the Conversion Analyzer.
-    pub fn analyze(
+    /// Run the Conversion Analyzer on `source` and the declared
+    /// restructuring.
+    pub fn from_restructuring(
         source: &NetworkSchema,
-        target: &NetworkSchema,
         restructuring: &Restructuring,
     ) -> ModelResult<Mapping> {
-        source.validate()?;
-        target.validate()?;
-        let mut snapshots = vec![source.clone()];
+        let mut snapshots = Vec::with_capacity(restructuring.transforms.len() + 1);
+        snapshots.push(source.clone());
         let mut cur = source.clone();
         for t in &restructuring.transforms {
             cur = t.apply_schema(&cur)?;
             snapshots.push(cur.clone());
         }
-        if &cur != target {
-            return Err(ModelError::invalid(
-                "declared restructuring does not produce the declared target schema",
-            ));
-        }
+        source.validate()?;
+        cur.validate()?;
         Ok(Mapping {
-            source: source.clone(),
-            target: target.clone(),
+            target: cur,
             restructuring: restructuring.clone(),
-            changes: diff_network(source, target),
             snapshots,
         })
-    }
-
-    /// Convenience: analyze with the target derived from the restructuring.
-    pub fn from_restructuring(
-        source: &NetworkSchema,
-        restructuring: &Restructuring,
-    ) -> ModelResult<Mapping> {
-        let target = restructuring.apply_schema(source)?;
-        Mapping::analyze(source, &target, restructuring)
-    }
-
-    /// Do the classified changes include any ordering hazard?
-    pub fn has_ordering_changes(&self) -> bool {
-        self.changes.iter().any(|c| c.affects_ordering()) || self.restructuring.affects_ordering()
-    }
-
-    /// Do the classified changes include integrity-semantics changes?
-    pub fn has_integrity_changes(&self) -> bool {
-        self.changes.iter().any(|c| c.affects_integrity()) || self.restructuring.affects_integrity()
     }
 }
 
@@ -97,35 +73,24 @@ mod tests {
     }
 
     #[test]
-    fn analyze_accepts_consistent_declaration() {
+    fn from_restructuring_keeps_one_snapshot_per_step() {
         let r = Restructuring::single(Transform::RenameRecord {
             old: "A".into(),
             new: "B".into(),
-        });
-        let target = r.apply_schema(&schema()).unwrap();
-        let m = Mapping::analyze(&schema(), &target, &r).unwrap();
-        assert_eq!(m.snapshots.len(), 2);
-        assert!(!m.changes.is_empty());
-    }
-
-    #[test]
-    fn analyze_rejects_inconsistent_declaration() {
-        let r = Restructuring::single(Transform::RenameRecord {
-            old: "A".into(),
-            new: "B".into(),
-        });
-        // Declared target is the unchanged source: inconsistent.
-        assert!(Mapping::analyze(&schema(), &schema(), &r).is_err());
-    }
-
-    #[test]
-    fn hazard_classification_propagates() {
-        let r = Restructuring::single(Transform::ChangeSetKeys {
-            set: "ALL-A".into(),
-            keys: vec![],
         });
         let m = Mapping::from_restructuring(&schema(), &r).unwrap();
-        assert!(m.has_ordering_changes());
-        assert!(!m.has_integrity_changes());
+        assert_eq!(m.snapshots.len(), 2);
+        assert_eq!(m.snapshots[0], schema());
+        assert_eq!(m.snapshots[1], m.target);
+        assert_eq!(m.target, r.apply_schema(&schema()).unwrap());
+    }
+
+    #[test]
+    fn from_restructuring_rejects_a_step_the_schema_cannot_take() {
+        let r = Restructuring::single(Transform::RenameRecord {
+            old: "MISSING".into(),
+            new: "B".into(),
+        });
+        assert!(Mapping::from_restructuring(&schema(), &r).is_err());
     }
 }

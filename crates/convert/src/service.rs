@@ -79,17 +79,17 @@
 //! drain budget expires, and replayed jobs that name a context this run
 //! did not register.
 
-use crate::equivalence::{judge_equivalence, source_trace, EquivalenceLevel};
+use crate::equivalence::{judge_equivalence, EquivalenceLevel};
 use crate::journal::{decode_done, BoundaryHook, JobJournal, JournalRecord, RecoveredJob};
 use crate::mapping::Mapping;
 use crate::report::{AutoAnalyst, ConversionReport, Verdict};
-use crate::supervisor::fault::panic_payload;
 use crate::supervisor::ladder::{retryable, RungFailure};
 use crate::supervisor::{failure_report, Supervisor};
 use dbpc_analyzer::apg::AccessPathGraph;
 use dbpc_datamodel::error::{ModelError, PipelineError, PipelineResult, Stage};
 use dbpc_datamodel::network::NetworkSchema;
 use dbpc_dml::host::{Program, Stmt};
+use dbpc_engine::host_exec::run_host;
 use dbpc_engine::{Inputs, Trace};
 use dbpc_obs::metrics::MetricValue;
 use dbpc_obs::{MetricsFrame, MetricsRegistry, RunReport};
@@ -1007,7 +1007,7 @@ fn run_guarded(
             failure_report(
                 Verdict::Poisoned,
                 PipelineError::Panic {
-                    detail: panic_payload(payload),
+                    detail: pool::panic_payload(payload),
                 },
             ),
             None,
@@ -1137,7 +1137,7 @@ fn truth_trace(ctx: &Context, original: &Program) -> Result<Arc<Trace>, Pipeline
     let mut src = ctx.source.checkout();
     let run = dbpc_obs::quiet(|| {
         let sp = src.begin_savepoint();
-        let run = source_trace(&mut src, original, &ctx.inputs);
+        let run = run_host(&mut src, original, ctx.inputs.clone());
         src.rollback_to(sp);
         run
     });

@@ -35,7 +35,7 @@ pub mod ladder;
 use crate::mapping::Mapping;
 use crate::report::{Analyst, Answer, ConversionReport, Question, Verdict, Warning};
 use crate::rules::{convert_step, FreshNames};
-use crate::supervisor::fault::{panic_payload, FaultPlan};
+use crate::supervisor::fault::FaultPlan;
 use crate::supervisor::ladder::{Rung, RungFailure};
 use dbpc_analyzer::apg::AccessPathGraph;
 use dbpc_analyzer::dataflow::{analyze_host, Hazard};
@@ -43,6 +43,7 @@ use dbpc_datamodel::error::{ModelError, ModelResult, PipelineError, PipelineResu
 use dbpc_datamodel::network::NetworkSchema;
 use dbpc_dml::host::Program;
 use dbpc_restructure::Restructuring;
+use dbpc_storage::pool::panic_payload;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Configuration of a conversion run.
@@ -441,7 +442,7 @@ impl Supervisor {
 /// A batch slot's report when supervision, not judgment, ended the
 /// conversion: a typed pipeline error ([`Verdict::Rejected`]) or a caught
 /// panic ([`Verdict::Poisoned`]).
-pub(crate) fn failure_report(verdict: Verdict, error: PipelineError) -> ConversionReport {
+pub fn failure_report(verdict: Verdict, error: PipelineError) -> ConversionReport {
     ConversionReport {
         verdict,
         program: None,
@@ -765,7 +766,7 @@ END PROGRAM;",
             ..Supervisor::default()
         };
         dbpc_analyzer::cache::reset_cache();
-        let before = dbpc_analyzer::cache::cache_stats();
+        let mark = dbpc_obs::local_mark();
         let r_memo_1 = memo
             .convert(&company_schema(), &fig_4_4(), &p, &mut AutoAnalyst)
             .unwrap();
@@ -775,9 +776,9 @@ END PROGRAM;",
         let r_fresh = fresh
             .convert(&company_schema(), &fig_4_4(), &p, &mut AutoAnalyst)
             .unwrap();
-        let delta = dbpc_analyzer::cache::cache_stats().since(&before);
-        assert_eq!(delta.misses, 1);
-        assert_eq!(delta.hits, 1);
+        let delta = mark.delta();
+        assert_eq!(delta.counter(dbpc_analyzer::cache::CACHE_MISSES), 1);
+        assert_eq!(delta.counter(dbpc_analyzer::cache::CACHE_HITS), 1);
         for r in [&r_memo_1, &r_memo_2, &r_fresh] {
             assert_eq!(r.verdict, r_memo_1.verdict);
             assert_eq!(r.questions, r_memo_1.questions);

@@ -194,18 +194,6 @@ impl FaultPlan {
     }
 }
 
-/// Render a caught panic payload for error reports. Panics raised through
-/// `panic!` carry `&str` or `String`; anything else is opaque.
-pub fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// SplitMix64-style avalanche of `(seed, stage, key, salt)` into `[0, 1)`.
 fn unit_hash(seed: u64, stage: Stage, key: u64, salt: u64) -> f64 {
     let mut z = seed

@@ -38,17 +38,17 @@
 //! stateless analysts (`AutoAnalyst`, `PermissiveAnalyst`) under the
 //! ladder.
 
-use crate::equivalence::{predicts_behavior_change, EquivalenceLevel};
-use crate::report::{Analyst, ConversionReport, Verdict};
-use crate::supervisor::fault::panic_payload;
+use crate::equivalence::{judge_traces, EquivalenceLevel};
+use crate::report::{Analyst, ConversionReport, Verdict, Warning};
 use crate::supervisor::Supervisor;
 use dbpc_datamodel::error::{PipelineError, PipelineResult, Stage};
 use dbpc_datamodel::network::NetworkSchema;
 use dbpc_dml::host::Program;
 use dbpc_emulate::{run_bridged, Emulator, WriteBack};
 use dbpc_engine::host_exec::run_host_with_fuel;
-use dbpc_engine::{diff_traces, Inputs, RunError, Trace, DEFAULT_VERIFY_FUEL};
+use dbpc_engine::{Inputs, RunError, Trace, DEFAULT_VERIFY_FUEL};
 use dbpc_restructure::Restructuring;
+use dbpc_storage::pool::panic_payload;
 use dbpc_storage::{NetworkDb, StatCatalog};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -367,16 +367,7 @@ fn attempt_rung(
                 let trace =
                     run_host_with_fuel(&mut target, converted, inputs.clone(), DEFAULT_VERIFY_FUEL)
                         .map_err(|e| run_error(Stage::Verification, e))?;
-                match diff_traces(truth, &trace) {
-                    None => Ok(EquivalenceLevel::Strict),
-                    Some(_) if report.warnings.iter().any(predicts_behavior_change) => {
-                        Ok(EquivalenceLevel::Warned)
-                    }
-                    Some(d) => Err(PipelineError::stage(
-                        Stage::Verification,
-                        format!("trace divergence: {d}"),
-                    )),
-                }
+                verified(truth, &trace, &report.warnings, "trace divergence")
             })?;
             Ok((report, level))
         }
@@ -389,13 +380,8 @@ fn attempt_rung(
                 let trace =
                     run_host_with_fuel(&mut emu, program, inputs.clone(), DEFAULT_VERIFY_FUEL)
                         .map_err(|e| run_error(Stage::Verification, e))?;
-                match diff_traces(truth, &trace) {
-                    None => Ok((strategy_report(), EquivalenceLevel::Strict)),
-                    Some(d) => Err(PipelineError::stage(
-                        Stage::Verification,
-                        format!("emulation trace divergence: {d}"),
-                    )),
-                }
+                let level = verified(truth, &trace, &[], "emulation trace divergence")?;
+                Ok((strategy_report(), level))
             })
         }
         Rung::Bridge => {
@@ -411,19 +397,33 @@ fn attempt_rung(
                     WriteBack::Differential,
                 )
                 .map_err(|e| run_error(Stage::Converter, e))?;
-                match diff_traces(truth, &run.trace) {
-                    None => Ok((strategy_report(), EquivalenceLevel::Strict)),
-                    Some(d) => Err(PipelineError::stage(
-                        Stage::Verification,
-                        format!("bridge trace divergence: {d}"),
-                    )),
-                }
+                let level = verified(truth, &run.trace, &[], "bridge trace divergence")?;
+                Ok((strategy_report(), level))
             })
         }
         Rung::Manual => Err(PipelineError::stage(
             Stage::Converter,
             "manual rung is terminal, not attempted",
         )),
+    }
+}
+
+/// Judge a rung's trace against the ground truth ([`judge_traces`]). A
+/// divergence that no warning predicts fails the rung as `what: {divergence}`.
+/// Emulation and bridging pass no warnings: they claim exact source
+/// semantics, so only a strict match serves.
+fn verified(
+    truth: &Trace,
+    trace: &Trace,
+    warnings: &[Warning],
+    what: &str,
+) -> PipelineResult<EquivalenceLevel> {
+    match judge_traces(truth, trace, warnings) {
+        (EquivalenceLevel::NotEquivalent, divergence) => Err(PipelineError::stage(
+            Stage::Verification,
+            format!("{what}: {}", divergence.unwrap_or_default()),
+        )),
+        (level, _) => Ok(level),
     }
 }
 

@@ -15,14 +15,14 @@
 use crate::gen::{generate_program, ProgramClass, TransformClass};
 use crate::named::company_db;
 use crate::pool;
-use dbpc_convert::equivalence::{
-    check_equivalence, judge_equivalence, source_trace, EquivalenceLevel,
-};
+use dbpc_convert::equivalence::{check_equivalence, judge_equivalence, EquivalenceLevel};
 use dbpc_convert::report::{Analyst, AutoAnalyst, ConversionReport, PermissiveAnalyst};
-use dbpc_convert::{run_ladder, FaultPlan, Rung, RungFailure, Supervisor, Verdict};
+use dbpc_convert::supervisor::failure_report;
+use dbpc_convert::{run_ladder, FaultPlan, Supervisor, Verdict};
 use dbpc_datamodel::error::PipelineError;
 use dbpc_datamodel::network::NetworkSchema;
 use dbpc_dml::host::Program;
+use dbpc_engine::host_exec::run_host;
 use dbpc_engine::{Inputs, Trace};
 use dbpc_obs::{MetricsFrame, MetricsRegistry, RunReport};
 use dbpc_storage::{NetworkDb, StatCatalog};
@@ -650,7 +650,7 @@ fn run_cell(
                     dbpc_obs::racy(DB_SHARED_RUNS, 1);
                     let run = dbpc_obs::quiet(|| {
                         let sp = src_base.begin_savepoint();
-                        let run = source_trace(src_base, program, &inputs);
+                        let run = run_host(src_base, program, inputs.clone());
                         src_base.rollback_to(sp);
                         run
                     });
@@ -819,19 +819,11 @@ pub fn ladder_reports(config: &StudyConfig) -> Vec<ConversionReport> {
     })
     .into_iter()
     .map(|r| {
-        r.unwrap_or_else(|p| ConversionReport {
-            verdict: Verdict::Poisoned,
-            program: None,
-            text: None,
-            warnings: Vec::new(),
-            questions: Vec::new(),
-            rung: Rung::FullRewrite,
-            fallbacks: vec![RungFailure {
-                rung: Rung::FullRewrite,
-                attempts: 1,
-                error: PipelineError::Panic { detail: p.payload },
-            }],
-            run_report: None,
+        r.unwrap_or_else(|p| {
+            failure_report(
+                Verdict::Poisoned,
+                PipelineError::Panic { detail: p.payload },
+            )
         })
     })
     .collect()

@@ -29,12 +29,10 @@
 //! between declarative and procedural form.
 //!
 //! [`ddl`] provides a parser and pretty-printer for the Figure 4.3 schema
-//! language (extended with a `CONSTRAINT SECTION`), and [`diff`] computes the
-//! classified schema-change lists consumed by the Conversion Analyzer.
+//! language (extended with a `CONSTRAINT SECTION`).
 
 pub mod constraint;
 pub mod ddl;
-pub mod diff;
 pub mod error;
 pub mod hierarchical;
 pub mod network;

@@ -19,6 +19,7 @@
 use dbpc_datamodel::network::NetworkSchema;
 use dbpc_datamodel::value::{cmp_tuple, Value};
 use dbpc_engine::host_exec::NetworkOps;
+use dbpc_engine::AtomicStore;
 use dbpc_restructure::{Restructuring, Transform};
 use dbpc_storage::{DbError, DbResult, NetworkDb, RecordId, Savepoint};
 
@@ -653,10 +654,11 @@ impl NetworkOps for Emulator {
             },
         }
     }
+}
 
-    // Layers are stateless call mappings; atomicity lives in the base
-    // store, so savepoints pass straight through the stack.
-
+// Layers are stateless call mappings; atomicity lives in the base
+// store, so savepoints pass straight through the stack.
+impl AtomicStore for Emulator {
     fn begin_savepoint(&mut self) -> Savepoint {
         match self {
             Emulator::Base(db) => db.begin_savepoint(),

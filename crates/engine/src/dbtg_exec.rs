@@ -9,6 +9,7 @@
 //! operation against the source structure to determine status values (e.g.,
 //! currency)" is about exactly this state.
 
+use crate::atomic::run_atomic;
 use crate::error::{RunError, RunResult};
 use crate::scan::{planner, AccessPath, PlanChoice, ProbeStats, Scan, Select, TableScan};
 use crate::trace::{Inputs, Trace, TraceEvent};
@@ -44,34 +45,12 @@ pub struct DbtgMachine<'d> {
 /// Run a DBTG program against a network database; returns the trace,
 /// carrying the run's access-path counters.
 ///
-/// The run is atomic: a typed error, fuel exhaustion, or a panic
-/// (re-raised after cleanup) rolls the database back to its pre-run state.
+/// The run is atomic ([`crate::atomic`]): a typed error, fuel exhaustion,
+/// or a panic (re-raised after cleanup) rolls the store back to its
+/// pre-run state.
 pub fn run_dbtg(db: &mut NetworkDb, program: &DbtgProgram, inputs: Inputs) -> RunResult<Trace> {
-    dbpc_obs::span("engine.dbtg", || {
-        db.access_stats().reset();
-        let sp = db.begin_savepoint();
-        let db_ref = &mut *db;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            DbtgMachine::new(db_ref, inputs).run(program)
-        }));
-        match outcome {
-            Ok(Ok(mut trace)) => {
-                db.commit(sp);
-                trace.access = db.access_stats().snapshot();
-                trace.access.absorb_into_obs();
-                Ok(trace)
-            }
-            Ok(Err(e)) => {
-                db.access_stats().snapshot().absorb_into_obs();
-                db.rollback_to(sp);
-                Err(e)
-            }
-            Err(payload) => {
-                db.access_stats().snapshot().absorb_into_obs();
-                db.rollback_to(sp);
-                std::panic::resume_unwind(payload)
-            }
-        }
+    run_atomic("engine.dbtg", db, |db| {
+        DbtgMachine::new(db, inputs).run(program)
     })
 }
 

@@ -8,6 +8,7 @@
 //! `GN` loop silently changes meaning. This interpreter makes that
 //! observable.
 
+use crate::atomic::run_atomic;
 use crate::error::{RunError, RunResult};
 use crate::scan::{planner, AccessPath, PlanChoice, Scan, Select, TableScan};
 use crate::trace::{Inputs, Trace, TraceEvent};
@@ -31,35 +32,11 @@ pub struct DliMachine<'d> {
 /// Run a DL/I program; returns the observable trace, carrying the run's
 /// access-path counters (notably `preorder_rebuilds`).
 ///
-/// The run is atomic: a typed error, fuel exhaustion, or a panic
-/// (re-raised after cleanup) rolls the database back to its pre-run state.
+/// The run is atomic ([`crate::atomic`]): a typed error, fuel exhaustion,
+/// or a panic (re-raised after cleanup) rolls the store back to its
+/// pre-run state.
 pub fn run_dli(db: &mut HierDb, program: &DliProgram, _inputs: Inputs) -> RunResult<Trace> {
-    dbpc_obs::span("engine.dli", || {
-        db.access_stats().reset();
-        let sp = db.begin_savepoint();
-        let db_ref = &mut *db;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            DliMachine::new(db_ref).run(program)
-        }));
-        match outcome {
-            Ok(Ok(mut trace)) => {
-                db.commit(sp);
-                trace.access = db.access_stats().snapshot();
-                trace.access.absorb_into_obs();
-                Ok(trace)
-            }
-            Ok(Err(e)) => {
-                db.access_stats().snapshot().absorb_into_obs();
-                db.rollback_to(sp);
-                Err(e)
-            }
-            Err(payload) => {
-                db.access_stats().snapshot().absorb_into_obs();
-                db.rollback_to(sp);
-                std::panic::resume_unwind(payload)
-            }
-        }
-    })
+    run_atomic("engine.dli", db, |db| DliMachine::new(db).run(program))
 }
 
 impl<'d> DliMachine<'d> {

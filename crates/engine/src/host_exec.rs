@@ -15,23 +15,21 @@
 //! so integrity-behavior differences between source and target schemas show
 //! up in the equivalence check, exactly as §3.1 requires.
 
+use crate::atomic::{run_atomic, AtomicStore};
 use crate::error::{RunError, RunResult};
 use crate::scan::{planner, AccessPath, PlanChoice, Project, Scan, Select, TableScan};
 use crate::trace::{Inputs, Trace, TraceEvent};
 use dbpc_datamodel::value::{cmp_tuple, Value};
 use dbpc_dml::expr::{BinOp, BoolExpr, Expr};
 use dbpc_dml::host::{FindExpr, FindSpec, ForSource, PathStart, Program, Stmt};
-use dbpc_storage::{
-    AccessProfile, DbError, DbResult, NetworkDb, RecordId, Savepoint, SYSTEM_OWNER,
-};
+use dbpc_storage::{DbError, DbResult, NetworkDb, RecordId, SYSTEM_OWNER};
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// The owner-coupled-set DML surface the interpreter drives.
 ///
 /// `NetworkDb` implements it directly; emulation and bridge strategies
 /// implement it over a restructured database.
-pub trait NetworkOps {
+pub trait NetworkOps: AtomicStore {
     /// Read a field of a record (virtuals resolved).
     fn field_value(&self, id: RecordId, field: &str) -> DbResult<Value>;
     /// Does `rtype` declare `field`?
@@ -90,30 +88,6 @@ pub trait NetworkOps {
     fn type_cardinality_stat(&self, _rtype: &str) -> Option<u64> {
         None
     }
-
-    /// Snapshot of the layer's access-path counters, if it keeps any.
-    fn access_profile(&self) -> Option<AccessProfile> {
-        None
-    }
-
-    /// Zero the layer's access-path counters before a run.
-    fn reset_access_stats(&mut self) {}
-
-    // -- transaction hooks -------------------------------------------------
-    //
-    // Every program run executes inside a savepoint: the interpreter
-    // commits on completion and rolls back on a typed error, fuel
-    // exhaustion, or a panic unwinding through it. Layers must forward
-    // these to the underlying store so a failed run leaves the base
-    // bitwise-unchanged — the property the supervision ladder's retry
-    // budget depends on.
-
-    /// Open a savepoint on the underlying store.
-    fn begin_savepoint(&mut self) -> Savepoint;
-    /// Undo everything since `sp` (and close it).
-    fn rollback_to(&mut self, sp: Savepoint);
-    /// Keep everything since `sp` (and close it).
-    fn commit_savepoint(&mut self, sp: Savepoint);
 }
 
 impl NetworkOps for NetworkDb {
@@ -191,26 +165,6 @@ impl NetworkOps for NetworkDb {
     fn type_cardinality_stat(&self, rtype: &str) -> Option<u64> {
         Some(NetworkDb::type_cardinality(self, rtype))
     }
-
-    fn access_profile(&self) -> Option<AccessProfile> {
-        Some(self.access_stats().snapshot())
-    }
-
-    fn reset_access_stats(&mut self) {
-        self.access_stats().reset();
-    }
-
-    fn begin_savepoint(&mut self) -> Savepoint {
-        NetworkDb::begin_savepoint(self)
-    }
-
-    fn rollback_to(&mut self, sp: Savepoint) {
-        NetworkDb::rollback_to(self, sp);
-    }
-
-    fn commit_savepoint(&mut self, sp: Savepoint) {
-        NetworkDb::commit(self, sp);
-    }
 }
 
 /// A runtime value: a scalar or a record collection. `FOR EACH` loop
@@ -250,9 +204,9 @@ pub struct HostInterpreter<'d, D: NetworkOps> {
 /// Run `program` against `db` with scripted `inputs`; returns the trace,
 /// carrying the ops layer's access-path counters when it keeps any.
 ///
-/// The run is atomic: it executes inside a savepoint that commits only
-/// when the program completes. A typed error, fuel exhaustion, or a panic
-/// (re-raised after cleanup) rolls the store back to its pre-run state.
+/// The run is atomic ([`crate::atomic`]): a typed error, fuel exhaustion,
+/// or a panic (re-raised after cleanup) rolls the store back to its
+/// pre-run state.
 pub fn run_host<D: NetworkOps>(db: &mut D, program: &Program, inputs: Inputs) -> RunResult<Trace> {
     run_host_guarded(db, program, inputs, None)
 }
@@ -281,41 +235,12 @@ fn run_host_guarded<D: NetworkOps>(
     inputs: Inputs,
     fuel: Option<usize>,
 ) -> RunResult<Trace> {
-    dbpc_obs::span("engine.host", || {
-        db.reset_access_stats();
-        let sp = db.begin_savepoint();
-        let db_ref = &mut *db;
-        let outcome = catch_unwind(AssertUnwindSafe(move || {
-            let mut interp = HostInterpreter::new(db_ref, inputs);
-            if let Some(f) = fuel {
-                interp = interp.with_step_limit(f);
-            }
-            interp.run(program)
-        }));
-        // The run's access-path work flows into the ambient obs sheet on
-        // every exit path — observability is append-only even when the
-        // savepoint below rolls the data back.
-        let absorb = |db: &D| {
-            db.access_profile().unwrap_or_default().absorb_into_obs();
-        };
-        match outcome {
-            Ok(Ok(mut trace)) => {
-                db.commit_savepoint(sp);
-                trace.access = db.access_profile().unwrap_or_default();
-                absorb(db);
-                Ok(trace)
-            }
-            Ok(Err(e)) => {
-                absorb(db);
-                db.rollback_to(sp);
-                Err(e)
-            }
-            Err(payload) => {
-                absorb(db);
-                db.rollback_to(sp);
-                resume_unwind(payload)
-            }
+    run_atomic("engine.host", db, |db| {
+        let mut interp = HostInterpreter::new(db, inputs);
+        if let Some(f) = fuel {
+            interp = interp.with_step_limit(f);
         }
+        interp.run(program)
     })
 }
 

@@ -25,7 +25,12 @@
 //! * [`sequel_exec`] — SEQUEL over a [`dbpc_storage::RelationalDb`];
 //! * [`dli_exec`] — DL/I position/parentage machine over a
 //!   [`dbpc_storage::HierDb`].
+//!
+//! All four run a program through one boundary, [`atomic`]: a savepoint
+//! that commits only a completed run, with the run's access counters
+//! copied onto the trace and into the obs sheet on every exit.
 
+pub mod atomic;
 pub mod dbtg_exec;
 pub mod dli_exec;
 pub mod error;
@@ -34,6 +39,7 @@ pub mod scan;
 pub mod sequel_exec;
 pub mod trace;
 
+pub use atomic::AtomicStore;
 pub use error::{RunError, RunResult};
 pub use host_exec::{HostInterpreter, RtVal, DEFAULT_VERIFY_FUEL};
 pub use trace::{diff_traces, Inputs, Trace, TraceEvent};

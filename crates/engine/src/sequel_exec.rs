@@ -8,6 +8,7 @@
 //! pins it, which is precisely the order-observability issue the converter
 //! must manage.
 
+use crate::atomic::run_atomic;
 use crate::error::{RunError, RunResult};
 use crate::scan::{planner, AccessPath, IndexScan, ProbeStats, Scan, Select, TableScan};
 use crate::trace::{Inputs, Trace, TraceEvent};
@@ -19,40 +20,18 @@ use dbpc_storage::{DbError, RelationalDb};
 /// Run a SEQUEL program; each SELECT's rows are printed to the terminal.
 /// The returned trace carries the run's access-path counters.
 ///
-/// The run is atomic: a typed error or a panic (re-raised after cleanup)
-/// rolls the database back to its pre-run state. An *observable* abort —
-/// a rejected update printed to the trace — is still a completed run and
-/// keeps its partial work, as a 1979 batch program would.
+/// The run is atomic ([`crate::atomic`]): a typed error or a panic
+/// (re-raised after cleanup) rolls the database back to its pre-run
+/// state. An *observable* abort — a rejected update printed to the
+/// trace — is still a completed run and keeps its partial work, as a 1979
+/// batch program would.
 pub fn run_sequel(
     db: &mut RelationalDb,
     program: &SequelProgram,
     inputs: Inputs,
 ) -> RunResult<Trace> {
-    dbpc_obs::span("engine.sequel", || {
-        db.access_stats().reset();
-        let sp = db.begin_savepoint();
-        let db_ref = &mut *db;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            run_sequel_inner(db_ref, program, inputs)
-        }));
-        match outcome {
-            Ok(Ok(mut trace)) => {
-                db.commit(sp);
-                trace.access = db.access_stats().snapshot();
-                trace.access.absorb_into_obs();
-                Ok(trace)
-            }
-            Ok(Err(e)) => {
-                db.access_stats().snapshot().absorb_into_obs();
-                db.rollback_to(sp);
-                Err(e)
-            }
-            Err(payload) => {
-                db.access_stats().snapshot().absorb_into_obs();
-                db.rollback_to(sp);
-                std::panic::resume_unwind(payload)
-            }
-        }
+    run_atomic("engine.sequel", db, |db| {
+        run_sequel_inner(db, program, inputs)
     })
 }
 

@@ -651,6 +651,15 @@ impl Delta {
     pub fn iter(&self) -> DeltaIter<'_> {
         self.into_iter()
     }
+
+    /// Counter or racy-counter delta by name (0 when absent), as
+    /// [`MetricsFrame::counter`] reads a frame.
+    pub fn counter(&self, name: &str) -> u64 {
+        match self.iter().find(|(n, _)| *n == name) {
+            Some((_, MetricValue::Counter(v) | MetricValue::Racy(v))) => v,
+            _ => 0,
+        }
+    }
 }
 
 impl<'a> IntoIterator for &'a Delta {

@@ -824,6 +824,7 @@ fn phase_erase<T: Target>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::{RECORDS_STORED, RECORD_TYPE_PREPS, SCHEMA_CLONES};
     use crate::transform::Transform;
     use dbpc_datamodel::network::{FieldDef, RecordTypeDef, SetDef};
     use dbpc_datamodel::types::FieldType;
@@ -1121,19 +1122,23 @@ mod tests {
         let mut per_n = Vec::new();
         for n in [8usize, 64] {
             let src = sized_company_db(n);
-            let before = crate::stats::snapshot();
+            let mark = dbpc_obs::local_mark();
             translate(&src, &rename).unwrap();
-            let work = crate::stats::snapshot().since(&before);
+            let work = mark.delta();
             // One clone to seed the rebuilt target database; one plan per
             // record type (DIV + EMP); one store per record (1 DIV + N EMPs).
-            assert_eq!(work.schema_clones, 1, "N = {n}");
-            assert_eq!(work.record_type_preps, 2, "N = {n}");
-            assert_eq!(work.records_stored, n as u64 + 1, "N = {n}");
+            assert_eq!(work.counter(SCHEMA_CLONES), 1, "N = {n}");
+            assert_eq!(work.counter(RECORD_TYPE_PREPS), 2, "N = {n}");
+            assert_eq!(work.counter(RECORDS_STORED), n as u64 + 1, "N = {n}");
             per_n.push(work);
         }
         // Schema-level work identical at both sizes; record work scales.
-        assert_eq!(per_n[0].schema_clones, per_n[1].schema_clones);
-        assert_eq!(per_n[0].record_type_preps, per_n[1].record_type_preps);
-        assert!(per_n[1].records_stored > per_n[0].records_stored);
+        let [small, large] = [&per_n[0], &per_n[1]];
+        assert_eq!(small.counter(SCHEMA_CLONES), large.counter(SCHEMA_CLONES));
+        assert_eq!(
+            small.counter(RECORD_TYPE_PREPS),
+            large.counter(RECORD_TYPE_PREPS)
+        );
+        assert!(large.counter(RECORDS_STORED) > small.counter(RECORDS_STORED));
     }
 }

@@ -56,8 +56,9 @@ impl std::fmt::Display for Poisoned {
     }
 }
 
-/// Render a caught panic payload (`panic!` carries `&str` or `String`).
-fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Render a caught panic payload for error reports. Panics raised through
+/// `panic!` carry `&str` or `String`; anything else is opaque.
+pub fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -15,8 +15,10 @@
 use dbpc::corpus::{named, pool};
 use dbpc::datamodel::value::Value;
 use dbpc::dml::expr::CmpOp;
+use dbpc::obs::{local_mark, Mark};
+use dbpc::restructure::stats::{RECORDS_STORED, RECORD_TYPE_PREPS, SCHEMA_CLONES};
 use dbpc::restructure::{
-    stats, translate_durable, DurableOutcome, DurableTranslationOptions, Restructuring, Transform,
+    translate_durable, DurableOutcome, DurableTranslationOptions, Restructuring, Transform,
 };
 use dbpc::storage::disk::DiskResult;
 use dbpc::storage::{DurableNetworkDb, NetworkDb, StatCatalog, TempDir};
@@ -69,7 +71,14 @@ fn cases() -> Vec<(&'static str, NetworkDb, Transform)> {
 
 /// What a translation must reproduce: engine fingerprint, statistics
 /// catalog fingerprint, and the work the translator counted.
-type Outcome = (u64, u64, stats::TranslationProfile);
+type Outcome = (u64, u64, [u64; 3]);
+
+/// The translator's work since `mark`: schema clones, record-type plans
+/// and records stored.
+fn work(mark: &Mark) -> [u64; 3] {
+    let delta = mark.delta();
+    [SCHEMA_CLONES, RECORD_TYPE_PREPS, RECORDS_STORED].map(|m| delta.counter(m))
+}
 
 fn fingerprints(out: &NetworkDb) -> (u64, u64) {
     out.check_access_structures().unwrap();
@@ -106,14 +115,14 @@ fn complete(outcome: DurableOutcome) -> (DurableNetworkDb, usize) {
 /// of batch boundaries an uncrashed durable run consults (= the crash
 /// points to cover). That durable run must itself match the reference.
 fn one_shot(db: &NetworkDb, t: &Transform) -> (Outcome, usize) {
-    let before = stats::snapshot();
+    let mark = local_mark();
     let out = Restructuring::single(t.clone()).translate(db).unwrap();
-    let profile = stats::snapshot().since(&before);
+    let profile = work(&mark);
     let (fp, stat) = fingerprints(&out);
 
     let dir = TempDir::new("xlate-count").unwrap();
     let mut boundaries = 0;
-    let before = stats::snapshot();
+    let mark = local_mark();
     let (durable_out, replayed) = complete(
         durable(db, t, dir.path(), &mut |_| {
             boundaries += 1;
@@ -123,10 +132,7 @@ fn one_shot(db: &NetworkDb, t: &Transform) -> (Outcome, usize) {
     );
     assert_eq!(replayed, 0, "a fresh directory has nothing to replay");
     assert_eq!(
-        (
-            fingerprints(durable_out.engine()),
-            stats::snapshot().since(&before)
-        ),
+        (fingerprints(durable_out.engine()), work(&mark)),
         ((fp, stat), profile),
         "uncrashed durable translation differs from the one-shot"
     );
@@ -138,7 +144,7 @@ fn one_shot(db: &NetworkDb, t: &Transform) -> (Outcome, usize) {
 /// calls together.
 fn crash_and_recover(db: &NetworkDb, t: &Transform, point: usize) -> Outcome {
     let dir = TempDir::new(&format!("xlate-crash-{point}")).unwrap();
-    let before = stats::snapshot();
+    let mark = local_mark();
     match durable(db, t, dir.path(), &mut |b| b == point).unwrap() {
         // Boundary `point` fires after its batch committed, so the log
         // holds `point + 1` finished batches.
@@ -150,7 +156,7 @@ fn crash_and_recover(db: &NetworkDb, t: &Transform, point: usize) -> Outcome {
     let (out, replayed) = complete(durable(db, t, dir.path(), &mut |_| false).unwrap());
     assert_eq!(replayed, point + 1, "recovery replayed the wrong depth");
     let (fp, stat) = fingerprints(out.engine());
-    (fp, stat, stats::snapshot().since(&before))
+    (fp, stat, work(&mark))
 }
 
 #[test]
