@@ -132,6 +132,13 @@ cargo test -q --test txn_invariants
 cargo test -q --test fault_ladder
 cargo test -q --test parallel_determinism
 
+# The parallel map hands out items from one shared cursor: a slow item
+# must not hold back the items after it, and repeated wide study runs,
+# whose cell placement varies, must agree byte for byte.
+echo "==> parallel map: claiming and determinism"
+cargo test -q -p dbpc-storage --lib pool
+cargo test -q --test obs_determinism
+
 # The translation crash matrix is the one gate on data-translation crash
 # safety: a durable translation killed at every batch boundary of four
 # transform shapes must recover byte-identical to the one-shot.

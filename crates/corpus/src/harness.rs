@@ -389,11 +389,12 @@ impl StudyConfig {
 /// Run the E2 study under an explicit [`StudyConfig`].
 ///
 /// Parallelism is deterministic by construction: the 96 (transform ×
-/// program-class) cells are a fixed work list, [`pool::parallel_map`]
-/// assigns them to workers by stride and returns results in list order, and
-/// each cell's computation is self-contained (seeded generation, per-cell
-/// databases, per-worker analysis cache). The assembled matrix is therefore
-/// byte-identical at any thread count.
+/// program-class) cells are a fixed work list, [`pool::parallel_map`] lets
+/// each worker claim the next unclaimed cell and returns results in list
+/// order, and each cell's computation is self-contained (seeded generation,
+/// per-cell databases, per-worker analysis cache whose hits change no
+/// result). Which worker ran a cell varies from run to run; the assembled
+/// matrix is byte-identical at any thread count.
 pub fn success_rate_study_config(config: &StudyConfig) -> StudyResult {
     let threads = if config.threads == 0 {
         pool::default_threads()

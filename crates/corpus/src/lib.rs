@@ -17,9 +17,10 @@
 //!   computer-aided converters) and the conversion cost model
 //!   (experiment E9: the GAO savings figure of §1).
 //! * [`pool`] — the deterministic scoped thread-pool the study harness
-//!   runs on: a fixed strided work partition plus index-ordered
-//!   reassembly makes every study result byte-identical at any thread
-//!   count (`DBPC_THREADS` selects the width). The implementation now
+//!   runs on: workers claim cells from a shared cursor, and index-ordered
+//!   reassembly of per-cell results that do not depend on which worker ran
+//!   them makes every study result byte-identical at any thread count
+//!   (`DBPC_THREADS` selects the width). The implementation now
 //!   lives in `dbpc_storage::pool` so the conversion service (which the
 //!   corpus crate depends on, not the reverse) can share it; this
 //!   re-export keeps the historical `dbpc_corpus::pool` path working.

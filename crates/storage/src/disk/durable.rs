@@ -52,8 +52,9 @@
 //! The protocol:
 //!
 //! 1. refresh lazily-synced set-link payloads ([`NetworkDb::sync_links`]);
-//! 2. write every dirty heap page, in block order, to the slot the
-//!    current map does not use;
+//! 2. write every dirty heap page, in page-number order, to the slot the
+//!    current map does not use (with ping-pong slots, page order is not
+//!    file-block order: neighbouring pages may sit in different slots);
 //! 3. sync `heap.dat`;
 //! 4. start an empty WAL for the next generation;
 //! 5. persist the allocator state (`next_id`, per-set arrival counters),
@@ -587,8 +588,9 @@ impl DurableNetworkDb {
         //    set below is the complete committed delta.
         self.db.sync_links().map_err(DiskError::Engine)?;
 
-        // 2–3. Write each dirty page, in block order, to the slot the
-        //    current map does not use, straight through the pool so a
+        // 2–3. Write each dirty page, in page-number order (which the
+        //    ping-pong slots make different from file-block order), to the
+        //    slot the current map does not use, straight through the pool so a
         //    failed write reaches the caller as the disk error it is, and
         //    make the heap file durable. I/O is proportional to the
         //    number of dirty pages, not to the database size.

@@ -503,29 +503,35 @@ impl HierDb {
     ///
     /// Amortized O(log n) against the cache: the position lookup is a map
     /// probe and the type filter a binary search over that type's
-    /// occurrence positions.
+    /// occurrence positions. It counts, as scanned rows, every segment a
+    /// sequential `GN` would examine: the ones of other types it steps
+    /// over and the hit itself (or the rest of the database when there is
+    /// no hit).
     pub fn next_in_preorder(&self, after: Option<u64>, seg_type: Option<&str>) -> Option<u64> {
         self.with_cache(|c| {
             let start = match after {
                 Some(p) => c.pos.get(&p).map_or(0, |&i| i + 1),
                 None => 0,
             };
-            let hit = match seg_type {
-                None => c.order.get(start).copied(),
+            let hit_pos = match seg_type {
+                None => (start < c.order.len()).then_some(start),
                 Some(t) => c.by_type.get(t).and_then(|positions| {
                     let k = positions.partition_point(|&p| p < start);
-                    positions.get(k).map(|&p| c.order[p])
+                    positions.get(k).copied()
                 }),
             };
-            self.stats.probed(hit.is_some());
-            hit
+            let examined = hit_pos.map_or(c.order.len(), |p| p + 1);
+            self.stats.scanned((examined - start) as u64);
+            self.stats.probed(hit_pos.is_some());
+            hit_pos.map(|p| c.order[p])
         })
     }
 
     /// Hierarchic successor **within `root`'s subtree** (exclusive of
     /// `root` itself): the `GNP` step. `after` semantics mirror
     /// [`HierDb::next_in_preorder`] — `None`, `root` itself, or a stale id
-    /// start from the first descendant.
+    /// start from the first descendant — and so does its count of scanned
+    /// rows, bounded by the subtree.
     pub fn next_within(
         &self,
         root: u64,
@@ -542,15 +548,17 @@ impl HierDb {
                 },
                 _ => rpos + 1,
             };
-            let hit = match seg_type {
-                None => (start < end).then(|| c.order[start]),
+            let hit_pos = match seg_type {
+                None => (start < end).then_some(start),
                 Some(t) => c.by_type.get(t).and_then(|positions| {
                     let k = positions.partition_point(|&p| p < start);
-                    positions.get(k).filter(|&&p| p < end).map(|&p| c.order[p])
+                    positions.get(k).copied().filter(|&p| p < end)
                 }),
             };
-            self.stats.probed(hit.is_some());
-            hit
+            let examined = hit_pos.map_or(end, |p| p + 1);
+            self.stats.scanned((examined - start) as u64);
+            self.stats.probed(hit_pos.is_some());
+            hit_pos.map(|p| c.order[p])
         })
     }
 
@@ -562,8 +570,10 @@ impl HierDb {
     }
 
     /// Children of `id` having segment type `seg_type`, in hierarchic order.
+    /// Every child of `id` is examined, so each counts as a scanned row.
     pub fn children_of(&self, id: u64, seg_type: &str) -> DbResult<Vec<u64>> {
         let inst = self.get(id)?;
+        self.stats.scanned(inst.children.len() as u64);
         Ok(inst
             .children
             .iter()
@@ -722,14 +732,17 @@ impl HierDb {
             .count() as u64
     }
 
-    /// All occurrences of a segment type in hierarchic order.
+    /// All occurrences of a segment type in hierarchic order, each counted
+    /// as a scanned row.
     pub fn occurrences_of(&self, seg_type: &str) -> Vec<u64> {
-        self.with_cache(|c| {
+        let ids: Vec<u64> = self.with_cache(|c| {
             c.by_type
                 .get(seg_type)
                 .map(|positions| positions.iter().map(|&p| c.order[p]).collect())
                 .unwrap_or_default()
-        })
+        });
+        self.stats.scanned(ids.len() as u64);
+        ids
     }
 
     /// Verify the preorder cache (when populated) against a from-scratch
@@ -912,6 +925,42 @@ mod tests {
         assert_eq!(db.next_within(d1, Some(p1), None), None);
         assert_eq!(db.next_within(d2, None, Some("PROJ")), None);
         db.check_access_structures().unwrap();
+    }
+
+    #[test]
+    fn scans_count_every_segment_they_examine() {
+        let (mut db, d1, d2) = sample();
+        let e1 = db
+            .insert("EMP", &[("EMP-NAME", Value::str("A1"))], Some(d2))
+            .unwrap();
+        db.insert("EMP", &[("EMP-NAME", Value::str("M1"))], Some(d1))
+            .unwrap();
+        let p1 = db
+            .insert("PROJ", &[("PROJ-NAME", Value::str("P1"))], Some(d1))
+            .unwrap();
+        // Preorder: d2, e1, d1, e2, p1.
+        let scanned = |db: &HierDb| db.access_stats().snapshot().rows_scanned;
+        db.access_stats().reset();
+        assert_eq!(db.occurrences_of("EMP").len(), 2);
+        assert_eq!(scanned(&db), 2);
+        db.access_stats().reset();
+        assert_eq!(db.children_of(d1, "PROJ").unwrap().len(), 1);
+        assert_eq!(scanned(&db), 2, "both children of d1 are examined");
+        db.access_stats().reset();
+        // From e1, the next EMP steps over d1 and stops at e2.
+        db.next_in_preorder(Some(e1), Some("EMP")).unwrap();
+        assert_eq!(scanned(&db), 2);
+        db.access_stats().reset();
+        // From e1 the next DIV is d1, one segment on; from d1 a search
+        // that misses examines the two segments left.
+        assert_eq!(db.next_in_preorder(Some(e1), Some("DIV")), Some(d1));
+        assert_eq!(db.next_in_preorder(Some(d1), Some("DIV")), None);
+        assert_eq!(scanned(&db), 1 + 2);
+        db.access_stats().reset();
+        // GNP under d1: the first PROJ steps over e2; none follows p1.
+        assert_eq!(db.next_within(d1, None, Some("PROJ")), Some(p1));
+        assert_eq!(db.next_within(d1, Some(p1), Some("PROJ")), None);
+        assert_eq!(scanned(&db), 2);
     }
 
     #[test]

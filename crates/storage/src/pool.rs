@@ -5,15 +5,18 @@
 //! programs a typical installation must convert" (§1) — so the batch
 //! pipeline around the engines is a hot path in its own right. This module
 //! supplies the only primitive the harnesses need: a deterministic parallel
-//! map over a fixed work partition.
+//! map that keeps every worker busy until the work runs out.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Determinism.** Results are reassembled by item index, so the output
-//!    vector is identical at any thread count; the partition itself is a
-//!    fixed stride (worker `w` takes items `w, w+T, w+2T, …`), so *which
-//!    thread computes which item* is also a pure function of
-//!    `(len, threads)` — no work stealing, no racing on a shared queue.
+//!    vector is identical at any thread count. Workers claim items from one
+//!    shared cursor (an [`AtomicUsize`] handing out the next unclaimed
+//!    index), so *which thread computes which item* varies from run to run;
+//!    determinism rests on index-ordered reassembly and on each item's
+//!    computation being a pure function of `(index, item)`, never on the
+//!    placement. A slow item delays only the worker running it: the others
+//!    keep claiming until the cursor passes the last item.
 //! 2. **No new dependencies.** Built on [`std::thread::scope`] alone; no
 //!    registry crates, no additions to `shims/`.
 //! 3. **Graceful degradation.** `threads <= 1` (the default on single-core
@@ -21,6 +24,7 @@
 
 use std::env;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 /// Environment variable overriding the worker count.
@@ -124,17 +128,19 @@ where
     let mut slots: Vec<Option<Result<U, Poisoned>>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
     let guarded = &guarded;
+    let next = &AtomicUsize::new(0);
     thread::scope(|s| {
         let workers: Vec<_> = (0..threads)
-            .map(|w| {
+            .map(|_| {
                 s.spawn(move || {
-                    let mut produced = Vec::with_capacity(n / threads + 1);
-                    let mut i = w;
-                    while i < n {
+                    let mut produced = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break produced;
+                        }
                         produced.push((i, guarded(i, &items[i])));
-                        i += threads;
                     }
-                    produced
                 })
             })
             .collect();
@@ -200,6 +206,33 @@ mod tests {
     #[test]
     fn default_threads_is_at_least_one() {
         assert!(default_threads() >= 1);
+    }
+
+    /// A slow item must not hold back the items after it: while item 0
+    /// runs, the other worker claims and finishes every remaining item.
+    /// A fixed stride would queue items 2, 4, … behind item 0 on its
+    /// worker, and item 0 would wait out its bound without seeing them.
+    #[test]
+    fn a_slow_item_does_not_hold_back_the_rest() {
+        use std::time::{Duration, Instant};
+        let items: Vec<u64> = (0..16).collect();
+        let finished = AtomicUsize::new(0);
+        let got = parallel_map(&items, 2, |i, _| {
+            if i != 0 {
+                finished.fetch_add(1, Ordering::SeqCst);
+                return true;
+            }
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while finished.load(Ordering::SeqCst) < items.len() - 1 {
+                if Instant::now() >= deadline {
+                    return false;
+                }
+                thread::sleep(Duration::from_millis(1));
+            }
+            true
+        });
+        assert!(got[0], "item 0 timed out waiting for the other items");
+        assert!(got.iter().all(|&ok| ok));
     }
 
     #[test]

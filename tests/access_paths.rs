@@ -167,6 +167,31 @@ END PROGRAM.",
     );
 }
 
+/// A qualified `GU` is a full scan of its first SSA's segment type, so it
+/// counts every occurrence of that type as a scanned row, as the network
+/// and relational engines count theirs.
+#[test]
+fn qualified_gu_counts_every_occurrence_it_scans() {
+    let mut db = forest();
+    let occurrences = db.occurrences_of("EMP").len() as u64;
+    db.access_stats().reset();
+    let program = parse_dli(
+        "DLI PROGRAM FIND.
+  GU EMP(EMP-NAME = 'E0419').
+  PRINT EMP-NAME.
+  STOP.
+END PROGRAM.",
+    )
+    .unwrap();
+    let trace = run_dli(&mut db, &program, Inputs::new()).unwrap();
+    assert_eq!(trace.events.len(), 1);
+    assert!(
+        trace.access.rows_scanned >= occurrences,
+        "GU over {occurrences} EMP occurrences scanned {} rows",
+        trace.access.rows_scanned
+    );
+}
+
 #[test]
 fn gn_with_interleaved_mutations_bounds_rebuilds() {
     let mut db = forest();

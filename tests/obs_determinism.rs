@@ -6,7 +6,9 @@
 //! wall clocks stripped, metrics with `Racy`/`Time`/`host.*` entries
 //! dropped — must be byte-identical too. Per-cell captures are renumbered
 //! in cell-index order and metric shards merge in the same order, so the
-//! report is a pure function of the work list, not of scheduling.
+//! report is a pure function of the work list, not of scheduling — which
+//! varies from run to run, since pool workers claim cells from a shared
+//! cursor.
 //!
 //! Also pinned here: the PR-2 regression where the analysis cache's
 //! hit/miss tallies lived in per-thread `Cell`s and were silently dropped
@@ -50,6 +52,30 @@ fn e2_run_report_is_deterministic_across_thread_counts() {
             reference.to_json(),
             projected.to_json(),
             "deterministic report JSON differs at {threads} threads"
+        );
+    }
+}
+
+/// Workers claim cells from a shared cursor, so which worker runs which
+/// cell changes from run to run. Repeated 8-thread runs of one study must
+/// still agree byte for byte, in the matrix and in the deterministic
+/// report.
+#[test]
+fn repeated_wide_runs_agree_whatever_the_cell_placement() {
+    let runs: Vec<StudyResult> = (0..3).map(|_| study_at(8, false)).collect();
+    let reference = &runs[0];
+    let reference_json = reference.report.deterministic().to_json();
+    for (k, run) in runs.iter().enumerate().skip(1) {
+        assert_eq!(reference, run, "matrix of 8-thread run {k} differs");
+        assert_eq!(
+            reference.to_string(),
+            run.to_string(),
+            "rendered matrix of 8-thread run {k} differs"
+        );
+        assert_eq!(
+            reference_json,
+            run.report.deterministic().to_json(),
+            "deterministic report JSON of 8-thread run {k} differs"
         );
     }
 }

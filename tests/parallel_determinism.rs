@@ -1,8 +1,8 @@
 //! Determinism of the parallel conversion pipeline.
 //!
 //! The study harness runs its 96 (transform × program-class) cells on a
-//! scoped thread-pool with a fixed strided partition and index-ordered
-//! reassembly, so the E2 matrix and everything derived from it (the E9 cost
+//! scoped thread-pool whose workers claim cells from a shared cursor, and
+//! reassembles the results by cell index, so the E2 matrix and everything derived from it (the E9 cost
 //! model, the paper-figure conversions) must be **byte-identical** at any
 //! thread count — parallelism and the other pipeline-efficiency knobs
 //! (database reuse, analysis memoization, batch conversion) are speed
