@@ -139,6 +139,15 @@ echo "==> parallel map: claiming and determinism"
 cargo test -q -p dbpc-storage --lib pool
 cargo test -q --test obs_determinism
 
+# Each E2 study owns its program and ground-truth memos, so repeated
+# studies in one process compute their own; the planner tests name their
+# mode instead of writing the process-wide one.
+echo "==> study-scoped memos"
+cargo test -q -p dbpc-corpus --lib harness::tests::memos_live_for_one_study
+cargo test -q -p dbpc-engine --lib planner
+cargo test -q --test plan_equivalence
+cargo test -q --test parallel_determinism
+
 # The translation crash matrix is the one gate on data-translation crash
 # safety: a durable translation killed at every batch boundary of four
 # transform shapes must recover byte-identical to the one-shot.

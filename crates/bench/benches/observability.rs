@@ -56,8 +56,9 @@ fn main() {
         ..StudyConfig::new(samples, seed)
     };
 
-    // Warm the process-wide memo caches once so both timed configurations
-    // run against the same steady state.
+    // Warm the process-wide analysis cache once so both timed
+    // configurations run against the same steady state (each study builds
+    // and drops its own program and ground-truth memos).
     let recorded = success_rate_study_config(&config);
     let silent = recording(false, || success_rate_study_config(&config));
 

@@ -74,9 +74,10 @@
 //! to prove it). A full queue always blocks the submitter, and
 //! [`RetryPolicy`] spaces a job's retries by a seeded,
 //! thread-count-invariant exponential backoff, so no job's outcome
-//! depends on the wall clock. A journaled `SHED` comes from two places
+//! depends on the wall clock. A journaled `SHED` comes from three places
 //! only: jobs still queued when [`ConversionService::shutdown_within`]'s
-//! drain budget expires, and replayed jobs that name a context this run
+//! drain budget expires, a submit that finds the queue closed after its
+//! `ADMIT` was journaled, and replayed jobs that name a context this run
 //! did not register.
 
 use crate::equivalence::{judge_equivalence, EquivalenceLevel};
@@ -127,7 +128,8 @@ pub const SERVICE_CONTEXTS: &str = "service.contexts";
 pub const SERVICE_QUEUE_DEPTH_MAX: &str = "service.queue_depth_max";
 /// Racy shutdown stat: submits that had to block on a full queue.
 pub const SERVICE_BACKPRESSURE_WAITS: &str = "service.backpressure_waits";
-/// Racy shutdown stat: jobs shed by drain expiry or at start-up.
+/// Racy shutdown stat: jobs shed by drain expiry, by a closed queue or at
+/// start-up.
 pub const SERVICE_SHED: &str = "service.shed";
 /// Racy shutdown stat: admitted-but-incomplete jobs replayed from the
 /// journal at startup.
@@ -513,7 +515,7 @@ struct ServiceInner {
     /// The durable job journal; `None` without a `durable_root` (or when
     /// the journal failed to open, which `journal_errors` records).
     journal: Option<Mutex<JobJournal>>,
-    /// Jobs shed: drain expiries and start-up sheds.
+    /// Jobs shed: drain expiries, closed-queue submits and start-up sheds.
     sheds: AtomicU64,
     /// Journal open/decode failures (wedge errors are read off the
     /// journal itself at shutdown).
@@ -947,7 +949,15 @@ impl Session<'_> {
         };
         match inner.queue.push(job) {
             Ok(()) => Ok(Ticket { slot }),
-            Err(_) => Err(ModelError::invalid("service is shutting down").into()),
+            // The `ADMIT` is already durable: shed the job as a drain does,
+            // so a restart never replays a job its client was refused.
+            Err(job) => {
+                inner.journal_append(|| JournalRecord::shed(job.seq));
+                inner.sheds.fetch_add(1, Ordering::Relaxed);
+                Err(PipelineError::Overloaded {
+                    detail: "service is shutting down".to_string(),
+                })
+            }
         }
     }
 }
@@ -1481,6 +1491,38 @@ END PROGRAM;",
         assert_eq!(q.push(job(1)).map_err(|j| j.seq), Err(1));
         assert_eq!(q.pop().map(|j| j.seq), Some(0));
         assert!(q.pop().is_none());
+    }
+
+    /// A submit that finds the queue closed after journaling its `ADMIT`
+    /// journals a `SHED` and refuses with `Overloaded`, so a restart
+    /// replays nothing.
+    #[test]
+    fn closed_queue_submit_is_shed_not_replayed() {
+        let tmp = dbpc_storage::TempDir::new("svc-closed-submit").unwrap();
+        let config = || ServiceConfig {
+            workers: 1,
+            durable_root: Some(tmp.path().to_path_buf()),
+            ..ServiceConfig::default()
+        };
+        let (b, ctx) = builder(config());
+        let svc = b.start();
+        svc.inner.queue.close();
+        let refused = svc.session().submit(ctx, read_only_program(), 0);
+        assert!(
+            matches!(refused, Err(PipelineError::Overloaded { .. })),
+            "{:?}",
+            refused.err()
+        );
+        let report = svc.shutdown();
+        assert_eq!(report.metrics.counter(SERVICE_SHED), 1);
+
+        let (b, _) = builder(config());
+        let svc = b.start();
+        let recovery = svc.recovery();
+        svc.shutdown();
+        assert_eq!(recovery.admitted, 1, "{recovery:?}");
+        assert_eq!(recovery.replayed, 0, "{recovery:?}");
+        assert_eq!(recovery.shed, 1, "{recovery:?}");
     }
 
     /// Admission control: a capacity-1 queue still completes every job,

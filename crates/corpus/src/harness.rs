@@ -23,13 +23,12 @@ use dbpc_datamodel::error::PipelineError;
 use dbpc_datamodel::network::NetworkSchema;
 use dbpc_dml::host::Program;
 use dbpc_engine::host_exec::run_host;
-use dbpc_engine::{Inputs, Trace};
+use dbpc_engine::{Inputs, RunError, Trace};
 use dbpc_obs::{MetricsFrame, MetricsRegistry, RunReport};
 use dbpc_storage::{NetworkDb, StatCatalog};
-use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 // Study-level metric names (the `study.*` slice of the merged frame; see
@@ -53,38 +52,22 @@ pub const VERIFY_NS: &str = "study.verify_ns";
 /// deterministic comparisons.
 pub const HOST_THREADS: &str = "host.threads";
 
-/// Lock a harness memo map, recovering from poisoning: guards are never
-/// held across computation (only map lookups/inserts), so a worker that
-/// panicked elsewhere cannot have left the map inconsistent — supervised
-/// batches keep their memos working after a poisoned cell.
-fn lock_memo<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+/// One study's memos of everything derived from a program alone, which
+/// recurs in all 8 transform rows. Every pool worker borrows the table and
+/// it is dropped when the study returns, so a study never reads another's
+/// entries and holds them no longer than it runs. Each slot is a pure
+/// function of its coordinates, so whichever worker fills it first cannot
+/// change a result; a later worker waits for the fill and then borrows it.
+/// A fill that panics leaves its slot empty, so the next cell fills it.
+struct StudyMemos {
+    /// Per class, by position in [`ProgramClass::ALL`]: its `samples`
+    /// programs (memoizing configurations only).
+    programs: Vec<OnceLock<Vec<Program>>>,
+    /// Per (class, sample) slot: the ground-truth trace on the source
+    /// database (`company_db(4, 3, 8)`) under the scripted inputs, which
+    /// every E2 verification shares.
+    traces: Vec<OnceLock<Result<Trace, RunError>>>,
 }
-
-/// Corpus generation key: `(program class, program seed)`.
-type GenerationKey = (u64, u64);
-
-/// Process-wide memo of ground-truth traces, keyed by the corpus generation
-/// key `(program class, program seed)`, which determines the program — no
-/// fingerprinting needed. Valid because every E2 verification runs against
-/// the same source database (`company_db(4, 3, 8)`) and the same scripted
-/// inputs; the trace does not depend on the restructuring, so a program
-/// that recurs across transform rows — or across study runs — executes
-/// once. The value for a key is a deterministic function of the key, so
-/// sharing the map across pool workers cannot change any result, whichever
-/// worker computes an entry first; the lock brackets only the lookup or
-/// insert, never an execution, and the `Arc` makes a hit a refcount bump
-/// rather than a deep clone of the trace.
-static SOURCE_TRACES: LazyLock<Mutex<HashMap<GenerationKey, Arc<Trace>>>> =
-    LazyLock::new(|| Mutex::new(HashMap::new()));
-
-/// Process-wide memo of generated corpus programs, keyed by
-/// `(program class, program seed)`. Generation is deterministic in the key,
-/// so this is a pure speed knob: the same program recurs in every transform
-/// row of the matrix. Engages only in memoizing configurations, so the
-/// baseline pipeline still pays the original generation cost.
-static GENERATED: LazyLock<Mutex<HashMap<GenerationKey, Program>>> =
-    LazyLock::new(|| Mutex::new(HashMap::new()));
 
 /// Outcome counts for one (transform class, program class) cell.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -343,9 +326,9 @@ pub struct StudyConfig {
     /// every program.
     pub reuse_databases: bool,
     /// Memoize per-program derivations that are identical across
-    /// restructurings: program analysis ([`dbpc_analyzer::cache`]) and
-    /// corpus generation (the program seed does not depend on the transform
-    /// row).
+    /// restructurings: program analysis ([`dbpc_analyzer::cache`], kept
+    /// for the process) and corpus generation (the program seed does not
+    /// depend on the transform row; kept for one study).
     pub memoize_analysis: bool,
     /// Fault-injection plan threaded into the supervisor (robustness
     /// studies). The default is idle, leaving the pipeline byte-identical
@@ -392,9 +375,10 @@ impl StudyConfig {
 /// program-class) cells are a fixed work list, [`pool::parallel_map`] lets
 /// each worker claim the next unclaimed cell and returns results in list
 /// order, and each cell's computation is self-contained (seeded generation,
-/// per-cell databases, per-worker analysis cache whose hits change no
-/// result). Which worker ran a cell varies from run to run; the assembled
-/// matrix is byte-identical at any thread count.
+/// per-cell databases, memos whose hits change no result: the process-wide
+/// analysis cache and this study's program and ground-truth memos, which
+/// are dropped when it returns). Which worker ran a cell varies from run to
+/// run; the assembled matrix is byte-identical at any thread count.
 pub fn success_rate_study_config(config: &StudyConfig) -> StudyResult {
     let threads = if config.threads == 0 {
         pool::default_threads()
@@ -408,9 +392,16 @@ pub fn success_rate_study_config(config: &StudyConfig) -> StudyResult {
         ..Supervisor::default()
     };
 
-    let units: Vec<(TransformClass, ProgramClass)> = TransformClass::ALL
+    let classes = ProgramClass::ALL.len();
+    let memos = StudyMemos {
+        programs: (0..classes).map(|_| OnceLock::new()).collect(),
+        traces: (0..classes * config.samples)
+            .map(|_| OnceLock::new())
+            .collect(),
+    };
+    let units: Vec<(TransformClass, usize)> = TransformClass::ALL
         .iter()
-        .flat_map(|t| ProgramClass::ALL.iter().map(move |pc| (*t, *pc)))
+        .flat_map(|t| (0..classes).map(move |c| (*t, c)))
         .collect();
     // Panic-safe fan-out: a cell whose computation escapes every inner
     // supervision boundary becomes an all-poisoned cell, not a dead batch.
@@ -418,11 +409,12 @@ pub fn success_rate_study_config(config: &StudyConfig) -> StudyResult {
     // pipeline opens lands in the cell's tree) and brackets the worker's
     // ambient metric sheet, shipping the per-cell delta back with the
     // result for the index-ordered merge below.
-    let per_cell = pool::try_parallel_map(&units, threads, |_, &(t, pc)| {
+    let per_cell = pool::try_parallel_map(&units, threads, |_, &(t, c)| {
         let mark = dbpc_obs::local_mark();
-        let label = format!("cell.{}.{}", t.name(), pc.name());
-        let (cell, capture) =
-            dbpc_obs::capture(&label, || run_cell(&supervisor, &schema, config, t, pc));
+        let label = format!("cell.{}.{}", t.name(), ProgramClass::ALL[c].name());
+        let (cell, capture) = dbpc_obs::capture(&label, || {
+            run_cell(&supervisor, &schema, config, &memos, t, c)
+        });
         (cell, capture, mark.delta())
     });
 
@@ -504,57 +496,59 @@ pub fn program_fault_key(t: TransformClass, pc: ProgramClass, k: usize) -> u64 {
     ((t as u64) << 32) | ((pc as u64) << 16) | (k as u64 & 0xffff)
 }
 
-/// The corpus generation key for sample `k` of class `pc`: transform-row
-/// independent by construction, so it doubles as the memo key for
-/// everything derived from the program alone (the program itself, its
-/// ground-truth trace).
-fn generation_key(seed: u64, k: usize, pc: ProgramClass) -> GenerationKey {
-    let program_seed = seed
-        .wrapping_mul(1_000_003)
+/// The corpus seed of sample `k` of class `pc`: transform-row independent
+/// by construction, so one program serves all 8 rows.
+fn program_seed(seed: u64, k: usize, pc: ProgramClass) -> u64 {
+    seed.wrapping_mul(1_000_003)
         .wrapping_add((k as u64) << 8)
-        .wrapping_add(pc as u64);
-    (pc as u64, program_seed)
+        .wrapping_add(pc as u64)
 }
 
 /// One (transform, program-class) cell: generate, batch-convert, verify.
-/// Work counters go to the worker's ambient `dbpc_obs` sheet (the caller
-/// brackets the cell and ships the delta frame); spans land in the caller's
-/// per-cell capture.
+/// `c` is the class's position in [`ProgramClass::ALL`]. Work counters go
+/// to the worker's ambient `dbpc_obs` sheet (the caller brackets the cell
+/// and ships the delta frame); spans land in the caller's per-cell capture.
 fn run_cell(
     supervisor: &Supervisor,
     schema: &NetworkSchema,
     config: &StudyConfig,
+    memos: &StudyMemos,
     t: TransformClass,
-    pc: ProgramClass,
+    c: usize,
 ) -> Cell {
     let mut cell = Cell::default();
+    let pc = ProgramClass::ALL[c];
     let restructuring = t.restructuring();
 
     let started = Instant::now();
-    let programs: Vec<Program> = (0..config.samples)
-        .map(|k| {
-            let key = generation_key(config.seed, k, pc);
-            if !config.memoize_analysis {
-                return generate_program(pc, key.1);
-            }
-            // The seed is transform-independent: the same program recurs in
-            // all 8 transform rows, so memoize generation alongside analysis.
-            // Which worker fills the shared memo depends on scheduling, so
-            // the hit count is `Racy`.
-            if let Some(p) = lock_memo(&GENERATED).get(&key).cloned() {
-                dbpc_obs::racy(GENERATION_CACHE_HITS, 1);
-                return p;
-            }
-            let p = generate_program(pc, key.1);
-            lock_memo(&GENERATED).insert(key, p.clone());
-            p
-        })
-        .collect();
+    let generate = || -> Vec<Program> {
+        (0..config.samples)
+            .map(|k| generate_program(pc, program_seed(config.seed, k, pc)))
+            .collect()
+    };
+    // Memoizing configurations generate a class once per study and borrow
+    // it in every row. Which cell generates depends on scheduling, so the
+    // hit count is `Racy`.
+    let fresh;
+    let programs: &[Program] = if config.memoize_analysis {
+        let mut hit = true;
+        let programs = memos.programs[c].get_or_init(|| {
+            hit = false;
+            generate()
+        });
+        if hit {
+            dbpc_obs::racy(GENERATION_CACHE_HITS, programs.len() as u64);
+        }
+        programs
+    } else {
+        fresh = generate();
+        &fresh
+    };
     dbpc_obs::count(PROGRAMS_GENERATED, programs.len() as u64);
     dbpc_obs::time(GENERATE_NS, started.elapsed().as_nanos() as u64);
 
     if config.ladder {
-        return run_cell_ladder(supervisor, schema, config, t, pc, &programs, cell);
+        return run_cell_ladder(supervisor, schema, config, t, pc, programs, cell);
     }
 
     // Convert the cell as one batch: the schema mapping is derived once for
@@ -574,7 +568,7 @@ fn run_cell(
         .map(|k| program_fault_key(t, pc, k))
         .collect();
     let reports: Vec<ConversionReport> =
-        match supervisor.convert_batch_keyed(schema, &restructuring, &programs, &keys, analyst) {
+        match supervisor.convert_batch_keyed(schema, &restructuring, programs, &keys, analyst) {
             Ok(reports) => reports,
             Err(_) => {
                 cell.total = programs.len();
@@ -592,7 +586,7 @@ fn run_cell(
     // inside a savepoint that is rolled back afterwards, so no working
     // copies are cloned at all. The ground-truth trace of the original
     // program — which does not depend on the restructuring — is memoized
-    // process-wide, so a program recurring across transform rows executes
+    // for the study, so a program recurring across transform rows executes
     // once instead of eight times.
     let started = Instant::now();
     let inputs = Inputs::new().with_terminal(&["RETRIEVE"]);
@@ -632,44 +626,40 @@ fn run_cell(
                 cell.verified_wrong += 1;
                 continue;
             };
-            let key = generation_key(config.seed, k, pc);
-            let memoized = lock_memo(&SOURCE_TRACES).get(&key).cloned();
-            let original_trace = match memoized {
-                Some(trace) => {
-                    dbpc_obs::racy(SOURCE_TRACE_HITS, 1);
-                    Ok(trace)
-                }
-                None => {
-                    dbpc_obs::racy(SOURCE_TRACE_MISSES, 1);
-                    // Every program — updating or not — runs straight on
-                    // the shared base inside a savepoint that is rolled
-                    // back afterwards; the undo journal replaced the
-                    // working-copy clone entirely. Which worker fills the
-                    // process-wide memo depends on scheduling, so the run
-                    // is `quiet`: its spans and storage counters would
-                    // otherwise make the trace thread-count dependent.
-                    dbpc_obs::racy(DB_SHARED_RUNS, 1);
-                    let run = dbpc_obs::quiet(|| {
-                        let sp = src_base.begin_savepoint();
-                        let run = run_host(src_base, program, inputs.clone());
-                        src_base.rollback_to(sp);
-                        run
-                    });
-                    run.map(|trace| {
-                        let trace = Arc::new(trace);
-                        lock_memo(&SOURCE_TRACES).insert(key, trace.clone());
-                        trace
-                    })
-                }
-            };
-            dbpc_obs::count(EQUIVALENCE_RUNS, 1);
-            original_trace.and_then(|trace| {
+            let mut hit = true;
+            let original_trace = memos.traces[c * config.samples + k].get_or_init(|| {
+                hit = false;
+                dbpc_obs::racy(SOURCE_TRACE_MISSES, 1);
+                // Every program — updating or not — runs straight on the
+                // shared base inside a savepoint that is rolled back
+                // afterwards; the undo journal replaced the working-copy
+                // clone entirely. Which cell fills the memo depends on
+                // scheduling, so the run is `quiet`: its spans and storage
+                // counters would otherwise make the trace thread-count
+                // dependent.
                 dbpc_obs::racy(DB_SHARED_RUNS, 1);
-                let sp = tgt_base.begin_savepoint();
-                let out = judge_equivalence(&trace, tgt_base, converted, &inputs, &report.warnings);
-                tgt_base.rollback_to(sp);
-                out.map(|(level, _, _)| level)
-            })
+                dbpc_obs::quiet(|| {
+                    let sp = src_base.begin_savepoint();
+                    let run = run_host(src_base, program, inputs.clone());
+                    src_base.rollback_to(sp);
+                    run
+                })
+            });
+            if hit {
+                dbpc_obs::racy(SOURCE_TRACE_HITS, 1);
+            }
+            dbpc_obs::count(EQUIVALENCE_RUNS, 1);
+            original_trace
+                .as_ref()
+                .map_err(RunError::clone)
+                .and_then(|trace| {
+                    dbpc_obs::racy(DB_SHARED_RUNS, 1);
+                    let sp = tgt_base.begin_savepoint();
+                    let out =
+                        judge_equivalence(trace, tgt_base, converted, &inputs, &report.warnings);
+                    tgt_base.rollback_to(sp);
+                    out.map(|(level, _, _)| level)
+                })
         } else {
             let src = company_db(4, 3, 8);
             dbpc_obs::count(DB_BUILDS, 1);
@@ -793,8 +783,7 @@ pub fn ladder_reports(config: &StudyConfig) -> Vec<ConversionReport> {
         })
         .collect();
     pool::try_parallel_map(&units, threads, |_, &(t, pc, k)| {
-        let gen_key = generation_key(config.seed, k, pc);
-        let program = generate_program(pc, gen_key.1);
+        let program = generate_program(pc, program_seed(config.seed, k, pc));
         let restructuring = t.restructuring();
         // NetworkDb keeps interior index caches (not Sync), so the small
         // verification base is built per work item rather than shared.
@@ -979,9 +968,9 @@ mod tests {
             assert_eq!(p.programs_generated, programs);
             assert_eq!(p.equivalence_runs, p.programs_converted);
         }
-        // Memoization engages only in the tuned pipeline. (The caches may
-        // be warm from earlier tests in this process, so assert on hits,
-        // not misses.)
+        // Memoization engages only in the tuned pipeline. (The analysis
+        // cache is process-wide and may be warm from earlier tests, so
+        // assert on its hits, not its misses.)
         assert!(tuned.profile.analysis_cache_hits > 0);
         assert!(tuned.profile.generation_cache_hits > 0);
         assert_eq!(baseline.profile.analysis_cache_hits, 0);
@@ -1005,7 +994,7 @@ mod tests {
         assert_eq!(baseline.profile.db_shared_runs, 0);
         assert!(tuned.profile.db_builds < baseline.profile.db_builds);
         // Source-trace memoization: each verified program's ground truth is
-        // computed at most once per worker; across the 8 transform rows the
+        // computed once per study; across the 8 transform rows the
         // recurrences are hits. The baseline never memoizes.
         assert_eq!(
             tuned.profile.source_trace_hits + tuned.profile.source_trace_misses,
@@ -1014,6 +1003,28 @@ mod tests {
         assert!(tuned.profile.source_trace_hits > 0);
         assert_eq!(baseline.profile.source_trace_hits, 0);
         assert_eq!(baseline.profile.source_trace_misses, 0);
+    }
+
+    /// The memos live for one study: running the same config twice in one
+    /// process generates each class and executes each ground truth afresh
+    /// in the second run, instead of reading the first run's entries.
+    #[test]
+    fn memos_live_for_one_study() {
+        let config = StudyConfig {
+            threads: 2,
+            ..StudyConfig::new(2, 2718)
+        };
+        let first = success_rate_study_config(&config);
+        let second = success_rate_study_config(&config);
+        assert_eq!(first, second);
+        let (a, b) = (&first.profile, &second.profile);
+        assert!(a.source_trace_misses > 0);
+        assert_eq!(a.source_trace_misses, b.source_trace_misses);
+        assert_eq!(a.generation_cache_hits, b.generation_cache_hits);
+        // Each class is generated once per study and borrowed by the
+        // other seven rows.
+        let classes = ProgramClass::ALL.len() as u64;
+        assert_eq!(a.generation_cache_hits, a.programs_generated - classes * 2);
     }
 }
 

@@ -129,7 +129,13 @@ pub fn cost_probe(cardinality: u64, stats: ProbeStats) -> u64 {
 /// `probe` describing the best matching index (if any index matches the
 /// bound columns at all). Honors the global [`PlanMode`].
 pub fn choose(cardinality: u64, probe: Option<ProbeStats>) -> PlanChoice {
-    match plan_mode() {
+    choose_in(plan_mode(), cardinality, probe)
+}
+
+/// [`choose`] under an explicit `mode` instead of the global one: a pure
+/// function of its arguments.
+fn choose_in(mode: PlanMode, cardinality: u64, probe: Option<ProbeStats>) -> PlanChoice {
+    match mode {
         PlanMode::ForceScan => PlanChoice {
             path: AccessPath::FullScan,
             est_cost: cost_scan(cardinality),
@@ -191,10 +197,16 @@ pub fn finish(op: &str, choice: PlanChoice, actual_cost: u64) {
 mod tests {
     use super::*;
 
+    // Every test names its mode: none reads or writes the process-wide one,
+    // which other tests in this binary may set at any moment.
+    fn cost_based(cardinality: u64, probe: Option<ProbeStats>) -> PlanChoice {
+        choose_in(PlanMode::CostBased, cardinality, probe)
+    }
+
     #[test]
     fn uniform_selectivity_prefers_probe() {
         // 200 rows, 10 distinct classes: probe ≈ 1 + 2*20 = 41 < 200.
-        let choice = choose(
+        let choice = cost_based(
             200,
             Some(ProbeStats {
                 distinct_keys: 10,
@@ -208,7 +220,7 @@ mod tests {
     #[test]
     fn skewed_index_prefers_scan() {
         // 4000 rows, 2 distinct keys: probe = 1 + 2*2000 > 4000.
-        let choice = choose(
+        let choice = cost_based(
             4000,
             Some(ProbeStats {
                 distinct_keys: 2,
@@ -227,8 +239,8 @@ mod tests {
         };
         // cost_probe(unique) = 3: a 2-row table is cheaper to scan, a
         // 3-row table ties (probe), anything larger probes outright.
-        assert_eq!(choose(2, Some(unique)).path, AccessPath::FullScan);
-        let choice = choose(3, Some(unique));
+        assert_eq!(cost_based(2, Some(unique)).path, AccessPath::FullScan);
+        let choice = cost_based(3, Some(unique));
         assert_eq!(choice.path, AccessPath::IndexProbe);
         assert_eq!(choice.est_cost, 3);
     }
@@ -236,7 +248,7 @@ mod tests {
     #[test]
     fn empty_table_scans() {
         // cost_probe(0, ..) = 3 > cost_scan(0) = 0 → scan.
-        let choice = choose(
+        let choice = cost_based(
             0,
             Some(ProbeStats {
                 distinct_keys: 0,
@@ -248,15 +260,19 @@ mod tests {
 
     #[test]
     fn mode_override_forces_paths() {
-        let prev = set_plan_mode(PlanMode::ForceScan);
         let stats = ProbeStats {
             distinct_keys: 10,
             unique: false,
         };
-        assert_eq!(choose(200, Some(stats)).path, AccessPath::FullScan);
-        set_plan_mode(PlanMode::AlwaysProbe);
-        assert_eq!(choose(4000, Some(stats)).path, AccessPath::IndexProbe);
-        assert_eq!(choose(4000, None).path, AccessPath::FullScan);
-        set_plan_mode(prev);
+        let scan = choose_in(PlanMode::ForceScan, 200, Some(stats));
+        assert_eq!(scan.path, AccessPath::FullScan);
+        assert_eq!(scan.est_cost, 200);
+        let probe = choose_in(PlanMode::AlwaysProbe, 4000, Some(stats));
+        assert_eq!(probe.path, AccessPath::IndexProbe);
+        assert_eq!(probe.est_cost, 801);
+        assert_eq!(
+            choose_in(PlanMode::AlwaysProbe, 4000, None).path,
+            AccessPath::FullScan
+        );
     }
 }

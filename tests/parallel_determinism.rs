@@ -6,7 +6,9 @@
 //! model, the paper-figure conversions) must be **byte-identical** at any
 //! thread count — parallelism and the other pipeline-efficiency knobs
 //! (database reuse, analysis memoization, batch conversion) are speed
-//! optimizations, never behavior changes.
+//! optimizations, never behavior changes. Each study memoizes its own
+//! programs and ground-truth traces, so the runs compared here are each
+//! computed on their own.
 
 use dbpc::convert::report::AutoAnalyst;
 use dbpc::convert::service::{CtxId, JobOutcome, ServiceBuilder, ServiceConfig, Ticket};

@@ -198,6 +198,8 @@ fn forest() -> HierDb {
 /// The E2 study matrix — every transform × program class cell — is
 /// byte-identical under the cost-based planner and forced full scans, at
 /// 1, 2, and 8 worker threads. The planner cannot leak into outcomes.
+/// Each study memoizes its own ground-truth traces, so no cost-based run
+/// reads a trace the forced-scan reference executed.
 #[test]
 fn study_matrix_is_plan_and_thread_invariant() {
     let _guard = PLAN_MODE.lock().unwrap_or_else(|e| e.into_inner());
