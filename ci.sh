@@ -20,12 +20,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 # journal and crash recovery (dbpc-convert: service.rs + journal.rs) sit
 # under the same gates: both crates' lib targets are covered below, as is
 # the restructuring crate, whose data translator the durable translation
-# and the service run unsupervised.
+# and the service run unsupervised. The analyzer runs under the ladder's
+# catch_unwind like the converter does, so its lib is covered too.
 # Scoped to the crates' lib targets (tests and benches may unwrap);
 # --no-deps keeps the extra lints from leaking into dependency crates.
-echo "==> cargo clippy (no unwrap/expect in storage + engine + convert + corpus + restructure libs)"
+echo "==> cargo clippy (no unwrap/expect in storage + engine + analyzer + convert + corpus + restructure libs)"
 cargo clippy -p dbpc-storage --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 cargo clippy -p dbpc-engine --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
+cargo clippy -p dbpc-analyzer --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 cargo clippy -p dbpc-convert --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 cargo clippy -p dbpc-corpus --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 cargo clippy -p dbpc-restructure --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used

@@ -19,10 +19,6 @@
 //! * [`dataflow`] — detection of the §3.2 execution-time-variability
 //!   hazards: run-time-variable DML verbs, observable retrieval order,
 //!   status-code dependence, process-first-vs-process-all suspicion.
-//! * [`cache`] — memoized analysis keyed by `(schema, program)`
-//!   fingerprints, for batch pipelines that meet the same program under
-//!   several restructurings (thread-local; hit/miss counters are
-//!   diagnostic only).
 //! * [`integrity`] — detection of §3.1 integrity constraints "enforced
 //!   procedurally in the program" (the §5.3 open problem, solved here for
 //!   this crate's constraint catalogue).
@@ -30,7 +26,6 @@
 //!   checked against programs before they ever need converting.
 
 pub mod apg;
-pub mod cache;
 pub mod dataflow;
 pub mod extract;
 pub mod integrity;

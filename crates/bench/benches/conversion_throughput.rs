@@ -1,13 +1,13 @@
 //! Experiment E14: conversion-pipeline throughput.
 //!
 //! Times the E2 success-rate matrix and the E9 cost model under the
-//! pre-optimization pipeline (sequential, database rebuilt per program, no
-//! analysis memoization) against the tuned pipeline (per-cell database
-//! reuse, memoized analysis, batch conversion) at 1, 2 and 4 worker
+//! pre-optimization pipeline (sequential, database rebuilt per program,
+//! every program regenerated per row) against the tuned pipeline (per-cell
+//! database reuse, memoized programs, batch conversion) at 1, 2 and 4 worker
 //! threads, plus the clone-heavy vs. borrowed data-translation inner loop.
 //! Every configuration must render the **byte-identical** study matrix —
 //! the speedups are pure pipeline efficiency, asserted here alongside the
-//! work counters (schema clones per translation, analysis cache hits,
+//! work counters (schema clones per translation, generation memo hits,
 //! database builds vs. clones) that explain them.
 //!
 //! Every speedup is the median per-round ratio baseline / tuned of the two
@@ -151,13 +151,10 @@ fn main() {
         run.vs_seed = Some(paired::ratio(rounds, seed, matrix_arm(config)));
     }
 
-    // The tuned pipeline memoizes analysis and generation and swaps
-    // per-program database rebuilds for shared-base runs (update-free
-    // programs) or clones (updating ones); the seed pipeline does none of
-    // that.
-    assert_eq!(runs[0].profile.analysis_cache_hits, 0);
+    // The tuned pipeline memoizes generation and swaps per-program
+    // database rebuilds for shared-base runs (update-free programs) or
+    // clones (updating ones); the seed pipeline does none of that.
     assert_eq!(runs[0].profile.generation_cache_hits, 0);
-    assert!(runs[1].profile.analysis_cache_hits > 0);
     assert!(runs[1].profile.generation_cache_hits > 0);
     assert_eq!(runs[0].profile.db_shared_runs, 0);
     assert_eq!(
@@ -261,8 +258,6 @@ fn main() {
                 .into_iter()
                 .chain(timing.map(|t| ("seed_vs_tuned", t)))
                 .chain([
-                    ("analysis_cache_hits", p.analysis_cache_hits.into()),
-                    ("analysis_cache_misses", p.analysis_cache_misses.into()),
                     ("generation_cache_hits", p.generation_cache_hits.into()),
                     ("source_trace_hits", p.source_trace_hits.into()),
                     ("source_trace_misses", p.source_trace_misses.into()),

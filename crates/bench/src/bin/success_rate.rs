@@ -27,10 +27,7 @@ fn main() {
         p.threads, p.cells_done, p.programs_generated
     );
     println!(
-        "          analysis cache {} hits / {} misses; {} db builds; \
-         gen {:.1}ms conv {:.1}ms verify {:.1}ms",
-        p.analysis_cache_hits,
-        p.analysis_cache_misses,
+        "          {} db builds; gen {:.1}ms conv {:.1}ms verify {:.1}ms",
         p.db_builds,
         p.generate_ns as f64 / 1e6,
         p.convert_ns as f64 / 1e6,

@@ -311,7 +311,6 @@ impl EnginePool {
 struct Context {
     schema: NetworkSchema,
     mapping: Mapping,
-    schema_fp: Option<u64>,
     inputs: Inputs,
     source: EnginePool,
     target: EnginePool,
@@ -590,11 +589,6 @@ impl ServiceBuilder {
         inputs: Inputs,
     ) -> PipelineResult<CtxId> {
         let mapping = Mapping::from_restructuring(schema, restructuring)?;
-        let schema_fp = self
-            .config
-            .supervisor
-            .memoize_analysis
-            .then(|| dbpc_analyzer::cache::schema_fingerprint(schema));
         let target = restructuring
             .translate(&source)
             .map_err(|e| PipelineError::stage(Stage::Translation, e))?;
@@ -607,7 +601,6 @@ impl ServiceBuilder {
         self.contexts.push(Arc::new(Context {
             schema: schema.clone(),
             mapping,
-            schema_fp,
             inputs,
             source: EnginePool::new(source, cap),
             target: EnginePool::new(target, cap),
@@ -1041,7 +1034,6 @@ fn execute_job(
         &ctx.mapping,
         &apg,
         &ctx.schema,
-        ctx.schema_fp,
         program,
         &mut AutoAnalyst,
         key,

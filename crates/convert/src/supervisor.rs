@@ -51,11 +51,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 pub struct Supervisor {
     /// Run the optimizer after conversion (§5.4).
     pub optimize: bool,
-    /// Memoize program analysis per `(schema, program)` fingerprint
-    /// ([`dbpc_analyzer::cache`]). Batch pipelines meet the same program
-    /// under several restructurings; the cached report is identical to a
-    /// fresh one, so this only changes speed, never outcomes.
-    pub memoize_analysis: bool,
     /// Fault-injection plan for robustness studies. The default
     /// ([`FaultPlan::none`]) is idle and leaves every code path
     /// byte-identical to an unsupervised run.
@@ -72,7 +67,6 @@ impl Default for Supervisor {
     fn default() -> Self {
         Supervisor {
             optimize: true,
-            memoize_analysis: true,
             fault: FaultPlan::none(),
             plan_stats: None,
         }
@@ -126,15 +120,11 @@ impl Supervisor {
         attempt: usize,
     ) -> PipelineResult<ConversionReport> {
         let mapping = Mapping::from_restructuring(source_schema, restructuring)?;
-        let schema_fp = self
-            .memoize_analysis
-            .then(|| dbpc_analyzer::cache::schema_fingerprint(source_schema));
         let apg = AccessPathGraph::new(&mapping.target);
         self.convert_one(
             &mapping,
             &apg,
             source_schema,
-            schema_fp,
             program,
             analyst,
             key,
@@ -185,18 +175,14 @@ impl Supervisor {
             )));
         }
         let mapping = Mapping::from_restructuring(source_schema, restructuring)?;
-        // The schema half of the memo key is batch-invariant; fingerprint
-        // it once here instead of once per program. Likewise the target
-        // access-path graph used by the alternate-path audit depends only on
-        // the target schema, so build it once for the whole batch.
-        let schema_fp = self
-            .memoize_analysis
-            .then(|| dbpc_analyzer::cache::schema_fingerprint(source_schema));
+        // The target access-path graph used by the alternate-path audit
+        // depends only on the target schema, so build it once for the whole
+        // batch.
         let apg = AccessPathGraph::new(&mapping.target);
         let mut reports = Vec::with_capacity(programs.len());
         for (p, &key) in programs.iter().zip(keys) {
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                self.convert_one(&mapping, &apg, source_schema, schema_fp, p, analyst, key, 0)
+                self.convert_one(&mapping, &apg, source_schema, p, analyst, key, 0)
             }));
             reports.push(match attempt {
                 Ok(Ok(report)) => report,
@@ -238,10 +224,10 @@ impl Supervisor {
     }
 
     /// One supervised conversion attempt against *pre-built* schema-level
-    /// state: the [`Mapping`], the target [`AccessPathGraph`], and the
-    /// schema fingerprint. [`Supervisor::convert_batch_keyed`] builds them
-    /// once per batch and the conversion service once per registered
-    /// context, then both replay them for every program. Outcomes are
+    /// state: the [`Mapping`] and the target [`AccessPathGraph`].
+    /// [`Supervisor::convert_batch_keyed`] builds them once per batch and
+    /// the conversion service once per registered context, then both
+    /// replay them for every program. Outcomes are
     /// identical to [`Supervisor::convert_attempt`]; only the per-program
     /// setup cost differs.
     #[allow(clippy::too_many_arguments)]
@@ -250,7 +236,6 @@ impl Supervisor {
         mapping: &Mapping,
         apg: &AccessPathGraph,
         source_schema: &NetworkSchema,
-        schema_fp: Option<u64>,
         program: &Program,
         analyst: &mut dyn Analyst,
         key: u64,
@@ -259,18 +244,7 @@ impl Supervisor {
         dbpc_obs::span_with(
             "convert.program",
             &[("key", &key.to_string()), ("attempt", &attempt.to_string())],
-            || {
-                self.convert_one_inner(
-                    mapping,
-                    apg,
-                    source_schema,
-                    schema_fp,
-                    program,
-                    analyst,
-                    key,
-                    attempt,
-                )
-            },
+            || self.convert_one_inner(mapping, apg, source_schema, program, analyst, key, attempt),
         )
     }
 
@@ -280,7 +254,6 @@ impl Supervisor {
         mapping: &Mapping,
         apg: &AccessPathGraph,
         source_schema: &NetworkSchema,
-        schema_fp: Option<u64>,
         program: &Program,
         analyst: &mut dyn Analyst,
         key: u64,
@@ -296,12 +269,7 @@ impl Supervisor {
         dbpc_obs::span(Stage::Analyzer.span_name(), || -> PipelineResult<()> {
             self.fault.trip(Stage::Analyzer, key, attempt)?;
             dbpc_obs::count("convert.programs_analyzed", 1);
-            let analysis = match schema_fp {
-                Some(fp) => {
-                    dbpc_analyzer::cache::analyze_host_memo_keyed(program, source_schema, fp)
-                }
-                None => std::sync::Arc::new(analyze_host(program, source_schema)),
-            };
+            let analysis = analyze_host(program, source_schema);
             for h in &analysis.hazards {
                 if let Hazard::RuntimeVariableVerb { .. } = h {
                     let q = Question::RuntimeVariability { hazard: h.clone() };
@@ -746,43 +714,6 @@ END PROGRAM;",
             .convert_batch(&company_schema(), &fig_4_4(), &[], &mut AutoAnalyst)
             .unwrap();
         assert!(batch.is_empty());
-    }
-
-    #[test]
-    fn memoized_analysis_changes_speed_not_outcomes() {
-        // The cache map is process-wide and tests run concurrently: this
-        // program must be one no sibling test analyzes, so the exact
-        // hit/miss counts below stay deterministic.
-        let p = parse_program(
-            "PROGRAM P-MEMO;
-  READ TERMINAL INTO W;
-  CALL DML W ON DIV;
-END PROGRAM;",
-        )
-        .unwrap();
-        let memo = Supervisor::new(); // memoize_analysis: true
-        let fresh = Supervisor {
-            memoize_analysis: false,
-            ..Supervisor::default()
-        };
-        dbpc_analyzer::cache::reset_cache();
-        let mark = dbpc_obs::local_mark();
-        let r_memo_1 = memo
-            .convert(&company_schema(), &fig_4_4(), &p, &mut AutoAnalyst)
-            .unwrap();
-        let r_memo_2 = memo
-            .convert(&company_schema(), &fig_4_4(), &p, &mut AutoAnalyst)
-            .unwrap();
-        let r_fresh = fresh
-            .convert(&company_schema(), &fig_4_4(), &p, &mut AutoAnalyst)
-            .unwrap();
-        let delta = mark.delta();
-        assert_eq!(delta.counter(dbpc_analyzer::cache::CACHE_MISSES), 1);
-        assert_eq!(delta.counter(dbpc_analyzer::cache::CACHE_HITS), 1);
-        for r in [&r_memo_1, &r_memo_2, &r_fresh] {
-            assert_eq!(r.verdict, r_memo_1.verdict);
-            assert_eq!(r.questions, r_memo_1.questions);
-        }
     }
 
     #[test]

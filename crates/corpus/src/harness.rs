@@ -154,9 +154,11 @@ pub struct StudyProfile {
     pub programs_converted: u64,
     /// Execution-equivalence checks performed.
     pub equivalence_runs: u64,
-    /// Program-analysis memo hits ([`dbpc_analyzer::cache`]).
+    /// Always 0: the Analyzer stage analyzes every program directly, with
+    /// no memo to hit. Kept because the repository benchmark's `study`
+    /// workload still reads it.
     pub analysis_cache_hits: u64,
-    /// Program-analysis memo misses.
+    /// Always 0, for the same reason as `analysis_cache_hits`.
     pub analysis_cache_misses: u64,
     /// Ground-truth source-trace memo hits (reuse mode only).
     pub source_trace_hits: u64,
@@ -179,9 +181,8 @@ pub struct StudyProfile {
 }
 
 impl StudyProfile {
-    /// Project a merged metrics frame onto the named-field profile. The
-    /// analysis-cache fields read the `dbpc_analyzer::cache` metric names;
-    /// everything else reads the `study.*` names above.
+    /// Project a merged metrics frame onto the named-field profile, reading
+    /// the `study.*` names above and the `host.threads` gauge.
     pub fn from_frame(frame: &MetricsFrame) -> StudyProfile {
         StudyProfile {
             threads: frame.gauge(HOST_THREADS).max(0) as usize,
@@ -190,8 +191,8 @@ impl StudyProfile {
             generation_cache_hits: frame.counter(GENERATION_CACHE_HITS),
             programs_converted: frame.counter(PROGRAMS_CONVERTED),
             equivalence_runs: frame.counter(EQUIVALENCE_RUNS),
-            analysis_cache_hits: frame.counter(dbpc_analyzer::cache::CACHE_HITS),
-            analysis_cache_misses: frame.counter(dbpc_analyzer::cache::CACHE_MISSES),
+            analysis_cache_hits: 0,
+            analysis_cache_misses: 0,
             source_trace_hits: frame.counter(SOURCE_TRACE_HITS),
             source_trace_misses: frame.counter(SOURCE_TRACE_MISSES),
             db_builds: frame.counter(DB_BUILDS),
@@ -325,11 +326,9 @@ pub struct StudyConfig {
     /// verified program, instead of rebuilding (and re-translating) it for
     /// every program.
     pub reuse_databases: bool,
-    /// Memoize per-program derivations that are identical across
-    /// restructurings: program analysis ([`dbpc_analyzer::cache`], kept
-    /// for the process) and corpus generation (the program seed does not
-    /// depend on the transform row; kept for one study).
-    pub memoize_analysis: bool,
+    /// Generate each program class once per study and borrow it in every
+    /// transform row: the program seed does not depend on the row.
+    pub memoize_programs: bool,
     /// Fault-injection plan threaded into the supervisor (robustness
     /// studies). The default is idle, leaving the pipeline byte-identical
     /// to an unfaulted run.
@@ -351,19 +350,20 @@ impl StudyConfig {
             permissive: false,
             threads: 0,
             reuse_databases: true,
-            memoize_analysis: true,
+            memoize_programs: true,
             fault_plan: FaultPlan::none(),
             ladder: false,
         }
     }
 
     /// The pre-optimization pipeline — sequential, every database rebuilt
-    /// per program, no analysis memoization. The benchmark baseline.
+    /// per program, every program generated afresh in every row. The
+    /// benchmark baseline.
     pub fn baseline(samples: usize, seed: u64) -> StudyConfig {
         StudyConfig {
             threads: 1,
             reuse_databases: false,
-            memoize_analysis: false,
+            memoize_programs: false,
             ..StudyConfig::new(samples, seed)
         }
     }
@@ -375,10 +375,10 @@ impl StudyConfig {
 /// program-class) cells are a fixed work list, [`pool::parallel_map`] lets
 /// each worker claim the next unclaimed cell and returns results in list
 /// order, and each cell's computation is self-contained (seeded generation,
-/// per-cell databases, memos whose hits change no result: the process-wide
-/// analysis cache and this study's program and ground-truth memos, which
-/// are dropped when it returns). Which worker ran a cell varies from run to
-/// run; the assembled matrix is byte-identical at any thread count.
+/// per-cell databases, memos whose hits change no result: this study's
+/// program and ground-truth memos, which are dropped when it returns).
+/// Which worker ran a cell varies from run to run; the assembled matrix is
+/// byte-identical at any thread count.
 pub fn success_rate_study_config(config: &StudyConfig) -> StudyResult {
     let threads = if config.threads == 0 {
         pool::default_threads()
@@ -387,7 +387,6 @@ pub fn success_rate_study_config(config: &StudyConfig) -> StudyResult {
     };
     let schema = crate::named::company_schema();
     let supervisor = Supervisor {
-        memoize_analysis: config.memoize_analysis,
         fault: config.fault_plan.clone(),
         ..Supervisor::default()
     };
@@ -505,9 +504,12 @@ fn program_seed(seed: u64, k: usize, pc: ProgramClass) -> u64 {
 }
 
 /// One (transform, program-class) cell: generate, batch-convert, verify.
-/// `c` is the class's position in [`ProgramClass::ALL`]. Work counters go
-/// to the worker's ambient `dbpc_obs` sheet (the caller brackets the cell
-/// and ships the delta frame); spans land in the caller's per-cell capture.
+/// `c` is the class's position in [`ProgramClass::ALL`]. The programs come
+/// from the study's memo when `memoize_programs` is on; each is analyzed
+/// afresh in every row, since an analysis costs about what a memo lookup
+/// would. Work counters go to the worker's ambient `dbpc_obs` sheet (the
+/// caller brackets the cell and ships the delta frame); spans land in the
+/// caller's per-cell capture.
 fn run_cell(
     supervisor: &Supervisor,
     schema: &NetworkSchema,
@@ -530,7 +532,7 @@ fn run_cell(
     // it in every row. Which cell generates depends on scheduling, so the
     // hit count is `Racy`.
     let fresh;
-    let programs: &[Program] = if config.memoize_analysis {
+    let programs: &[Program] = if config.memoize_programs {
         let mut hit = true;
         let programs = memos.programs[c].get_or_init(|| {
             hit = false;
@@ -554,8 +556,7 @@ fn run_cell(
     // Convert the cell as one batch: the schema mapping is derived once for
     // all samples. The mapping is the batch's only fallible step and
     // depends only on (schema, restructuring), so a batch error is exactly
-    // a per-program rejection of every sample. Analysis-cache hits/misses
-    // are recorded by `dbpc_analyzer::cache` into the same ambient sheet.
+    // a per-program rejection of every sample.
     let started = Instant::now();
     let mut auto = AutoAnalyst;
     let mut perm = PermissiveAnalyst;
@@ -769,7 +770,6 @@ pub fn ladder_reports(config: &StudyConfig) -> Vec<ConversionReport> {
     };
     let schema = crate::named::company_schema();
     let supervisor = Supervisor {
-        memoize_analysis: config.memoize_analysis,
         fault: config.fault_plan.clone(),
         ..Supervisor::default()
     };
@@ -968,13 +968,8 @@ mod tests {
             assert_eq!(p.programs_generated, programs);
             assert_eq!(p.equivalence_runs, p.programs_converted);
         }
-        // Memoization engages only in the tuned pipeline. (The analysis
-        // cache is process-wide and may be warm from earlier tests, so
-        // assert on its hits, not its misses.)
-        assert!(tuned.profile.analysis_cache_hits > 0);
+        // Program memoization engages only in the tuned pipeline.
         assert!(tuned.profile.generation_cache_hits > 0);
-        assert_eq!(baseline.profile.analysis_cache_hits, 0);
-        assert_eq!(baseline.profile.analysis_cache_misses, 0);
         assert_eq!(baseline.profile.generation_cache_hits, 0);
         // Database reuse: the tuned run builds/translates at most once per
         // cell and runs every program — updating or not — on the shared

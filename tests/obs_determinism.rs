@@ -10,14 +10,12 @@
 //! varies from run to run, since pool workers claim cells from a shared
 //! cursor.
 //!
-//! Also pinned here: the PR-2 regression where the analysis cache's
-//! hit/miss tallies lived in per-thread `Cell`s and were silently dropped
-//! for every pool worker but the assembling thread. Since the counters
-//! migrated into the ambient obs sheet (bracketed per cell, shipped back
-//! with the result, merged in index order), every worker's lookups are
-//! accounted for: hits + misses == lookups at any thread count.
+//! Also pinned here: the regression where per-thread tallies were silently
+//! dropped for every pool worker but the assembling thread. Counters live
+//! in the ambient obs sheet (bracketed per cell, shipped back with the
+//! result, merged in index order), so every worker's work is accounted for
+//! at any thread count.
 
-use dbpc::analyzer::cache::{CACHE_HITS, CACHE_LOOKUPS, CACHE_MISSES};
 use dbpc::corpus::harness::{success_rate_study_config, StudyConfig, StudyResult};
 use dbpc::obs::RunReport;
 
@@ -130,27 +128,24 @@ fn every_span_is_well_formed_and_stage_spans_present() {
     }
 }
 
-/// The PR-2 cache-merge regression: every pool worker's analysis-cache
-/// lookups are merged into the study frame, so the hit/miss split accounts
-/// for every lookup even at 8 threads. (Hits and misses are individually
-/// interleaving-dependent — `Racy` — but their sum is not.)
+/// The cross-worker merge regression: every pool worker's analyzer
+/// counts are merged into the study frame, so the number of programs
+/// analyzed is the same at 1, 2 and 8 threads.
 #[test]
-fn analysis_cache_hits_and_misses_account_for_every_lookup() {
-    for &threads in &THREAD_COUNTS {
-        let run = study_at(threads, false);
-        let frame = &run.report.metrics;
-        let lookups = frame.counter(CACHE_LOOKUPS);
-        assert!(lookups > 0, "study at {threads} threads did no lookups");
-        assert_eq!(
-            frame.counter(CACHE_HITS) + frame.counter(CACHE_MISSES),
-            lookups,
-            "cache hit/miss split lost lookups at {threads} threads"
-        );
-        // The same identity must survive the StudyProfile projection the
-        // benches read.
-        assert_eq!(
-            run.profile.analysis_cache_hits + run.profile.analysis_cache_misses,
-            lookups
-        );
-    }
+fn programs_analyzed_are_counted_on_every_worker() {
+    let analyzed: Vec<u64> = THREAD_COUNTS
+        .iter()
+        .map(|&threads| {
+            let n = study_at(threads, false)
+                .report
+                .metrics
+                .counter("convert.programs_analyzed");
+            assert!(n > 0, "study at {threads} threads analyzed no programs");
+            n
+        })
+        .collect();
+    assert!(
+        analyzed.iter().all(|&n| n == analyzed[0]),
+        "programs analyzed differ across thread counts {THREAD_COUNTS:?}: {analyzed:?}"
+    );
 }
