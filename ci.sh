@@ -142,10 +142,13 @@ cargo test -q -p dbpc-storage --lib pool
 cargo test -q --test obs_determinism
 
 # Each E2 study owns its program and ground-truth memos, so repeated
-# studies in one process compute their own; the planner tests name their
-# mode instead of writing the process-wide one.
+# studies in one process compute their own, and builds its verification
+# databases once, through the replica pool the service uses; the planner
+# tests name their mode instead of writing the process-wide one.
 echo "==> study-scoped memos"
 cargo test -q -p dbpc-corpus --lib harness::tests::memos_live_for_one_study
+cargo test -q -p dbpc-corpus --lib harness::tests::verification_databases_are_built_once_per_study
+cargo test -q -p dbpc-convert --lib equivalence::tests::pool_
 cargo test -q -p dbpc-engine --lib planner
 cargo test -q --test plan_equivalence
 cargo test -q --test parallel_determinism

@@ -19,6 +19,7 @@ use dbpc_dml::host::Program;
 use dbpc_engine::host_exec::run_host;
 use dbpc_engine::{diff_traces, Inputs, RunError, Trace};
 use dbpc_storage::NetworkDb;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// How equivalent the converted program turned out to be.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,6 +116,67 @@ pub(crate) fn judge_traces(
         Some(_) => EquivalenceLevel::NotEquivalent,
     };
     (level, divergence)
+}
+
+/// A replica pool over one logical database: checkout hands a worker its
+/// own `NetworkDb` instance (the type's interior caches are not `Sync`),
+/// checkin returns it. Sound because every run is rolled back — replicas
+/// never diverge from the base, which debug builds assert by fingerprint.
+/// The conversion service keeps one per context side; the E2 study keeps
+/// one for its source database and one per restructuring's translation.
+pub struct EnginePool {
+    inner: Mutex<PoolState>,
+    /// Fingerprint of the base; every checkin must still match it.
+    base_fp: u64,
+    /// Bound on retained spares (the worker count — more can never be
+    /// checked out at once).
+    cap: usize,
+}
+
+struct PoolState {
+    base: NetworkDb,
+    spares: Vec<NetworkDb>,
+}
+
+impl EnginePool {
+    /// A pool over `base`, retaining at most `cap` spares (at least one).
+    pub fn new(base: NetworkDb, cap: usize) -> EnginePool {
+        EnginePool {
+            base_fp: base.fingerprint(),
+            inner: Mutex::new(PoolState {
+                base,
+                spares: Vec::new(),
+            }),
+            cap: cap.max(1),
+        }
+    }
+
+    /// A replica of the base: a retained spare, or a fresh clone.
+    pub fn checkout(&self) -> NetworkDb {
+        let mut st = self.state();
+        st.spares.pop().unwrap_or_else(|| st.base.clone())
+    }
+
+    /// Return a replica, which must equal the base again (every run on it
+    /// rolled back). Beyond `cap` spares it is dropped. A replica whose
+    /// run unwound is never checked in: its caller drops it instead.
+    pub fn checkin(&self, db: NetworkDb) {
+        debug_assert_eq!(
+            db.fingerprint(),
+            self.base_fp,
+            "engine replica diverged from its base: a verification escaped its savepoint"
+        );
+        let mut st = self.state();
+        if st.spares.len() < self.cap {
+            st.spares.push(db);
+        }
+    }
+
+    /// Every update is a single push or pop, so a guard recovered from a
+    /// panicking holder still sees a valid pool.
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 #[cfg(test)]
@@ -307,6 +369,51 @@ END PROGRAM;",
         assert_eq!(eq.level, EquivalenceLevel::Warned);
         assert_eq!(eq.original_trace.terminal_lines(), vec!["5"]);
         assert_eq!(eq.converted_trace.terminal_lines(), vec!["4"]);
+    }
+
+    /// A checkout is a replica of the base, whether it is cloned or a
+    /// retained spare.
+    #[test]
+    fn pool_checkout_matches_the_base() {
+        let base = company_db();
+        let fp = base.fingerprint();
+        let pool = EnginePool::new(base, 2);
+        let first = pool.checkout();
+        assert_eq!(first.fingerprint(), fp);
+        pool.checkin(first);
+        let spare = pool.checkout();
+        assert_eq!(spare.fingerprint(), fp);
+        assert!(pool.state().spares.is_empty(), "the spare was handed out");
+    }
+
+    /// Checkin retains at most `cap` spares and drops the rest.
+    #[test]
+    fn pool_keeps_at_most_cap_spares() {
+        let pool = EnginePool::new(company_db(), 2);
+        let out: Vec<NetworkDb> = (0..4).map(|_| pool.checkout()).collect();
+        for (k, db) in out.into_iter().enumerate() {
+            pool.checkin(db);
+            assert_eq!(pool.state().spares.len(), (k + 1).min(2));
+        }
+    }
+
+    /// A replica whose change escaped its savepoint is refused at checkin.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "diverged from its base")]
+    fn pool_refuses_a_dirty_replica() {
+        let pool = EnginePool::new(company_db(), 1);
+        let mut db = pool.checkout();
+        db.store(
+            "DIV",
+            &[
+                ("DIV-NAME", Value::str("ENERGY")),
+                ("DIV-LOC", Value::str("TULSA")),
+            ],
+            &[],
+        )
+        .unwrap();
+        pool.checkin(db);
     }
 
     /// A deliberately wrong conversion is caught.

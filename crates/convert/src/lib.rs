@@ -40,8 +40,10 @@
 //!   (rewriting → emulation → bridge → manual) when a stage fails.
 //! * [`dli_rules`] — Mehl & Wang's DL/I command substitution under
 //!   hierarchy reordering (ref 11).
-//! * [`equivalence`] — the §1.1 acceptance test (trace equality) and the
-//!   §5.2 levels of "successful conversion".
+//! * [`equivalence`] — the §1.1 acceptance test (trace equality), the
+//!   §5.2 levels of "successful conversion", and the replica pool
+//!   ([`equivalence::EnginePool`]) that the service and the E2 study run
+//!   verifications on.
 //! * [`service`] — the long-running conversion service: sessions submit
 //!   jobs against shared, concurrency-managed engine contexts through a
 //!   bounded admission queue; update-free verifications overlap under

@@ -40,14 +40,15 @@
 //! **Engine replicas, not literal sharing.** `NetworkDb` keeps interior
 //! access-structure caches (`RefCell` calc-key indexes), so one instance
 //! cannot be referenced from two threads. Each context therefore keeps a
-//! small checkout/checkin pool of replicas of its base. This is sound
-//! *because of* the concurrency manager and the undo journal: every run —
-//! ground truth and verification alike — executes inside a savepoint that
-//! is rolled back, so every replica stays byte-identical to the base
-//! (debug builds assert the fingerprint at every checkin), and the lock
-//! table enforces exactly the schedule that would make literal sharing
-//! correct — readers overlap, conflicting writers serialize per record
-//! type. Concurrency changes *when* a job runs, never *what* it produces:
+//! small checkout/checkin pool of replicas of its base (an
+//! [`EnginePool`], the type the E2 study pools its databases in too).
+//! This is sound *because of* the concurrency manager and the undo
+//! journal: every run — ground truth and verification alike — executes
+//! inside a savepoint that is rolled back, so every replica stays
+//! byte-identical to the base (debug builds assert the fingerprint at
+//! every checkin), and the lock table enforces exactly the schedule that
+//! would make literal sharing correct — readers overlap, conflicting
+//! writers serialize per record type. Concurrency changes *when* a job runs, never *what* it produces:
 //! [`ServiceBuilder::run_serial`] executes the same jobs inline through the
 //! same code path, and `tests/service_equivalence.rs` asserts the outcomes
 //! are byte-identical.
@@ -80,7 +81,7 @@
 //! `ADMIT` was journaled, and replayed jobs that name a context this run
 //! did not register.
 
-use crate::equivalence::{judge_equivalence, EquivalenceLevel};
+use crate::equivalence::{judge_equivalence, EnginePool, EquivalenceLevel};
 use crate::journal::{decode_done, BoundaryHook, JobJournal, JournalRecord, RecoveredJob};
 use crate::mapping::Mapping;
 use crate::report::{AutoAnalyst, ConversionReport, Verdict};
@@ -258,54 +259,6 @@ impl ServiceConfig {
 
 /// Identifies a registered conversion context to [`Session::submit`].
 pub type CtxId = usize;
-
-/// A replica pool over one logical database: checkout hands a worker its
-/// own `NetworkDb` instance (the type's interior caches are not `Sync`),
-/// checkin returns it. Sound because every run is rolled back — replicas
-/// never diverge from the base, which debug builds assert by fingerprint.
-struct EnginePool {
-    inner: Mutex<PoolState>,
-    /// Fingerprint of the base; every checkin must still match it.
-    base_fp: u64,
-    /// Bound on retained spares (the worker count — more can never be
-    /// checked out at once).
-    cap: usize,
-}
-
-struct PoolState {
-    base: NetworkDb,
-    spares: Vec<NetworkDb>,
-}
-
-impl EnginePool {
-    fn new(base: NetworkDb, cap: usize) -> EnginePool {
-        EnginePool {
-            base_fp: base.fingerprint(),
-            inner: Mutex::new(PoolState {
-                base,
-                spares: Vec::new(),
-            }),
-            cap: cap.max(1),
-        }
-    }
-
-    fn checkout(&self) -> NetworkDb {
-        let mut st = lock(&self.inner);
-        st.spares.pop().unwrap_or_else(|| st.base.clone())
-    }
-
-    fn checkin(&self, db: NetworkDb) {
-        debug_assert_eq!(
-            db.fingerprint(),
-            self.base_fp,
-            "engine replica diverged from its base: a verification escaped its savepoint"
-        );
-        let mut st = lock(&self.inner);
-        if st.spares.len() < self.cap {
-            st.spares.push(db);
-        }
-    }
-}
 
 /// Everything hoisted once per `(schema, restructuring, source database)`.
 struct Context {
@@ -1596,7 +1549,7 @@ END PROGRAM;",
                 durable_root: Some(tmp.path().to_path_buf()),
                 ..ServiceConfig::default()
             });
-            base_fps.push(b.contexts[ctx].target.base_fp);
+            base_fps.push(b.contexts[ctx].target.checkout().fingerprint());
             let svc = b.start();
             let session = svc.session();
             let out = session.submit(ctx, read_only_program(), 0).unwrap().wait();

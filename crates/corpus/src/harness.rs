@@ -15,7 +15,9 @@
 use crate::gen::{generate_program, ProgramClass, TransformClass};
 use crate::named::company_db;
 use crate::pool;
-use dbpc_convert::equivalence::{check_equivalence, judge_equivalence, EquivalenceLevel};
+use dbpc_convert::equivalence::{
+    check_equivalence, judge_equivalence, EnginePool, EquivalenceLevel,
+};
 use dbpc_convert::report::{Analyst, AutoAnalyst, ConversionReport, PermissiveAnalyst};
 use dbpc_convert::supervisor::failure_report;
 use dbpc_convert::{run_ladder, FaultPlan, Supervisor, Verdict};
@@ -24,11 +26,14 @@ use dbpc_datamodel::network::NetworkSchema;
 use dbpc_dml::host::Program;
 use dbpc_engine::host_exec::run_host;
 use dbpc_engine::{Inputs, RunError, Trace};
+use dbpc_obs::metrics::MetricValue;
 use dbpc_obs::{MetricsFrame, MetricsRegistry, RunReport};
+use dbpc_restructure::Restructuring;
 use dbpc_storage::{NetworkDb, StatCatalog};
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 // Study-level metric names (the `study.*` slice of the merged frame; see
@@ -52,21 +57,103 @@ pub const VERIFY_NS: &str = "study.verify_ns";
 /// deterministic comparisons.
 pub const HOST_THREADS: &str = "host.threads";
 
-/// One study's memos of everything derived from a program alone, which
-/// recurs in all 8 transform rows. Every pool worker borrows the table and
-/// it is dropped when the study returns, so a study never reads another's
-/// entries and holds them no longer than it runs. Each slot is a pure
-/// function of its coordinates, so whichever worker fills it first cannot
-/// change a result; a later worker waits for the fill and then borrows it.
-/// A fill that panics leaves its slot empty, so the next cell fills it.
+/// One study's memos of everything that recurs across its cells: what is
+/// derived from a program alone, which all 8 transform rows share, and
+/// the verification databases, which every cell of a row shares. Every
+/// pool worker borrows the table and it is dropped when the study
+/// returns, so a study never reads another's entries and holds them no
+/// longer than it runs. Each slot is a pure function of its coordinates,
+/// so whichever worker fills it first cannot change a result; a later
+/// worker waits for the fill and then borrows it. A fill that panics
+/// leaves its slot empty, so the next cell fills it.
 struct StudyMemos {
     /// Per class, by position in [`ProgramClass::ALL`]: its `samples`
     /// programs (memoizing configurations only).
     programs: Vec<OnceLock<Vec<Program>>>,
     /// Per (class, sample) slot: the ground-truth trace on the source
-    /// database (`company_db(4, 3, 8)`) under the scripted inputs, which
-    /// every E2 verification shares.
+    /// database under the scripted inputs, which every E2 verification
+    /// shares.
     traces: Vec<OnceLock<Result<Trace, RunError>>>,
+    /// The source database, `company_db(4, 3, 8)`, built once per study.
+    /// Ground-truth runs, translations, ladder descents and the catalog
+    /// publish each check out a replica of it.
+    source: EnginePool,
+    /// Per transform row, by position in [`TransformClass::ALL`].
+    targets: Vec<RowTarget>,
+    /// Spares each pool keeps: the study's worker count.
+    threads: usize,
+}
+
+/// One transform row's verification database: translated from the source
+/// on the first cell of the row that verifies a program, and retired when
+/// the row's last cell finishes, so a study holds the pools of only the
+/// rows its workers are on.
+struct RowTarget {
+    /// `None` until translated, and again once retired; `Some(None)` when
+    /// the row's restructuring cannot translate the source.
+    pool: Mutex<Option<Option<Arc<EnginePool>>>>,
+    /// Cells of the row that have not finished.
+    cells_left: AtomicUsize,
+}
+
+/// Every update of a memo slot is one assignment, so a guard recovered
+/// from a panicking holder still sees a valid slot.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl StudyMemos {
+    fn new(samples: usize, threads: usize) -> StudyMemos {
+        let classes = ProgramClass::ALL.len();
+        StudyMemos {
+            programs: (0..classes).map(|_| OnceLock::new()).collect(),
+            traces: (0..classes * samples).map(|_| OnceLock::new()).collect(),
+            source: EnginePool::new(company_db(4, 3, 8), threads),
+            targets: TransformClass::ALL
+                .iter()
+                .map(|_| RowTarget {
+                    pool: Mutex::new(None),
+                    cells_left: AtomicUsize::new(classes),
+                })
+                .collect(),
+            threads,
+        }
+    }
+
+    /// Row `row`'s target pool, translating the source under
+    /// `restructuring` on the first call; `None` when that translation
+    /// fails. Which cell translates depends on scheduling, so the
+    /// translation is `quiet` (its spans and counters would otherwise make
+    /// the report thread-count dependent), while the `TRANSLATIONS` count
+    /// stays outside it.
+    fn target(&self, row: usize, restructuring: &Restructuring) -> Option<Arc<EnginePool>> {
+        lock(&self.targets[row].pool)
+            .get_or_insert_with(|| {
+                let translated = dbpc_obs::quiet(|| {
+                    let src = self.source.checkout();
+                    let tgt = restructuring.translate(&src);
+                    self.source.checkin(src);
+                    tgt
+                });
+                dbpc_obs::count(TRANSLATIONS, 1);
+                translated
+                    .ok()
+                    .map(|db| Arc::new(EnginePool::new(db, self.threads)))
+            })
+            .clone()
+    }
+
+    /// A cell of row `row` finished without unwinding; the row's last one
+    /// retires its target pool. (A cell that unwound leaves the pool to be
+    /// dropped with the study.)
+    fn cell_finished(&self, row: usize) {
+        let target = &self.targets[row];
+        // AcqRel: the last decrement sees every earlier cell of the row
+        // finished, replicas checked in.
+        if target.cells_left.fetch_sub(1, Ordering::AcqRel) == 1 {
+            lock(&target.pool).take();
+        }
+    }
 }
 
 /// Outcome counts for one (transform class, program class) cell.
@@ -164,13 +251,17 @@ pub struct StudyProfile {
     pub source_trace_hits: u64,
     /// Ground-truth source-trace memo misses — actual source executions.
     pub source_trace_misses: u64,
-    /// Verification databases built from scratch.
+    /// Verification databases built from scratch: the study's one source
+    /// database, plus one per verified program when `reuse_databases` is
+    /// off.
     pub db_builds: u64,
-    /// Verification runs executed directly on a shared base database —
-    /// every run since the undo journal: updating programs run inside a
-    /// savepoint that is rolled back, so no working copy is ever needed.
+    /// Verification runs executed directly on a pooled replica of a base
+    /// database — every reuse-mode run since the undo journal: updating
+    /// programs run inside a savepoint that is rolled back, so no working
+    /// copy is ever needed.
     pub db_shared_runs: u64,
-    /// Data translations performed.
+    /// Data translations performed: in reuse mode one per transform row
+    /// that verifies a program, otherwise one per verified program.
     pub translations: u64,
     /// Wall-clock spent generating programs (summed across workers).
     pub generate_ns: u64,
@@ -322,9 +413,10 @@ pub struct StudyConfig {
     /// Worker threads; `0` means `DBPC_THREADS` or the machine default
     /// ([`pool::default_threads`]).
     pub threads: usize,
-    /// Build each cell's verification database once and clone it per
-    /// verified program, instead of rebuilding (and re-translating) it for
-    /// every program.
+    /// Build the source database once per study and translate it once
+    /// per transform row, running every verification on a replica checked
+    /// out of the study's pools, instead of rebuilding (and re-translating)
+    /// both for every verified program.
     pub reuse_databases: bool,
     /// Generate each program class once per study and borrow it in every
     /// transform row: the program seed does not depend on the row.
@@ -375,8 +467,9 @@ impl StudyConfig {
 /// program-class) cells are a fixed work list, [`pool::parallel_map`] lets
 /// each worker claim the next unclaimed cell and returns results in list
 /// order, and each cell's computation is self-contained (seeded generation,
-/// per-cell databases, memos whose hits change no result: this study's
-/// program and ground-truth memos, which are dropped when it returns).
+/// memos whose hits change no result: this study's programs, ground-truth
+/// traces and pooled verification databases, which are dropped when it
+/// returns).
 /// Which worker ran a cell varies from run to run; the assembled matrix is
 /// byte-identical at any thread count.
 pub fn success_rate_study_config(config: &StudyConfig) -> StudyResult {
@@ -392,15 +485,9 @@ pub fn success_rate_study_config(config: &StudyConfig) -> StudyResult {
     };
 
     let classes = ProgramClass::ALL.len();
-    let memos = StudyMemos {
-        programs: (0..classes).map(|_| OnceLock::new()).collect(),
-        traces: (0..classes * config.samples)
-            .map(|_| OnceLock::new())
-            .collect(),
-    };
-    let units: Vec<(TransformClass, usize)> = TransformClass::ALL
-        .iter()
-        .flat_map(|t| (0..classes).map(move |c| (*t, c)))
+    let memos = StudyMemos::new(config.samples, threads);
+    let units: Vec<(usize, usize)> = (0..TransformClass::ALL.len())
+        .flat_map(|row| (0..classes).map(move |c| (row, c)))
         .collect();
     // Panic-safe fan-out: a cell whose computation escapes every inner
     // supervision boundary becomes an all-poisoned cell, not a dead batch.
@@ -408,19 +495,23 @@ pub fn success_rate_study_config(config: &StudyConfig) -> StudyResult {
     // pipeline opens lands in the cell's tree) and brackets the worker's
     // ambient metric sheet, shipping the per-cell delta back with the
     // result for the index-ordered merge below.
-    let per_cell = pool::try_parallel_map(&units, threads, |_, &(t, c)| {
+    let per_cell = pool::try_parallel_map(&units, threads, |_, &(row, c)| {
         let mark = dbpc_obs::local_mark();
+        let t = TransformClass::ALL[row];
         let label = format!("cell.{}.{}", t.name(), ProgramClass::ALL[c].name());
         let (cell, capture) = dbpc_obs::capture(&label, || {
-            run_cell(&supervisor, &schema, config, &memos, t, c)
+            run_cell(&supervisor, &schema, config, &memos, row, c)
         });
+        memos.cell_finished(row);
         (cell, capture, mark.delta())
     });
 
     // Reassemble in the fixed transform × program-class order. Captures and
     // metric shards merge in the same cell-index order as the matrix, so
-    // the assembled report is a pure function of the work list.
+    // the assembled report is a pure function of the work list. The
+    // study's one source build leads, ahead of every cell.
     let mut registry = MetricsRegistry::new();
+    registry.absorb([(DB_BUILDS, MetricValue::Counter(1))]);
     let mut captures = Vec::new();
     let mut results = per_cell.into_iter();
     let mut rows = Vec::new();
@@ -457,7 +548,9 @@ pub fn success_rate_study_config(config: &StudyConfig) -> StudyResult {
     // catalog (a pure function of the fixture), so the deterministic
     // RunReport JSON shows the cardinalities and fan-outs the cost-based
     // planner and ladder consult priced plans from.
-    StatCatalog::of_network(&company_db(4, 3, 8)).publish(&mut registry);
+    let src = memos.source.checkout();
+    StatCatalog::of_network(&src).publish(&mut registry);
+    memos.source.checkin(src);
     registry.set_gauge(HOST_THREADS, threads as i64);
     let report = RunReport::assemble("success-rate-study", captures, registry);
     let profile = StudyProfile::from_frame(&report.metrics);
@@ -504,7 +597,8 @@ fn program_seed(seed: u64, k: usize, pc: ProgramClass) -> u64 {
 }
 
 /// One (transform, program-class) cell: generate, batch-convert, verify.
-/// `c` is the class's position in [`ProgramClass::ALL`]. The programs come
+/// `row` and `c` are the transform's position in [`TransformClass::ALL`]
+/// and the class's in [`ProgramClass::ALL`]. The programs come
 /// from the study's memo when `memoize_programs` is on; each is analyzed
 /// afresh in every row, since an analysis costs about what a memo lookup
 /// would. Work counters go to the worker's ambient `dbpc_obs` sheet (the
@@ -515,10 +609,11 @@ fn run_cell(
     schema: &NetworkSchema,
     config: &StudyConfig,
     memos: &StudyMemos,
-    t: TransformClass,
+    row: usize,
     c: usize,
 ) -> Cell {
     let mut cell = Cell::default();
+    let t = TransformClass::ALL[row];
     let pc = ProgramClass::ALL[c];
     let restructuring = t.restructuring();
 
@@ -550,7 +645,7 @@ fn run_cell(
     dbpc_obs::time(GENERATE_NS, started.elapsed().as_nanos() as u64);
 
     if config.ladder {
-        return run_cell_ladder(supervisor, schema, config, t, pc, programs, cell);
+        return run_cell_ladder(supervisor, schema, config, memos, t, pc, programs);
     }
 
     // Convert the cell as one batch: the schema mapping is derived once for
@@ -581,17 +676,20 @@ fn run_cell(
         };
     dbpc_obs::time(CONVERT_NS, started.elapsed().as_nanos() as u64);
 
-    // Execution verification for successful conversions. In reuse mode the
-    // cell's source database and its translation are built once; every
-    // program — updating or not — runs directly against those shared bases
-    // inside a savepoint that is rolled back afterwards, so no working
-    // copies are cloned at all. The ground-truth trace of the original
-    // program — which does not depend on the restructuring — is memoized
-    // for the study, so a program recurring across transform rows executes
-    // once instead of eight times.
+    // Execution verification for successful conversions. In reuse mode
+    // every program — updating or not — runs on a replica checked out of
+    // the study's pools (the source built once per study, the target
+    // translated once per row) inside a savepoint that is rolled back
+    // afterwards, so no database is built or translated per cell. The
+    // ground-truth trace of the original program — which does not depend
+    // on the restructuring — is memoized for the study, so a program
+    // recurring across transform rows executes once instead of eight
+    // times. Replicas are checked out on first need and go back to their
+    // pools only when the cell finishes; an unwinding cell drops them.
     let started = Instant::now();
     let inputs = Inputs::new().with_terminal(&["RETRIEVE"]);
-    let mut bases: Option<(NetworkDb, Option<NetworkDb>)> = None;
+    let mut src: Option<NetworkDb> = None;
+    let mut tgt: Option<(Arc<EnginePool>, NetworkDb)> = None;
     for (k, (program, report)) in programs.iter().zip(&reports).enumerate() {
         cell.total += 1;
         match report.verdict {
@@ -612,18 +710,13 @@ fn run_cell(
             continue;
         };
         let eq: Result<EquivalenceLevel, _> = if config.reuse_databases {
-            if bases.is_none() {
-                let src = company_db(4, 3, 8);
-                dbpc_obs::count(DB_BUILDS, 1);
-                let tgt = restructuring.translate(&src).ok();
-                dbpc_obs::count(TRANSLATIONS, 1);
-                bases = Some((src, tgt));
+            if tgt.is_none() {
+                tgt = memos.target(row, &restructuring).map(|pool| {
+                    let db = dbpc_obs::quiet(|| pool.checkout());
+                    (pool, db)
+                });
             }
-            let Some((src_base, tgt_base)) = bases.as_mut() else {
-                cell.verified_wrong += 1;
-                continue;
-            };
-            let Some(tgt_base) = tgt_base.as_mut() else {
+            let Some((_, tgt_db)) = tgt.as_mut() else {
                 cell.verified_wrong += 1;
                 continue;
             };
@@ -631,18 +724,15 @@ fn run_cell(
             let original_trace = memos.traces[c * config.samples + k].get_or_init(|| {
                 hit = false;
                 dbpc_obs::racy(SOURCE_TRACE_MISSES, 1);
-                // Every program — updating or not — runs straight on the
-                // shared base inside a savepoint that is rolled back
-                // afterwards; the undo journal replaced the working-copy
-                // clone entirely. Which cell fills the memo depends on
-                // scheduling, so the run is `quiet`: its spans and storage
-                // counters would otherwise make the trace thread-count
-                // dependent.
+                // Which cell fills the memo depends on scheduling, so the
+                // run is `quiet`: its spans and storage counters would
+                // otherwise make the trace thread-count dependent.
                 dbpc_obs::racy(DB_SHARED_RUNS, 1);
                 dbpc_obs::quiet(|| {
-                    let sp = src_base.begin_savepoint();
-                    let run = run_host(src_base, program, inputs.clone());
-                    src_base.rollback_to(sp);
+                    let src_db = src.get_or_insert_with(|| memos.source.checkout());
+                    let sp = src_db.begin_savepoint();
+                    let run = run_host(src_db, program, inputs.clone());
+                    src_db.rollback_to(sp);
                     run
                 })
             });
@@ -655,10 +745,10 @@ fn run_cell(
                 .map_err(RunError::clone)
                 .and_then(|trace| {
                     dbpc_obs::racy(DB_SHARED_RUNS, 1);
-                    let sp = tgt_base.begin_savepoint();
+                    let sp = tgt_db.begin_savepoint();
                     let out =
-                        judge_equivalence(trace, tgt_base, converted, &inputs, &report.warnings);
-                    tgt_base.rollback_to(sp);
+                        judge_equivalence(trace, tgt_db, converted, &inputs, &report.warnings);
+                    tgt_db.rollback_to(sp);
                     out.map(|(level, _, _)| level)
                 })
         } else {
@@ -680,6 +770,12 @@ fn run_cell(
             Ok(EquivalenceLevel::NotEquivalent) | Err(_) => cell.verified_wrong += 1,
         }
     }
+    if let Some(db) = src {
+        memos.source.checkin(db);
+    }
+    if let Some((pool, db)) = tgt {
+        pool.checkin(db);
+    }
     dbpc_obs::time(VERIFY_NS, started.elapsed().as_nanos() as u64);
     dbpc_obs::count(CELLS_DONE, 1);
     cell
@@ -689,20 +785,23 @@ fn run_cell(
 /// ladder, so conversion and verification are one supervised step. Tallies
 /// the serving rung's verdict; `verified_equivalent` counts programs whose
 /// serving rung passed its equivalence check (the ladder only serves
-/// verified rungs, so a served program is a verified one).
+/// verified rungs, so a served program is a verified one). Every descent
+/// runs on one source replica, which goes back to the study's pool unless
+/// a descent panicked.
 fn run_cell_ladder(
     supervisor: &Supervisor,
     schema: &NetworkSchema,
     config: &StudyConfig,
+    memos: &StudyMemos,
     t: TransformClass,
     pc: ProgramClass,
     programs: &[Program],
-    mut cell: Cell,
 ) -> Cell {
+    let mut cell = Cell::default();
     let started = Instant::now();
     let inputs = Inputs::new().with_terminal(&["RETRIEVE"]);
-    let mut src_base = company_db(4, 3, 8);
-    dbpc_obs::count(DB_BUILDS, 1);
+    let mut src_base = dbpc_obs::quiet(|| memos.source.checkout());
+    let mut unwound = false;
     let restructuring = t.restructuring();
     for (k, program) in programs.iter().enumerate() {
         cell.total += 1;
@@ -749,8 +848,14 @@ fn run_cell_ladder(
             }
             // run_ladder already supervises every rung; a panic escaping it
             // (ground-truth setup, tallying) poisons only this program.
-            Err(_) => cell.poisoned += 1,
+            Err(_) => {
+                cell.poisoned += 1;
+                unwound = true;
+            }
         }
+    }
+    if !unwound {
+        memos.source.checkin(src_base);
     }
     dbpc_obs::time(VERIFY_NS, started.elapsed().as_nanos() as u64);
     dbpc_obs::count(CELLS_DONE, 1);
@@ -774,6 +879,10 @@ pub fn ladder_reports(config: &StudyConfig) -> Vec<ConversionReport> {
         ..Supervisor::default()
     };
     let inputs = Inputs::new().with_terminal(&["RETRIEVE"]);
+    // NetworkDb keeps interior index caches (not Sync), so every work item
+    // checks out its own replica of the one source base; an item that
+    // unwinds drops its replica instead of returning it.
+    let source = EnginePool::new(company_db(4, 3, 8), threads);
     let units: Vec<(TransformClass, ProgramClass, usize)> = TransformClass::ALL
         .iter()
         .flat_map(|t| {
@@ -785,9 +894,7 @@ pub fn ladder_reports(config: &StudyConfig) -> Vec<ConversionReport> {
     pool::try_parallel_map(&units, threads, |_, &(t, pc, k)| {
         let program = generate_program(pc, program_seed(config.seed, k, pc));
         let restructuring = t.restructuring();
-        // NetworkDb keeps interior index caches (not Sync), so the small
-        // verification base is built per work item rather than shared.
-        let mut src_base = company_db(4, 3, 8);
+        let mut src_base = source.checkout();
         let mut auto = AutoAnalyst;
         let mut perm = PermissiveAnalyst;
         let analyst: &mut dyn Analyst = if config.permissive {
@@ -795,7 +902,7 @@ pub fn ladder_reports(config: &StudyConfig) -> Vec<ConversionReport> {
         } else {
             &mut auto
         };
-        run_ladder(
+        let report = run_ladder(
             &supervisor,
             &schema,
             &restructuring,
@@ -805,7 +912,9 @@ pub fn ladder_reports(config: &StudyConfig) -> Vec<ConversionReport> {
             &inputs,
             analyst,
         )
-        .report
+        .report;
+        source.checkin(src_base);
+        report
     })
     .into_iter()
     .map(|r| {
@@ -971,12 +1080,12 @@ mod tests {
         // Program memoization engages only in the tuned pipeline.
         assert!(tuned.profile.generation_cache_hits > 0);
         assert_eq!(baseline.profile.generation_cache_hits, 0);
-        // Database reuse: the tuned run builds/translates at most once per
-        // cell and runs every program — updating or not — on the shared
-        // bases under a rolled-back savepoint, so the deep-copy path stays
-        // deleted; the baseline rebuilds and re-translates for every
-        // program.
-        assert!(tuned.profile.db_builds <= cells);
+        // Database reuse: the tuned run builds once per study, translates
+        // at most once per row, and runs every program — updating or not —
+        // on pooled replicas under a rolled-back savepoint, so the
+        // deep-copy path stays deleted; the baseline rebuilds and
+        // re-translates for every program, beside the study's one source.
+        assert_eq!(tuned.profile.db_builds, 1);
         assert_eq!(
             tuned.profile.db_shared_runs,
             tuned.profile.equivalence_runs + tuned.profile.source_trace_misses
@@ -984,7 +1093,7 @@ mod tests {
         assert!(tuned.profile.db_shared_runs > 0);
         assert_eq!(
             baseline.profile.db_builds,
-            baseline.profile.programs_converted
+            baseline.profile.programs_converted + 1
         );
         assert_eq!(baseline.profile.db_shared_runs, 0);
         assert!(tuned.profile.db_builds < baseline.profile.db_builds);
@@ -998,6 +1107,44 @@ mod tests {
         assert!(tuned.profile.source_trace_hits > 0);
         assert_eq!(baseline.profile.source_trace_hits, 0);
         assert_eq!(baseline.profile.source_trace_misses, 0);
+    }
+
+    /// A reuse-mode study builds its source database once and translates it
+    /// once per transform row that verifies a program, at any thread count,
+    /// and the matrix does not depend on which worker filled the pools.
+    #[test]
+    fn verification_databases_are_built_once_per_study() {
+        let runs: Vec<StudyResult> = [1, 2, 8]
+            .iter()
+            .map(|&threads| {
+                success_rate_study_config(&StudyConfig {
+                    threads,
+                    ..StudyConfig::new(2, 1979)
+                })
+            })
+            .collect();
+        for run in &runs {
+            let verifying_rows = run
+                .rows
+                .iter()
+                .filter(|r| {
+                    let a = r.aggregate();
+                    a.converted + a.converted_with_warnings > 0
+                })
+                .count() as u64;
+            assert!(verifying_rows > 0, "{run}");
+            assert_eq!(
+                run.profile.db_builds, 1,
+                "at {} threads",
+                run.profile.threads
+            );
+            assert_eq!(
+                run.profile.translations, verifying_rows,
+                "at {} threads",
+                run.profile.threads
+            );
+            assert_eq!(run, &runs[0], "at {} threads", run.profile.threads);
+        }
     }
 
     /// The memos live for one study: running the same config twice in one

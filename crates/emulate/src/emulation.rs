@@ -355,8 +355,8 @@ impl NetworkOps for Emulator {
         let rtype = self.rtype_of(id)?;
         let schema = self.presented_schema();
         let rt = schema
-            .record(&rtype)
-            .ok_or_else(|| DbError::unknown("record", &rtype))?;
+            .record(rtype)
+            .ok_or_else(|| DbError::unknown("record", rtype))?;
         rt.fields
             .iter()
             .map(|f| self.field_value(id, &f.name))
@@ -397,14 +397,14 @@ impl NetworkOps for Emulator {
             .ok_or_else(|| DbError::unknown("set", set))
     }
 
-    fn rtype_of(&self, id: RecordId) -> DbResult<String> {
+    fn rtype_of(&self, id: RecordId) -> DbResult<&str> {
         match self {
             Emulator::Base(db) => db.rtype_of(id),
             Emulator::Layer { kind, inner, .. } => {
                 let t = inner.rtype_of(id)?;
                 if let LayerKind::RenameRecord { old, new } = kind {
-                    if t == *new {
-                        return Ok(old.clone());
+                    if t == new {
+                        return Ok(old);
                     }
                 }
                 Ok(t)

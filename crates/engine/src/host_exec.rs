@@ -24,6 +24,7 @@ use dbpc_dml::expr::{BinOp, BoolExpr, Expr};
 use dbpc_dml::host::{FindExpr, FindSpec, ForSource, PathStart, Program, Stmt};
 use dbpc_storage::{DbError, DbResult, NetworkDb, RecordId, SYSTEM_OWNER};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// The owner-coupled-set DML surface the interpreter drives.
 ///
@@ -41,7 +42,7 @@ pub trait NetworkOps: AtomicStore {
     /// Declared ordering keys of a set type.
     fn set_keys(&self, set: &str) -> DbResult<Vec<String>>;
     /// The record type of an occurrence.
-    fn rtype_of(&self, id: RecordId) -> DbResult<String>;
+    fn rtype_of(&self, id: RecordId) -> DbResult<&str>;
     /// The owner of `member` in `set`, if connected.
     fn owner_in(&mut self, set: &str, member: RecordId) -> DbResult<Option<RecordId>>;
     /// All records of a type (creation order).
@@ -116,8 +117,8 @@ impl NetworkOps for NetworkDb {
             .ok_or_else(|| DbError::unknown("set", set))
     }
 
-    fn rtype_of(&self, id: RecordId) -> DbResult<String> {
-        Ok(self.get(id)?.rtype.clone())
+    fn rtype_of(&self, id: RecordId) -> DbResult<&str> {
+        NetworkDb::rtype_of(self, id)
     }
 
     fn owner_in(&mut self, set: &str, member: RecordId) -> DbResult<Option<RecordId>> {
@@ -303,7 +304,18 @@ impl<'d, D: NetworkOps> HostInterpreter<'d, D> {
                     ForSource::Query(q) => self.eval_find(q)?,
                 };
                 for id in recs {
-                    self.env.insert(var.clone(), RtVal::Records(vec![id]));
+                    // Rebind in place: the body may have rebound the loop
+                    // variable, but usually it still holds the last
+                    // iteration's singleton, whose key and buffer are reused.
+                    match self.env.get_mut(var) {
+                        Some(RtVal::Records(ids)) => {
+                            ids.clear();
+                            ids.push(id);
+                        }
+                        _ => {
+                            self.env.insert(var.clone(), RtVal::Records(vec![id]));
+                        }
+                    }
                     match self.exec_block(body)? {
                         Flow::Continue => {}
                         Flow::Halt => return Ok(Flow::Halt),
@@ -362,19 +374,15 @@ impl<'d, D: NetworkOps> HostInterpreter<'d, D> {
                 assigns,
                 connects,
             } => {
-                let mut vals: Vec<(String, Value)> = Vec::with_capacity(assigns.len());
+                let mut vals: Vec<(&str, Value)> = Vec::with_capacity(assigns.len());
                 for (f, e) in assigns {
-                    vals.push((f.clone(), self.eval(e, None)?));
+                    vals.push((f, self.eval(e, None)?));
                 }
-                let mut conns: Vec<(String, RecordId)> = Vec::with_capacity(connects.len());
+                let mut conns: Vec<(&str, RecordId)> = Vec::with_capacity(connects.len());
                 for c in connects {
-                    conns.push((c.set.clone(), self.single_record(&c.owner_var)?));
+                    conns.push((&c.set, self.single_record(&c.owner_var)?));
                 }
-                let vref: Vec<(&str, Value)> =
-                    vals.iter().map(|(f, v)| (f.as_str(), v.clone())).collect();
-                let cref: Vec<(&str, RecordId)> =
-                    conns.iter().map(|(s, o)| (s.as_str(), *o)).collect();
-                if let Err(e) = self.db.store(record, &vref, &cref) {
+                if let Err(e) = self.db.store(record, &vals, &conns) {
                     return self.db_abort(e);
                 }
             }
@@ -407,13 +415,11 @@ impl<'d, D: NetworkOps> HostInterpreter<'d, D> {
             Stmt::Modify { var, assigns } => {
                 let recs = self.records_var(var)?.to_vec();
                 for id in recs {
-                    let mut vals: Vec<(String, Value)> = Vec::with_capacity(assigns.len());
+                    let mut vals: Vec<(&str, Value)> = Vec::with_capacity(assigns.len());
                     for (f, e) in assigns {
-                        vals.push((f.clone(), self.eval(e, Some(id))?));
+                        vals.push((f, self.eval(e, Some(id))?));
                     }
-                    let vref: Vec<(&str, Value)> =
-                        vals.iter().map(|(f, v)| (f.as_str(), v.clone())).collect();
-                    if let Err(e) = self.db.modify(id, &vref) {
+                    if let Err(e) = self.db.modify(id, &vals) {
                         return self.db_abort(e);
                     }
                 }
@@ -492,11 +498,14 @@ impl<'d, D: NetworkOps> HostInterpreter<'d, D> {
     }
 
     fn format_values(&mut self, exprs: &[Expr]) -> RunResult<String> {
-        let mut parts = Vec::with_capacity(exprs.len());
-        for e in exprs {
-            parts.push(self.eval(e, None)?.to_string());
+        let mut line = String::new();
+        for (i, e) in exprs.iter().enumerate() {
+            if i > 0 {
+                line.push(' ');
+            }
+            let _ = write!(line, "{}", self.eval(e, None)?);
         }
-        Ok(parts.join(" "))
+        Ok(line)
     }
 
     fn records_var(&self, var: &str) -> RunResult<&[RecordId]> {
@@ -554,7 +563,7 @@ impl<'d, D: NetworkOps> HostInterpreter<'d, D> {
                     ))
                 })?;
                 let members = self.db.members_of(&first.set, SYSTEM_OWNER)?;
-                self.filter_records(members, &first.record, first.filter.as_ref())?
+                self.filter_records(members, first.filter.as_ref())?
             }
             PathStart::Collection(var) => self.records_var(var)?.to_vec(),
         };
@@ -566,7 +575,7 @@ impl<'d, D: NetworkOps> HostInterpreter<'d, D> {
             let mut next = Vec::new();
             for owner in &current {
                 let members = self.db.members_of(&step.set, *owner)?;
-                let kept = self.filter_records(members, &step.record, step.filter.as_ref())?;
+                let kept = self.filter_records(members, step.filter.as_ref())?;
                 next.extend(kept);
             }
             current = next;
@@ -589,17 +598,13 @@ impl<'d, D: NetworkOps> HostInterpreter<'d, D> {
     fn filter_records(
         &mut self,
         ids: Vec<RecordId>,
-        rtype: &str,
         filter: Option<&BoolExpr>,
     ) -> RunResult<Vec<RecordId>> {
         let Some(f) = filter else {
             return Ok(ids);
         };
-        // Unqualified names in a path filter resolve to fields of the
-        // step's record type, falling back to host variables. `rtype` is
-        // used for the membership test so that renamed/moved fields are
-        // resolved against the right schema.
-        let _ = rtype;
+        // Unqualified names in a path filter resolve to fields of each
+        // candidate record, falling back to host variables (see `eval`).
         // Single-path plan: the members of a set occurrence are only
         // reachable by walking it, so the estimate is the candidate count.
         let actual = ids.len() as u64;

@@ -228,11 +228,13 @@ enum NetUndo {
 
 /// Per-savepoint metadata: the id allocator plus each set's arrival
 /// counter (links drawn during the rolled-back suffix must not leave
-/// gaps that would change later chronological ordering).
+/// gaps that would change later chronological ordering). The counters
+/// are kept in `NetworkDb::sets` order: a database's sets are fixed when
+/// it is created, so a position names its set.
 #[derive(Debug, Clone)]
 struct NetMark {
     next_id: u64,
-    next_seqs: Vec<(String, u64)>,
+    next_seqs: Vec<u64>,
 }
 
 /// Magic leading every heap record payload; versioned with the codec.
@@ -586,6 +588,8 @@ pub struct NetworkDb {
     /// cloned) by each mutation.
     schema: Arc<NetworkSchema>,
     records: Backend,
+    /// One store per declared set, made with the database and never added
+    /// to or removed from afterwards.
     sets: BTreeMap<String, SetStore>,
     /// Record ids per record type, ascending (= creation order).
     by_type: BTreeMap<String, Vec<u64>>,
@@ -849,7 +853,7 @@ impl NetworkDb {
 
     /// A record's type, read from RAM (the Mem map, or the heap's
     /// directory), so type and existence checks never fetch a record.
-    fn rtype_of(&self, id: RecordId) -> DbResult<&str> {
+    pub fn rtype_of(&self, id: RecordId) -> DbResult<&str> {
         match &self.records {
             Backend::Mem(m) => m.get(&id.0).map(|rec| rec.rtype.as_str()),
             Backend::Heap(h) => h
@@ -1021,11 +1025,7 @@ impl NetworkDb {
     pub fn begin_savepoint(&mut self) -> Savepoint {
         self.journal.begin(NetMark {
             next_id: self.next_id,
-            next_seqs: self
-                .sets
-                .iter()
-                .map(|(name, st)| (name.clone(), st.next_seq))
-                .collect(),
+            next_seqs: self.sets.values().map(|st| st.next_seq).collect(),
         })
     }
 
@@ -1040,10 +1040,8 @@ impl NetworkDb {
                 self.apply_undo(op);
             }
             self.next_id = mark.next_id;
-            for (name, seq) in mark.next_seqs {
-                if let Some(st) = self.sets.get_mut(&name) {
-                    st.next_seq = seq;
-                }
+            for (st, seq) in self.sets.values_mut().zip(mark.next_seqs) {
+                st.next_seq = seq;
             }
         }
     }
