@@ -153,6 +153,18 @@ cargo test -q -p dbpc-engine --lib planner
 cargo test -q --test plan_equivalence
 cargo test -q --test parallel_determinism
 
+# One ground-truth memo per source database: hits are confirmed by
+# program equality, the memo is bounded by a constant, concurrent lookups
+# share one fill, contexts over one source share it, both sides verify
+# under the ladder's fuel, and each verifying study cell is timed under
+# one stage.verification span.
+echo "==> one ground truth per source (equality keys, bounded memo, one fuel)"
+cargo test -q -p dbpc-convert --lib equivalence::tests::ground_truth_
+cargo test -q -p dbpc-convert --lib equivalence::tests::concurrent_lookups_share_one_fill
+cargo test -q -p dbpc-convert --lib service::tests::contexts_over_one_source_share_one_ground_truth
+cargo test -q -p dbpc-convert --lib service::tests::verification_runs_under_the_ladder_fuel
+cargo test -q -p dbpc-corpus --lib harness::tests::each_verifying_cell_opens_one_verification_span
+
 # The translation crash matrix is the one gate on data-translation crash
 # safety: a durable translation killed at every batch boundary of four
 # transform shapes must recover byte-identical to the one-shot.

@@ -16,10 +16,13 @@
 
 use crate::report::Warning;
 use dbpc_dml::host::Program;
-use dbpc_engine::host_exec::run_host;
-use dbpc_engine::{diff_traces, Inputs, RunError, Trace};
+use dbpc_engine::host_exec::{run_host, run_host_with_fuel};
+use dbpc_engine::{diff_traces, Inputs, RunError, Trace, DEFAULT_VERIFY_FUEL};
 use dbpc_storage::NetworkDb;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// How equivalent the converted program turned out to be.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,37 +68,14 @@ pub fn check_equivalence(
     warnings: &[Warning],
 ) -> Result<EquivalenceResult, RunError> {
     let original_trace = run_host(&mut source_db, original, inputs.clone())?;
-    let (level, converted_trace, divergence) =
-        judge_equivalence(&original_trace, &mut target_db, converted, inputs, warnings)?;
+    let converted_trace = run_host(&mut target_db, converted, inputs.clone())?;
+    let (level, divergence) = judge_traces(&original_trace, &converted_trace, warnings);
     Ok(EquivalenceResult {
         level,
         original_trace,
         converted_trace,
         divergence,
     })
-}
-
-/// The comparison core behind [`check_equivalence`] and the batch
-/// harnesses: run the converted program on a **borrowed** database and
-/// judge its trace against a **borrowed** original trace. Nothing is
-/// consumed, so batch harnesses holding a memoized trace and a shared base
-/// database pay no per-program clone at all.
-///
-/// Any update the converted program performs is left in `target_db` — the
-/// caller owns that consequence; batch harnesses wrap the call in a
-/// savepoint and roll it back, which keeps a shared base pristine even for
-/// updating programs. Returns the equivalence level, the converted
-/// program's trace, and the first divergence (when not strict).
-pub fn judge_equivalence(
-    original_trace: &Trace,
-    target_db: &mut NetworkDb,
-    converted: &Program,
-    inputs: &Inputs,
-    warnings: &[Warning],
-) -> Result<(EquivalenceLevel, Trace, Option<String>), RunError> {
-    let converted_trace = run_host(target_db, converted, inputs.clone())?;
-    let (level, divergence) = judge_traces(original_trace, &converted_trace, warnings);
-    Ok((level, converted_trace, divergence))
 }
 
 /// The judging rule, the one place a trace is compared with its ground
@@ -122,8 +102,9 @@ pub(crate) fn judge_traces(
 /// own `NetworkDb` instance (the type's interior caches are not `Sync`),
 /// checkin returns it. Sound because every run is rolled back — replicas
 /// never diverge from the base, which debug builds assert by fingerprint.
-/// The conversion service keeps one per context side; the E2 study keeps
-/// one for its source database and one per restructuring's translation.
+/// A [`GroundTruth`] keeps one over its source database; the conversion
+/// service keeps one per context's translation, and the E2 study one per
+/// restructuring's.
 pub struct EnginePool {
     inner: Mutex<PoolState>,
     /// Fingerprint of the base; every checkin must still match it.
@@ -149,6 +130,11 @@ impl EnginePool {
             }),
             cap: cap.max(1),
         }
+    }
+
+    /// The base's fingerprint ([`NetworkDb::fingerprint`]).
+    pub fn fingerprint(&self) -> u64 {
+        self.base_fp
     }
 
     /// A replica of the base: a retained spare, or a fresh clone.
@@ -179,6 +165,116 @@ impl EnginePool {
     }
 }
 
+/// Entries a [`GroundTruth`] memo holds before it is cleared: a power of
+/// two above the 10,000 distinct programs of the repository benchmark's
+/// `service` workload, so that no workload here ever loses an entry.
+pub const GROUND_TRUTH_ENTRIES: usize = 1 << 14;
+
+/// A ground truth: the program's trace, or its run's error.
+type Truth = Result<Trace, RunError>;
+
+/// Program hash → the program and its ground truth, filled once.
+type Memo = HashMap<u64, (Arc<Program>, Arc<OnceLock<Truth>>)>;
+
+/// The ground truth of one source database under one set of scripted
+/// inputs: each original program runs on it once, and every conversion of
+/// the program is judged against that trace. The service shares one among
+/// the contexts registered over one source; the E2 study keeps one. The
+/// memo is keyed by the program's hash, and a hit is confirmed by
+/// comparing the stored program, so a collision costs a miss (the newer
+/// program takes the entry over), never a wrong trace. It is cleared at
+/// [`GROUND_TRUTH_ENTRIES`]; entries handed out live on through their
+/// `Arc`. Concurrent lookups of one program wait for a single fill, and a
+/// fill that panics leaves its entry empty for the next lookup.
+pub struct GroundTruth {
+    source: EnginePool,
+    inputs: Inputs,
+    memo: Mutex<Memo>,
+}
+
+impl GroundTruth {
+    /// The ground truth of `source`'s base under `inputs`.
+    pub fn new(source: EnginePool, inputs: Inputs) -> GroundTruth {
+        GroundTruth {
+            source,
+            inputs,
+            memo: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The source database's replica pool.
+    pub fn source(&self) -> &EnginePool {
+        &self.source
+    }
+
+    /// The scripted inputs every run gets.
+    pub fn inputs(&self) -> &Inputs {
+        &self.inputs
+    }
+
+    /// Judge `converted`, run on a replica of `target`, against the ground
+    /// truth of `original` (`judge_traces`). Both sides run rolled back
+    /// under [`DEFAULT_VERIFY_FUEL`], the §2 ladder's fuel. Returns the
+    /// level, or either run's error, and whether the truth was a memo hit.
+    /// A miss keeps `original`'s `Arc` as the memo's key, not a copy.
+    pub fn judge(
+        &self,
+        original: &Arc<Program>,
+        target: &EnginePool,
+        converted: &Program,
+        warnings: &[Warning],
+    ) -> (Result<EquivalenceLevel, RunError>, bool) {
+        self.truth(original, |truth| {
+            let truth = truth.as_ref().map_err(RunError::clone)?;
+            let trace = run_replica(target, converted, &self.inputs)?;
+            Ok(judge_traces(truth, &trace, warnings).0)
+        })
+    }
+
+    /// Apply `f` to the ground truth of `program`, filling it on a miss;
+    /// returns `f`'s result and whether the lookup hit.
+    fn truth<T>(&self, program: &Arc<Program>, f: impl FnOnce(&Truth) -> T) -> (T, bool) {
+        let mut h = DefaultHasher::new();
+        program.hash(&mut h);
+        let (slot, mut hit) = self.slot(h.finish(), program);
+        // Which caller fills an entry is scheduling, so the run is `quiet`:
+        // its spans and counters must not land in that caller's capture.
+        let truth = slot.get_or_init(|| {
+            hit = false;
+            dbpc_obs::quiet(|| run_replica(&self.source, program, &self.inputs))
+        });
+        (f(truth), hit)
+    }
+
+    /// The entry at `key` if it holds `program`, or a new empty one that
+    /// replaces whatever was there.
+    fn slot(&self, key: u64, program: &Arc<Program>) -> (Arc<OnceLock<Truth>>, bool) {
+        // Every update is one insert or clear: a poisoned guard is valid.
+        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((stored, slot)) = memo.get(&key) {
+            if Arc::ptr_eq(stored, program) || stored == program {
+                return (Arc::clone(slot), true);
+            }
+        } else if memo.len() >= GROUND_TRUTH_ENTRIES {
+            memo.clear();
+        }
+        let slot = Arc::<OnceLock<Truth>>::default();
+        memo.insert(key, (Arc::clone(program), Arc::clone(&slot)));
+        (slot, false)
+    }
+}
+
+/// Run `program` on a replica of `pool`'s base inside a savepoint that is
+/// rolled back, under [`DEFAULT_VERIFY_FUEL`].
+fn run_replica(pool: &EnginePool, program: &Program, inputs: &Inputs) -> Result<Trace, RunError> {
+    let mut db = dbpc_obs::quiet(|| pool.checkout());
+    let sp = db.begin_savepoint();
+    let run = run_host_with_fuel(&mut db, program, inputs.clone(), DEFAULT_VERIFY_FUEL);
+    db.rollback_to(sp);
+    pool.checkin(db);
+    run
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,8 +283,8 @@ mod tests {
     use dbpc_datamodel::network::{FieldDef, NetworkSchema, RecordTypeDef, SetDef};
     use dbpc_datamodel::types::FieldType;
     use dbpc_datamodel::value::Value;
-    use dbpc_dml::expr::CmpOp;
-    use dbpc_dml::host::parse_program;
+    use dbpc_dml::expr::{CmpOp, Expr};
+    use dbpc_dml::host::{parse_program, Stmt};
     use dbpc_restructure::{Restructuring, Transform};
 
     fn company_schema() -> NetworkSchema {
@@ -414,6 +510,111 @@ END PROGRAM;",
         )
         .unwrap();
         pool.checkin(db);
+    }
+
+    fn ground_truth() -> GroundTruth {
+        GroundTruth::new(EnginePool::new(company_db(), 2), Inputs::new())
+    }
+
+    /// `PRINT k;`: a distinct one-statement program per `k`.
+    fn print_program(k: i64) -> Arc<Program> {
+        Arc::new(Program {
+            name: "P".into(),
+            stmts: vec![Stmt::Print(vec![Expr::lit(k)])],
+        })
+    }
+
+    fn truth_of(gt: &GroundTruth, p: &Arc<Program>) -> (Result<Trace, RunError>, bool) {
+        gt.truth(p, Clone::clone)
+    }
+
+    /// Each program is filled once with its own trace, and a second
+    /// lookup hits.
+    #[test]
+    fn ground_truth_keeps_distinct_programs_apart() {
+        let gt = ground_truth();
+        let (one, two) = (print_program(1), print_program(2));
+        let (first, hit) = truth_of(&gt, &one);
+        assert!(!hit);
+        assert_eq!(first.unwrap().terminal_lines(), vec!["1"]);
+        let (second, hit) = truth_of(&gt, &two);
+        assert!(!hit);
+        assert_eq!(second.unwrap().terminal_lines(), vec!["2"]);
+        assert!(truth_of(&gt, &one).1);
+        assert!(truth_of(&gt, &two).1);
+        assert_eq!(gt.memo.lock().unwrap().len(), 2);
+    }
+
+    /// Two programs under one hash key: the stored program is compared on
+    /// every lookup, so the second program misses and takes the entry
+    /// over instead of reading the first one's trace.
+    #[test]
+    fn ground_truth_confirms_hits_by_equality() {
+        let gt = ground_truth();
+        let (one, two) = (print_program(1), print_program(2));
+        assert!(!gt.slot(7, &one).1);
+        assert!(gt.slot(7, &one).1);
+        let (slot, hit) = gt.slot(7, &two);
+        assert!(!hit, "a colliding program must not hit");
+        assert!(slot.get().is_none(), "and must get an empty entry");
+        assert!(gt.slot(7, &two).1);
+        assert!(!gt.slot(7, &one).1);
+        assert_eq!(gt.memo.lock().unwrap().len(), 1);
+    }
+
+    /// More distinct programs than the bound: the memo never holds more
+    /// than [`GROUND_TRUTH_ENTRIES`], and starts over once it is full.
+    #[test]
+    fn ground_truth_memo_is_bounded() {
+        let gt = ground_truth();
+        let mut most = 0;
+        for k in 0..=GROUND_TRUTH_ENTRIES as i64 {
+            let (trace, hit) = truth_of(&gt, &print_program(k));
+            assert!(trace.is_ok() && !hit);
+            most = most.max(gt.memo.lock().unwrap().len());
+        }
+        assert_eq!(most, GROUND_TRUTH_ENTRIES);
+        assert_eq!(
+            gt.memo.lock().unwrap().len(),
+            1,
+            "the full memo was cleared"
+        );
+    }
+
+    /// Concurrent lookups of one program share its fill: one miss, and
+    /// every caller reads the same trace.
+    #[test]
+    fn concurrent_lookups_share_one_fill() {
+        let gt = ground_truth();
+        // Long enough that the other lookups arrive during the fill.
+        let p = Arc::new(
+            parse_program(
+                "PROGRAM P;
+  LET I := 0;
+  WHILE I < 20000 DO
+    LET I := I + 1;
+  END WHILE;
+  PRINT I;
+END PROGRAM;",
+            )
+            .unwrap(),
+        );
+        let start = std::sync::Barrier::new(4);
+        let lookups: Vec<(Result<Trace, RunError>, bool)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        truth_of(&gt, &p)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(lookups.iter().filter(|(_, hit)| !hit).count(), 1);
+        for (trace, _) in &lookups {
+            assert_eq!(trace.as_ref().unwrap().terminal_lines(), vec!["20000"]);
+        }
     }
 
     /// A deliberately wrong conversion is caught.

@@ -1,22 +1,21 @@
 //! The long-running conversion service: sessions, admission control, and
 //! concurrency-managed verification over shared engines.
 //!
-//! The batch pipeline (PR 2) parallelizes one *batch* by striding its index
-//! space; this module replaces that shape with the ROADMAP's north star — a
-//! service that accepts conversion jobs continuously and runs them against
+//! The service accepts conversion jobs continuously and runs them against
 //! shared engine state under real concurrency control:
 //!
 //! * **Contexts** ([`ServiceBuilder::register_context`]) hoist everything
 //!   that depends only on `(schema, restructuring, source database)`: the
-//!   validated [`Mapping`], the target [`AccessPathGraph`], the schema
-//!   fingerprint, the translated target database, and a replica pool for
-//!   each side. Queued jobs replay that state instead of rebuilding it —
-//!   on this corpus the per-job pipeline spends most of its time there,
-//!   which is what the `BENCH_service_load` amortization figure measures.
-//!   The translation lives in RAM only: the source database is
-//!   authoritative, so every registration translates it afresh, a
-//!   restarted service included (retranslating is cheaper than reloading
-//!   a persisted copy would be).
+//!   validated [`Mapping`], the translated target database, and the
+//!   source's [`GroundTruth`], which contexts over an equal source (equal
+//!   [`NetworkDb::fingerprint`] and inputs) share, so a program submitted
+//!   to several of them runs on the source once. Queued jobs replay that
+//!   state instead of rebuilding it — on this corpus the per-job pipeline
+//!   spends most of its time there, which is what the `BENCH_service_load`
+//!   amortization figure measures. The translation lives in RAM only: the
+//!   source database is authoritative, so every registration translates it
+//!   afresh, a restarted service included (retranslating is cheaper than
+//!   reloading a persisted copy would be).
 //! * **Admission control**: a bounded FIFO queue. [`Session::submit`]
 //!   blocks while the queue is full — backpressure, not unbounded memory —
 //!   and [`Ticket::wait`] parks until the job's worker publishes its
@@ -39,8 +38,8 @@
 //!
 //! **Engine replicas, not literal sharing.** `NetworkDb` keeps interior
 //! access-structure caches (`RefCell` calc-key indexes), so one instance
-//! cannot be referenced from two threads. Each context therefore keeps a
-//! small checkout/checkin pool of replicas of its base (an
+//! cannot be referenced from two threads. Each side of a context
+//! therefore has a small checkout/checkin pool of replicas of its base (an
 //! [`EnginePool`], the type the E2 study pools its databases in too).
 //! This is sound *because of* the concurrency manager and the undo
 //! journal: every run — ground truth and verification alike — executes
@@ -48,14 +47,17 @@
 //! byte-identical to the base (debug builds assert the fingerprint at
 //! every checkin), and the lock table enforces exactly the schedule that
 //! would make literal sharing correct — readers overlap, conflicting
-//! writers serialize per record type. Concurrency changes *when* a job runs, never *what* it produces:
+//! writers serialize per record type (lock namespaces stay per context).
+//! Both sides run under the ladder's fuel, and exhausting it degrades the
+//! job as on the ladder ([`PipelineError::FuelExhausted`]).
+//! Concurrency changes *when* a job runs, never *what* it produces:
 //! [`ServiceBuilder::run_serial`] executes the same jobs inline through the
 //! same code path, and `tests/service_equivalence.rs` asserts the outcomes
 //! are byte-identical.
 //!
-//! Determinism: a job's `(report, level)` is a pure function of
-//! `(context, program, fault key)` — the fault plan is keyed, the truth
-//! memo caches a pure function of the program, and rollback restores every
+//! Determinism: a job's `(report, level)` is a pure function of `(context,
+//! program, fault key)` — the fault plan is keyed, the ground truth memo
+//! caches a pure function of the program, and rollback restores every
 //! replica — so seeded [`FaultPlan`][crate::FaultPlan] runs are identical
 //! at any worker count. Scheduling-dependent observations (queue depth,
 //! lock waits, memo hit/miss splits) are recorded as `Racy`/`Time` metrics
@@ -81,26 +83,23 @@
 //! `ADMIT` was journaled, and replayed jobs that name a context this run
 //! did not register.
 
-use crate::equivalence::{judge_equivalence, EnginePool, EquivalenceLevel};
+use crate::equivalence::{EnginePool, EquivalenceLevel, GroundTruth};
 use crate::journal::{decode_done, BoundaryHook, JobJournal, JournalRecord, RecoveredJob};
 use crate::mapping::Mapping;
 use crate::report::{AutoAnalyst, ConversionReport, Verdict};
-use crate::supervisor::ladder::{retryable, RungFailure};
+use crate::supervisor::ladder::{retryable, run_error, RungFailure};
 use crate::supervisor::{failure_report, Supervisor};
 use dbpc_analyzer::apg::AccessPathGraph;
 use dbpc_datamodel::error::{ModelError, PipelineError, PipelineResult, Stage};
 use dbpc_datamodel::network::NetworkSchema;
 use dbpc_dml::host::{Program, Stmt};
-use dbpc_engine::host_exec::run_host;
-use dbpc_engine::{Inputs, Trace};
+use dbpc_engine::Inputs;
 use dbpc_obs::metrics::MetricValue;
 use dbpc_obs::{MetricsFrame, MetricsRegistry, RunReport};
 use dbpc_restructure::Restructuring;
 use dbpc_storage::locks::{ConcurrencyMgr, LockError, LockKind, LockRes, LockTable};
 use dbpc_storage::{pool, NetworkDb};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -264,13 +263,9 @@ pub type CtxId = usize;
 struct Context {
     schema: NetworkSchema,
     mapping: Mapping,
-    inputs: Inputs,
-    source: EnginePool,
+    /// Shared by every context over an equal source and inputs.
+    truth: Arc<GroundTruth>,
     target: EnginePool,
-    /// Ground-truth traces keyed by structural program hash: a pure
-    /// function of the key (fixed source base, fixed inputs), so whichever
-    /// worker fills an entry first, every reader sees the same trace.
-    truth: Mutex<HashMap<u64, Arc<Trace>>>,
     /// Lock namespace of the source side; the target side is `+ 1`.
     space_source: u32,
 }
@@ -286,7 +281,8 @@ struct Job {
     seq: u64,
     session: u64,
     ctx: CtxId,
-    program: Program,
+    /// Shared with the ground-truth memo, which keeps it as a key.
+    program: Arc<Program>,
     key: u64,
     queued_at: Instant,
     slot: Arc<Slot>,
@@ -532,8 +528,9 @@ impl ServiceBuilder {
     }
 
     /// Hoist one `(schema, restructuring, source database)` triple into a
-    /// reusable context: validate the mapping, build the access-path
-    /// graph, translate the source once, and seed both replica pools.
+    /// reusable context: validate the mapping, translate the source once,
+    /// and seed the target replica pool. A source (and inputs) equal to an
+    /// earlier context's shares that context's [`GroundTruth`].
     pub fn register_context(
         &mut self,
         schema: &NetworkSchema,
@@ -546,6 +543,16 @@ impl ServiceBuilder {
             .translate(&source)
             .map_err(|e| PipelineError::stage(Stage::Translation, e))?;
         let cap = self.config.resolved_workers();
+        let source = EnginePool::new(source, cap);
+        let truth = self
+            .contexts
+            .iter()
+            .map(|ctx| &ctx.truth)
+            .find(|truth| {
+                truth.source().fingerprint() == source.fingerprint() && *truth.inputs() == inputs
+            })
+            .map(Arc::clone)
+            .unwrap_or_else(|| Arc::new(GroundTruth::new(source, inputs)));
         let id = self.contexts.len();
         let space_source = u32::try_from(id)
             .ok()
@@ -554,10 +561,8 @@ impl ServiceBuilder {
         self.contexts.push(Arc::new(Context {
             schema: schema.clone(),
             mapping,
-            inputs,
-            source: EnginePool::new(source, cap),
+            truth,
             target: EnginePool::new(target, cap),
-            truth: Mutex::new(HashMap::new()),
             space_source,
         }));
         Ok(id)
@@ -641,7 +646,7 @@ impl ServiceBuilder {
                 seq: job.seq,
                 session: job.session,
                 ctx: job.ctx,
-                program: job.program,
+                program: Arc::new(job.program),
                 key: job.key,
                 queued_at: Instant::now(),
                 slot: Slot::new(),
@@ -668,7 +673,8 @@ impl ServiceBuilder {
                 .contexts
                 .get(*ctx_id)
                 .ok_or_else(|| ModelError::invalid(format!("unknown context {ctx_id}")))?;
-            let (report, level) = run_guarded(&self.config, &table, ctx, program, *key);
+            let program = Arc::new(program.clone());
+            let (report, level) = run_guarded(&self.config, &table, ctx, &program, *key);
             out.push(JobOutcome {
                 seq: seq as u64,
                 report,
@@ -888,7 +894,7 @@ impl Session<'_> {
             seq,
             session: self.id,
             ctx,
-            program,
+            program: Arc::new(program),
             key,
             queued_at: Instant::now(),
             slot: Arc::clone(&slot),
@@ -952,7 +958,7 @@ fn run_guarded(
     config: &ServiceConfig,
     table: &LockTable,
     ctx: &Context,
-    program: &Program,
+    program: &Arc<Program>,
     key: u64,
 ) -> (ConversionReport, Option<EquivalenceLevel>) {
     catch_unwind(AssertUnwindSafe(|| {
@@ -977,7 +983,7 @@ fn execute_job(
     config: &ServiceConfig,
     table: &LockTable,
     ctx: &Context,
-    program: &Program,
+    program: &Arc<Program>,
     key: u64,
 ) -> (ConversionReport, Option<EquivalenceLevel>) {
     // The graph is a zero-cost view over the target schema; building it
@@ -1033,11 +1039,25 @@ fn execute_job(
             }
             return (demote(report, attempt, error), None);
         }
-        let outcome = verify(ctx, program, &converted, &report);
+        // Which worker fills a ground-truth entry is scheduling, so the
+        // hit/miss split is `Racy`.
+        let (outcome, hit) = dbpc_obs::span(Stage::Verification.span_name(), || {
+            ctx.truth
+                .judge(program, &ctx.target, &converted, &report.warnings)
+        });
         drop(mgr);
+        let metric = if hit {
+            SERVICE_TRUTH_HITS
+        } else {
+            SERVICE_TRUTH_MISSES
+        };
+        dbpc_obs::racy(metric, 1);
         return match outcome {
             Ok(level) => (report, Some(level)),
-            Err(error) => (demote(report, attempt + 1, error), None),
+            Err(e) => (
+                demote(report, attempt + 1, run_error(Stage::Verification, e)),
+                None,
+            ),
         };
     }
 }
@@ -1055,51 +1075,6 @@ fn demote(mut report: ConversionReport, attempts: usize, error: PipelineError) -
         error,
     });
     report
-}
-
-/// Run one verification under the already-held lock set: memoized ground
-/// truth on a source replica, then the converted program on a target
-/// replica, both inside rolled-back savepoints.
-fn verify(
-    ctx: &Context,
-    original: &Program,
-    converted: &Program,
-    report: &ConversionReport,
-) -> Result<EquivalenceLevel, PipelineError> {
-    let truth = truth_trace(ctx, original)?;
-    let mut tgt = ctx.target.checkout();
-    let sp = tgt.begin_savepoint();
-    let outcome = judge_equivalence(&truth, &mut tgt, converted, &ctx.inputs, &report.warnings);
-    tgt.rollback_to(sp);
-    ctx.target.checkin(tgt);
-    let (level, _, _) = outcome.map_err(|e| PipelineError::stage(Stage::Verification, e))?;
-    Ok(level)
-}
-
-/// The memoized ground-truth trace of `original` on the context's source
-/// base. Which worker fills an entry depends on scheduling, so the split
-/// is `Racy` and the miss run is `quiet` — its spans and counters would
-/// otherwise make job captures worker-count dependent.
-fn truth_trace(ctx: &Context, original: &Program) -> Result<Arc<Trace>, PipelineError> {
-    let mut h = DefaultHasher::new();
-    original.hash(&mut h);
-    let key = h.finish();
-    if let Some(trace) = lock(&ctx.truth).get(&key).cloned() {
-        dbpc_obs::racy(SERVICE_TRUTH_HITS, 1);
-        return Ok(trace);
-    }
-    dbpc_obs::racy(SERVICE_TRUTH_MISSES, 1);
-    let mut src = ctx.source.checkout();
-    let run = dbpc_obs::quiet(|| {
-        let sp = src.begin_savepoint();
-        let run = run_host(&mut src, original, ctx.inputs.clone());
-        src.rollback_to(sp);
-        run
-    });
-    ctx.source.checkin(src);
-    let trace = Arc::new(run.map_err(|e| PipelineError::stage(Stage::Verification, e))?);
-    lock(&ctx.truth).insert(key, Arc::clone(&trace));
-    Ok(trace)
 }
 
 /// The lock set of one verification: source side for the ground-truth run,
@@ -1349,6 +1324,79 @@ END PROGRAM;",
         assert_eq!(report.metrics.counter(SERVICE_READ_ONLY_JOBS), 0);
     }
 
+    /// Contexts over one source share its ground truth: the same program,
+    /// submitted to each of two such contexts in turn, runs on the source
+    /// once.
+    #[test]
+    fn contexts_over_one_source_share_one_ground_truth() {
+        let (mut b, first) = builder(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let second = b
+            .register_context(
+                &company_schema(),
+                &fig_4_4(),
+                company_db(),
+                Inputs::new().with_terminal(&["RETRIEVE"]),
+            )
+            .unwrap();
+        let svc = b.start();
+        let session = svc.session();
+        for (key, ctx) in [(0, first), (1, second)] {
+            let out = session
+                .submit(ctx, read_only_program(), key)
+                .unwrap()
+                .wait();
+            assert_eq!(
+                out.level,
+                Some(EquivalenceLevel::Strict),
+                "{:?}",
+                out.report
+            );
+        }
+        let report = svc.shutdown();
+        assert_eq!(report.metrics.counter(SERVICE_TRUTH_MISSES), 1);
+        assert_eq!(report.metrics.counter(SERVICE_TRUTH_HITS), 1);
+    }
+
+    /// Verification runs under the ladder's fuel, `DEFAULT_VERIFY_FUEL`: a
+    /// program that needs more steps than that (but fewer than the
+    /// interpreter's default limit) is not served as verified; it is
+    /// demoted with its fuel exhaustion on record, as on the ladder.
+    #[test]
+    fn verification_runs_under_the_ladder_fuel() {
+        let (b, ctx) = builder(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        // Two steps per iteration: about 400,000 steps.
+        let looping = parse_program(
+            "PROGRAM P;
+  LET I := 0;
+  WHILE I < 200000 DO
+    LET I := I + 1;
+  END WHILE;
+  PRINT I;
+END PROGRAM;",
+        )
+        .unwrap();
+        let out = b.run_serial(&[(ctx, looping, 0)]).unwrap().remove(0);
+        assert_eq!(out.level, None, "{:?}", out.report);
+        assert_eq!(out.report.verdict, Verdict::NeedsManualWork);
+        let last = out.report.fallbacks.last().map(|f| &f.error);
+        assert!(
+            matches!(
+                last,
+                Some(PipelineError::FuelExhausted {
+                    stage: Stage::Verification
+                })
+            ),
+            "{:?}",
+            out.report.fallbacks
+        );
+    }
+
     /// A verification that cannot get its locks degrades to
     /// needs-manual-work with the timeout on the fallback record — it is
     /// never served as a success.
@@ -1368,7 +1416,13 @@ END PROGRAM;",
         // exclusively for the whole test.
         let blocked = LockRes::record_type(context.space_target(), "EMP");
         table.x_lock(&blocked, Duration::from_secs(1)).unwrap();
-        let (report, level) = execute_job(&b.config, &table, context, &read_only_program(), 0);
+        let (report, level) = execute_job(
+            &b.config,
+            &table,
+            context,
+            &Arc::new(read_only_program()),
+            0,
+        );
         assert_eq!(report.verdict, Verdict::NeedsManualWork);
         assert_eq!(level, None);
         assert!(
@@ -1385,7 +1439,13 @@ END PROGRAM;",
         );
         table.unlock(&blocked, LockKind::Exclusive);
         // With the lock released, the same job verifies cleanly.
-        let (report, level) = execute_job(&b.config, &table, context, &read_only_program(), 0);
+        let (report, level) = execute_job(
+            &b.config,
+            &table,
+            context,
+            &Arc::new(read_only_program()),
+            0,
+        );
         assert!(report.succeeded());
         assert_eq!(level, Some(EquivalenceLevel::Strict));
     }
@@ -1425,7 +1485,7 @@ END PROGRAM;",
             seq,
             session: 0,
             ctx: 0,
-            program: read_only_program(),
+            program: Arc::new(read_only_program()),
             key: seq,
             queued_at: Instant::now(),
             slot: Slot::new(),

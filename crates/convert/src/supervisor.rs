@@ -44,6 +44,7 @@ use dbpc_datamodel::network::NetworkSchema;
 use dbpc_dml::host::Program;
 use dbpc_restructure::Restructuring;
 use dbpc_storage::pool::panic_payload;
+use std::borrow::Borrow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Configuration of a conversion run.
@@ -163,7 +164,7 @@ impl Supervisor {
         &self,
         source_schema: &NetworkSchema,
         restructuring: &Restructuring,
-        programs: &[Program],
+        programs: &[impl Borrow<Program>],
         keys: &[u64],
         analyst: &mut dyn Analyst,
     ) -> ModelResult<Vec<ConversionReport>> {
@@ -182,7 +183,7 @@ impl Supervisor {
         let mut reports = Vec::with_capacity(programs.len());
         for (p, &key) in programs.iter().zip(keys) {
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                self.convert_one(&mapping, &apg, source_schema, p, analyst, key, 0)
+                self.convert_one(&mapping, &apg, source_schema, p.borrow(), analyst, key, 0)
             }));
             reports.push(match attempt {
                 Ok(Ok(report)) => report,

@@ -474,7 +474,7 @@ fn manual_report(fallbacks: Vec<RungFailure>) -> ConversionReport {
 }
 
 /// Fold an engine error into the pipeline error space.
-fn run_error(stage: Stage, e: RunError) -> PipelineError {
+pub(crate) fn run_error(stage: Stage, e: RunError) -> PipelineError {
     match e {
         RunError::StepLimit => PipelineError::FuelExhausted { stage },
         other => PipelineError::stage(stage, other),

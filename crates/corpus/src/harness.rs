@@ -15,23 +15,22 @@
 use crate::gen::{generate_program, ProgramClass, TransformClass};
 use crate::named::company_db;
 use crate::pool;
-use dbpc_convert::equivalence::{
-    check_equivalence, judge_equivalence, EnginePool, EquivalenceLevel,
-};
+use dbpc_convert::equivalence::{check_equivalence, EnginePool, EquivalenceLevel, GroundTruth};
 use dbpc_convert::report::{Analyst, AutoAnalyst, ConversionReport, PermissiveAnalyst};
 use dbpc_convert::supervisor::failure_report;
 use dbpc_convert::{run_ladder, FaultPlan, Supervisor, Verdict};
-use dbpc_datamodel::error::PipelineError;
+use dbpc_datamodel::error::{PipelineError, Stage};
 use dbpc_datamodel::network::NetworkSchema;
 use dbpc_dml::host::Program;
-use dbpc_engine::host_exec::run_host;
-use dbpc_engine::{Inputs, RunError, Trace};
+use dbpc_engine::Inputs;
 use dbpc_obs::metrics::MetricValue;
 use dbpc_obs::{MetricsFrame, MetricsRegistry, RunReport};
 use dbpc_restructure::Restructuring;
-use dbpc_storage::{NetworkDb, StatCatalog};
+use dbpc_storage::StatCatalog;
+use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
@@ -57,33 +56,6 @@ pub const VERIFY_NS: &str = "study.verify_ns";
 /// deterministic comparisons.
 pub const HOST_THREADS: &str = "host.threads";
 
-/// One study's memos of everything that recurs across its cells: what is
-/// derived from a program alone, which all 8 transform rows share, and
-/// the verification databases, which every cell of a row shares. Every
-/// pool worker borrows the table and it is dropped when the study
-/// returns, so a study never reads another's entries and holds them no
-/// longer than it runs. Each slot is a pure function of its coordinates,
-/// so whichever worker fills it first cannot change a result; a later
-/// worker waits for the fill and then borrows it. A fill that panics
-/// leaves its slot empty, so the next cell fills it.
-struct StudyMemos {
-    /// Per class, by position in [`ProgramClass::ALL`]: its `samples`
-    /// programs (memoizing configurations only).
-    programs: Vec<OnceLock<Vec<Program>>>,
-    /// Per (class, sample) slot: the ground-truth trace on the source
-    /// database under the scripted inputs, which every E2 verification
-    /// shares.
-    traces: Vec<OnceLock<Result<Trace, RunError>>>,
-    /// The source database, `company_db(4, 3, 8)`, built once per study.
-    /// Ground-truth runs, translations, ladder descents and the catalog
-    /// publish each check out a replica of it.
-    source: EnginePool,
-    /// Per transform row, by position in [`TransformClass::ALL`].
-    targets: Vec<RowTarget>,
-    /// Spares each pool keeps: the study's worker count.
-    threads: usize,
-}
-
 /// One transform row's verification database: translated from the source
 /// on the first cell of the row that verifies a program, and retired when
 /// the row's last cell finishes, so a study holds the pools of only the
@@ -100,60 +72,6 @@ struct RowTarget {
 /// from a panicking holder still sees a valid slot.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-impl StudyMemos {
-    fn new(samples: usize, threads: usize) -> StudyMemos {
-        let classes = ProgramClass::ALL.len();
-        StudyMemos {
-            programs: (0..classes).map(|_| OnceLock::new()).collect(),
-            traces: (0..classes * samples).map(|_| OnceLock::new()).collect(),
-            source: EnginePool::new(company_db(4, 3, 8), threads),
-            targets: TransformClass::ALL
-                .iter()
-                .map(|_| RowTarget {
-                    pool: Mutex::new(None),
-                    cells_left: AtomicUsize::new(classes),
-                })
-                .collect(),
-            threads,
-        }
-    }
-
-    /// Row `row`'s target pool, translating the source under
-    /// `restructuring` on the first call; `None` when that translation
-    /// fails. Which cell translates depends on scheduling, so the
-    /// translation is `quiet` (its spans and counters would otherwise make
-    /// the report thread-count dependent), while the `TRANSLATIONS` count
-    /// stays outside it.
-    fn target(&self, row: usize, restructuring: &Restructuring) -> Option<Arc<EnginePool>> {
-        lock(&self.targets[row].pool)
-            .get_or_insert_with(|| {
-                let translated = dbpc_obs::quiet(|| {
-                    let src = self.source.checkout();
-                    let tgt = restructuring.translate(&src);
-                    self.source.checkin(src);
-                    tgt
-                });
-                dbpc_obs::count(TRANSLATIONS, 1);
-                translated
-                    .ok()
-                    .map(|db| Arc::new(EnginePool::new(db, self.threads)))
-            })
-            .clone()
-    }
-
-    /// A cell of row `row` finished without unwinding; the row's last one
-    /// retires its target pool. (A cell that unwound leaves the pool to be
-    /// dropped with the study.)
-    fn cell_finished(&self, row: usize) {
-        let target = &self.targets[row];
-        // AcqRel: the last decrement sees every earlier cell of the row
-        // finished, replicas checked in.
-        if target.cells_left.fetch_sub(1, Ordering::AcqRel) == 1 {
-            lock(&target.pool).take();
-        }
-    }
 }
 
 /// Outcome counts for one (transform class, program class) cell.
@@ -177,6 +95,24 @@ pub struct Cell {
 }
 
 impl Cell {
+    /// Count one program: its verdict and, when it was verified, whether
+    /// its trace matched (strictly or at the predicted-warning level).
+    fn tally(&mut self, verdict: Verdict, verified: Option<bool>) {
+        self.total += 1;
+        match verdict {
+            Verdict::Converted => self.converted += 1,
+            Verdict::ConvertedWithWarnings => self.converted_with_warnings += 1,
+            Verdict::NeedsManualWork => self.needs_manual += 1,
+            Verdict::Rejected => self.rejected += 1,
+            Verdict::Poisoned => self.poisoned += 1,
+        }
+        match verified {
+            Some(true) => self.verified_equivalent += 1,
+            Some(false) => self.verified_wrong += 1,
+            None => {}
+        }
+    }
+
     /// Fraction automatically converted (with or without warnings).
     pub fn auto_rate(&self) -> f64 {
         if self.total == 0 {
@@ -247,20 +183,19 @@ pub struct StudyProfile {
     pub analysis_cache_hits: u64,
     /// Always 0, for the same reason as `analysis_cache_hits`.
     pub analysis_cache_misses: u64,
-    /// Ground-truth source-trace memo hits (reuse mode only).
+    /// Verifications whose ground truth was in the study's memo.
     pub source_trace_hits: u64,
-    /// Ground-truth source-trace memo misses — actual source executions.
+    /// Verifications that filled it: actual source executions.
     pub source_trace_misses: u64,
     /// Verification databases built from scratch: the study's one source
-    /// database, plus one per verified program when `reuse_databases` is
-    /// off.
+    /// database, plus one per verified program when `memoize` is off.
     pub db_builds: u64,
     /// Verification runs executed directly on a pooled replica of a base
-    /// database — every reuse-mode run since the undo journal: updating
+    /// database — every memoizing run since the undo journal: updating
     /// programs run inside a savepoint that is rolled back, so no working
     /// copy is ever needed.
     pub db_shared_runs: u64,
-    /// Data translations performed: in reuse mode one per transform row
+    /// Data translations performed: when memoizing, one per transform row
     /// that verifies a program, otherwise one per verified program.
     pub translations: u64,
     /// Wall-clock spent generating programs (summed across workers).
@@ -397,10 +332,10 @@ pub fn success_rate_study_interactive(samples: usize, seed: u64) -> StudyResult 
 
 /// Configuration of a study run.
 ///
-/// The defaults are the tuned pipeline: all pipeline-efficiency features
-/// on, thread count from `DBPC_THREADS` (falling back to the machine's
-/// available parallelism). Every knob changes only *speed*: the matrix a
-/// config produces is identical across all of them, which
+/// The defaults are the tuned pipeline: memoization on, thread count from
+/// `DBPC_THREADS` (falling back to the machine's available parallelism).
+/// `threads` and `memoize` change only *speed*: the matrix a config
+/// produces is identical across them, which
 /// `tests/parallel_determinism.rs` asserts.
 #[derive(Debug, Clone)]
 pub struct StudyConfig {
@@ -413,14 +348,12 @@ pub struct StudyConfig {
     /// Worker threads; `0` means `DBPC_THREADS` or the machine default
     /// ([`pool::default_threads`]).
     pub threads: usize,
-    /// Build the source database once per study and translate it once
-    /// per transform row, running every verification on a replica checked
-    /// out of the study's pools, instead of rebuilding (and re-translating)
-    /// both for every verified program.
-    pub reuse_databases: bool,
-    /// Generate each program class once per study and borrow it in every
-    /// transform row: the program seed does not depend on the row.
-    pub memoize_programs: bool,
+    /// Share what recurs across cells: generate each program class once
+    /// for all 8 rows, build the source database once and translate it
+    /// once per row, and judge every verification against the study's
+    /// ground-truth memo on pooled replicas. Off, every row regenerates its
+    /// programs and every verification builds and runs both sides afresh.
+    pub memoize: bool,
     /// Fault-injection plan threaded into the supervisor (robustness
     /// studies). The default is idle, leaving the pipeline byte-identical
     /// to an unfaulted run.
@@ -441,8 +374,7 @@ impl StudyConfig {
             seed,
             permissive: false,
             threads: 0,
-            reuse_databases: true,
-            memoize_programs: true,
+            memoize: true,
             fault_plan: FaultPlan::none(),
             ladder: false,
         }
@@ -454,8 +386,7 @@ impl StudyConfig {
     pub fn baseline(samples: usize, seed: u64) -> StudyConfig {
         StudyConfig {
             threads: 1,
-            reuse_databases: false,
-            memoize_programs: false,
+            memoize: false,
             ..StudyConfig::new(samples, seed)
         }
     }
@@ -467,42 +398,24 @@ impl StudyConfig {
 /// program-class) cells are a fixed work list, [`pool::parallel_map`] lets
 /// each worker claim the next unclaimed cell and returns results in list
 /// order, and each cell's computation is self-contained (seeded generation,
-/// memos whose hits change no result: this study's programs, ground-truth
-/// traces and pooled verification databases, which are dropped when it
-/// returns).
+/// memos whose hits change no result: this study's programs, ground truth
+/// and pooled verification databases, which are dropped when it returns).
 /// Which worker ran a cell varies from run to run; the assembled matrix is
 /// byte-identical at any thread count.
 pub fn success_rate_study_config(config: &StudyConfig) -> StudyResult {
-    let threads = if config.threads == 0 {
-        pool::default_threads()
-    } else {
-        config.threads
-    };
-    let schema = crate::named::company_schema();
-    let supervisor = Supervisor {
-        fault: config.fault_plan.clone(),
-        ..Supervisor::default()
-    };
-
-    let classes = ProgramClass::ALL.len();
-    let memos = StudyMemos::new(config.samples, threads);
-    let units: Vec<(usize, usize)> = (0..TransformClass::ALL.len())
-        .flat_map(|row| (0..classes).map(move |c| (row, c)))
-        .collect();
+    let study = Study::new(config);
     // Panic-safe fan-out: a cell whose computation escapes every inner
     // supervision boundary becomes an all-poisoned cell, not a dead batch.
     // Each cell runs under its own `dbpc_obs::capture` (so every span the
     // pipeline opens lands in the cell's tree) and brackets the worker's
     // ambient metric sheet, shipping the per-cell delta back with the
     // result for the index-ordered merge below.
-    let per_cell = pool::try_parallel_map(&units, threads, |_, &(row, c)| {
+    let per_cell = pool::try_parallel_map(&Study::cells(), study.threads, |_, &(row, c)| {
         let mark = dbpc_obs::local_mark();
         let t = TransformClass::ALL[row];
         let label = format!("cell.{}.{}", t.name(), ProgramClass::ALL[c].name());
-        let (cell, capture) = dbpc_obs::capture(&label, || {
-            run_cell(&supervisor, &schema, config, &memos, row, c)
-        });
-        memos.cell_finished(row);
+        let (cell, capture) = dbpc_obs::capture(&label, || study.run_cell(row, c));
+        study.cell_finished(row);
         (cell, capture, mark.delta())
     });
 
@@ -548,10 +461,11 @@ pub fn success_rate_study_config(config: &StudyConfig) -> StudyResult {
     // catalog (a pure function of the fixture), so the deterministic
     // RunReport JSON shows the cardinalities and fan-outs the cost-based
     // planner and ladder consult priced plans from.
-    let src = memos.source.checkout();
+    let source = study.truth.source();
+    let src = source.checkout();
     StatCatalog::of_network(&src).publish(&mut registry);
-    memos.source.checkin(src);
-    registry.set_gauge(HOST_THREADS, threads as i64);
+    source.checkin(src);
+    registry.set_gauge(HOST_THREADS, study.threads as i64);
     let report = RunReport::assemble("success-rate-study", captures, registry);
     let profile = StudyProfile::from_frame(&report.metrics);
     export_report_if_requested(&report);
@@ -596,334 +510,346 @@ fn program_seed(seed: u64, k: usize, pc: ProgramClass) -> u64 {
         .wrapping_add(pc as u64)
 }
 
-/// One (transform, program-class) cell: generate, batch-convert, verify.
-/// `row` and `c` are the transform's position in [`TransformClass::ALL`]
-/// and the class's in [`ProgramClass::ALL`]. The programs come
-/// from the study's memo when `memoize_programs` is on; each is analyzed
-/// afresh in every row, since an analysis costs about what a memo lookup
-/// would. Work counters go to the worker's ambient `dbpc_obs` sheet (the
-/// caller brackets the cell and ships the delta frame); spans land in the
-/// caller's per-cell capture.
-fn run_cell(
-    supervisor: &Supervisor,
-    schema: &NetworkSchema,
-    config: &StudyConfig,
-    memos: &StudyMemos,
-    row: usize,
-    c: usize,
-) -> Cell {
-    let mut cell = Cell::default();
-    let t = TransformClass::ALL[row];
-    let pc = ProgramClass::ALL[c];
-    let restructuring = t.restructuring();
+/// One study run, which the matrix study and [`ladder_reports`] walk cell
+/// by cell: its configuration and fixtures, and its memos of what recurs
+/// across cells. Every pool worker borrows it and it is dropped when the
+/// study returns, so a study never reads another's entries. Each entry is
+/// a pure function of its coordinates, so whichever worker fills it cannot
+/// change a result; a later worker waits for the fill, and a fill that
+/// panics leaves its entry empty for the next cell.
+struct Study<'c> {
+    config: &'c StudyConfig,
+    /// Worker threads, and the spares each pool keeps.
+    threads: usize,
+    schema: NetworkSchema,
+    supervisor: Supervisor,
+    /// Per class, by position in [`ProgramClass::ALL`]: its `samples`
+    /// programs (memoizing configurations only).
+    programs: Vec<OnceLock<Vec<Arc<Program>>>>,
+    /// The ground truth of `company_db(4, 3, 8)`, for all 8 rows; its
+    /// source pool also serves translations, descents and the catalog.
+    truth: GroundTruth,
+    /// Per transform row, by position in [`TransformClass::ALL`].
+    targets: Vec<RowTarget>,
+}
 
-    let started = Instant::now();
-    let generate = || -> Vec<Program> {
-        (0..config.samples)
-            .map(|k| generate_program(pc, program_seed(config.seed, k, pc)))
-            .collect()
-    };
-    // Memoizing configurations generate a class once per study and borrow
-    // it in every row. Which cell generates depends on scheduling, so the
-    // hit count is `Racy`.
-    let fresh;
-    let programs: &[Program] = if config.memoize_programs {
-        let mut hit = true;
-        let programs = memos.programs[c].get_or_init(|| {
-            hit = false;
-            generate()
-        });
-        if hit {
-            dbpc_obs::racy(GENERATION_CACHE_HITS, programs.len() as u64);
+impl Study<'_> {
+    fn new(config: &StudyConfig) -> Study<'_> {
+        let threads = if config.threads == 0 {
+            pool::default_threads()
+        } else {
+            config.threads
+        };
+        let classes = ProgramClass::ALL.len();
+        Study {
+            config,
+            threads,
+            schema: crate::named::company_schema(),
+            supervisor: Supervisor {
+                fault: config.fault_plan.clone(),
+                ..Supervisor::default()
+            },
+            programs: (0..classes).map(|_| OnceLock::new()).collect(),
+            truth: GroundTruth::new(
+                EnginePool::new(company_db(4, 3, 8), threads),
+                Inputs::new().with_terminal(&["RETRIEVE"]),
+            ),
+            targets: TransformClass::ALL
+                .iter()
+                .map(|_| RowTarget {
+                    pool: Mutex::new(None),
+                    cells_left: AtomicUsize::new(classes),
+                })
+                .collect(),
         }
-        programs
-    } else {
-        fresh = generate();
-        &fresh
-    };
-    dbpc_obs::count(PROGRAMS_GENERATED, programs.len() as u64);
-    dbpc_obs::time(GENERATE_NS, started.elapsed().as_nanos() as u64);
-
-    if config.ladder {
-        return run_cell_ladder(supervisor, schema, config, memos, t, pc, programs);
     }
 
-    // Convert the cell as one batch: the schema mapping is derived once for
-    // all samples. The mapping is the batch's only fallible step and
-    // depends only on (schema, restructuring), so a batch error is exactly
-    // a per-program rejection of every sample.
-    let started = Instant::now();
-    let mut auto = AutoAnalyst;
-    let mut perm = PermissiveAnalyst;
-    let analyst: &mut dyn Analyst = if config.permissive {
-        &mut perm
-    } else {
-        &mut auto
-    };
-    let keys: Vec<u64> = (0..config.samples)
-        .map(|k| program_fault_key(t, pc, k))
-        .collect();
-    let reports: Vec<ConversionReport> =
-        match supervisor.convert_batch_keyed(schema, &restructuring, programs, &keys, analyst) {
-            Ok(reports) => reports,
-            Err(_) => {
-                cell.total = programs.len();
-                cell.rejected = programs.len();
-                dbpc_obs::time(CONVERT_NS, started.elapsed().as_nanos() as u64);
-                dbpc_obs::count(CELLS_DONE, 1);
-                return cell;
-            }
-        };
-    dbpc_obs::time(CONVERT_NS, started.elapsed().as_nanos() as u64);
-
-    // Execution verification for successful conversions. In reuse mode
-    // every program — updating or not — runs on a replica checked out of
-    // the study's pools (the source built once per study, the target
-    // translated once per row) inside a savepoint that is rolled back
-    // afterwards, so no database is built or translated per cell. The
-    // ground-truth trace of the original program — which does not depend
-    // on the restructuring — is memoized for the study, so a program
-    // recurring across transform rows executes once instead of eight
-    // times. Replicas are checked out on first need and go back to their
-    // pools only when the cell finishes; an unwinding cell drops them.
-    let started = Instant::now();
-    let inputs = Inputs::new().with_terminal(&["RETRIEVE"]);
-    let mut src: Option<NetworkDb> = None;
-    let mut tgt: Option<(Arc<EnginePool>, NetworkDb)> = None;
-    for (k, (program, report)) in programs.iter().zip(&reports).enumerate() {
-        cell.total += 1;
-        match report.verdict {
-            Verdict::Converted => cell.converted += 1,
-            Verdict::ConvertedWithWarnings => cell.converted_with_warnings += 1,
-            Verdict::NeedsManualWork => cell.needs_manual += 1,
-            Verdict::Rejected => cell.rejected += 1,
-            Verdict::Poisoned => cell.poisoned += 1,
-        }
-        if !report.succeeded() {
-            continue;
-        }
-        dbpc_obs::count(PROGRAMS_CONVERTED, 1);
-        let Some(converted) = report.program.as_ref() else {
-            // A succeeded verdict always carries a program; treat the
-            // impossible as a verification failure rather than a panic.
-            cell.verified_wrong += 1;
-            continue;
-        };
-        let eq: Result<EquivalenceLevel, _> = if config.reuse_databases {
-            if tgt.is_none() {
-                tgt = memos.target(row, &restructuring).map(|pool| {
-                    let db = dbpc_obs::quiet(|| pool.checkout());
-                    (pool, db)
+    /// Row `row`'s target pool, translating the source under
+    /// `restructuring` on the first call; `None` when that translation
+    /// fails. Which cell translates depends on scheduling, so the
+    /// translation is `quiet` (its spans and counters would otherwise make
+    /// the report thread-count dependent), while the `TRANSLATIONS` count
+    /// stays outside it.
+    fn target(&self, row: usize, restructuring: &Restructuring) -> Option<Arc<EnginePool>> {
+        lock(&self.targets[row].pool)
+            .get_or_insert_with(|| {
+                let translated = dbpc_obs::quiet(|| {
+                    let src = self.truth.source().checkout();
+                    let tgt = restructuring.translate(&src);
+                    self.truth.source().checkin(src);
+                    tgt
                 });
-            }
-            let Some((_, tgt_db)) = tgt.as_mut() else {
-                cell.verified_wrong += 1;
-                continue;
-            };
+                dbpc_obs::count(TRANSLATIONS, 1);
+                translated
+                    .ok()
+                    .map(|db| Arc::new(EnginePool::new(db, self.threads)))
+            })
+            .clone()
+    }
+
+    /// A cell of row `row` finished without unwinding; the row's last one
+    /// retires its target pool. (A cell that unwound leaves the pool to be
+    /// dropped with the study.)
+    fn cell_finished(&self, row: usize) {
+        let target = &self.targets[row];
+        // AcqRel: the last decrement sees every earlier cell of the row
+        // finished, replicas checked in.
+        if target.cells_left.fetch_sub(1, Ordering::AcqRel) == 1 {
+            lock(&target.pool).take();
+        }
+    }
+
+    /// The work list: every cell as `(row, class)` positions in
+    /// [`TransformClass::ALL`] and [`ProgramClass::ALL`], in matrix order.
+    fn cells() -> Vec<(usize, usize)> {
+        let classes = ProgramClass::ALL.len();
+        (0..TransformClass::ALL.len())
+            .flat_map(|row| (0..classes).map(move |c| (row, c)))
+            .collect()
+    }
+
+    /// The analyst the configuration asks for.
+    fn analyst(&self) -> Box<dyn Analyst> {
+        if self.config.permissive {
+            Box::new(PermissiveAnalyst)
+        } else {
+            Box::new(AutoAnalyst)
+        }
+    }
+
+    /// Class `c`'s programs. A memoizing configuration generates a class
+    /// once per study and borrows it in every row; which cell generates
+    /// depends on scheduling, so the hit count is `Racy`.
+    fn programs_of(&self, c: usize) -> Cow<'_, [Arc<Program>]> {
+        let started = Instant::now();
+        let pc = ProgramClass::ALL[c];
+        let generate = || -> Vec<Arc<Program>> {
+            (0..self.config.samples)
+                .map(|k| Arc::new(generate_program(pc, program_seed(self.config.seed, k, pc))))
+                .collect()
+        };
+        let programs = if self.config.memoize {
             let mut hit = true;
-            let original_trace = memos.traces[c * config.samples + k].get_or_init(|| {
+            let programs = self.programs[c].get_or_init(|| {
                 hit = false;
-                dbpc_obs::racy(SOURCE_TRACE_MISSES, 1);
-                // Which cell fills the memo depends on scheduling, so the
-                // run is `quiet`: its spans and storage counters would
-                // otherwise make the trace thread-count dependent.
-                dbpc_obs::racy(DB_SHARED_RUNS, 1);
-                dbpc_obs::quiet(|| {
-                    let src_db = src.get_or_insert_with(|| memos.source.checkout());
-                    let sp = src_db.begin_savepoint();
-                    let run = run_host(src_db, program, inputs.clone());
-                    src_db.rollback_to(sp);
-                    run
-                })
+                generate()
             });
             if hit {
-                dbpc_obs::racy(SOURCE_TRACE_HITS, 1);
+                dbpc_obs::racy(GENERATION_CACHE_HITS, programs.len() as u64);
             }
+            Cow::Borrowed(programs.as_slice())
+        } else {
+            Cow::Owned(generate())
+        };
+        dbpc_obs::count(PROGRAMS_GENERATED, programs.len() as u64);
+        dbpc_obs::time(GENERATE_NS, started.elapsed().as_nanos() as u64);
+        programs
+    }
+
+    /// One (transform, program-class) cell, by position in
+    /// [`TransformClass::ALL`] and [`ProgramClass::ALL`]: generate,
+    /// batch-convert, verify. Each program is analyzed afresh in every
+    /// row, since an analysis costs about what a memo lookup would. Work
+    /// counters go to the worker's ambient `dbpc_obs` sheet (the caller
+    /// brackets the cell and ships the delta frame); spans land in the
+    /// caller's per-cell capture.
+    fn run_cell(&self, row: usize, c: usize) -> Cell {
+        let config = self.config;
+        let mut cell = Cell::default();
+        let t = TransformClass::ALL[row];
+        let pc = ProgramClass::ALL[c];
+        let restructuring = t.restructuring();
+        let programs = self.programs_of(c);
+
+        if config.ladder {
+            let started = Instant::now();
+            for (report, level) in self.run_cell_ladder(row, c, &programs) {
+                let verified = level.map(|level| level != EquivalenceLevel::NotEquivalent);
+                cell.tally(report.verdict, verified);
+            }
+            dbpc_obs::time(VERIFY_NS, started.elapsed().as_nanos() as u64);
+            dbpc_obs::count(CELLS_DONE, 1);
+            return cell;
+        }
+
+        // Convert the cell as one batch: the schema mapping is derived once
+        // for all samples. The mapping is the batch's only fallible step
+        // and depends only on (schema, restructuring), so a batch error is
+        // exactly a per-program rejection of every sample.
+        let started = Instant::now();
+        let keys: Vec<u64> = (0..config.samples)
+            .map(|k| program_fault_key(t, pc, k))
+            .collect();
+        let converted = self.supervisor.convert_batch_keyed(
+            &self.schema,
+            &restructuring,
+            &programs,
+            &keys,
+            self.analyst().as_mut(),
+        );
+        dbpc_obs::time(CONVERT_NS, started.elapsed().as_nanos() as u64);
+        let Ok(reports) = converted else {
+            cell.total = programs.len();
+            cell.rejected = programs.len();
+            dbpc_obs::count(CELLS_DONE, 1);
+            return cell;
+        };
+
+        // Execution verification for successful conversions, under one
+        // `stage.verification` span per cell that verifies anything. The
+        // row's target pool is translated by its first verifying cell.
+        let started = Instant::now();
+        let mut verify_cell = || {
+            let target = if config.memoize {
+                self.target(row, &restructuring)
+            } else {
+                None
+            };
+            for (program, report) in programs.iter().zip(&reports) {
+                let verified = report
+                    .succeeded()
+                    .then(|| self.verify(&restructuring, target.as_deref(), program, report));
+                cell.tally(report.verdict, verified);
+            }
+        };
+        if reports.iter().any(ConversionReport::succeeded) {
+            dbpc_obs::span(Stage::Verification.span_name(), verify_cell);
+        } else {
+            verify_cell();
+        }
+        dbpc_obs::time(VERIFY_NS, started.elapsed().as_nanos() as u64);
+        dbpc_obs::count(CELLS_DONE, 1);
+        cell
+    }
+
+    /// Verify one successful conversion: `true` when its trace matched,
+    /// strictly or at the predicted-warning level. `target` is `None` when
+    /// the row cannot translate the source.
+    fn verify(
+        &self,
+        restructuring: &Restructuring,
+        target: Option<&EnginePool>,
+        program: &Arc<Program>,
+        report: &ConversionReport,
+    ) -> bool {
+        dbpc_obs::count(PROGRAMS_CONVERTED, 1);
+        // A succeeded verdict always carries a program; treat the
+        // impossible as a verification failure rather than a panic.
+        let Some(converted) = report.program.as_ref() else {
+            return false;
+        };
+        let level = if self.config.memoize {
+            let Some(target) = target else {
+                return false;
+            };
             dbpc_obs::count(EQUIVALENCE_RUNS, 1);
-            original_trace
-                .as_ref()
-                .map_err(RunError::clone)
-                .and_then(|trace| {
-                    dbpc_obs::racy(DB_SHARED_RUNS, 1);
-                    let sp = tgt_db.begin_savepoint();
-                    let out =
-                        judge_equivalence(trace, tgt_db, converted, &inputs, &report.warnings);
-                    tgt_db.rollback_to(sp);
-                    out.map(|(level, _, _)| level)
-                })
+            let (level, hit) = self
+                .truth
+                .judge(program, target, converted, &report.warnings);
+            // Which cell fills the memo depends on scheduling, so the
+            // split, like the runs it implies, is `Racy`.
+            let (metric, runs) = if hit {
+                (SOURCE_TRACE_HITS, 1)
+            } else {
+                (SOURCE_TRACE_MISSES, 2)
+            };
+            dbpc_obs::racy(metric, 1);
+            dbpc_obs::racy(DB_SHARED_RUNS, runs);
+            level
         } else {
             let src = company_db(4, 3, 8);
             dbpc_obs::count(DB_BUILDS, 1);
             dbpc_obs::count(TRANSLATIONS, 1);
             let Ok(tgt) = restructuring.translate(&src) else {
-                cell.verified_wrong += 1;
-                continue;
+                return false;
             };
             dbpc_obs::count(EQUIVALENCE_RUNS, 1);
-            check_equivalence(src, program, tgt, converted, &inputs, &report.warnings)
+            let inputs = self.truth.inputs();
+            check_equivalence(src, program, tgt, converted, inputs, &report.warnings)
                 .map(|eq| eq.level)
         };
-        match eq {
-            Ok(EquivalenceLevel::Strict | EquivalenceLevel::Warned) => {
-                cell.verified_equivalent += 1
-            }
-            Ok(EquivalenceLevel::NotEquivalent) | Err(_) => cell.verified_wrong += 1,
+        matches!(
+            level,
+            Ok(EquivalenceLevel::Strict | EquivalenceLevel::Warned)
+        )
+    }
+
+    /// The ladder variant of a cell: each program descends the §2 strategy
+    /// ladder, converting and verifying in one supervised step. Returns
+    /// each report ([`Verdict::Poisoned`] if its descent panicked) and its
+    /// serving rung's level. The descents share one source replica.
+    fn run_cell_ladder(
+        &self,
+        row: usize,
+        c: usize,
+        programs: &[Arc<Program>],
+    ) -> Vec<(ConversionReport, Option<EquivalenceLevel>)> {
+        let t = TransformClass::ALL[row];
+        let pc = ProgramClass::ALL[c];
+        let restructuring = t.restructuring();
+        let source = self.truth.source();
+        let mut src_base = dbpc_obs::quiet(|| source.checkout());
+        let mut unwound = false;
+        let outcomes = programs
+            .iter()
+            .enumerate()
+            .map(|(k, program)| {
+                let descent = catch_unwind(AssertUnwindSafe(|| {
+                    run_ladder(
+                        &self.supervisor,
+                        &self.schema,
+                        &restructuring,
+                        program,
+                        program_fault_key(t, pc, k),
+                        &mut src_base,
+                        self.truth.inputs(),
+                        self.analyst().as_mut(),
+                    )
+                }));
+                match descent {
+                    Ok(out) => {
+                        if out.report.succeeded() {
+                            dbpc_obs::count(PROGRAMS_CONVERTED, 1);
+                        }
+                        dbpc_obs::count(EQUIVALENCE_RUNS, 1);
+                        (out.report, out.level)
+                    }
+                    // run_ladder already supervises every rung; a panic
+                    // escaping it (ground-truth setup, tallying) poisons
+                    // only this program.
+                    Err(payload) => {
+                        unwound = true;
+                        (poisoned(pool::panic_payload(payload)), None)
+                    }
+                }
+            })
+            .collect();
+        if !unwound {
+            source.checkin(src_base);
         }
+        outcomes
     }
-    if let Some(db) = src {
-        memos.source.checkin(db);
-    }
-    if let Some((pool, db)) = tgt {
-        pool.checkin(db);
-    }
-    dbpc_obs::time(VERIFY_NS, started.elapsed().as_nanos() as u64);
-    dbpc_obs::count(CELLS_DONE, 1);
-    cell
 }
 
-/// The ladder variant of a cell: every program descends the §2 strategy
-/// ladder, so conversion and verification are one supervised step. Tallies
-/// the serving rung's verdict; `verified_equivalent` counts programs whose
-/// serving rung passed its equivalence check (the ladder only serves
-/// verified rungs, so a served program is a verified one). Every descent
-/// runs on one source replica, which goes back to the study's pool unless
-/// a descent panicked.
-fn run_cell_ladder(
-    supervisor: &Supervisor,
-    schema: &NetworkSchema,
-    config: &StudyConfig,
-    memos: &StudyMemos,
-    t: TransformClass,
-    pc: ProgramClass,
-    programs: &[Program],
-) -> Cell {
-    let mut cell = Cell::default();
-    let started = Instant::now();
-    let inputs = Inputs::new().with_terminal(&["RETRIEVE"]);
-    let mut src_base = dbpc_obs::quiet(|| memos.source.checkout());
-    let mut unwound = false;
-    let restructuring = t.restructuring();
-    for (k, program) in programs.iter().enumerate() {
-        cell.total += 1;
-        let key = program_fault_key(t, pc, k);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut auto = AutoAnalyst;
-            let mut perm = PermissiveAnalyst;
-            let analyst: &mut dyn Analyst = if config.permissive {
-                &mut perm
-            } else {
-                &mut auto
-            };
-            run_ladder(
-                supervisor,
-                schema,
-                &restructuring,
-                program,
-                key,
-                &mut src_base,
-                &inputs,
-                analyst,
-            )
-        }));
-        match outcome {
-            Ok(out) => {
-                match out.report.verdict {
-                    Verdict::Converted => cell.converted += 1,
-                    Verdict::ConvertedWithWarnings => cell.converted_with_warnings += 1,
-                    Verdict::NeedsManualWork => cell.needs_manual += 1,
-                    Verdict::Rejected => cell.rejected += 1,
-                    Verdict::Poisoned => cell.poisoned += 1,
-                }
-                if out.report.succeeded() {
-                    dbpc_obs::count(PROGRAMS_CONVERTED, 1);
-                }
-                dbpc_obs::count(EQUIVALENCE_RUNS, 1);
-                match out.level {
-                    Some(EquivalenceLevel::Strict | EquivalenceLevel::Warned) => {
-                        cell.verified_equivalent += 1
-                    }
-                    Some(EquivalenceLevel::NotEquivalent) => cell.verified_wrong += 1,
-                    None => {}
-                }
-            }
-            // run_ladder already supervises every rung; a panic escaping it
-            // (ground-truth setup, tallying) poisons only this program.
-            Err(_) => {
-                cell.poisoned += 1;
-                unwound = true;
-            }
-        }
-    }
-    if !unwound {
-        memos.source.checkin(src_base);
-    }
-    dbpc_obs::time(VERIFY_NS, started.elapsed().as_nanos() as u64);
-    dbpc_obs::count(CELLS_DONE, 1);
-    cell
+/// The report of a program whose conversion unwound with `detail`.
+fn poisoned(detail: String) -> ConversionReport {
+    failure_report(Verdict::Poisoned, PipelineError::Panic { detail })
 }
 
 /// Per-program ladder reports over the whole E2 corpus, in the fixed
 /// `(transform, program class, sample)` order — the unit the robustness
-/// acceptance test and the E15 rung-distribution figure compare. Parallel
-/// and panic-safe like the matrix study: a program whose descent escapes
-/// supervision yields a [`Verdict::Poisoned`] report in its slot.
+/// acceptance test and the E15 rung-distribution figure compare. It walks
+/// the corpus cell by cell like the matrix study; every sample of a cell
+/// that unwinds outside the per-program boundary is [`Verdict::Poisoned`].
 pub fn ladder_reports(config: &StudyConfig) -> Vec<ConversionReport> {
-    let threads = if config.threads == 0 {
-        pool::default_threads()
-    } else {
-        config.threads
-    };
-    let schema = crate::named::company_schema();
-    let supervisor = Supervisor {
-        fault: config.fault_plan.clone(),
-        ..Supervisor::default()
-    };
-    let inputs = Inputs::new().with_terminal(&["RETRIEVE"]);
-    // NetworkDb keeps interior index caches (not Sync), so every work item
-    // checks out its own replica of the one source base; an item that
-    // unwinds drops its replica instead of returning it.
-    let source = EnginePool::new(company_db(4, 3, 8), threads);
-    let units: Vec<(TransformClass, ProgramClass, usize)> = TransformClass::ALL
-        .iter()
-        .flat_map(|t| {
-            ProgramClass::ALL
-                .iter()
-                .flat_map(move |pc| (0..config.samples).map(move |k| (*t, *pc, k)))
-        })
-        .collect();
-    pool::try_parallel_map(&units, threads, |_, &(t, pc, k)| {
-        let program = generate_program(pc, program_seed(config.seed, k, pc));
-        let restructuring = t.restructuring();
-        let mut src_base = source.checkout();
-        let mut auto = AutoAnalyst;
-        let mut perm = PermissiveAnalyst;
-        let analyst: &mut dyn Analyst = if config.permissive {
-            &mut perm
-        } else {
-            &mut auto
-        };
-        let report = run_ladder(
-            &supervisor,
-            &schema,
-            &restructuring,
-            &program,
-            program_fault_key(t, pc, k),
-            &mut src_base,
-            &inputs,
-            analyst,
-        )
-        .report;
-        source.checkin(src_base);
-        report
+    let study = Study::new(config);
+    pool::try_parallel_map(&Study::cells(), study.threads, |_, &(row, c)| {
+        study.run_cell_ladder(row, c, &study.programs_of(c))
     })
     .into_iter()
-    .map(|r| {
-        r.unwrap_or_else(|p| {
-            failure_report(
-                Verdict::Poisoned,
-                PipelineError::Panic { detail: p.payload },
-            )
-        })
+    .flat_map(|cell| match cell {
+        Ok(outcomes) => outcomes.into_iter().map(|(report, _)| report).collect(),
+        Err(p) => vec![poisoned(p.payload); config.samples],
     })
     .collect()
 }
@@ -1145,6 +1071,32 @@ mod tests {
             );
             assert_eq!(run, &runs[0], "at {} threads", run.profile.threads);
         }
+    }
+
+    /// Verification is timed under its stage span: one
+    /// `stage.verification` node in each cell that verified a program,
+    /// none elsewhere, whatever the memo hits.
+    #[test]
+    fn each_verifying_cell_opens_one_verification_span() {
+        let study = success_rate_study_config(&StudyConfig {
+            threads: 2,
+            ..StudyConfig::new(2, 1979)
+        });
+        let cells: Vec<&Cell> = study
+            .rows
+            .iter()
+            .flat_map(|r| r.cells.iter().map(|(_, c)| c))
+            .collect();
+        assert_eq!(study.report.spans.len(), cells.len());
+        let mut verifying = 0;
+        for (cell, root) in cells.iter().zip(&study.report.spans) {
+            let mut spans = 0;
+            root.walk(&mut |n| spans += usize::from(n.name == "stage.verification"));
+            let verified = cell.converted + cell.converted_with_warnings > 0;
+            assert_eq!(spans, usize::from(verified), "{}", root.name);
+            verifying += usize::from(verified);
+        }
+        assert!(verifying > 0);
     }
 
     /// The memos live for one study: running the same config twice in one

@@ -131,7 +131,7 @@ pub fn diff_traces(original: &Trace, converted: &Trace) -> Option<String> {
 
 /// Scripted inputs for a run: terminal lines and per-file line contents.
 /// Both programs under comparison are run against identical inputs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Inputs {
     pub terminal: VecDeque<String>,
     pub files: BTreeMap<String, VecDeque<String>>,
